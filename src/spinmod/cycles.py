@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import BudgetError, DomainError, InputError
-from .graphs import remove_edges, subgraph_on
+from .graphs import connected_classes, remove_edges, subgraph_on
 
 B1_CAP = 24
 
@@ -78,7 +78,8 @@ class EdgeSet:
                 and self.mask == other.mask)
 
     def __hash__(self):
-        return hash((id(self.graph), self.mask))
+        # consistent with __eq__, which compares carriers structurally
+        return hash((self.graph.n_edges, self.mask))
 
     def hex(self):
         return format(self.mask, "x")
@@ -89,28 +90,12 @@ class EdgeSet:
     @cached_property
     def b1(self):
         """First Betti number of the spanned subgraph (support vertices only)."""
-        idx = self.indices()
-        if not idx:
+        pairs = [self.graph.edge_vertices(i) for i in self.indices()]
+        if not pairs:
             return 0
-        verts = set()
-        for i in idx:
-            verts.update(self.graph.edge_vertices(i))
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comp = len(verts)
-        for i in idx:
-            u, v = self.graph.edge_vertices(i)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comp -= 1
-        return len(idx) - len(verts) + comp
+        verts = {v for pair in pairs for v in pair}
+        return (len(pairs) - len(verts)
+                + len(connected_classes(verts, pairs)))
 
     def spanned_connected(self):
         """True when the spanned subgraph is connected (empty set: False)."""
@@ -212,7 +197,11 @@ class PbarDecomposition:
     into connected components.
 
     Components are ordered by their smallest vertex; this ordering is what
-    sign vectors of spin structures refer to.
+    sign vectors of spin structures refer to.  They come from one
+    union-find over the edges of the cyclic set: a component's genus is
+    its total weight plus its edges in the set, minus its vertices, plus
+    one.  The opened graph (``pbar``) and its component graphs
+    (``components``) are built on demand.
     """
 
     def __init__(self, graph, cyclic_set):
@@ -220,27 +209,52 @@ class PbarDecomposition:
             raise DomainError("decomposition requires a cyclic edge set")
         self.graph = graph
         self.cyclic_set = cyclic_set
-        removed = [i for i in range(graph.n_edges) if i not in cyclic_set]
-        self.pbar = remove_edges(graph, removed, open=True)
-        comps = self.pbar.components
-        self.vertex_sets = tuple(frozenset(c) for c in comps)
-        self.components = tuple(subgraph_on(self.pbar, c) for c in comps)
-        self.genera = tuple(g.genus for g in self.components)
+        edges = [graph.edge_vertices(i) for i in cyclic_set]
+        classes = connected_classes(graph.vertices, edges)
+        self._component = {v: i for i, vs in enumerate(classes) for v in vs}
+        n_edges = [0] * len(classes)
+        for u, _ in edges:
+            n_edges[self._component[u]] += 1
+        self.vertex_sets = tuple(frozenset(vs) for vs in classes)
+        self.genera = tuple(
+            sum(graph.weight[v] for v in vs) + e - len(vs) + 1
+            for vs, e in zip(classes, n_edges))
+
+    @cached_property
+    def pbar(self):
+        removed = [i for i in range(self.graph.n_edges)
+                   if i not in self.cyclic_set]
+        return remove_edges(self.graph, removed, open=True)
+
+    @cached_property
+    def components(self):
+        return tuple(subgraph_on(self.pbar, vs) for vs in self.vertex_sets)
 
     @property
     def c_plus(self):
         return sum(1 for g in self.genera if g > 0)
 
     def __len__(self):
-        return len(self.components)
+        return len(self.vertex_sets)
 
     def component_of(self, vertex):
-        for i, vs in enumerate(self.vertex_sets):
-            if vertex in vs:
-                return i
-        raise InputError(f"vertex {vertex} not in graph")
+        try:
+            return self._component[vertex]
+        except KeyError:
+            raise InputError(f"vertex {vertex} not in graph") from None
 
 
 def pbar_decompose(graph, cyclic_set):
-    """Open all edges outside ``cyclic_set`` and split into components."""
-    return PbarDecomposition(graph, cyclic_set)
+    """Open all edges outside ``cyclic_set`` and split into components.
+
+    Memoised per graph object by mask, in ``graph.__dict__`` like the
+    canonical form and the automorphism group; a mask that is not cyclic
+    is rejected on every call.
+    """
+    cache = graph.__dict__.get("_pbar_decompositions")
+    if cache is None:
+        cache = graph.__dict__["_pbar_decompositions"] = {}
+    dec = cache.get(cyclic_set.mask)
+    if dec is None:
+        dec = cache[cyclic_set.mask] = PbarDecomposition(graph, cyclic_set)
+    return dec

@@ -156,21 +156,8 @@ class Graph:
         Isolated vertices form their own components; legs do not connect
         anything.
         """
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(self.n_edges):
-            u, v = self.edge_vertices(i)
-            parent[find(u)] = find(v)
-        groups = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+        return tuple(tuple(c) for c in connected_classes(
+            self.vertices, map(self.edge_vertices, range(self.n_edges))))
 
     @cached_property
     def c(self):
@@ -200,7 +187,8 @@ class Graph:
                 self.legs)
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self._ident() == other._ident()
+        return self is other or (isinstance(other, Graph)
+                                 and self._ident() == other._ident())
 
     def __hash__(self):
         return hash(self._ident())
@@ -294,6 +282,29 @@ class Divisor:
 
 
 # -- single-graph operations ----------------------------------------------
+
+def connected_classes(items, pairs):
+    """Classes of the equivalence relation on ``items`` generated by
+    ``pairs`` (union-find), each a sorted list, ordered by smallest
+    member."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            # the root of a class is its smallest member
+            parent[max(ru, rv)] = min(ru, rv)
+    classes = {}
+    for x in sorted(parent):
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
 
 def genus(graph):
     """Total vertex weight plus first Betti number (components counted)."""

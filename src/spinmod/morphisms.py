@@ -15,8 +15,8 @@ from collections import defaultdict
 from itertools import combinations, permutations, product
 
 from .cycles import EdgeSet, boundary, is_cyclic, pbar_decompose
-from .errors import BudgetError, DomainError, InputError
-from .graphs import Graph
+from .errors import BudgetError, DomainError, InputError, VerificationError
+from .graphs import Graph, connected_classes
 from .spin import SpinGraph, SpinStructure
 
 AUT_HALF_EDGE_CAP = 40
@@ -39,27 +39,9 @@ class Contraction:
         self.source = source
         self.contracted = contracted
 
-        parent = {v: v for v in source.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in contracted:
-            u, v = source.edge_vertices(i)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[min(ru, rv)] = max(ru, rv)
-        classes = defaultdict(list)
-        for v in source.vertices:
-            classes[find(v)].append(v)
-        rep = {}
-        for members in classes.values():
-            r = min(members)
-            for v in members:
-                rep[v] = r
+        classes = connected_classes(
+            source.vertices, map(source.edge_vertices, contracted))
+        rep = {v: members[0] for members in classes for v in members}
         self.vertex_map = rep
 
         # target weight = total weight + first Betti number of the
@@ -69,8 +51,8 @@ class Contraction:
             u, _ = source.edge_vertices(i)
             f_count[rep[u]] += 1
         weight = {}
-        for members in classes.values():
-            r = min(members)
+        for members in classes:
+            r = members[0]
             weight[r] = (sum(source.w(v) for v in members)
                          + f_count[r] - len(members) + 1)
 
@@ -147,16 +129,26 @@ def push_cycle(contraction, cyclic_set):
 def push_spin(contraction, spin):
     """Pushforward of a spin structure: the image cyclic set with signs
     summed over merged components.  Parity is preserved."""
+    def witnesses():
+        return (canonical_key(contraction.source), f"P={spin.P.hex()}",
+                f"F={contraction.contracted.hex()}")
+
     p_out = push_cycle(contraction, spin.P)
     dec_out = pbar_decompose(contraction.target, p_out)
     signs = [0] * len(dec_out)
     for i, vs in enumerate(spin.dec.vertex_sets):
         image = {contraction.vertex_map[v] for v in vs}
         j = dec_out.component_of(min(image))
-        assert image <= dec_out.vertex_sets[j]
+        if not image <= dec_out.vertex_sets[j]:
+            raise VerificationError(
+                f"component {i} of the opened graph does not map into one "
+                f"component of the pushed decomposition", witnesses())
         signs[j] ^= spin.signs[i]
     out = SpinStructure(contraction.target, p_out, tuple(signs), _dec=dec_out)
-    assert out.parity == spin.parity
+    if out.parity != spin.parity:
+        raise VerificationError(
+            f"pushforward changed the parity from {spin.parity} to "
+            f"{out.parity}", witnesses())
     return out
 
 
@@ -284,19 +276,20 @@ class Aut:
                    {h: self.half_map[k]
                     for h, k in other.half_map.items()})
 
-    def act_spin(self, spin, _dec_cache=None):
+    def act_spin(self, spin):
         """Image of a spin structure under this automorphism."""
-        mask = self.act_mask(spin.P.mask)
-        p_out = EdgeSet(self.graph, mask)
-        if _dec_cache is not None:
-            dec = _dec_cache.setdefault(mask, pbar_decompose(self.graph, p_out))
-        else:
-            dec = pbar_decompose(self.graph, p_out)
+        p_out = EdgeSet(self.graph, self.act_mask(spin.P.mask))
+        dec = pbar_decompose(self.graph, p_out)
         signs = [0] * len(dec)
         for i, vs in enumerate(spin.dec.vertex_sets):
             image = {self.vertex_map[v] for v in vs}
             j = dec.component_of(min(image))
-            assert image == dec.vertex_sets[j]
+            if image != dec.vertex_sets[j]:
+                raise VerificationError(
+                    f"automorphism maps component {i} of the opened graph "
+                    f"onto no component of its image",
+                    (canonical_key(self.graph), f"P={spin.P.hex()}",
+                     f"image={p_out.hex()}"))
             signs[j] = spin.signs[i]
         return SpinStructure(self.graph, p_out, tuple(signs), _dec=dec)
 
@@ -489,9 +482,7 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
         raise InputError("restricted groups need a spin structure over the "
                          "same graph")
     if restrict == "spin":
-        dec_cache = {}
-        kept = [a for a in group.elements
-                if a.act_spin(spin, dec_cache) == spin]
+        kept = [a for a in group.elements if a.act_spin(spin) == spin]
         return AutGroup(graph, kept)
     if restrict == "pbar":
         outside = [h for i in range(graph.n_edges) if i not in spin.P

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import os
 from collections import Counter, defaultdict
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
-from .graphs import Graph, is_stable
+from .graphs import Graph, connected_classes, is_stable
 from .morphisms import (automorphisms, canonical_key, contract,
                         cyclic_canonical_key, push_cycle, push_spin)
 from .spin import SpinGraph, enumerate_spin
@@ -31,15 +32,20 @@ def check_budget(g, n, budget_edges=None):
     """Desk-scale guard: leg-free graphs up to genus 4, legged up to
     genus 3, unless an explicit edge budget (argument or environment
     variable) says otherwise.  An empty variable counts as unset; any
-    other value that is not an integer is an input error."""
+    other value that is not an integer, and any negative budget, is an
+    input error."""
     raw = os.environ.get(BUDGET_ENV)
+    source = "edge budget"
     if budget_edges is None and raw:
         try:
             budget_edges = int(raw)
         except ValueError:
             raise InputError(f"{BUDGET_ENV}={raw!r} is not an integer "
                              f"edge count") from None
+        source = BUDGET_ENV
     if budget_edges is not None:
+        if budget_edges < 0:
+            raise InputError(f"{source} {budget_edges} is negative")
         if max_rank(g, n) > budget_edges:
             raise BudgetError(
                 f"enumeration at ({g},{n}) needs {max_rank(g, n)} edges, "
@@ -189,12 +195,13 @@ class Poset:
     def __len__(self):
         return len(self.nodes)
 
-    @property
+    @cached_property
     def lower_of(self):
-        below = defaultdict(set)
+        """Node -> the nodes it covers, built once from the covers."""
+        below = defaultdict(list)
         for u, l in self.covers:
-            below[u].add(l)
-        return below
+            below[u].append(l)
+        return dict(below)
 
     def descendants(self, i):
         """Everything reachable downward from node i, including i."""
@@ -203,7 +210,7 @@ class Poset:
         stack = [i]
         while stack:
             x = stack.pop()
-            for y in below[x]:
+            for y in below.get(x, ()):
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -214,20 +221,7 @@ class Poset:
         return j in self.descendants(i)
 
     def components(self):
-        parent = list(range(len(self.nodes)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, l in self.covers:
-            parent[find(u)] = find(l)
-        groups = defaultdict(list)
-        for i in range(len(self.nodes)):
-            groups[find(i)].append(i)
-        return sorted(sorted(g) for g in groups.values())
+        return connected_classes(range(len(self.nodes)), self.covers)
 
     def rank_histogram(self):
         hist = Counter(node.rank for node in self.nodes)
@@ -314,10 +308,9 @@ def build_spin_poset(g, n, budget_edges=None, _classes=None):
     nodes = []
     for rep in classes:
         group = automorphisms(rep)
-        dec_cache = {}
         orbits = {}
         for s in enumerate_spin(rep):
-            orbit = sorted(a.act_spin(s, dec_cache).data()
+            orbit = sorted(a.act_spin(s).data()
                            for a in group.elements)
             orbits.setdefault(orbit[0], s)
         for s in orbits.values():

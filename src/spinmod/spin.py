@@ -60,7 +60,8 @@ class SpinStructure:
                 and self.graph == other.graph and self.data() == other.data())
 
     def __hash__(self):
-        return hash((id(self.graph), self.data()))
+        # consistent with __eq__, which compares graphs structurally
+        return hash((self.graph.n_edges, self.data()))
 
     def __repr__(self):
         return f"SpinStructure(P={sorted(self.P.indices())}, s={self.signs})"

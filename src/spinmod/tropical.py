@@ -189,10 +189,9 @@ def pi_trop_fiber(curve):
     if not curve.stable:
         raise DomainError("fibers are taken over stable curves")
     group = curve_automorphisms(curve)
-    dec_cache = {}
     orbits = {}
     for s in enumerate_spin(curve.graph):
-        orbit = sorted(a.act_spin(s, dec_cache).data()
+        orbit = sorted(a.act_spin(s).data()
                        for a in group.elements)
         orbits.setdefault(orbit[0], s)
     reps = []

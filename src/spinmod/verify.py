@@ -8,6 +8,7 @@ fuzz generator, whose seed is logged in the report.
 
 from __future__ import annotations
 
+import functools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -58,8 +59,7 @@ def _graph_counts_checks(payload):
             "grand_total": strata.grand_total}
 
 
-def suite_counts(g, n, budget_edges=None, jobs=1):
-    classes = enumerate_stable_graphs(g, n, budget_edges)
+def suite_counts(g, n, classes, jobs=1):
     payloads = [graph.to_json(half_edges=True) for graph in classes]
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -84,11 +84,10 @@ def suite_counts(g, n, budget_edges=None, jobs=1):
     ]
 
 
-def suite_posets(g, n, budget_edges=None):
-    classes = enumerate_stable_graphs(g, n, budget_edges)
+def suite_posets(g, n, classes, get_spin_poset):
     graph_poset = build_graph_poset(g, n, _classes=classes)
     cyclic_poset = build_cyclic_poset(g, n, _classes=classes)
-    spin_poset = build_spin_poset(g, n, _classes=classes)
+    spin_poset = get_spin_poset()
     checks = []
     for poset in (graph_poset, cyclic_poset, spin_poset):
         stats = poset_stats(poset)
@@ -286,15 +285,15 @@ def fuzz_families(spin_poset, count=100, seed=0):
     return count
 
 
-def suite_functoriality(g, n, budget_edges=None, fuzz=1000, seed=0):
-    classes = enumerate_stable_graphs(g, n, budget_edges)
+def suite_functoriality(g, n, classes, get_spin_poset, fuzz=1000,
+                        seed=0):
     chains = fuzz_contraction_chains(g, n, count=fuzz, seed=seed,
                                      _classes=classes)
     checks = [{"name": "pushforward-composition", "status": "pass",
                "chains": chains, "seed": seed},
               {"name": "parity-preservation", "status": "pass"},
               {"name": "boundary-square", "status": "pass"}]
-    spin_poset = build_spin_poset(g, n, _classes=classes)
+    spin_poset = get_spin_poset()
     n_classes = check_aut_factorization(spin_poset)
     checks.append({"name": "aut-factorization", "status": "pass",
                    "spin_classes": n_classes})
@@ -305,8 +304,9 @@ def suite_functoriality(g, n, budget_edges=None, fuzz=1000, seed=0):
     return checks
 
 
-def suite_refine(g, n, budget_edges=None):
-    classes = enumerate_stable_graphs(g, n, budget_edges)
+def suite_refine(g, n, budget_edges=None, _classes=None):
+    classes = (_classes if _classes is not None
+               else enumerate_stable_graphs(g, n, budget_edges))
     refined = 0
     skipped = 0
     for graph in classes:
@@ -329,14 +329,22 @@ def suite_refine(g, n, budget_edges=None):
 
 
 def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0, jobs=1):
+    """Run the selected suites over one enumeration of the classes and at
+    most one spin poset, built when a suite first reads it."""
+    classes = enumerate_stable_graphs(g, n, budget_edges)
+
+    @functools.cache
+    def get_spin_poset():
+        return build_spin_poset(g, n, _classes=classes)
+
     checks = []
     if suite in ("counts", "all"):
-        checks += suite_counts(g, n, budget_edges, jobs=jobs)
+        checks += suite_counts(g, n, classes, jobs=jobs)
     if suite in ("posets", "all"):
-        checks += suite_posets(g, n, budget_edges)
+        checks += suite_posets(g, n, classes, get_spin_poset)
     if suite in ("functoriality", "all"):
-        checks += suite_functoriality(g, n, budget_edges, fuzz=fuzz,
-                                      seed=seed)
+        checks += suite_functoriality(g, n, classes, get_spin_poset,
+                                      fuzz=fuzz, seed=seed)
     if suite in ("refine", "all"):
-        checks += suite_refine(g, n, budget_edges)
+        checks += suite_refine(g, n, budget_edges, _classes=classes)
     return checks

@@ -129,6 +129,19 @@ def test_budget_env_malformed(value):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args,env", [
+    (("--budget-edges", "-1"), {}),
+    ((), {"SPINMOD_BUDGET": "-1"}),
+])
+def test_negative_budget_is_input_error(args, env):
+    proc = run_cli("enumerate", "--g", "2", "--n", "0", *args, env=env)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "input-error"
+    assert "-1 is negative" in report["error"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_budget_env_empty_is_unset():
     proc = run_cli("enumerate", "--g", "2", "--n", "0",
                    env={"SPINMOD_BUDGET": ""})

@@ -150,3 +150,45 @@ def test_edge_set_b1():
     assert EdgeSet.from_indices(g, [0, 1]).b1 == 2
     assert not EdgeSet.from_indices(g, [0, 1]).spanned_connected()
     assert EdgeSet.full(g).spanned_connected()
+
+
+@pytest.mark.parametrize("g,n", [(2, 0), (1, 2), (2, 2)])
+def test_pbar_union_find_matches_opened_graph(g, n):
+    # the union-find decomposition against the definition of the opened
+    # graph: remove the edges outside P, leaving legs, and split it
+    from spinmod.graphs import remove_edges, subgraph_on
+    from spinmod.posets import enumerate_stable_graphs
+    for graph in enumerate_stable_graphs(g, n):
+        for p in enumerate_cyclic(graph):
+            outside = [i for i in range(graph.n_edges) if i not in p]
+            opened = remove_edges(graph, outside, open=True)
+            dec = pbar_decompose(graph, p)
+            assert dec.vertex_sets == tuple(
+                frozenset(c) for c in opened.components)
+            assert dec.genera == tuple(subgraph_on(opened, c).genus
+                                       for c in opened.components)
+
+
+def test_pbar_decompose_memoised_per_graph(theta):
+    p = EdgeSet.from_indices(theta, [0, 1])
+    dec = pbar_decompose(theta, p)
+    assert pbar_decompose(theta, EdgeSet(theta, p.mask)) is dec
+    assert pbar_decompose(make_theta(), p) is not dec
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            pbar_decompose(theta, EdgeSet.from_indices(theta, [0]))
+
+
+def test_pbar_opened_graph_on_demand(theta):
+    dec = pbar_decompose(theta, EdgeSet(theta, 0))
+    assert "pbar" not in dec.__dict__
+    assert dec.pbar.n_legs == 6
+    assert [c.vertices for c in dec.components] == [(0,), (1,)]
+
+
+def test_edge_set_hash_matches_eq():
+    a = EdgeSet.from_indices(make_theta(), [0, 1])
+    b = EdgeSet.from_indices(make_theta(), [0, 1])
+    assert a.graph is not b.graph and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -1,7 +1,10 @@
 import itertools
 import random
 
-from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic
+import pytest
+
+from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
+from spinmod.errors import VerificationError
 from spinmod.graphs import Graph, genus
 from spinmod.morphisms import (automorphisms, brute_force_isomorphic,
                                canonical_key, compose, contract,
@@ -244,10 +247,9 @@ def test_spin_orbits_match_keys():
     # partition by canonical spin key
     for g in [make_theta(), make_dumbbell(), make_loop_chain()]:
         group = automorphisms(g)
-        dec_cache = {}
         by_orbit = {}
         for s in enumerate_spin(g):
-            orbit = min(a.act_spin(s, dec_cache).data()
+            orbit = min(a.act_spin(s).data()
                         for a in group.elements)
             by_orbit.setdefault(orbit, set()).add(s.data())
         by_key = {}
@@ -420,3 +422,56 @@ def test_order_test_parity_obstruction(theta):
     gw = make_weight_vertex(2)
     odd = SpinGraph(gw, SpinStructure(gw, EdgeSet(gw, 0), (1,)))
     assert order_test(even, odd) is None
+
+
+# -- decomposition identities as verification errors --------------------------
+
+def test_act_spin_rejects_bad_decomposition(theta):
+    # the decomposition memoised for the image mask is that of another
+    # cyclic set, so a component lands on no component of the image
+    s = spin(theta, [], (0, 0))
+    wrong = pbar_decompose(theta, EdgeSet.from_indices(theta, [0, 1]))
+    theta.__dict__["_pbar_decompositions"][0] = wrong
+    ident = automorphisms(theta).elements[0]
+    with pytest.raises(VerificationError) as info:
+        ident.act_spin(s)
+    assert info.value.witnesses == (canonical_key(theta), "P=0", "image=0")
+
+
+def test_push_spin_rejects_bad_decomposition(theta):
+    # a spin structure carrying the decomposition of another cyclic set:
+    # its one component does not map into one component of the image
+    wrong = pbar_decompose(theta, EdgeSet.from_indices(theta, [0, 1]))
+    s = SpinStructure(theta, EdgeSet(theta, 0), (1,), _dec=wrong)
+    with pytest.raises(VerificationError) as info:
+        push_spin(contract(theta, []), s)
+    assert info.value.witnesses == (canonical_key(theta), "P=0", "F=0")
+
+
+def test_push_spin_rejects_parity_change(theta):
+    s = spin(theta, [0, 1], (1,))
+    s.parity = 0  # a stored parity that disagrees with the signs
+    with pytest.raises(VerificationError) as info:
+        push_spin(contract(theta, [2]), s)
+    assert info.value.witnesses == (canonical_key(theta), "P=3", "F=4")
+
+
+def test_spin_restriction_decomposes_each_mask_once(monkeypatch):
+    from spinmod import cycles
+    built = []
+    init = cycles.PbarDecomposition.__init__
+
+    def counting_init(self, graph, cyclic_set):
+        built.append(cyclic_set.mask)
+        init(self, graph, cyclic_set)
+
+    monkeypatch.setattr(cycles.PbarDecomposition, "__init__", counting_init)
+    for make in (make_theta, make_loop_chain, lambda: make_rose(3)):
+        for s in enumerate_spin(make()):
+            graph = make()  # no decomposition memoised on it yet
+            s = SpinStructure(graph, EdgeSet(graph, s.P.mask), s.signs)
+            group = automorphisms(graph)
+            images = {a.act_mask(s.P.mask) for a in group.elements}
+            del built[:]
+            automorphisms(graph, restrict="spin", spin=s)
+            assert len(built) == len(set(built)) <= len(images)

@@ -231,3 +231,11 @@ def test_refine_both_signs():
     for sign in (0, 1):
         check_refinement(make_rose(3), sign)
         check_refinement(Graph.build([(0, 1)], [(0, 0), (0, 0)]), sign)
+
+
+def test_spin_structure_hash_matches_eq():
+    a = spin(make_theta(), [0, 1], (1,))
+    b = spin(make_theta(), [0, 1], (1,))
+    assert a.graph is not b.graph and a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
