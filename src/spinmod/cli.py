@@ -136,6 +136,8 @@ def cmd_verify(args):
     if 2 * args.g - 2 + args.n <= 0:
         raise InputError(f"no stable graphs at genus {args.g} with "
                          f"{args.n} legs (need 2g - 2 + n > 0)")
+    if args.fuzz < 0:
+        raise InputError(f"--fuzz {args.fuzz} is negative")
     checks = run_suites(args.g, args.n, args.suite,
                         budget_edges=args.budget_edges, fuzz=args.fuzz,
                         seed=args.seed, jobs=args.jobs)

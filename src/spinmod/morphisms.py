@@ -71,8 +71,17 @@ class Contraction:
             pair = source.edges[i]
             self.edge_map[i] = new_index.get(pair)
 
-        assert self.target.b1 == source.b1 - contracted.b1
-        assert self.target.genus == source.genus
+        if self.target.b1 != source.b1 - contracted.b1:
+            raise VerificationError(
+                f"contraction changed b1 from {source.b1} to "
+                f"{self.target.b1}, expected "
+                f"{source.b1 - contracted.b1}",
+                (canonical_key(source), f"F={contracted.hex()}"))
+        if self.target.genus != source.genus:
+            raise VerificationError(
+                f"contraction changed the genus from {source.genus} to "
+                f"{self.target.genus}",
+                (canonical_key(source), f"F={contracted.hex()}"))
 
     def to_json_dict(self):
         return {"F": self.contracted.hex(),
@@ -574,11 +583,6 @@ def canonical_key(obj, cap=AUT_HALF_EDGE_CAP):
                    for a in group.elements)
         return _digest([cert, best])
     raise InputError(f"cannot key objects of type {type(obj).__name__}")
-
-
-def edge_set_json(edge_set):
-    """Edge set as hex bitmask alongside its carrier's canonical key."""
-    return {"mask": edge_set.hex(), "carrier": canonical_key(edge_set.graph)}
 
 
 def cyclic_canonical_key(graph, cyclic_set, cap=AUT_HALF_EDGE_CAP):

@@ -4,7 +4,9 @@ graphs of fixed genus and leg count, with their graded poset structure.
 Enumeration seeds all 3-regular classes by degree-sequence backtracking
 with canonical-key dedup, then closes downward under single-edge
 contractions.  An independent direct generator (vertex counts, weight
-compositions, multigraph fill) cross-checks the closure on small cases.
+compositions, multigraph fill) cross-checks the closure on small cases;
+it screens each candidate on its integer valences and connectivity
+before it builds a graph.
 """
 
 from __future__ import annotations
@@ -134,7 +136,11 @@ def enumerate_stable_graphs(g, n, budget_edges=None):
                 target = contract(graph, [i]).target
                 key = canonical_key(target)
                 if key not in reps:
-                    assert is_stable(target)
+                    if not is_stable(target):
+                        raise VerificationError(
+                            "contracting an edge of a stable graph gave an "
+                            "unstable graph",
+                            (canonical_key(graph), f"edge={i}"))
                     reps[key] = target
                     fresh.append(target)
         frontier = fresh
@@ -144,13 +150,19 @@ def enumerate_stable_graphs(g, n, budget_edges=None):
 def stable_graphs_direct(g, n, budget_edges=None):
     """Independent generator: all vertex counts, weight compositions and
     edge multisets, filtered by stability.  Exponential; used to
-    cross-check the closure on the smallest cases."""
+    cross-check the closure on the smallest cases.
+
+    Each candidate is first screened on plain integers: every valence
+    ``2w(v) - 2 + deg(v) + ell(v)`` must be positive and the edges must
+    connect all vertices.  Only survivors are built as graphs, and
+    :func:`is_stable` still decides on each of them."""
     if 2 * g - 2 + n <= 0:
         return []
     check_budget(g, n, budget_edges)
     found = {}
     for k in range(1, 2 * g - 2 + n + 1):
-        pairs = [(i, j) for i in range(k) for j in range(i, k)]
+        vertices = range(k)
+        pairs = [(i, j) for i in vertices for j in range(i, k)]
         for weights in product(range(g + 1), repeat=k):
             total = sum(weights)
             if total > g:
@@ -158,8 +170,19 @@ def stable_graphs_direct(g, n, budget_edges=None):
             n_edges = g - total + k - 1
             if n_edges < 0:
                 continue
-            for legs in product(range(k), repeat=n):
+            for legs in product(vertices, repeat=n):
+                base = [2 * w - 2 for w in weights]
+                for v in legs:
+                    base[v] += 1
                 for edges in combinations_with_replacement(pairs, n_edges):
+                    val = base.copy()
+                    for u, v in edges:  # a loop counts twice
+                        val[u] += 1
+                        val[v] += 1
+                    if min(val) <= 0:
+                        continue
+                    if len(connected_classes(vertices, edges)) > 1:
+                        continue
                     graph = Graph.build(list(enumerate(weights)), edges, legs)
                     if not is_stable(graph):
                         continue

@@ -143,13 +143,6 @@ def enumerate_spin(graph, cap=B1_CAP):
     return out
 
 
-def partition_by_parity(structures):
-    """Split a list of spin structures into (even, odd)."""
-    even = [s for s in structures if s.parity == 0]
-    odd = [s for s in structures if s.parity == 1]
-    return even, odd
-
-
 def spin_count_check(graph, cap=B1_CAP):
     """Cross-check the closed count of spin structures against direct
     enumeration, including the parity split and the lower bound.

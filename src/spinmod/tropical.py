@@ -265,19 +265,6 @@ def cells_to_csv(cells):
     return "\n".join(lines) + "\n"
 
 
-def cells_to_dot(cells):
-    lines = ["digraph face_lattice {", "  rankdir=BT;"]
-    for i, c in enumerate(cells):
-        color = "blue" if c.parity == 0 else "red"
-        lines.append(f'  c{i} [label="d{c.dim}\\n{c.key[:8]}", color={color}];')
-    for i, c in enumerate(cells):
-        for j in c.face_of:
-            if cells[j].dim == c.dim + 1:
-                lines.append(f"  c{i} -> c{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # -- symbolic one-parameter families -----------------------------------------
 
 class FamilyDescriptor:

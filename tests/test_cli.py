@@ -142,6 +142,24 @@ def test_negative_budget_is_input_error(args, env):
     assert "Traceback" not in proc.stderr
 
 
+def test_negative_fuzz_is_input_error():
+    proc = run_cli("verify", "--g", "1", "--n", "1", "--suite",
+                   "functoriality", "--fuzz", "-5")
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "input-error"
+    assert "--fuzz -5 is negative" in report["error"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_zero_fuzz_checks_no_chains():
+    proc = run_cli("verify", "--g", "1", "--n", "1", "--suite",
+                   "functoriality", "--fuzz", "0")
+    assert proc.returncode == 0
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["pushforward-composition"]["chains"] == 0
+
+
 def test_budget_env_empty_is_unset():
     proc = run_cli("enumerate", "--g", "2", "--n", "0",
                    env={"SPINMOD_BUDGET": ""})

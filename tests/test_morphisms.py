@@ -60,6 +60,14 @@ def test_contract_preserves_legs():
     assert c.target.w(0) == 1
 
 
+def test_contraction_b1_identity_is_verification_error(theta, monkeypatch):
+    key = canonical_key(theta)
+    monkeypatch.setattr(EdgeSet, "b1", property(lambda self: 5))
+    with pytest.raises(VerificationError) as info:
+        contract(theta, [0])
+    assert info.value.witnesses == (key, "F=1")
+
+
 def test_push_cycle_examples(theta, dumbbell):
     c = contract(theta, [2])
     p = EdgeSet.from_indices(theta, [0, 1])
@@ -387,19 +395,6 @@ def test_cyclic_key(theta):
 
 
 # -- order testing -------------------------------------------------------------
-
-def test_edge_set_json(theta):
-    from spinmod.morphisms import edge_set_json
-    data = edge_set_json(EdgeSet.from_indices(theta, [0, 2]))
-    assert data["mask"] == "5"
-    assert data["carrier"] == canonical_key(theta)
-
-
-def test_partition_by_parity(theta):
-    from spinmod.spin import partition_by_parity
-    even, odd = partition_by_parity(enumerate_spin(theta))
-    assert len(even) == 4 and len(odd) == 3
-
 
 def test_order_test_full_contraction(theta):
     upper = SpinGraph(theta, spin(theta, [0, 1], (1,)))

@@ -1,7 +1,8 @@
 import pytest
 
-from spinmod.errors import BudgetError
-from spinmod.graphs import classify
+from spinmod import posets
+from spinmod.errors import BudgetError, VerificationError
+from spinmod.graphs import classify, is_stable
 from spinmod.morphisms import canonical_key, order_test
 from spinmod.posets import (build_cyclic_poset, build_graph_poset,
                             build_spin_poset, check_budget,
@@ -33,10 +34,34 @@ def test_enumerate_stable_counts():
 
 
 def test_enumerate_matches_direct_generator():
-    for g, n in [(1, 1), (0, 3), (2, 0), (1, 2)]:
+    for g, n in [(1, 1), (0, 3), (2, 0), (1, 2), (2, 1), (1, 3), (0, 5),
+                 (2, 2)]:
         closure = {canonical_key(x) for x in enumerate_stable_graphs(g, n)}
         direct = {canonical_key(x) for x in stable_graphs_direct(g, n)}
         assert closure == direct
+
+
+def test_direct_generator_builds_only_stable_candidates(monkeypatch):
+    # the integer prefilter must reject every candidate is_stable would
+    # reject; the agreement test above shows it rejects no stable one
+    verdicts = []
+
+    def recording_is_stable(graph, semistable=False):
+        verdict = is_stable(graph, semistable)
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(posets, "is_stable", recording_is_stable)
+    assert len(stable_graphs_direct(2, 2)) == 75
+    assert verdicts and all(verdicts)
+
+
+def test_unstable_contraction_is_verification_error(monkeypatch):
+    seed, = three_regular_graphs(1, 1)
+    monkeypatch.setattr(posets, "is_stable", lambda graph: False)
+    with pytest.raises(VerificationError) as info:
+        enumerate_stable_graphs(1, 1)
+    assert info.value.witnesses == (canonical_key(seed), "edge=0")
 
 
 def test_enumerate_budget():

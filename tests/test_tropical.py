@@ -9,7 +9,7 @@ from spinmod.morphisms import canonical_key
 from spinmod.spin import SpinGraph, SpinStructure
 from spinmod.tropical import (INF, FamilyDescriptor,
                               SpinTropicalCurve, TropicalCurve,
-                              build_cone_complex, cells_to_csv, cells_to_dot,
+                              build_cone_complex, cells_to_csv,
                               curve_automorphisms, diagram_check,
                               family_generic_fiber, family_stable_model,
                               length_from_json, length_to_json, pi_trop,
@@ -127,7 +127,6 @@ def test_cone_exports():
     csv = cells_to_csv(cells)
     assert csv.splitlines()[0] == "key,dim,parity,aut_edge_order"
     assert len(csv.splitlines()) == 6
-    assert cells_to_dot(cells).startswith("digraph face_lattice")
 
 
 def theta_family(val=None):
