@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import BudgetError, DomainError, InputError
-from .graphs import connected_classes, remove_edges, subgraph_on
+from .graphs import connected_classes, remove_edges
 
 B1_CAP = 24
 
@@ -38,10 +38,6 @@ class EdgeSet:
     def full(cls, graph):
         return cls(graph, (1 << graph.n_edges) - 1)
 
-    @classmethod
-    def from_hex(cls, graph, text):
-        return cls(graph, int(text, 16))
-
     def indices(self):
         return tuple(i for i in range(self.graph.n_edges) if self.mask >> i & 1)
 
@@ -65,9 +61,6 @@ class EdgeSet:
     def __and__(self, other):
         self._check(other)
         return EdgeSet(self.graph, self.mask & other.mask)
-
-    def complement(self):
-        return EdgeSet(self.graph, self.mask ^ (1 << self.graph.n_edges) - 1)
 
     def _check(self, other):
         if self.graph != other.graph:
@@ -200,8 +193,7 @@ class PbarDecomposition:
     sign vectors of spin structures refer to.  They come from one
     union-find over the edges of the cyclic set: a component's genus is
     its total weight plus its edges in the set, minus its vertices, plus
-    one.  The opened graph (``pbar``) and its component graphs
-    (``components``) are built on demand.
+    one.  The opened graph (``pbar``) is built on demand.
     """
 
     def __init__(self, graph, cyclic_set):
@@ -225,10 +217,6 @@ class PbarDecomposition:
         removed = [i for i in range(self.graph.n_edges)
                    if i not in self.cyclic_set]
         return remove_edges(self.graph, removed, open=True)
-
-    @cached_property
-    def components(self):
-        return tuple(subgraph_on(self.pbar, vs) for vs in self.vertex_sets)
 
     @property
     def c_plus(self):

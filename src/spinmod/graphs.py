@@ -432,21 +432,3 @@ def classify(graph):
         vertex_classes = {v: (graph.w(v), graph.loops(v) + graph.w(v))
                           for v in graph.vertices}
     return GraphClass(eulerian, three_regular, basic, vertex_classes)
-
-
-def subgraph_on(graph, vertex_set):
-    """The induced subgraph on a union of components of ``graph``.
-
-    Only valid when no edge or leg leaves ``vertex_set``; used to take the
-    pieces of a disconnected graph apart while preserving all ids.
-    """
-    vs = set(vertex_set)
-    weight = {v: graph.weight[v] for v in vs}
-    endpoint = {h: v for h, v in graph.endpoint.items() if v in vs}
-    for h in endpoint:
-        if graph.endpoint[graph.involution[h]] not in vs:
-            raise InputError("vertex set is not a union of components")
-    involution = {h: graph.involution[h] for h in endpoint}
-    legs = [h for h in graph.legs if h in endpoint]
-    return Graph(weight, endpoint, involution, legs,
-                 graph.exceptional & vs)

@@ -1,11 +1,11 @@
 """Contractions, automorphism groups, pushforwards and canonical keys.
 
 Morphisms act on vertices and half-edges.  Automorphism groups are
-materialized as full element lists (desk scale), and three action orders
-are exposed: on half-edges, on vertices and edges jointly, and on edges
-alone.  Canonical keys are iso-invariant digests computed by color
-refinement with individualization, cross-checked in the test suite
-against brute-force isomorphism search.
+materialized as full element lists (desk scale), and two action orders
+are exposed: on half-edges and on edges alone.  Canonical keys are
+iso-invariant digests computed by color refinement with
+individualization; the brute-force isomorphism search they are
+cross-checked against lives in the test suite.
 """
 
 from __future__ import annotations
@@ -252,10 +252,6 @@ class Aut:
         self.vertex_map = vertex_map
         self.half_map = half_map
 
-    def key(self):
-        return (tuple(sorted(self.vertex_map.items())),
-                tuple(sorted(self.half_map.items())))
-
     @property
     def edge_perm(self):
         perm = getattr(self, "_edge_perm", None)
@@ -267,23 +263,12 @@ class Aut:
             self._edge_perm = perm
         return perm
 
-    def ve_key(self):
-        return (tuple(sorted(self.vertex_map.items())), self.edge_perm)
-
     def act_mask(self, mask):
         out = 0
         for i in range(self.graph.n_edges):
             if mask >> i & 1:
                 out |= 1 << self.edge_perm[i]
         return out
-
-    def compose(self, other):
-        """The automorphism applying ``other`` first, then this one."""
-        return Aut(self.graph,
-                   {v: self.vertex_map[u]
-                    for v, u in other.vertex_map.items()},
-                   {h: self.half_map[k]
-                    for h, k in other.half_map.items()})
 
     def act_spin(self, spin):
         """Image of a spin structure under this automorphism."""
@@ -308,7 +293,7 @@ class Aut:
 
 class AutGroup:
     """Fully materialized automorphism group of a graph (optionally
-    restricted), with its three action orders."""
+    restricted), with its two action orders."""
 
     def __init__(self, graph, elements):
         self.graph = graph
@@ -320,58 +305,27 @@ class AutGroup:
         return len(self.elements)
 
     @property
-    def order_ve(self):
-        """Order of the induced action on vertices and edges jointly."""
-        return len({a.ve_key() for a in self.elements})
-
-    @property
     def order_edge(self):
         """Order of the induced action on edges alone."""
         return len({a.edge_perm for a in self.elements})
 
-    @property
-    def generators(self):
-        """A generating subset, found greedily by closure (empty for the
-        trivial group)."""
-        cached = getattr(self, "_generators", None)
-        if cached is not None:
-            return cached
-        gens = []
-        ident = next(a for a in self.elements
-                     if all(h == k for h, k in a.half_map.items()))
-        closed = {ident.key(): ident}
-        for a in sorted(self.elements, key=lambda x: x.key()):
-            if a.key() in closed:
-                continue
-            gens.append(a)
-            frontier = list(closed.values())
-            closed[a.key()] = a
-            frontier.append(a)
-            while frontier:
-                fresh = []
-                for b in frontier:
-                    for g in gens:
-                        for c in (g.compose(b), b.compose(g)):
-                            if c.key() not in closed:
-                                closed[c.key()] = c
-                                fresh.append(c)
-                frontier = fresh
-        self._generators = tuple(gens)
-        return self._generators
+    def orbit_representatives(self, items, data, act):
+        """The first item met from each orbit, in the order given.
 
-    def orbits(self, items, act):
-        """Orbit partition of ``items`` under ``act(element, item)``."""
-        remaining = list(items)
+        An item is kept when its ``data(item)`` has not been seen; every
+        ``act(element, item)`` is then marked seen, so ``act`` must
+        return values comparable with ``data``.  When ``items`` are
+        sorted by ``data`` and closed under the group, each kept item is
+        the minimum of its orbit.
+        """
         seen = set()
-        out = []
-        for x in remaining:
-            if x in seen:
+        reps = []
+        for item in items:
+            if data(item) in seen:
                 continue
-            orbit = {act(a, x) for a in self.elements}
-            assert x in orbit
-            seen |= orbit
-            out.append(sorted(orbit))
-        return out
+            reps.append(item)
+            seen.update(act(a, item) for a in self.elements)
+        return reps
 
 
 def _vertex_bijections(graph, colors):
@@ -507,31 +461,23 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
     raise InputError(f"unknown restriction {restrict!r}")
 
 
-def quotient_action_orders(graph, spin, group):
-    """Orders of the action induced on the contracted graph by a group of
+def quotient_action_order(graph, spin, group):
+    """Order of the action induced on the contracted graph by a group of
     spin-preserving automorphisms.
 
     Elements act on the vertices of the quotient (the components of the
     opened graph) and on its half-edges (those outside the cyclic set).
-    Returns ``(half_edge_order, ve_order)``.
     """
     outside = [h for i in range(graph.n_edges) if i not in spin.P
                for h in graph.edges[i]]
     comp_index = {vs: i for i, vs in enumerate(spin.dec.vertex_sets)}
-    seen_h = set()
-    seen_ve = set()
+    seen = set()
     for a in group.elements:
         comp_perm = tuple(
             comp_index[frozenset(a.vertex_map[v] for v in vs)]
             for vs in spin.dec.vertex_sets)
-        h_action = tuple(a.half_map[h] for h in outside)
-        edge_action = tuple(
-            tuple(sorted((a.half_map[h], a.half_map[k])))
-            for i in range(graph.n_edges) if i not in spin.P
-            for (h, k) in [graph.edges[i]])
-        seen_h.add((comp_perm, h_action))
-        seen_ve.add((comp_perm, edge_action))
-    return len(seen_h), len(seen_ve)
+        seen.add((comp_perm, tuple(a.half_map[h] for h in outside)))
+    return len(seen)
 
 
 # -- canonical keys ---------------------------------------------------------
@@ -594,32 +540,6 @@ def cyclic_canonical_key(graph, cyclic_set, cap=AUT_HALF_EDGE_CAP):
     best = min(_cyclic_encoding(graph, pos, a, cyclic_set)
                for a in group.elements)
     return _digest([cert, best])
-
-
-def brute_force_isomorphic(g1, g2):
-    """Isomorphism test by exhaustive search over vertex bijections,
-    for cross-checking canonical keys on small graphs."""
-    if (len(g1.vertices) != len(g2.vertices) or g1.n_edges != g2.n_edges
-            or g1.n_legs != g2.n_legs):
-        return False
-    m1, m2 = g1.multiplicity, g2.multiplicity
-    legs1 = [g1.endpoint[h] for h in g1.legs]
-    legs2 = [g2.endpoint[h] for h in g2.legs]
-    for perm in permutations(g2.vertices):
-        vmap = dict(zip(sorted(g1.vertices), perm))
-        if any(g1.w(v) != g2.w(vmap[v]) for v in g1.vertices):
-            continue
-        if any(vmap[u] != w for u, w in zip(legs1, legs2)):
-            continue
-        ok = True
-        for (u, v), m in m1.items():
-            a, b = sorted((vmap[u], vmap[v]))
-            if m2.get((a, b), 0) != m:
-                ok = False
-                break
-        if ok and sum(m1.values()) == sum(m2.values()):
-            return True
-    return False
 
 
 # -- order testing ----------------------------------------------------------

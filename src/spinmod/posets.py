@@ -21,7 +21,7 @@ from .errors import BudgetError, InputError, VerificationError
 from .graphs import Graph, connected_classes, is_stable
 from .morphisms import (automorphisms, canonical_key, contract,
                         cyclic_canonical_key, push_cycle, push_spin)
-from .spin import SpinGraph, enumerate_spin
+from .spin import SpinGraph, SpinStructure, enumerate_spin
 
 BUDGET_ENV = "SPINMOD_BUDGET"
 
@@ -305,12 +305,10 @@ def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
                else enumerate_stable_graphs(g, n, budget_edges))
     nodes = []
     for rep in classes:
-        group = automorphisms(rep)
-        orbits = {}
-        for p in enumerate_cyclic(rep):
-            orbit = sorted(a.act_mask(p.mask) for a in group.elements)
-            orbits.setdefault(orbit[0], p)
-        for p in orbits.values():
+        orbit_reps = automorphisms(rep).orbit_representatives(
+            enumerate_cyclic(rep), lambda p: p.mask,
+            lambda a, p: a.act_mask(p.mask))
+        for p in orbit_reps:
             nodes.append(PosetNode(cyclic_canonical_key(rep, p),
                                    rep.n_edges, (rep, p)))
     nodes.sort(key=lambda nd: (nd.rank, nd.key))
@@ -330,13 +328,10 @@ def build_spin_poset(g, n, budget_edges=None, _classes=None):
                else enumerate_stable_graphs(g, n, budget_edges))
     nodes = []
     for rep in classes:
-        group = automorphisms(rep)
-        orbits = {}
-        for s in enumerate_spin(rep):
-            orbit = sorted(a.act_spin(s).data()
-                           for a in group.elements)
-            orbits.setdefault(orbit[0], s)
-        for s in orbits.values():
+        orbit_reps = automorphisms(rep).orbit_representatives(
+            enumerate_spin(rep), SpinStructure.data,
+            lambda a, s: a.act_spin(s).data())
+        for s in orbit_reps:
             nodes.append(PosetNode(canonical_key(SpinGraph(rep, s)),
                                    rep.n_edges, SpinGraph(rep, s),
                                    parity=s.parity))

@@ -42,15 +42,6 @@ class SpinStructure:
         self.signs = signs
         self.parity = sum(signs) & 1
 
-    def sign_at_vertex(self, v):
-        return self.signs[self.dec.component_of(v)]
-
-    def validate(self):
-        """Recompute the stored parity and component constraints."""
-        assert self.parity == sum(self.signs) & 1
-        for s, g in zip(self.signs, self.dec.genera):
-            assert not (s and g == 0)
-
     def data(self):
         """Hashable (mask, signs) pair for orbit computations."""
         return (self.P.mask, self.signs)
@@ -113,12 +104,6 @@ class SpinGraph:
 
     def __repr__(self):
         return f"SpinGraph({self.graph!r}, {self.spin!r})"
-
-
-def trivial_spin(graph):
-    """The all-zero spin structure (0, s_0)."""
-    return SpinStructure(graph, EdgeSet(graph, 0), (0,) * len(
-        pbar_decompose(graph, EdgeSet(graph, 0))))
 
 
 def spin_structures_over(graph, cyclic_set, _dec=None):

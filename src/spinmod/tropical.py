@@ -14,7 +14,8 @@ from fractions import Fraction
 from .cycles import EdgeSet
 from .errors import DomainError, InputError, VerificationError
 from .graphs import Graph, is_stable
-from .morphisms import automorphisms, contract, order_test, push_spin
+from .morphisms import (automorphisms, canonical_key, contract, order_test,
+                        push_spin)
 from .posets import build_spin_poset, max_rank, poset_stats
 from .spin import SpinGraph, SpinStructure, enumerate_spin
 
@@ -188,18 +189,18 @@ def pi_trop_fiber(curve):
     """
     if not curve.stable:
         raise DomainError("fibers are taken over stable curves")
-    group = curve_automorphisms(curve)
-    orbits = {}
-    for s in enumerate_spin(curve.graph):
-        orbit = sorted(a.act_spin(s).data()
-                       for a in group.elements)
-        orbits.setdefault(orbit[0], s)
+    spins = curve_automorphisms(curve).orbit_representatives(
+        enumerate_spin(curve.graph), SpinStructure.data,
+        lambda a, s: a.act_spin(s).data())
     reps = []
-    for s in orbits.values():
+    for s in spins:
         lengths = [x if i in s.P else halve(x)
                    for i, x in enumerate(curve.lengths)]
         rep = SpinTropicalCurve(TropicalCurve(curve.graph, lengths), s)
-        assert pi_trop(rep) == curve
+        if pi_trop(rep) != curve:
+            raise VerificationError(
+                "fiber representative does not map back to the curve",
+                (canonical_key(curve.graph), f"P={s.P.hex()}"))
         reps.append(rep)
     return reps
 
@@ -338,5 +339,8 @@ def family_generic_fiber(family):
     pushed = push_spin(c, family.spin_graph.spin)
     generic = SpinGraph(c.target, pushed)
     witness = order_test(family.spin_graph, generic)
-    assert witness is not None
+    if witness is None:
+        raise VerificationError(
+            "no witness for the generic fiber order relation",
+            (canonical_key(family.spin_graph), canonical_key(generic)))
     return {"generic": generic, "contraction": c, "witness": witness}

@@ -18,7 +18,7 @@ from .errors import VerificationError
 from .graphs import Graph, classify
 from .morphisms import (automorphisms, canonical_key, compose, contract,
                         order_test, push_cycle, push_spin, push_vertex_set,
-                        quotient_action_orders)
+                        quotient_action_order)
 from .posets import (build_cyclic_poset, build_graph_poset, build_spin_poset,
                      cyclic_canonical_key, enumerate_stable_graphs, max_rank,
                      poset_stats, stable_graphs_direct)
@@ -208,6 +208,7 @@ def fuzz_contraction_chains(g, n, count=1000, seed=0, budget_edges=None,
     the number of chains checked."""
     classes = (_classes if _classes is not None
                else enumerate_stable_graphs(g, n, budget_edges))
+    cyclic_of = {id(c): enumerate_cyclic(c) for c in classes}
     spins_of = {id(c): enumerate_spin(c) for c in classes}
     rng = random.Random(seed)
     for _ in range(count):
@@ -216,7 +217,7 @@ def fuzz_contraction_chains(g, n, count=1000, seed=0, budget_edges=None,
         c2 = contract(c1.target,
                       _random_edge_subset(rng, c1.target.n_edges))
         c12 = compose(c1, c2)
-        cyc = enumerate_cyclic(graph)
+        cyc = cyclic_of[id(graph)]
         p = cyc[rng.randrange(len(cyc))]
         if push_cycle(c12, p).mask != push_cycle(c2, push_cycle(c1, p)).mask:
             raise VerificationError("cycle pushforward does not compose",
@@ -249,7 +250,7 @@ def check_aut_factorization(spin_poset):
         graph, spin = nd.rep.graph, nd.rep.spin
         fixing = automorphisms(graph, restrict="spin", spin=spin)
         pbar = automorphisms(graph, restrict="pbar", spin=spin)
-        q_h, _ = quotient_action_orders(graph, spin, fixing)
+        q_h = quotient_action_order(graph, spin, fixing)
         if fixing.order != pbar.order * q_h:
             raise VerificationError(
                 f"automorphism orders do not factor: {fixing.order} != "
@@ -274,10 +275,7 @@ def fuzz_families(spin_poset, count=100, seed=0):
         if not diagram_check(fam):
             raise VerificationError("tropicalization diagram does not "
                                     "commute", (nd.key,))
-        out = family_generic_fiber(fam)
-        if out["witness"] is None:
-            raise VerificationError("no witness for the generic fiber "
-                                    "order relation", (nd.key,))
+        family_generic_fiber(fam)
         psi = trop_family(fam)
         if canonical_key(SpinGraph(psi.graph, psi.spin)) != nd.key:
             raise VerificationError("tropicalized family left its cell",

@@ -7,6 +7,7 @@ half-edge ids 2i, 2i+1 to edge i).
 
 import pytest
 
+from spinmod.errors import InputError
 from spinmod.graphs import Graph
 
 
@@ -46,6 +47,25 @@ def make_two_loops():
 def make_loop_chain():
     """Cycle of length 2 with one loop at each vertex (genus 3)."""
     return Graph.build([(0, 0), (1, 0)], [(0, 1), (0, 1), (0, 0), (1, 1)])
+
+
+def subgraph_on(graph, vertex_set):
+    """The induced subgraph on a union of components of ``graph``.
+
+    Only valid when no edge or leg leaves ``vertex_set``; the tests use it
+    to take the pieces of an opened graph apart, preserving all ids, as
+    an independent check of the decomposition.
+    """
+    vs = set(vertex_set)
+    weight = {v: graph.weight[v] for v in vs}
+    endpoint = {h: v for h, v in graph.endpoint.items() if v in vs}
+    for h in endpoint:
+        if graph.endpoint[graph.involution[h]] not in vs:
+            raise InputError("vertex set is not a union of components")
+    involution = {h: graph.involution[h] for h in endpoint}
+    legs = [h for h in graph.legs if h in endpoint]
+    return Graph(weight, endpoint, involution, legs,
+                 graph.exceptional & vs)
 
 
 @pytest.fixture(autouse=True)

@@ -16,12 +16,7 @@ import spinmod
 ALLOWED = Counter([
     ("cycles", "cycle_basis"),
     ("morphisms", "push_cycle"),
-    ("morphisms", "AutGroup.orbits"),
-    ("spin", "SpinStructure.validate"),
-    ("spin", "SpinStructure.validate"),
     ("spin", "theta_divisors"),
-    ("tropical", "pi_trop_fiber"),
-    ("tropical", "family_generic_fiber"),
 ])
 
 

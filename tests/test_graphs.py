@@ -2,11 +2,11 @@ import pytest
 
 from spinmod.errors import InputError
 from spinmod.graphs import (Graph, blow_up, canonical_divisor, classify,
-                            genus, is_stable, remove_edges, subgraph_on)
+                            genus, is_stable, remove_edges)
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
                       make_rose, make_theta, make_two_loops,
-                      make_weight_vertex)
+                      make_weight_vertex, subgraph_on)
 
 
 def test_genus_fixtures(theta, dumbbell):

@@ -156,7 +156,8 @@ def test_forgetful_maps_monotone_surjective():
 
 def test_open_removal_components_stable_over_enumeration():
     # every component of an open removal of a stable graph is stable
-    from spinmod.graphs import is_stable, remove_edges, subgraph_on
+    from conftest import subgraph_on
+    from spinmod.graphs import is_stable, remove_edges
     for g, n in [(1, 1), (1, 2), (2, 0), (2, 1)]:
         for graph in enumerate_stable_graphs(g, n):
             for mask in range(2 ** graph.n_edges):
@@ -183,8 +184,7 @@ def test_canonical_keys_separate_enumerated_classes():
     import itertools
     import random
 
-    from spinmod.morphisms import brute_force_isomorphic
-    from test_morphisms import relabel
+    from test_morphisms import brute_force_isomorphic, relabel
 
     rng = random.Random(5)
     for g, n in [(2, 1), (2, 2)]:
@@ -214,6 +214,59 @@ def test_spin_orbit_counts_match_burnside():
             fixed = sum(1 for a in group.elements for s in spins
                         if a.act_spin(s).data() == s.data())
             assert len(orbits) * group.order == fixed
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (2, 0), (2, 1), (2, 2), (3, 0)])
+def test_orbit_representatives_are_orbit_minima(g, n):
+    # against the formula the poset builders used before: keep the first
+    # item whose orbit minimum is new
+    from spinmod.cycles import enumerate_cyclic
+    from spinmod.morphisms import automorphisms
+    from spinmod.spin import SpinStructure, enumerate_spin
+
+    for graph in enumerate_stable_graphs(g, n):
+        group = automorphisms(graph)
+        cyclic = enumerate_cyclic(graph)
+        by_min = {}
+        for p in cyclic:
+            orbit = sorted(a.act_mask(p.mask) for a in group.elements)
+            by_min.setdefault(orbit[0], p)
+        reps = group.orbit_representatives(
+            cyclic, lambda p: p.mask, lambda a, p: a.act_mask(p.mask))
+        assert [p.mask for p in reps] == [p.mask for p in by_min.values()]
+
+        spins = enumerate_spin(graph)
+        by_min = {}
+        for s in spins:
+            orbit = sorted(a.act_spin(s).data() for a in group.elements)
+            by_min.setdefault(orbit[0], s)
+        reps = group.orbit_representatives(
+            spins, SpinStructure.data, lambda a, s: a.act_spin(s).data())
+        assert [s.data() for s in reps] == \
+            [s.data() for s in by_min.values()]
+
+
+def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
+    # each class costs (number of spin orbits) x |Aut| images, not
+    # (number of spin structures) x |Aut|
+    from collections import Counter
+
+    from spinmod.morphisms import Aut, automorphisms
+
+    classes = enumerate_stable_graphs(2, 1)
+    calls = Counter()
+    original = Aut.act_spin
+
+    def counting(self, spin):
+        calls[id(self.graph)] += 1
+        return original(self, spin)
+
+    monkeypatch.setattr(Aut, "act_spin", counting)
+    poset = build_spin_poset(2, 1, _classes=classes)
+    monkeypatch.undo()
+    orbits = Counter(id(nd.rep.graph) for nd in poset.nodes)
+    assert calls == {id(rep): orbits[id(rep)] * automorphisms(rep).order
+                     for rep in classes}
 
 
 def test_poset_order_matches_order_test():

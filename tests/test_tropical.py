@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from spinmod import tropical
 from spinmod.cycles import EdgeSet
-from spinmod.errors import InputError
+from spinmod.errors import InputError, VerificationError
 from spinmod.graphs import Graph
 from spinmod.morphisms import canonical_key
-from spinmod.spin import SpinGraph, SpinStructure
+from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 from spinmod.tropical import (INF, FamilyDescriptor,
                               SpinTropicalCurve, TropicalCurve,
                               build_cone_complex, cells_to_csv,
@@ -87,6 +88,30 @@ def test_fiber_extended_curve(theta):
     assert len(reps) == 7
     for r in reps:
         assert pi_trop(r) == TropicalCurve(theta, [F(1), F(2), INF])
+
+
+@pytest.mark.parametrize("lengths", [
+    [F(1), F(2), F(3)], [F(1), F(1), F(1)], [F(1), F(1), F(2)],
+    [F(1), F(2), INF]])
+def test_fiber_representatives_are_orbit_minima(theta, lengths):
+    # the fiber keeps, in enumeration order, the first spin structure
+    # whose orbit minimum under the curve's automorphisms is new
+    curve = TropicalCurve(theta, lengths)
+    group = curve_automorphisms(curve)
+    orbits = {}
+    for s in enumerate_spin(theta):
+        orbit = sorted(a.act_spin(s).data() for a in group.elements)
+        orbits.setdefault(orbit[0], s)
+    assert [r.spin.data() for r in pi_trop_fiber(curve)] == \
+        [s.data() for s in orbits.values()]
+
+
+def test_fiber_round_trip_failure_is_verification_error(theta,
+                                                        monkeypatch):
+    monkeypatch.setattr(tropical, "halve", lambda x: x)
+    with pytest.raises(VerificationError) as exc:
+        pi_trop_fiber(TropicalCurve(theta, [F(1), F(2), F(3)]))
+    assert exc.value.witnesses == (canonical_key(theta), "P=0")
 
 
 def test_curve_automorphisms_stabilize_lengths(theta):
@@ -183,6 +208,14 @@ def test_generic_fiber_mixed():
     assert generic.graph.n_edges == 1
     assert sorted(generic.spin.P.indices()) == [0]
     assert out["witness"] is not None
+
+
+def test_missing_generic_witness_is_verification_error(monkeypatch):
+    monkeypatch.setattr(tropical, "order_test", lambda upper, lower: None)
+    fam = theta_family([INF, F(2), F(5)])
+    with pytest.raises(VerificationError) as exc:
+        family_generic_fiber(fam)
+    assert exc.value.witnesses[0] == canonical_key(fam.spin_graph)
 
 
 def test_family_json_roundtrip(tmp_path):

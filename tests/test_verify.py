@@ -19,6 +19,16 @@ def test_run_suites_builds_classes_and_spin_poset_once(monkeypatch):
     assert counts == {"enumerate_stable_graphs": 1, "build_spin_poset": 1}
 
 
+def test_fuzz_chains_enumerate_cycles_once_per_class(monkeypatch):
+    graphs = []
+    original = verify.enumerate_cyclic
+    monkeypatch.setattr(verify, "enumerate_cyclic",
+                        lambda graph, *a, **k: graphs.append(graph)
+                        or original(graph, *a, **k))
+    verify.fuzz_contraction_chains(2, 0, count=200)
+    assert len(graphs) == len(posets.enumerate_stable_graphs(2, 0)) == 7
+
+
 def test_run_suites_builds_spin_poset_only_when_read(monkeypatch):
     built = []
     original = verify.build_spin_poset
