@@ -44,7 +44,8 @@ def _parser():
     common.add_argument("--budget-edges", type=int, default=None,
                         help="override the desk-scale edge budget")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for per-class checks")
+                        help="accepted for compatibility and ignored: "
+                             "every check runs in one process")
 
     enum = sub.add_parser("enumerate", parents=[common],
                           help="enumerate iso classes and their poset")
@@ -112,7 +113,7 @@ def cmd_enumerate(args):
         files[f"{base}.dot"] = poset.to_dot()
     else:
         if args.kind == "spin":
-            cells, _ = build_cone_complex(args.g, args.n, poset=poset)
+            cells, _ = build_cone_complex(poset)
             files[f"{base}.csv"] = cells_to_csv(cells)
         else:
             lines = ["key,rank"] + [f"{nd.key},{nd.rank}"
@@ -140,7 +141,7 @@ def cmd_verify(args):
         raise InputError(f"--fuzz {args.fuzz} is negative")
     checks = run_suites(args.g, args.n, args.suite,
                         budget_edges=args.budget_edges, fuzz=args.fuzz,
-                        seed=args.seed, jobs=args.jobs)
+                        seed=args.seed)
     body = {"suite": args.suite,
             "checks": checks,
             "passed": sum(1 for c in checks if c["status"] == "pass"),

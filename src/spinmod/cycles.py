@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import BudgetError, DomainError, InputError
+from .errors import BudgetError, DomainError, InputError, VerificationError
 from .graphs import connected_classes, remove_edges
 
 B1_CAP = 24
@@ -113,6 +113,12 @@ def boundary(graph, edge_set):
     return frozenset(odd)
 
 
+def _key(graph):
+    """Canonical key of a witness graph, for failure reports only."""
+    from .morphisms import canonical_key  # deferred: morphisms imports us
+    return canonical_key(graph)
+
+
 def is_cyclic(graph, edge_set):
     return not boundary(graph, edge_set)
 
@@ -159,7 +165,10 @@ def cycle_basis(graph):
         u, v = graph.edge_vertices(i)
         mask = (1 << i) | path_mask[u] ^ path_mask[v]
         basis.append(EdgeSet(graph, mask))
-    assert len(basis) == graph.b1
+    if len(basis) != graph.b1:
+        raise VerificationError(
+            f"cycle basis has {len(basis)} elements, b1 is {graph.b1}",
+            (_key(graph),))
     return basis
 
 
@@ -180,8 +189,9 @@ def enumerate_cyclic(graph, cap=B1_CAP):
     out = [EdgeSet(graph, m) for m in sorted(masks)]
     for f in out:
         if boundary(graph, f):
-            raise AssertionError(f"span member {f} fails the even-degree "
-                                 f"criterion")
+            raise VerificationError(
+                f"span member {f} fails the even-degree criterion",
+                (_key(graph), f"P={f.hex()}"))
     return out
 
 
@@ -193,7 +203,7 @@ class PbarDecomposition:
     sign vectors of spin structures refer to.  They come from one
     union-find over the edges of the cyclic set: a component's genus is
     its total weight plus its edges in the set, minus its vertices, plus
-    one.  The opened graph (``pbar``) is built on demand.
+    one.  The opened graph (``pbar``) is built on demand and not kept.
     """
 
     def __init__(self, graph, cyclic_set):
@@ -212,7 +222,7 @@ class PbarDecomposition:
             sum(graph.weight[v] for v in vs) + e - len(vs) + 1
             for vs, e in zip(classes, n_edges))
 
-    @cached_property
+    @property
     def pbar(self):
         removed = [i for i in range(self.graph.n_edges)
                    if i not in self.cyclic_set]

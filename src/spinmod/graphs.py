@@ -13,7 +13,6 @@ package refer to these indices.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 from .errors import InputError
@@ -216,9 +215,6 @@ class Graph:
             data["exceptional"] = sorted(self.exceptional)
         return data
 
-    def to_json(self, half_edges=False):
-        return json.dumps(self.to_json_dict(half_edges), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, data):
         try:
@@ -234,14 +230,6 @@ class Graph:
                              data.get("legs", ()), exceptional)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed graph JSON: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON at offset {exc.pos}: {exc.msg}") from exc
-        return cls.from_json_dict(data)
 
     def to_dot(self, name="G"):
         """DOT rendering with weight labels and one stub per leg."""

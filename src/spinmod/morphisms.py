@@ -131,7 +131,11 @@ def push_cycle(contraction, cyclic_set):
         if j is not None:
             mask |= 1 << j
     out = EdgeSet(contraction.target, mask)
-    assert not boundary(contraction.target, out)
+    if boundary(contraction.target, out):
+        raise VerificationError(
+            "pushforward of a cyclic set is not cyclic",
+            (canonical_key(contraction.source), f"P={cyclic_set.hex()}",
+             f"F={contraction.contracted.hex()}"))
     return out
 
 
@@ -153,7 +157,7 @@ def push_spin(contraction, spin):
                 f"component {i} of the opened graph does not map into one "
                 f"component of the pushed decomposition", witnesses())
         signs[j] ^= spin.signs[i]
-    out = SpinStructure(contraction.target, p_out, tuple(signs), _dec=dec_out)
+    out = SpinStructure(contraction.target, p_out, tuple(signs))
     if out.parity != spin.parity:
         raise VerificationError(
             f"pushforward changed the parity from {spin.parity} to "
@@ -285,7 +289,7 @@ class Aut:
                     (canonical_key(self.graph), f"P={spin.P.hex()}",
                      f"image={p_out.hex()}"))
             signs[j] = spin.signs[i]
-        return SpinStructure(self.graph, p_out, tuple(signs), _dec=dec)
+        return SpinStructure(self.graph, p_out, tuple(signs))
 
     def __repr__(self):
         return f"Aut(v={self.vertex_map})"
@@ -434,7 +438,9 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
     """The automorphism group, optionally restricted.
 
     ``restrict="spin"`` keeps the elements fixing the given spin
-    structure.  ``restrict="pbar"`` keeps those fixing every half-edge
+    structure; that stabilizer is memoised per graph object by the
+    structure's data, in ``graph.__dict__`` like the full group.
+    ``restrict="pbar"`` keeps those fixing every half-edge
     outside the spin structure's cyclic set and mapping each component of
     the opened graph to itself (the product of the component groups).
     """
@@ -445,8 +451,14 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
         raise InputError("restricted groups need a spin structure over the "
                          "same graph")
     if restrict == "spin":
-        kept = [a for a in group.elements if a.act_spin(spin) == spin]
-        return AutGroup(graph, kept)
+        cache = graph.__dict__.get("_spin_stabilizers")
+        if cache is None:
+            cache = graph.__dict__["_spin_stabilizers"] = {}
+        stabilizer = cache.get(spin.data())
+        if stabilizer is None:
+            stabilizer = cache[spin.data()] = AutGroup(
+                graph, [a for a in group.elements if a.act_spin(spin) == spin])
+        return stabilizer
     if restrict == "pbar":
         outside = [h for i in range(graph.n_edges) if i not in spin.P
                    for h in graph.edges[i]]
@@ -490,19 +502,6 @@ def _digest(parts):
     return h.hexdigest()
 
 
-def _spin_encoding(graph, pos, aut, spin):
-    per_pair = defaultdict(int)
-    for i in spin.P:
-        j = aut.edge_perm[i]
-        u, v = graph.edge_vertices(j)
-        per_pair[tuple(sorted((pos[u], pos[v])))] += 1
-    comps = []
-    for vs, s in zip(spin.dec.vertex_sets, spin.signs):
-        image = tuple(sorted(pos[aut.vertex_map[v]] for v in vs))
-        comps.append((image, s))
-    return (tuple(sorted(per_pair.items())), tuple(sorted(comps)))
-
-
 def _cyclic_encoding(graph, pos, aut, cyclic_set):
     per_pair = defaultdict(int)
     for i in cyclic_set:
@@ -510,6 +509,23 @@ def _cyclic_encoding(graph, pos, aut, cyclic_set):
         u, v = graph.edge_vertices(j)
         per_pair[tuple(sorted((pos[u], pos[v])))] += 1
     return tuple(sorted(per_pair.items()))
+
+
+def _spin_encoding(graph, pos, aut, spin):
+    comps = []
+    for vs, s in zip(spin.dec.vertex_sets, spin.signs):
+        image = tuple(sorted(pos[aut.vertex_map[v]] for v in vs))
+        comps.append((image, s))
+    return (_cyclic_encoding(graph, pos, aut, spin.P), tuple(sorted(comps)))
+
+
+def _min_over_group(graph, encode, structure, cap):
+    """Digest of the graph's certificate and the least encoding of the
+    structure over the automorphism group."""
+    cert, pos = canonical_form(graph)
+    best = min(encode(graph, pos, a, structure)
+               for a in _full_group(graph, cap).elements)
+    return _digest([cert, best])
 
 
 def canonical_key(obj, cap=AUT_HALF_EDGE_CAP):
@@ -522,12 +538,7 @@ def canonical_key(obj, cap=AUT_HALF_EDGE_CAP):
         cert, _ = canonical_form(obj)
         return _digest([cert])
     if isinstance(obj, SpinGraph):
-        graph, spin = obj.graph, obj.spin
-        cert, pos = canonical_form(graph)
-        group = _full_group(graph, cap)
-        best = min(_spin_encoding(graph, pos, a, spin)
-                   for a in group.elements)
-        return _digest([cert, best])
+        return _min_over_group(obj.graph, _spin_encoding, obj.spin, cap)
     raise InputError(f"cannot key objects of type {type(obj).__name__}")
 
 
@@ -535,11 +546,7 @@ def cyclic_canonical_key(graph, cyclic_set, cap=AUT_HALF_EDGE_CAP):
     """Key of a (graph, cyclic set) pair up to isomorphism."""
     if not is_cyclic(graph, cyclic_set):
         raise DomainError("key requires a cyclic edge set")
-    cert, pos = canonical_form(graph)
-    group = _full_group(graph, cap)
-    best = min(_cyclic_encoding(graph, pos, a, cyclic_set)
-               for a in group.elements)
-    return _digest([cert, best])
+    return _min_over_group(graph, _cyclic_encoding, cyclic_set, cap)
 
 
 # -- order testing ----------------------------------------------------------

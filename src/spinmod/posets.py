@@ -285,67 +285,65 @@ def _rep_json(kind, rep):
             "spin": rep.spin.to_json_dict()}
 
 
-def build_graph_poset(g, n, budget_edges=None, _classes=None):
-    classes = (_classes if _classes is not None
-               else enumerate_stable_graphs(g, n, budget_edges))
-    nodes = [PosetNode(canonical_key(rep), rep.n_edges, rep)
-             for rep in classes]
+def _build_poset(kind, g, n, budget_edges, classes, structures, key, push,
+                 rep, pair, parity=lambda x: None):
+    """The graded poset of one kind: a node per orbit representative over
+    each class, sorted by (rank, key), and a cover per single-edge
+    contraction of each node's representative.
+
+    The kind supplies ``structures(graph)``, the orbit representatives
+    over a class; ``key(graph, x)``; ``push(contraction, x)``, the
+    structure carried to the contracted graph; and the node shape:
+    ``rep(graph, x)`` builds a node's representative, ``pair(rep)``
+    reads ``(graph, x)`` back from it and ``parity(x)`` labels it.
+    """
+    if classes is None:
+        classes = enumerate_stable_graphs(g, n, budget_edges)
+    nodes = [PosetNode(key(graph, x), graph.n_edges, rep(graph, x), parity(x))
+             for graph in classes for x in structures(graph)]
     nodes.sort(key=lambda nd: (nd.rank, nd.key))
     index = {nd.key: i for i, nd in enumerate(nodes)}
     covers = []
     for i, nd in enumerate(nodes):
-        for e in range(nd.rep.n_edges):
-            target = contract(nd.rep, [e]).target
-            covers.append((i, index[canonical_key(target)]))
-    return Poset("graphs", g, n, nodes, covers)
+        graph, x = pair(nd.rep)
+        for e in range(graph.n_edges):
+            c = contract(graph, [e])
+            covers.append((i, index[key(c.target, push(c, x))]))
+    return Poset(kind, g, n, nodes, covers)
+
+
+def build_graph_poset(g, n, budget_edges=None, _classes=None):
+    return _build_poset(
+        "graphs", g, n, budget_edges, _classes,
+        structures=lambda graph: (None,),
+        key=lambda graph, _: canonical_key(graph),
+        push=lambda c, _: None,
+        rep=lambda graph, _: graph, pair=lambda graph: (graph, None))
 
 
 def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
-    classes = (_classes if _classes is not None
-               else enumerate_stable_graphs(g, n, budget_edges))
-    nodes = []
-    for rep in classes:
-        orbit_reps = automorphisms(rep).orbit_representatives(
-            enumerate_cyclic(rep), lambda p: p.mask,
+    def structures(graph):
+        return automorphisms(graph).orbit_representatives(
+            enumerate_cyclic(graph), lambda p: p.mask,
             lambda a, p: a.act_mask(p.mask))
-        for p in orbit_reps:
-            nodes.append(PosetNode(cyclic_canonical_key(rep, p),
-                                   rep.n_edges, (rep, p)))
-    nodes.sort(key=lambda nd: (nd.rank, nd.key))
-    index = {nd.key: i for i, nd in enumerate(nodes)}
-    covers = []
-    for i, nd in enumerate(nodes):
-        rep, p = nd.rep
-        for e in range(rep.n_edges):
-            c = contract(rep, [e])
-            key = cyclic_canonical_key(c.target, push_cycle(c, p))
-            covers.append((i, index[key]))
-    return Poset("cyclic", g, n, nodes, covers)
+
+    return _build_poset(
+        "cyclic", g, n, budget_edges, _classes, structures,
+        key=cyclic_canonical_key, push=push_cycle,
+        rep=lambda graph, p: (graph, p), pair=lambda rep: rep)
 
 
 def build_spin_poset(g, n, budget_edges=None, _classes=None):
-    classes = (_classes if _classes is not None
-               else enumerate_stable_graphs(g, n, budget_edges))
-    nodes = []
-    for rep in classes:
-        orbit_reps = automorphisms(rep).orbit_representatives(
-            enumerate_spin(rep), SpinStructure.data,
+    def structures(graph):
+        return automorphisms(graph).orbit_representatives(
+            enumerate_spin(graph), SpinStructure.data,
             lambda a, s: a.act_spin(s).data())
-        for s in orbit_reps:
-            nodes.append(PosetNode(canonical_key(SpinGraph(rep, s)),
-                                   rep.n_edges, SpinGraph(rep, s),
-                                   parity=s.parity))
-    nodes.sort(key=lambda nd: (nd.rank, nd.key))
-    index = {nd.key: i for i, nd in enumerate(nodes)}
-    covers = []
-    for i, nd in enumerate(nodes):
-        sg = nd.rep
-        for e in range(sg.graph.n_edges):
-            c = contract(sg.graph, [e])
-            pushed = push_spin(c, sg.spin)
-            key = canonical_key(SpinGraph(c.target, pushed))
-            covers.append((i, index[key]))
-    return Poset("spin", g, n, nodes, covers)
+
+    return _build_poset(
+        "spin", g, n, budget_edges, _classes, structures,
+        key=lambda graph, s: canonical_key(SpinGraph(graph, s)),
+        push=push_spin, rep=SpinGraph, pair=lambda sg: (sg.graph, sg.spin),
+        parity=lambda s: s.parity)
 
 
 def poset_stats(poset):

@@ -24,12 +24,12 @@ class SpinStructure:
     (components sorted by smallest vertex).
     """
 
-    def __init__(self, graph, cyclic_set, signs, _dec=None):
+    def __init__(self, graph, cyclic_set, signs):
         if cyclic_set.graph != graph:
             raise InputError("cyclic set lives over a different graph")
         self.graph = graph
         self.P = cyclic_set
-        self.dec = _dec if _dec is not None else pbar_decompose(graph, cyclic_set)
+        self.dec = pbar_decompose(graph, cyclic_set)
         signs = tuple(int(s) for s in signs)
         if len(signs) != len(self.dec):
             raise DomainError(
@@ -106,16 +106,16 @@ class SpinGraph:
         return f"SpinGraph({self.graph!r}, {self.spin!r})"
 
 
-def spin_structures_over(graph, cyclic_set, _dec=None):
+def spin_structures_over(graph, cyclic_set):
     """All sign assignments over a fixed cyclic set, in sign order."""
-    dec = _dec if _dec is not None else pbar_decompose(graph, cyclic_set)
+    dec = pbar_decompose(graph, cyclic_set)
     free = [i for i, g in enumerate(dec.genera) if g > 0]
     out = []
     for bits in product((0, 1), repeat=len(free)):
         signs = [0] * len(dec)
         for i, b in zip(free, bits):
             signs[i] = b
-        out.append(SpinStructure(graph, cyclic_set, tuple(signs), _dec=dec))
+        out.append(SpinStructure(graph, cyclic_set, tuple(signs)))
     return out
 
 
@@ -146,7 +146,7 @@ def spin_count_check(graph, cap=B1_CAP):
     tight_expected = weightless
     for p in enumerate_cyclic(graph, cap=cap):
         dec = pbar_decompose(graph, p)
-        structures = spin_structures_over(graph, p, _dec=dec)
+        structures = spin_structures_over(graph, p)
         n_even = sum(1 for s in structures if s.parity == 0)
         n_odd = len(structures) - n_even
         if len(structures) != 2 ** dec.c_plus:
@@ -213,12 +213,18 @@ def theta_divisors(graph, cyclic_set):
     """The divisor ``w(v) - 1 + deg(v)/2`` on the opened graph, plus its
     tropical extension.  Twice the vertex divisor is the canonical divisor
     of the opened graph, and the total degree is ``g - c``."""
-    dec = pbar_decompose(graph, cyclic_set)
-    pbar = dec.pbar
+    def witness():
+        from .morphisms import canonical_key
+        return (canonical_key(graph), f"P={cyclic_set.hex()}")
+
+    pbar = pbar_decompose(graph, cyclic_set).pbar
     values = {}
     for v in pbar.vertices:
         d = pbar.deg(v)
-        assert d % 2 == 0
+        if d % 2:
+            raise VerificationError(
+                f"vertex {v} has odd degree {d} in the opened graph",
+                witness())
         values[v] = pbar.w(v) - 1 + d // 2
     div = Divisor(pbar, values)
     k = canonical_divisor(pbar)
@@ -226,13 +232,13 @@ def theta_divisors(graph, cyclic_set):
         if 2 * div[v] != k[v]:
             raise VerificationError(
                 f"doubled theta value {2 * div[v]} differs from the "
-                f"canonical divisor value {k[v]} at vertex {v}")
+                f"canonical divisor value {k[v]} at vertex {v}", witness())
     midpoints = tuple(i for i in range(graph.n_edges) if i not in cyclic_set)
     theta = ThetaDivisor(graph, cyclic_set, div, midpoints)
     if theta.degree != graph.genus - graph.c:
         raise VerificationError(
             f"theta degree {theta.degree} differs from g - c = "
-            f"{graph.genus - graph.c}")
+            f"{graph.genus - graph.c}", witness())
     return theta
 
 
@@ -413,7 +419,7 @@ def _verify_refinement(split, graph, graph_key, target_key, sign, morphisms):
             signs[i] = b
         if sum(signs) & 1 != sign:
             continue
-        candidate = SpinStructure(split, p_set, tuple(signs), _dec=dec)
+        candidate = SpinStructure(split, p_set, tuple(signs))
         if _refinement_postconditions(split, candidate, graph, graph_key,
                                       target_key, back, morphisms):
             return SpinGraph(split, candidate), back

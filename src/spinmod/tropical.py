@@ -16,7 +16,7 @@ from .errors import DomainError, InputError, VerificationError
 from .graphs import Graph, is_stable
 from .morphisms import (automorphisms, canonical_key, contract, order_test,
                         push_spin)
-from .posets import build_spin_poset, max_rank, poset_stats
+from .posets import max_rank, poset_stats
 from .spin import SpinGraph, SpinStructure, enumerate_spin
 
 
@@ -225,14 +225,12 @@ class ConeCell:
                 f"key={self.key[:8]})")
 
 
-def build_cone_complex(g, n, budget_edges=None, poset=None):
-    """One cell per spin class; faces follow the poset order.
+def build_cone_complex(poset):
+    """One cell per class of a spin poset; faces follow the poset order.
 
     Returns ``(cells, report)`` where the report includes the purity and
     connectivity checks (both verified here, with witnesses on failure).
     """
-    if poset is None:
-        poset = build_spin_poset(g, n, budget_edges)
     stats = poset_stats(poset)
     cells = []
     for nd in poset.nodes:
@@ -244,7 +242,7 @@ def build_cone_complex(g, n, budget_edges=None, poset=None):
         for j in poset.descendants(i):
             if j != i:
                 ancestors[j].add(i)
-    top = max_rank(g, n)
+    top = max_rank(poset.g, poset.n)
     for j, cell in enumerate(cells):
         cell.face_of = tuple(sorted(ancestors[j]))
         if cell.dim != top and not any(cells[i].dim == top

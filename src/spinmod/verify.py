@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 import random
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .cycles import EdgeSet, boundary, enumerate_cyclic
 from .errors import VerificationError
-from .graphs import Graph, classify
+from .graphs import classify
 from .morphisms import (automorphisms, canonical_key, compose, contract,
                         order_test, push_cycle, push_spin, push_vertex_set,
                         quotient_action_order)
@@ -38,49 +37,37 @@ GROUND_TRUTH = {
 }
 
 
-def _graph_counts_checks(payload):
-    """Counting identities over a single graph class (worker-safe)."""
-    graph = Graph.from_json(payload)
-    key = canonical_key(graph)
-    spin_report = spin_count_check(graph)
-    strata = stratum_counts(graph)
-    for p in enumerate_cyclic(graph):
-        theta_divisors(graph, p)
-    cls = classify(graph)
-    if cls.basic and len(graph.vertices) >= 2:
-        count = g_collections(graph)["count"]
-        expected = 2 ** (graph.b1 + 2 * graph.total_weight() - 1)
-        if count != expected:
-            raise VerificationError(
-                f"collection count {count} differs from odd-theta count "
-                f"{expected}", (key,))
-    return {"key": key, "spin_total": spin_report["total"],
-            "spin_even": spin_report["even"], "spin_odd": spin_report["odd"],
-            "grand_total": strata.grand_total}
-
-
-def suite_counts(g, n, classes, jobs=1):
-    payloads = [graph.to_json(half_edges=True) for graph in classes]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_graph_counts_checks, payloads))
-    else:
-        rows = [_graph_counts_checks(p) for p in payloads]
-    rows.sort(key=lambda r: r["key"])
-    expected = 2 ** (2 * g)
-    for row in rows:
-        if row["grand_total"] != expected:
-            raise VerificationError(
-                f"grand total {row['grand_total']} differs from {expected}",
-                (row["key"],))
+def suite_counts(g, classes):
+    """Counting identities over every class, run on the enumerated
+    objects themselves.  Each record counts the cases it evaluated."""
+    cyclic_sets = 0
+    collections = 0
+    for graph in classes:
+        spin_count_check(graph)
+        stratum_counts(graph)
+        cyclic = enumerate_cyclic(graph)
+        for p in cyclic:
+            theta_divisors(graph, p)
+        cyclic_sets += len(cyclic)
+        if classify(graph).basic and len(graph.vertices) >= 2:
+            count = g_collections(graph)["count"]
+            expected = 2 ** (graph.b1 + 2 * graph.total_weight() - 1)
+            if count != expected:
+                raise VerificationError(
+                    f"collection count {count} differs from odd-theta "
+                    f"count {expected}", (canonical_key(graph),))
+            collections += 1
     return [
         {"name": "spin-count-formula", "status": "pass",
          "graphs": len(classes)},
-        {"name": "spin-parity-split", "status": "pass"},
+        {"name": "spin-parity-split", "status": "pass",
+         "cyclic_sets": cyclic_sets},
         {"name": "stratum-degree", "status": "pass",
-         "grand_total": expected},
-        {"name": "theta-divisor-identities", "status": "pass"},
-        {"name": "collection-count", "status": "pass"},
+         "grand_total": 2 ** (2 * g)},
+        {"name": "theta-divisor-identities", "status": "pass",
+         "cyclic_sets": cyclic_sets},
+        {"name": "collection-count", "status": "pass",
+         "basic_graphs": collections},
     ]
 
 
@@ -95,7 +82,7 @@ def suite_posets(g, n, classes, get_spin_poset):
                        **{k: v for k, v in stats.items()
                           if k not in ("kind",)}})
 
-    cells, cone_report = build_cone_complex(g, n, poset=spin_poset)
+    cells, cone_report = build_cone_complex(spin_poset)
     checks.append({"name": "cone-complex", "status": "pass", **cone_report})
 
     top = max_rank(g, n)
@@ -201,13 +188,10 @@ def _random_edge_subset(rng, count):
     return [i for i in range(count) if rng.random() < 0.4]
 
 
-def fuzz_contraction_chains(g, n, count=1000, seed=0, budget_edges=None,
-                            _classes=None):
-    """Random two-step contraction chains: composition on cycles and spin
-    structures, parity preservation, and the boundary square.  Returns
-    the number of chains checked."""
-    classes = (_classes if _classes is not None
-               else enumerate_stable_graphs(g, n, budget_edges))
+def fuzz_contraction_chains(classes, count=1000, seed=0):
+    """Random two-step contraction chains over the given classes:
+    composition on cycles and spin structures, parity preservation, and
+    the boundary square.  Returns the number of chains checked."""
     cyclic_of = {id(c): enumerate_cyclic(c) for c in classes}
     spins_of = {id(c): enumerate_spin(c) for c in classes}
     rng = random.Random(seed)
@@ -283,10 +267,8 @@ def fuzz_families(spin_poset, count=100, seed=0):
     return count
 
 
-def suite_functoriality(g, n, classes, get_spin_poset, fuzz=1000,
-                        seed=0):
-    chains = fuzz_contraction_chains(g, n, count=fuzz, seed=seed,
-                                     _classes=classes)
+def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0):
+    chains = fuzz_contraction_chains(classes, count=fuzz, seed=seed)
     checks = [{"name": "pushforward-composition", "status": "pass",
                "chains": chains, "seed": seed},
               {"name": "parity-preservation", "status": "pass"},
@@ -302,9 +284,7 @@ def suite_functoriality(g, n, classes, get_spin_poset, fuzz=1000,
     return checks
 
 
-def suite_refine(g, n, budget_edges=None, _classes=None):
-    classes = (_classes if _classes is not None
-               else enumerate_stable_graphs(g, n, budget_edges))
+def suite_refine(classes):
     refined = 0
     skipped = 0
     for graph in classes:
@@ -326,7 +306,7 @@ def suite_refine(g, n, budget_edges=None, _classes=None):
              "refined": refined, "ineligible": skipped}]
 
 
-def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0, jobs=1):
+def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0):
     """Run the selected suites over one enumeration of the classes and at
     most one spin poset, built when a suite first reads it."""
     classes = enumerate_stable_graphs(g, n, budget_edges)
@@ -337,12 +317,12 @@ def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0, jobs=1):
 
     checks = []
     if suite in ("counts", "all"):
-        checks += suite_counts(g, n, classes, jobs=jobs)
+        checks += suite_counts(g, classes)
     if suite in ("posets", "all"):
         checks += suite_posets(g, n, classes, get_spin_poset)
     if suite in ("functoriality", "all"):
-        checks += suite_functoriality(g, n, classes, get_spin_poset,
-                                      fuzz=fuzz, seed=seed)
+        checks += suite_functoriality(classes, get_spin_poset, fuzz=fuzz,
+                                      seed=seed)
     if suite in ("refine", "all"):
-        checks += suite_refine(g, n, budget_edges, _classes=classes)
+        checks += suite_refine(classes)
     return checks

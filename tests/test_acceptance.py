@@ -96,7 +96,7 @@ def test_04_cone_complex_structure(cache):
     for g, n in POSET_RANGE:
         poset = poset_at(cache, g, n)
         stats = poset_stats(poset)
-        cells, rep = build_cone_complex(g, n, poset=poset)
+        cells, rep = build_cone_complex(poset)
         assert rep["pure"]
         assert rep["dimension"] == max_rank(g, n)
         assert rep["components"] == (2 if g > 0 else 1)
@@ -132,8 +132,7 @@ def test_05_fiber_cardinalities():
 
 def test_06_functoriality_chains(cache):
     for g, n in [(1, 1), (2, 0), (2, 1), (3, 0)]:
-        fuzz_contraction_chains(g, n, count=1000, seed=0,
-                                _classes=classes_at(cache, g, n))
+        fuzz_contraction_chains(classes_at(cache, g, n), count=1000, seed=0)
     report(6, "pushforward functoriality", "1000 chains x 4 spaces")
 
 
@@ -148,7 +147,7 @@ def test_07_aut_order_factorization(cache):
 def test_08_refinement(cache):
     total = 0
     for g, n in REFINE_RANGE:
-        out = suite_refine(g, n)
+        out = suite_refine(classes_at(cache, g, n))
         total += out[0]["refined"]
     assert total > 0
     report(8, "refinement of non-basic Eulerian graphs",

@@ -83,10 +83,30 @@ def test_verify_posets_11():
     assert poset_check["components"] == 2
 
 
+def report_without_timings(proc):
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout)
+    del report["timings"]
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
 def test_verify_with_jobs():
-    proc = run_cli("verify", "--g", "2", "--n", "0", "--suite", "counts",
-                   "--jobs", "2")
-    assert proc.returncode == 0
+    # --jobs is accepted and ignored: every check runs in one process
+    for g, n, suite in (("2", "0", "counts"), ("2", "1", "all")):
+        args = ("verify", "--g", g, "--n", n, "--suite", suite)
+        assert report_without_timings(run_cli(*args, "--jobs", "2")) == \
+            report_without_timings(run_cli(*args, "--jobs", "1"))
+
+
+def test_verify_report_same_under_python_O():
+    # every identity is checked by a raise that -O cannot strip
+    args = ["-m", "spinmod.cli", "verify", "--g", "2", "--n", "1",
+            "--suite", "all"]
+    procs = [subprocess.run([sys.executable, *flags, *args],
+                            capture_output=True, text=True, env=os.environ)
+             for flags in ([], ["-O"])]
+    plain, optimised = map(report_without_timings, procs)
+    assert plain == optimised
 
 
 def test_verify_deterministic_output():

@@ -2,10 +2,13 @@ import itertools
 
 import pytest
 
+from spinmod import cycles
+from spinmod.cli import main
 from spinmod.cycles import (EdgeSet, boundary, cycle_basis, enumerate_cyclic,
                             pbar_decompose)
-from spinmod.errors import BudgetError, DomainError
+from spinmod.errors import BudgetError, DomainError, VerificationError
 from spinmod.graphs import Graph
+from spinmod.morphisms import canonical_key
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
                       make_rose, make_theta, make_weight_vertex, subgraph_on)
@@ -184,6 +187,7 @@ def test_pbar_opened_graph_on_demand(theta):
     assert dec.pbar.n_legs == 6
     assert [subgraph_on(dec.pbar, vs).vertices
             for vs in dec.vertex_sets] == [(0,), (1,)]
+    assert "pbar" not in dec.__dict__
 
 
 def test_edge_set_hash_matches_eq():
@@ -192,3 +196,25 @@ def test_edge_set_hash_matches_eq():
     assert a.graph is not b.graph and a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# -- identities checked as verification errors --------------------------------
+
+def test_cycle_basis_size_failure_is_verification_error(theta):
+    key = canonical_key(theta)
+    theta.__dict__["b1"] = 3  # a Betti number no spanning forest meets
+    with pytest.raises(VerificationError) as info:
+        cycle_basis(theta)
+    assert info.value.witnesses == (key,)
+
+
+def test_span_member_failure_is_verification_error(theta, monkeypatch,
+                                                   capsys):
+    # a boundary map that calls every nonempty edge set non-cyclic
+    monkeypatch.setattr(cycles, "boundary", lambda graph, f: frozenset(f))
+    with pytest.raises(VerificationError) as info:
+        enumerate_cyclic(theta)
+    assert info.value.witnesses == (canonical_key(theta), "P=3")
+    # the CLI reports it as a verification failure, not a traceback
+    assert main(["verify", "--g", "2", "--n", "0", "--suite", "counts"]) == 1
+    assert '"status": "fail"' in capsys.readouterr().out

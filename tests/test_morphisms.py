@@ -437,7 +437,8 @@ def test_push_spin_rejects_bad_decomposition(theta):
     # a spin structure carrying the decomposition of another cyclic set:
     # its one component does not map into one component of the image
     wrong = pbar_decompose(theta, EdgeSet.from_indices(theta, [0, 1]))
-    s = SpinStructure(theta, EdgeSet(theta, 0), (1,), _dec=wrong)
+    theta.__dict__["_pbar_decompositions"][0] = wrong
+    s = SpinStructure(theta, EdgeSet(theta, 0), (1,))
     with pytest.raises(VerificationError) as info:
         push_spin(contract(theta, []), s)
     assert info.value.witnesses == (canonical_key(theta), "P=0", "F=0")
@@ -470,3 +471,26 @@ def test_spin_restriction_decomposes_each_mask_once(monkeypatch):
             del built[:]
             automorphisms(graph, restrict="spin", spin=s)
             assert len(built) == len(set(built)) <= len(images)
+
+
+def test_push_cycle_failure_is_verification_error(theta, monkeypatch):
+    # a boundary map on the target that finds every image non-cyclic
+    from spinmod import morphisms
+    monkeypatch.setattr(morphisms, "boundary",
+                        lambda graph, f: frozenset({0}))
+    with pytest.raises(VerificationError) as info:
+        push_cycle(contract(theta, [2]), EdgeSet.from_indices(theta, [0, 1]))
+    assert info.value.witnesses == (canonical_key(theta), "P=3", "F=4")
+
+
+def test_spin_stabilizer_memoised_per_graph(theta):
+    s = spin(theta, [0, 1], (1,))
+    fixing = automorphisms(theta, restrict="spin", spin=s)
+    assert automorphisms(theta, restrict="spin",
+                         spin=spin(theta, [0, 1], (1,))) is fixing
+    assert automorphisms(theta, restrict="spin",
+                         spin=spin(theta, [0, 2], (1,))) is not fixing
+    other = make_theta()
+    fresh = automorphisms(other, restrict="spin",
+                          spin=spin(other, [0, 1], (1,)))
+    assert fresh is not fixing and fresh.order == fixing.order

@@ -1,7 +1,7 @@
 import pytest
 
 from spinmod.cycles import EdgeSet, enumerate_cyclic, pbar_decompose
-from spinmod.errors import DomainError
+from spinmod.errors import DomainError, VerificationError
 from spinmod.graphs import Graph, canonical_divisor
 from spinmod.morphisms import automorphisms, canonical_key, push_spin
 from spinmod.spin import (SpinGraph, SpinStructure, enumerate_spin,
@@ -239,3 +239,13 @@ def test_spin_structure_hash_matches_eq():
     assert a.graph is not b.graph and a == b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+def test_odd_opened_degree_is_verification_error(theta, monkeypatch):
+    # an opened graph that keeps the complementary edges has odd degrees
+    from spinmod.cycles import PbarDecomposition
+    monkeypatch.setattr(PbarDecomposition, "pbar",
+                        property(lambda dec: dec.graph))
+    with pytest.raises(VerificationError) as info:
+        theta_divisors(theta, EdgeSet(theta, 0))
+    assert info.value.witnesses == (canonical_key(theta), "P=0")

@@ -7,6 +7,7 @@ from spinmod.cycles import EdgeSet
 from spinmod.errors import InputError, VerificationError
 from spinmod.graphs import Graph
 from spinmod.morphisms import canonical_key
+from spinmod.posets import build_spin_poset
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 from spinmod.tropical import (INF, FamilyDescriptor,
                               SpinTropicalCurve, TropicalCurve,
@@ -124,7 +125,7 @@ def test_curve_automorphisms_stabilize_lengths(theta):
 
 
 def test_cone_complex_11():
-    cells, report = build_cone_complex(1, 1)
+    cells, report = build_cone_complex(build_spin_poset(1, 1))
     assert report["cells"] == 5
     assert sorted(c.dim for c in cells) == [0, 0, 1, 1, 1]
     assert report["components"] == 2
@@ -133,7 +134,7 @@ def test_cone_complex_11():
 
 
 def test_cone_complex_20_maximal():
-    cells, report = build_cone_complex(2, 0)
+    cells, report = build_cone_complex(build_spin_poset(2, 0))
     top = [c for c in cells if c.dim == 3]
     assert len(top) == 9
     assert sum(1 for c in top if c.parity == 0) == 6
@@ -141,14 +142,14 @@ def test_cone_complex_20_maximal():
 
 
 def test_cone_complex_03():
-    cells, report = build_cone_complex(0, 3)
+    cells, report = build_cone_complex(build_spin_poset(0, 3))
     assert report["cells"] == 1
     assert cells[0].dim == 0
     assert report["components"] == 1
 
 
 def test_cone_exports():
-    cells, _ = build_cone_complex(1, 1)
+    cells, _ = build_cone_complex(build_spin_poset(1, 1))
     csv = cells_to_csv(cells)
     assert csv.splitlines()[0] == "key,dim,parity,aut_edge_order"
     assert len(csv.splitlines()) == 6

@@ -1,4 +1,8 @@
+import pytest
+
 from spinmod import posets, tropical, verify
+from spinmod.graphs import classify
+from spinmod.morphisms import Aut
 from spinmod.verify import run_suites
 
 
@@ -25,7 +29,8 @@ def test_fuzz_chains_enumerate_cycles_once_per_class(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_cyclic",
                         lambda graph, *a, **k: graphs.append(graph)
                         or original(graph, *a, **k))
-    verify.fuzz_contraction_chains(2, 0, count=200)
+    verify.fuzz_contraction_chains(posets.enumerate_stable_graphs(2, 0),
+                                   count=200)
     assert len(graphs) == len(posets.enumerate_stable_graphs(2, 0)) == 7
 
 
@@ -39,3 +44,51 @@ def test_run_suites_builds_spin_poset_only_when_read(monkeypatch):
     assert built == []
     run_suites(2, 0, "functoriality", fuzz=10)
     assert built == [1]
+
+
+def test_counts_suite_runs_on_the_enumerated_classes(monkeypatch):
+    enumerated, checked = [], []
+    original_enumerate = verify.enumerate_stable_graphs
+    original_check = verify.spin_count_check
+
+    def enumerate_recording(*args, **kwargs):
+        enumerated.extend(original_enumerate(*args, **kwargs))
+        return enumerated
+
+    def check_recording(graph, *args, **kwargs):
+        checked.append(graph)
+        return original_check(graph, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "enumerate_stable_graphs",
+                        enumerate_recording)
+    monkeypatch.setattr(verify, "spin_count_check", check_recording)
+    run_suites(2, 2, "counts")
+    assert len(checked) == len(enumerated) > 0
+    assert all(a is b for a, b in zip(checked, enumerated))
+
+
+@pytest.mark.parametrize("g,n,cyclic_sets,basic_graphs", [
+    (2, 0, 18, 0), (3, 0, 198, 3), (2, 2, 210, 2)])
+def test_counts_records_carry_coverage(g, n, cyclic_sets, basic_graphs):
+    classes = posets.enumerate_stable_graphs(g, n)
+    assert sum(2 ** graph.b1 for graph in classes) == cyclic_sets
+    assert sum(1 for graph in classes if classify(graph).basic
+               and len(graph.vertices) >= 2) == basic_graphs
+    checks = {c["name"]: c for c in run_suites(g, n, "counts")}
+    assert checks["spin-parity-split"]["cyclic_sets"] == cyclic_sets
+    assert checks["theta-divisor-identities"]["cyclic_sets"] == cyclic_sets
+    assert checks["collection-count"]["basic_graphs"] == basic_graphs
+
+
+def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
+    # the spin orbit step acts with the whole group once per spin class
+    # (3,986 images at (3,0)); building each stabilizer once costs the
+    # same again, and the refinement suite adds 64.  Building it in both
+    # the cone complex and the factorization check cost 12,022.
+    calls = []
+    original = Aut.act_spin
+    monkeypatch.setattr(Aut, "act_spin",
+                        lambda self, spin: calls.append(1)
+                        or original(self, spin))
+    run_suites(3, 0, "all")
+    assert len(calls) == 3986 + 3986 + 64
