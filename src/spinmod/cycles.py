@@ -173,25 +173,32 @@ def cycle_basis(graph):
 
 
 def enumerate_cyclic(graph, cap=B1_CAP):
-    """All ``2^{b1}`` elements of the cycle space, sorted by bitmask.
+    """All ``2^{b1}`` elements of the cycle space, sorted by bitmask, as a
+    tuple.
 
     Every element is re-checked against the even-degree criterion, so the
     span construction and the boundary kernel act as independent
-    definitions of the same space.
+    definitions of the same space.  The checked tuple is memoised per
+    graph object in ``graph.__dict__``, like the decompositions; the cap
+    is enforced on every call.
     """
     if graph.b1 > cap:
         raise BudgetError(f"cycle space of size 2^{graph.b1} exceeds the "
                           f"cap 2^{cap}")
+    out = graph.__dict__.get("_cycle_space")
+    if out is not None:
+        return out
     basis = cycle_basis(graph)
     masks = {0}
     for b in basis:
         masks |= {m ^ b.mask for m in masks}
-    out = [EdgeSet(graph, m) for m in sorted(masks)]
+    out = tuple(EdgeSet(graph, m) for m in sorted(masks))
     for f in out:
         if boundary(graph, f):
             raise VerificationError(
                 f"span member {f} fails the even-degree criterion",
                 (_key(graph), f"P={f.hex()}"))
+    graph.__dict__["_cycle_space"] = out
     return out
 
 

@@ -83,6 +83,22 @@ class Contraction:
                 f"{self.target.genus}",
                 (canonical_key(source), f"F={contracted.hex()}"))
 
+    def onto(self, rep):
+        """This contraction followed by an isomorphism of its target onto
+        ``rep``, a graph of the same class: the source and the contracted
+        set stay, the target becomes ``rep`` and the vertex and edge maps
+        are composed with the isomorphism."""
+        if rep is self.target:
+            return self
+        vertex_iso, edge_iso = _isomorphism(self.target, rep)
+        out = object.__new__(Contraction)
+        out.source, out.contracted, out.target = \
+            self.source, self.contracted, rep
+        out.vertex_map = {v: vertex_iso[t] for v, t in self.vertex_map.items()}
+        out.edge_map = {i: None if j is None else edge_iso[j]
+                        for i, j in self.edge_map.items()}
+        return out
+
     def to_json_dict(self):
         return {"F": self.contracted.hex(),
                 "vertex_map": sorted(self.vertex_map.items())}
@@ -247,6 +263,29 @@ def canonical_form(graph):
     return result
 
 
+def _isomorphism(a, b):
+    """Vertex and edge maps of an isomorphism from ``a`` onto ``b``, read
+    off their canonical labellings.  The edges between one vertex pair
+    (parallel edges, or loops) are interchangeable, so they are matched
+    in any order."""
+    cert_a, pos_a = canonical_form(a)
+    cert_b, pos_b = canonical_form(b)
+    if cert_a != cert_b:
+        raise VerificationError("graphs of different classes are not "
+                                "isomorphic",
+                                (_digest([cert_a]), _digest([cert_b])))
+    at = {p: v for v, p in pos_b.items()}
+    vertex_iso = {v: at[p] for v, p in pos_a.items()}
+    edges_at = defaultdict(list)
+    for j in range(b.n_edges):
+        edges_at[b.edge_vertices(j)].append(j)
+    edge_iso = {}
+    for i in range(a.n_edges):
+        u, v = (vertex_iso[x] for x in a.edge_vertices(i))
+        edge_iso[i] = edges_at[(u, v) if u <= v else (v, u)].pop()
+    return vertex_iso, edge_iso
+
+
 class Aut:
     """A single automorphism: a weight-preserving map on vertices and
     half-edges commuting with the involution and fixing every leg."""
@@ -314,22 +353,37 @@ class AutGroup:
         return len({a.edge_perm for a in self.elements})
 
     def orbit_representatives(self, items, data, act):
-        """The first item met from each orbit, in the order given.
+        """The first item met from each orbit, in the order given, with
+        the orbit table and the stabilizers the walk meets.
 
         An item is kept when its ``data(item)`` has not been seen; every
         ``act(element, item)`` is then marked seen, so ``act`` must
         return values comparable with ``data``.  When ``items`` are
         sorted by ``data`` and closed under the group, each kept item is
         the minimum of its orbit.
+
+        Returns ``(reps, orbit_of, stabilizers)``: ``orbit_of`` maps the
+        data of every image met to the index of its orbit in ``reps``,
+        and ``stabilizers[k]`` is the subgroup of elements fixing
+        ``reps[k]``, in group order.
         """
-        seen = set()
+        orbit_of = {}
         reps = []
+        stabilizers = []
         for item in items:
-            if data(item) in seen:
+            here = data(item)
+            if here in orbit_of:
                 continue
+            k = len(reps)
             reps.append(item)
-            seen.update(act(a, item) for a in self.elements)
-        return reps
+            fixing = []
+            for a in self.elements:
+                image = act(a, item)
+                orbit_of[image] = k
+                if image == here:
+                    fixing.append(a)
+            stabilizers.append(AutGroup(self.graph, fixing))
+        return reps, orbit_of, stabilizers
 
 
 def _vertex_bijections(graph, colors):
@@ -451,9 +505,7 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
         raise InputError("restricted groups need a spin structure over the "
                          "same graph")
     if restrict == "spin":
-        cache = graph.__dict__.get("_spin_stabilizers")
-        if cache is None:
-            cache = graph.__dict__["_spin_stabilizers"] = {}
+        cache = _stabilizer_memo(graph)
         stabilizer = cache.get(spin.data())
         if stabilizer is None:
             stabilizer = cache[spin.data()] = AutGroup(
@@ -471,6 +523,27 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
                 kept.append(a)
         return AutGroup(graph, kept)
     raise InputError(f"unknown restriction {restrict!r}")
+
+
+def _stabilizer_memo(graph):
+    """Spin data -> the subgroup of ``graph``'s automorphisms fixing it."""
+    return graph.__dict__.setdefault("_spin_stabilizers", {})
+
+
+def spin_orbits(graph, spins):
+    """Orbit representatives of ``spins`` under the full automorphism
+    group and the table from spin data to orbit index.
+
+    The stabilizer of each representative comes out of the same walk and
+    is stored as ``automorphisms(graph, restrict="spin", spin=rep)``, so
+    no later caller acts with the whole group on it again.
+    """
+    reps, orbit_of, stabilizers = automorphisms(graph).orbit_representatives(
+        spins, SpinStructure.data, lambda a, s: a.act_spin(s).data())
+    memo = _stabilizer_memo(graph)
+    for s, stabilizer in zip(reps, stabilizers):
+        memo.setdefault(s.data(), stabilizer)
+    return reps, orbit_of
 
 
 def quotient_action_order(graph, spin, group):

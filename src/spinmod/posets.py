@@ -7,6 +7,19 @@ contractions.  An independent direct generator (vertex counts, weight
 compositions, multigraph fill) cross-checks the closure on small cases;
 it screens each candidate on its integer valences and connectivity
 before it builds a graph.
+
+Covers are computed from two tables instead of keying every contracted
+graph.  The contraction table holds, for each class and each edge, the
+key of the target class and the contraction carried onto that class's
+representative: its vertex and edge maps are composed with the
+isomorphism read off the two canonical labellings.  The downward
+closure fills it as it meets each class, and it is memoised on the
+class graph, so the three posets share it.  The orbit tables map the
+data of every structure over a class (cyclic mask, or mask and signs)
+to its orbit among the class's nodes; they come out of the orbit walk
+of :meth:`AutGroup.orbit_representatives`.  A cover's target is then
+the orbit of the pushed structure's data in the target class's table:
+no fresh graph, automorphism group or group minimum per cover.
 """
 
 from __future__ import annotations
@@ -20,8 +33,9 @@ from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
 from .graphs import Graph, connected_classes, is_stable
 from .morphisms import (automorphisms, canonical_key, contract,
-                        cyclic_canonical_key, push_cycle, push_spin)
-from .spin import SpinGraph, SpinStructure, enumerate_spin
+                        cyclic_canonical_key, push_cycle, push_spin,
+                        spin_orbits)
+from .spin import SpinGraph, enumerate_spin
 
 BUDGET_ENV = "SPINMOD_BUDGET"
 
@@ -132,19 +146,46 @@ def enumerate_stable_graphs(g, n, budget_edges=None):
     while frontier:
         fresh = []
         for graph in frontier:
-            for i in range(graph.n_edges):
-                target = contract(graph, [i]).target
-                key = canonical_key(target)
-                if key not in reps:
-                    if not is_stable(target):
-                        raise VerificationError(
-                            "contracting an edge of a stable graph gave an "
-                            "unstable graph",
-                            (canonical_key(graph), f"edge={i}"))
-                    reps[key] = target
-                    fresh.append(target)
+            _edge_contractions(graph, reps, fresh)
         frontier = fresh
     return [reps[key] for key in sorted(reps)]
+
+
+def _edge_contractions(graph, reps, fresh=None):
+    """For each edge of ``graph``, in edge order: the key of the class
+    its contraction lands in, and that contraction carried onto the
+    class representative ``reps[key]`` (:meth:`Contraction.onto`).
+
+    Memoised per graph object in ``graph.__dict__``, so each (class,
+    edge) pair is contracted once however many posets read it; a memo
+    whose targets are not the representatives in ``reps`` is rebuilt.
+    A target class missing from ``reps`` is a
+    :class:`VerificationError`, unless ``fresh`` is a list: the downward
+    closure then adds the contracted graph to ``reps`` and ``fresh`` as
+    the representative of a new class.
+    """
+    table = graph.__dict__.get("_edge_contractions")
+    if table is not None and all(reps.get(key) is c.target
+                                 for key, c in table):
+        return table
+    table = []
+    for e in range(graph.n_edges):
+        c = contract(graph, [e])
+        key = canonical_key(c.target)
+        if key not in reps:
+            if fresh is None:
+                raise VerificationError(
+                    "the target class of a cover is missing from the "
+                    "classes", (canonical_key(graph), f"edge={e}", key))
+            if not is_stable(c.target):
+                raise VerificationError(
+                    "contracting an edge of a stable graph gave an "
+                    "unstable graph", (canonical_key(graph), f"edge={e}"))
+            reps[key] = c.target
+            fresh.append(c.target)
+        table.append((key, c.onto(reps[key])))
+    table = graph.__dict__["_edge_contractions"] = tuple(table)
+    return table
 
 
 def stable_graphs_direct(g, n, budget_edges=None):
@@ -285,65 +326,85 @@ def _rep_json(kind, rep):
             "spin": rep.spin.to_json_dict()}
 
 
-def _build_poset(kind, g, n, budget_edges, classes, structures, key, push,
-                 rep, pair, parity=lambda x: None):
+def _build_poset(kind, g, n, budget_edges, classes, orbits, key, push, rep,
+                 pair, parity=lambda x: None):
     """The graded poset of one kind: a node per orbit representative over
     each class, sorted by (rank, key), and a cover per single-edge
     contraction of each node's representative.
 
-    The kind supplies ``structures(graph)``, the orbit representatives
-    over a class; ``key(graph, x)``; ``push(contraction, x)``, the
-    structure carried to the contracted graph; and the node shape:
+    The kind supplies ``orbits(graph)``, the orbit representatives over a
+    class and the table from structure data to orbit index;
+    ``key(graph, x)``; ``push(contraction, x)``, the data of the
+    structure carried along a contraction; and the node shape:
     ``rep(graph, x)`` builds a node's representative, ``pair(rep)``
     reads ``(graph, x)`` back from it and ``parity(x)`` labels it.
+
+    Covers are looked up, not keyed: every contraction lands on its
+    target class's representative, so the pushed data indexes that
+    class's orbit table directly.
     """
     if classes is None:
         classes = enumerate_stable_graphs(g, n, budget_edges)
-    nodes = [PosetNode(key(graph, x), graph.n_edges, rep(graph, x), parity(x))
-             for graph in classes for x in structures(graph)]
+    reps = {}
+    orbit_tables = {}
+    nodes = []
+    for graph in classes:
+        structures, orbit_of = orbits(graph)
+        here = [PosetNode(key(graph, x), graph.n_edges, rep(graph, x),
+                          parity(x)) for x in structures]
+        class_key = canonical_key(graph)
+        reps[class_key] = graph
+        orbit_tables[class_key] = (orbit_of, here)
+        nodes += here
     nodes.sort(key=lambda nd: (nd.rank, nd.key))
-    index = {nd.key: i for i, nd in enumerate(nodes)}
+    index = {}
+    for i, nd in enumerate(nodes):
+        if index.setdefault(nd.key, i) != i:
+            raise VerificationError("two orbit representatives share a key",
+                                    (nd.key,))
     covers = []
     for i, nd in enumerate(nodes):
         graph, x = pair(nd.rep)
-        for e in range(graph.n_edges):
-            c = contract(graph, [e])
-            covers.append((i, index[key(c.target, push(c, x))]))
+        for e, (target_key, c) in enumerate(_edge_contractions(graph, reps)):
+            orbit_of, target_nodes = orbit_tables[target_key]
+            k = orbit_of.get(push(c, x))
+            if k is None:
+                raise VerificationError(
+                    "a pushed structure is missing from the orbit table of "
+                    "its target class", (nd.key, f"edge={e}", target_key))
+            covers.append((i, index[target_nodes[k].key]))
     return Poset(kind, g, n, nodes, covers)
 
 
 def build_graph_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "graphs", g, n, budget_edges, _classes,
-        structures=lambda graph: (None,),
+        orbits=lambda graph: ((None,), {None: 0}),
         key=lambda graph, _: canonical_key(graph),
         push=lambda c, _: None,
         rep=lambda graph, _: graph, pair=lambda graph: (graph, None))
 
 
 def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
-    def structures(graph):
-        return automorphisms(graph).orbit_representatives(
+    def orbits(graph):
+        reps, orbit_of, _ = automorphisms(graph).orbit_representatives(
             enumerate_cyclic(graph), lambda p: p.mask,
             lambda a, p: a.act_mask(p.mask))
+        return reps, orbit_of
 
     return _build_poset(
-        "cyclic", g, n, budget_edges, _classes, structures,
-        key=cyclic_canonical_key, push=push_cycle,
+        "cyclic", g, n, budget_edges, _classes, orbits,
+        key=cyclic_canonical_key, push=lambda c, p: push_cycle(c, p).mask,
         rep=lambda graph, p: (graph, p), pair=lambda rep: rep)
 
 
 def build_spin_poset(g, n, budget_edges=None, _classes=None):
-    def structures(graph):
-        return automorphisms(graph).orbit_representatives(
-            enumerate_spin(graph), SpinStructure.data,
-            lambda a, s: a.act_spin(s).data())
-
     return _build_poset(
-        "spin", g, n, budget_edges, _classes, structures,
+        "spin", g, n, budget_edges, _classes,
+        orbits=lambda graph: spin_orbits(graph, enumerate_spin(graph)),
         key=lambda graph, s: canonical_key(SpinGraph(graph, s)),
-        push=push_spin, rep=SpinGraph, pair=lambda sg: (sg.graph, sg.spin),
-        parity=lambda s: s.parity)
+        push=lambda c, s: push_spin(c, s).data(), rep=SpinGraph,
+        pair=lambda sg: (sg.graph, sg.spin), parity=lambda s: s.parity)
 
 
 def poset_stats(poset):

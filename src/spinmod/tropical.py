@@ -189,7 +189,7 @@ def pi_trop_fiber(curve):
     """
     if not curve.stable:
         raise DomainError("fibers are taken over stable curves")
-    spins = curve_automorphisms(curve).orbit_representatives(
+    spins, _, _ = curve_automorphisms(curve).orbit_representatives(
         enumerate_spin(curve.graph), SpinStructure.data,
         lambda a, s: a.act_spin(s).data())
     reps = []

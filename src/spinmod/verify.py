@@ -94,7 +94,8 @@ def suite_posets(g, n, classes, get_spin_poset):
             raise VerificationError(
                 f"3-regular class with {nd.rep.n_edges} edges, expected {top}",
                 (nd.key,))
-    checks.append({"name": "top-rank-three-regular", "status": "pass"})
+    checks.append({"name": "top-rank-three-regular", "status": "pass",
+                   "classes": len(graph_poset.nodes)})
 
     # purity precursor on the graph poset: everything below a top class
     tops = [i for i, nd in enumerate(graph_poset.nodes) if nd.rank == top]
@@ -106,7 +107,8 @@ def suite_posets(g, n, classes, get_spin_poset):
         raise VerificationError(
             "classes not dominated by any top class",
             tuple(graph_poset.nodes[i].key for i in sorted(missing)))
-    checks.append({"name": "purity-precursor", "status": "pass"})
+    checks.append({"name": "purity-precursor", "status": "pass",
+                   "reached": len(reached)})
 
     # forgetful maps: even spin -> cyclic -> graphs, monotone surjections
     cyclic_cover_set = set(cyclic_poset.covers)
@@ -140,7 +142,9 @@ def suite_posets(g, n, classes, get_spin_poset):
             raise VerificationError(
                 "cyclic cover does not map to a graph cover",
                 (cyclic_poset.nodes[u].key,))
-    checks.append({"name": "forgetful-maps", "status": "pass"})
+    checks.append({"name": "forgetful-maps", "status": "pass",
+                   "spin_covers": len(spin_poset.covers),
+                   "cyclic_covers": len(cyclic_poset.covers)})
 
     # order relation agrees with the witness search on a sample
     rng = random.Random(0)

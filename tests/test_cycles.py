@@ -87,6 +87,17 @@ def test_enumerate_cyclic_cap():
         enumerate_cyclic(make_rose(4), cap=3)
 
 
+def test_enumerate_cyclic_memoised_with_cap_checked_every_call():
+    rose = make_rose(4)
+    first = enumerate_cyclic(rose)
+    assert isinstance(first, tuple) and len(first) == 16
+    assert enumerate_cyclic(rose) is first
+    with pytest.raises(BudgetError):
+        enumerate_cyclic(rose, cap=3)
+    # a copy of the graph is a different object with its own memo
+    assert enumerate_cyclic(make_rose(4)) is not first
+
+
 def test_pbar_theta_two_edges(theta):
     dec = pbar_decompose(theta, EdgeSet.from_indices(theta, [0, 1]))
     assert len(dec) == 1

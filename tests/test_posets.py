@@ -224,26 +224,29 @@ def test_orbit_representatives_are_orbit_minima(g, n):
     from spinmod.morphisms import automorphisms
     from spinmod.spin import SpinStructure, enumerate_spin
 
+    # the orbit table sends every structure to the position of its orbit
+    # minimum, and each stabilizer is the filtered group, in group order
+    def check(group, items, data, act):
+        by_min = {}
+        minimum = {}
+        for x in items:
+            minimum[data(x)] = min(act(a, x) for a in group.elements)
+            by_min.setdefault(minimum[data(x)], x)
+        reps, orbit_of, stabilizers = group.orbit_representatives(
+            items, data, act)
+        assert [data(x) for x in reps] == [data(x) for x in by_min.values()]
+        mins = list(by_min)
+        assert orbit_of == {d: mins.index(m) for d, m in minimum.items()}
+        for x, stabilizer in zip(reps, stabilizers):
+            assert stabilizer.elements == tuple(
+                a for a in group.elements if act(a, x) == data(x))
+
     for graph in enumerate_stable_graphs(g, n):
         group = automorphisms(graph)
-        cyclic = enumerate_cyclic(graph)
-        by_min = {}
-        for p in cyclic:
-            orbit = sorted(a.act_mask(p.mask) for a in group.elements)
-            by_min.setdefault(orbit[0], p)
-        reps = group.orbit_representatives(
-            cyclic, lambda p: p.mask, lambda a, p: a.act_mask(p.mask))
-        assert [p.mask for p in reps] == [p.mask for p in by_min.values()]
-
-        spins = enumerate_spin(graph)
-        by_min = {}
-        for s in spins:
-            orbit = sorted(a.act_spin(s).data() for a in group.elements)
-            by_min.setdefault(orbit[0], s)
-        reps = group.orbit_representatives(
-            spins, SpinStructure.data, lambda a, s: a.act_spin(s).data())
-        assert [s.data() for s in reps] == \
-            [s.data() for s in by_min.values()]
+        check(group, enumerate_cyclic(graph), lambda p: p.mask,
+              lambda a, p: a.act_mask(p.mask))
+        check(group, enumerate_spin(graph), SpinStructure.data,
+              lambda a, s: a.act_spin(s).data())
 
 
 def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
@@ -278,3 +281,198 @@ def test_poset_order_matches_order_test():
         expected = poset.leq(i, j)
         witness = order_test(a.rep, b.rep)
         assert (witness is not None) == expected, (i, j)
+
+
+# -- the contraction table and the orbit tables --------------------------------
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
+def test_edge_contractions_are_isomorphisms_onto_representatives(g, n):
+    # against a fresh contraction of the same edge: the maps read off the
+    # pair must be an isomorphism of its target onto the representative
+    from collections import Counter
+
+    from spinmod.morphisms import contract
+
+    classes = enumerate_stable_graphs(g, n)
+    reps = {canonical_key(graph): graph for graph in classes}
+    for graph in classes:
+        table = posets._edge_contractions(graph, reps)
+        assert len(table) == graph.n_edges
+        for e, (key, carried) in enumerate(table):
+            fresh = contract(graph, [e])
+            target = fresh.target
+            rep = reps[key]
+            assert canonical_key(target) == key
+            assert carried.source is graph and carried.target is rep
+            assert carried.contracted.mask == fresh.contracted.mask
+            vmap = {}
+            for v, t in fresh.vertex_map.items():
+                assert vmap.setdefault(t, carried.vertex_map[v]) == \
+                    carried.vertex_map[v]
+            emap = {}
+            for i, j in fresh.edge_map.items():
+                assert (j is None) == (carried.edge_map[i] is None)
+                if j is not None:
+                    emap[j] = carried.edge_map[i]
+            assert sorted(vmap) == list(target.vertices)
+            assert sorted(vmap.values()) == list(rep.vertices)
+            assert sorted(emap) == list(range(target.n_edges))
+            assert sorted(emap.values()) == list(range(rep.n_edges))
+            assert all(target.w(t) == rep.w(vmap[t]) for t in target.vertices)
+            assert [vmap[target.endpoint[h]] for h in target.legs] == \
+                [rep.endpoint[h] for h in rep.legs]
+            for j in range(target.n_edges):
+                u, v = sorted(vmap[t] for t in target.edge_vertices(j))
+                assert rep.edge_vertices(emap[j]) == (u, v)
+            assert Counter({tuple(sorted(vmap[t] for t in pair)): m
+                            for pair, m in target.multiplicity.items()}) == \
+                Counter(rep.multiplicity)
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0)])
+def test_looked_up_cover_keys_match_keying_each_target(g, n):
+    # the covers of each poset against keying every contracted target
+    # from scratch, as the builders did before the lookup tables
+    from spinmod.morphisms import contract, push_cycle, push_spin
+    from spinmod.spin import SpinGraph
+
+    def graph_key(c, _):
+        return canonical_key(c.target)
+
+    def cyclic_key(c, rep):
+        return cyclic_canonical_key(c.target, push_cycle(c, rep[1]))
+
+    def spin_key(c, sg):
+        return canonical_key(SpinGraph(c.target, push_spin(c, sg.spin)))
+
+    classes = enumerate_stable_graphs(g, n)
+    for poset, graph_of, key_of in (
+            (build_graph_poset(g, n, _classes=classes), lambda r: r,
+             graph_key),
+            (build_cyclic_poset(g, n, _classes=classes), lambda r: r[0],
+             cyclic_key),
+            (build_spin_poset(g, n, _classes=classes), lambda r: r.graph,
+             spin_key)):
+        expected = set()
+        for i, nd in enumerate(poset.nodes):
+            graph = graph_of(nd.rep)
+            for e in range(graph.n_edges):
+                c = contract(graph, [e])
+                expected.add((i, poset.index[key_of(c, nd.rep)]))
+        assert poset.covers == tuple(sorted(expected))
+
+
+def test_posets_on_other_representatives_are_the_same():
+    # the direct generator's representatives carry no contraction table,
+    # so the builders fill it themselves, onto other labellings
+    classes = stable_graphs_direct(2, 2)
+    for build in (build_graph_poset, build_cyclic_poset, build_spin_poset):
+        assert build(2, 2, _classes=classes).to_json_dict() == \
+            build(2, 2).to_json_dict()
+
+
+def test_posets_contract_each_class_edge_once(monkeypatch):
+    from collections import Counter
+
+    from spinmod import verify
+
+    enumerated = []
+    contracted = Counter()
+    original_enumerate = verify.enumerate_stable_graphs
+    original_contract = posets.contract
+
+    def enumerate_recording(*args, **kwargs):
+        enumerated.extend(original_enumerate(*args, **kwargs))
+        return enumerated
+
+    def contract_recording(graph, edge_set):
+        contracted[id(graph), tuple(edge_set)] += 1
+        return original_contract(graph, edge_set)
+
+    monkeypatch.setattr(verify, "enumerate_stable_graphs",
+                        enumerate_recording)
+    monkeypatch.setattr(posets, "contract", contract_recording)
+    checks = verify.run_suites(3, 1, "posets")
+    assert all(c["status"] == "pass" for c in checks)
+    assert len(enumerated) == 181
+    # the downward closure fills the table; the three builders read it
+    assert contracted == Counter({(id(graph), (e,)): 1 for graph in enumerated
+                                  for e in range(graph.n_edges)})
+    assert sum(contracted.values()) == 820
+
+
+def test_full_group_built_once_per_class(monkeypatch):
+    from spinmod import morphisms
+
+    built = []
+    original = morphisms._full_group
+
+    def recording(graph, cap):
+        if "_aut_group" not in graph.__dict__:
+            built.append(id(graph))
+        return original(graph, cap)
+
+    monkeypatch.setattr(morphisms, "_full_group", recording)
+    build_spin_poset(3, 0)
+    assert len(built) == len(set(built)) == 42
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0)])
+def test_orbit_step_stabilizers_are_the_spin_stabilizers(g, n):
+    # the spin builder seeds the stabilizer memo from its orbit walk
+    from spinmod.morphisms import automorphisms
+
+    for nd in build_spin_poset(g, n).nodes:
+        graph, spin = nd.rep.graph, nd.rep.spin
+        seeded = graph.__dict__["_spin_stabilizers"][spin.data()]
+        assert automorphisms(graph, restrict="spin", spin=spin) is seeded
+        assert seeded.elements == tuple(
+            a for a in automorphisms(graph).elements
+            if a.act_spin(spin) == spin)
+
+
+def test_shared_orbit_key_is_verification_error(monkeypatch):
+    # a cyclic key that forgets the cyclic set gives every cyclic
+    # representative of a class its graph's key
+    monkeypatch.setattr(posets, "cyclic_canonical_key",
+                        lambda graph, p: canonical_key(graph))
+    with pytest.raises(VerificationError, match="share a key") as info:
+        build_cyclic_poset(1, 1)
+    keys = {canonical_key(graph) for graph in enumerate_stable_graphs(1, 1)}
+    assert len(info.value.witnesses) == 1
+    assert info.value.witnesses[0] in keys
+
+
+def test_missing_cover_target_class_is_verification_error(monkeypatch):
+    original = posets.enumerate_stable_graphs
+    bottom_key = [canonical_key(graph) for graph in original(2, 0)
+                  if graph.n_edges == 0]
+    monkeypatch.setattr(posets, "enumerate_stable_graphs",
+                        lambda *a: [graph for graph in original(*a)
+                                    if graph.n_edges])
+    with pytest.raises(VerificationError, match="missing from the classes") \
+            as info:
+        build_graph_poset(2, 0)
+    source, edge, target = info.value.witnesses
+    assert target in bottom_key
+    assert edge.startswith("edge=")
+
+
+def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
+    # an orbit table that lost every entry but the representatives' own:
+    # a push landing elsewhere in an orbit is then a structure the table
+    # never met
+    original = posets.spin_orbits
+
+    def reps_only(graph, spins):
+        reps, _ = original(graph, spins)
+        return reps, {s.data(): k for k, s in enumerate(reps)}
+
+    monkeypatch.setattr(posets, "spin_orbits", reps_only)
+    with pytest.raises(VerificationError, match="missing from the orbit") \
+            as info:
+        build_spin_poset(2, 0)
+    node_key, edge, target_key = info.value.witnesses
+    assert edge.startswith("edge=")
+    keys = {canonical_key(graph) for graph in enumerate_stable_graphs(2, 0)}
+    assert target_key in keys

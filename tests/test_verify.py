@@ -1,6 +1,6 @@
 import pytest
 
-from spinmod import posets, tropical, verify
+from spinmod import cycles, posets, tropical, verify
 from spinmod.graphs import classify
 from spinmod.morphisms import Aut
 from spinmod.verify import run_suites
@@ -82,13 +82,40 @@ def test_counts_records_carry_coverage(g, n, cyclic_sets, basic_graphs):
 
 def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     # the spin orbit step acts with the whole group once per spin class
-    # (3,986 images at (3,0)); building each stabilizer once costs the
-    # same again, and the refinement suite adds 64.  Building it in both
-    # the cone complex and the factorization check cost 12,022.
+    # (3,986 images at (3,0)) and keeps the stabilizer it meets, so the
+    # cone complex and the factorization check act no more; the
+    # refinement suite adds 64.
     calls = []
     original = Aut.act_spin
     monkeypatch.setattr(Aut, "act_spin",
                         lambda self, spin: calls.append(1)
                         or original(self, spin))
     run_suites(3, 0, "all")
-    assert len(calls) == 3986 + 3986 + 64
+    assert len(calls) == 3986 + 64
+
+
+def test_counts_suite_spans_each_cycle_space_once(monkeypatch):
+    # spin_count_check, stratum_counts and the theta loop read one
+    # memoised enumeration per class
+    spanned = []
+    original = cycles.cycle_basis
+    monkeypatch.setattr(cycles, "cycle_basis",
+                        lambda graph: spanned.append(id(graph))
+                        or original(graph))
+    run_suites(3, 0, "counts")
+    assert len(spanned) == len(set(spanned)) == 42
+
+
+@pytest.mark.parametrize("g,n,classes,cyclic_covers,spin_covers", [
+    (2, 0, 7, 21, 46), (3, 0, 42, 397, 1217), (2, 2, 75, 560, 1297)])
+def test_posets_records_carry_coverage(g, n, classes, cyclic_covers,
+                                       spin_covers):
+    checks = {c["name"]: c for c in run_suites(g, n, "posets")}
+    assert checks["top-rank-three-regular"]["classes"] == classes == \
+        checks["poset-graphs"]["nodes"]
+    assert checks["purity-precursor"]["reached"] == classes
+    forgetful = checks["forgetful-maps"]
+    assert forgetful["cyclic_covers"] == cyclic_covers == \
+        checks["poset-cyclic"]["covers"]
+    assert forgetful["spin_covers"] == spin_covers == \
+        checks["poset-spin"]["covers"]
