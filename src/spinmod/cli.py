@@ -9,6 +9,7 @@ fuzz suites log their seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -29,7 +30,11 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built on the first call and shared by every
+    later :func:`main` call in the process (it keeps no state between
+    parses)."""
     parser = argparse.ArgumentParser(
         prog="spinmod",
         description="Enumerate and verify spin structures on stable graphs "
@@ -72,30 +77,23 @@ def _parser():
     return parser
 
 
-def _write_outputs(out_dir, files):
-    paths = []
+def _write_outputs(out_dir, name, render):
+    """Write ``render()`` to ``out_dir / name``; without an output
+    directory the text is never built."""
     if out_dir is None:
-        return paths
+        return []
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        path = out_dir / name
-        path.write_text(text)
-        paths.append(str(path))
-    return paths
+    path = out_dir / name
+    path.write_text(render())
+    return [str(path)]
 
 
-def _report(command, inputs, body, started, outputs):
-    return {
-        "command": command,
-        "inputs": inputs,
-        **body,
-        "timings": {"seconds": round(time.time() - started, 3)},
-        "outputs": outputs,
-    }
+def _report(command, inputs, body, outputs):
+    return {"command": command, "inputs": inputs, **body,
+            "outputs": outputs}
 
 
 def cmd_enumerate(args):
-    started = time.time()
     if 2 * args.g - 2 + args.n <= 0:
         raise InputError(f"no stable graphs at genus {args.g} with "
                          f"{args.n} legs (need 2g - 2 + n > 0)")
@@ -104,22 +102,23 @@ def cmd_enumerate(args):
     poset = builder(args.g, args.n, budget_edges=args.budget_edges)
     stats = poset_stats(poset)
 
-    files = {}
-    base = f"{args.kind}_{args.g}_{args.n}"
     if args.format == "json":
-        files[f"{base}.json"] = json.dumps(
-            poset.to_json_dict(with_reps=True), indent=2, sort_keys=True)
+        def render():
+            return json.dumps(poset.to_json_dict(with_reps=True), indent=2,
+                              sort_keys=True)
     elif args.format == "dot":
-        files[f"{base}.dot"] = poset.to_dot()
+        render = poset.to_dot
+    elif args.kind == "spin":
+        # the cone complex checks purity, so it is built even unwritten
+        cells, _ = build_cone_complex(poset)
+        render = functools.partial(cells_to_csv, cells)
     else:
-        if args.kind == "spin":
-            cells, _ = build_cone_complex(poset)
-            files[f"{base}.csv"] = cells_to_csv(cells)
-        else:
+        def render():
             lines = ["key,rank"] + [f"{nd.key},{nd.rank}"
                                     for nd in poset.nodes]
-            files[f"{base}.csv"] = "\n".join(lines) + "\n"
-    outputs = _write_outputs(args.out, files)
+            return "\n".join(lines) + "\n"
+    outputs = _write_outputs(
+        args.out, f"{args.kind}_{args.g}_{args.n}.{args.format}", render)
     body = {"counts": {"nodes": len(poset.nodes),
                        "covers": len(poset.covers)},
             "rank_histogram": stats["rank_histogram"],
@@ -129,11 +128,10 @@ def cmd_enumerate(args):
     return _report("enumerate",
                    {"g": args.g, "n": args.n, "kind": args.kind,
                     "format": args.format},
-                   body, started, outputs)
+                   body, outputs)
 
 
 def cmd_verify(args):
-    started = time.time()
     if 2 * args.g - 2 + args.n <= 0:
         raise InputError(f"no stable graphs at genus {args.g} with "
                          f"{args.n} legs (need 2g - 2 + n > 0)")
@@ -146,20 +144,21 @@ def cmd_verify(args):
             "checks": checks,
             "passed": sum(1 for c in checks if c["status"] == "pass"),
             "failed": 0}
-    files = {f"verify_{args.g}_{args.n}_{args.suite}.json":
-             json.dumps(body, indent=2, sort_keys=True)}
-    outputs = _write_outputs(args.out, files)
+    outputs = _write_outputs(
+        args.out, f"verify_{args.g}_{args.n}_{args.suite}.json",
+        functools.partial(json.dumps, body, indent=2, sort_keys=True))
     return _report("verify", {"g": args.g, "n": args.n, "suite": args.suite,
                               "fuzz": args.fuzz, "seed": args.seed},
-                   body, started, outputs)
+                   body, outputs)
 
 
 def cmd_trop(args):
-    started = time.time()
     try:
-        text = args.file.read_text()
+        text = args.file.read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {args.file}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.file} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -188,15 +187,16 @@ def cmd_trop(args):
         },
         "order_witness": fiber["witness"].to_json_dict(),
     }
-    files = {"trop_result.json": json.dumps(body, indent=2, sort_keys=True)}
-    outputs = _write_outputs(args.out, files)
-    return _report("trop", {"file": str(args.file)}, body, started, outputs)
+    outputs = _write_outputs(
+        args.out, "trop_result.json",
+        functools.partial(json.dumps, body, indent=2, sort_keys=True))
+    return _report("trop", {"file": str(args.file)}, body, outputs)
 
 
 def main(argv=None):
-    parser = _parser()
+    started = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     handler = {"enumerate": cmd_enumerate, "verify": cmd_verify,
@@ -220,6 +220,7 @@ def main(argv=None):
         print(json.dumps({"command": args.command, "status": "input-error",
                           "error": str(exc)}, indent=2))
         return EXIT_INPUT
+    report["timings"] = {"seconds": round(time.perf_counter() - started, 3)}
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

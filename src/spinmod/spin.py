@@ -72,10 +72,20 @@ class SpinStructure:
             signs = [e["s"] for e in entries]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed spin structure JSON: {exc}") from exc
+        signs = [_json_int(s, "sign") for s in signs]
         spin = cls(graph, EdgeSet(graph, mask), signs)
-        if "parity" in data and int(data["parity"]) != spin.parity:
+        if ("parity" in data
+                and _json_int(data["parity"], "parity") != spin.parity):
             raise InputError("stored parity disagrees with the sign sum")
         return spin
+
+
+def _json_int(value, field):
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"spin structure field {field!r} holds {value!r}, "
+                         "not an integer") from exc
 
 
 class SpinGraph:

@@ -294,13 +294,19 @@ class FamilyDescriptor:
 
     @classmethod
     def from_json_dict(cls, data):
+        if not isinstance(data, dict):
+            raise InputError("family descriptor must be a JSON object, not "
+                             f"{type(data).__name__}")
         try:
             graph = Graph.from_json_dict(data["graph"])
             spin = SpinStructure.from_json_dict(graph, data["spin"])
-            val = [length_from_json(x) for x in data["val"]]
+            val = data["val"]
         except KeyError as exc:
             raise InputError(f"family descriptor missing field {exc}") from exc
-        return cls(SpinGraph(graph, spin), val)
+        if not isinstance(val, list):
+            raise InputError("family descriptor field 'val' must be a list "
+                             f"of lengths, not {type(val).__name__}")
+        return cls(SpinGraph(graph, spin), [length_from_json(x) for x in val])
 
 
 def trop_family(family):

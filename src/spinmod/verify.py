@@ -63,7 +63,7 @@ def suite_counts(g, classes):
         {"name": "spin-parity-split", "status": "pass",
          "cyclic_sets": cyclic_sets},
         {"name": "stratum-degree", "status": "pass",
-         "grand_total": 2 ** (2 * g)},
+         "grand_total": 2 ** (2 * g), "graphs": len(classes)},
         {"name": "theta-divisor-identities", "status": "pass",
          "cyclic_sets": cyclic_sets},
         {"name": "collection-count", "status": "pass",
@@ -195,7 +195,12 @@ def _random_edge_subset(rng, count):
 def fuzz_contraction_chains(classes, count=1000, seed=0):
     """Random two-step contraction chains over the given classes:
     composition on cycles and spin structures, parity preservation, and
-    the boundary square.  Returns the number of chains checked."""
+    the boundary square.  Returns the number of cases each check
+    evaluated: ``chains`` (cycle pushforwards composed), ``spin_chains``
+    (spin pushforwards composed and their parities compared) and
+    ``squares`` (chains whose graph has an edge to take the boundary of).
+    """
+    done = {"chains": 0, "spin_chains": 0, "squares": 0}
     cyclic_of = {id(c): enumerate_cyclic(c) for c in classes}
     spins_of = {id(c): enumerate_spin(c) for c in classes}
     rng = random.Random(seed)
@@ -210,6 +215,7 @@ def fuzz_contraction_chains(classes, count=1000, seed=0):
         if push_cycle(c12, p).mask != push_cycle(c2, push_cycle(c1, p)).mask:
             raise VerificationError("cycle pushforward does not compose",
                                     (canonical_key(graph), p.hex()))
+        done["chains"] += 1
         spins = spins_of[id(graph)]
         s = spins[rng.randrange(len(spins))]
         a = push_spin(c12, s)
@@ -217,6 +223,7 @@ def fuzz_contraction_chains(classes, count=1000, seed=0):
         if a.data() != b.data() or a.parity != s.parity:
             raise VerificationError("spin pushforward does not compose",
                                     (canonical_key(graph),))
+        done["spin_chains"] += 1
         if graph.n_edges:
             e = rng.randrange(graph.n_edges)
             es = EdgeSet.from_indices(graph, [e])
@@ -227,7 +234,8 @@ def fuzz_contraction_chains(classes, count=1000, seed=0):
                 raise VerificationError(
                     "boundary square does not commute",
                     (canonical_key(graph),))
-    return count
+            done["squares"] += 1
+    return done
 
 
 def check_aut_factorization(spin_poset):
@@ -272,11 +280,13 @@ def fuzz_families(spin_poset, count=100, seed=0):
 
 
 def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0):
-    chains = fuzz_contraction_chains(classes, count=fuzz, seed=seed)
+    done = fuzz_contraction_chains(classes, count=fuzz, seed=seed)
     checks = [{"name": "pushforward-composition", "status": "pass",
-               "chains": chains, "seed": seed},
-              {"name": "parity-preservation", "status": "pass"},
-              {"name": "boundary-square", "status": "pass"}]
+               "chains": done["chains"], "seed": seed},
+              {"name": "parity-preservation", "status": "pass",
+               "chains": done["spin_chains"]},
+              {"name": "boundary-square", "status": "pass",
+               "squares": done["squares"]}]
     spin_poset = get_spin_poset()
     n_classes = check_aut_factorization(spin_poset)
     checks.append({"name": "aut-factorization", "status": "pass",

@@ -2,10 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from spinmod import cli
 from spinmod.cli import main
+from spinmod.cycles import EdgeSet
+from spinmod.errors import VerificationError
+from spinmod.spin import SpinGraph, SpinStructure
+from spinmod.tropical import FamilyDescriptor
 
 from conftest import make_theta
 
@@ -234,3 +240,162 @@ def test_main_entrypoint_in_process(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["counts"]["nodes"] == 2
+
+
+def theta_family_json():
+    theta = make_theta()
+    spin = SpinStructure(theta, EdgeSet.from_indices(theta, [0, 1]), (1,))
+    return FamilyDescriptor(SpinGraph(theta, spin),
+                            [Fraction(1), Fraction(2), Fraction(3)]
+                            ).to_json_dict()
+
+
+def write_theta_family(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(theta_family_json()))
+    return path
+
+
+def theta_family_with(path, value):
+    """The theta family's descriptor file with one field replaced."""
+    data = theta_family_json()
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize("content,named", [
+    (b"\xff\xfe{}", "UTF-8"),
+    (b"[]", "JSON object"),
+    (theta_family_with(("val",), 3), "'val'"),
+    (theta_family_with(("spin", "sign", 0, "s"), "a"), "'sign'"),
+    (theta_family_with(("spin", "parity"), "x"), "'parity'"),
+], ids=["not-utf8", "top-level-list", "val-number", "sign-letter",
+        "parity-letter"])
+def test_malformed_trop_descriptor_is_input_error(tmp_path, content, named):
+    path = tmp_path / "family.json"
+    path.write_bytes(content)
+    proc = run_cli("trop", str(path))
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "input-error"
+    assert named in report["error"]
+    assert "Traceback" not in proc.stderr
+
+
+def _without_timings(stdout):
+    try:
+        report = json.loads(stdout)
+    except ValueError:
+        return stdout
+    report.pop("timings", None)
+    return report
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys,
+                                                   monkeypatch):
+    # one parser serves every call; the help text is laid out for a fixed
+    # width on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    trop = ["trop", str(write_theta_family(tmp_path))]
+    argvs = [trop, ["verify", "--g", "two"], ["--help"],
+             ["verify", "--g", "2", "--n", "1", "--suite", "all"], trop]
+    codes = []
+    for argv in argvs:
+        codes.append(main(argv))
+        captured = capsys.readouterr()
+        proc = run_cli(*argv)
+        assert codes[-1] == proc.returncode
+        assert _without_timings(captured.out) == _without_timings(proc.stdout)
+        assert captured.err == proc.stderr
+    assert codes == [0, 2, 0, 0, 0]
+
+
+def test_parser_built_during_first_main_call_only():
+    script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = \\
+    lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+from spinmod.cli import main
+counts = [len(built)]
+for argv in (["enumerate", "--g", "1", "--n", "1", "--kind", "graphs"],
+             ["verify", "--g", "two"], ["--help"],
+             ["enumerate", "--g", "1", "--n", "1", "--kind", "graphs"]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        main(argv)
+    counts.append(len(built))
+print(counts)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=os.environ)
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts[0] == 0  # importing the module builds nothing
+    assert counts[1] > 0
+    assert counts[1:] == [counts[1]] * 4
+
+
+@pytest.mark.parametrize("command", ["trop", "verify", "enumerate"])
+def test_without_out_only_the_report_is_serialized(command, tmp_path,
+                                                   monkeypatch, capsys):
+    argv = {"trop": ["trop", str(write_theta_family(tmp_path))],
+            "verify": ["verify", "--g", "1", "--n", "1", "--suite", "all",
+                       "--fuzz", "20"],
+            "enumerate": ["enumerate", "--g", "2", "--n", "0", "--kind",
+                          "spin", "--format", "json"]}[command]
+    dumped = []
+    original = cli.json.dumps
+    monkeypatch.setattr(cli.json, "dumps",
+                        lambda *a, **k: dumped.append(1) or original(*a, **k))
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"] == []
+    assert len(dumped) == 1
+
+
+@pytest.mark.parametrize("command", ["trop", "verify"])
+def test_written_result_is_the_report_body(command, tmp_path, capsys):
+    argv = {"trop": ["trop", str(write_theta_family(tmp_path))],
+            "verify": ["verify", "--g", "1", "--n", "1", "--suite",
+                       "counts"]}[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    [written] = report["outputs"]
+    body = {k: v for k, v in report.items()
+            if k not in ("command", "inputs", "timings", "outputs")}
+    assert (out / written.rsplit("/", 1)[-1]).read_text() == \
+        json.dumps(body, indent=2, sort_keys=True)
+
+
+def test_unwritten_csv_still_checks_the_cone_complex(monkeypatch, capsys):
+    def failing(poset):
+        raise VerificationError("cell is not a face of any top cell", ("k",))
+
+    monkeypatch.setattr(cli, "build_cone_complex", failing)
+    code = main(["enumerate", "--g", "1", "--n", "1", "--kind", "spin",
+                 "--format", "csv"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
+def test_timings_read_the_monotonic_clock_across_main(monkeypatch, capsys):
+    # a wall-clock step backwards leaves the figure alone; the first
+    # reading comes before the arguments are parsed
+    events = []
+    readings = iter([100.0, 102.5])
+    parser = cli._parser
+    monkeypatch.setattr(cli, "_parser",
+                        lambda: events.append("parse") or parser())
+    monkeypatch.setattr(cli.time, "perf_counter",
+                        lambda: events.append("clock") or next(readings))
+    monkeypatch.setattr(cli.time, "time", lambda: -1e9)
+    assert main(["enumerate", "--g", "1", "--n", "1", "--kind",
+                 "graphs"]) == 0
+    assert json.loads(capsys.readouterr().out)["timings"] == \
+        {"seconds": 2.5}
+    assert events == ["clock", "parse", "clock"]

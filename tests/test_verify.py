@@ -119,3 +119,37 @@ def test_posets_records_carry_coverage(g, n, classes, cyclic_covers,
         checks["poset-cyclic"]["covers"]
     assert forgetful["spin_covers"] == spin_covers == \
         checks["poset-spin"]["covers"]
+
+
+@pytest.mark.parametrize("g,n", [(2, 0), (2, 2)])
+def test_functoriality_and_stratum_records_carry_coverage(g, n,
+                                                          monkeypatch):
+    # counted from the calls each check makes: one stratum_counts per
+    # class, three push_spin per spin comparison, two boundary per square
+    calls = {"stratum_counts": 0, "push_spin": 0, "boundary": 0}
+    for name in calls:
+        original = getattr(verify, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counting)
+    classes = posets.enumerate_stable_graphs(g, n)
+    counts = {c["name"]: c for c in
+              verify.suite_counts(g, classes)}
+    assert counts["stratum-degree"]["graphs"] == calls["stratum_counts"] \
+        == len(classes)
+
+    chains = {c["name"]: c for c in verify.suite_functoriality(
+        classes, lambda: posets.build_spin_poset(g, n, _classes=classes),
+        fuzz=300, seed=3)}
+    spin_compared = chains["parity-preservation"]["chains"]
+    squares = chains["boundary-square"]["squares"]
+    assert calls["push_spin"] == 3 * spin_compared
+    assert calls["boundary"] == 2 * squares
+    assert chains["pushforward-composition"]["chains"] == spin_compared \
+        == 300
+    # the weight-g vertex has no edge, so some chains make no square
+    assert any(graph.n_edges == 0 for graph in classes)
+    assert 0 < squares < 300
