@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -79,13 +80,25 @@ def _parser():
 
 def _write_outputs(out_dir, name, render):
     """Write ``render()`` to ``out_dir / name``; without an output
-    directory the text is never built."""
+    directory the text is never built.  A directory or file that cannot
+    be made, such as an ``--out`` that is a regular file or lies under
+    one, is an input error naming the path."""
     if out_dir is None:
         return []
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(render())
+    text = render()
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
     return [str(path)]
+
+
+def _milliseconds_down(seconds):
+    """Seconds cut down to whole milliseconds, so that parts never sum
+    past the rounded total they lie inside."""
+    return math.floor(seconds * 1000) / 1000
 
 
 def _report(command, inputs, body, outputs):
@@ -137,9 +150,10 @@ def cmd_verify(args):
                          f"{args.n} legs (need 2g - 2 + n > 0)")
     if args.fuzz < 0:
         raise InputError(f"--fuzz {args.fuzz} is negative")
+    seconds = {}
     checks = run_suites(args.g, args.n, args.suite,
                         budget_edges=args.budget_edges, fuzz=args.fuzz,
-                        seed=args.seed)
+                        seed=args.seed, seconds=seconds)
     body = {"suite": args.suite,
             "checks": checks,
             "passed": sum(1 for c in checks if c["status"] == "pass"),
@@ -147,9 +161,13 @@ def cmd_verify(args):
     outputs = _write_outputs(
         args.out, f"verify_{args.g}_{args.n}_{args.suite}.json",
         functools.partial(json.dumps, body, indent=2, sort_keys=True))
-    return _report("verify", {"g": args.g, "n": args.n, "suite": args.suite,
-                              "fuzz": args.fuzz, "seed": args.seed},
-                   body, outputs)
+    report = _report("verify", {"g": args.g, "n": args.n,
+                                "suite": args.suite, "fuzz": args.fuzz,
+                                "seed": args.seed},
+                     body, outputs)
+    report["timings"] = {"suites": {name: _milliseconds_down(t)
+                                    for name, t in seconds.items()}}
+    return report
 
 
 def cmd_trop(args):
@@ -220,7 +238,8 @@ def main(argv=None):
         print(json.dumps({"command": args.command, "status": "input-error",
                           "error": str(exc)}, indent=2))
         return EXIT_INPUT
-    report["timings"] = {"seconds": round(time.perf_counter() - started, 3)}
+    report.setdefault("timings", {})["seconds"] = round(
+        time.perf_counter() - started, 3)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -2,10 +2,16 @@
 
 Morphisms act on vertices and half-edges.  Automorphism groups are
 materialized as full element lists (desk scale), and two action orders
-are exposed: on half-edges and on edges alone.  Canonical keys are
-iso-invariant digests computed by color refinement with
-individualization; the brute-force isomorphism search they are
+are exposed: on half-edges and on edges alone.  A graph's canonical key
+is a digest of its certificate, computed by color refinement with
+individualization; the brute-force isomorphism search it is
 cross-checked against lives in the test suite.
+
+The key of a cyclic set or spin structure adds the least encoding, under
+the graph's canonical labelling, among the members of its orbit.  The
+members are read off an orbit table, the structure data -> orbit index
+map that the orbit walk (:meth:`AutGroup.orbit_representatives`) builds,
+so each member is encoded once and no second pass over the group runs.
 """
 
 from __future__ import annotations
@@ -530,7 +536,7 @@ def _stabilizer_memo(graph):
     return graph.__dict__.setdefault("_spin_stabilizers", {})
 
 
-def spin_orbits(graph, spins):
+def spin_orbits(graph, spins, cap=AUT_HALF_EDGE_CAP):
     """Orbit representatives of ``spins`` under the full automorphism
     group and the table from spin data to orbit index.
 
@@ -538,11 +544,20 @@ def spin_orbits(graph, spins):
     is stored as ``automorphisms(graph, restrict="spin", spin=rep)``, so
     no later caller acts with the whole group on it again.
     """
-    reps, orbit_of, stabilizers = automorphisms(graph).orbit_representatives(
-        spins, SpinStructure.data, lambda a, s: a.act_spin(s).data())
+    reps, orbit_of, stabilizers = automorphisms(
+        graph, cap=cap).orbit_representatives(
+            spins, SpinStructure.data, lambda a, s: a.act_spin(s).data())
     memo = _stabilizer_memo(graph)
     for s, stabilizer in zip(reps, stabilizers):
         memo.setdefault(s.data(), stabilizer)
+    return reps, orbit_of
+
+
+def cyclic_orbits(graph, cyclic_sets, cap=AUT_HALF_EDGE_CAP):
+    """Orbit representatives of ``cyclic_sets`` under the full
+    automorphism group and the table from mask to orbit index."""
+    reps, orbit_of, _ = automorphisms(graph, cap=cap).orbit_representatives(
+        cyclic_sets, lambda p: p.mask, lambda a, p: a.act_mask(p.mask))
     return reps, orbit_of
 
 
@@ -575,30 +590,47 @@ def _digest(parts):
     return h.hexdigest()
 
 
-def _cyclic_encoding(graph, pos, aut, cyclic_set):
+def _cyclic_encoding(graph, pos, mask):
+    """A cyclic set, given by its mask, as edge multiplicities between
+    canonical positions."""
     per_pair = defaultdict(int)
-    for i in cyclic_set:
-        j = aut.edge_perm[i]
-        u, v = graph.edge_vertices(j)
-        per_pair[tuple(sorted((pos[u], pos[v])))] += 1
+    for i in range(graph.n_edges):
+        if mask >> i & 1:
+            u, v = graph.edge_vertices(i)
+            per_pair[(pos[u], pos[v]) if pos[u] <= pos[v]
+                     else (pos[v], pos[u])] += 1
     return tuple(sorted(per_pair.items()))
 
 
-def _spin_encoding(graph, pos, aut, spin):
-    comps = []
-    for vs, s in zip(spin.dec.vertex_sets, spin.signs):
-        image = tuple(sorted(pos[aut.vertex_map[v]] for v in vs))
-        comps.append((image, s))
-    return (_cyclic_encoding(graph, pos, aut, spin.P), tuple(sorted(comps)))
+def _spin_encoding(graph, pos, data):
+    """A spin structure, given by its ``(mask, signs)`` data: its cyclic
+    set and each component of the opened graph, as canonical positions,
+    with its sign."""
+    mask, signs = data
+    dec = pbar_decompose(graph, EdgeSet(graph, mask))
+    comps = sorted((tuple(sorted(pos[v] for v in vs)), s)
+                   for vs, s in zip(dec.vertex_sets, signs))
+    return (_cyclic_encoding(graph, pos, mask), tuple(comps))
 
 
-def _min_over_group(graph, encode, structure, cap):
-    """Digest of the graph's certificate and the least encoding of the
-    structure over the automorphism group."""
+def orbit_keys(graph, orbit_of, encode):
+    """Key of each orbit in an orbit table, by orbit index.
+
+    ``orbit_of`` maps the data of every member of the orbits to its orbit
+    index, as :meth:`AutGroup.orbit_representatives` returns it.  An
+    orbit's key is the digest of the graph's certificate and the least
+    ``encode(graph, pos, data)`` among its members; each member is
+    encoded once.  Encoding the image of a structure as it is equals
+    encoding the structure through the automorphism, so this is the
+    least encoding over the group.
+    """
     cert, pos = canonical_form(graph)
-    best = min(encode(graph, pos, a, structure)
-               for a in _full_group(graph, cap).elements)
-    return _digest([cert, best])
+    best = {}
+    for data, k in orbit_of.items():
+        code = encode(graph, pos, data)
+        if k not in best or code < best[k]:
+            best[k] = code
+    return [_digest([cert, best[k]]) for k in range(len(best))]
 
 
 def canonical_key(obj, cap=AUT_HALF_EDGE_CAP):
@@ -611,7 +643,8 @@ def canonical_key(obj, cap=AUT_HALF_EDGE_CAP):
         cert, _ = canonical_form(obj)
         return _digest([cert])
     if isinstance(obj, SpinGraph):
-        return _min_over_group(obj.graph, _spin_encoding, obj.spin, cap)
+        _, orbit_of = spin_orbits(obj.graph, [obj.spin], cap)
+        return orbit_keys(obj.graph, orbit_of, _spin_encoding)[0]
     raise InputError(f"cannot key objects of type {type(obj).__name__}")
 
 
@@ -619,7 +652,8 @@ def cyclic_canonical_key(graph, cyclic_set, cap=AUT_HALF_EDGE_CAP):
     """Key of a (graph, cyclic set) pair up to isomorphism."""
     if not is_cyclic(graph, cyclic_set):
         raise DomainError("key requires a cyclic edge set")
-    return _min_over_group(graph, _cyclic_encoding, cyclic_set, cap)
+    _, orbit_of = cyclic_orbits(graph, [cyclic_set], cap)
+    return orbit_keys(graph, orbit_of, _cyclic_encoding)[0]
 
 
 # -- order testing ----------------------------------------------------------
@@ -628,8 +662,10 @@ def order_test(upper, lower):
     """Witness contraction showing ``upper >= lower`` in the spin-graph
     order, or ``None``.
 
-    Searches edge subsets of the right size in canonical order and
-    compares pushforwards by canonical key.
+    Searches edge subsets of the right size in canonical order.  A
+    contraction whose target has the certificate of ``lower``'s graph is
+    carried onto that graph, and it is a witness when the pushed
+    structure lies in the orbit of ``lower``'s.
     """
     ga, gb = upper.graph, lower.graph
     if ga.genus != gb.genus or ga.n_legs != gb.n_legs:
@@ -637,13 +673,12 @@ def order_test(upper, lower):
     k = ga.n_edges - gb.n_edges
     if k < 0:
         return None
-    key_b = canonical_key(lower)
-    graph_key_b = canonical_key(gb)
+    cert_b, _ = canonical_form(gb)
+    _, orbit_of = spin_orbits(gb, [lower.spin])
     for subset in combinations(range(ga.n_edges), k):
         c = contract(ga, EdgeSet.from_indices(ga, subset))
-        if canonical_key(c.target) != graph_key_b:
+        if canonical_form(c.target)[0] != cert_b:
             continue
-        pushed = push_spin(c, upper.spin)
-        if canonical_key(SpinGraph(c.target, pushed)) == key_b:
+        if push_spin(c.onto(gb), upper.spin).data() in orbit_of:
             return c
     return None

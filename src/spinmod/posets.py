@@ -19,7 +19,9 @@ data of every structure over a class (cyclic mask, or mask and signs)
 to its orbit among the class's nodes; they come out of the orbit walk
 of :meth:`AutGroup.orbit_representatives`.  A cover's target is then
 the orbit of the pushed structure's data in the target class's table:
-no fresh graph, automorphism group or group minimum per cover.
+no fresh graph, automorphism group or group minimum per cover.  The
+node keys come from the same tables (:func:`orbit_keys`), one encoding
+per structure.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from itertools import combinations_with_replacement, product
 from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
 from .graphs import Graph, connected_classes, is_stable
-from .morphisms import (automorphisms, canonical_key, contract,
-                        cyclic_canonical_key, push_cycle, push_spin,
-                        spin_orbits)
+from .morphisms import (_cyclic_encoding, _spin_encoding, canonical_key,
+                        contract, cyclic_orbits, orbit_keys, push_cycle,
+                        push_spin, spin_orbits)
 from .spin import SpinGraph, enumerate_spin
 
 BUDGET_ENV = "SPINMOD_BUDGET"
@@ -47,9 +49,12 @@ def max_rank(g, n):
 def check_budget(g, n, budget_edges=None):
     """Desk-scale guard: leg-free graphs up to genus 4, legged up to
     genus 3, unless an explicit edge budget (argument or environment
-    variable) says otherwise.  An empty variable counts as unset; any
-    other value that is not an integer, and any negative budget, is an
-    input error."""
+    variable) says otherwise.  A negative genus or leg count is an input
+    error.  An empty variable counts as unset; any other value that is
+    not an integer, and any negative budget, is an input error."""
+    for name, value in (("genus", g), ("leg count", n)):
+        if value < 0:
+            raise InputError(f"{name} {value} is negative")
     raw = os.environ.get(BUDGET_ENV)
     source = "edge budget"
     if budget_edges is None and raw:
@@ -138,9 +143,9 @@ def enumerate_stable_graphs(g, n, budget_edges=None):
     Returns representatives sorted by canonical key; empty when no stable
     graph exists.
     """
+    check_budget(g, n, budget_edges)
     if 2 * g - 2 + n <= 0:
         return []
-    check_budget(g, n, budget_edges)
     reps = {canonical_key(s): s for s in three_regular_graphs(g, n)}
     frontier = list(reps.values())
     while frontier:
@@ -197,9 +202,9 @@ def stable_graphs_direct(g, n, budget_edges=None):
     ``2w(v) - 2 + deg(v) + ell(v)`` must be positive and the edges must
     connect all vertices.  Only survivors are built as graphs, and
     :func:`is_stable` still decides on each of them."""
+    check_budget(g, n, budget_edges)
     if 2 * g - 2 + n <= 0:
         return []
-    check_budget(g, n, budget_edges)
     found = {}
     for k in range(1, 2 * g - 2 + n + 1):
         vertices = range(k)
@@ -326,7 +331,7 @@ def _rep_json(kind, rep):
             "spin": rep.spin.to_json_dict()}
 
 
-def _build_poset(kind, g, n, budget_edges, classes, orbits, key, push, rep,
+def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, push, rep,
                  pair, parity=lambda x: None):
     """The graded poset of one kind: a node per orbit representative over
     each class, sorted by (rank, key), and a cover per single-edge
@@ -334,10 +339,11 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, key, push, rep,
 
     The kind supplies ``orbits(graph)``, the orbit representatives over a
     class and the table from structure data to orbit index;
-    ``key(graph, x)``; ``push(contraction, x)``, the data of the
-    structure carried along a contraction; and the node shape:
-    ``rep(graph, x)`` builds a node's representative, ``pair(rep)``
-    reads ``(graph, x)`` back from it and ``parity(x)`` labels it.
+    ``keys(graph, orbit_of)``, the node key of each orbit, read off that
+    table; ``push(contraction, x)``, the data of the structure carried
+    along a contraction; and the node shape: ``rep(graph, x)`` builds a
+    node's representative, ``pair(rep)`` reads ``(graph, x)`` back from
+    it and ``parity(x)`` labels it.
 
     Covers are looked up, not keyed: every contraction lands on its
     target class's representative, so the pushed data indexes that
@@ -350,8 +356,9 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, key, push, rep,
     nodes = []
     for graph in classes:
         structures, orbit_of = orbits(graph)
-        here = [PosetNode(key(graph, x), graph.n_edges, rep(graph, x),
-                          parity(x)) for x in structures]
+        here = [PosetNode(key, graph.n_edges, rep(graph, x), parity(x))
+                for x, key in zip(structures, keys(graph, orbit_of),
+                                  strict=True)]
         class_key = canonical_key(graph)
         reps[class_key] = graph
         orbit_tables[class_key] = (orbit_of, here)
@@ -380,21 +387,18 @@ def build_graph_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "graphs", g, n, budget_edges, _classes,
         orbits=lambda graph: ((None,), {None: 0}),
-        key=lambda graph, _: canonical_key(graph),
+        keys=lambda graph, _: [canonical_key(graph)],
         push=lambda c, _: None,
         rep=lambda graph, _: graph, pair=lambda graph: (graph, None))
 
 
 def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
-    def orbits(graph):
-        reps, orbit_of, _ = automorphisms(graph).orbit_representatives(
-            enumerate_cyclic(graph), lambda p: p.mask,
-            lambda a, p: a.act_mask(p.mask))
-        return reps, orbit_of
-
     return _build_poset(
-        "cyclic", g, n, budget_edges, _classes, orbits,
-        key=cyclic_canonical_key, push=lambda c, p: push_cycle(c, p).mask,
+        "cyclic", g, n, budget_edges, _classes,
+        orbits=lambda graph: cyclic_orbits(graph, enumerate_cyclic(graph)),
+        keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
+                                                _cyclic_encoding),
+        push=lambda c, p: push_cycle(c, p).mask,
         rep=lambda graph, p: (graph, p), pair=lambda rep: rep)
 
 
@@ -402,7 +406,8 @@ def build_spin_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "spin", g, n, budget_edges, _classes,
         orbits=lambda graph: spin_orbits(graph, enumerate_spin(graph)),
-        key=lambda graph, s: canonical_key(SpinGraph(graph, s)),
+        keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
+                                                _spin_encoding),
         push=lambda c, s: push_spin(c, s).data(), rep=SpinGraph,
         pair=lambda sg: (sg.graph, sg.spin), parity=lambda s: s.parity)
 

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import functools
 import random
+import time
 from fractions import Fraction
 
 from .cycles import EdgeSet, boundary, enumerate_cyclic
 from .errors import VerificationError
 from .graphs import classify
 from .morphisms import (automorphisms, canonical_key, compose, contract,
-                        order_test, push_cycle, push_spin, push_vertex_set,
-                        quotient_action_order)
+                        cyclic_canonical_key, order_test, push_cycle,
+                        push_spin, push_vertex_set, quotient_action_order)
 from .posets import (build_cyclic_poset, build_graph_poset, build_spin_poset,
-                     cyclic_canonical_key, enumerate_stable_graphs, max_rank,
-                     poset_stats, stable_graphs_direct)
+                     enumerate_stable_graphs, max_rank, poset_stats,
+                     stable_graphs_direct)
 from .spin import (SpinGraph, enumerate_spin, g_collections, refine_nonbasic,
                    spin_count_check, stratum_counts, theta_divisors)
 from .tropical import (INF, FamilyDescriptor, build_cone_complex,
@@ -113,10 +114,17 @@ def suite_posets(g, n, classes, get_spin_poset):
     # forgetful maps: even spin -> cyclic -> graphs, monotone surjections
     cyclic_cover_set = set(cyclic_poset.covers)
     graph_cover_set = set(graph_poset.covers)
+    # keyed once per (class, cyclic set): the spin nodes over a class
+    # share its representative graph object
+    cyclic_node = {}
     spin_to_cyc = {}
     for nd in spin_poset.nodes:
-        spin_to_cyc[nd.key] = cyclic_poset.index[
-            cyclic_canonical_key(nd.rep.graph, nd.rep.spin.P)]
+        graph, p = nd.rep.graph, nd.rep.spin.P
+        at = (id(graph), p.mask)
+        if at not in cyclic_node:
+            cyclic_node[at] = cyclic_poset.index[
+                cyclic_canonical_key(graph, p)]
+        spin_to_cyc[nd.key] = cyclic_node[at]
     even_image = {spin_to_cyc[nd.key] for nd in spin_poset.nodes
                   if nd.parity == 0}
     if even_image != set(range(len(cyclic_poset.nodes))):
@@ -320,23 +328,32 @@ def suite_refine(classes):
              "refined": refined, "ineligible": skipped}]
 
 
-def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0):
+def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0,
+               seconds=None):
     """Run the selected suites over one enumeration of the classes and at
-    most one spin poset, built when a suite first reads it."""
+    most one spin poset, built when a suite first reads it.
+
+    When ``seconds`` is a dict, it receives the time each suite that ran
+    took, by suite name; a suite that first reads the spin poset includes
+    its build."""
     classes = enumerate_stable_graphs(g, n, budget_edges)
 
     @functools.cache
     def get_spin_poset():
         return build_spin_poset(g, n, _classes=classes)
 
+    suites = {
+        "counts": lambda: suite_counts(g, classes),
+        "posets": lambda: suite_posets(g, n, classes, get_spin_poset),
+        "functoriality": lambda: suite_functoriality(
+            classes, get_spin_poset, fuzz=fuzz, seed=seed),
+        "refine": lambda: suite_refine(classes),
+    }
     checks = []
-    if suite in ("counts", "all"):
-        checks += suite_counts(g, classes)
-    if suite in ("posets", "all"):
-        checks += suite_posets(g, n, classes, get_spin_poset)
-    if suite in ("functoriality", "all"):
-        checks += suite_functoriality(classes, get_spin_poset, fuzz=fuzz,
-                                      seed=seed)
-    if suite in ("refine", "all"):
-        checks += suite_refine(classes)
+    for name, run in suites.items():
+        if suite in (name, "all"):
+            started = time.perf_counter()
+            checks += run()
+            if seconds is not None:
+                seconds[name] = time.perf_counter() - started
     return checks

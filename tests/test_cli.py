@@ -399,3 +399,55 @@ def test_timings_read_the_monotonic_clock_across_main(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["timings"] == \
         {"seconds": 2.5}
     assert events == ["clock", "parse", "clock"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["enumerate", "--g", "-1", "--n", "5"], "genus -1"),
+    (["enumerate", "--g", "3", "--n", "-1"], "leg count -1"),
+    (["verify", "--g", "2", "--n", "-1", "--suite", "counts"],
+     "leg count -1"),
+    (["verify", "--g", "-1", "--n", "5", "--suite", "posets"], "genus -1"),
+], ids=["enumerate-genus", "enumerate-legs", "verify-legs", "verify-genus"])
+def test_negative_genus_or_legs_is_input_error(argv, named):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "input-error"
+    assert named in report["error"]
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["enumerate", "verify", "trop"])
+def test_out_that_is_a_file_is_input_error(command, under, tmp_path):
+    # an --out that is a regular file cannot be made a directory, and
+    # nothing can be made under one
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "x" if under else blocker
+    argv = {"enumerate": ["enumerate", "--g", "1", "--n", "1"],
+            "verify": ["verify", "--g", "1", "--n", "1", "--suite",
+                       "counts"],
+            "trop": ["trop", str(write_theta_family(tmp_path))]}[command]
+    proc = run_cli(*argv, "--out", str(out))
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "input-error"
+    assert str(out) in report["error"]
+    assert "Traceback" not in proc.stderr
+    assert blocker.read_text() == ""
+
+
+def test_verify_reports_the_time_of_each_suite(capsys):
+    assert main(["verify", "--g", "2", "--n", "0", "--suite", "all",
+                 "--fuzz", "50"]) == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    suites = timings["suites"]
+    assert set(suites) == {"counts", "posets", "functoriality", "refine"}
+    assert all(t >= 0 for t in suites.values())
+    # each suite is cut down to whole milliseconds, the total rounded
+    assert sum(suites.values()) <= timings["seconds"] + 1e-9
+    assert main(["verify", "--g", "2", "--n", "0", "--suite",
+                 "refine"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["timings"]["suites"]) \
+        == {"refine"}

@@ -14,6 +14,7 @@ from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
                       make_rose, make_theta, make_weight_vertex, subgraph_on)
+import key_oracle
 
 
 def spin(graph, indices, signs):
@@ -394,7 +395,41 @@ def test_cyclic_key(theta):
     assert k1 == k2 != k3
 
 
+def test_single_structure_keys_match_the_group_minimum():
+    # every cyclic set and spin structure over every (2,1) class, keyed
+    # by its own orbit walk, against the least encoding over the group
+    from spinmod.posets import enumerate_stable_graphs
+
+    for graph in enumerate_stable_graphs(2, 1):
+        for p in enumerate_cyclic(graph):
+            assert cyclic_canonical_key(graph, p) == \
+                key_oracle.cyclic_key(graph, p)
+        for s in enumerate_spin(graph):
+            sg = SpinGraph(graph, s)
+            assert canonical_key(sg) == key_oracle.spin_key(sg)
+
+
 # -- order testing -------------------------------------------------------------
+
+def test_order_test_matches_the_keyed_search():
+    # every ordered pair of (2,1) spin classes: the orbit lookup finds a
+    # witness exactly when keying each contracted target does, and the
+    # same one
+    from spinmod.posets import build_spin_poset
+
+    reps = [nd.rep for nd in build_spin_poset(2, 1).nodes]
+    assert len(reps) ** 2 == 7225
+    found = 0
+    for upper in reps:
+        for lower in reps:
+            witness = order_test(upper, lower)
+            expected = key_oracle.keyed_order_test(upper, lower)
+            assert (witness is None) == (expected is None)
+            if witness is not None:
+                assert witness.to_json_dict() == expected.to_json_dict()
+                found += 1
+    assert 0 < found < 7225
+
 
 def test_order_test_full_contraction(theta):
     upper = SpinGraph(theta, spin(theta, [0, 1], (1,)))

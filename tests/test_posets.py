@@ -1,14 +1,15 @@
 import pytest
 
 from spinmod import posets
-from spinmod.errors import BudgetError, VerificationError
+from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import classify, is_stable
-from spinmod.morphisms import canonical_key, order_test
+from spinmod.morphisms import canonical_key, cyclic_canonical_key, order_test
 from spinmod.posets import (build_cyclic_poset, build_graph_poset,
                             build_spin_poset, check_budget,
-                            cyclic_canonical_key, enumerate_stable_graphs,
-                            max_rank, poset_stats, stable_graphs_direct,
-                            three_regular_graphs)
+                            enumerate_stable_graphs, max_rank, poset_stats,
+                            stable_graphs_direct, three_regular_graphs)
+
+import key_oracle
 
 
 def test_three_regular_counts():
@@ -70,6 +71,17 @@ def test_enumerate_budget():
     with pytest.raises(BudgetError):
         enumerate_stable_graphs(2, 0, budget_edges=2)
     check_budget(2, 0, budget_edges=3)
+
+
+@pytest.mark.parametrize("enumerator", [enumerate_stable_graphs,
+                                        stable_graphs_direct])
+@pytest.mark.parametrize("g,n,named", [(-1, 5, "genus -1"),
+                                       (3, -1, "leg count -1"),
+                                       (-1, 0, "genus -1")])
+def test_negative_genus_or_legs_is_input_error(enumerator, g, n, named):
+    # also where 2g - 2 + n <= 0 would otherwise give no classes
+    with pytest.raises(InputError, match=named):
+        enumerator(g, n)
 
 
 def test_graph_poset_20():
@@ -432,10 +444,11 @@ def test_orbit_step_stabilizers_are_the_spin_stabilizers(g, n):
 
 
 def test_shared_orbit_key_is_verification_error(monkeypatch):
-    # a cyclic key that forgets the cyclic set gives every cyclic
+    # an orbit key that forgets the structure gives every cyclic
     # representative of a class its graph's key
-    monkeypatch.setattr(posets, "cyclic_canonical_key",
-                        lambda graph, p: canonical_key(graph))
+    monkeypatch.setattr(posets, "orbit_keys",
+                        lambda graph, orbit_of, encode:
+                        [canonical_key(graph)] * len(set(orbit_of.values())))
     with pytest.raises(VerificationError, match="share a key") as info:
         build_cyclic_poset(1, 1)
     keys = {canonical_key(graph) for graph in enumerate_stable_graphs(1, 1)}
@@ -476,3 +489,39 @@ def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
     assert edge.startswith("edge=")
     keys = {canonical_key(graph) for graph in enumerate_stable_graphs(2, 0)}
     assert target_key in keys
+
+
+# -- node keys from the orbit tables ----------------------------------------
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
+def test_node_keys_match_the_group_minimum(g, n):
+    # each node key, read off its class's orbit table, against the least
+    # encoding over the whole automorphism group
+    classes = enumerate_stable_graphs(g, n)
+    for nd in build_cyclic_poset(g, n, _classes=classes).nodes:
+        assert nd.key == key_oracle.cyclic_key(*nd.rep)
+    for nd in build_spin_poset(g, n, _classes=classes).nodes:
+        assert nd.key == key_oracle.spin_key(nd.rep)
+
+
+@pytest.mark.parametrize("kind,structures", [("cyclic", 198),
+                                             ("spin", 581)])
+def test_each_structure_encoded_once(kind, structures, monkeypatch):
+    # every cyclic set or spin structure over the (3,0) classes is
+    # encoded once, as a member of its orbit, and never again per node
+    from spinmod import morphisms
+
+    name = f"_{kind}_encoding"
+    original = getattr(morphisms, name)
+    calls = []
+
+    def counting(graph, pos, data):
+        calls.append((id(graph), data))
+        return original(graph, pos, data)
+
+    for module in (morphisms, posets):
+        monkeypatch.setattr(module, name, counting)
+    classes = enumerate_stable_graphs(3, 0)
+    builder = {"cyclic": build_cyclic_poset, "spin": build_spin_poset}[kind]
+    builder(3, 0, _classes=classes)
+    assert len(calls) == len(set(calls)) == structures

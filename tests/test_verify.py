@@ -83,15 +83,44 @@ def test_counts_records_carry_coverage(g, n, cyclic_sets, basic_graphs):
 def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     # the spin orbit step acts with the whole group once per spin class
     # (3,986 images at (3,0)) and keeps the stabilizer it meets, so the
-    # cone complex and the factorization check act no more; the
-    # refinement suite adds 64.
+    # cone complex and the factorization check act no more.  Every other
+    # image comes from a walk over the orbit of one structure, a spin key
+    # or the lower side of an order test, which acts with its graph's
+    # whole group once; the refinement suite's stabilizers add 64.
+    from spinmod import morphisms
+
     calls = []
+    phase = ["run"]
     original = Aut.act_spin
     monkeypatch.setattr(Aut, "act_spin",
-                        lambda self, spin: calls.append(1)
+                        lambda self, spin: calls.append(phase[0])
                         or original(self, spin))
+    for module, name in ((tropical, "build_cone_complex"),
+                         (verify, "check_aut_factorization")):
+        inner = getattr(module, name)
+
+        def in_phase(*args, _name=name, _inner=inner, **kwargs):
+            phase[0] = _name
+            try:
+                return _inner(*args, **kwargs)
+            finally:
+                phase[0] = "run"
+
+        for owner in (tropical, verify):
+            if getattr(owner, name, None) is inner:
+                monkeypatch.setattr(owner, name, in_phase)
+    walked = []
+    walk = morphisms.spin_orbits
+
+    def single_walk(graph, spins, *args):
+        walked.append(len(spins) * morphisms.automorphisms(graph).order)
+        return walk(graph, spins, *args)
+
+    monkeypatch.setattr(morphisms, "spin_orbits", single_walk)
     run_suites(3, 0, "all")
-    assert len(calls) == 3986 + 64
+    assert calls.count("build_cone_complex") == 0
+    assert calls.count("check_aut_factorization") == 0
+    assert len(calls) == 3986 + sum(walked) + 64 == 11262
 
 
 def test_counts_suite_spans_each_cycle_space_once(monkeypatch):
