@@ -151,9 +151,10 @@ def cmd_verify(args):
     if args.fuzz < 0:
         raise InputError(f"--fuzz {args.fuzz} is negative")
     seconds = {}
+    phases = {}
     checks = run_suites(args.g, args.n, args.suite,
                         budget_edges=args.budget_edges, fuzz=args.fuzz,
-                        seed=args.seed, seconds=seconds)
+                        seed=args.seed, seconds=seconds, phases=phases)
     body = {"suite": args.suite,
             "checks": checks,
             "passed": sum(1 for c in checks if c["status"] == "pass"),
@@ -165,8 +166,9 @@ def cmd_verify(args):
                                 "suite": args.suite, "fuzz": args.fuzz,
                                 "seed": args.seed},
                      body, outputs)
-    report["timings"] = {"suites": {name: _milliseconds_down(t)
-                                    for name, t in seconds.items()}}
+    report["timings"] = {
+        kind: {name: _milliseconds_down(t) for name, t in times.items()}
+        for kind, times in (("suites", seconds), ("phases", phases))}
     return report
 
 

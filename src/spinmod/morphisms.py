@@ -7,6 +7,13 @@ is a digest of its certificate, computed by color refinement with
 individualization; the brute-force isomorphism search it is
 cross-checked against lives in the test suite.
 
+An automorphism or a contraction moves the signs of a spin structure
+only by the way it carries the components of the opened graph, so that
+map is computed and checked once per (map, cyclic set)
+(:class:`SpinCarry`) and every sign vector over the set is folded
+through it as data; orbit walks, stabilizers and cover pushes build no
+spin structure per image.
+
 The key of a cyclic set or spin structure adds the least encoding, under
 the graph's canonical labelling, among the members of its orbit.  The
 members are read off an orbit table, the structure data -> orbit index
@@ -164,27 +171,7 @@ def push_cycle(contraction, cyclic_set):
 def push_spin(contraction, spin):
     """Pushforward of a spin structure: the image cyclic set with signs
     summed over merged components.  Parity is preserved."""
-    def witnesses():
-        return (canonical_key(contraction.source), f"P={spin.P.hex()}",
-                f"F={contraction.contracted.hex()}")
-
-    p_out = push_cycle(contraction, spin.P)
-    dec_out = pbar_decompose(contraction.target, p_out)
-    signs = [0] * len(dec_out)
-    for i, vs in enumerate(spin.dec.vertex_sets):
-        image = {contraction.vertex_map[v] for v in vs}
-        j = dec_out.component_of(min(image))
-        if not image <= dec_out.vertex_sets[j]:
-            raise VerificationError(
-                f"component {i} of the opened graph does not map into one "
-                f"component of the pushed decomposition", witnesses())
-        signs[j] ^= spin.signs[i]
-    out = SpinStructure(contraction.target, p_out, tuple(signs))
-    if out.parity != spin.parity:
-        raise VerificationError(
-            f"pushforward changed the parity from {spin.parity} to "
-            f"{out.parity}", witnesses())
-    return out
+    return SpinCarry(contraction, spin).image(spin)
 
 
 # -- automorphisms ----------------------------------------------------------
@@ -321,20 +308,7 @@ class Aut:
 
     def act_spin(self, spin):
         """Image of a spin structure under this automorphism."""
-        p_out = EdgeSet(self.graph, self.act_mask(spin.P.mask))
-        dec = pbar_decompose(self.graph, p_out)
-        signs = [0] * len(dec)
-        for i, vs in enumerate(spin.dec.vertex_sets):
-            image = {self.vertex_map[v] for v in vs}
-            j = dec.component_of(min(image))
-            if image != dec.vertex_sets[j]:
-                raise VerificationError(
-                    f"automorphism maps component {i} of the opened graph "
-                    f"onto no component of its image",
-                    (canonical_key(self.graph), f"P={spin.P.hex()}",
-                     f"image={p_out.hex()}"))
-            signs[j] = spin.signs[i]
-        return SpinStructure(self.graph, p_out, tuple(signs))
+        return SpinCarry(self, spin).image(spin)
 
     def __repr__(self):
         return f"Aut(v={self.vertex_map})"
@@ -514,8 +488,10 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
         cache = _stabilizer_memo(graph)
         stabilizer = cache.get(spin.data())
         if stabilizer is None:
-            stabilizer = cache[spin.data()] = AutGroup(
-                graph, [a for a in group.elements if a.act_spin(spin) == spin])
+            here = spin.data()
+            stabilizer = cache[here] = AutGroup(graph, [
+                a for a in group.elements
+                if SpinCarry(a, spin).fold(spin) == here])
         return stabilizer
     if restrict == "pbar":
         outside = [h for i in range(graph.n_edges) if i not in spin.P
@@ -546,7 +522,7 @@ def spin_orbits(graph, spins, cap=AUT_HALF_EDGE_CAP):
     """
     reps, orbit_of, stabilizers = automorphisms(
         graph, cap=cap).orbit_representatives(
-            spins, SpinStructure.data, lambda a, s: a.act_spin(s).data())
+            spins, SpinStructure.data, spin_action())
     memo = _stabilizer_memo(graph)
     for s, stabilizer in zip(reps, stabilizers):
         memo.setdefault(s.data(), stabilizer)
@@ -578,6 +554,118 @@ def quotient_action_order(graph, spin, group):
             for vs in spin.dec.vertex_sets)
         seen.add((comp_perm, tuple(a.half_map[h] for h in outside)))
     return len(seen)
+
+
+# -- acting on spin data ----------------------------------------------------
+
+class SpinCarry:
+    """What an automorphism or a contraction ``f`` does to the spin
+    structures over one cyclic set.
+
+    A map moves signs only by the way it carries the components of the
+    opened graph, so this depends on ``f`` and the cyclic set alone:
+    ``graph`` is the graph the images live on, ``mask`` the image cyclic
+    set, ``comps[i]`` the image component of component ``i`` of the
+    source decomposition, ``size`` the number of image components and
+    ``genus_zero`` those of genus 0.  Every sign vector over the set is
+    then folded through it (:meth:`fold`).
+
+    The source components are read from ``spin.dec``.  An automorphism
+    must carry each onto a component of the image of the same genus; a
+    contraction must carry each into one component, and the image set
+    passes the checks of :func:`push_cycle`.
+    """
+
+    __slots__ = ("f", "source_mask", "graph", "mask", "comps", "size",
+                 "genus_zero")
+
+    def __init__(self, f, spin):
+        self.f = f
+        self.source_mask = spin.P.mask
+        is_aut = isinstance(f, Aut)
+        if is_aut:
+            self.graph = f.graph
+            self.mask = f.act_mask(self.source_mask)
+        else:
+            self.graph = f.target
+            self.mask = push_cycle(f, spin.P).mask
+        dec = pbar_decompose(self.graph, EdgeSet(self.graph, self.mask))
+        vertex_map = f.vertex_map
+        comps = []
+        for i, vs in enumerate(spin.dec.vertex_sets):
+            image = {vertex_map[v] for v in vs}
+            j = dec.component_of(min(image))
+            if is_aut:
+                if image != dec.vertex_sets[j]:
+                    raise VerificationError(
+                        f"automorphism maps component {i} of the opened "
+                        f"graph onto no component of its image",
+                        self.witnesses())
+                if dec.genera[j] != spin.dec.genera[i]:
+                    raise VerificationError(
+                        f"automorphism changes the genus of component {i} "
+                        f"of the opened graph from {spin.dec.genera[i]} to "
+                        f"{dec.genera[j]}", self.witnesses())
+            elif not image <= dec.vertex_sets[j]:
+                raise VerificationError(
+                    f"component {i} of the opened graph does not map into "
+                    f"one component of the pushed decomposition",
+                    self.witnesses())
+            comps.append(j)
+        self.comps = tuple(comps)
+        self.size = len(dec)
+        self.genus_zero = tuple(j for j, g in enumerate(dec.genera) if g == 0)
+
+    def witnesses(self):
+        f = self.f
+        if isinstance(f, Aut):
+            return (canonical_key(f.graph), f"P={self.source_mask:x}",
+                    f"image={self.mask:x}")
+        return (canonical_key(f.source), f"P={self.source_mask:x}",
+                f"F={f.contracted.hex()}")
+
+    def fold(self, spin):
+        """The image ``(mask, signs)`` data of a spin structure over the
+        source set: each sign is added into the image of its component.
+        The stored parity must be preserved and every sign on a genus-0
+        image component must vanish."""
+        out = [0] * self.size
+        for j, s in zip(self.comps, spin.signs):
+            out[j] ^= s
+        if sum(out) & 1 != spin.parity:
+            raise VerificationError(
+                f"carrying a spin structure changed the parity from "
+                f"{spin.parity} to {sum(out) & 1}", self.witnesses())
+        for j in self.genus_zero:
+            if out[j]:
+                raise VerificationError(
+                    f"carried sign is nonzero on the genus-0 component {j}",
+                    self.witnesses())
+        return self.mask, tuple(out)
+
+    def image(self, spin):
+        """The image of ``spin`` as a spin structure."""
+        mask, signs = self.fold(spin)
+        return SpinStructure(self.graph, EdgeSet(self.graph, mask), signs)
+
+
+def spin_action():
+    """``act(f, spin)``: the ``(mask, signs)`` data of the image of
+    ``spin`` under an automorphism or contraction ``f``.
+
+    Each (map, mask) carry is built once and kept for as long as the
+    returned function is: one orbit walk, or one poset build.
+    """
+    memo = {}
+
+    def act(f, spin):
+        key = (f, spin.P.mask)
+        carried = memo.get(key)
+        if carried is None:
+            carried = memo[key] = SpinCarry(f, spin)
+        return carried.fold(spin)
+
+    return act
 
 
 # -- canonical keys ---------------------------------------------------------
@@ -679,6 +767,6 @@ def order_test(upper, lower):
         c = contract(ga, EdgeSet.from_indices(ga, subset))
         if canonical_form(c.target)[0] != cert_b:
             continue
-        if push_spin(c.onto(gb), upper.spin).data() in orbit_of:
+        if SpinCarry(c.onto(gb), upper.spin).fold(upper.spin) in orbit_of:
             return c
     return None

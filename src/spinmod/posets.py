@@ -2,11 +2,11 @@
 graphs of fixed genus and leg count, with their graded poset structure.
 
 Enumeration seeds all 3-regular classes by degree-sequence backtracking
-with canonical-key dedup, then closes downward under single-edge
-contractions.  An independent direct generator (vertex counts, weight
-compositions, multigraph fill) cross-checks the closure on small cases;
-it screens each candidate on its integer valences and connectivity
-before it builds a graph.
+with canonical-key dedup, one leg assignment per grouping of the legs,
+then closes downward under single-edge contractions.  An independent
+direct generator (vertex counts, weight compositions, multigraph fill)
+cross-checks the closure on small cases; it screens each candidate on
+its integer valences and connectivity before it builds a graph.
 
 Covers are computed from two tables instead of keying every contracted
 graph.  The contraction table holds, for each class and each edge, the
@@ -19,9 +19,11 @@ data of every structure over a class (cyclic mask, or mask and signs)
 to its orbit among the class's nodes; they come out of the orbit walk
 of :meth:`AutGroup.orbit_representatives`.  A cover's target is then
 the orbit of the pushed structure's data in the target class's table:
-no fresh graph, automorphism group or group minimum per cover.  The
-node keys come from the same tables (:func:`orbit_keys`), one encoding
-per structure.
+no fresh graph, automorphism group or group minimum per cover.  A
+spin structure is pushed as data through the component map of its
+(contraction, cyclic set) pair, built once per poset
+(:func:`spin_action`).  The node keys come from the same tables
+(:func:`orbit_keys`), one encoding per structure.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import BudgetError, InputError, VerificationError
 from .graphs import Graph, connected_classes, is_stable
 from .morphisms import (_cyclic_encoding, _spin_encoding, canonical_key,
                         contract, cyclic_orbits, orbit_keys, push_cycle,
-                        push_spin, spin_orbits)
+                        spin_action, spin_orbits)
 from .spin import SpinGraph, enumerate_spin
 
 BUDGET_ENV = "SPINMOD_BUDGET"
@@ -115,14 +117,39 @@ def _multigraphs_with_degrees(deg):
     return out
 
 
+def _leg_patterns(n, k):
+    """The assignments of ``n`` legs to vertices ``0..k-1`` in restricted
+    growth form, in lexicographic order: each leg goes to a vertex an
+    earlier leg uses or to the next unused one.  Each is the least of the
+    assignments that group the legs the same way."""
+    assign = []
+
+    def rec(used):
+        if len(assign) == n:
+            yield tuple(assign)
+            return
+        for v in range(min(used + 1, k)):
+            assign.append(v)
+            yield from rec(max(used, v + 1))
+            assign.pop()
+
+    return rec(0)
+
+
 def three_regular_graphs(g, n):
     """All 3-regular classes: weightless, every vertex of total degree 3
-    counting legs."""
+    counting legs.
+
+    Which legs share a vertex is an isomorphism invariant, so only one
+    leg assignment per grouping is seeded: its restricted growth form,
+    the least in the lexicographic order of all assignments.  The first
+    graph met per class is the one the full product of assignments would
+    meet first."""
     k = 2 * g - 2 + n
     if k <= 0:
         return []
     found = {}
-    for assign in product(range(k), repeat=n):
+    for assign in _leg_patterns(n, k):
         ell = Counter(assign)
         deg = [3 - ell.get(v, 0) for v in range(k)]
         if any(d < 0 for d in deg):
@@ -408,7 +435,7 @@ def build_spin_poset(g, n, budget_edges=None, _classes=None):
         orbits=lambda graph: spin_orbits(graph, enumerate_spin(graph)),
         keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
                                                 _spin_encoding),
-        push=lambda c, s: push_spin(c, s).data(), rep=SpinGraph,
+        push=spin_action(), rep=SpinGraph,
         pair=lambda sg: (sg.graph, sg.spin), parity=lambda s: s.parity)
 
 

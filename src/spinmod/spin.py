@@ -386,9 +386,8 @@ def refine_nonbasic(graph, sign):
     if sign not in (0, 1):
         raise InputError("sign must be 0 or 1")
 
-    target = SpinGraph(graph, SpinStructure(
-        graph, EdgeSet.full(graph), (sign,)))
-    target_key = morphisms.canonical_key(target)
+    target = SpinStructure(graph, EdgeSet.full(graph), (sign,))
+    _, target_orbit = morphisms.spin_orbits(graph, [target])
     graph_key = morphisms.canonical_key(graph)
 
     tried = 0
@@ -398,15 +397,16 @@ def refine_nonbasic(graph, sign):
             split, new_v, _ = _split_vertex(graph, v, to_new, w_new, moved)
             if not split.is_connected or not is_stable(split):
                 continue
-            result = _verify_refinement(split, graph, graph_key, target_key,
-                                        sign, morphisms)
+            result = _verify_refinement(split, graph, graph_key,
+                                        target_orbit, sign, morphisms)
             if result is not None:
                 return result
     raise VerificationError(
         f"no refinement found after {tried} candidates", (graph_key,))
 
 
-def _verify_refinement(split, graph, graph_key, target_key, sign, morphisms):
+def _verify_refinement(split, graph, graph_key, target_orbit, sign,
+                       morphisms):
     new_edge = split.n_edges - 1  # the joining edge has the largest half-edges
     odd = [v for v in split.vertices if split.deg(v) % 2]
     if odd:
@@ -431,13 +431,20 @@ def _verify_refinement(split, graph, graph_key, target_key, sign, morphisms):
             continue
         candidate = SpinStructure(split, p_set, tuple(signs))
         if _refinement_postconditions(split, candidate, graph, graph_key,
-                                      target_key, back, morphisms):
+                                      target_orbit, morphisms):
             return SpinGraph(split, candidate), back
     return None
 
 
 def _refinement_postconditions(split, candidate, graph, graph_key,
-                               target_key, back, morphisms):
+                               target_orbit, morphisms):
+    """True when ``candidate`` is the unique lift of the target structure.
+
+    ``target_orbit`` is the orbit table of the target structure on
+    ``graph``; each contraction of an edge of ``split`` onto the class of
+    ``graph`` is carried onto ``graph`` itself, so a structure pushes onto
+    the target exactly when its pushed data is in that table.
+    """
     if split.n_edges != graph.n_edges + 1 or split.b1 != graph.b1:
         return None
     # every contraction of the split graph onto the input must push the
@@ -447,22 +454,17 @@ def _refinement_postconditions(split, candidate, graph, graph_key,
     for f in range(split.n_edges):
         c = morphisms.contract(split, EdgeSet.from_indices(split, [f]))
         if morphisms.canonical_key(c.target) == graph_key:
-            contractions_to_graph.append(c)
+            contractions_to_graph.append(c.onto(graph))
     if not contractions_to_graph:
         return None
+    push = morphisms.spin_action()
     for c in contractions_to_graph:
-        pushed = morphisms.push_spin(c, candidate)
-        if morphisms.canonical_key(
-                SpinGraph(c.target, pushed)) != target_key:
+        if push(c, candidate) not in target_orbit:
             return None
     lifts = set()
     for other in enumerate_spin(split):
-        for c in contractions_to_graph:
-            pushed = morphisms.push_spin(c, other)
-            if morphisms.canonical_key(
-                    SpinGraph(c.target, pushed)) == target_key:
-                lifts.add(other.data())
-                break
+        if any(push(c, other) in target_orbit for c in contractions_to_graph):
+            lifts.add(other.data())
     if lifts != {candidate.data()}:
         return None
     full = morphisms.automorphisms(split)

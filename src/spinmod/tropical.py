@@ -15,7 +15,7 @@ from .cycles import EdgeSet
 from .errors import DomainError, InputError, VerificationError
 from .graphs import Graph, is_stable
 from .morphisms import (automorphisms, canonical_key, contract, order_test,
-                        push_spin)
+                        push_spin, spin_action)
 from .posets import max_rank, poset_stats
 from .spin import SpinGraph, SpinStructure, enumerate_spin
 
@@ -190,8 +190,7 @@ def pi_trop_fiber(curve):
     if not curve.stable:
         raise DomainError("fibers are taken over stable curves")
     spins, _, _ = curve_automorphisms(curve).orbit_representatives(
-        enumerate_spin(curve.graph), SpinStructure.data,
-        lambda a, s: a.act_spin(s).data())
+        enumerate_spin(curve.graph), SpinStructure.data, spin_action())
     reps = []
     for s in spins:
         lengths = [x if i in s.P else halve(x)

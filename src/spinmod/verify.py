@@ -72,9 +72,21 @@ def suite_counts(g, classes):
     ]
 
 
-def suite_posets(g, n, classes, get_spin_poset):
-    graph_poset = build_graph_poset(g, n, _classes=classes)
-    cyclic_poset = build_cyclic_poset(g, n, _classes=classes)
+def _timed(phases, name, run, *args, **kwargs):
+    """``run(*args, **kwargs)``; when ``phases`` is a dict, the seconds it
+    took are stored as ``phases[name]``."""
+    started = time.perf_counter()
+    out = run(*args, **kwargs)
+    if phases is not None:
+        phases[name] = time.perf_counter() - started
+    return out
+
+
+def suite_posets(g, n, classes, get_spin_poset, phases=None):
+    graph_poset = _timed(phases, "graph_poset", build_graph_poset, g, n,
+                         _classes=classes)
+    cyclic_poset = _timed(phases, "cyclic_poset", build_cyclic_poset, g, n,
+                          _classes=classes)
     spin_poset = get_spin_poset()
     checks = []
     for poset in (graph_poset, cyclic_poset, spin_poset):
@@ -83,7 +95,8 @@ def suite_posets(g, n, classes, get_spin_poset):
                        **{k: v for k, v in stats.items()
                           if k not in ("kind",)}})
 
-    cells, cone_report = build_cone_complex(spin_poset)
+    cells, cone_report = _timed(phases, "cone_complex", build_cone_complex,
+                                spin_poset)
     checks.append({"name": "cone-complex", "status": "pass", **cone_report})
 
     top = max_rank(g, n)
@@ -287,8 +300,10 @@ def fuzz_families(spin_poset, count=100, seed=0):
     return count
 
 
-def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0):
-    done = fuzz_contraction_chains(classes, count=fuzz, seed=seed)
+def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0,
+                        phases=None):
+    done = _timed(phases, "fuzz_chains", fuzz_contraction_chains, classes,
+                  count=fuzz, seed=seed)
     checks = [{"name": "pushforward-composition", "status": "pass",
                "chains": done["chains"], "seed": seed},
               {"name": "parity-preservation", "status": "pass",
@@ -296,11 +311,12 @@ def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0):
               {"name": "boundary-square", "status": "pass",
                "squares": done["squares"]}]
     spin_poset = get_spin_poset()
-    n_classes = check_aut_factorization(spin_poset)
+    n_classes = _timed(phases, "aut_factorization", check_aut_factorization,
+                       spin_poset)
     checks.append({"name": "aut-factorization", "status": "pass",
                    "spin_classes": n_classes})
-    n_families = fuzz_families(spin_poset, count=max(1, fuzz // 10),
-                               seed=seed)
+    n_families = _timed(phases, "fuzz_families", fuzz_families, spin_poset,
+                        count=max(1, fuzz // 10), seed=seed)
     checks.append({"name": "family-diagram", "status": "pass",
                    "families": n_families, "seed": seed})
     return checks
@@ -329,24 +345,30 @@ def suite_refine(classes):
 
 
 def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0,
-               seconds=None):
+               seconds=None, phases=None):
     """Run the selected suites over one enumeration of the classes and at
     most one spin poset, built when a suite first reads it.
 
     When ``seconds`` is a dict, it receives the time each suite that ran
     took, by suite name; a suite that first reads the spin poset includes
-    its build."""
-    classes = enumerate_stable_graphs(g, n, budget_edges)
+    its build.  When ``phases`` is a dict, it receives the time of each
+    phase that ran: ``enumerate`` (before any suite), ``graph_poset``,
+    ``cyclic_poset``, ``spin_poset``, ``cone_complex``, ``fuzz_chains``,
+    ``aut_factorization`` and ``fuzz_families``."""
+    classes = _timed(phases, "enumerate", enumerate_stable_graphs, g, n,
+                     budget_edges)
 
     @functools.cache
     def get_spin_poset():
-        return build_spin_poset(g, n, _classes=classes)
+        return _timed(phases, "spin_poset", build_spin_poset, g, n,
+                      _classes=classes)
 
     suites = {
         "counts": lambda: suite_counts(g, classes),
-        "posets": lambda: suite_posets(g, n, classes, get_spin_poset),
+        "posets": lambda: suite_posets(g, n, classes, get_spin_poset,
+                                       phases),
         "functoriality": lambda: suite_functoriality(
-            classes, get_spin_poset, fuzz=fuzz, seed=seed),
+            classes, get_spin_poset, fuzz=fuzz, seed=seed, phases=phases),
         "refine": lambda: suite_refine(classes),
     }
     checks = []

@@ -1,0 +1,111 @@
+"""Test oracles: spin structures acted on one image at a time, the
+refinement postconditions that key every lift, and the 3-regular seeding
+that tries every leg assignment.
+
+The package carries each (map, cyclic set) component map once and folds
+sign vectors through it, looks refinement lifts up in one orbit table and
+seeds 3-regular classes once per leg pattern.  These are the definitions
+those routines must reproduce exactly.
+"""
+
+from collections import Counter
+from itertools import product
+
+from spinmod.cycles import EdgeSet, pbar_decompose
+from spinmod.errors import VerificationError
+from spinmod.graphs import Graph
+from spinmod.morphisms import (automorphisms, canonical_key, contract,
+                               push_cycle)
+from spinmod.posets import _multigraphs_with_degrees
+from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
+
+import key_oracle
+
+
+def act_spin(aut, spin):
+    """Image of a spin structure under an automorphism, decomposing the
+    image cyclic set and building a spin structure for it."""
+    graph = aut.graph
+    p_out = EdgeSet(graph, aut.act_mask(spin.P.mask))
+    dec = pbar_decompose(graph, p_out)
+    signs = [0] * len(dec)
+    for i, vs in enumerate(spin.dec.vertex_sets):
+        image = {aut.vertex_map[v] for v in vs}
+        j = dec.component_of(min(image))
+        if image != dec.vertex_sets[j]:
+            raise VerificationError("automorphism maps a component onto no "
+                                    "component of its image")
+        signs[j] = spin.signs[i]
+    return SpinStructure(graph, p_out, tuple(signs))
+
+
+def push_spin(contraction, spin):
+    """Pushforward of a spin structure, signs summed over the components
+    each image component absorbs."""
+    p_out = push_cycle(contraction, spin.P)
+    dec = pbar_decompose(contraction.target, p_out)
+    signs = [0] * len(dec)
+    for i, vs in enumerate(spin.dec.vertex_sets):
+        image = {contraction.vertex_map[v] for v in vs}
+        j = dec.component_of(min(image))
+        if not image <= dec.vertex_sets[j]:
+            raise VerificationError("a component does not map into one "
+                                    "component")
+        signs[j] ^= spin.signs[i]
+    out = SpinStructure(contraction.target, p_out, tuple(signs))
+    if out.parity != spin.parity:
+        raise VerificationError("pushforward changed the parity")
+    return out
+
+
+def keyed_refinement_postconditions(split, candidate, graph, target_key):
+    """The refinement postconditions with every candidate lift keyed on
+    the freshly contracted target: the candidate pushes onto the target
+    class under every contraction onto ``graph``'s class, no other
+    structure does under any, and every automorphism fixes it."""
+    if split.n_edges != graph.n_edges + 1 or split.b1 != graph.b1:
+        return None
+    graph_key = canonical_key(graph)
+    contractions = []
+    for f in range(split.n_edges):
+        c = contract(split, EdgeSet.from_indices(split, [f]))
+        if canonical_key(c.target) == graph_key:
+            contractions.append(c)
+    if not contractions:
+        return None
+
+    def lands(c, s):
+        pushed = push_spin(c, s)
+        return key_oracle.spin_key(SpinGraph(c.target, pushed)) == target_key
+
+    if not all(lands(c, candidate) for c in contractions):
+        return None
+    lifts = {s.data() for s in enumerate_spin(split)
+             if any(lands(c, s) for c in contractions)}
+    if lifts != {candidate.data()}:
+        return None
+    fixing = [a for a in automorphisms(split).elements
+              if act_spin(a, candidate) == candidate]
+    if len(fixing) != automorphisms(split).order:
+        return None
+    return True
+
+
+def three_regular_graphs(g, n):
+    """Every 3-regular class, seeded from every assignment of the legs to
+    the vertices; the first graph met per class represents it."""
+    k = 2 * g - 2 + n
+    if k <= 0:
+        return []
+    found = {}
+    for assign in product(range(k), repeat=n):
+        ell = Counter(assign)
+        deg = [3 - ell.get(v, 0) for v in range(k)]
+        if any(d < 0 for d in deg):
+            continue
+        for edges in _multigraphs_with_degrees(deg):
+            graph = Graph.build([(v, 0) for v in range(k)], edges, assign)
+            if not graph.is_connected:
+                continue
+            found.setdefault(canonical_key(graph), graph)
+    return [found[key] for key in sorted(found)]

@@ -451,3 +451,28 @@ def test_verify_reports_the_time_of_each_suite(capsys):
                  "refine"]) == 0
     assert set(json.loads(capsys.readouterr().out)["timings"]["suites"]) \
         == {"refine"}
+
+
+def test_verify_reports_the_time_of_each_phase(capsys):
+    assert main(["verify", "--g", "2", "--n", "0", "--suite", "all",
+                 "--fuzz", "50"]) == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    phases, suites = timings["phases"], timings["suites"]
+    assert set(phases) == {"enumerate", "graph_poset", "cyclic_poset",
+                           "spin_poset", "cone_complex", "fuzz_chains",
+                           "aut_factorization", "fuzz_families"}
+    assert all(t >= 0 for t in phases.values())
+    # every figure is cut down to whole milliseconds; the posets suite
+    # runs first, so it builds the spin poset
+    assert phases["enumerate"] + sum(suites.values()) <= \
+        timings["seconds"] + 1e-9
+    assert sum(phases[name] for name in ("graph_poset", "cyclic_poset",
+                                         "spin_poset", "cone_complex")) \
+        <= suites["posets"] + 1e-9
+    assert sum(phases[name] for name in ("fuzz_chains", "aut_factorization",
+                                         "fuzz_families")) \
+        <= suites["functoriality"] + 1e-9
+    assert main(["verify", "--g", "2", "--n", "0", "--suite",
+                 "counts"]) == 0
+    assert set(json.loads(capsys.readouterr().out)["timings"]["phases"]) \
+        == {"enumerate"}

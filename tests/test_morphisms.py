@@ -15,6 +15,7 @@ from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
                       make_rose, make_theta, make_weight_vertex, subgraph_on)
 import key_oracle
+import oracles
 
 
 def spin(graph, indices, signs):
@@ -479,6 +480,48 @@ def test_push_spin_rejects_bad_decomposition(theta):
     assert info.value.witnesses == (canonical_key(theta), "P=0", "F=0")
 
 
+def test_act_spin_rejects_genus_change():
+    # the decomposition memoised for the image mask has the vertex sets
+    # of the right one but another genus
+    rose = make_rose(3)
+    s = spin(rose, [0], (1,))
+    wrong = pbar_decompose(rose, EdgeSet.from_indices(rose, [0, 1]))
+    rose.__dict__["_pbar_decompositions"][1] = wrong
+    ident = automorphisms(rose).elements[0]
+    with pytest.raises(VerificationError, match="genus") as info:
+        ident.act_spin(s)
+    assert info.value.witnesses == (canonical_key(rose), "P=1", "image=1")
+
+
+def test_act_spin_rejects_a_component_carried_onto_part_of_one():
+    # the loop at vertex 0 alone against a decomposition memoised for it
+    # that joins both vertices, with the same genus 1: component 0 lands
+    # inside a larger component of the image
+    chain = make_loop_chain()
+    s = spin(chain, [2], (1, 0))
+    joined = pbar_decompose(chain, EdgeSet.from_indices(chain, [0, 1]))
+    chain.__dict__["_pbar_decompositions"][1 << 2] = joined
+    ident = automorphisms(chain).elements[0]
+    with pytest.raises(VerificationError,
+                       match="maps component 0 of the opened graph onto "
+                             "no component") as info:
+        ident.act_spin(s)
+    assert info.value.witnesses == (canonical_key(chain), "P=4", "image=4")
+
+
+def test_push_spin_rejects_sign_on_genus_zero_component():
+    # the target's decomposition of the image mask claims genus 0, so the
+    # carried sign 1 lands where every sign must vanish
+    rose = make_rose(3)
+    s = spin(rose, [0], (1,))
+    c = contract(rose, [])
+    empty = pbar_decompose(c.target, EdgeSet(c.target, 0))
+    c.target.__dict__["_pbar_decompositions"][1] = empty
+    with pytest.raises(VerificationError, match="genus-0") as info:
+        push_spin(c, s)
+    assert info.value.witnesses == (canonical_key(rose), "P=1", "F=0")
+
+
 def test_push_spin_rejects_parity_change(theta):
     s = spin(theta, [0, 1], (1,))
     s.parity = 0  # a stored parity that disagrees with the signs
@@ -529,3 +572,46 @@ def test_spin_stabilizer_memoised_per_graph(theta):
     fresh = automorphisms(other, restrict="spin",
                           spin=spin(other, [0, 1], (1,)))
     assert fresh is not fixing and fresh.order == fixing.order
+
+
+# -- spin data carried once per (map, cyclic set) -----------------------------
+
+@pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0)])
+def test_spin_actions_match_per_image_oracle(g, n):
+    # every element on every spin structure, and every single-edge
+    # contraction (carried onto its target class) on every spin structure,
+    # through one action shared by the whole class, against the bodies
+    # that decompose and build each image
+    from spinmod.morphisms import spin_action
+    from spinmod.posets import _edge_contractions, enumerate_stable_graphs
+
+    classes = enumerate_stable_graphs(g, n)
+    reps = {canonical_key(graph): graph for graph in classes}
+    for graph in classes:
+        act = spin_action()
+        spins = enumerate_spin(graph)
+        for a in automorphisms(graph).elements:
+            for s in spins:
+                want = oracles.act_spin(a, s).data()
+                assert act(a, s) == a.act_spin(s).data() == want
+        for _, c in _edge_contractions(graph, reps):
+            for s in spins:
+                want = oracles.push_spin(c, s).data()
+                assert act(c, s) == push_spin(c, s).data() == want
+
+
+@pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0)])
+def test_spin_orbit_tables_match_per_image_orbits(g, n):
+    from spinmod.morphisms import spin_orbits
+    from spinmod.posets import enumerate_stable_graphs
+
+    for graph in enumerate_stable_graphs(g, n):
+        spins = enumerate_spin(graph)
+        group = automorphisms(graph).elements
+        orbits = {s.data(): frozenset(oracles.act_spin(a, s).data()
+                                      for a in group) for s in spins}
+        reps, orbit_of = spin_orbits(graph, spins)
+        assert len(reps) == len(set(orbits.values()))
+        assert set(orbit_of) == set(orbits)
+        for data, orbit in orbits.items():
+            assert {orbit_of[x] for x in orbit} == {orbit_of[data]}

@@ -10,6 +10,7 @@ from spinmod.posets import (build_cyclic_poset, build_graph_poset,
                             stable_graphs_direct, three_regular_graphs)
 
 import key_oracle
+import oracles
 
 
 def test_three_regular_counts():
@@ -25,6 +26,47 @@ def test_three_regular_edge_count():
         for graph in three_regular_graphs(g, n):
             assert graph.n_edges == max_rank(g, n)
             assert classify(graph).three_regular
+
+
+@pytest.mark.parametrize("g,n", [(1, 3), (0, 5), (2, 2), (2, 3), (3, 1)])
+def test_three_regular_seeds_match_every_assignment(g, n):
+    # one leg assignment per grouping of the legs meets every class, and
+    # first at the graph the full product of assignments meets first
+    def as_json(graphs):
+        return [graph.to_json_dict(half_edges=True) for graph in graphs]
+
+    assert as_json(three_regular_graphs(g, n)) == \
+        as_json(oracles.three_regular_graphs(g, n))
+
+
+def test_three_regular_seeding_builds_once_per_leg_pattern(monkeypatch):
+    # 269 candidate graphs at (3,1), against 1,345 over every assignment
+    from spinmod.graphs import Graph
+
+    built = []
+    original = Graph.build.__func__
+    monkeypatch.setattr(Graph, "build", classmethod(
+        lambda cls, *args, **kwargs: built.append(args)
+        or original(cls, *args, **kwargs)))
+    assert len(three_regular_graphs(3, 1)) == 12
+    assert len(built) == 269
+
+
+def test_spin_poset_builds_each_spin_structure_once(monkeypatch):
+    # the 581 spin structures over the (3,0) classes are the only ones
+    # built: orbit walks, keys and covers act on their data
+    from spinmod.spin import SpinStructure
+
+    built = []
+    original = SpinStructure.__init__
+
+    def counting(self, graph, cyclic_set, signs):
+        built.append((id(graph), cyclic_set.mask, tuple(signs)))
+        original(self, graph, cyclic_set, signs)
+
+    monkeypatch.setattr(SpinStructure, "__init__", counting)
+    build_spin_poset(3, 0)
+    assert len(built) == len(set(built)) == 581
 
 
 def test_enumerate_stable_counts():
@@ -263,25 +305,44 @@ def test_orbit_representatives_are_orbit_minima(g, n):
 
 def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
     # each class costs (number of spin orbits) x |Aut| images, not
-    # (number of spin structures) x |Aut|
+    # (number of spin structures) x |Aut|; each element carries the
+    # components of each cyclic set the walk meets once, and no image is
+    # built as a spin structure
     from collections import Counter
 
-    from spinmod.morphisms import Aut, automorphisms
+    from spinmod.morphisms import Aut, SpinCarry, automorphisms
 
     classes = enumerate_stable_graphs(2, 1)
-    calls = Counter()
-    original = Aut.act_spin
+    images = Counter()
+    carries = Counter()
+    built = []
+    fold, init = SpinCarry.fold, SpinCarry.__init__
 
-    def counting(self, spin):
-        calls[id(self.graph)] += 1
-        return original(self, spin)
+    def counting_fold(self, spin):
+        if isinstance(self.f, Aut):
+            images[id(self.graph)] += 1
+        return fold(self, spin)
 
-    monkeypatch.setattr(Aut, "act_spin", counting)
+    def counting_init(self, f, spin):
+        if isinstance(f, Aut):
+            carries[id(spin.graph)] += 1
+        init(self, f, spin)
+
+    monkeypatch.setattr(SpinCarry, "fold", counting_fold)
+    monkeypatch.setattr(SpinCarry, "__init__", counting_init)
+    monkeypatch.setattr(SpinCarry, "image",
+                        lambda self, spin: built.append(spin))
     poset = build_spin_poset(2, 1, _classes=classes)
     monkeypatch.undo()
     orbits = Counter(id(nd.rep.graph) for nd in poset.nodes)
-    assert calls == {id(rep): orbits[id(rep)] * automorphisms(rep).order
-                     for rep in classes}
+    masks = {id(rep): {nd.rep.spin.P.mask for nd in poset.nodes
+                       if nd.rep.graph is rep} for rep in classes}
+    assert images == {id(rep): orbits[id(rep)] * automorphisms(rep).order
+                      for rep in classes}
+    assert carries == {id(rep): len(masks[id(rep)]) * automorphisms(rep).order
+                       for rep in classes}
+    assert sum(carries.values()) < sum(images.values())
+    assert built == []
 
 
 def test_poset_order_matches_order_test():

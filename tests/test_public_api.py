@@ -16,6 +16,9 @@ from pathlib import Path
 import spinmod
 
 ALLOWED = {
+    # the public action of one automorphism on one spin structure; the
+    # package folds sign data through SpinCarry instead
+    "morphisms.Aut.act_spin",
     "graphs.blow_up",
     "spin.h0_general",
     "tropical.pi_trop_fiber",

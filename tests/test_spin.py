@@ -11,6 +11,8 @@ from spinmod.spin import (SpinGraph, SpinStructure, enumerate_spin,
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
                       make_rose, make_theta, make_two_loops,
                       make_weight_vertex)
+import key_oracle
+import oracles
 
 
 def spin(graph, indices, signs):
@@ -231,6 +233,44 @@ def test_refine_both_signs():
     for sign in (0, 1):
         check_refinement(make_rose(3), sign)
         check_refinement(Graph.build([(0, 1)], [(0, 0), (0, 0)]), sign)
+
+
+@pytest.mark.parametrize("g,n", [(2, 1), (3, 0), (2, 2), (3, 1)])
+def test_refinement_lookups_match_keyed_postconditions(g, n, monkeypatch):
+    # every candidate the refinement tries is judged as the keyed
+    # postconditions judge it, so the first success, its lift and its
+    # witness are the same
+    from spinmod import spin as spin_module
+    from spinmod.graphs import classify
+    from spinmod.posets import enumerate_stable_graphs
+
+    lookup = spin_module._refinement_postconditions
+    judged = []
+    target_key = [None]
+
+    def compared(split, candidate, graph, graph_key, target_orbit,
+                 morphisms):
+        got = lookup(split, candidate, graph, graph_key, target_orbit,
+                     morphisms)
+        want = oracles.keyed_refinement_postconditions(
+            split, candidate, graph, target_key[0])
+        assert bool(got) == bool(want)
+        judged.append(bool(got))
+        return got
+
+    monkeypatch.setattr(spin_module, "_refinement_postconditions", compared)
+    refined = 0
+    for graph in enumerate_stable_graphs(g, n):
+        cls = classify(graph)
+        if not (cls.eulerian and not cls.basic and graph.genus >= 2
+                and graph.n_edges > 0):
+            continue
+        for sign in (0, 1):
+            target_key[0] = key_oracle.spin_key(SpinGraph(graph, SpinStructure(
+                graph, EdgeSet.full(graph), (sign,))))
+            refine_nonbasic(graph, sign)
+            refined += 1
+    assert refined and judged.count(True) == refined
 
 
 def test_spin_structure_hash_matches_eq():

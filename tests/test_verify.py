@@ -81,19 +81,30 @@ def test_counts_records_carry_coverage(g, n, cyclic_sets, basic_graphs):
 
 
 def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
-    # the spin orbit step acts with the whole group once per spin class
-    # (3,986 images at (3,0)) and keeps the stabilizer it meets, so the
-    # cone complex and the factorization check act no more.  Every other
-    # image comes from a walk over the orbit of one structure, a spin key
-    # or the lower side of an order test, which acts with its graph's
-    # whole group once; the refinement suite's stabilizers add 64.
+    # the spin orbit step folds the signs of each spin class through every
+    # group element once (3,986 images at (3,0)) and keeps the stabilizer
+    # it meets, so the cone complex and the factorization check act no
+    # more.  Every other image comes from a walk over the orbit of one
+    # structure: a spin key, the target of a refinement or the lower side
+    # of an order test, each acting with its graph's whole group once;
+    # the refinement suite's stabilizers add 64.  No image is built as a
+    # spin structure by Aut.act_spin.
     from spinmod import morphisms
 
     calls = []
     phase = ["run"]
+    fold = morphisms.SpinCarry.fold
+
+    def counting_fold(self, spin):
+        if isinstance(self.f, Aut):
+            calls.append(phase[0])
+        return fold(self, spin)
+
+    monkeypatch.setattr(morphisms.SpinCarry, "fold", counting_fold)
+    acted = []
     original = Aut.act_spin
     monkeypatch.setattr(Aut, "act_spin",
-                        lambda self, spin: calls.append(phase[0])
+                        lambda self, spin: acted.append(spin)
                         or original(self, spin))
     for module, name in ((tropical, "build_cone_complex"),
                          (verify, "check_aut_factorization")):
@@ -120,7 +131,8 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     run_suites(3, 0, "all")
     assert calls.count("build_cone_complex") == 0
     assert calls.count("check_aut_factorization") == 0
-    assert len(calls) == 3986 + sum(walked) + 64 == 11262
+    assert acted == []
+    assert len(calls) == 3986 + sum(walked) + 64 == 5786
 
 
 def test_counts_suite_spans_each_cycle_space_once(monkeypatch):
