@@ -39,7 +39,14 @@ class EdgeSet:
         return cls(graph, (1 << graph.n_edges) - 1)
 
     def indices(self):
-        return tuple(i for i in range(self.graph.n_edges) if self.mask >> i & 1)
+        """The indices of the set's edges, in ascending order."""
+        out = []
+        m = self.mask
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return tuple(out)
 
     def __iter__(self):
         return iter(self.indices())

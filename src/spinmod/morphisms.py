@@ -51,16 +51,17 @@ class Contraction:
             raise InputError("edge set lives over a different graph")
         self.source = source
         self.contracted = contracted
+        indices = contracted.indices()
 
         classes = connected_classes(
-            source.vertices, map(source.edge_vertices, contracted))
+            source.vertices, map(source.edge_vertices, indices))
         rep = {v: members[0] for members in classes for v in members}
         self.vertex_map = rep
 
         # target weight = total weight + first Betti number of the
         # contracted piece over each class
         f_count = defaultdict(int)
-        for i in contracted:
+        for i in indices:
             u, _ = source.edge_vertices(i)
             f_count[rep[u]] += 1
         weight = {}
@@ -70,7 +71,7 @@ class Contraction:
                          + f_count[r] - len(members) + 1)
 
         dropped = set()
-        for i in contracted:
+        for i in indices:
             dropped.update(source.edges[i])
         endpoint = {h: rep[v] for h, v in source.endpoint.items()
                     if h not in dropped}
@@ -128,16 +129,18 @@ def contract(graph, edge_set):
     return Contraction(graph, edge_set)
 
 
-def compose(first, second):
-    """The contraction of the union, equal to applying ``first`` then
-    ``second``; requires ``second.source == first.target``."""
+def composed_edges(first, second):
+    """The edges of ``first.source`` that applying ``first`` then
+    ``second`` contracts: ``first``'s set and the preimage of
+    ``second``'s.  Contracting this union equals the composite; requires
+    ``second.source == first.target``."""
     if second.source != first.target:
         raise InputError("contractions do not compose")
     mask = first.contracted.mask
     for i, j in first.edge_map.items():
         if j is not None and j in second.contracted:
             mask |= 1 << i
-    return Contraction(first.source, EdgeSet(first.source, mask))
+    return EdgeSet(first.source, mask)
 
 
 def push_vertex_set(contraction, vertex_set):

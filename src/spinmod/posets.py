@@ -445,8 +445,12 @@ def poset_stats(poset):
     For spin posets: two components matching the parity classes when the
     genus is positive, one otherwise, each containing its unique rank-0
     node.  Raises :class:`VerificationError` with a witness on any
-    violated claim.
+    violated claim.  A passing report is memoised on the poset object,
+    so each poset is checked once; a failing one raises on every call.
     """
+    cached = poset.__dict__.get("_stats")
+    if cached is not None:
+        return cached
     comps = poset.components()
     hist = poset.rank_histogram()
 
@@ -501,4 +505,5 @@ def poset_stats(poset):
             raise VerificationError(
                 f"{poset.kind} poset is disconnected "
                 f"({len(comps)} components)")
+    poset.__dict__["_stats"] = report
     return report

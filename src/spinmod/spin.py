@@ -295,14 +295,6 @@ def stratum_counts(graph, cap=B1_CAP):
     return StratumCount(graph, rows, grand)
 
 
-def h0_general(spin_graph):
-    """Number of independent sections on a general spin curve with this
-    combinatorial type: the integer sum of the signs."""
-    if not is_stable(spin_graph.graph):
-        raise DomainError("h0 is defined over stable spin graphs")
-    return sum(spin_graph.spin.signs)
-
-
 def g_collections(graph):
     """Index sets of the ramification-point choices on a basic graph.
 

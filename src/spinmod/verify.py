@@ -14,11 +14,12 @@ import time
 from fractions import Fraction
 
 from .cycles import EdgeSet, boundary, enumerate_cyclic
-from .errors import VerificationError
+from .errors import SpinmodError, VerificationError
 from .graphs import classify
-from .morphisms import (automorphisms, canonical_key, compose, contract,
-                        cyclic_canonical_key, order_test, push_cycle,
-                        push_spin, push_vertex_set, quotient_action_order)
+from .morphisms import (automorphisms, canonical_key, composed_edges,
+                        contract, cyclic_canonical_key, order_test,
+                        push_cycle, push_spin, push_vertex_set,
+                        quotient_action_order)
 from .posets import (build_cyclic_poset, build_graph_poset, build_spin_poset,
                      enumerate_stable_graphs, max_rank, poset_stats,
                      stable_graphs_direct)
@@ -209,54 +210,114 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
     return checks
 
 
-def _random_edge_subset(rng, count):
-    return [i for i in range(count) if rng.random() < 0.4]
+def _random_edge_mask(rng, count):
+    """Each of ``count`` edge indices, drawn with probability 0.4, as a
+    mask."""
+    mask = 0
+    for i in range(count):
+        if rng.random() < 0.4:
+            mask |= 1 << i
+    return mask
 
 
 def fuzz_contraction_chains(classes, count=1000, seed=0):
     """Random two-step contraction chains over the given classes:
     composition on cycles and spin structures, parity preservation, and
-    the boundary square.  Returns the number of cases each check
-    evaluated: ``chains`` (cycle pushforwards composed), ``spin_chains``
-    (spin pushforwards composed and their parities compared) and
-    ``squares`` (chains whose graph has an edge to take the boundary of).
+    the boundary square.
+
+    Every chain is drawn first: its class, the edge set ``S1`` that ``c1``
+    contracts on the class graph, the edge set ``S2`` that ``c2``
+    contracts on ``c1``'s target (which keeps the ``graph.n_edges - |S1|``
+    edges that ``S1`` leaves), a cyclic set, a spin structure and an edge.
+    The chains then run class by class, in order of first draw.  Each
+    distinct (graph, edge set) among a class's chains is contracted once,
+    in a table dropped before the next class.  The composite ``c12`` is
+    the table's contraction of ``composed_edges(c1, c2)``, made from the
+    class graph independently of ``c1`` and ``c2``.  A failing run raises
+    the error of the first failing chain in draw order.
+
+    Returns the number of cases each check evaluated: ``chains`` (cycle
+    pushforwards composed), ``spin_chains`` (spin pushforwards composed
+    and their parities compared) and ``squares`` (chains whose graph has
+    an edge to take the boundary of); and ``contractions``, the distinct
+    contractions the chains built.
     """
-    done = {"chains": 0, "spin_chains": 0, "squares": 0}
     cyclic_of = {id(c): enumerate_cyclic(c) for c in classes}
     spins_of = {id(c): enumerate_spin(c) for c in classes}
     rng = random.Random(seed)
-    for _ in range(count):
+    chains_of = {}  # id(class graph) -> (graph, its chains in draw order)
+    for i in range(count):
         graph = classes[rng.randrange(len(classes))]
-        c1 = contract(graph, _random_edge_subset(rng, graph.n_edges))
-        c2 = contract(c1.target,
-                      _random_edge_subset(rng, c1.target.n_edges))
-        c12 = compose(c1, c2)
+        s1 = _random_edge_mask(rng, graph.n_edges)
+        s2 = _random_edge_mask(rng, graph.n_edges - s1.bit_count())
         cyc = cyclic_of[id(graph)]
         p = cyc[rng.randrange(len(cyc))]
-        if push_cycle(c12, p).mask != push_cycle(c2, push_cycle(c1, p)).mask:
-            raise VerificationError("cycle pushforward does not compose",
-                                    (canonical_key(graph), p.hex()))
-        done["chains"] += 1
         spins = spins_of[id(graph)]
         s = spins[rng.randrange(len(spins))]
-        a = push_spin(c12, s)
-        b = push_spin(c2, push_spin(c1, s))
-        if a.data() != b.data() or a.parity != s.parity:
-            raise VerificationError("spin pushforward does not compose",
-                                    (canonical_key(graph),))
-        done["spin_chains"] += 1
-        if graph.n_edges:
-            e = rng.randrange(graph.n_edges)
-            es = EdgeSet.from_indices(graph, [e])
-            j = c1.edge_map[e]
-            img = EdgeSet(c1.target, 0 if j is None else 1 << j)
-            if boundary(c1.target, img) != \
-                    push_vertex_set(c1, boundary(graph, es)):
-                raise VerificationError(
-                    "boundary square does not commute",
-                    (canonical_key(graph),))
-            done["squares"] += 1
+        e = rng.randrange(graph.n_edges) if graph.n_edges else None
+        chains_of.setdefault(id(graph), (graph, []))[1].append(
+            (i, s1, s2, p, s, e))
+
+    done = {"chains": 0, "spin_chains": 0, "squares": 0, "contractions": 0}
+    failure = None  # (draw index, error) of the first failing chain
+    for graph, chains in chains_of.values():
+        table = {}
+        for i, s1, s2, p, s, e in chains:
+            if failure is not None and failure[0] < i:
+                break
+            try:
+                _check_chain(graph, table, s1, s2, p, s, e, done)
+            except SpinmodError as err:
+                failure = (i, err)
+                break
+        done["contractions"] += len(table)
+    if failure is not None:
+        raise failure[1]
     return done
+
+
+def _contracted(table, edges):
+    """The contraction of an edge set, built once per table.  Keyed by
+    the id of the set's graph, which stays valid because the table holds
+    every source and target."""
+    at = (id(edges.graph), edges.mask)
+    c = table.get(at)
+    if c is None:
+        c = table[at] = contract(edges.graph, edges)
+    return c
+
+
+def _check_chain(graph, table, s1, s2, p, s, e, done):
+    """Run the checks of one fuzz chain, counting each in ``done``; its
+    contractions come from the class's ``table``."""
+    c1 = _contracted(table, EdgeSet(graph, s1))
+    kept = graph.n_edges - s1.bit_count()
+    if c1.target.n_edges != kept:
+        raise VerificationError(
+            f"contraction kept {c1.target.n_edges} edges, expected {kept}",
+            (canonical_key(graph), f"F={s1:x}"))
+    c2 = _contracted(table, EdgeSet(c1.target, s2))
+    c12 = _contracted(table, composed_edges(c1, c2))
+    if push_cycle(c12, p).mask != push_cycle(c2, push_cycle(c1, p)).mask:
+        raise VerificationError("cycle pushforward does not compose",
+                                (canonical_key(graph), p.hex()))
+    done["chains"] += 1
+    a = push_spin(c12, s)
+    b = push_spin(c2, push_spin(c1, s))
+    if a.data() != b.data() or a.parity != s.parity:
+        raise VerificationError("spin pushforward does not compose",
+                                (canonical_key(graph),))
+    done["spin_chains"] += 1
+    if e is not None:
+        es = EdgeSet.from_indices(graph, [e])
+        j = c1.edge_map[e]
+        img = EdgeSet(c1.target, 0 if j is None else 1 << j)
+        if boundary(c1.target, img) != \
+                push_vertex_set(c1, boundary(graph, es)):
+            raise VerificationError(
+                "boundary square does not commute",
+                (canonical_key(graph),))
+        done["squares"] += 1
 
 
 def check_aut_factorization(spin_poset):
@@ -305,7 +366,8 @@ def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0,
     done = _timed(phases, "fuzz_chains", fuzz_contraction_chains, classes,
                   count=fuzz, seed=seed)
     checks = [{"name": "pushforward-composition", "status": "pass",
-               "chains": done["chains"], "seed": seed},
+               "chains": done["chains"], "seed": seed,
+               "contractions": done["contractions"]},
               {"name": "parity-preservation", "status": "pass",
                "chains": done["spin_chains"]},
               {"name": "boundary-square", "status": "pass",

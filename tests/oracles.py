@@ -1,21 +1,23 @@
 """Test oracles: spin structures acted on one image at a time, the
-refinement postconditions that key every lift, and the 3-regular seeding
-that tries every leg assignment.
+refinement postconditions that key every lift, the 3-regular seeding
+that tries every leg assignment, and the fuzz chains run in draw order.
 
 The package carries each (map, cyclic set) component map once and folds
-sign vectors through it, looks refinement lifts up in one orbit table and
-seeds 3-regular classes once per leg pattern.  These are the definitions
-those routines must reproduce exactly.
+sign vectors through it, looks refinement lifts up in one orbit table,
+seeds 3-regular classes once per leg pattern and runs the fuzz chains
+class by class, contracting each distinct (graph, edge set) once.  These
+are the definitions those routines must reproduce exactly.
 """
 
+import random
 from collections import Counter
 from itertools import product
 
-from spinmod.cycles import EdgeSet, pbar_decompose
+from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
 from spinmod.graphs import Graph
-from spinmod.morphisms import (automorphisms, canonical_key, contract,
-                               push_cycle)
+from spinmod.morphisms import (Contraction, automorphisms, canonical_key,
+                               contract, push_cycle, push_vertex_set)
 from spinmod.posets import _multigraphs_with_degrees
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
@@ -109,3 +111,60 @@ def three_regular_graphs(g, n):
                 continue
             found.setdefault(canonical_key(graph), graph)
     return [found[key] for key in sorted(found)]
+
+
+def fuzz_contraction_chains(classes, count=1000, seed=0, record=None):
+    """The fuzz chains drawn and run one at a time, in draw order, each
+    building its three contractions afresh; the composite contracts the
+    union of the first step's set and the preimage of the second's.
+
+    When ``record`` is a list, each chain appends ``(id(graph), S1 mask,
+    S2 mask, cyclic set mask, spin data, edge or None)`` once its checks
+    pass."""
+    done = {"chains": 0, "spin_chains": 0, "squares": 0}
+    cyclic_of = {id(c): enumerate_cyclic(c) for c in classes}
+    spins_of = {id(c): enumerate_spin(c) for c in classes}
+    rng = random.Random(seed)
+
+    def subset(n):
+        return [i for i in range(n) if rng.random() < 0.4]
+
+    for _ in range(count):
+        graph = classes[rng.randrange(len(classes))]
+        c1 = contract(graph, subset(graph.n_edges))
+        c2 = contract(c1.target, subset(c1.target.n_edges))
+        mask = c1.contracted.mask
+        for i, j in c1.edge_map.items():
+            if j is not None and j in c2.contracted:
+                mask |= 1 << i
+        c12 = Contraction(graph, EdgeSet(graph, mask))
+        cyc = cyclic_of[id(graph)]
+        p = cyc[rng.randrange(len(cyc))]
+        if push_cycle(c12, p).mask != push_cycle(c2, push_cycle(c1, p)).mask:
+            raise VerificationError("cycle pushforward does not compose",
+                                    (canonical_key(graph), p.hex()))
+        done["chains"] += 1
+        spins = spins_of[id(graph)]
+        s = spins[rng.randrange(len(spins))]
+        a = push_spin(c12, s)
+        b = push_spin(c2, push_spin(c1, s))
+        if a.data() != b.data() or a.parity != s.parity:
+            raise VerificationError("spin pushforward does not compose",
+                                    (canonical_key(graph),))
+        done["spin_chains"] += 1
+        e = None
+        if graph.n_edges:
+            e = rng.randrange(graph.n_edges)
+            es = EdgeSet.from_indices(graph, [e])
+            j = c1.edge_map[e]
+            img = EdgeSet(c1.target, 0 if j is None else 1 << j)
+            if boundary(c1.target, img) != \
+                    push_vertex_set(c1, boundary(graph, es)):
+                raise VerificationError(
+                    "boundary square does not commute",
+                    (canonical_key(graph),))
+            done["squares"] += 1
+        if record is not None:
+            record.append((id(graph), c1.contracted.mask,
+                           c2.contracted.mask, p.mask, s.data(), e))
+    return done

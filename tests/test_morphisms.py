@@ -4,9 +4,9 @@ import random
 import pytest
 
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
-from spinmod.errors import VerificationError
+from spinmod.errors import InputError, VerificationError
 from spinmod.graphs import Graph, genus
-from spinmod.morphisms import (automorphisms, canonical_key, compose,
+from spinmod.morphisms import (automorphisms, canonical_key, composed_edges,
                                contract, cyclic_canonical_key, order_test,
                                push_cycle, push_spin, push_vertex_set,
                                quotient_action_order)
@@ -134,7 +134,7 @@ def test_functoriality_on_cycles_and_spins():
                     if c1.edge_map[i] is not None]
             f2 = [j for j in rest if rng.random() < 0.4]
             c2 = contract(c1.target, f2)
-            c12 = compose(c1, c2)
+            c12 = contract(c1.source, composed_edges(c1, c2))
             assert c12.target == c2.target
             for p in enumerate_cyclic(g):
                 assert push_cycle(c12, p).mask == \
@@ -143,6 +143,16 @@ def test_functoriality_on_cycles_and_spins():
                 a = push_spin(c12, s)
                 b = push_spin(c2, push_spin(c1, s))
                 assert a.data() == b.data()
+
+
+def test_composed_edges_is_the_union_of_the_preimages(dumbbell):
+    # contracting the bridge keeps the loops as edges 0 and 1; the second
+    # step contracts the loop of vertex 1, edge 1 of the source
+    c1 = contract(dumbbell, [2])
+    c2 = contract(c1.target, [c1.edge_map[1]])
+    assert composed_edges(c1, c2) == EdgeSet.from_indices(dumbbell, [1, 2])
+    with pytest.raises(InputError, match="do not compose"):
+        composed_edges(c2, c1)
 
 
 def test_boundary_commutes_with_pushforward():

@@ -20,7 +20,6 @@ ALLOWED = {
     # package folds sign data through SpinCarry instead
     "morphisms.Aut.act_spin",
     "graphs.blow_up",
-    "spin.h0_general",
     "tropical.pi_trop_fiber",
 }
 

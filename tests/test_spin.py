@@ -5,8 +5,8 @@ from spinmod.errors import DomainError, VerificationError
 from spinmod.graphs import Graph, canonical_divisor
 from spinmod.morphisms import automorphisms, canonical_key, push_spin
 from spinmod.spin import (SpinGraph, SpinStructure, enumerate_spin,
-                          g_collections, h0_general, refine_nonbasic,
-                          spin_count_check, stratum_counts, theta_divisors)
+                          g_collections, refine_nonbasic, spin_count_check,
+                          stratum_counts, theta_divisors)
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
                       make_rose, make_theta, make_two_loops,
@@ -137,13 +137,6 @@ def test_stratum_counts_dumbbell(dumbbell):
 def test_stratum_counts_requires_stable():
     with pytest.raises(DomainError):
         stratum_counts(make_rose(1))
-
-
-def test_h0_general(theta, dumbbell):
-    assert h0_general(SpinGraph(theta, spin(theta, [0, 1], (1,)))) == 1
-    assert h0_general(SpinGraph(dumbbell, spin(dumbbell, [0, 1], (1, 1)))) == 2
-    assert h0_general(SpinGraph(
-        theta, SpinStructure(theta, EdgeSet(theta, 0), (0, 0)))) == 0
 
 
 def test_g_collections_loop_chain():

@@ -1,9 +1,16 @@
+import copy
+from collections import Counter
+
 import pytest
 
-from spinmod import cycles, posets, tropical, verify
+from spinmod import cycles, morphisms, posets, tropical, verify
+from spinmod.errors import VerificationError
 from spinmod.graphs import classify
-from spinmod.morphisms import Aut
+from spinmod.morphisms import Aut, canonical_key
 from spinmod.verify import run_suites
+
+from conftest import make_theta
+import oracles
 
 
 def test_run_suites_builds_classes_and_spin_poset_once(monkeypatch):
@@ -194,3 +201,153 @@ def test_functoriality_and_stratum_records_carry_coverage(g, n,
     # the weight-g vertex has no edge, so some chains make no square
     assert any(graph.n_edges == 0 for graph in classes)
     assert 0 < squares < 300
+
+
+def _checked_chains(monkeypatch):
+    """Record (id(graph), S1, S2, cyclic set, spin data, edge) for each
+    chain ``verify.fuzz_contraction_chains`` checks."""
+    checked = []
+    original = verify._check_chain
+
+    def recording(graph, table, s1, s2, p, s, e, done):
+        original(graph, table, s1, s2, p, s, e, done)
+        checked.append((id(graph), s1, s2, p.mask, s.data(), e))
+
+    monkeypatch.setattr(verify, "_check_chain", recording)
+    return checked
+
+
+@pytest.mark.parametrize("g,n", [(2, 0), (2, 2), (3, 0)])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_fuzz_chains_check_what_the_draw_order_loop_checks(g, n, seed,
+                                                           monkeypatch):
+    classes = posets.enumerate_stable_graphs(g, n)
+    expected = []
+    want = oracles.fuzz_contraction_chains(classes, 300, seed,
+                                           record=expected)
+    checked = _checked_chains(monkeypatch)
+    got = verify.fuzz_contraction_chains(classes, 300, seed)
+    assert Counter(checked) == Counter(expected)
+    assert len(expected) == 300
+    assert {k: got[k] for k in want} == want
+
+
+def _contraction_pairs(monkeypatch, classes):
+    """Record each Contraction built as (source, edge mask), naming a
+    source that is a class graph by its id and any other source by the
+    pair its contraction was built from."""
+    built = []
+    named = {id(c): ("class", id(c)) for c in classes}
+    kept = []
+    original = morphisms.Contraction.__init__
+
+    def recording(self, source, contracted):
+        original(self, source, contracted)
+        pair = (named[id(source)], contracted.mask)
+        named[id(self.target)] = pair
+        kept.append(self)  # ids stay unique while named
+        built.append(pair)
+
+    monkeypatch.setattr(morphisms.Contraction, "__init__", recording)
+    return built
+
+
+def test_fuzz_chains_contract_each_distinct_pair_once(monkeypatch):
+    # 1000 chains at (3,0), seed 0, need 1,346 distinct (graph, edge set)
+    # pairs; the draw-order loop builds 3,000 contractions
+    classes = posets.enumerate_stable_graphs(3, 0)
+    built = _contraction_pairs(monkeypatch, classes)
+    oracles.fuzz_contraction_chains(classes, 1000, 0)
+    assert len(built) == 3000
+    distinct = len(set(built))
+    built.clear()
+    done = verify.fuzz_contraction_chains(classes, 1000, 0)
+    assert len(built) == len(set(built)) == distinct == \
+        done["contractions"] == 1346
+
+
+def test_fuzz_chains_raise_the_first_failure_in_draw_order(monkeypatch):
+    # fail the first chain drawn on (class, edge) for two choices: the
+    # later-drawn chain's class runs first, as classes run in order of
+    # first draw; both loops must name the earlier-drawn chain
+    classes = posets.enumerate_stable_graphs(2, 2)
+    drawn = []
+    oracles.fuzz_contraction_chains(classes, 300, 1, record=drawn)
+    run_order, first = {}, {}
+    for i, (graph, _, _, _, _, e) in enumerate(drawn):
+        run_order.setdefault(graph, i)
+        if e is not None:
+            first.setdefault((graph, e), i)
+    late, early = next(
+        (late, early) for late in first.items() for early in first.items()
+        if run_order[late[0][0]] < run_order[early[0][0]]
+        and early[1] < late[1])
+    failing = {late[0], early[0]}
+    by_id = {id(c): c for c in classes}
+
+    def failing_boundary(graph, edge_set, _original=verify.boundary):
+        for at in failing:
+            if graph is by_id[at[0]] and edge_set.indices() == (at[1],):
+                raise VerificationError("injected failure",
+                                        (f"edge={at[1]}",
+                                         canonical_key(graph)))
+        return _original(graph, edge_set)
+
+    monkeypatch.setattr(verify, "boundary", failing_boundary)
+    monkeypatch.setattr(oracles, "boundary", failing_boundary)
+    errors = []
+    for run in (oracles.fuzz_contraction_chains,
+                verify.fuzz_contraction_chains):
+        with pytest.raises(VerificationError) as err:
+            run(classes, 300, 1)
+        errors.append((str(err.value), err.value.witnesses))
+    graph, e = early[0]
+    assert errors[0] == errors[1] == (
+        "injected failure", (f"edge={e}", canonical_key(by_id[graph])))
+
+
+def test_fuzz_chains_guard_the_edges_a_contraction_keeps(monkeypatch):
+    # a first step whose target keeps every edge of its source: the
+    # second step's draw no longer matches the target it contracts
+    theta = make_theta()
+    drawn = []
+    seed = 0
+    while not drawn or drawn[0][1] == 0:
+        drawn.clear()
+        seed += 1
+        oracles.fuzz_contraction_chains([theta], 1, seed, record=drawn)
+    s1 = drawn[0][1]
+
+    def keeping_contract(graph, edges, _original=verify.contract):
+        c = _original(graph, edges)
+        if graph is theta and edges.mask == s1:
+            c = copy.copy(c)
+            c.target = theta
+        return c
+
+    monkeypatch.setattr(verify, "contract", keeping_contract)
+    kept = theta.n_edges - bin(s1).count("1")
+    with pytest.raises(VerificationError) as err:
+        verify.fuzz_contraction_chains([theta], 1, seed)
+    assert str(err.value) == \
+        f"contraction kept {theta.n_edges} edges, expected {kept}"
+    assert err.value.witnesses == (canonical_key(theta), f"F={s1:x}")
+
+
+def test_poset_stats_run_once_per_poset(monkeypatch):
+    seen = []
+    original = posets.Poset.components
+    monkeypatch.setattr(posets.Poset, "components",
+                        lambda self: seen.append(id(self))
+                        or original(self))
+    run_suites(3, 1, "posets")
+    assert len(seen) == len(set(seen)) == 3
+
+
+def test_failing_poset_stats_raise_on_every_call():
+    poset = posets.build_graph_poset(2, 0)
+    broken = posets.Poset(poset.kind, poset.g, poset.n, poset.nodes, ())
+    for _ in range(2):
+        with pytest.raises(VerificationError, match="disconnected"):
+            posets.poset_stats(broken)
+    assert posets.poset_stats(poset) is posets.poset_stats(poset)
