@@ -23,7 +23,7 @@ from .posets import (build_cyclic_poset, build_graph_poset, build_spin_poset,
 from .tropical import (FamilyDescriptor, build_cone_complex, cells_to_csv,
                        diagram_check, family_generic_fiber,
                        family_stable_model, pi_trop, trop_family)
-from .verify import run_suites
+from .verify import peak_rss_kib, run_suites
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -78,6 +78,66 @@ def _parser():
     return parser
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _to_json(obj):
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, written
+    directly rather than through the pure-Python encoder that an indent
+    selects.  Dicts come out in sorted key order and lists and tuples in
+    order; exact ``str`` and ``int`` leaves are spelled here, and every
+    other leaf or key by ``json.dumps``, which also raises ``TypeError``
+    for anything that is not JSON."""
+    parts = []
+    _emit(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _json_key(key):
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _quote(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not "
+                    f"{type(key).__name__}")
+
+
+def _emit(obj, newline, out):
+    """Append the text of ``obj``, whose lines start with ``newline``,
+    through ``out``."""
+    kind = type(obj)
+    if kind is str:
+        out(_quote(obj))
+    elif kind is int:
+        out(int.__repr__(obj))
+    elif kind is dict or isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out(sep)
+            out(_json_key(key))
+            out(": ")
+            _emit(value, inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif kind is list or kind is tuple or isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out(sep)
+            _emit(value, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    else:
+        out(json.dumps(obj))
+
+
 def _write_outputs(out_dir, name, render):
     """Write ``render()`` to ``out_dir / name``; without an output
     directory the text is never built.  A directory or file that cannot
@@ -117,8 +177,7 @@ def cmd_enumerate(args):
 
     if args.format == "json":
         def render():
-            return json.dumps(poset.to_json_dict(with_reps=True), indent=2,
-                              sort_keys=True)
+            return _to_json(poset.to_json_dict(with_reps=True))
     elif args.format == "dot":
         render = poset.to_dot
     elif args.kind == "spin":
@@ -161,14 +220,19 @@ def cmd_verify(args):
             "failed": 0}
     outputs = _write_outputs(
         args.out, f"verify_{args.g}_{args.n}_{args.suite}.json",
-        functools.partial(json.dumps, body, indent=2, sort_keys=True))
+        functools.partial(_to_json, body))
     report = _report("verify", {"g": args.g, "n": args.n,
                                 "suite": args.suite, "fuzz": args.fuzz,
                                 "seed": args.seed},
                      body, outputs)
     report["timings"] = {
-        kind: {name: _milliseconds_down(t) for name, t in times.items()}
-        for kind, times in (("suites", seconds), ("phases", phases))}
+        "suites": {name: _milliseconds_down(t)
+                   for name, t in seconds.items()},
+        "phases": {name: _milliseconds_down(t)
+                   for name, (t, _) in phases.items()},
+        "memory": {"peak_rss_kib": peak_rss_kib(),
+                   "phases": {name: kib for name, (_, kib) in phases.items()}},
+    }
     return report
 
 
@@ -209,7 +273,7 @@ def cmd_trop(args):
     }
     outputs = _write_outputs(
         args.out, "trop_result.json",
-        functools.partial(json.dumps, body, indent=2, sort_keys=True))
+        functools.partial(_to_json, body))
     return _report("trop", {"file": str(args.file)}, body, outputs)
 
 
@@ -242,7 +306,7 @@ def main(argv=None):
         return EXIT_INPUT
     report.setdefault("timings", {})["seconds"] = round(
         time.perf_counter() - started, 3)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_to_json(report))
     return EXIT_OK
 
 

@@ -18,6 +18,15 @@ from functools import cached_property
 from .errors import InputError
 
 
+def json_int(value, field, owner):
+    """``value`` when it is a JSON integer (an ``int``, not a ``bool``);
+    anything else is an input error naming ``owner``'s ``field``."""
+    if type(value) is int:
+        return value
+    raise InputError(f"{owner} field {field!r} holds {value!r}, not an "
+                     "integer")
+
+
 class Graph:
     """Immutable half-edge multigraph with vertex weights and ordered legs.
 
@@ -217,17 +226,30 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Read :meth:`to_json_dict` output.  Every id, weight and
+        endpoint must be a JSON integer, and vertex ids must be distinct."""
         try:
-            vertices = [(v["id"], v["weight"]) for v in data["vertices"]]
-            exceptional = data.get("exceptional", ())
+            weight = {}
+            for v in data["vertices"]:
+                vid = json_int(v["id"], "id", "graph")
+                if vid in weight:
+                    raise InputError(f"duplicate vertex id {vid}")
+                weight[vid] = json_int(v["weight"], "weight", "graph")
+            exceptional = [json_int(v, "exceptional", "graph")
+                           for v in data.get("exceptional", ())]
             if "half_edges" in data:
                 block = data["half_edges"]
-                endpoint = {int(h): v for h, v in block["endpoint"].items()}
-                involution = {int(h): k for h, k in block["involution"].items()}
-                return cls(vertices, endpoint, involution, block["legs"],
-                           exceptional)
-            return cls.build(vertices, [tuple(e) for e in data["edges"]],
-                             data.get("legs", ()), exceptional)
+                endpoint = {int(h): json_int(v, "endpoint", "half-edge")
+                            for h, v in block["endpoint"].items()}
+                involution = {int(h): json_int(k, "involution", "half-edge")
+                              for h, k in block["involution"].items()}
+                legs = [json_int(h, "legs", "half-edge")
+                        for h in block["legs"]]
+                return cls(weight, endpoint, involution, legs, exceptional)
+            edges = [tuple(json_int(v, "edges", "graph") for v in e)
+                     for e in data["edges"]]
+            legs = [json_int(v, "legs", "graph") for v in data.get("legs", ())]
+            return cls.build(weight, edges, legs, exceptional)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed graph JSON: {exc}") from exc
 

@@ -754,9 +754,11 @@ def order_test(upper, lower):
     order, or ``None``.
 
     Searches edge subsets of the right size in canonical order.  A
-    contraction whose target has the certificate of ``lower``'s graph is
-    carried onto that graph, and it is a witness when the pushed
-    structure lies in the orbit of ``lower``'s.
+    subset is contracted only when its first Betti number is the drop
+    from ``upper``'s to ``lower``'s, since contracting a set lowers b1 by
+    exactly its own.  A contraction whose target has the certificate of
+    ``lower``'s graph is carried onto that graph, and it is a witness
+    when the pushed structure lies in the orbit of ``lower``'s.
     """
     ga, gb = upper.graph, lower.graph
     if ga.genus != gb.genus or ga.n_legs != gb.n_legs:
@@ -764,10 +766,14 @@ def order_test(upper, lower):
     k = ga.n_edges - gb.n_edges
     if k < 0:
         return None
+    drop = ga.b1 - gb.b1
     cert_b, _ = canonical_form(gb)
     _, orbit_of = spin_orbits(gb, [lower.spin])
     for subset in combinations(range(ga.n_edges), k):
-        c = contract(ga, EdgeSet.from_indices(ga, subset))
+        edges = EdgeSet.from_indices(ga, subset)
+        if edges.b1 != drop:
+            continue
+        c = contract(ga, edges)
         if canonical_form(c.target)[0] != cert_b:
             continue
         if SpinCarry(c.onto(gb), upper.spin).fold(upper.spin) in orbit_of:

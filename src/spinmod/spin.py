@@ -14,7 +14,8 @@ from math import prod
 
 from .cycles import (B1_CAP, EdgeSet, enumerate_cyclic, pbar_decompose)
 from .errors import DomainError, InputError, VerificationError
-from .graphs import Divisor, Graph, canonical_divisor, classify, is_stable
+from .graphs import (Divisor, Graph, canonical_divisor, classify, is_stable,
+                     json_int)
 
 
 class SpinStructure:
@@ -68,24 +69,21 @@ class SpinStructure:
     def from_json_dict(cls, graph, data):
         try:
             mask = int(data["P"], 16)
-            entries = sorted(data["sign"], key=lambda e: e["component"])
-            signs = [e["s"] for e in entries]
+            by_component = {json_int(e["component"], "component",
+                                     "spin structure"): e["s"]
+                            for e in data["sign"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed spin structure JSON: {exc}") from exc
-        signs = [_json_int(s, "sign") for s in signs]
+        if sorted(by_component) != list(range(len(data["sign"]))):
+            raise InputError("spin structure field 'component' must number "
+                             "the sign entries 0, 1, ... once each")
+        signs = [json_int(by_component[i], "sign", "spin structure")
+                 for i in range(len(by_component))]
         spin = cls(graph, EdgeSet(graph, mask), signs)
-        if ("parity" in data
-                and _json_int(data["parity"], "parity") != spin.parity):
+        if "parity" in data and json_int(data["parity"], "parity",
+                                         "spin structure") != spin.parity:
             raise InputError("stored parity disagrees with the sign sum")
         return spin
-
-
-def _json_int(value, field):
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"spin structure field {field!r} holds {value!r}, "
-                         "not an integer") from exc
 
 
 class SpinGraph:

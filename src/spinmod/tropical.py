@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .cycles import EdgeSet
 from .errors import DomainError, InputError, VerificationError
-from .graphs import Graph, is_stable
+from .graphs import Graph, is_stable, json_int
 from .morphisms import (automorphisms, canonical_key, contract, order_test,
                         push_spin, spin_action)
 from .posets import max_rank, poset_stats
@@ -61,7 +61,7 @@ def as_length(value, positive=False):
         return INF
     if isinstance(value, float):
         raise InputError("lengths must be exact rationals, not floats")
-    x = Fraction(value)
+    x = value if type(value) is Fraction else Fraction(value)
     if x < 0 or (positive and x == 0):
         kind = "positive" if positive else "non-negative"
         raise InputError(f"lengths must be {kind}, got {x}")
@@ -85,7 +85,8 @@ def length_from_json(obj):
     if obj == "inf":
         return INF
     try:
-        return as_length(Fraction(obj["num"], obj["den"]))
+        return as_length(Fraction(json_int(obj["num"], "num", "length"),
+                                  json_int(obj["den"], "den", "length")))
     except (KeyError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"malformed length entry {obj!r}: {exc}") from exc
 

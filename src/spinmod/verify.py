@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import random
+import resource
+import sys
 import time
 from fractions import Fraction
 
@@ -73,13 +75,19 @@ def suite_counts(g, classes):
     ]
 
 
+def peak_rss_kib():
+    """The peak resident set size of this process so far, in KiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak // 1024 if sys.platform == "darwin" else peak
+
+
 def _timed(phases, name, run, *args, **kwargs):
     """``run(*args, **kwargs)``; when ``phases`` is a dict, the seconds it
-    took are stored as ``phases[name]``."""
+    took and the peak RSS in KiB after it are stored as ``phases[name]``."""
     started = time.perf_counter()
     out = run(*args, **kwargs)
     if phases is not None:
-        phases[name] = time.perf_counter() - started
+        phases[name] = (time.perf_counter() - started, peak_rss_kib())
     return out
 
 
@@ -413,8 +421,9 @@ def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0,
 
     When ``seconds`` is a dict, it receives the time each suite that ran
     took, by suite name; a suite that first reads the spin poset includes
-    its build.  When ``phases`` is a dict, it receives the time of each
-    phase that ran: ``enumerate`` (before any suite), ``graph_poset``,
+    its build.  When ``phases`` is a dict, it receives, for each phase
+    that ran, its seconds paired with the process's peak RSS in KiB after
+    it: ``enumerate`` (before any suite), ``graph_poset``,
     ``cyclic_poset``, ``spin_poset``, ``cone_complex``, ``fuzz_chains``,
     ``aut_factorization`` and ``fuzz_families``."""
     classes = _timed(phases, "enumerate", enumerate_stable_graphs, g, n,

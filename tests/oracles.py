@@ -1,23 +1,26 @@
 """Test oracles: spin structures acted on one image at a time, the
 refinement postconditions that key every lift, the 3-regular seeding
-that tries every leg assignment, and the fuzz chains run in draw order.
+that tries every leg assignment, the fuzz chains run in draw order, and
+the order test that contracts every edge subset of the right size.
 
 The package carries each (map, cyclic set) component map once and folds
 sign vectors through it, looks refinement lifts up in one orbit table,
-seeds 3-regular classes once per leg pattern and runs the fuzz chains
-class by class, contracting each distinct (graph, edge set) once.  These
-are the definitions those routines must reproduce exactly.
+seeds 3-regular classes once per leg pattern, runs the fuzz chains class
+by class, contracting each distinct (graph, edge set) once, and
+contracts only the edge subsets whose first Betti number is the drop in
+b1.  These are the definitions those routines must reproduce exactly.
 """
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
 from spinmod.graphs import Graph
-from spinmod.morphisms import (Contraction, automorphisms, canonical_key,
-                               contract, push_cycle, push_vertex_set)
+from spinmod.morphisms import (Contraction, SpinCarry, automorphisms,
+                               canonical_form, canonical_key, contract,
+                               push_cycle, push_vertex_set, spin_orbits)
 from spinmod.posets import _multigraphs_with_degrees
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
@@ -58,6 +61,28 @@ def push_spin(contraction, spin):
     if out.parity != spin.parity:
         raise VerificationError("pushforward changed the parity")
     return out
+
+
+def order_test(upper, lower):
+    """The witness search that contracts every edge subset of the right
+    size in canonical order: the first contraction whose target has the
+    certificate of ``lower``'s graph and whose pushed structure, carried
+    onto that graph, lies in the orbit of ``lower``'s."""
+    ga, gb = upper.graph, lower.graph
+    if ga.genus != gb.genus or ga.n_legs != gb.n_legs:
+        return None
+    k = ga.n_edges - gb.n_edges
+    if k < 0:
+        return None
+    cert_b, _ = canonical_form(gb)
+    _, orbit_of = spin_orbits(gb, [lower.spin])
+    for subset in combinations(range(ga.n_edges), k):
+        c = contract(ga, EdgeSet.from_indices(ga, subset))
+        if canonical_form(c.target)[0] != cert_b:
+            continue
+        if SpinCarry(c.onto(gb), upper.spin).fold(upper.spin) in orbit_of:
+            return c
+    return None
 
 
 def keyed_refinement_postconditions(split, candidate, graph, target_key):

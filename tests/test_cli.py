@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -272,8 +273,24 @@ def theta_family_with(path, value):
     (theta_family_with(("val",), 3), "'val'"),
     (theta_family_with(("spin", "sign", 0, "s"), "a"), "'sign'"),
     (theta_family_with(("spin", "parity"), "x"), "'parity'"),
+    (theta_family_with(("graph", "vertices", 0, "weight"), 0.7), "'weight'"),
+    (theta_family_with(("graph", "vertices", 1, "id"), 0.5), "'id'"),
+    (theta_family_with(("graph", "vertices", 1, "id"), 0),
+     "duplicate vertex id 0"),
+    (theta_family_with(("graph", "edges", 0, 0), 0.2), "'edges'"),
+    (theta_family_with(("spin", "sign", 0, "s"), 1.9), "'sign'"),
+    (theta_family_with(("spin", "parity"), 1.5), "'parity'"),
+    (theta_family_with(("spin", "parity"), True), "'parity'"),
+    (theta_family_with(("val", 0), {"num": True, "den": 1}), "'num'"),
+    (theta_family_with(("spin", "sign", 0, "component"), 0.5),
+     "'component'"),
+    (theta_family_with(("spin", "sign", 0, "component"), 1),
+     "'component'"),
 ], ids=["not-utf8", "top-level-list", "val-number", "sign-letter",
-        "parity-letter"])
+        "parity-letter", "weight-fraction", "id-fraction", "id-duplicate",
+        "endpoint-fraction", "sign-fraction", "parity-fraction",
+        "parity-bool", "num-bool", "component-fraction",
+        "component-out-of-range"])
 def test_malformed_trop_descriptor_is_input_error(tmp_path, content, named):
     path = tmp_path / "family.json"
     path.write_bytes(content)
@@ -349,9 +366,9 @@ def test_without_out_only_the_report_is_serialized(command, tmp_path,
             "enumerate": ["enumerate", "--g", "2", "--n", "0", "--kind",
                           "spin", "--format", "json"]}[command]
     dumped = []
-    original = cli.json.dumps
-    monkeypatch.setattr(cli.json, "dumps",
-                        lambda *a, **k: dumped.append(1) or original(*a, **k))
+    original = cli._to_json
+    monkeypatch.setattr(cli, "_to_json",
+                        lambda obj: dumped.append(1) or original(obj))
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["outputs"] == []
     assert len(dumped) == 1
@@ -370,6 +387,92 @@ def test_written_result_is_the_report_body(command, tmp_path, capsys):
             if k not in ("command", "inputs", "timings", "outputs")}
     assert (out / written.rsplit("/", 1)[-1]).read_text() == \
         json.dumps(body, indent=2, sort_keys=True)
+
+
+ENCODER_CASES = {
+    "empty": [{}, [], (), {"a": {}, "b": [], "c": ()}],
+    "nested": {"z": [1, {"y": (2, [3, {"x": []}])}], "a": {"b": {"c": 0}}},
+    "tuples": ((), (1,), ((1, 2), [3])),
+    "strings": ["", "plain", "é ü 日本 ☃ \U0001f600", "\"quoted\"",
+                "back\\slash", "\n\t\r\x00\x1f\x7f"],
+    "string-keys": {"é": 1, "\"": 2, "\\": 3, "": 4, "日本": 5},
+    "constants": [True, False, None, {"t": True, "f": False, "n": None}],
+    "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 0.1, 2.5],
+    "big-ints": [2 ** 64 + 1, -(2 ** 70), 0, -1],
+    "int-keys": {10: "a", 2: "b", -1: "c"},
+    "float-keys": {1.5: 1, -0.0: 2, math.inf: 3, math.nan: 4},
+    "bool-keys": {True: 1, False: 0},
+    "none-key": {None: [None]},
+}
+
+
+@pytest.mark.parametrize("obj", list(ENCODER_CASES.values()),
+                         ids=list(ENCODER_CASES))
+def test_encoder_matches_json_dumps(obj):
+    assert cli._to_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    {1: "a", "b": 2}, Fraction(1, 2), {"a": [Fraction(1, 2)]},
+    {(1, 2): 0}, {1, 2}, [object()],
+], ids=["mixed-keys", "fraction", "nested-fraction", "tuple-key", "set",
+        "object"])
+def test_encoder_raises_where_json_dumps_does(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._to_json(obj)
+
+
+@pytest.fixture
+def checked_encoder(monkeypatch):
+    """``cli._to_json``, checked against ``json.dumps`` on every call."""
+    original = cli._to_json
+    encoded = []
+
+    def checked(obj):
+        text = original(obj)
+        assert text == json.dumps(obj, indent=2, sort_keys=True)
+        encoded.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "_to_json", checked)
+    return encoded
+
+
+def test_encoder_matches_json_dumps_on_trop_answers(tmp_path, capsys,
+                                                    checked_encoder):
+    # every spin class at (2,1), with seeded valuations, some infinite
+    import random
+
+    from spinmod.posets import build_spin_poset
+    from spinmod.tropical import INF
+
+    rng = random.Random(21)
+    path = tmp_path / "family.json"
+    nodes = build_spin_poset(2, 1).nodes
+    for node in nodes:
+        val = [INF if rng.random() < 0.3 else Fraction(rng.randint(1, 9),
+                                                        rng.randint(1, 4))
+               for _ in range(node.rep.graph.n_edges)]
+        path.write_text(json.dumps(
+            FamilyDescriptor(node.rep, val).to_json_dict()))
+        assert main(["trop", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len(checked_encoder) == len(nodes) == 85
+    assert out == "".join(text + "\n" for text in checked_encoder)
+
+
+def test_encoder_matches_json_dumps_on_reports_and_files(tmp_path, capsys,
+                                                         checked_encoder):
+    assert main(["verify", "--g", "1", "--n", "1"]) == 0
+    out = tmp_path / "out"
+    assert main(["enumerate", "--g", "2", "--n", "0", "--kind", "spin",
+                 "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    # the verify report, the enumerate file and the enumerate report
+    assert len(checked_encoder) == 3
+    assert (out / "spin_2_0.json").read_text() == checked_encoder[1]
 
 
 def test_unwritten_csv_still_checks_the_cone_complex(monkeypatch, capsys):
@@ -476,3 +579,22 @@ def test_verify_reports_the_time_of_each_phase(capsys):
                  "counts"]) == 0
     assert set(json.loads(capsys.readouterr().out)["timings"]["phases"]) \
         == {"enumerate"}
+
+
+def test_verify_reports_the_memory_after_each_phase(tmp_path, capsys):
+    assert main(["verify", "--g", "2", "--n", "0", "--suite", "all",
+                 "--fuzz", "50"]) == 0
+    timings = json.loads(capsys.readouterr().out)["timings"]
+    memory = timings["memory"]
+    assert set(memory) == {"peak_rss_kib", "phases"}
+    assert set(memory["phases"]) == set(timings["phases"])
+    assert all(type(kib) is int and 0 < kib <= memory["peak_rss_kib"]
+               for kib in memory["phases"].values())
+    # a high-water mark never falls, and the enumeration runs first
+    assert memory["phases"]["enumerate"] == min(memory["phases"].values())
+    # trop and enumerate reports keep only their total time
+    for argv in (["trop", str(write_theta_family(tmp_path))],
+                 ["enumerate", "--g", "1", "--n", "1"]):
+        assert main(argv) == 0
+        assert set(json.loads(capsys.readouterr().out)["timings"]) == \
+            {"seconds"}

@@ -181,6 +181,24 @@ def test_json_malformed():
         Graph.from_json_dict(json.loads('{"edges": []}'))
 
 
+@pytest.mark.parametrize("path,value,named", [
+    (("half_edges", "endpoint", "0"), 0.5, "'endpoint'"),
+    (("half_edges", "involution", "0"), True, "'involution'"),
+    (("half_edges", "legs", 0), 6.0, "'legs'"),
+    (("legs", 0), False, "'legs'"),
+    (("exceptional",), [0.0], "'exceptional'"),
+])
+def test_json_fields_must_be_integers(path, value, named):
+    data = make_one_loop_one_leg().to_json_dict(
+        half_edges=path[0] == "half_edges")
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(InputError, match=named):
+        Graph.from_json_dict(data)
+
+
 def test_dot_export(theta):
     dot = theta.to_dot()
     assert dot.startswith("graph G {")

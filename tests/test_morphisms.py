@@ -6,10 +6,10 @@ import pytest
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import InputError, VerificationError
 from spinmod.graphs import Graph, genus
-from spinmod.morphisms import (automorphisms, canonical_key, composed_edges,
-                               contract, cyclic_canonical_key, order_test,
-                               push_cycle, push_spin, push_vertex_set,
-                               quotient_action_order)
+from spinmod.morphisms import (SpinCarry, automorphisms, canonical_key,
+                               composed_edges, contract, cyclic_canonical_key,
+                               order_test, push_cycle, push_spin,
+                               push_vertex_set, quotient_action_order)
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
@@ -240,7 +240,7 @@ def test_spin_orbits_match_keys():
         group = automorphisms(g)
         by_orbit = {}
         for s in enumerate_spin(g):
-            orbit = min(a.act_spin(s).data()
+            orbit = min(oracles.act_spin(a, s).data()
                         for a in group.elements)
             by_orbit.setdefault(orbit, set()).add(s.data())
         by_key = {}
@@ -442,6 +442,50 @@ def test_order_test_matches_the_keyed_search():
     assert 0 < found < 7225
 
 
+def _generic_fibers(g, n, seed):
+    """Each spin class of ``(g, n)`` with a seeded valuation, paired with
+    its generic fiber: the finite edges contracted, the spin structure
+    pushed forward."""
+    from spinmod.posets import build_spin_poset
+
+    rng = random.Random(seed)
+    for node in build_spin_poset(g, n).nodes:
+        upper = node.rep
+        finite = [i for i in range(upper.graph.n_edges) if rng.random() < 0.6]
+        c = contract(upper.graph, finite)
+        yield upper, SpinGraph(c.target, push_spin(c, upper.spin))
+
+
+def _same_witness(upper, lower):
+    witness = order_test(upper, lower)
+    expected = oracles.order_test(upper, lower)
+    assert (witness is None) == (expected is None)
+    if witness is not None:
+        assert witness.to_json_dict() == expected.to_json_dict()
+    return witness
+
+
+@pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0)])
+def test_order_test_skips_only_subsets_that_cannot_witness(g, n):
+    # the b1 filter finds the same first witness as contracting every
+    # subset, and no witness where that search finds none
+    unrelated = 0
+    for upper, generic in _generic_fibers(g, n, seed=g * 10 + n):
+        assert _same_witness(upper, generic) is not None
+        if generic.graph.n_edges < upper.graph.n_edges:
+            # the wrong rank: a contraction never adds edges
+            assert _same_witness(generic, upper) is None
+            unrelated += 1
+        # a structure outside the generic one's orbit: the other parity
+        other = next((s for s in enumerate_spin(generic.graph)
+                      if s.parity != generic.parity), None)
+        if other is not None:
+            assert _same_witness(upper, SpinGraph(generic.graph, other)) \
+                is None
+            unrelated += 1
+    assert unrelated > 0
+
+
 def test_order_test_full_contraction(theta):
     upper = SpinGraph(theta, spin(theta, [0, 1], (1,)))
     gw = make_weight_vertex(2)
@@ -475,7 +519,7 @@ def test_act_spin_rejects_bad_decomposition(theta):
     theta.__dict__["_pbar_decompositions"][0] = wrong
     ident = automorphisms(theta).elements[0]
     with pytest.raises(VerificationError) as info:
-        ident.act_spin(s)
+        SpinCarry(ident, s).image(s)
     assert info.value.witnesses == (canonical_key(theta), "P=0", "image=0")
 
 
@@ -499,7 +543,7 @@ def test_act_spin_rejects_genus_change():
     rose.__dict__["_pbar_decompositions"][1] = wrong
     ident = automorphisms(rose).elements[0]
     with pytest.raises(VerificationError, match="genus") as info:
-        ident.act_spin(s)
+        SpinCarry(ident, s).image(s)
     assert info.value.witnesses == (canonical_key(rose), "P=1", "image=1")
 
 
@@ -515,7 +559,7 @@ def test_act_spin_rejects_a_component_carried_onto_part_of_one():
     with pytest.raises(VerificationError,
                        match="maps component 0 of the opened graph onto "
                              "no component") as info:
-        ident.act_spin(s)
+        SpinCarry(ident, s).image(s)
     assert info.value.witnesses == (canonical_key(chain), "P=4", "image=4")
 
 
@@ -603,7 +647,7 @@ def test_spin_actions_match_per_image_oracle(g, n):
         for a in automorphisms(graph).elements:
             for s in spins:
                 want = oracles.act_spin(a, s).data()
-                assert act(a, s) == a.act_spin(s).data() == want
+                assert act(a, s) == SpinCarry(a, s).image(s).data() == want
         for _, c in _edge_contractions(graph, reps):
             for s in spins:
                 want = oracles.push_spin(c, s).data()

@@ -263,10 +263,10 @@ def test_spin_orbit_counts_match_burnside():
         for graph in enumerate_stable_graphs(g, n):
             group = automorphisms(graph)
             spins = enumerate_spin(graph)
-            orbits = {min(a.act_spin(s).data()
+            orbits = {min(oracles.act_spin(a, s).data()
                           for a in group.elements) for s in spins}
             fixed = sum(1 for a in group.elements for s in spins
-                        if a.act_spin(s).data() == s.data())
+                        if oracles.act_spin(a, s).data() == s.data())
             assert len(orbits) * group.order == fixed
 
 
@@ -300,7 +300,7 @@ def test_orbit_representatives_are_orbit_minima(g, n):
         check(group, enumerate_cyclic(graph), lambda p: p.mask,
               lambda a, p: a.act_mask(p.mask))
         check(group, enumerate_spin(graph), SpinStructure.data,
-              lambda a, s: a.act_spin(s).data())
+              lambda a, s: oracles.act_spin(a, s).data())
 
 
 def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
@@ -501,7 +501,7 @@ def test_orbit_step_stabilizers_are_the_spin_stabilizers(g, n):
         assert automorphisms(graph, restrict="spin", spin=spin) is seeded
         assert seeded.elements == tuple(
             a for a in automorphisms(graph).elements
-            if a.act_spin(spin) == spin)
+            if oracles.act_spin(a, spin) == spin)
 
 
 def test_shared_orbit_key_is_verification_error(monkeypatch):

@@ -94,8 +94,8 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     # more.  Every other image comes from a walk over the orbit of one
     # structure: a spin key, the target of a refinement or the lower side
     # of an order test, each acting with its graph's whole group once;
-    # the refinement suite's stabilizers add 64.  No image is built as a
-    # spin structure by Aut.act_spin.
+    # the refinement suite's stabilizers add 64.  No automorphism's image
+    # is built as a spin structure.
     from spinmod import morphisms
 
     calls = []
@@ -109,10 +109,14 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
 
     monkeypatch.setattr(morphisms.SpinCarry, "fold", counting_fold)
     acted = []
-    original = Aut.act_spin
-    monkeypatch.setattr(Aut, "act_spin",
-                        lambda self, spin: acted.append(spin)
-                        or original(self, spin))
+    image = morphisms.SpinCarry.image
+
+    def counting_image(self, spin):
+        if isinstance(self.f, Aut):
+            acted.append(spin)
+        return image(self, spin)
+
+    monkeypatch.setattr(morphisms.SpinCarry, "image", counting_image)
     for module, name in ((tropical, "build_cone_complex"),
                          (verify, "check_aut_factorization")):
         inner = getattr(module, name)
