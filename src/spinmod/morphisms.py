@@ -758,7 +758,10 @@ def order_test(upper, lower):
     from ``upper``'s to ``lower``'s, since contracting a set lowers b1 by
     exactly its own.  A contraction whose target has the certificate of
     ``lower``'s graph is carried onto that graph, and it is a witness
-    when the pushed structure lies in the orbit of ``lower``'s.
+    when the pushed structure lies in the orbit of ``lower``'s.  Since
+    the identity lies in every group, a structure pushed onto ``lower``'s
+    own is a witness at once; the orbit is walked, at most once per call,
+    only for a candidate that pushes somewhere else.
     """
     ga, gb = upper.graph, lower.graph
     if ga.genus != gb.genus or ga.n_legs != gb.n_legs:
@@ -768,7 +771,8 @@ def order_test(upper, lower):
         return None
     drop = ga.b1 - gb.b1
     cert_b, _ = canonical_form(gb)
-    _, orbit_of = spin_orbits(gb, [lower.spin])
+    target = lower.spin.data()
+    orbit_of = None
     for subset in combinations(range(ga.n_edges), k):
         edges = EdgeSet.from_indices(ga, subset)
         if edges.b1 != drop:
@@ -776,6 +780,11 @@ def order_test(upper, lower):
         c = contract(ga, edges)
         if canonical_form(c.target)[0] != cert_b:
             continue
-        if SpinCarry(c.onto(gb), upper.spin).fold(upper.spin) in orbit_of:
+        pushed = SpinCarry(c.onto(gb), upper.spin).fold(upper.spin)
+        if pushed == target:
+            return c
+        if orbit_of is None:
+            _, orbit_of = spin_orbits(gb, [lower.spin])
+        if pushed in orbit_of:
             return c
     return None

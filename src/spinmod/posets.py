@@ -316,6 +316,26 @@ class Poset:
         """True when node j lies below node i in the order."""
         return j in self.descendants(i)
 
+    def reaches_top(self):
+        """For each node, whether it lies below some node of the top rank
+        ``3g-3+n``, from one pass over the covers.
+
+        The upper ends of the covers are visited from the highest rank
+        down, whatever the node order, so each node is marked before the
+        nodes it covers are read.  That needs every cover to descend in
+        rank, as :func:`poset_stats` checks.
+        """
+        top = max_rank(self.g, self.n)
+        ranks = [node.rank for node in self.nodes]
+        reaches = [rank == top for rank in ranks]
+        below = self.lower_of
+        for u in sorted(range(len(ranks)), key=ranks.__getitem__,
+                        reverse=True):
+            if reaches[u]:
+                for l in below.get(u, ()):
+                    reaches[l] = True
+        return reaches
+
     def components(self):
         return connected_classes(range(len(self.nodes)), self.covers)
 

@@ -209,8 +209,9 @@ def pi_trop_fiber(curve):
 
 class ConeCell:
     """A cell of the moduli cone complex: one spin class, its dimension,
-    the order of the induced action on the cone coordinates, and the
-    higher cells whose closures contain it."""
+    and the order of the induced action on the cone coordinates.  Its
+    faces follow the poset order: the cell of node ``j`` is a face of the
+    cell of node ``i`` exactly when ``poset.leq(i, j)``."""
 
     def __init__(self, key, dim, parity, aut_edge_order, rep):
         self.key = key
@@ -218,7 +219,6 @@ class ConeCell:
         self.parity = parity
         self.aut_edge_order = aut_edge_order
         self.rep = rep
-        self.face_of = ()
 
     def __repr__(self):
         return (f"ConeCell(dim={self.dim}, parity={self.parity}, "
@@ -230,6 +230,10 @@ def build_cone_complex(poset):
 
     Returns ``(cells, report)`` where the report includes the purity and
     connectivity checks (both verified here, with witnesses on failure).
+    Purity is one pass over the covers (:meth:`Poset.reaches_top`); the
+    first cell, in node order, that lies below no top cell is the
+    witness.  A pure complex walks every cover, so ``covers`` counts
+    them all.
     """
     stats = poset_stats(poset)
     cells = []
@@ -237,21 +241,14 @@ def build_cone_complex(poset):
         group = automorphisms(nd.rep.graph, restrict="spin", spin=nd.rep.spin)
         cells.append(ConeCell(nd.key, nd.rank, nd.parity,
                               group.order_edge, nd.rep))
-    ancestors = {i: set() for i in range(len(poset.nodes))}
-    for i in range(len(poset.nodes)):
-        for j in poset.descendants(i):
-            if j != i:
-                ancestors[j].add(i)
-    top = max_rank(poset.g, poset.n)
-    for j, cell in enumerate(cells):
-        cell.face_of = tuple(sorted(ancestors[j]))
-        if cell.dim != top and not any(cells[i].dim == top
-                                       for i in cell.face_of):
+    for cell, reaches in zip(cells, poset.reaches_top()):
+        if not reaches:
             raise VerificationError(
                 "cell is not a face of any top-dimensional cell",
                 (cell.key,))
-    report = {"cells": len(cells), "dimension": top,
+    report = {"cells": len(cells), "dimension": max_rank(poset.g, poset.n),
               "pure": True, "components": stats["components"],
+              "covers": len(poset.covers),
               "by_parity": {p: sum(1 for c in cells if c.parity == p)
                             for p in (0, 1)}}
     return cells, report

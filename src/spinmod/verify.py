@@ -121,17 +121,14 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
                    "classes": len(graph_poset.nodes)})
 
     # purity precursor on the graph poset: everything below a top class
-    tops = [i for i, nd in enumerate(graph_poset.nodes) if nd.rank == top]
-    reached = set()
-    for t in tops:
-        reached |= graph_poset.descendants(t)
-    if reached != set(range(len(graph_poset.nodes))):
-        missing = set(range(len(graph_poset.nodes))) - reached
+    reaches = graph_poset.reaches_top()
+    if not all(reaches):
         raise VerificationError(
             "classes not dominated by any top class",
-            tuple(graph_poset.nodes[i].key for i in sorted(missing)))
+            tuple(nd.key for nd, r in zip(graph_poset.nodes, reaches)
+                  if not r))
     checks.append({"name": "purity-precursor", "status": "pass",
-                   "reached": len(reached)})
+                   "reached": sum(reaches)})
 
     # forgetful maps: even spin -> cyclic -> graphs, monotone surjections
     cyclic_cover_set = set(cyclic_poset.covers)

@@ -5,10 +5,13 @@ are predictable: edges are indexed in input order (build assigns
 half-edge ids 2i, 2i+1 to edge i).
 """
 
+import random
+
 import pytest
 
 from spinmod.errors import InputError
 from spinmod.graphs import Graph
+from spinmod.posets import Poset
 
 
 def make_theta():
@@ -66,6 +69,24 @@ def subgraph_on(graph, vertex_set):
     legs = [h for h in graph.legs if h in endpoint]
     return Graph(weight, endpoint, involution, legs,
                  graph.exceptional & vs)
+
+
+def without_covers_into(poset, node):
+    """``poset`` with every cover into ``node`` removed: a hand-made poset
+    in which ``node``, and whatever lies below it alone, lies below no top
+    node."""
+    return Poset(poset.kind, poset.g, poset.n, poset.nodes,
+                 [c for c in poset.covers if c[1] != node])
+
+
+def shuffled(poset, seed):
+    """The same poset with its nodes in a seeded random order."""
+    order = list(range(len(poset.nodes)))
+    random.Random(seed).shuffle(order)
+    where = {old: new for new, old in enumerate(order)}
+    return Poset(poset.kind, poset.g, poset.n,
+                 [poset.nodes[i] for i in order],
+                 [(where[u], where[l]) for u, l in poset.covers])
 
 
 @pytest.fixture(autouse=True)

@@ -1,14 +1,17 @@
 """Test oracles: spin structures acted on one image at a time, the
 refinement postconditions that key every lift, the 3-regular seeding
-that tries every leg assignment, the fuzz chains run in draw order, and
-the order test that contracts every edge subset of the right size.
+that tries every leg assignment, the fuzz chains run in draw order, the
+order test that contracts every edge subset of the right size and walks
+the lower orbit up front, and purity read off the full face closure.
 
 The package carries each (map, cyclic set) component map once and folds
 sign vectors through it, looks refinement lifts up in one orbit table,
 seeds 3-regular classes once per leg pattern, runs the fuzz chains class
-by class, contracting each distinct (graph, edge set) once, and
-contracts only the edge subsets whose first Betti number is the drop in
-b1.  These are the definitions those routines must reproduce exactly.
+by class, contracting each distinct (graph, edge set) once, contracts
+only the edge subsets whose first Betti number is the drop in b1 and
+walks the lower orbit only for a candidate that needs it, and checks
+purity in one pass over the covers.  These are the definitions those
+routines must reproduce exactly.
 """
 
 import random
@@ -21,7 +24,7 @@ from spinmod.graphs import Graph
 from spinmod.morphisms import (Contraction, SpinCarry, automorphisms,
                                canonical_form, canonical_key, contract,
                                push_cycle, push_vertex_set, spin_orbits)
-from spinmod.posets import _multigraphs_with_degrees
+from spinmod.posets import _multigraphs_with_degrees, max_rank
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
 import key_oracle
@@ -67,7 +70,7 @@ def order_test(upper, lower):
     """The witness search that contracts every edge subset of the right
     size in canonical order: the first contraction whose target has the
     certificate of ``lower``'s graph and whose pushed structure, carried
-    onto that graph, lies in the orbit of ``lower``'s."""
+    onto that graph, lies in the orbit of ``lower``'s, walked up front."""
     ga, gb = upper.graph, lower.graph
     if ga.genus != gb.genus or ga.n_legs != gb.n_legs:
         return None
@@ -193,3 +196,50 @@ def fuzz_contraction_chains(classes, count=1000, seed=0, record=None):
             record.append((id(graph), c1.contracted.mask,
                            c2.contracted.mask, p.mask, s.data(), e))
     return done
+
+
+def face_closure(poset):
+    """For each node, the sorted nodes strictly above it: one
+    ``descendants`` walk per node, inverted.  The cone complex once
+    stored this as each cell's faces."""
+    above = [set() for _ in poset.nodes]
+    for i in range(len(poset.nodes)):
+        for j in poset.descendants(i):
+            if j != i:
+                above[j].add(i)
+    return [tuple(sorted(a)) for a in above]
+
+
+def reaches_top(poset):
+    """Whether each node has the top rank or lies below a node that
+    does, read off the face closure."""
+    top = max_rank(poset.g, poset.n)
+    return [nd.rank == top or any(poset.nodes[i].rank == top for i in above)
+            for nd, above in zip(poset.nodes, face_closure(poset))]
+
+
+def cone_purity(poset):
+    """The cone complex's purity check over the face closure: the first
+    cell, in node order, that is a face of no top-dimensional cell
+    raises, with its key as witness."""
+    for nd, reaches in zip(poset.nodes, reaches_top(poset)):
+        if not reaches:
+            raise VerificationError(
+                "cell is not a face of any top-dimensional cell", (nd.key,))
+
+
+def purity_precursor(graph_poset):
+    """The union of ``descendants(t)`` over the top classes; the classes
+    outside it raise, as keys in index order.  Returns the count
+    reached."""
+    top = max_rank(graph_poset.g, graph_poset.n)
+    reached = set()
+    for t, nd in enumerate(graph_poset.nodes):
+        if nd.rank == top:
+            reached |= graph_poset.descendants(t)
+    missing = sorted(set(range(len(graph_poset.nodes))) - reached)
+    if missing:
+        raise VerificationError(
+            "classes not dominated by any top class",
+            tuple(graph_poset.nodes[i].key for i in missing))
+    return len(reached)

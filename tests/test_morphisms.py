@@ -486,6 +486,34 @@ def test_order_test_skips_only_subsets_that_cannot_witness(g, n):
     assert unrelated > 0
 
 
+@pytest.mark.parametrize("g,n", [(2, 1), (3, 0)])
+def test_order_test_walks_the_lower_orbit_only_when_it_must(g, n,
+                                                            monkeypatch):
+    # a candidate pushed onto the lower structure itself is a witness
+    # without the orbit; moving the lower structure along its orbit makes
+    # some searches walk it, never more than once, and every witness
+    # stays the one the up-front walk finds
+    from spinmod import morphisms
+
+    walks = []
+    walk = morphisms.spin_orbits
+    monkeypatch.setattr(morphisms, "spin_orbits",
+                        lambda graph, spins, *a: walks.append(graph)
+                        or walk(graph, spins, *a))
+    per_call = []
+    for upper, generic in _generic_fibers(g, n, seed=g * 10 + n):
+        moved = {}
+        for a in automorphisms(generic.graph).elements:
+            image = SpinCarry(a, generic.spin).image(generic.spin)
+            moved.setdefault(image.data(), image)
+        for image in moved.values():
+            before = len(walks)
+            assert _same_witness(upper, SpinGraph(generic.graph, image)) \
+                is not None
+            per_call.append(len(walks) - before)
+    assert set(per_call) == {0, 1}
+
+
 def test_order_test_full_contraction(theta):
     upper = SpinGraph(theta, spin(theta, [0, 1], (1,)))
     gw = make_weight_vertex(2)

@@ -9,6 +9,7 @@ from spinmod.posets import (build_cyclic_poset, build_graph_poset,
                             enumerate_stable_graphs, max_rank, poset_stats,
                             stable_graphs_direct, three_regular_graphs)
 
+from conftest import shuffled, without_covers_into
 import key_oracle
 import oracles
 
@@ -167,6 +168,39 @@ def test_purity_every_node_below_a_top_node():
         for t in tops:
             covered |= poset.descendants(t)
         assert covered == set(range(len(poset.nodes)))
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
+def test_reaches_top_matches_the_face_closure(g, n):
+    # one pass over the covers marks exactly the nodes the full closure
+    # puts below a top node, on the graph, cyclic and spin posets
+    classes = enumerate_stable_graphs(g, n)
+    for build in (build_graph_poset, build_cyclic_poset, build_spin_poset):
+        poset = build(g, n, _classes=classes)
+        reaches = poset.reaches_top()
+        assert reaches == oracles.reaches_top(poset)
+        assert all(reaches)
+
+
+@pytest.mark.parametrize("build,node,unreached", [
+    (build_graph_poset, 30, [8, 20, 30]),
+    (build_spin_poset, 309, [82, 190, 309]),
+])
+def test_reaches_top_in_any_node_order(build, node, unreached):
+    # with every cover into one rank-5 node of (3,0) removed, that node
+    # and the nodes below it alone reach no top node, whatever the order
+    # of the nodes
+    poset = without_covers_into(build(3, 0), node)
+    poset_stats(poset)
+    reaches = poset.reaches_top()
+    assert [i for i, r in enumerate(reaches) if not r] == unreached
+    assert reaches == oracles.reaches_top(poset)
+    for seed in range(4):
+        mixed = shuffled(poset, seed)
+        assert mixed.reaches_top() == oracles.reaches_top(mixed)
+        assert sorted(mixed.nodes[i].key for i, r in
+                      enumerate(mixed.reaches_top()) if not r) == \
+            sorted(poset.nodes[i].key for i in unreached)
 
 
 def test_top_rank_is_three_regular():

@@ -7,7 +7,7 @@ from spinmod.cycles import EdgeSet
 from spinmod.errors import InputError, VerificationError
 from spinmod.graphs import Graph
 from spinmod.morphisms import canonical_key
-from spinmod.posets import build_spin_poset
+from spinmod.posets import build_spin_poset, poset_stats
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 from spinmod.tropical import (INF, FamilyDescriptor,
                               SpinTropicalCurve, TropicalCurve,
@@ -18,7 +18,7 @@ from spinmod.tropical import (INF, FamilyDescriptor,
                               pi_trop_fiber, trop_family)
 
 from conftest import (make_one_loop_one_leg, make_theta,
-                      make_two_loops, make_weight_vertex)
+                      make_two_loops, make_weight_vertex, without_covers_into)
 import oracles
 
 
@@ -127,8 +127,10 @@ def test_curve_automorphisms_stabilize_lengths(theta):
 
 
 def test_cone_complex_11():
-    cells, report = build_cone_complex(build_spin_poset(1, 1))
+    poset = build_spin_poset(1, 1)
+    cells, report = build_cone_complex(poset)
     assert report["cells"] == 5
+    assert report["covers"] == len(poset.covers) == 3
     assert sorted(c.dim for c in cells) == [0, 0, 1, 1, 1]
     assert report["components"] == 2
     assert report["by_parity"] == {0: 3, 1: 2}
@@ -148,6 +150,25 @@ def test_cone_complex_03():
     assert report["cells"] == 1
     assert cells[0].dim == 0
     assert report["components"] == 1
+
+
+@pytest.mark.parametrize("g,n,node,witness", [
+    (2, 0, 10, 10), (1, 2, 5, 5), (2, 0, 17, 4)])
+def test_impure_cone_complex_raises_as_the_face_closure_does(g, n, node,
+                                                              witness):
+    # a real spin poset with every cover into one rank-(top-1) node
+    # removed stays graded, connected and split by parity; the first cell
+    # below no top cell, in node order, is the witness
+    poset = without_covers_into(build_spin_poset(g, n), node)
+    poset_stats(poset)
+    with pytest.raises(VerificationError) as want:
+        oracles.cone_purity(poset)
+    with pytest.raises(VerificationError) as got:
+        build_cone_complex(poset)
+    assert str(got.value) == str(want.value) == \
+        "cell is not a face of any top-dimensional cell"
+    assert got.value.witnesses == want.value.witnesses == \
+        (poset.nodes[witness].key,)
 
 
 def test_cone_exports():

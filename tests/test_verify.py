@@ -9,7 +9,7 @@ from spinmod.graphs import classify
 from spinmod.morphisms import Aut, canonical_key
 from spinmod.verify import run_suites
 
-from conftest import make_theta
+from conftest import make_theta, without_covers_into
 import oracles
 
 
@@ -93,7 +93,8 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     # it meets, so the cone complex and the factorization check act no
     # more.  Every other image comes from a walk over the orbit of one
     # structure: a spin key, the target of a refinement or the lower side
-    # of an order test, each acting with its graph's whole group once;
+    # of an order test that meets a candidate pushed elsewhere than onto
+    # it, each acting with its graph's whole group once;
     # the refinement suite's stabilizers add 64.  No automorphism's image
     # is built as a spin structure.
     from spinmod import morphisms
@@ -143,7 +144,35 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     assert calls.count("build_cone_complex") == 0
     assert calls.count("check_aut_factorization") == 0
     assert acted == []
-    assert len(calls) == 3986 + sum(walked) + 64 == 5786
+    assert len(calls) == 3986 + sum(walked) + 64 == 5607
+
+
+def test_purity_precursor_agrees_with_the_union_of_descendants(monkeypatch):
+    # at (2,0) every graph class lies below a top class; with every cover
+    # into class 3 removed, classes 1 and 3 lie below none, and the
+    # precursor names them as the union of descendants does, in index
+    # order
+    classes = posets.enumerate_stable_graphs(2, 0)
+
+    def spin_poset():
+        return posets.build_spin_poset(2, 0, _classes=classes)
+
+    graph_poset = posets.build_graph_poset(2, 0, _classes=classes)
+    records = {c["name"]: c for c in
+               verify.suite_posets(2, 0, classes, spin_poset)}
+    assert records["purity-precursor"]["reached"] == \
+        oracles.purity_precursor(graph_poset) == 7
+    pruned = without_covers_into(graph_poset, 3)
+    with pytest.raises(VerificationError) as want:
+        oracles.purity_precursor(pruned)
+    monkeypatch.setattr(verify, "build_graph_poset",
+                        lambda g, n, _classes: pruned)
+    with pytest.raises(VerificationError) as got:
+        verify.suite_posets(2, 0, classes, spin_poset)
+    assert str(got.value) == str(want.value) == \
+        "classes not dominated by any top class"
+    assert got.value.witnesses == want.value.witnesses == \
+        (pruned.nodes[1].key, pruned.nodes[3].key)
 
 
 def test_counts_suite_spans_each_cycle_space_once(monkeypatch):
