@@ -2,7 +2,13 @@
 
 Morphisms act on vertices and half-edges.  Automorphism groups are
 materialized as full element lists (desk scale), and two action orders
-are exposed: on half-edges and on edges alone.  A graph's canonical key
+are exposed: on half-edges and on edges alone.  A structure over a graph
+(a cyclic set, a spin structure) sees only how an automorphism moves
+vertices and edges, and every loop doubles the group by a flip that
+moves neither.  So orbit walks act with one element per distinct action
+on vertices and edges (:attr:`AutGroup.action_classes`), and expand each
+stabilizer back to every element of the classes that fix the structure,
+so the groups read at half-edge level stay whole.  A graph's canonical key
 is a digest of its certificate, computed by color refinement with
 individualization; the brute-force isomorphism search it is
 cross-checked against lives in the test suite.
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 from .cycles import EdgeSet, boundary, is_cyclic, pbar_decompose
@@ -319,7 +326,12 @@ class Aut:
 
 class AutGroup:
     """Fully materialized automorphism group of a graph (optionally
-    restricted), with its two action orders."""
+    restricted), with its two action orders and its action classes.
+
+    The elements are maps on vertices and half-edges, so flipping a loop
+    is an element of its own, although it moves no vertex and no edge.
+    Orbit walks act through :attr:`action_classes`, one element per
+    distinct action on vertices and edges."""
 
     def __init__(self, graph, elements):
         self.graph = graph
@@ -335,21 +347,45 @@ class AutGroup:
         """Order of the induced action on edges alone."""
         return len({a.edge_perm for a in self.elements})
 
+    @cached_property
+    def action_classes(self):
+        """``(actions, class_of)``: the first element, in group order, of
+        each class of elements with the same vertex map and edge
+        permutation, and each element's class index.  Elements of a class
+        differ only by flips of loops."""
+        vertices = sorted(self.graph.vertices)
+        index = {}
+        actions = []
+        class_of = []
+        for a in self.elements:
+            k = index.setdefault(
+                (tuple(map(a.vertex_map.get, vertices)), a.edge_perm),
+                len(actions))
+            if k == len(actions):
+                actions.append(a)
+            class_of.append(k)
+        return tuple(actions), tuple(class_of)
+
     def orbit_representatives(self, items, data, act):
         """The first item met from each orbit, in the order given, with
         the orbit table and the stabilizers the walk meets.
 
-        An item is kept when its ``data(item)`` has not been seen; every
-        ``act(element, item)`` is then marked seen, so ``act`` must
-        return values comparable with ``data``.  When ``items`` are
-        sorted by ``data`` and closed under the group, each kept item is
-        the minimum of its orbit.
+        An item is kept when its ``data(item)`` has not been seen; its
+        image ``act(a, item)`` under one element ``a`` of each action
+        class is then marked seen, so ``act`` must return values
+        comparable with ``data``.  ``act`` may read only ``a.vertex_map``
+        and ``a.edge_perm`` (as :meth:`Aut.act_mask` and
+        :class:`SpinCarry` do): the other elements of a class then have
+        the same image, and acting with them adds nothing.  When
+        ``items`` are sorted by ``data`` and closed under the group, each
+        kept item is the minimum of its orbit.
 
         Returns ``(reps, orbit_of, stabilizers)``: ``orbit_of`` maps the
         data of every image met to the index of its orbit in ``reps``,
         and ``stabilizers[k]`` is the subgroup of elements fixing
-        ``reps[k]``, in group order.
+        ``reps[k]``: every element whose class fixes it, in group order.
         """
+        actions, class_of = self.action_classes
         orbit_of = {}
         reps = []
         stabilizers = []
@@ -359,13 +395,13 @@ class AutGroup:
                 continue
             k = len(reps)
             reps.append(item)
-            fixing = []
-            for a in self.elements:
+            fixes = []
+            for a in actions:
                 image = act(a, item)
                 orbit_of[image] = k
-                if image == here:
-                    fixing.append(a)
-            stabilizers.append(AutGroup(self.graph, fixing))
+                fixes.append(image == here)
+            stabilizers.append(AutGroup(self.graph, [
+                a for a, c in zip(self.elements, class_of) if fixes[c]]))
         return reps, orbit_of, stabilizers
 
 
@@ -476,7 +512,8 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
 
     ``restrict="spin"`` keeps the elements fixing the given spin
     structure; that stabilizer is memoised per graph object by the
-    structure's data, in ``graph.__dict__`` like the full group.
+    structure's data, in ``graph.__dict__`` like the full group, and a
+    miss walks the orbit of that structure alone.
     ``restrict="pbar"`` keeps those fixing every half-edge
     outside the spin structure's cyclic set and mapping each component of
     the opened graph to itself (the product of the component groups).
@@ -489,12 +526,12 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
                          "same graph")
     if restrict == "spin":
         cache = _stabilizer_memo(graph)
-        stabilizer = cache.get(spin.data())
+        here = spin.data()
+        stabilizer = cache.get(here)
         if stabilizer is None:
-            here = spin.data()
-            stabilizer = cache[here] = AutGroup(graph, [
-                a for a in group.elements
-                if SpinCarry(a, spin).fold(spin) == here])
+            _, _, (stabilizer,) = group.orbit_representatives(
+                [spin], SpinStructure.data, spin_action())
+            cache[here] = stabilizer
         return stabilizer
     if restrict == "pbar":
         outside = [h for i in range(graph.n_edges) if i not in spin.P
@@ -519,7 +556,10 @@ def spin_orbits(graph, spins, cap=AUT_HALF_EDGE_CAP):
     """Orbit representatives of ``spins`` under the full automorphism
     group and the table from spin data to orbit index.
 
-    The stabilizer of each representative comes out of the same walk and
+    The walk folds each representative's signs through one element per
+    action class of the group, since a loop flip fixes every spin
+    structure.  The stabilizer of each representative comes out of the
+    same walk, expanded to every element that fixes it, and
     is stored as ``automorphisms(graph, restrict="spin", spin=rep)``, so
     no later caller acts with the whole group on it again.
     """

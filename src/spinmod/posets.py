@@ -17,13 +17,15 @@ closure fills it as it meets each class, and it is memoised on the
 class graph, so the three posets share it.  The orbit tables map the
 data of every structure over a class (cyclic mask, or mask and signs)
 to its orbit among the class's nodes; they come out of the orbit walk
-of :meth:`AutGroup.orbit_representatives`.  A cover's target is then
-the orbit of the pushed structure's data in the target class's table:
-no fresh graph, automorphism group or group minimum per cover.  A
-spin structure is pushed as data through the component map of its
-(contraction, cyclic set) pair, built once per poset
-(:func:`spin_action`).  The node keys come from the same tables
-(:func:`orbit_keys`), one encoding per structure.
+of :meth:`AutGroup.orbit_representatives`, which acts with one
+automorphism per distinct action on vertices and edges (flipping a loop
+moves no structure).  A cover's target is then the orbit of the pushed
+structure's data in the target class's table: no fresh graph,
+automorphism group or group minimum per cover.  A spin structure is
+pushed as data through the component map of its (contraction, cyclic
+set) pair, built once per poset (:func:`spin_action`).  The node keys
+come from the same tables (:func:`orbit_keys`), one encoding per
+structure.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from itertools import combinations_with_replacement, product
 from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
 from .graphs import Graph, connected_classes, is_stable
-from .morphisms import (_cyclic_encoding, _spin_encoding, canonical_key,
-                        contract, cyclic_orbits, orbit_keys, push_cycle,
-                        spin_action, spin_orbits)
+from .morphisms import (_cyclic_encoding, _spin_encoding, automorphisms,
+                        canonical_key, contract, cyclic_orbits, orbit_keys,
+                        push_cycle, spin_action, spin_orbits)
 from .spin import SpinGraph, enumerate_spin
 
 BUDGET_ENV = "SPINMOD_BUDGET"
@@ -278,10 +280,17 @@ class PosetNode:
 
 
 class Poset:
-    """Graded poset with covers between consecutive ranks."""
+    """Graded poset with covers between consecutive ranks.
 
-    def __init__(self, kind, g, n, nodes, covers):
+    ``walk`` holds the orbit walk's counts when the poset was built over
+    automorphism orbits (cyclic and spin kinds), else ``None``:
+    ``group_actions``, the distinct actions on vertices and edges summed
+    over the classes, and ``orbit_images``, the images the walk computed,
+    one per (orbit, action)."""
+
+    def __init__(self, kind, g, n, nodes, covers, walk=None):
         self.kind = kind
+        self.walk = walk
         self.g = g
         self.n = n
         self.nodes = tuple(nodes)
@@ -394,15 +403,23 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, push, rep,
 
     Covers are looked up, not keyed: every contraction lands on its
     target class's representative, so the pushed data indexes that
-    class's orbit table directly.
+    class's orbit table directly.  Every kind but the graph poset walks
+    automorphism orbits, and the poset records that walk's counts
+    (:attr:`Poset.walk`).
     """
     if classes is None:
         classes = enumerate_stable_graphs(g, n, budget_edges)
+    walk = (None if kind == "graphs"
+            else {"group_actions": 0, "orbit_images": 0})
     reps = {}
     orbit_tables = {}
     nodes = []
     for graph in classes:
         structures, orbit_of = orbits(graph)
+        if walk is not None:
+            actions = len(automorphisms(graph).action_classes[0])
+            walk["group_actions"] += actions
+            walk["orbit_images"] += actions * len(structures)
         here = [PosetNode(key, graph.n_edges, rep(graph, x), parity(x))
                 for x, key in zip(structures, keys(graph, orbit_of),
                                   strict=True)]
@@ -427,7 +444,7 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, push, rep,
                     "a pushed structure is missing from the orbit table of "
                     "its target class", (nd.key, f"edge={e}", target_key))
             covers.append((i, index[target_nodes[k].key]))
-    return Poset(kind, g, n, nodes, covers)
+    return Poset(kind, g, n, nodes, covers, walk)
 
 
 def build_graph_poset(g, n, budget_edges=None, _classes=None):

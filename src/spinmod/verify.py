@@ -102,7 +102,8 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
         stats = poset_stats(poset)
         checks.append({"name": f"poset-{poset.kind}", "status": "pass",
                        **{k: v for k, v in stats.items()
-                          if k not in ("kind",)}})
+                          if k not in ("kind",)},
+                       **(poset.walk or {})})
 
     cells, cone_report = _timed(phases, "cone_complex", build_cone_complex,
                                 spin_poset)

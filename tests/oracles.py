@@ -1,17 +1,19 @@
-"""Test oracles: spin structures acted on one image at a time, the
-refinement postconditions that key every lift, the 3-regular seeding
-that tries every leg assignment, the fuzz chains run in draw order, the
-order test that contracts every edge subset of the right size and walks
-the lower orbit up front, and purity read off the full face closure.
+"""Test oracles: the orbit walk that acts with every group element,
+spin structures acted on one image at a time, the refinement
+postconditions that key every lift, the 3-regular seeding that tries
+every leg assignment, the fuzz chains run in draw order, the order test
+that contracts every edge subset of the right size and walks the lower
+orbit up front, and purity read off the full face closure.
 
-The package carries each (map, cyclic set) component map once and folds
-sign vectors through it, looks refinement lifts up in one orbit table,
-seeds 3-regular classes once per leg pattern, runs the fuzz chains class
-by class, contracting each distinct (graph, edge set) once, contracts
-only the edge subsets whose first Betti number is the drop in b1 and
-walks the lower orbit only for a candidate that needs it, and checks
-purity in one pass over the covers.  These are the definitions those
-routines must reproduce exactly.
+The package walks orbits with one element per distinct action on
+vertices and edges, carries each (map, cyclic set) component map once
+and folds sign vectors through it, looks refinement lifts up in one
+orbit table, seeds 3-regular classes once per leg pattern, runs the fuzz
+chains class by class, contracting each distinct (graph, edge set)
+once, contracts only the edge subsets whose first Betti number is the
+drop in b1 and walks the lower orbit only for a candidate that needs
+it, and checks purity in one pass over the covers.  These are the
+definitions those routines must reproduce exactly.
 """
 
 import random
@@ -21,13 +23,38 @@ from itertools import combinations, product
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
 from spinmod.graphs import Graph
-from spinmod.morphisms import (Contraction, SpinCarry, automorphisms,
-                               canonical_form, canonical_key, contract,
-                               push_cycle, push_vertex_set, spin_orbits)
+from spinmod.morphisms import (AutGroup, Contraction, SpinCarry,
+                               automorphisms, canonical_form, canonical_key,
+                               contract, push_cycle, push_vertex_set,
+                               spin_orbits)
 from spinmod.posets import _multigraphs_with_degrees, max_rank
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
 import key_oracle
+
+
+def orbit_representatives(group, items, data, act):
+    """The orbit walk over every element of ``group``, in group order:
+    the first item met from each orbit, the table from the data of every
+    image to its orbit index, and each representative's stabilizer as
+    the elements, in group order, whose image equals it."""
+    orbit_of = {}
+    reps = []
+    stabilizers = []
+    for item in items:
+        here = data(item)
+        if here in orbit_of:
+            continue
+        k = len(reps)
+        reps.append(item)
+        fixing = []
+        for a in group.elements:
+            image = act(a, item)
+            orbit_of[image] = k
+            if image == here:
+                fixing.append(a)
+        stabilizers.append(AutGroup(group.graph, fixing))
+    return reps, orbit_of, stabilizers
 
 
 def act_spin(aut, spin):

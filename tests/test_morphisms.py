@@ -407,17 +407,19 @@ def test_cyclic_key(theta):
 
 
 def test_single_structure_keys_match_the_group_minimum():
-    # every cyclic set and spin structure over every (2,1) class, keyed
-    # by its own orbit walk, against the least encoding over the group
+    # every cyclic set and spin structure over every class at (2,1),
+    # (2,2), (3,0) and (3,1), keyed by its own orbit walk over action
+    # classes, against the least encoding over every group element
     from spinmod.posets import enumerate_stable_graphs
 
-    for graph in enumerate_stable_graphs(2, 1):
-        for p in enumerate_cyclic(graph):
-            assert cyclic_canonical_key(graph, p) == \
-                key_oracle.cyclic_key(graph, p)
-        for s in enumerate_spin(graph):
-            sg = SpinGraph(graph, s)
-            assert canonical_key(sg) == key_oracle.spin_key(sg)
+    for g, n in ((2, 1), (2, 2), (3, 0), (3, 1)):
+        for graph in enumerate_stable_graphs(g, n):
+            for p in enumerate_cyclic(graph):
+                assert cyclic_canonical_key(graph, p) == \
+                    key_oracle.cyclic_key(graph, p)
+            for s in enumerate_spin(graph):
+                sg = SpinGraph(graph, s)
+                assert canonical_key(sg) == key_oracle.spin_key(sg)
 
 
 # -- order testing -------------------------------------------------------------
@@ -697,3 +699,73 @@ def test_spin_orbit_tables_match_per_image_orbits(g, n):
         assert set(orbit_of) == set(orbits)
         for data, orbit in orbits.items():
             assert {orbit_of[x] for x in orbit} == {orbit_of[data]}
+
+
+# -- orbit walks over action classes -------------------------------------------
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
+def test_action_classes_are_the_loop_flip_cosets(g, n):
+    # a loop flip moves no vertex and no edge, so each action on vertices
+    # and edges is carried by 2^loops elements; two elements share a
+    # class exactly when they differ by flipping loops: on each half-edge
+    # they agree, or it lies on a loop and they send it to the two ends
+    # of one loop
+    from spinmod.posets import enumerate_stable_graphs
+
+    for graph in enumerate_stable_graphs(g, n):
+        group = automorphisms(graph)
+        actions, class_of = group.action_classes
+        loops = [i for i in range(graph.n_edges)
+                 if len(set(graph.edge_vertices(i))) == 1]
+        on_loop = {h for i in loops for h in graph.edges[i]}
+        assert group.order == len(actions) * 2 ** len(loops)
+        assert len(class_of) == group.order
+        assert [group.elements[class_of.index(k)] for k in range(
+            len(actions))] == list(actions)
+
+        def flips_apart(a, b):
+            return all(a.half_map[h] == b.half_map[h]
+                       or (h in on_loop and a.half_map[h]
+                           == graph.involution[b.half_map[h]])
+                       for h in graph.half_edges)
+
+        for (i, a), (j, b) in itertools.combinations(
+                enumerate(group.elements), 2):
+            assert (class_of[i] == class_of[j]) == flips_apart(a, b)
+
+
+@pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0), (3, 1)])
+def test_orbit_walk_matches_the_walk_over_every_element(g, n):
+    # representatives, orbit table (in insertion order) and stabilizers
+    # (every fixing element, in group order) on cyclic sets and spin
+    # structures, against the walk that acts with every element
+    from spinmod.morphisms import spin_action
+    from spinmod.posets import enumerate_stable_graphs
+
+    for graph in enumerate_stable_graphs(g, n):
+        group = automorphisms(graph)
+        for items, data, act in (
+                (enumerate_cyclic(graph), lambda p: p.mask,
+                 lambda a, p: a.act_mask(p.mask)),
+                (enumerate_spin(graph), SpinStructure.data, spin_action())):
+            reps, orbit_of, stabs = group.orbit_representatives(
+                items, data, act)
+            want_reps, want_orbit_of, want_stabs = \
+                oracles.orbit_representatives(group, items, data, act)
+            assert [data(r) for r in reps] == [data(r) for r in want_reps]
+            assert list(orbit_of.items()) == list(want_orbit_of.items())
+            assert [s.elements for s in stabs] == \
+                [s.elements for s in want_stabs]
+
+
+def test_spin_stabilizer_memo_miss_keeps_every_fixing_element(dumbbell):
+    # the two loop flips fix every structure, so a stabilizer built on a
+    # memo miss holds them too: every element that fixes the structure,
+    # in group order, and a multiple of 4 of them
+    for s in enumerate_spin(dumbbell):
+        fixing = automorphisms(dumbbell, restrict="spin", spin=s)
+        want = oracles.orbit_representatives(
+            automorphisms(dumbbell), [s], SpinStructure.data,
+            lambda a, t: oracles.act_spin(a, t).data())[2][0]
+        assert fixing.elements == want.elements
+        assert len(fixing.elements) % 4 == 0

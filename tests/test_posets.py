@@ -338,10 +338,11 @@ def test_orbit_representatives_are_orbit_minima(g, n):
 
 
 def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
-    # each class costs (number of spin orbits) x |Aut| images, not
-    # (number of spin structures) x |Aut|; each element carries the
-    # components of each cyclic set the walk meets once, and no image is
-    # built as a spin structure
+    # each class costs (number of spin orbits) x (number of distinct
+    # actions on vertices and edges) images, not (number of spin
+    # structures) x |Aut|; one element per action carries the components
+    # of each cyclic set the walk meets once, and no image is built as a
+    # spin structure
     from collections import Counter
 
     from spinmod.morphisms import Aut, SpinCarry, automorphisms
@@ -371,9 +372,11 @@ def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
     orbits = Counter(id(nd.rep.graph) for nd in poset.nodes)
     masks = {id(rep): {nd.rep.spin.P.mask for nd in poset.nodes
                        if nd.rep.graph is rep} for rep in classes}
-    assert images == {id(rep): orbits[id(rep)] * automorphisms(rep).order
+    actions = {id(rep): len(automorphisms(rep).action_classes[0])
+               for rep in classes}
+    assert images == {id(rep): orbits[id(rep)] * actions[id(rep)]
                       for rep in classes}
-    assert carries == {id(rep): len(masks[id(rep)]) * automorphisms(rep).order
+    assert carries == {id(rep): len(masks[id(rep)]) * actions[id(rep)]
                        for rep in classes}
     assert sum(carries.values()) < sum(images.values())
     assert built == []

@@ -88,15 +88,15 @@ def test_counts_records_carry_coverage(g, n, cyclic_sets, basic_graphs):
 
 
 def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
-    # the spin orbit step folds the signs of each spin class through every
-    # group element once (3,986 images at (3,0)) and keeps the stabilizer
-    # it meets, so the cone complex and the factorization check act no
-    # more.  Every other image comes from a walk over the orbit of one
-    # structure: a spin key, the target of a refinement or the lower side
-    # of an order test that meets a candidate pushed elsewhere than onto
-    # it, each acting with its graph's whole group once;
-    # the refinement suite's stabilizers add 64.  No automorphism's image
-    # is built as a spin structure.
+    # the spin orbit step folds the signs of each spin class through one
+    # element per distinct action on vertices and edges (1,612 images at
+    # (3,0)) and keeps the stabilizer it meets, so the cone complex and
+    # the factorization check act no more.  Every other image comes from
+    # a walk over the orbit of one structure: a spin key, the target of a
+    # refinement or the lower side of an order test that meets a
+    # candidate pushed elsewhere than onto it, each acting once per
+    # action of its graph's group; the refinement suite's stabilizers add
+    # 36.  No automorphism's image is built as a spin structure.
     from spinmod import morphisms
 
     calls = []
@@ -136,7 +136,8 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     walk = morphisms.spin_orbits
 
     def single_walk(graph, spins, *args):
-        walked.append(len(spins) * morphisms.automorphisms(graph).order)
+        walked.append(len(spins) * len(
+            morphisms.automorphisms(graph).action_classes[0]))
         return walk(graph, spins, *args)
 
     monkeypatch.setattr(morphisms, "spin_orbits", single_walk)
@@ -144,7 +145,7 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     assert calls.count("build_cone_complex") == 0
     assert calls.count("check_aut_factorization") == 0
     assert acted == []
-    assert len(calls) == 3986 + sum(walked) + 64 == 5607
+    assert len(calls) == 1612 + sum(walked) + 36 == 2208
 
 
 def test_purity_precursor_agrees_with_the_union_of_descendants(monkeypatch):
@@ -200,6 +201,55 @@ def test_posets_records_carry_coverage(g, n, classes, cyclic_covers,
         checks["poset-cyclic"]["covers"]
     assert forgetful["spin_covers"] == spin_covers == \
         checks["poset-spin"]["covers"]
+
+
+@pytest.mark.parametrize("g,n,actions,cyclic_images,spin_images", [
+    (3, 0, 208, 702, 1612), (3, 1, 518, 2104, 5751)])
+def test_poset_records_count_the_orbit_walk(g, n, actions, cyclic_images,
+                                            spin_images, monkeypatch):
+    # counted from the calls the walks make: one act_mask per cyclic
+    # image while the cyclic poset is built, one fold by an automorphism
+    # per spin image while the spin poset is built; the group actions are
+    # summed over the classes
+    from spinmod import morphisms
+
+    counted = Counter()
+    phase = [None]
+    act_mask, fold = morphisms.Aut.act_mask, morphisms.SpinCarry.fold
+
+    def counting_act_mask(self, mask):
+        counted[phase[0], "act_mask"] += 1
+        return act_mask(self, mask)
+
+    def counting_fold(self, spin):
+        if isinstance(self.f, Aut):
+            counted[phase[0], "fold"] += 1
+        return fold(self, spin)
+
+    monkeypatch.setattr(morphisms.Aut, "act_mask", counting_act_mask)
+    monkeypatch.setattr(morphisms.SpinCarry, "fold", counting_fold)
+    for name in ("build_cyclic_poset", "build_spin_poset"):
+        inner = getattr(verify, name)
+
+        def in_phase(*args, _name=name, _inner=inner, **kwargs):
+            phase[0] = _name
+            try:
+                return _inner(*args, **kwargs)
+            finally:
+                phase[0] = None
+
+        monkeypatch.setattr(verify, name, in_phase)
+    checks = {c["name"]: c for c in run_suites(g, n, "posets")}
+    monkeypatch.undo()
+    summed = sum(len(morphisms.automorphisms(graph).action_classes[0])
+                 for graph in posets.enumerate_stable_graphs(g, n))
+    assert checks["poset-cyclic"]["group_actions"] == summed == actions
+    assert checks["poset-spin"]["group_actions"] == actions
+    assert checks["poset-cyclic"]["orbit_images"] == \
+        counted["build_cyclic_poset", "act_mask"] == cyclic_images
+    assert checks["poset-spin"]["orbit_images"] == \
+        counted["build_spin_poset", "fold"] == spin_images
+    assert "group_actions" not in checks["poset-graphs"]
 
 
 @pytest.mark.parametrize("g,n", [(2, 0), (2, 2)])
