@@ -27,6 +27,20 @@ def json_int(value, field, owner):
                      "integer")
 
 
+def json_numeral(text, field, owner, base=10):
+    """The integer ``text`` spells when it is written as ``str`` (base
+    10) or ``format(_, "x")`` (base 16) writes a non-negative integer:
+    lowercase ASCII digits with no sign, no padding and no leading zero
+    except in ``"0"``.  Anything else is an input error naming
+    ``owner``'s ``field``."""
+    digits = "0123456789abcdef"[:base]
+    if (type(text) is str and text and all(c in digits for c in text)
+            and (text == "0" or text[0] != "0")):
+        return int(text, base)
+    raise InputError(f"{owner} field {field!r} holds {text!r}, not a "
+                     f"canonical base-{base} numeral")
+
+
 class Graph:
     """Immutable half-edge multigraph with vertex weights and ordered legs.
 
@@ -227,7 +241,9 @@ class Graph:
     @classmethod
     def from_json_dict(cls, data):
         """Read :meth:`to_json_dict` output.  Every id, weight and
-        endpoint must be a JSON integer, and vertex ids must be distinct."""
+        endpoint must be a JSON integer, and vertex ids must be distinct;
+        the keys of the ``half_edges`` block must be half-edge ids as
+        ``str`` writes them (:func:`json_numeral`)."""
         try:
             weight = {}
             for v in data["vertices"]:
@@ -239,9 +255,11 @@ class Graph:
                            for v in data.get("exceptional", ())]
             if "half_edges" in data:
                 block = data["half_edges"]
-                endpoint = {int(h): json_int(v, "endpoint", "half-edge")
+                endpoint = {json_numeral(h, "endpoint", "half-edge"):
+                            json_int(v, "endpoint", "half-edge")
                             for h, v in block["endpoint"].items()}
-                involution = {int(h): json_int(k, "involution", "half-edge")
+                involution = {json_numeral(h, "involution", "half-edge"):
+                              json_int(k, "involution", "half-edge")
                               for h, k in block["involution"].items()}
                 legs = [json_int(h, "legs", "half-edge")
                         for h in block["legs"]]

@@ -4,9 +4,12 @@ graphs of fixed genus and leg count, with their graded poset structure.
 Enumeration seeds all 3-regular classes by degree-sequence backtracking
 with canonical-key dedup, one leg assignment per grouping of the legs,
 then closes downward under single-edge contractions.  An independent
-direct generator (vertex counts, weight compositions, multigraph fill)
-cross-checks the closure on small cases; it screens each candidate on
-its integer valences and connectivity before it builds a graph.
+direct generator (vertex counts, weight compositions, leg placements,
+multigraph fill) cross-checks the closure on small cases.  Its
+backtracking walk over the vertex pairs builds only the edge multisets
+that leave every valence positive and connect all vertices, once per
+(vertex count, edge count, valence base) in a call; every survivor is
+built as a graph and checked for stability.
 
 Covers are computed from two tables instead of keying every contracted
 graph.  The contraction table holds, for each class and each edge, the
@@ -33,7 +36,7 @@ from __future__ import annotations
 import os
 from collections import Counter, defaultdict
 from functools import cached_property
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
@@ -222,22 +225,68 @@ def _edge_contractions(graph, reps, fresh=None):
     return table
 
 
-def stable_graphs_direct(g, n, budget_edges=None):
-    """Independent generator: all vertex counts, weight compositions and
-    edge multisets, filtered by stability.  Exponential; used to
-    cross-check the closure on the smallest cases.
+def _valent_multisets(k, n_edges, base):
+    """The edge multisets of ``n_edges`` pairs ``(i, j)``, ``i <= j``, on
+    vertices ``0..k-1`` that make every valence ``base[v] + deg(v)``
+    positive (a loop counts twice) and connect all vertices, each a tuple
+    of pairs, in the order ``combinations_with_replacement`` yields them
+    over the pairs listed lexicographically.
 
-    Each candidate is first screened on plain integers: every valence
-    ``2w(v) - 2 + deg(v) + ell(v)`` must be positive and the edges must
-    connect all vertices.  Only survivors are built as graphs, and
-    :func:`is_stable` still decides on each of them."""
+    A backtracking walk over non-decreasing pair indices builds only
+    these.  It cuts a subtree when the summed deficit
+    ``sum(max(0, 1 - val[v]))`` exceeds twice the edges left, since one
+    edge lowers it by at most 2.  It also stops before the first pair
+    whose first coordinate exceeds the least vertex of valence <= 0,
+    since no later pair reaches a vertex below its first coordinate."""
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    # row_end[i]: the index after the last pair whose first coordinate is i
+    row_end = [sum(k - u for u in range(i + 1)) for i in range(k)]
+    val = list(base)
+    edges = []
+    out = []
+
+    def rec(start, left, deficit):
+        if deficit > 2 * left:
+            return
+        if not left:
+            if len(connected_classes(range(k), edges)) == 1:
+                out.append(tuple(edges))
+            return
+        low = next((v for v in range(k) if val[v] <= 0), k - 1)
+        for p in range(start, row_end[low]):
+            u, v = pair = pairs[p]
+            drop = (val[u] <= 0) + (val[v] + (u == v) <= 0)
+            val[u] += 1
+            val[v] += 1
+            edges.append(pair)
+            rec(p, left - 1, deficit - drop)
+            edges.pop()
+            val[u] -= 1
+            val[v] -= 1
+
+    rec(0, n_edges, sum(max(0, 1 - x) for x in val))
+    return out
+
+
+def stable_graphs_direct(g, n, budget_edges=None):
+    """Independent generator: all vertex counts, weight compositions, leg
+    placements and edge multisets, filtered by stability.  Exponential;
+    used to cross-check the closure on the smallest cases.
+
+    The edge multisets come from :func:`_valent_multisets`, which walks
+    only those that make every valence ``2w(v) - 2 + deg(v) + ell(v)``
+    positive and connect all vertices.  They depend only on the vertex
+    count, the edge count and the valence base ``2w(v) - 2 + ell(v)``,
+    so each such pattern is walked once per call.  Every survivor is built
+    as a graph and :func:`is_stable` still decides on it; the first graph
+    met in each class represents it."""
     check_budget(g, n, budget_edges)
     if 2 * g - 2 + n <= 0:
         return []
     found = {}
+    survivors = {}
     for k in range(1, 2 * g - 2 + n + 1):
         vertices = range(k)
-        pairs = [(i, j) for i in vertices for j in range(i, k)]
         for weights in product(range(g + 1), repeat=k):
             total = sum(weights)
             if total > g:
@@ -249,15 +298,10 @@ def stable_graphs_direct(g, n, budget_edges=None):
                 base = [2 * w - 2 for w in weights]
                 for v in legs:
                     base[v] += 1
-                for edges in combinations_with_replacement(pairs, n_edges):
-                    val = base.copy()
-                    for u, v in edges:  # a loop counts twice
-                        val[u] += 1
-                        val[v] += 1
-                    if min(val) <= 0:
-                        continue
-                    if len(connected_classes(vertices, edges)) > 1:
-                        continue
+                pattern = (k, n_edges, tuple(base))
+                if pattern not in survivors:
+                    survivors[pattern] = _valent_multisets(*pattern)
+                for edges in survivors[pattern]:
                     graph = Graph.build(list(enumerate(weights)), edges, legs)
                     if not is_stable(graph):
                         continue

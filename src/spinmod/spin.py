@@ -15,7 +15,7 @@ from math import prod
 from .cycles import (B1_CAP, EdgeSet, enumerate_cyclic, pbar_decompose)
 from .errors import DomainError, InputError, VerificationError
 from .graphs import (Divisor, Graph, canonical_divisor, classify, is_stable,
-                     json_int)
+                     json_int, json_numeral)
 
 
 class SpinStructure:
@@ -68,7 +68,7 @@ class SpinStructure:
     @classmethod
     def from_json_dict(cls, graph, data):
         try:
-            mask = int(data["P"], 16)
+            mask = json_numeral(data["P"], "P", "spin structure", 16)
             by_component = {json_int(e["component"], "component",
                                      "spin structure"): e["s"]
                             for e in data["sign"]}

@@ -190,7 +190,8 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
                    "pairs": len(pairs)})
 
     if max_rank(g, n) <= DIRECT_ORACLE_LIMIT:
-        direct = {canonical_key(x) for x in stable_graphs_direct(g, n)}
+        direct = {canonical_key(x) for x in _timed(
+            phases, "direct_generator", stable_graphs_direct, g, n)}
         closure = {nd.key for nd in graph_poset.nodes}
         if direct != closure:
             raise VerificationError(
@@ -422,8 +423,10 @@ def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0,
     its build.  When ``phases`` is a dict, it receives, for each phase
     that ran, its seconds paired with the process's peak RSS in KiB after
     it: ``enumerate`` (before any suite), ``graph_poset``,
-    ``cyclic_poset``, ``spin_poset``, ``cone_complex``, ``fuzz_chains``,
-    ``aut_factorization`` and ``fuzz_families``."""
+    ``cyclic_poset``, ``spin_poset``, ``cone_complex``,
+    ``direct_generator`` (only where ``3g - 3 + n`` is at most
+    ``DIRECT_ORACLE_LIMIT``), ``fuzz_chains``, ``aut_factorization`` and
+    ``fuzz_families``."""
     classes = _timed(phases, "enumerate", enumerate_stable_graphs, g, n,
                      budget_edges)
 

@@ -3,7 +3,8 @@ spin structures acted on one image at a time, the refinement
 postconditions that key every lift, the 3-regular seeding that tries
 every leg assignment, the fuzz chains run in draw order, the order test
 that contracts every edge subset of the right size and walks the lower
-orbit up front, and purity read off the full face closure.
+orbit up front, purity read off the full face closure, and the direct
+generator's scan through every edge multiset.
 
 The package walks orbits with one element per distinct action on
 vertices and edges, carries each (map, cyclic set) component map once
@@ -12,17 +13,18 @@ orbit table, seeds 3-regular classes once per leg pattern, runs the fuzz
 chains class by class, contracting each distinct (graph, edge set)
 once, contracts only the edge subsets whose first Betti number is the
 drop in b1 and walks the lower orbit only for a candidate that needs
-it, and checks purity in one pass over the covers.  These are the
+it, checks purity in one pass over the covers, and walks only the edge
+multisets that leave no vertex of non-positive valence.  These are the
 definitions those routines must reproduce exactly.
 """
 
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
-from spinmod.graphs import Graph
+from spinmod.graphs import Graph, connected_classes
 from spinmod.morphisms import (AutGroup, Contraction, SpinCarry,
                                automorphisms, canonical_form, canonical_key,
                                contract, push_cycle, push_vertex_set,
@@ -166,6 +168,28 @@ def three_regular_graphs(g, n):
                 continue
             found.setdefault(canonical_key(graph), graph)
     return [found[key] for key in sorted(found)]
+
+
+def valent_multisets(k, n_edges, base):
+    """Every multiset of ``n_edges`` pairs ``(i, j)``, ``i <= j``, on
+    vertices ``0..k-1``, in ``combinations_with_replacement`` order over
+    the pairs listed lexicographically, kept when every valence
+    ``base[v] + deg(v)`` is positive (a loop counts twice) and the edges
+    connect all vertices."""
+    vertices = range(k)
+    pairs = [(i, j) for i in vertices for j in range(i, k)]
+    kept = []
+    for edges in combinations_with_replacement(pairs, n_edges):
+        val = list(base)
+        for u, v in edges:
+            val[u] += 1
+            val[v] += 1
+        if min(val) <= 0:
+            continue
+        if len(connected_classes(vertices, edges)) > 1:
+            continue
+        kept.append(edges)
+    return kept
 
 
 def fuzz_contraction_chains(classes, count=1000, seed=0, record=None):

@@ -302,6 +302,38 @@ def test_malformed_trop_descriptor_is_input_error(tmp_path, content, named):
     assert "Traceback" not in proc.stderr
 
 
+def theta_family_with_half_edges(block, spelling):
+    """The theta family's descriptor with its graph's half-edge block
+    written out and half-edge 1 keyed by ``spelling`` in ``block``."""
+    data = theta_family_json()
+    data["graph"] = make_theta().to_json_dict(half_edges=True)
+    entries = data["graph"]["half_edges"][block]
+    entries[spelling] = entries.pop("1")
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize("content,named", [
+    (theta_family_with(("spin", "P"), " 3 "), "'P'"),
+    (theta_family_with(("spin", "P"), "0x3"), "'P'"),
+    (theta_family_with(("spin", "P"), "0_3"), "'P'"),
+    (theta_family_with(("spin", "P"), "+3"), "'P'"),
+    (theta_family_with(("spin", "P"), "03"), "'P'"),
+    (theta_family_with(("spin", "P"), "\uff13"), "'P'"),
+    (theta_family_with_half_edges("endpoint", " 1"), "'endpoint'"),
+    (theta_family_with_half_edges("involution", "01"), "'involution'"),
+], ids=["P-padded", "P-prefixed", "P-underscore", "P-signed",
+        "P-leading-zero", "P-full-width", "endpoint-key-padded",
+        "involution-key-leading-zero"])
+def test_trop_reads_numerals_only_as_written(tmp_path, capsys, content,
+                                             named):
+    path = tmp_path / "family.json"
+    path.write_bytes(content)
+    assert main(["trop", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "input-error"
+    assert named in report["error"]
+
+
 def _without_timings(stdout):
     try:
         report = json.loads(stdout)
@@ -562,15 +594,17 @@ def test_verify_reports_the_time_of_each_phase(capsys):
     timings = json.loads(capsys.readouterr().out)["timings"]
     phases, suites = timings["phases"], timings["suites"]
     assert set(phases) == {"enumerate", "graph_poset", "cyclic_poset",
-                           "spin_poset", "cone_complex", "fuzz_chains",
-                           "aut_factorization", "fuzz_families"}
+                           "spin_poset", "cone_complex", "direct_generator",
+                           "fuzz_chains", "aut_factorization",
+                           "fuzz_families"}
     assert all(t >= 0 for t in phases.values())
     # every figure is cut down to whole milliseconds; the posets suite
     # runs first, so it builds the spin poset
     assert phases["enumerate"] + sum(suites.values()) <= \
         timings["seconds"] + 1e-9
     assert sum(phases[name] for name in ("graph_poset", "cyclic_poset",
-                                         "spin_poset", "cone_complex")) \
+                                         "spin_poset", "cone_complex",
+                                         "direct_generator")) \
         <= suites["posets"] + 1e-9
     assert sum(phases[name] for name in ("fuzz_chains", "aut_factorization",
                                          "fuzz_families")) \

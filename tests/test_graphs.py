@@ -199,6 +199,28 @@ def test_json_fields_must_be_integers(path, value, named):
         Graph.from_json_dict(data)
 
 
+@pytest.mark.parametrize("block", ["endpoint", "involution"])
+@pytest.mark.parametrize("spelling", [" 1", "1 ", "01", "+1", "-1", "0x1",
+                                      "\uff11", ""])
+def test_json_half_edge_ids_read_only_as_str_writes_them(block, spelling):
+    graph = make_one_loop_one_leg()
+    data = graph.to_json_dict(half_edges=True)
+    assert Graph.from_json_dict(data) == graph
+    entries = data["half_edges"][block]
+    entries[spelling] = entries.pop("1")
+    with pytest.raises(InputError, match=f"'{block}'"):
+        Graph.from_json_dict(data)
+
+
+def test_json_half_edge_id_spelled_twice_is_input_error():
+    # int() would read both keys as half-edge 1, the second overwriting
+    # the first
+    data = make_one_loop_one_leg().to_json_dict(half_edges=True)
+    data["half_edges"]["endpoint"][" 1"] = 0
+    with pytest.raises(InputError, match="' 1'"):
+        Graph.from_json_dict(data)
+
+
 def test_dot_export(theta):
     dot = theta.to_dot()
     assert dot.startswith("graph G {")

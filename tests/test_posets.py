@@ -77,12 +77,42 @@ def test_enumerate_stable_counts():
     assert enumerate_stable_graphs(0, 2) == []
 
 
+DIRECT_AGREEMENT = [(1, 1), (0, 3), (2, 0), (1, 2), (2, 1), (1, 3), (0, 5),
+                    (2, 2), (1, 4), (0, 6)]
+
+
 def test_enumerate_matches_direct_generator():
-    for g, n in [(1, 1), (0, 3), (2, 0), (1, 2), (2, 1), (1, 3), (0, 5),
-                 (2, 2)]:
+    for g, n in DIRECT_AGREEMENT:
         closure = {canonical_key(x) for x in enumerate_stable_graphs(g, n)}
         direct = {canonical_key(x) for x in stable_graphs_direct(g, n)}
         assert closure == direct
+
+
+def test_valent_multisets_match_the_unpruned_scan(monkeypatch):
+    # the pruned walk keeps exactly the multisets the scan through every
+    # edge multiset keeps, in its order, for every (vertex count, edge
+    # count, valence base) the generator meets; so the generator returns
+    # the same graphs, down to half-edge ids
+    def run(g, n, survivors):
+        def recording(*key):
+            assert key not in met
+            met[key] = survivors(*key)
+            return met[key]
+
+        met = {}
+        monkeypatch.setattr(posets, "_valent_multisets", recording)
+        graphs = [(x.weight, x.endpoint, x.involution, x.legs)
+                  for x in stable_graphs_direct(g, n)]
+        return graphs, met
+
+    walk = posets._valent_multisets
+    for g, n in DIRECT_AGREEMENT:
+        graphs, walked = run(g, n, walk)
+        want_graphs, scanned = run(g, n, oracles.valent_multisets)
+        assert list(walked) == list(scanned)
+        for key, kept in scanned.items():
+            assert walked[key] == kept, key
+        assert graphs == want_graphs, (g, n)
 
 
 def test_direct_generator_builds_only_stable_candidates(monkeypatch):

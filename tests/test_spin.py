@@ -1,7 +1,7 @@
 import pytest
 
 from spinmod.cycles import EdgeSet, enumerate_cyclic, pbar_decompose
-from spinmod.errors import DomainError, VerificationError
+from spinmod.errors import DomainError, InputError, VerificationError
 from spinmod.graphs import Graph, canonical_divisor
 from spinmod.morphisms import automorphisms, canonical_key, push_spin
 from spinmod.spin import (SpinGraph, SpinStructure, enumerate_spin,
@@ -282,3 +282,27 @@ def test_odd_opened_degree_is_verification_error(theta, monkeypatch):
     with pytest.raises(VerificationError) as info:
         theta_divisors(theta, EdgeSet(theta, 0))
     assert info.value.witnesses == (canonical_key(theta), "P=0")
+
+
+@pytest.mark.parametrize("make,indices,written,spelling", [
+    (make_theta, [0, 1], "3", " 3 "),
+    (make_theta, [0, 1], "3", "0x3"),
+    (make_theta, [0, 1], "3", "0_3"),
+    (make_theta, [0, 1], "3", "+3"),
+    (make_theta, [0, 1], "3", "03"),
+    (make_theta, [0, 1], "3", "\uff13"),
+    (make_theta, [0, 1], "3", ""),
+    (make_theta, [0, 1], "3", 3),
+    (lambda: make_rose(4), range(4), "f", "F"),
+    (lambda: make_rose(4), range(4), "f", "0f"),
+])
+def test_spin_json_reads_the_mask_only_as_hex_writes_it(make, indices,
+                                                         written, spelling):
+    graph = make()
+    spin = SpinStructure(graph, EdgeSet.from_indices(graph, indices), (0,))
+    data = spin.to_json_dict()
+    assert data["P"] == written
+    assert SpinStructure.from_json_dict(graph, data) == spin
+    data["P"] = spelling
+    with pytest.raises(InputError, match="'P'"):
+        SpinStructure.from_json_dict(graph, data)
