@@ -11,7 +11,11 @@ stabilizer back to every element of the classes that fix the structure,
 so the groups read at half-edge level stay whole.  A graph's canonical key
 is a digest of its certificate, computed by color refinement with
 individualization; the brute-force isomorphism search it is
-cross-checked against lives in the test suite.
+cross-checked against lives in the test suite.  The same search yields
+the group's vertex maps: it prunes nothing, so the leaves with the best
+certificate are the canonical labelling composed with each automorphism.
+Pruning the tree by automorphisms would break that, and the group would
+then have to come from the pruning search's generators.
 
 An automorphism or a contraction moves the signs of a spin structure
 only by the way it carries the components of the opened graph, so that
@@ -233,13 +237,23 @@ def canonical_form(graph):
 
     Returns ``(cert, pos)`` where ``pos`` maps vertices to canonical
     positions; equal certificates characterize isomorphic graphs.
+
+    The refinement tree is walked without pruning, so its leaves are
+    permuted by the whole automorphism group, and distinct leaves give
+    distinct labellings: a branch's individualized vertex comes first in
+    its cell, since refinement keeps the order of cells.  The leaves
+    whose certificate is the best one are therefore ``pos_best o a`` for
+    exactly the automorphisms ``a``.  They are kept, best first, in
+    ``graph.__dict__["_best_leaves"]`` until :func:`_full_group` reads
+    the group's vertex maps off them.  A search that prunes by
+    automorphisms must supply the group from its generators instead.
     """
     cached = graph.__dict__.get("_canonical_form")
     if cached is not None:
         return cached
     adj = _neighbor_lists(graph)
     base = _refine_colors(graph, _initial_colors(graph), adj)
-    best = [None, None]
+    best = [None, []]
 
     def rec(colors):
         classes = defaultdict(list)
@@ -251,7 +265,9 @@ def canonical_form(graph):
                 sorted((c, v) for v, c in colors.items()))}
             cert = _encode(graph, pos)
             if best[0] is None or cert < best[0]:
-                best[0], best[1] = cert, pos
+                best[0], best[1] = cert, [pos]
+            elif cert == best[0]:
+                best[1].append(pos)
             return
         for v in sorted(classes[split[0]]):
             forced = {u: (c, 0 if u == v else 1)
@@ -261,8 +277,9 @@ def canonical_form(graph):
                                        for u in graph.vertices}, adj))
 
     rec(base)
-    result = (best[0], best[1])
+    result = (best[0], best[1][0])
     graph.__dict__["_canonical_form"] = result
+    graph.__dict__["_best_leaves"] = best[1]
     return result
 
 
@@ -405,39 +422,6 @@ class AutGroup:
         return reps, orbit_of, stabilizers
 
 
-def _vertex_bijections(graph, colors):
-    mult = graph.multiplicity
-
-    def m(u, v):
-        return mult.get((u, v) if u <= v else (v, u), 0)
-
-    verts = sorted(graph.vertices, key=lambda v: (colors[v], v))
-    candidates = {v: sorted(u for u in graph.vertices
-                            if colors[u] == colors[v]) for v in verts}
-    mapping = {}
-    used = set()
-    out = []
-
-    def bt(i):
-        if i == len(verts):
-            out.append(dict(mapping))
-            return
-        v = verts[i]
-        for u in candidates[v]:
-            if u in used:
-                continue
-            if any(m(v, t) != m(u, mapping[t]) for t in mapping):
-                continue
-            mapping[v] = u
-            used.add(u)
-            bt(i + 1)
-            del mapping[v]
-            used.discard(u)
-
-    bt(0)
-    return out
-
-
 def _half_edge_extensions(graph, vmap):
     """All half-edge maps extending a compatible vertex bijection."""
     edges_by_pair = defaultdict(list)
@@ -488,26 +472,32 @@ def _half_edge_extensions(graph, vmap):
         yield half_map
 
 
-def _full_group(graph, cap):
+def _full_group(graph):
+    if len(graph.half_edges) > AUT_HALF_EDGE_CAP:
+        raise BudgetError(
+            f"automorphism search capped at {AUT_HALF_EDGE_CAP} half-edges, "
+            f"graph has {len(graph.half_edges)}")
     cached = graph.__dict__.get("_aut_group")
     if cached is not None:
         return cached
-    if len(graph.half_edges) > cap:
-        raise BudgetError(
-            f"automorphism search capped at {cap} half-edges, graph has "
-            f"{len(graph.half_edges)}")
-    adj = _neighbor_lists(graph)
-    colors = _refine_colors(graph, _initial_colors(graph), adj)
-    elements = []
-    for vmap in _vertex_bijections(graph, colors):
-        for half_map in _half_edge_extensions(graph, vmap):
-            elements.append(Aut(graph, vmap, half_map))
-    group = AutGroup(graph, elements)
+    canonical_form(graph)
+    leaves = graph.__dict__.pop("_best_leaves")
+    at = {p: v for v, p in leaves[0].items()}
+    colors = _refine_colors(graph, _initial_colors(graph),
+                            _neighbor_lists(graph))
+    # group order: lexicographic over the vertices by (refined color,
+    # vertex), as a backtracking search in that order meets the maps
+    order = sorted(graph.vertices, key=lambda v: (colors[v], v))
+    vmaps = sorted(({v: at[p] for v, p in pos.items()} for pos in leaves),
+                   key=lambda vmap: [vmap[v] for v in order])
+    group = AutGroup(graph, [
+        Aut(graph, vmap, half_map) for vmap in vmaps
+        for half_map in _half_edge_extensions(graph, vmap)])
     graph.__dict__["_aut_group"] = group
     return group
 
 
-def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
+def automorphisms(graph, restrict=None, spin=None):
     """The automorphism group, optionally restricted.
 
     ``restrict="spin"`` keeps the elements fixing the given spin
@@ -518,7 +508,7 @@ def automorphisms(graph, restrict=None, spin=None, cap=AUT_HALF_EDGE_CAP):
     outside the spin structure's cyclic set and mapping each component of
     the opened graph to itself (the product of the component groups).
     """
-    group = _full_group(graph, cap)
+    group = _full_group(graph)
     if restrict is None:
         return group
     if spin is None or spin.graph != graph:
@@ -552,7 +542,7 @@ def _stabilizer_memo(graph):
     return graph.__dict__.setdefault("_spin_stabilizers", {})
 
 
-def spin_orbits(graph, spins, cap=AUT_HALF_EDGE_CAP):
+def spin_orbits(graph, spins):
     """Orbit representatives of ``spins`` under the full automorphism
     group and the table from spin data to orbit index.
 
@@ -563,19 +553,18 @@ def spin_orbits(graph, spins, cap=AUT_HALF_EDGE_CAP):
     is stored as ``automorphisms(graph, restrict="spin", spin=rep)``, so
     no later caller acts with the whole group on it again.
     """
-    reps, orbit_of, stabilizers = automorphisms(
-        graph, cap=cap).orbit_representatives(
-            spins, SpinStructure.data, spin_action())
+    reps, orbit_of, stabilizers = automorphisms(graph).orbit_representatives(
+        spins, SpinStructure.data, spin_action())
     memo = _stabilizer_memo(graph)
     for s, stabilizer in zip(reps, stabilizers):
         memo.setdefault(s.data(), stabilizer)
     return reps, orbit_of
 
 
-def cyclic_orbits(graph, cyclic_sets, cap=AUT_HALF_EDGE_CAP):
+def cyclic_orbits(graph, cyclic_sets):
     """Orbit representatives of ``cyclic_sets`` under the full
     automorphism group and the table from mask to orbit index."""
-    reps, orbit_of, _ = automorphisms(graph, cap=cap).orbit_representatives(
+    reps, orbit_of, _ = automorphisms(graph).orbit_representatives(
         cyclic_sets, lambda p: p.mask, lambda a, p: a.act_mask(p.mask))
     return reps, orbit_of
 
@@ -764,7 +753,7 @@ def orbit_keys(graph, orbit_of, encode):
     return [_digest([cert, best[k]]) for k in range(len(best))]
 
 
-def canonical_key(obj, cap=AUT_HALF_EDGE_CAP):
+def canonical_key(obj):
     """Deterministic iso-invariant key, as lowercase hex.
 
     Accepts a graph or a spin graph; spin keys agree exactly when the
@@ -774,16 +763,16 @@ def canonical_key(obj, cap=AUT_HALF_EDGE_CAP):
         cert, _ = canonical_form(obj)
         return _digest([cert])
     if isinstance(obj, SpinGraph):
-        _, orbit_of = spin_orbits(obj.graph, [obj.spin], cap)
+        _, orbit_of = spin_orbits(obj.graph, [obj.spin])
         return orbit_keys(obj.graph, orbit_of, _spin_encoding)[0]
     raise InputError(f"cannot key objects of type {type(obj).__name__}")
 
 
-def cyclic_canonical_key(graph, cyclic_set, cap=AUT_HALF_EDGE_CAP):
+def cyclic_canonical_key(graph, cyclic_set):
     """Key of a (graph, cyclic set) pair up to isomorphism."""
     if not is_cyclic(graph, cyclic_set):
         raise DomainError("key requires a cyclic edge set")
-    _, orbit_of = cyclic_orbits(graph, [cyclic_set], cap)
+    _, orbit_of = cyclic_orbits(graph, [cyclic_set])
     return orbit_keys(graph, orbit_of, _cyclic_encoding)[0]
 
 

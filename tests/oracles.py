@@ -1,5 +1,6 @@
 """Test oracles: the orbit walk that acts with every group element,
-spin structures acted on one image at a time, the refinement
+the automorphism group found by a backtracking search over vertex
+bijections, spin structures acted on one image at a time, the refinement
 postconditions that key every lift, the 3-regular seeding that tries
 every leg assignment, the fuzz chains run in draw order, the order test
 that contracts every edge subset of the right size and walks the lower
@@ -7,15 +8,17 @@ orbit up front, purity read off the full face closure, and the direct
 generator's scan through every edge multiset.
 
 The package walks orbits with one element per distinct action on
-vertices and edges, carries each (map, cyclic set) component map once
-and folds sign vectors through it, looks refinement lifts up in one
-orbit table, seeds 3-regular classes once per leg pattern, runs the fuzz
-chains class by class, contracting each distinct (graph, edge set)
-once, contracts only the edge subsets whose first Betti number is the
-drop in b1 and walks the lower orbit only for a candidate that needs
-it, checks purity in one pass over the covers, and walks only the edge
-multisets that leave no vertex of non-positive valence.  These are the
-definitions those routines must reproduce exactly.
+vertices and edges, reads the group's vertex maps off the leaves of the
+canonical-form search that have the best certificate, carries each
+(map, cyclic set) component map once and folds sign vectors through it,
+looks refinement lifts up in one orbit table, seeds 3-regular classes
+once per leg pattern, runs the fuzz chains class by class, contracting
+each distinct (graph, edge set) once, contracts only the edge subsets
+whose first Betti number is the drop in b1 and walks the lower orbit
+only for a candidate that needs it, checks purity in one pass over the
+covers, and walks only the edge multisets that leave no vertex of
+non-positive valence.  These are the definitions those routines must
+reproduce exactly.
 """
 
 import random
@@ -26,6 +29,8 @@ from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
 from spinmod.graphs import Graph, connected_classes
 from spinmod.morphisms import (AutGroup, Contraction, SpinCarry,
+                               _half_edge_extensions, _initial_colors,
+                               _neighbor_lists, _refine_colors,
                                automorphisms, canonical_form, canonical_key,
                                contract, push_cycle, push_vertex_set,
                                spin_orbits)
@@ -57,6 +62,50 @@ def orbit_representatives(group, items, data, act):
                 fixing.append(a)
         stabilizers.append(AutGroup(group.graph, fixing))
     return reps, orbit_of, stabilizers
+
+
+def vertex_bijections(graph, colors):
+    mult = graph.multiplicity
+
+    def m(u, v):
+        return mult.get((u, v) if u <= v else (v, u), 0)
+
+    verts = sorted(graph.vertices, key=lambda v: (colors[v], v))
+    candidates = {v: sorted(u for u in graph.vertices
+                            if colors[u] == colors[v]) for v in verts}
+    mapping = {}
+    used = set()
+    out = []
+
+    def bt(i):
+        if i == len(verts):
+            out.append(dict(mapping))
+            return
+        v = verts[i]
+        for u in candidates[v]:
+            if u in used:
+                continue
+            if any(m(v, t) != m(u, mapping[t]) for t in mapping):
+                continue
+            mapping[v] = u
+            used.add(u)
+            bt(i + 1)
+            del mapping[v]
+            used.discard(u)
+
+    bt(0)
+    return out
+
+
+def group_elements(graph):
+    """The automorphism group as ``(vertex map, half-edge map)`` pairs:
+    every vertex bijection that keeps the refined colors and the edge
+    multiplicities, found by backtracking over the vertices sorted by
+    (color, vertex), each extended to every compatible half-edge map."""
+    colors = _refine_colors(graph, _initial_colors(graph),
+                            _neighbor_lists(graph))
+    return [(vmap, half_map) for vmap in vertex_bijections(graph, colors)
+            for half_map in _half_edge_extensions(graph, vmap)]
 
 
 def act_spin(aut, spin):

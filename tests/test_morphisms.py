@@ -4,12 +4,13 @@ import random
 import pytest
 
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
-from spinmod.errors import InputError, VerificationError
+from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import Graph, genus
 from spinmod.morphisms import (SpinCarry, automorphisms, canonical_key,
                                composed_edges, contract, cyclic_canonical_key,
                                order_test, push_cycle, push_spin,
                                push_vertex_set, quotient_action_order)
+from spinmod.posets import enumerate_stable_graphs
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
@@ -211,6 +212,41 @@ def test_aut_rose():
     assert g.order_edge == 6
 
 
+def test_aut_half_edge_cap():
+    rose = make_rose(21)
+    with pytest.raises(BudgetError, match=r"\b40\b.*\b42\b"):
+        automorphisms(rose)
+    assert "_aut_group" not in rose.__dict__
+
+
+def assert_group_matches_the_bijection_search(graph):
+    got = [(a.vertex_map, a.half_map) for a in automorphisms(graph).elements]
+    assert got == oracles.group_elements(graph), graph
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (0, 3), (0, 4),
+                                 (0, 5), (0, 6), (2, 0), (2, 1), (2, 2),
+                                 (2, 3), (3, 0), (3, 1), (3, 2), (4, 0)])
+def test_group_matches_the_bijection_search_on_classes(g, n):
+    for graph in enumerate_stable_graphs(g, n):
+        assert_group_matches_the_bijection_search(graph)
+
+
+def test_group_matches_the_bijection_search_on_random_graphs():
+    for graph in random_pool():
+        assert_group_matches_the_bijection_search(graph)
+
+
+def test_group_matches_the_bijection_search_when_some_leaves_are_worse():
+    # a triangle beside a 4-cycle: half the refinement tree's leaves
+    # have a certificate worse than the best, and must not count
+    graph = Graph.build([(v, 0) for v in range(7)],
+                        [(0, 1), (1, 2), (2, 0),
+                         (3, 4), (4, 5), (5, 6), (6, 3)])
+    assert automorphisms(graph).order == 6 * 8
+    assert_group_matches_the_bijection_search(graph)
+
+
 def test_aut_legs_pin_vertices():
     g = Graph.build([(0, 0), (1, 0)], [(0, 1), (0, 1), (0, 1)], [0])
     a = automorphisms(g)
@@ -366,7 +402,9 @@ def test_canonical_key_distinguishes(theta, dumbbell):
     assert canonical_key(two) != canonical_key(split)
 
 
-def test_canonical_key_brute_force_agreement():
+def random_pool():
+    """40 seeded random graphs on at most 4 vertices, often
+    disconnected."""
     rng = random.Random(11)
     pool = []
     for _ in range(40):
@@ -376,6 +414,11 @@ def test_canonical_key_brute_force_agreement():
                  for _ in range(rng.randint(0, 5))]
         legs = [rng.randrange(n) for _ in range(rng.randint(0, 2))]
         pool.append(Graph.build(verts, edges, legs))
+    return pool
+
+
+def test_canonical_key_brute_force_agreement():
+    pool = random_pool()
     for g1, g2 in itertools.combinations(pool, 2):
         assert (canonical_key(g1) == canonical_key(g2)) == \
             brute_force_isomorphic(g1, g2), (g1, g2)

@@ -547,10 +547,10 @@ def test_full_group_built_once_per_class(monkeypatch):
     built = []
     original = morphisms._full_group
 
-    def recording(graph, cap):
+    def recording(graph):
         if "_aut_group" not in graph.__dict__:
             built.append(id(graph))
-        return original(graph, cap)
+        return original(graph)
 
     monkeypatch.setattr(morphisms, "_full_group", recording)
     build_spin_poset(3, 0)
