@@ -217,29 +217,42 @@ class PbarDecomposition:
     sign vectors of spin structures refer to.  They come from one
     union-find over the edges of the cyclic set: a component's genus is
     its total weight plus its edges in the set, minus its vertices, plus
-    one.  The opened graph (``pbar``) is built on demand and not kept.
+    one.  Only two flat tuples are kept: ``component``, the component
+    index of each vertex in ``graph.vertices`` order, and ``genera``.  The
+    vertex sets (:attr:`vertex_sets`) and the opened graph (``pbar``) are
+    built on demand and not kept.
     """
+
+    __slots__ = ("graph", "mask", "component", "genera")
 
     def __init__(self, graph, cyclic_set):
         if not is_cyclic(graph, cyclic_set):
             raise DomainError("decomposition requires a cyclic edge set")
         self.graph = graph
-        self.cyclic_set = cyclic_set
+        self.mask = cyclic_set.mask
         edges = [graph.edge_vertices(i) for i in cyclic_set]
         classes = connected_classes(graph.vertices, edges)
-        self._component = {v: i for i, vs in enumerate(classes) for v in vs}
+        index = {v: i for i, vs in enumerate(classes) for v in vs}
         n_edges = [0] * len(classes)
         for u, _ in edges:
-            n_edges[self._component[u]] += 1
-        self.vertex_sets = tuple(frozenset(vs) for vs in classes)
+            n_edges[index[u]] += 1
+        self.component = tuple(map(index.__getitem__, graph.vertices))
         self.genera = tuple(
             sum(graph.weight[v] for v in vs) + e - len(vs) + 1
             for vs, e in zip(classes, n_edges))
 
     @property
+    def vertex_sets(self):
+        """The vertex set of each component, in component order."""
+        members = [[] for _ in self.genera]
+        for v, i in zip(self.graph.vertices, self.component):
+            members[i].append(v)
+        return tuple(map(frozenset, members))
+
+    @property
     def pbar(self):
         removed = [i for i in range(self.graph.n_edges)
-                   if i not in self.cyclic_set]
+                   if not self.mask >> i & 1]
         return remove_edges(self.graph, removed, open=True)
 
     @property
@@ -247,13 +260,7 @@ class PbarDecomposition:
         return sum(1 for g in self.genera if g > 0)
 
     def __len__(self):
-        return len(self.vertex_sets)
-
-    def component_of(self, vertex):
-        try:
-            return self._component[vertex]
-        except KeyError:
-            raise InputError(f"vertex {vertex} not in graph") from None
+        return len(self.genera)
 
 
 def pbar_decompose(graph, cyclic_set):

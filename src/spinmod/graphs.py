@@ -153,6 +153,11 @@ class Graph:
         return {pair: i for i, pair in enumerate(self.edges)}
 
     @cached_property
+    def vertex_index(self):
+        """Position of each vertex in ``vertices``."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
     def n_edges(self):
         return len(self.edges)
 

@@ -6,8 +6,9 @@ are exposed: on half-edges and on edges alone.  A structure over a graph
 (a cyclic set, a spin structure) sees only how an automorphism moves
 vertices and edges, and every loop doubles the group by a flip that
 moves neither.  So orbit walks act with one element per distinct action
-on vertices and edges (:attr:`AutGroup.action_classes`), and expand each
-stabilizer back to every element of the classes that fix the structure,
+on vertices and edges (:attr:`AutGroup.action_classes`).  A stabilizer
+is kept as the indices of the action classes that fix the structure and
+expanded to every element of those classes when it is read as a group,
 so the groups read at half-edge level stay whole.  A graph's canonical key
 is a digest of its certificate, computed by color refinement with
 individualization; the brute-force isomorphism search it is
@@ -383,6 +384,14 @@ class AutGroup:
             class_of.append(k)
         return tuple(actions), tuple(class_of)
 
+    def subgroup(self, classes):
+        """The elements whose action class is one of ``classes`` (indices
+        into :attr:`action_classes`), in group order, as a group."""
+        keep = set(classes)
+        _, class_of = self.action_classes
+        return AutGroup(self.graph, [
+            a for a, c in zip(self.elements, class_of) if c in keep])
+
     def orbit_representatives(self, items, data, act):
         """The first item met from each orbit, in the order given, with
         the orbit table and the stabilizers the walk meets.
@@ -399,26 +408,29 @@ class AutGroup:
 
         Returns ``(reps, orbit_of, stabilizers)``: ``orbit_of`` maps the
         data of every image met to the index of its orbit in ``reps``,
-        and ``stabilizers[k]`` is the subgroup of elements fixing
-        ``reps[k]``: every element whose class fixes it, in group order.
+        and ``stabilizers[k]`` is the tuple of the action classes that fix
+        ``reps[k]``; :meth:`subgroup` expands it to every element of those
+        classes, in group order.  Equal tuples are shared.
         """
-        actions, class_of = self.action_classes
+        actions, _ = self.action_classes
         orbit_of = {}
         reps = []
         stabilizers = []
+        shared = {}
         for item in items:
             here = data(item)
             if here in orbit_of:
                 continue
             k = len(reps)
             reps.append(item)
-            fixes = []
-            for a in actions:
+            fixing = []
+            for c, a in enumerate(actions):
                 image = act(a, item)
                 orbit_of[image] = k
-                fixes.append(image == here)
-            stabilizers.append(AutGroup(self.graph, [
-                a for a, c in zip(self.elements, class_of) if fixes[c]]))
+                if image == here:
+                    fixing.append(c)
+            fixing = tuple(fixing)
+            stabilizers.append(shared.setdefault(fixing, fixing))
         return reps, orbit_of, stabilizers
 
 
@@ -501,9 +513,10 @@ def automorphisms(graph, restrict=None, spin=None):
     """The automorphism group, optionally restricted.
 
     ``restrict="spin"`` keeps the elements fixing the given spin
-    structure; that stabilizer is memoised per graph object by the
-    structure's data, in ``graph.__dict__`` like the full group, and a
-    miss walks the orbit of that structure alone.
+    structure.  The action classes of that stabilizer are memoised per
+    graph object by the structure's data, in ``graph.__dict__`` like the
+    full group, and expanded to a fresh group on every call; a miss
+    walks the orbit of that structure alone.
     ``restrict="pbar"`` keeps those fixing every half-edge
     outside the spin structure's cyclic set and mapping each component of
     the opened graph to itself (the product of the component groups).
@@ -517,44 +530,47 @@ def automorphisms(graph, restrict=None, spin=None):
     if restrict == "spin":
         cache = _stabilizer_memo(graph)
         here = spin.data()
-        stabilizer = cache.get(here)
-        if stabilizer is None:
-            _, _, (stabilizer,) = group.orbit_representatives(
+        fixing = cache.get(here)
+        if fixing is None:
+            _, _, (fixing,) = group.orbit_representatives(
                 [spin], SpinStructure.data, spin_action())
-            cache[here] = stabilizer
-        return stabilizer
+            cache[here] = fixing
+        return group.subgroup(fixing)
     if restrict == "pbar":
         outside = [h for i in range(graph.n_edges) if i not in spin.P
                    for h in graph.edges[i]]
+        vertex_sets = spin.dec.vertex_sets
         kept = []
         for a in group.elements:
             if any(a.half_map[h] != h for h in outside):
                 continue
-            if all({a.vertex_map[v] for v in vs} == set(vs)
-                   for vs in spin.dec.vertex_sets):
+            if all({a.vertex_map[v] for v in vs} == vs
+                   for vs in vertex_sets):
                 kept.append(a)
         return AutGroup(graph, kept)
     raise InputError(f"unknown restriction {restrict!r}")
 
 
 def _stabilizer_memo(graph):
-    """Spin data -> the subgroup of ``graph``'s automorphisms fixing it."""
+    """Spin data -> the action classes of ``graph``'s automorphism group
+    that fix it, as :meth:`AutGroup.orbit_representatives` gives them."""
     return graph.__dict__.setdefault("_spin_stabilizers", {})
 
 
-def spin_orbits(graph, spins):
+def spin_orbits(graph, spins, act=None):
     """Orbit representatives of ``spins`` under the full automorphism
     group and the table from spin data to orbit index.
 
     The walk folds each representative's signs through one element per
     action class of the group, since a loop flip fixes every spin
-    structure.  The stabilizer of each representative comes out of the
-    same walk, expanded to every element that fixes it, and
-    is stored as ``automorphisms(graph, restrict="spin", spin=rep)``, so
-    no later caller acts with the whole group on it again.
+    structure, with ``act`` (a fresh :func:`spin_action` when not given).
+    The stabilizer of each representative comes out of the same walk, as
+    the action classes that fix it, and is stored for
+    ``automorphisms(graph, restrict="spin", spin=rep)``, so no later
+    caller acts with the whole group on it again.
     """
     reps, orbit_of, stabilizers = automorphisms(graph).orbit_representatives(
-        spins, SpinStructure.data, spin_action())
+        spins, SpinStructure.data, act or spin_action())
     memo = _stabilizer_memo(graph)
     for s, stabilizer in zip(reps, stabilizers):
         memo.setdefault(s.data(), stabilizer)
@@ -578,12 +594,13 @@ def quotient_action_order(graph, spin, group):
     """
     outside = [h for i in range(graph.n_edges) if i not in spin.P
                for h in graph.edges[i]]
-    comp_index = {vs: i for i, vs in enumerate(spin.dec.vertex_sets)}
+    vertex_sets = spin.dec.vertex_sets
+    comp_index = {vs: i for i, vs in enumerate(vertex_sets)}
     seen = set()
     for a in group.elements:
         comp_perm = tuple(
             comp_index[frozenset(a.vertex_map[v] for v in vs)]
-            for vs in spin.dec.vertex_sets)
+            for vs in vertex_sets)
         seen.add((comp_perm, tuple(a.half_map[h] for h in outside)))
     return len(seen)
 
@@ -602,8 +619,11 @@ class SpinCarry:
     ``genus_zero`` those of genus 0.  Every sign vector over the set is
     then folded through it (:meth:`fold`).
 
-    The source components are read from ``spin.dec``.  An automorphism
-    must carry each onto a component of the image of the same genus; a
+    The source and image components are read from the component indices
+    of ``spin.dec`` and of the image set's decomposition, in one pass over
+    the source vertices.  An automorphism must carry each component onto
+    a component of the image of the same genus (it maps vertices
+    bijectively, so no two components may meet in one image); a
     contraction must carry each into one component, and the image set
     passes the checks of :func:`push_cycle`.
     """
@@ -622,31 +642,59 @@ class SpinCarry:
             self.graph = f.target
             self.mask = push_cycle(f, spin.P).mask
         dec = pbar_decompose(self.graph, EdgeSet(self.graph, self.mask))
-        vertex_map = f.vertex_map
-        comps = []
-        for i, vs in enumerate(spin.dec.vertex_sets):
+        source = spin.dec
+        # one pass over the source vertices: the image component of each
+        # source component, and whether one source component meets two
+        # image components (split) or two meet one (shared)
+        vertex_map, at, image_of = (f.vertex_map, self.graph.vertex_index,
+                                    dec.component)
+        comps = [-1] * len(source.genera)
+        hit = [-1] * len(dec.genera)
+        split = shared = False
+        for v, i in zip(source.graph.vertices, source.component):
+            j = image_of[at[vertex_map[v]]]
+            c = comps[i]
+            if c < 0:
+                comps[i] = j
+            elif c != j:
+                split = True
+            h = hit[j]
+            if h < 0:
+                hit[j] = i
+            elif h != i:
+                shared = True
+        if split or is_aut and (shared or any(
+                dec.genera[j] != g for j, g in zip(comps, source.genera))):
+            self._reject(source, dec, is_aut)
+        self.comps = tuple(comps)
+        self.size = len(dec)
+        self.genus_zero = tuple(j for j, g in enumerate(dec.genera) if g == 0)
+
+    def _reject(self, source, dec, is_aut):
+        """Raise for the first source component, in order, that ``f``
+        does not carry as it must: an automorphism onto a component of
+        the image of the same genus, a contraction into one component."""
+        vertex_map, at = self.f.vertex_map, self.graph.vertex_index
+        targets = dec.vertex_sets
+        for i, vs in enumerate(source.vertex_sets):
             image = {vertex_map[v] for v in vs}
-            j = dec.component_of(min(image))
+            j = dec.component[at[min(image)]]
             if is_aut:
-                if image != dec.vertex_sets[j]:
+                if image != targets[j]:
                     raise VerificationError(
                         f"automorphism maps component {i} of the opened "
                         f"graph onto no component of its image",
                         self.witnesses())
-                if dec.genera[j] != spin.dec.genera[i]:
+                if dec.genera[j] != source.genera[i]:
                     raise VerificationError(
                         f"automorphism changes the genus of component {i} "
-                        f"of the opened graph from {spin.dec.genera[i]} to "
+                        f"of the opened graph from {source.genera[i]} to "
                         f"{dec.genera[j]}", self.witnesses())
-            elif not image <= dec.vertex_sets[j]:
+            elif not image <= targets[j]:
                 raise VerificationError(
                     f"component {i} of the opened graph does not map into "
                     f"one component of the pushed decomposition",
                     self.witnesses())
-            comps.append(j)
-        self.comps = tuple(comps)
-        self.size = len(dec)
-        self.genus_zero = tuple(j for j, g in enumerate(dec.genera) if g == 0)
 
     def witnesses(self):
         f = self.f
@@ -685,8 +733,9 @@ def spin_action():
     """``act(f, spin)``: the ``(mask, signs)`` data of the image of
     ``spin`` under an automorphism or contraction ``f``.
 
-    Each (map, mask) carry is built once and kept for as long as the
-    returned function is: one orbit walk, or one poset build.
+    Each (map, mask) carry is built once and kept, in the dict
+    ``act.carried``, for as long as the returned function is: one orbit
+    walk, or the cover pushes of one class.
     """
     memo = {}
 
@@ -697,6 +746,7 @@ def spin_action():
             carried = memo[key] = SpinCarry(f, spin)
         return carried.fold(spin)
 
+    act.carried = memo
     return act
 
 

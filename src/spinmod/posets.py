@@ -26,17 +26,19 @@ moves no structure).  A cover's target is then the orbit of the pushed
 structure's data in the target class's table: no fresh graph,
 automorphism group or group minimum per cover.  A spin structure is
 pushed as data through the component map of its (contraction, cyclic
-set) pair, built once per poset (:func:`spin_action`).  The node keys
-come from the same tables (:func:`orbit_keys`), one encoding per
-structure.
+set) pair, built once per class (:func:`spin_action`) and dropped with
+the class's covers, which are pushed class by class and deduplicated
+per node.  The node keys come from the same tables (:func:`orbit_keys`),
+one encoding per structure.
 """
 
 from __future__ import annotations
 
 import os
-from collections import Counter, defaultdict
+from array import array
+from collections import Counter
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, chain, pairwise, product
 
 from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
@@ -312,6 +314,8 @@ def stable_graphs_direct(g, n, budget_edges=None):
 class PosetNode:
     """One isomorphism class in a moduli poset."""
 
+    __slots__ = ("key", "rank", "rep", "parity")
+
     def __init__(self, key, rank, rep, parity=None):
         self.key = key
         self.rank = rank
@@ -326,11 +330,17 @@ class PosetNode:
 class Poset:
     """Graded poset with covers between consecutive ranks.
 
+    ``covers`` are kept sorted and without repeats; covers given in that
+    order already are taken as they are, any others are sorted first.
+
     ``walk`` holds the orbit walk's counts when the poset was built over
     automorphism orbits (cyclic and spin kinds), else ``None``:
     ``group_actions``, the distinct actions on vertices and edges summed
-    over the classes, and ``orbit_images``, the images the walk computed,
-    one per (orbit, action)."""
+    over the classes; ``orbit_images``, the images the walk computed, one
+    per (orbit, action); ``decompositions``, the decompositions memoised
+    on the classes when the build ended; and ``carries``, the
+    :class:`~spinmod.morphisms.SpinCarry` objects its orbit walks and
+    cover pushes built."""
 
     def __init__(self, kind, g, n, nodes, covers, walk=None):
         self.kind = kind
@@ -338,7 +348,10 @@ class Poset:
         self.g = g
         self.n = n
         self.nodes = tuple(nodes)
-        self.covers = tuple(sorted(set(covers)))
+        covers = tuple(covers)
+        if not all(a < b for a, b in pairwise(covers)):
+            covers = tuple(sorted(set(covers)))
+        self.covers = covers
         self.index = {node.key: i for i, node in enumerate(self.nodes)}
 
     def __len__(self):
@@ -346,20 +359,25 @@ class Poset:
 
     @cached_property
     def lower_of(self):
-        """Node -> the nodes it covers, built once from the covers."""
-        below = defaultdict(list)
-        for u, l in self.covers:
-            below[u].append(l)
-        return dict(below)
+        """Offsets into the sorted covers: the covers of node ``u`` are
+        ``covers[lower_of[u]:lower_of[u + 1]]``."""
+        counts = [0] * len(self.nodes)
+        for u, _ in self.covers:
+            counts[u] += 1
+        return array("q", accumulate(counts, initial=0))
+
+    def lower(self, u):
+        """The nodes that node ``u`` covers, in index order."""
+        offsets = self.lower_of
+        return [l for _, l in self.covers[offsets[u]:offsets[u + 1]]]
 
     def descendants(self, i):
         """Everything reachable downward from node i, including i."""
-        below = self.lower_of
         seen = {i}
         stack = [i]
         while stack:
             x = stack.pop()
-            for y in below.get(x, ()):
+            for y in self.lower(x):
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -381,11 +399,10 @@ class Poset:
         top = max_rank(self.g, self.n)
         ranks = [node.rank for node in self.nodes]
         reaches = [rank == top for rank in ranks]
-        below = self.lower_of
         for u in sorted(range(len(ranks)), key=ranks.__getitem__,
                         reverse=True):
             if reaches[u]:
-                for l in below.get(u, ()):
+                for l in self.lower(u):
                     reaches[l] = True
         return reaches
 
@@ -431,92 +448,134 @@ def _rep_json(kind, rep):
             "spin": rep.spin.to_json_dict()}
 
 
-def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, push, rep,
-                 pair, parity=lambda x: None):
+def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
+                 rep, pair, parity=lambda x: None):
     """The graded poset of one kind: a node per orbit representative over
     each class, sorted by (rank, key), and a cover per single-edge
     contraction of each node's representative.
 
-    The kind supplies ``orbits(graph)``, the orbit representatives over a
-    class and the table from structure data to orbit index;
+    The kind supplies ``action()``, a fresh function ``act(f, x)`` giving
+    the data of the structure ``x`` carried along an automorphism or a
+    contraction ``f``; ``orbits(graph, act)``, the orbit representatives
+    over a class and the table from structure data to orbit index;
     ``keys(graph, orbit_of)``, the node key of each orbit, read off that
-    table; ``push(contraction, x)``, the data of the structure carried
-    along a contraction; and the node shape: ``rep(graph, x)`` builds a
-    node's representative, ``pair(rep)`` reads ``(graph, x)`` back from
-    it and ``parity(x)`` labels it.
+    table; and the node shape: ``rep(graph, x)`` builds a node's
+    representative, ``pair(rep)`` reads ``(graph, x)`` back from it and
+    ``parity(x)`` labels it.  Each orbit walk, and the cover pushes of
+    each class, get an action of their own, dropped before the next
+    class; an action that keeps its carries in a dict ``carried``
+    (:func:`spin_action`) has them counted.
 
     Covers are looked up, not keyed: every contraction lands on its
     target class's representative, so the pushed data indexes that
-    class's orbit table directly.  Every kind but the graph poset walks
-    automorphism orbits, and the poset records that walk's counts
-    (:attr:`Poset.walk`).
+    class's orbit table directly.  The classes are taken rank by rank,
+    upward.  A rank's nodes follow every node of lower rank, so their
+    indices are known once its classes are walked and its nodes sorted
+    by key; two of them sharing a key is an error (nodes of different
+    ranks cannot share one, since a key digests the graph's
+    certificate).  Its covers land one rank lower, so each rank's orbit
+    tables are dropped once the rank above has pushed its covers, and
+    the covers come out in node order.  They are pushed class by class,
+    and each node's covers are deduplicated before they are kept.  Every
+    kind but the graph poset walks automorphism orbits, and the poset
+    records that walk's counts (:attr:`Poset.walk`).
     """
     if classes is None:
         classes = enumerate_stable_graphs(g, n, budget_edges)
     walk = (None if kind == "graphs"
-            else {"group_actions": 0, "orbit_images": 0})
+            else {"group_actions": 0, "orbit_images": 0,
+                  "decompositions": 0, "carries": 0})
     reps = {}
-    orbit_tables = {}
-    nodes = []
+    by_rank = {}
     for graph in classes:
-        structures, orbit_of = orbits(graph)
-        if walk is not None:
-            actions = len(automorphisms(graph).action_classes[0])
-            walk["group_actions"] += actions
-            walk["orbit_images"] += actions * len(structures)
-        here = [PosetNode(key, graph.n_edges, rep(graph, x), parity(x))
-                for x, key in zip(structures, keys(graph, orbit_of),
-                                  strict=True)]
         class_key = canonical_key(graph)
         reps[class_key] = graph
-        orbit_tables[class_key] = (orbit_of, here)
-        nodes += here
-    nodes.sort(key=lambda nd: (nd.rank, nd.key))
-    index = {}
-    for i, nd in enumerate(nodes):
-        if index.setdefault(nd.key, i) != i:
-            raise VerificationError("two orbit representatives share a key",
-                                    (nd.key,))
+        by_rank.setdefault(graph.n_edges, []).append((class_key, graph))
+    nodes = []
     covers = []
-    for i, nd in enumerate(nodes):
-        graph, x = pair(nd.rep)
-        for e, (target_key, c) in enumerate(_edge_contractions(graph, reps)):
-            orbit_of, target_nodes = orbit_tables[target_key]
-            k = orbit_of.get(push(c, x))
-            if k is None:
+    below = {}  # class key one rank down -> (orbit table, node indices)
+    for rank in sorted(by_rank):
+        level = []
+        walked = []
+        for class_key, graph in by_rank[rank]:
+            act = action()
+            structures, orbit_of = orbits(graph, act)
+            if walk is not None:
+                actions = len(automorphisms(graph).action_classes[0])
+                walk["group_actions"] += actions
+                walk["orbit_images"] += actions * len(structures)
+                walk["carries"] += len(getattr(act, "carried", ()))
+            here = [PosetNode(key, rank, rep(graph, x), parity(x))
+                    for x, key in zip(structures, keys(graph, orbit_of),
+                                      strict=True)]
+            walked.append((class_key, graph, orbit_of, here))
+            level += here
+        level.sort(key=lambda nd: nd.key)
+        first = len(nodes)
+        index = {}
+        for i, nd in enumerate(level, first):
+            if index.setdefault(nd.key, i) != i:
                 raise VerificationError(
-                    "a pushed structure is missing from the orbit table of "
-                    "its target class", (nd.key, f"edge={e}", target_key))
-            covers.append((i, index[target_nodes[k].key]))
+                    "two orbit representatives share a key", (nd.key,))
+        nodes += level
+        lower = [()] * len(level)
+        for class_key, graph, _, here in walked:
+            contractions = _edge_contractions(graph, reps)
+            push = action()
+            for nd in here:
+                _, x = pair(nd.rep)
+                targets = set()
+                for e, (target_key, c) in enumerate(contractions):
+                    orbit_of, target_nodes = below[target_key]
+                    k = orbit_of.get(push(c, x))
+                    if k is None:
+                        raise VerificationError(
+                            "a pushed structure is missing from the orbit "
+                            "table of its target class",
+                            (nd.key, f"edge={e}", target_key))
+                    targets.add(target_nodes[k])
+                i = index[nd.key]
+                lower[i - first] = tuple((i, l) for l in sorted(targets))
+            if walk is not None:
+                walk["carries"] += len(getattr(push, "carried", ()))
+        covers += chain.from_iterable(lower)
+        below = {class_key: (orbit_of, [index[nd.key] for nd in here])
+                 for class_key, _, orbit_of, here in walked}
+    if walk is not None:
+        walk["decompositions"] = sum(
+            len(graph.__dict__.get("_pbar_decompositions", ()))
+            for graph in classes)
     return Poset(kind, g, n, nodes, covers, walk)
 
 
 def build_graph_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "graphs", g, n, budget_edges, _classes,
-        orbits=lambda graph: ((None,), {None: 0}),
+        orbits=lambda graph, _: ((None,), {None: 0}),
         keys=lambda graph, _: [canonical_key(graph)],
-        push=lambda c, _: None,
+        action=lambda: lambda f, _: None,
         rep=lambda graph, _: graph, pair=lambda graph: (graph, None))
 
 
 def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "cyclic", g, n, budget_edges, _classes,
-        orbits=lambda graph: cyclic_orbits(graph, enumerate_cyclic(graph)),
+        orbits=lambda graph, _: cyclic_orbits(graph,
+                                              enumerate_cyclic(graph)),
         keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
                                                 _cyclic_encoding),
-        push=lambda c, p: push_cycle(c, p).mask,
+        action=lambda: lambda c, p: push_cycle(c, p).mask,
         rep=lambda graph, p: (graph, p), pair=lambda rep: rep)
 
 
 def build_spin_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "spin", g, n, budget_edges, _classes,
-        orbits=lambda graph: spin_orbits(graph, enumerate_spin(graph)),
+        orbits=lambda graph, act: spin_orbits(graph, enumerate_spin(graph),
+                                              act),
         keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
                                                 _spin_encoding),
-        push=spin_action(), rep=SpinGraph,
+        action=spin_action, rep=SpinGraph,
         pair=lambda sg: (sg.graph, sg.spin), parity=lambda s: s.parity)
 
 

@@ -22,8 +22,11 @@ class SpinStructure:
     """A cyclic edge set plus a sign per component of the opened graph.
 
     Signs are indexed by the component order of the decomposition
-    (components sorted by smallest vertex).
+    (components sorted by smallest vertex).  A spin poset keeps one per
+    node, so the record is slotted.
     """
+
+    __slots__ = ("graph", "P", "dec", "signs", "parity")
 
     def __init__(self, graph, cyclic_set, signs):
         if cyclic_set.graph != graph:
@@ -88,6 +91,8 @@ class SpinStructure:
 
 class SpinGraph:
     """A graph together with a spin structure on it."""
+
+    __slots__ = ("graph", "spin")
 
     def __init__(self, graph, spin):
         if spin.graph != graph:

@@ -213,6 +213,8 @@ class ConeCell:
     faces follow the poset order: the cell of node ``j`` is a face of the
     cell of node ``i`` exactly when ``poset.leq(i, j)``."""
 
+    __slots__ = ("key", "dim", "parity", "aut_edge_order", "rep")
+
     def __init__(self, key, dim, parity, aut_edge_order, rep):
         self.key = key
         self.dim = dim

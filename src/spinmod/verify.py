@@ -132,8 +132,6 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
                    "reached": sum(reaches)})
 
     # forgetful maps: even spin -> cyclic -> graphs, monotone surjections
-    cyclic_cover_set = set(cyclic_poset.covers)
-    graph_cover_set = set(graph_poset.covers)
     # keyed once per (class, cyclic set): the spin nodes over a class
     # share its representative graph object
     cyclic_node = {}
@@ -150,26 +148,26 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
     if even_image != set(range(len(cyclic_poset.nodes))):
         raise VerificationError("even spin classes do not cover the cyclic "
                                 "poset")
-    for u, l in spin_poset.covers:
-        cu = spin_to_cyc[spin_poset.nodes[u].key]
-        cl = spin_to_cyc[spin_poset.nodes[l].key]
-        if (cu, cl) not in cyclic_cover_set:
-            raise VerificationError(
-                "spin cover does not map to a cyclic cover",
-                (spin_poset.nodes[u].key,))
+    # a cover maps to a cover when the image of its lower end is among
+    # the nodes that the image of its upper end covers
+    for u, nd in enumerate(spin_poset.nodes):
+        below = set(cyclic_poset.lower(spin_to_cyc[nd.key]))
+        for l in spin_poset.lower(u):
+            if spin_to_cyc[spin_poset.nodes[l].key] not in below:
+                raise VerificationError(
+                    "spin cover does not map to a cyclic cover", (nd.key,))
     cyc_to_graph = {}
     for nd in cyclic_poset.nodes:
         cyc_to_graph[nd.key] = graph_poset.index[canonical_key(nd.rep[0])]
     if {cyc_to_graph[nd.key] for nd in cyclic_poset.nodes} != \
             set(range(len(graph_poset.nodes))):
         raise VerificationError("cyclic classes do not cover the graph poset")
-    for u, l in cyclic_poset.covers:
-        pair = (cyc_to_graph[cyclic_poset.nodes[u].key],
-                cyc_to_graph[cyclic_poset.nodes[l].key])
-        if pair not in graph_cover_set:
-            raise VerificationError(
-                "cyclic cover does not map to a graph cover",
-                (cyclic_poset.nodes[u].key,))
+    for u, nd in enumerate(cyclic_poset.nodes):
+        below = set(graph_poset.lower(cyc_to_graph[nd.key]))
+        for l in cyclic_poset.lower(u):
+            if cyc_to_graph[cyclic_poset.nodes[l].key] not in below:
+                raise VerificationError(
+                    "cyclic cover does not map to a graph cover", (nd.key,))
     checks.append({"name": "forgetful-maps", "status": "pass",
                    "spin_covers": len(spin_poset.covers),
                    "cyclic_covers": len(cyclic_poset.covers)})
@@ -236,7 +234,9 @@ def fuzz_contraction_chains(classes, count=1000, seed=0):
     contracts on the class graph, the edge set ``S2`` that ``c2``
     contracts on ``c1``'s target (which keeps the ``graph.n_edges - |S1|``
     edges that ``S1`` leaves), a cyclic set, a spin structure and an edge.
-    The chains then run class by class, in order of first draw.  Each
+    A class's cyclic sets and spin structures are listed when it is first
+    drawn, so a class no chain draws builds no spin structure.  The
+    chains then run class by class, in order of first draw.  Each
     distinct (graph, edge set) among a class's chains is contracted once,
     in a table dropped before the next class.  The composite ``c12`` is
     the table's contraction of ``composed_edges(c1, c2)``, made from the
@@ -249,17 +249,18 @@ def fuzz_contraction_chains(classes, count=1000, seed=0):
     an edge to take the boundary of); and ``contractions``, the distinct
     contractions the chains built.
     """
-    cyclic_of = {id(c): enumerate_cyclic(c) for c in classes}
-    spins_of = {id(c): enumerate_spin(c) for c in classes}
+    structures_of = {}  # id(class graph) -> (cyclic sets, spin structures)
     rng = random.Random(seed)
     chains_of = {}  # id(class graph) -> (graph, its chains in draw order)
     for i in range(count):
         graph = classes[rng.randrange(len(classes))]
         s1 = _random_edge_mask(rng, graph.n_edges)
         s2 = _random_edge_mask(rng, graph.n_edges - s1.bit_count())
-        cyc = cyclic_of[id(graph)]
+        if id(graph) not in structures_of:
+            structures_of[id(graph)] = (enumerate_cyclic(graph),
+                                        enumerate_spin(graph))
+        cyc, spins = structures_of[id(graph)]
         p = cyc[rng.randrange(len(cyc))]
-        spins = spins_of[id(graph)]
         s = spins[rng.randrange(len(spins))]
         e = rng.randrange(graph.n_edges) if graph.n_edges else None
         chains_of.setdefault(id(graph), (graph, []))[1].append(

@@ -11,7 +11,7 @@ import pytest
 
 from spinmod.errors import InputError
 from spinmod.graphs import Graph
-from spinmod.posets import Poset
+from spinmod.posets import Poset, enumerate_stable_graphs
 
 
 def make_theta():
@@ -95,6 +95,26 @@ def _no_caller_budget(monkeypatch):
     the CLI child processes included (they inherit os.environ).  Tests
     that want a budget set it themselves."""
     monkeypatch.delenv("SPINMOD_BUDGET", raising=False)
+
+
+@pytest.fixture(scope="session")
+def shared_classes():
+    """``shared_classes(g, n)``: ``enumerate_stable_graphs(g, n)``, run
+    once per test session.
+
+    The graphs keep their memos (canonical forms, groups, cycle spaces,
+    decompositions) from one test to the next, so only tests that read
+    the classes may take them: never a test that counts calls,
+    monkeypatches, or reads or asserts memo state.
+    """
+    cache = {}
+
+    def classes(g, n):
+        if (g, n) not in cache:
+            cache[(g, n)] = enumerate_stable_graphs(g, n)
+        return cache[(g, n)]
+
+    return classes
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Test oracles: the orbit walk that acts with every group element,
 the automorphism group found by a backtracking search over vertex
-bijections, spin structures acted on one image at a time, the refinement
+bijections, the opened graph's components grouped by a union-find of
+their own, spin structures acted on one image at a time, the refinement
 postconditions that key every lift, the 3-regular seeding that tries
 every leg assignment, the fuzz chains run in draw order, the order test
 that contracts every edge subset of the right size and walks the lower
@@ -9,7 +10,8 @@ generator's scan through every edge multiset.
 
 The package walks orbits with one element per distinct action on
 vertices and edges, reads the group's vertex maps off the leaves of the
-canonical-form search that have the best certificate, carries each
+canonical-form search that have the best certificate, keeps a
+decomposition as one component index per vertex, carries each
 (map, cyclic set) component map once and folds sign vectors through it,
 looks refinement lifts up in one orbit table, seeds 3-regular classes
 once per leg pattern, runs the fuzz chains class by class, contracting
@@ -108,17 +110,48 @@ def group_elements(graph):
             for half_map in _half_edge_extensions(graph, vmap)]
 
 
+def decomposition(graph, cyclic_set):
+    """The components of the graph opened outside ``cyclic_set``, from a
+    union-find of the oracle's own over the set's edges: their vertex
+    sets, ordered by smallest vertex, and the genus of each (its weight
+    plus its edges in the set, minus its vertices, plus one)."""
+    parent = {v: v for v in graph.vertices}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i in cyclic_set:
+        u, v = graph.edge_vertices(i)
+        parent[root(u)] = root(v)
+    groups = {}
+    for v in graph.vertices:
+        groups.setdefault(root(v), set()).add(v)
+    vertex_sets = sorted(groups.values(), key=min)
+    genera = []
+    for vs in vertex_sets:
+        inside = sum(1 for i in cyclic_set if graph.edge_vertices(i)[0] in vs)
+        genera.append(sum(graph.weight[v] for v in vs) + inside - len(vs) + 1)
+    return tuple(map(frozenset, vertex_sets)), tuple(genera)
+
+
+def _component_of(vertex_sets, vertex):
+    """The index of the vertex set holding ``vertex``."""
+    return next(i for i, vs in enumerate(vertex_sets) if vertex in vs)
+
+
 def act_spin(aut, spin):
     """Image of a spin structure under an automorphism, decomposing the
     image cyclic set and building a spin structure for it."""
     graph = aut.graph
     p_out = EdgeSet(graph, aut.act_mask(spin.P.mask))
-    dec = pbar_decompose(graph, p_out)
-    signs = [0] * len(dec)
+    targets = pbar_decompose(graph, p_out).vertex_sets
+    signs = [0] * len(targets)
     for i, vs in enumerate(spin.dec.vertex_sets):
         image = {aut.vertex_map[v] for v in vs}
-        j = dec.component_of(min(image))
-        if image != dec.vertex_sets[j]:
+        j = _component_of(targets, min(image))
+        if image != targets[j]:
             raise VerificationError("automorphism maps a component onto no "
                                     "component of its image")
         signs[j] = spin.signs[i]
@@ -129,12 +162,12 @@ def push_spin(contraction, spin):
     """Pushforward of a spin structure, signs summed over the components
     each image component absorbs."""
     p_out = push_cycle(contraction, spin.P)
-    dec = pbar_decompose(contraction.target, p_out)
-    signs = [0] * len(dec)
+    targets = pbar_decompose(contraction.target, p_out).vertex_sets
+    signs = [0] * len(targets)
     for i, vs in enumerate(spin.dec.vertex_sets):
         image = {contraction.vertex_map[v] for v in vs}
-        j = dec.component_of(min(image))
-        if not image <= dec.vertex_sets[j]:
+        j = _component_of(targets, min(image))
+        if not image <= targets[j]:
             raise VerificationError("a component does not map into one "
                                     "component")
         signs[j] ^= spin.signs[i]

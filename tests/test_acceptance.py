@@ -1,7 +1,9 @@
 """Acceptance suite: exact desk-scale targets, zero tolerance.
 
 Each test covers one criterion and prints a single summary line.  The
-expensive enumerations are shared through a module-scoped cache.
+expensive enumerations are shared with the other read-only tests of the
+session (``shared_classes``), and the spin posets through a
+module-scoped cache.
 """
 
 import json
@@ -13,8 +15,8 @@ from fractions import Fraction
 import pytest
 
 from spinmod.morphisms import order_test
-from spinmod.posets import (build_spin_poset, enumerate_stable_graphs,
-                            max_rank, poset_stats, stable_graphs_direct)
+from spinmod.posets import (build_spin_poset, max_rank, poset_stats,
+                            stable_graphs_direct)
 from spinmod.spin import spin_count_check, stratum_counts
 from spinmod.tropical import TropicalCurve, build_cone_complex, pi_trop, pi_trop_fiber
 from spinmod.verify import (check_aut_factorization, fuzz_contraction_chains,
@@ -29,14 +31,12 @@ REFINE_RANGE = [(2, 0), (2, 1), (2, 2), (3, 0), (3, 1)]
 
 
 @pytest.fixture(scope="module")
-def cache():
-    return {"classes": {}, "posets": {}}
+def cache(shared_classes):
+    return {"classes": shared_classes, "posets": {}}
 
 
 def classes_at(cache, g, n):
-    if (g, n) not in cache["classes"]:
-        cache["classes"][(g, n)] = enumerate_stable_graphs(g, n)
-    return cache["classes"][(g, n)]
+    return cache["classes"](g, n)
 
 
 def poset_at(cache, g, n):

@@ -1,0 +1,64 @@
+"""Ratchet on the compact layout of the tables kept per class.
+
+A decomposition keeps one component index per vertex and the genera, as
+flat tuples of ints; poset nodes, cone cells, decompositions and spin
+carries are slotted records without an instance dict; a stabilizer is
+memoised as the action classes that fix its structure, not as a list of
+group elements; and the poset's lower covers are offsets into its
+sorted covers.  This guards the layout only: it measures no memory.
+"""
+
+from array import array
+
+import pytest
+
+from spinmod.cycles import PbarDecomposition, enumerate_cyclic, pbar_decompose
+from spinmod.morphisms import SpinCarry, automorphisms, spin_action
+from spinmod.posets import PosetNode, build_spin_poset
+from spinmod.tropical import ConeCell, build_cone_complex
+
+
+def _flat_ints(value):
+    return type(value) is tuple and all(type(x) is int for x in value)
+
+
+@pytest.mark.parametrize("cls", [PbarDecomposition, PosetNode, ConeCell,
+                                 SpinCarry])
+def test_per_class_records_define_slots(cls):
+    assert "__slots__" in cls.__dict__
+    assert "__dict__" not in cls.__slots__
+    assert cls.__mro__[1:] == (object,)
+
+
+def test_records_built_by_a_poset_have_no_instance_dict():
+    poset = build_spin_poset(2, 1)
+    cells, _ = build_cone_complex(poset)
+    nd = poset.nodes[-1]
+    graph, spin = nd.rep.graph, nd.rep.spin
+    dec = pbar_decompose(graph, spin.P)
+    act = spin_action()
+    act(automorphisms(graph).elements[0], spin)
+    (carry,) = act.carried.values()
+    for record in (nd, cells[-1], dec, carry):
+        assert not hasattr(record, "__dict__")
+    assert isinstance(poset.lower_of, array)
+    assert len(poset.lower_of) == len(poset.nodes) + 1
+
+
+def test_decomposition_fields_are_flat_tuples_of_ints(shared_classes):
+    for graph in shared_classes(2, 1):
+        for p in enumerate_cyclic(graph):
+            dec = pbar_decompose(graph, p)
+            assert _flat_ints(dec.component) and _flat_ints(dec.genera)
+            assert len(dec.component) == len(graph.vertices)
+            assert set(dec.component) == set(range(len(dec.genera)))
+
+
+def test_stabilizer_memo_holds_action_class_indices():
+    poset = build_spin_poset(2, 1)
+    for nd in poset.nodes:
+        graph = nd.rep.graph
+        fixing = graph.__dict__["_spin_stabilizers"][nd.rep.spin.data()]
+        assert _flat_ints(fixing) and fixing == tuple(sorted(set(fixing)))
+        assert 0 <= fixing[0] <= fixing[-1] < len(
+            automorphisms(graph).action_classes[0])

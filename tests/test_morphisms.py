@@ -10,7 +10,6 @@ from spinmod.morphisms import (SpinCarry, automorphisms, canonical_key,
                                composed_edges, contract, cyclic_canonical_key,
                                order_test, push_cycle, push_spin,
                                push_vertex_set, quotient_action_order)
-from spinmod.posets import enumerate_stable_graphs
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
@@ -227,8 +226,9 @@ def assert_group_matches_the_bijection_search(graph):
 @pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (0, 3), (0, 4),
                                  (0, 5), (0, 6), (2, 0), (2, 1), (2, 2),
                                  (2, 3), (3, 0), (3, 1), (3, 2), (4, 0)])
-def test_group_matches_the_bijection_search_on_classes(g, n):
-    for graph in enumerate_stable_graphs(g, n):
+def test_group_matches_the_bijection_search_on_classes(g, n,
+                                                      shared_classes):
+    for graph in shared_classes(g, n):
         assert_group_matches_the_bijection_search(graph)
 
 
@@ -449,14 +449,12 @@ def test_cyclic_key(theta):
     assert k1 == k2 != k3
 
 
-def test_single_structure_keys_match_the_group_minimum():
+def test_single_structure_keys_match_the_group_minimum(shared_classes):
     # every cyclic set and spin structure over every class at (2,1),
     # (2,2), (3,0) and (3,1), keyed by its own orbit walk over action
     # classes, against the least encoding over every group element
-    from spinmod.posets import enumerate_stable_graphs
-
     for g, n in ((2, 1), (2, 2), (3, 0), (3, 1)):
-        for graph in enumerate_stable_graphs(g, n):
+        for graph in shared_classes(g, n):
             for p in enumerate_cyclic(graph):
                 assert cyclic_canonical_key(graph, p) == \
                     key_oracle.cyclic_key(graph, p)
@@ -636,6 +634,24 @@ def test_act_spin_rejects_a_component_carried_onto_part_of_one():
     assert info.value.witnesses == (canonical_key(chain), "P=4", "image=4")
 
 
+def test_act_spin_rejects_two_components_carried_into_one():
+    # the two loops of the loop chain, components {0} and {1} of genus 1,
+    # against a decomposition memoised for their mask that is the 2-cycle
+    # through both vertices, one component of genus 1: every genus
+    # agrees, and only the two components meeting in one image betray it
+    chain = make_loop_chain()
+    s = spin(chain, [2, 3], (1, 0))
+    joined = pbar_decompose(chain, EdgeSet.from_indices(chain, [0, 1]))
+    assert joined.genera == (1,) == s.dec.genera[:1] == s.dec.genera[1:]
+    chain.__dict__["_pbar_decompositions"][0b1100] = joined
+    ident = automorphisms(chain).elements[0]
+    with pytest.raises(VerificationError,
+                       match="maps component 0 of the opened graph onto "
+                             "no component") as info:
+        SpinCarry(ident, s).image(s)
+    assert info.value.witnesses == (canonical_key(chain), "P=c", "image=c")
+
+
 def test_push_spin_rejects_sign_on_genus_zero_component():
     # the target's decomposition of the image mask claims genus 0, so the
     # carried sign 1 lands where every sign must vanish
@@ -689,16 +705,23 @@ def test_push_cycle_failure_is_verification_error(theta, monkeypatch):
 
 
 def test_spin_stabilizer_memoised_per_graph(theta):
+    # the memo keeps the fixing action classes per structure's data; each
+    # read expands them to a fresh group with the same elements
     s = spin(theta, [0, 1], (1,))
     fixing = automorphisms(theta, restrict="spin", spin=s)
-    assert automorphisms(theta, restrict="spin",
-                         spin=spin(theta, [0, 1], (1,))) is fixing
-    assert automorphisms(theta, restrict="spin",
-                         spin=spin(theta, [0, 2], (1,))) is not fixing
+    memo = theta.__dict__["_spin_stabilizers"]
+    seeded = memo[s.data()]
+    again = automorphisms(theta, restrict="spin",
+                          spin=spin(theta, [0, 1], (1,)))
+    assert memo[s.data()] is seeded and len(memo) == 1
+    assert again.elements == fixing.elements
+    automorphisms(theta, restrict="spin", spin=spin(theta, [0, 2], (1,)))
+    assert len(memo) == 2 and memo[s.data()] is seeded
     other = make_theta()
     fresh = automorphisms(other, restrict="spin",
                           spin=spin(other, [0, 1], (1,)))
-    assert fresh is not fixing and fresh.order == fixing.order
+    assert other.__dict__["_spin_stabilizers"] is not memo
+    assert fresh.order == fixing.order
 
 
 # -- spin data carried once per (map, cyclic set) -----------------------------
@@ -728,11 +751,10 @@ def test_spin_actions_match_per_image_oracle(g, n):
 
 
 @pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0)])
-def test_spin_orbit_tables_match_per_image_orbits(g, n):
+def test_spin_orbit_tables_match_per_image_orbits(g, n, shared_classes):
     from spinmod.morphisms import spin_orbits
-    from spinmod.posets import enumerate_stable_graphs
 
-    for graph in enumerate_stable_graphs(g, n):
+    for graph in shared_classes(g, n):
         spins = enumerate_spin(graph)
         group = automorphisms(graph).elements
         orbits = {s.data(): frozenset(oracles.act_spin(a, s).data()
@@ -747,15 +769,13 @@ def test_spin_orbit_tables_match_per_image_orbits(g, n):
 # -- orbit walks over action classes -------------------------------------------
 
 @pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
-def test_action_classes_are_the_loop_flip_cosets(g, n):
+def test_action_classes_are_the_loop_flip_cosets(g, n, shared_classes):
     # a loop flip moves no vertex and no edge, so each action on vertices
     # and edges is carried by 2^loops elements; two elements share a
     # class exactly when they differ by flipping loops: on each half-edge
     # they agree, or it lies on a loop and they send it to the two ends
     # of one loop
-    from spinmod.posets import enumerate_stable_graphs
-
-    for graph in enumerate_stable_graphs(g, n):
+    for graph in shared_classes(g, n):
         group = automorphisms(graph)
         actions, class_of = group.action_classes
         loops = [i for i in range(graph.n_edges)
@@ -778,14 +798,14 @@ def test_action_classes_are_the_loop_flip_cosets(g, n):
 
 
 @pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0), (3, 1)])
-def test_orbit_walk_matches_the_walk_over_every_element(g, n):
+def test_orbit_walk_matches_the_walk_over_every_element(g, n,
+                                                        shared_classes):
     # representatives, orbit table (in insertion order) and stabilizers
     # (every fixing element, in group order) on cyclic sets and spin
     # structures, against the walk that acts with every element
     from spinmod.morphisms import spin_action
-    from spinmod.posets import enumerate_stable_graphs
 
-    for graph in enumerate_stable_graphs(g, n):
+    for graph in shared_classes(g, n):
         group = automorphisms(graph)
         for items, data, act in (
                 (enumerate_cyclic(graph), lambda p: p.mask,
@@ -797,7 +817,7 @@ def test_orbit_walk_matches_the_walk_over_every_element(g, n):
                 oracles.orbit_representatives(group, items, data, act)
             assert [data(r) for r in reps] == [data(r) for r in want_reps]
             assert list(orbit_of.items()) == list(want_orbit_of.items())
-            assert [s.elements for s in stabs] == \
+            assert [group.subgroup(s).elements for s in stabs] == \
                 [s.elements for s in want_stabs]
 
 

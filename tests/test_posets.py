@@ -81,9 +81,9 @@ DIRECT_AGREEMENT = [(1, 1), (0, 3), (2, 0), (1, 2), (2, 1), (1, 3), (0, 5),
                     (2, 2), (1, 4), (0, 6)]
 
 
-def test_enumerate_matches_direct_generator():
+def test_enumerate_matches_direct_generator(shared_classes):
     for g, n in DIRECT_AGREEMENT:
-        closure = {canonical_key(x) for x in enumerate_stable_graphs(g, n)}
+        closure = {canonical_key(x) for x in shared_classes(g, n)}
         direct = {canonical_key(x) for x in stable_graphs_direct(g, n)}
         assert closure == direct
 
@@ -201,10 +201,10 @@ def test_purity_every_node_below_a_top_node():
 
 
 @pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
-def test_reaches_top_matches_the_face_closure(g, n):
+def test_reaches_top_matches_the_face_closure(g, n, shared_classes):
     # one pass over the covers marks exactly the nodes the full closure
     # puts below a top node, on the graph, cyclic and spin posets
-    classes = enumerate_stable_graphs(g, n)
+    classes = shared_classes(g, n)
     for build in (build_graph_poset, build_cyclic_poset, build_spin_poset):
         poset = build(g, n, _classes=classes)
         reaches = poset.reaches_top()
@@ -295,7 +295,7 @@ def test_cycle_space_size_over_enumeration():
         assert len(spanned) == 2 ** graph.b1
 
 
-def test_canonical_keys_separate_enumerated_classes():
+def test_canonical_keys_separate_enumerated_classes(shared_classes):
     # all-pairs brute-force isomorphism search over whole enumerated sets:
     # distinct classes never share a key, and every class survives a
     # random relabeling of its representative
@@ -306,7 +306,7 @@ def test_canonical_keys_separate_enumerated_classes():
 
     rng = random.Random(5)
     for g, n in [(2, 1), (2, 2)]:
-        classes = enumerate_stable_graphs(g, n)
+        classes = shared_classes(g, n)
         for a, b in itertools.combinations(classes, 2):
             assert not brute_force_isomorphic(a, b)
             assert canonical_key(a) != canonical_key(b)
@@ -318,13 +318,13 @@ def test_canonical_keys_separate_enumerated_classes():
                 == canonical_key(graph)
 
 
-def test_spin_orbit_counts_match_burnside():
+def test_spin_orbit_counts_match_burnside(shared_classes):
     # independent count of spin orbits: average number of fixed points
     from spinmod.morphisms import automorphisms
     from spinmod.spin import enumerate_spin
 
     for g, n in [(1, 1), (2, 0), (2, 1)]:
-        for graph in enumerate_stable_graphs(g, n):
+        for graph in shared_classes(g, n):
             group = automorphisms(graph)
             spins = enumerate_spin(graph)
             orbits = {min(oracles.act_spin(a, s).data()
@@ -356,7 +356,7 @@ def test_orbit_representatives_are_orbit_minima(g, n):
         mins = list(by_min)
         assert orbit_of == {d: mins.index(m) for d, m in minimum.items()}
         for x, stabilizer in zip(reps, stabilizers):
-            assert stabilizer.elements == tuple(
+            assert group.subgroup(stabilizer).elements == tuple(
                 a for a in group.elements if act(a, x) == data(x))
 
     for graph in enumerate_stable_graphs(g, n):
@@ -557,17 +557,26 @@ def test_full_group_built_once_per_class(monkeypatch):
     assert len(built) == len(set(built)) == 42
 
 
-@pytest.mark.parametrize("g,n", [(2, 2), (3, 0)])
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
 def test_orbit_step_stabilizers_are_the_spin_stabilizers(g, n):
-    # the spin builder seeds the stabilizer memo from its orbit walk
+    # the spin builder seeds the stabilizer memo from its orbit walk with
+    # the action classes that fix each representative; reading the
+    # stabilizer expands them, without a second walk, to the filtered
+    # full group, element by element in group order
     from spinmod.morphisms import automorphisms
 
     for nd in build_spin_poset(g, n).nodes:
         graph, spin = nd.rep.graph, nd.rep.spin
-        seeded = graph.__dict__["_spin_stabilizers"][spin.data()]
-        assert automorphisms(graph, restrict="spin", spin=spin) is seeded
-        assert seeded.elements == tuple(
-            a for a in automorphisms(graph).elements
+        group = automorphisms(graph)
+        memo = graph.__dict__["_spin_stabilizers"]
+        seeded = memo[spin.data()]
+        stabilizer = automorphisms(graph, restrict="spin", spin=spin)
+        assert memo[spin.data()] is seeded
+        _, class_of = group.action_classes
+        assert stabilizer.elements == tuple(
+            a for a, c in zip(group.elements, class_of) if c in seeded)
+        assert stabilizer.elements == tuple(
+            a for a in group.elements
             if oracles.act_spin(a, spin) == spin)
 
 
@@ -605,8 +614,8 @@ def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
     # never met
     original = posets.spin_orbits
 
-    def reps_only(graph, spins):
-        reps, _ = original(graph, spins)
+    def reps_only(graph, spins, *args):
+        reps, _ = original(graph, spins, *args)
         return reps, {s.data(): k for k, s in enumerate(reps)}
 
     monkeypatch.setattr(posets, "spin_orbits", reps_only)
@@ -622,10 +631,10 @@ def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
 # -- node keys from the orbit tables ----------------------------------------
 
 @pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
-def test_node_keys_match_the_group_minimum(g, n):
+def test_node_keys_match_the_group_minimum(g, n, shared_classes):
     # each node key, read off its class's orbit table, against the least
     # encoding over the whole automorphism group
-    classes = enumerate_stable_graphs(g, n)
+    classes = shared_classes(g, n)
     for nd in build_cyclic_poset(g, n, _classes=classes).nodes:
         assert nd.key == key_oracle.cyclic_key(*nd.rep)
     for nd in build_spin_poset(g, n, _classes=classes).nodes:

@@ -252,6 +252,52 @@ def test_poset_records_count_the_orbit_walk(g, n, actions, cyclic_images,
     assert "group_actions" not in checks["poset-graphs"]
 
 
+@pytest.mark.parametrize("g,n,decompositions,carries", [
+    (3, 0, 198, 1297), (3, 1, 876, 5694)])
+def test_poset_records_count_decompositions_and_carries(
+        g, n, decompositions, carries, monkeypatch):
+    # counted from the constructors: in the posets suite nothing is
+    # decomposed before the spin poset, every decomposition its build
+    # makes stays memoised on a class, and every SpinCarry it builds
+    # comes from an orbit walk or a cover push; the cyclic poset builds
+    # neither
+    built = Counter()
+    phase = [None]
+    init_dec = cycles.PbarDecomposition.__init__
+    init_carry = morphisms.SpinCarry.__init__
+
+    def counting_dec(self, graph, cyclic_set):
+        built[phase[0], "decompositions"] += 1
+        init_dec(self, graph, cyclic_set)
+
+    def counting_carry(self, f, spin):
+        built[phase[0], "carries"] += 1
+        init_carry(self, f, spin)
+
+    monkeypatch.setattr(cycles.PbarDecomposition, "__init__", counting_dec)
+    monkeypatch.setattr(morphisms.SpinCarry, "__init__", counting_carry)
+    for name in ("build_cyclic_poset", "build_spin_poset"):
+        inner = getattr(verify, name)
+
+        def in_phase(*args, _name=name, _inner=inner, **kwargs):
+            phase[0] = _name
+            try:
+                return _inner(*args, **kwargs)
+            finally:
+                phase[0] = None
+
+        monkeypatch.setattr(verify, name, in_phase)
+    checks = {c["name"]: c for c in run_suites(g, n, "posets")}
+    for field in ("decompositions", "carries"):
+        assert checks["poset-cyclic"][field] == \
+            built["build_cyclic_poset", field] == 0
+        assert field not in checks["poset-graphs"]
+    assert checks["poset-spin"]["decompositions"] == \
+        built["build_spin_poset", "decompositions"] == decompositions
+    assert checks["poset-spin"]["carries"] == \
+        built["build_spin_poset", "carries"] == carries
+
+
 @pytest.mark.parametrize("g,n", [(2, 0), (2, 2)])
 def test_functoriality_and_stratum_records_carry_coverage(g, n,
                                                           monkeypatch):
@@ -434,3 +480,36 @@ def test_failing_poset_stats_raise_on_every_call():
         with pytest.raises(VerificationError, match="disconnected"):
             posets.poset_stats(broken)
     assert posets.poset_stats(poset) is posets.poset_stats(poset)
+
+
+@pytest.mark.parametrize("builder,message", [
+    ("build_cyclic_poset", "spin cover does not map to a cyclic cover"),
+    ("build_graph_poset", "cyclic cover does not map to a graph cover")])
+def test_forgetful_map_without_an_image_cover_is_verification_error(
+        builder, message, monkeypatch):
+    # the target poset loses its last cover, so the covers above it have
+    # no cover to map onto; the check reads, for each node, the nodes that
+    # its image covers, and names the first node whose cover falls outside
+    original = getattr(verify, builder)
+    upper = []
+
+    def thinned(*args, **kwargs):
+        poset = original(*args, **kwargs)
+        upper.append(poset.covers[-1][0])
+        return posets.Poset(poset.kind, poset.g, poset.n, poset.nodes,
+                            poset.covers[:-1], poset.walk)
+
+    monkeypatch.setattr(verify, builder, thinned)
+    with pytest.raises(VerificationError, match=message) as info:
+        run_suites(2, 0, "posets")
+    # the named node maps onto the upper end of the dropped cover
+    (key,) = info.value.witnesses
+    target = original(2, 0)
+    if builder == "build_cyclic_poset":
+        source = posets.build_spin_poset(2, 0)
+        rep = source.nodes[source.index[key]].rep
+        image = morphisms.cyclic_canonical_key(rep.graph, rep.spin.P)
+    else:
+        source = posets.build_cyclic_poset(2, 0)
+        image = canonical_key(source.nodes[source.index[key]].rep[0])
+    assert target.index[image] == upper[0]
