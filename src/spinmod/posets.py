@@ -4,12 +4,14 @@ graphs of fixed genus and leg count, with their graded poset structure.
 Enumeration seeds all 3-regular classes by degree-sequence backtracking
 with canonical-key dedup, one leg assignment per grouping of the legs,
 then closes downward under single-edge contractions.  An independent
-direct generator (vertex counts, weight compositions, leg placements,
-multigraph fill) cross-checks the closure on small cases.  Its
-backtracking walk over the vertex pairs builds only the edge multisets
-that leave every valence positive and connect all vertices, once per
-(vertex count, edge count, valence base) in a call; every survivor is
-built as a graph and checked for stability.
+direct generator (vertex counts, weights, leg placements, multigraph
+fill) cross-checks the closure on small cases.  It visits one (weights,
+legs) pair per orbit under vertex permutations: weights in
+non-decreasing order, legs in restricted growth form within each block
+of equal weight.  Its backtracking walk over the vertex pairs builds
+only the edge multisets that leave every valence positive and connect
+all vertices, once per (vertex count, edge count, valence base) in a
+call; every survivor is built as a graph and checked for stability.
 
 Covers are computed from two tables instead of keying every contracted
 graph.  The contraction table holds, for each class and each edge, the
@@ -38,7 +40,8 @@ import os
 from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, chain, pairwise, product
+from itertools import (accumulate, chain, combinations_with_replacement,
+                       pairwise)
 
 from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
@@ -270,10 +273,50 @@ def _valent_multisets(k, n_edges, base):
     return out
 
 
+def _placement_orbits(n, weights):
+    """The placements of ``n`` legs on vertices of non-decreasing
+    ``weights``, one per orbit under the vertex permutations that keep
+    weights, in lexicographic order.
+
+    Within each block of equal weight the legs go in restricted growth
+    form: a leg goes to a vertex of the block that holds a leg already,
+    or to the first one that holds none.  So the vertices of a block
+    holding legs are ordered by their least leg, and those holding none
+    come last; the multiset of (weight, legs at v), which fixes the
+    orbit, fixes the placement."""
+    k = len(weights)
+    held = [0] * k
+    assign = []
+
+    def rec():
+        if len(assign) == n:
+            yield tuple(assign)
+            return
+        for v in range(k):
+            if v and weights[v - 1] == weights[v] and not held[v - 1]:
+                continue
+            held[v] += 1
+            assign.append(v)
+            yield from rec()
+            assign.pop()
+            held[v] -= 1
+
+    return rec()
+
+
 def stable_graphs_direct(g, n, budget_edges=None):
-    """Independent generator: all vertex counts, weight compositions, leg
-    placements and edge multisets, filtered by stability.  Exponential;
-    used to cross-check the closure on the smallest cases.
+    """Independent generator: all vertex counts, weights, leg placements
+    and edge multisets, filtered by stability.  Exponential; used to
+    cross-check the closure on the smallest cases.
+
+    Relabelling the vertices of a graph, weights and legs along with
+    them, gives an isomorphic graph.  So it suffices to visit one
+    (weights, legs) pair per orbit under vertex permutations: the
+    weights in non-decreasing order, and the placements of
+    :func:`_placement_orbits`, in restricted growth form within each
+    block of equal weight.  That walk is its own, not the seeds'
+    :func:`_leg_patterns`, so the generator stays independent of the
+    closure.
 
     The edge multisets come from :func:`_valent_multisets`, which walks
     only those that make every valence ``2w(v) - 2 + deg(v) + ell(v)``
@@ -288,15 +331,12 @@ def stable_graphs_direct(g, n, budget_edges=None):
     found = {}
     survivors = {}
     for k in range(1, 2 * g - 2 + n + 1):
-        vertices = range(k)
-        for weights in product(range(g + 1), repeat=k):
+        for weights in combinations_with_replacement(range(g + 1), k):
             total = sum(weights)
             if total > g:
                 continue
             n_edges = g - total + k - 1
-            if n_edges < 0:
-                continue
-            for legs in product(vertices, repeat=n):
+            for legs in _placement_orbits(n, weights):
                 base = [2 * w - 2 for w in weights]
                 for v in legs:
                     base[v] += 1

@@ -5,8 +5,9 @@ their own, spin structures acted on one image at a time, the refinement
 postconditions that key every lift, the 3-regular seeding that tries
 every leg assignment, the fuzz chains run in draw order, the order test
 that contracts every edge subset of the right size and walks the lower
-orbit up front, purity read off the full face closure, and the direct
-generator's scan through every edge multiset.
+orbit up front, purity read off the full face closure, the direct
+generator's scan through every edge multiset, and every weight
+composition times every leg placement, grouped by orbit.
 
 The package walks orbits with one element per distinct action on
 vertices and edges, reads the group's vertex maps off the leaves of the
@@ -18,8 +19,9 @@ once per leg pattern, runs the fuzz chains class by class, contracting
 each distinct (graph, edge set) once, contracts only the edge subsets
 whose first Betti number is the drop in b1 and walks the lower orbit
 only for a candidate that needs it, checks purity in one pass over the
-covers, and walks only the edge multisets that leave no vertex of
-non-positive valence.  These are the definitions those routines must
+covers, walks only the edge multisets that leave no vertex of
+non-positive valence, and visits one leg placement per orbit under
+vertex permutations.  These are the definitions those routines must
 reproduce exactly.
 """
 
@@ -272,6 +274,26 @@ def valent_multisets(k, n_edges, base):
             continue
         kept.append(edges)
     return kept
+
+
+def placement_orbits(g, n):
+    """The set of orbits, under vertex permutations, of every (weights,
+    legs) pair the direct generator could start from: every vertex count
+    ``k``, every weight composition of total at most ``g`` and every
+    placement in ``product(range(k), repeat=n)``."""
+    return {placement_orbit(weights, legs)
+            for k in range(1, 2 * g - 2 + n + 1)
+            for weights in product(range(g + 1), repeat=k)
+            if sum(weights) <= g
+            for legs in product(range(k), repeat=n)}
+
+
+def placement_orbit(weights, legs):
+    """The orbit of a (weights, legs) pair under vertex permutations:
+    the sorted multiset of (weight, legs at v) over the vertices."""
+    return tuple(sorted(
+        (w, tuple(i for i, u in enumerate(legs) if u == v))
+        for v, w in enumerate(weights)))
 
 
 def fuzz_contraction_chains(classes, count=1000, seed=0, record=None):

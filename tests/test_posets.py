@@ -82,17 +82,55 @@ DIRECT_AGREEMENT = [(1, 1), (0, 3), (2, 0), (1, 2), (2, 1), (1, 3), (0, 5),
 
 
 def test_enumerate_matches_direct_generator(shared_classes):
-    for g, n in DIRECT_AGREEMENT:
+    for g, n in DIRECT_AGREEMENT + [(1, 5), (0, 7)]:
         closure = {canonical_key(x) for x in shared_classes(g, n)}
         direct = {canonical_key(x) for x in stable_graphs_direct(g, n)}
-        assert closure == direct
+        assert closure == direct, (g, n)
+
+
+PLACEMENT_ORBITS = {(2, 2): 50, (1, 5): 705, (0, 7): 2000}
+
+
+@pytest.mark.parametrize("g,n", DIRECT_AGREEMENT + [(1, 5), (0, 7)])
+def test_direct_generator_visits_each_placement_orbit_once(monkeypatch, g,
+                                                           n):
+    # the generator's (weights, legs) pairs meet every orbit of every
+    # weight composition times every leg placement, each exactly once
+    met = []
+    walk = posets._placement_orbits
+
+    def recording(n, weights):
+        for legs in walk(n, weights):
+            met.append(oracles.placement_orbit(weights, legs))
+            yield legs
+
+    monkeypatch.setattr(posets, "_placement_orbits", recording)
+    monkeypatch.setattr(posets, "_valent_multisets", lambda *pattern: [])
+    stable_graphs_direct(g, n)
+    assert sorted(met) == sorted(oracles.placement_orbits(g, n))
+    if (g, n) in PLACEMENT_ORBITS:
+        assert len(met) == PLACEMENT_ORBITS[g, n]
+
+
+@pytest.mark.parametrize("g,n,found", [(2, 1, 15), (2, 2, 67)])
+def test_placements_ignoring_weights_miss_classes(monkeypatch, g, n, found):
+    # one restricted growth form over all vertices treats vertices of
+    # different weights as interchangeable, and the agreement catches it
+    monkeypatch.setattr(posets, "_placement_orbits",
+                        lambda n, weights: posets._leg_patterns(
+                            n, len(weights)))
+    closure = {canonical_key(x) for x in enumerate_stable_graphs(g, n)}
+    direct = {canonical_key(x) for x in stable_graphs_direct(g, n)}
+    assert direct < closure
+    assert len(direct) == found
 
 
 def test_valent_multisets_match_the_unpruned_scan(monkeypatch):
     # the pruned walk keeps exactly the multisets the scan through every
     # edge multiset keeps, in its order, for every (vertex count, edge
-    # count, valence base) the generator meets; so the generator returns
-    # the same graphs, down to half-edge ids
+    # count, valence base) the generator meets over the placements it
+    # visits; so the generator returns the same graphs, down to
+    # half-edge ids
     def run(g, n, survivors):
         def recording(*key):
             assert key not in met
