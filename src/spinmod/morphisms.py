@@ -11,12 +11,15 @@ is kept as the indices of the action classes that fix the structure and
 expanded to every element of those classes when it is read as a group,
 so the groups read at half-edge level stay whole.  A graph's canonical key
 is a digest of its certificate, computed by color refinement with
-individualization; the brute-force isomorphism search it is
-cross-checked against lives in the test suite.  The same search yields
-the group's vertex maps: it prunes nothing, so the leaves with the best
-certificate are the canonical labelling composed with each automorphism.
-Pruning the tree by automorphisms would break that, and the group would
-then have to come from the pruning search's generators.
+individualization from initial colors read in one pass over the edges
+and legs; the brute-force isomorphism search it is cross-checked
+against lives in the test suite.  The same search yields the group's
+vertex maps: it prunes nothing, so the leaves with the best certificate
+are the canonical labelling composed with each automorphism.  Pruning
+the tree by automorphisms would break that, and the group would then
+have to come from the pruning search's generators.  The orbits of a
+group on edges (:attr:`AutGroup.edge_orbits`) let the contraction table
+contract one edge per orbit.
 
 An automorphism or a contraction moves the signs of a spin structure
 only by the way it carries the components of the opened graph, so that
@@ -30,6 +33,10 @@ the graph's canonical labelling, among the members of its orbit.  The
 members are read off an orbit table, the structure data -> orbit index
 map that the orbit walk (:meth:`AutGroup.orbit_representatives`) builds,
 so each member is encoded once and no second pass over the group runs.
+
+The order test carries a candidate contraction whose target equals the
+lower graph through the identity, and computes certificates only for
+the candidates whose targets differ from it.
 """
 
 from __future__ import annotations
@@ -117,12 +124,34 @@ class Contraction:
         if rep is self.target:
             return self
         vertex_iso, edge_iso = _isomorphism(self.target, rep)
+        return self._with(
+            self.contracted, rep,
+            {v: vertex_iso[t] for v, t in self.vertex_map.items()},
+            {i: None if j is None else edge_iso[j]
+             for i, j in self.edge_map.items()})
+
+    def identical(self, rep):
+        """This contraction with ``rep``, a graph equal to its target (the
+        same ids), as the target object: the maps stay as they are."""
+        return self._with(self.contracted, rep, self.vertex_map,
+                          self.edge_map)
+
+    def after_inverse(self, a):
+        """This contraction composed with ``a^-1`` for an automorphism
+        ``a`` of the source: it contracts the image under ``a`` of the
+        contracted set onto the same target, and sends ``a(x)`` where
+        this contraction sends ``x``, for every vertex and edge ``x``."""
+        vertex_map = {t: self.vertex_map[v] for v, t in a.vertex_map.items()}
+        edge_map = {j: self.edge_map[i] for i, j in enumerate(a.edge_perm)}
+        return self._with(
+            EdgeSet(self.source, a.act_mask(self.contracted.mask)),
+            self.target, vertex_map, edge_map)
+
+    def _with(self, contracted, target, vertex_map, edge_map):
         out = object.__new__(Contraction)
         out.source, out.contracted, out.target = \
-            self.source, self.contracted, rep
-        out.vertex_map = {v: vertex_iso[t] for v, t in self.vertex_map.items()}
-        out.edge_map = {i: None if j is None else edge_iso[j]
-                        for i, j in self.edge_map.items()}
+            self.source, contracted, target
+        out.vertex_map, out.edge_map = vertex_map, edge_map
         return out
 
     def to_json_dict(self):
@@ -192,8 +221,23 @@ def push_spin(contraction, spin):
 # -- automorphisms ----------------------------------------------------------
 
 def _initial_colors(graph):
-    raw = {v: (graph.w(v), graph.deg(v), graph.loops(v),
-               graph.leg_positions(v)) for v in graph.vertices}
+    """Each vertex's rank among the distinct ``(weight, degree, loops,
+    leg positions)`` of the graph, read in one pass over the edges and
+    one over the legs."""
+    endpoint = graph.endpoint
+    deg = dict.fromkeys(graph.vertices, 0)
+    loops = dict.fromkeys(graph.vertices, 0)
+    legs = {v: () for v in graph.vertices}
+    for h, k in graph.edges:
+        u, v = endpoint[h], endpoint[k]
+        deg[u] += 1
+        deg[v] += 1
+        if u == v:
+            loops[u] += 1
+    for i, h in enumerate(graph.legs):
+        legs[endpoint[h]] += (i,)
+    raw = {v: (w, deg[v], loops[v], legs[v])
+           for v, w in graph.weight.items()}
     ranks = {c: i for i, c in enumerate(sorted(set(raw.values())))}
     return {v: ranks[raw[v]] for v in graph.vertices}
 
@@ -219,16 +263,16 @@ def _refine_colors(graph, colors, adj):
 
 
 def _encode(graph, pos):
+    endpoint = graph.endpoint
     mult = defaultdict(int)
-    for i in range(graph.n_edges):
-        u, v = graph.edge_vertices(i)
-        a, b = sorted((pos[u], pos[v]))
-        mult[(a, b)] += 1
+    for h, k in graph.edges:
+        a, b = pos[endpoint[h]], pos[endpoint[k]]
+        mult[(a, b) if a <= b else (b, a)] += 1
     order = sorted(graph.vertices, key=pos.get)
     return (
         len(graph.vertices), graph.n_edges,
-        tuple(graph.w(v) for v in order),
-        tuple(pos[graph.endpoint[h]] for h in graph.legs),
+        tuple(graph.weight[v] for v in order),
+        tuple(pos[endpoint[h]] for h in graph.legs),
         tuple(sorted((a, b, m) for (a, b), m in mult.items())),
     )
 
@@ -253,35 +297,39 @@ def canonical_form(graph):
     if cached is not None:
         return cached
     adj = _neighbor_lists(graph)
-    base = _refine_colors(graph, _initial_colors(graph), adj)
     best = [None, []]
-
-    def rec(colors):
-        classes = defaultdict(list)
-        for v, c in colors.items():
-            classes[c].append(v)
-        split = [c for c in sorted(classes) if len(classes[c]) > 1]
-        if not split:
-            pos = {v: i for i, (_, v) in enumerate(
-                sorted((c, v) for v, c in colors.items()))}
-            cert = _encode(graph, pos)
-            if best[0] is None or cert < best[0]:
-                best[0], best[1] = cert, [pos]
-            elif cert == best[0]:
-                best[1].append(pos)
-            return
-        for v in sorted(classes[split[0]]):
-            forced = {u: (c, 0 if u == v else 1)
-                      for u, c in colors.items()}
-            ranks = {s: i for i, s in enumerate(sorted(set(forced.values())))}
-            rec(_refine_colors(graph, {u: ranks[forced[u]]
-                                       for u in graph.vertices}, adj))
-
-    rec(base)
+    _search(graph, adj, _refine_colors(graph, _initial_colors(graph), adj),
+            best)
     result = (best[0], best[1][0])
     graph.__dict__["_canonical_form"] = result
     graph.__dict__["_best_leaves"] = best[1]
     return result
+
+
+def _search(graph, adj, colors, best):
+    """Walk the refinement tree below ``colors`` without pruning: keep in
+    ``best`` the least certificate met, and every leaf labelling that
+    has it in the order met.  A module-level function, not a closure
+    over ``graph``, so no reference cycle keeps a searched graph alive
+    until the cyclic garbage collector runs."""
+    classes = defaultdict(list)
+    for v, c in colors.items():
+        classes[c].append(v)
+    split = [c for c in sorted(classes) if len(classes[c]) > 1]
+    if not split:
+        pos = {v: i for i, (_, v) in enumerate(
+            sorted((c, v) for v, c in colors.items()))}
+        cert = _encode(graph, pos)
+        if best[0] is None or cert < best[0]:
+            best[0], best[1] = cert, [pos]
+        elif cert == best[0]:
+            best[1].append(pos)
+        return
+    for v in sorted(classes[split[0]]):
+        forced = {u: (c, 0 if u == v else 1) for u, c in colors.items()}
+        ranks = {s: i for i, s in enumerate(sorted(set(forced.values())))}
+        _search(graph, adj, _refine_colors(
+            graph, {u: ranks[forced[u]] for u in graph.vertices}, adj), best)
 
 
 def _isomorphism(a, b):
@@ -383,6 +431,20 @@ class AutGroup:
                 actions.append(a)
             class_of.append(k)
         return tuple(actions), tuple(class_of)
+
+    @cached_property
+    def edge_orbits(self):
+        """The orbits of the group on edge indices, each sorted, in order
+        of their least edges."""
+        perms = [a.edge_perm for a in self.action_classes[0]]
+        orbits = []
+        seen = set()
+        for e in range(self.graph.n_edges):
+            if e not in seen:
+                orbit = sorted({perm[e] for perm in perms})
+                seen.update(orbit)
+                orbits.append(tuple(orbit))
+        return tuple(orbits)
 
     def subgroup(self, classes):
         """The elements whose action class is one of ``classes`` (indices
@@ -835,12 +897,18 @@ def order_test(upper, lower):
     Searches edge subsets of the right size in canonical order.  A
     subset is contracted only when its first Betti number is the drop
     from ``upper``'s to ``lower``'s, since contracting a set lowers b1 by
-    exactly its own.  A contraction whose target has the certificate of
-    ``lower``'s graph is carried onto that graph, and it is a witness
-    when the pushed structure lies in the orbit of ``lower``'s.  Since
-    the identity lies in every group, a structure pushed onto ``lower``'s
-    own is a witness at once; the orbit is walked, at most once per call,
-    only for a candidate that pushes somewhere else.
+    exactly its own.  A contraction whose target equals ``lower``'s graph
+    (the same ids; only the subset whose dropped half-edges are exactly
+    those missing from it can) is carried onto that graph through the
+    identity.  Any other is carried through an isomorphism read off the
+    certificates, when its target has the certificate of ``lower``'s
+    graph; that certificate is computed only once such a candidate
+    comes.  Either way, the contraction is a witness when the pushed
+    structure lies in the orbit of ``lower``'s, which does not depend on
+    the isomorphism chosen.  Since the identity lies in every group, a
+    structure pushed onto ``lower``'s own is a witness at once; the
+    orbit is walked, at most once per call, only for a candidate that
+    pushes somewhere else.
     """
     ga, gb = upper.graph, lower.graph
     if ga.genus != gb.genus or ga.n_legs != gb.n_legs:
@@ -849,7 +917,7 @@ def order_test(upper, lower):
     if k < 0:
         return None
     drop = ga.b1 - gb.b1
-    cert_b, _ = canonical_form(gb)
+    cert_b = None
     target = lower.spin.data()
     orbit_of = None
     for subset in combinations(range(ga.n_edges), k):
@@ -857,9 +925,15 @@ def order_test(upper, lower):
         if edges.b1 != drop:
             continue
         c = contract(ga, edges)
-        if canonical_form(c.target)[0] != cert_b:
-            continue
-        pushed = SpinCarry(c.onto(gb), upper.spin).fold(upper.spin)
+        if c.target.half_edges == gb.half_edges and c.target == gb:
+            carried = c.identical(gb)
+        else:
+            if cert_b is None:
+                cert_b, _ = canonical_form(gb)
+            if canonical_form(c.target)[0] != cert_b:
+                continue
+            carried = c.onto(gb)
+        pushed = SpinCarry(carried, upper.spin).fold(upper.spin)
         if pushed == target:
             return c
         if orbit_of is None:

@@ -17,21 +17,24 @@ Covers are computed from two tables instead of keying every contracted
 graph.  The contraction table holds, for each class and each edge, the
 key of the target class and the contraction carried onto that class's
 representative: its vertex and edge maps are composed with the
-isomorphism read off the two canonical labellings.  The downward
-closure fills it as it meets each class, and it is memoised on the
-class graph, so the three posets share it.  The orbit tables map the
-data of every structure over a class (cyclic mask, or mask and signs)
-to its orbit among the class's nodes; they come out of the orbit walk
-of :meth:`AutGroup.orbit_representatives`, which acts with one
-automorphism per distinct action on vertices and edges (flipping a loop
-moves no structure).  A cover's target is then the orbit of the pushed
-structure's data in the target class's table: no fresh graph,
-automorphism group or group minimum per cover.  A spin structure is
-pushed as data through the component map of its (contraction, cyclic
-set) pair, built once per class (:func:`spin_action`) and dropped with
-the class's covers, which are pushed class by class and deduplicated
-per node.  The node keys come from the same tables (:func:`orbit_keys`),
-one encoding per structure.
+isomorphism read off the two canonical labellings.  Edges in one orbit
+of the class's automorphism group land in one class, so only the least
+edge of each orbit is contracted and keyed; every other edge ``a(e)``
+of the orbit gets that contraction composed with ``a^-1``.  The
+downward closure fills the table as it meets each class, and it is
+memoised on the class graph, so the three posets share it.  The orbit
+tables map the data of every structure over a class (cyclic mask, or
+mask and signs) to its orbit among the class's nodes; they come out of
+the orbit walk of :meth:`AutGroup.orbit_representatives`, which acts
+with one automorphism per distinct action on vertices and edges
+(flipping a loop moves no structure).  A cover's target is then the
+orbit of the pushed structure's data in the target class's table: no
+fresh graph, automorphism group or group minimum per cover.  A spin
+structure is pushed as data through the component map of its
+(contraction, cyclic set) pair, built once per class
+(:func:`spin_action`) and dropped with the class's covers, which are
+pushed class by class and deduplicated per node.  The node keys come
+from the same tables (:func:`orbit_keys`), one encoding per structure.
 """
 
 from __future__ import annotations
@@ -195,13 +198,23 @@ def enumerate_stable_graphs(g, n, budget_edges=None):
 
 def _edge_contractions(graph, reps, fresh=None):
     """For each edge of ``graph``, in edge order: the key of the class
-    its contraction lands in, and that contraction carried onto the
-    class representative ``reps[key]`` (:meth:`Contraction.onto`).
+    its contraction lands in, and a contraction of that edge onto the
+    class representative ``reps[key]``.
+
+    Only the least edge ``e`` of each orbit of ``automorphisms(graph)``
+    on edges is contracted and keyed, and carried onto the
+    representative (:meth:`Contraction.onto`).  Every other edge of the
+    orbit is ``a(e)`` for the first action class ``a`` that moves ``e``
+    there, and gets that contraction composed with ``a^-1``
+    (:meth:`Contraction.after_inverse`): the same target, the same key.
+    So a new class is met only at the least edge of an orbit, in edge
+    order, as when every edge was contracted.  The group is capped like
+    every group (:data:`AUT_HALF_EDGE_CAP`).
 
     Memoised per graph object in ``graph.__dict__``, so each (class,
-    edge) pair is contracted once however many posets read it; a memo
-    whose targets are not the representatives in ``reps`` is rebuilt.
-    A target class missing from ``reps`` is a
+    edge orbit) pair is contracted once however many posets read it; a
+    memo whose targets are not the representatives in ``reps`` is
+    rebuilt.  A target class missing from ``reps`` is a
     :class:`VerificationError`, unless ``fresh`` is a list: the downward
     closure then adds the contracted graph to ``reps`` and ``fresh`` as
     the representative of a new class.
@@ -210,8 +223,11 @@ def _edge_contractions(graph, reps, fresh=None):
     if table is not None and all(reps.get(key) is c.target
                                  for key, c in table):
         return table
-    table = []
-    for e in range(graph.n_edges):
+    group = automorphisms(graph)
+    actions, _ = group.action_classes
+    table = [None] * graph.n_edges
+    for orbit in group.edge_orbits:
+        e = orbit[0]
         c = contract(graph, [e])
         key = canonical_key(c.target)
         if key not in reps:
@@ -225,7 +241,12 @@ def _edge_contractions(graph, reps, fresh=None):
                     "unstable graph", (canonical_key(graph), f"edge={e}"))
             reps[key] = c.target
             fresh.append(c.target)
-        table.append((key, c.onto(reps[key])))
+        c = c.onto(reps[key])
+        table[e] = (key, c)
+        for a in actions:
+            image = a.edge_perm[e]
+            if table[image] is None:
+                table[image] = (key, c.after_inverse(a))
     table = graph.__dict__["_edge_contractions"] = tuple(table)
     return table
 

@@ -104,6 +104,11 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
                        **{k: v for k, v in stats.items()
                           if k not in ("kind",)},
                        **(poset.walk or {})})
+    # the contraction table of the downward closure: one contraction per
+    # orbit of each class's automorphism group on edges, an entry per edge
+    checks[0]["contractions"] = sum(len(automorphisms(graph).edge_orbits)
+                                    for graph in classes)
+    checks[0]["table_entries"] = sum(graph.n_edges for graph in classes)
 
     cells, cone_report = _timed(phases, "cone_complex", build_cone_complex,
                                 spin_poset)

@@ -1,6 +1,8 @@
 """Test oracles: the orbit walk that acts with every group element,
 the automorphism group found by a backtracking search over vertex
-bijections, the opened graph's components grouped by a union-find of
+bijections, the canonical-form search with the initial colors and the
+certificate read through the graph's per-vertex and per-edge accessors,
+the opened graph's components grouped by a union-find of
 their own, spin structures acted on one image at a time, the refinement
 postconditions that key every lift, the 3-regular seeding that tries
 every leg assignment, the fuzz chains run in draw order, the order test
@@ -11,14 +13,16 @@ composition times every leg placement, grouped by orbit.
 
 The package walks orbits with one element per distinct action on
 vertices and edges, reads the group's vertex maps off the leaves of the
-canonical-form search that have the best certificate, keeps a
+canonical-form search that have the best certificate, reads the
+initial colors in one pass over the edges and legs, keeps a
 decomposition as one component index per vertex, carries each
 (map, cyclic set) component map once and folds sign vectors through it,
 looks refinement lifts up in one orbit table, seeds 3-regular classes
 once per leg pattern, runs the fuzz chains class by class, contracting
 each distinct (graph, edge set) once, contracts only the edge subsets
-whose first Betti number is the drop in b1 and walks the lower orbit
-only for a candidate that needs it, checks purity in one pass over the
+whose first Betti number is the drop in b1, carries a candidate equal
+to the lower graph through the identity and walks the lower orbit only
+for a candidate that needs it, checks purity in one pass over the
 covers, walks only the edge multisets that leave no vertex of
 non-positive valence, and visits one leg placement per orbit under
 vertex permutations.  These are the definitions those routines must
@@ -26,18 +30,17 @@ reproduce exactly.
 """
 
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations, combinations_with_replacement, product
 
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
 from spinmod.graphs import Graph, connected_classes
 from spinmod.morphisms import (AutGroup, Contraction, SpinCarry,
-                               _half_edge_extensions, _initial_colors,
-                               _neighbor_lists, _refine_colors,
-                               automorphisms, canonical_form, canonical_key,
-                               contract, push_cycle, push_vertex_set,
-                               spin_orbits)
+                               _half_edge_extensions, _neighbor_lists,
+                               _refine_colors, automorphisms, canonical_form,
+                               canonical_key, contract, push_cycle,
+                               push_vertex_set, spin_orbits)
 from spinmod.posets import _multigraphs_with_degrees, max_rank
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
@@ -106,10 +109,71 @@ def group_elements(graph):
     every vertex bijection that keeps the refined colors and the edge
     multiplicities, found by backtracking over the vertices sorted by
     (color, vertex), each extended to every compatible half-edge map."""
-    colors = _refine_colors(graph, _initial_colors(graph),
+    colors = _refine_colors(graph, initial_colors(graph),
                             _neighbor_lists(graph))
     return [(vmap, half_map) for vmap in vertex_bijections(graph, colors)
             for half_map in _half_edge_extensions(graph, vmap)]
+
+
+def initial_colors(graph):
+    """Each vertex's rank among the distinct ``(weight, degree, loops,
+    leg positions)``, each read by the graph's own accessor, vertex by
+    vertex."""
+    raw = {v: (graph.w(v), graph.deg(v), graph.loops(v),
+               graph.leg_positions(v)) for v in graph.vertices}
+    ranks = {c: i for i, c in enumerate(sorted(set(raw.values())))}
+    return {v: ranks[raw[v]] for v in graph.vertices}
+
+
+def encode(graph, pos):
+    """The certificate of a labelling: sizes, weights and leg ends in
+    position order, and the edge multiplicities between positions, each
+    edge read through ``edge_vertices``."""
+    mult = defaultdict(int)
+    for i in range(graph.n_edges):
+        u, v = graph.edge_vertices(i)
+        a, b = sorted((pos[u], pos[v]))
+        mult[(a, b)] += 1
+    order = sorted(graph.vertices, key=pos.get)
+    return (
+        len(graph.vertices), graph.n_edges,
+        tuple(graph.w(v) for v in order),
+        tuple(pos[graph.endpoint[h]] for h in graph.legs),
+        tuple(sorted((a, b, m) for (a, b), m in mult.items())),
+    )
+
+
+def canonical_form_with_leaves(graph):
+    """``(cert, pos, leaves)``, computed afresh and kept nowhere: the
+    unpruned refinement tree from :func:`initial_colors`, its best
+    certificate, the first leaf labelling with it and every leaf
+    labelling with it, best first."""
+    adj = _neighbor_lists(graph)
+    best = [None, []]
+
+    def rec(colors):
+        classes = defaultdict(list)
+        for v, c in colors.items():
+            classes[c].append(v)
+        split = [c for c in sorted(classes) if len(classes[c]) > 1]
+        if not split:
+            pos = {v: i for i, (_, v) in enumerate(
+                sorted((c, v) for v, c in colors.items()))}
+            cert = encode(graph, pos)
+            if best[0] is None or cert < best[0]:
+                best[0], best[1] = cert, [pos]
+            elif cert == best[0]:
+                best[1].append(pos)
+            return
+        for v in sorted(classes[split[0]]):
+            forced = {u: (c, 0 if u == v else 1)
+                      for u, c in colors.items()}
+            ranks = {s: i for i, s in enumerate(sorted(set(forced.values())))}
+            rec(_refine_colors(graph, {u: ranks[forced[u]]
+                                       for u in graph.vertices}, adj))
+
+    rec(_refine_colors(graph, initial_colors(graph), adj))
+    return best[0], best[1][0], best[1]
 
 
 def decomposition(graph, cyclic_set):

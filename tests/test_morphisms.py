@@ -6,10 +6,11 @@ import pytest
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import Graph, genus
-from spinmod.morphisms import (SpinCarry, automorphisms, canonical_key,
-                               composed_edges, contract, cyclic_canonical_key,
-                               order_test, push_cycle, push_spin,
-                               push_vertex_set, quotient_action_order)
+from spinmod.morphisms import (SpinCarry, automorphisms, canonical_form,
+                               canonical_key, composed_edges, contract,
+                               cyclic_canonical_key, order_test, push_cycle,
+                               push_spin, push_vertex_set,
+                               quotient_action_order)
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
@@ -235,6 +236,32 @@ def test_group_matches_the_bijection_search_on_classes(g, n,
 def test_group_matches_the_bijection_search_on_random_graphs():
     for graph in random_pool():
         assert_group_matches_the_bijection_search(graph)
+
+
+def assert_canonical_form_matches_the_oracle(graph):
+    # a fresh copy, so the form is computed here and its leaves are kept
+    fresh = Graph(graph.weight, graph.endpoint, graph.involution, graph.legs,
+                  graph.exceptional)
+    cert, pos, leaves = oracles.canonical_form_with_leaves(graph)
+    assert canonical_form(fresh) == (cert, pos), graph
+    assert fresh.__dict__["_best_leaves"] == leaves, graph
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (0, 3), (0, 4),
+                                 (0, 5), (0, 6), (2, 0), (2, 1), (2, 2),
+                                 (2, 3), (3, 0), (3, 1), (3, 2), (4, 0)])
+def test_canonical_form_matches_the_oracle_on_classes_and_contractions(
+        g, n, shared_classes):
+    for graph in shared_classes(g, n):
+        assert_canonical_form_matches_the_oracle(graph)
+        for e in range(graph.n_edges):
+            assert_canonical_form_matches_the_oracle(
+                contract(graph, [e]).target)
+
+
+def test_canonical_form_matches_the_oracle_on_random_graphs():
+    for graph in random_pool():
+        assert_canonical_form_matches_the_oracle(graph)
 
 
 def test_group_matches_the_bijection_search_when_some_leaves_are_worse():

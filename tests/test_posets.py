@@ -3,13 +3,14 @@ import pytest
 from spinmod import posets
 from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import classify, is_stable
-from spinmod.morphisms import canonical_key, cyclic_canonical_key, order_test
+from spinmod.morphisms import (automorphisms, canonical_key,
+                               cyclic_canonical_key, order_test)
 from spinmod.posets import (build_cyclic_poset, build_graph_poset,
                             build_spin_poset, check_budget,
                             enumerate_stable_graphs, max_rank, poset_stats,
                             stable_graphs_direct, three_regular_graphs)
 
-from conftest import shuffled, without_covers_into
+from conftest import make_rose, shuffled, without_covers_into
 import key_oracle
 import oracles
 
@@ -573,10 +574,38 @@ def test_posets_contract_each_class_edge_once(monkeypatch):
     checks = verify.run_suites(3, 1, "posets")
     assert all(c["status"] == "pass" for c in checks)
     assert len(enumerated) == 181
-    # the downward closure fills the table; the three builders read it
+    # the downward closure fills the table, contracting the least edge of
+    # each orbit of the automorphism group on edges; the three builders
+    # read it
     assert contracted == Counter({(id(graph), (e,)): 1 for graph in enumerated
-                                  for e in range(graph.n_edges)})
-    assert sum(contracted.values()) == 820
+                                  for e in least_edges_of_orbits(graph)})
+    assert sum(contracted.values()) == 595
+    assert sum(graph.n_edges for graph in enumerated) == 820
+
+
+def least_edges_of_orbits(graph):
+    """The edges that no automorphism maps a smaller edge onto, read off
+    the half-edge maps of the group's elements."""
+    moved = set()
+    for a in automorphisms(graph).elements:
+        for i, (h, k) in enumerate(graph.edges):
+            j = graph.edge_index[tuple(sorted((a.half_map[h],
+                                               a.half_map[k])))]
+            if j > i:
+                moved.add(j)
+    return [e for e in range(graph.n_edges) if e not in moved]
+
+
+def test_edge_contraction_table_is_capped_like_the_group():
+    # the table contracts one edge per orbit of the automorphism group,
+    # so a graph over the group's half-edge cap gets the group's error
+    rose = make_rose(21)
+    with pytest.raises(BudgetError) as group_error:
+        automorphisms(rose)
+    with pytest.raises(BudgetError, match=r"\b40\b.*\b42\b") as error:
+        posets._edge_contractions(rose, {}, [])
+    assert str(error.value) == str(group_error.value)
+    assert "_edge_contractions" not in rose.__dict__
 
 
 def test_full_group_built_once_per_class(monkeypatch):

@@ -145,7 +145,7 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     assert calls.count("build_cone_complex") == 0
     assert calls.count("check_aut_factorization") == 0
     assert acted == []
-    assert len(calls) == 1612 + sum(walked) + 36 == 2208
+    assert len(calls) == 1612 + sum(walked) + 36 == 2202
 
 
 def test_purity_precursor_agrees_with_the_union_of_descendants(monkeypatch):
@@ -296,6 +296,29 @@ def test_poset_records_count_decompositions_and_carries(
         built["build_spin_poset", "decompositions"] == decompositions
     assert checks["poset-spin"]["carries"] == \
         built["build_spin_poset", "carries"] == carries
+
+
+@pytest.mark.parametrize("g,n,contractions,entries", [
+    (2, 2, 193, 244), (3, 0, 92, 157)])
+def test_graph_poset_record_counts_the_contraction_table(
+        g, n, contractions, entries, monkeypatch):
+    # the closure contracts one edge per orbit of each class's group on
+    # edges, and the table holds an entry per edge of each class
+    contracted = []
+    contract = posets.contract
+
+    def counting(graph, edge_set):
+        contracted.append(graph)
+        return contract(graph, edge_set)
+
+    monkeypatch.setattr(posets, "contract", counting)
+    checks = {c["name"]: c for c in run_suites(g, n, "posets")}
+    record = checks["poset-graphs"]
+    assert record["contractions"] == len(contracted) == contractions
+    assert record["table_entries"] == entries
+    for name in ("poset-cyclic", "poset-spin"):
+        assert "contractions" not in checks[name]
+        assert "table_entries" not in checks[name]
 
 
 @pytest.mark.parametrize("g,n", [(2, 0), (2, 2)])
