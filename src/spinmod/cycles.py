@@ -179,19 +179,19 @@ def cycle_basis(graph):
     return basis
 
 
-def enumerate_cyclic(graph, cap=B1_CAP):
+def enumerate_cyclic(graph):
     """All ``2^{b1}`` elements of the cycle space, sorted by bitmask, as a
     tuple.
 
     Every element is re-checked against the even-degree criterion, so the
     span construction and the boundary kernel act as independent
     definitions of the same space.  The checked tuple is memoised per
-    graph object in ``graph.__dict__``, like the decompositions; the cap
-    is enforced on every call.
+    graph object in ``graph.__dict__``, like the decompositions;
+    :data:`B1_CAP` is read and enforced on every call.
     """
-    if graph.b1 > cap:
+    if graph.b1 > B1_CAP:
         raise BudgetError(f"cycle space of size 2^{graph.b1} exceeds the "
-                          f"cap 2^{cap}")
+                          f"cap 2^{B1_CAP}")
     out = graph.__dict__.get("_cycle_space")
     if out is not None:
         return out

@@ -6,20 +6,21 @@ are exposed: on half-edges and on edges alone.  A structure over a graph
 (a cyclic set, a spin structure) sees only how an automorphism moves
 vertices and edges, and every loop doubles the group by a flip that
 moves neither.  So orbit walks act with one element per distinct action
-on vertices and edges (:attr:`AutGroup.action_classes`).  A stabilizer
-is kept as the indices of the action classes that fix the structure and
-expanded to every element of those classes when it is read as a group,
-so the groups read at half-edge level stay whole.  A graph's canonical key
-is a digest of its certificate, computed by color refinement with
-individualization from initial colors read in one pass over the edges
-and legs; the brute-force isomorphism search it is cross-checked
-against lives in the test suite.  The same search yields the group's
-vertex maps: it prunes nothing, so the leaves with the best certificate
-are the canonical labelling composed with each automorphism.  Pruning
-the tree by automorphisms would break that, and the group would then
-have to come from the pruning search's generators.  The orbits of a
-group on edges (:attr:`AutGroup.edge_orbits`) let the contraction table
-contract one edge per orbit.
+on vertices and edges (:attr:`AutGroup.action_classes`).  The walk
+returns each stabilizer as the indices of the action classes that fix
+the structure, for the caller to keep, and it is expanded to every
+element of those classes when it is read as a group, so the groups read
+at half-edge level stay whole.  A graph's canonical key is a digest of
+its certificate, computed by color refinement with individualization
+from initial colors read in one pass over the edges and legs; the
+brute-force isomorphism search it is cross-checked against lives in the
+test suite.  The same search yields the group's vertex maps: it prunes
+nothing, so the leaves with the best certificate are the canonical
+labelling composed with each automorphism.  Pruning the tree by
+automorphisms would break that, and the group would then have to come
+from the pruning search's generators.  The orbits of a group on edges
+(:attr:`AutGroup.edge_orbits`) let the contraction table contract one
+edge per orbit.
 
 An automorphism or a contraction moves the signs of a spin structure
 only by the way it carries the components of the opened graph, so that
@@ -289,7 +290,7 @@ def canonical_form(graph):
     its cell, since refinement keeps the order of cells.  The leaves
     whose certificate is the best one are therefore ``pos_best o a`` for
     exactly the automorphisms ``a``.  They are kept, best first, in
-    ``graph.__dict__["_best_leaves"]`` until :func:`_full_group` reads
+    ``graph.__dict__["_best_leaves"]`` until :func:`automorphisms` reads
     the group's vertex maps off them.  A search that prunes by
     automorphisms must supply the group from its generators instead.
     """
@@ -546,7 +547,9 @@ def _half_edge_extensions(graph, vmap):
         yield half_map
 
 
-def _full_group(graph):
+def automorphisms(graph):
+    """The full automorphism group, memoised per graph object; its
+    vertex maps are read off the best leaves of :func:`canonical_form`."""
     if len(graph.half_edges) > AUT_HALF_EDGE_CAP:
         raise BudgetError(
             f"automorphism search capped at {AUT_HALF_EDGE_CAP} half-edges, "
@@ -571,80 +574,44 @@ def _full_group(graph):
     return group
 
 
-def automorphisms(graph, restrict=None, spin=None):
-    """The automorphism group, optionally restricted.
-
-    ``restrict="spin"`` keeps the elements fixing the given spin
-    structure.  The action classes of that stabilizer are memoised per
-    graph object by the structure's data, in ``graph.__dict__`` like the
-    full group, and expanded to a fresh group on every call; a miss
-    walks the orbit of that structure alone.
-    ``restrict="pbar"`` keeps those fixing every half-edge
-    outside the spin structure's cyclic set and mapping each component of
-    the opened graph to itself (the product of the component groups).
-    """
-    group = _full_group(graph)
-    if restrict is None:
-        return group
-    if spin is None or spin.graph != graph:
+def component_subgroup(group, spin):
+    """The elements of ``group`` that fix every half-edge outside the
+    spin structure's cyclic set and map each component of the opened
+    graph to itself (the product of the component groups), in group
+    order."""
+    graph = group.graph
+    if spin.graph != graph:
         raise InputError("restricted groups need a spin structure over the "
                          "same graph")
-    if restrict == "spin":
-        cache = _stabilizer_memo(graph)
-        here = spin.data()
-        fixing = cache.get(here)
-        if fixing is None:
-            _, _, (fixing,) = group.orbit_representatives(
-                [spin], SpinStructure.data, spin_action())
-            cache[here] = fixing
-        return group.subgroup(fixing)
-    if restrict == "pbar":
-        outside = [h for i in range(graph.n_edges) if i not in spin.P
-                   for h in graph.edges[i]]
-        vertex_sets = spin.dec.vertex_sets
-        kept = []
-        for a in group.elements:
-            if any(a.half_map[h] != h for h in outside):
-                continue
-            if all({a.vertex_map[v] for v in vs} == vs
-                   for vs in vertex_sets):
-                kept.append(a)
-        return AutGroup(graph, kept)
-    raise InputError(f"unknown restriction {restrict!r}")
-
-
-def _stabilizer_memo(graph):
-    """Spin data -> the action classes of ``graph``'s automorphism group
-    that fix it, as :meth:`AutGroup.orbit_representatives` gives them."""
-    return graph.__dict__.setdefault("_spin_stabilizers", {})
+    outside = [h for i in range(graph.n_edges) if i not in spin.P
+               for h in graph.edges[i]]
+    vertex_sets = spin.dec.vertex_sets
+    return AutGroup(graph, [
+        a for a in group.elements
+        if all(a.half_map[h] == h for h in outside)
+        and all({a.vertex_map[v] for v in vs} == vs for vs in vertex_sets)])
 
 
 def spin_orbits(graph, spins, act=None):
     """Orbit representatives of ``spins`` under the full automorphism
-    group and the table from spin data to orbit index.
+    group, the table from spin data to orbit index, and each
+    representative's stabilizer as action classes, as
+    :meth:`AutGroup.orbit_representatives` returns them.
 
     The walk folds each representative's signs through one element per
     action class of the group, since a loop flip fixes every spin
     structure, with ``act`` (a fresh :func:`spin_action` when not given).
-    The stabilizer of each representative comes out of the same walk, as
-    the action classes that fix it, and is stored for
-    ``automorphisms(graph, restrict="spin", spin=rep)``, so no later
-    caller acts with the whole group on it again.
     """
-    reps, orbit_of, stabilizers = automorphisms(graph).orbit_representatives(
+    return automorphisms(graph).orbit_representatives(
         spins, SpinStructure.data, act or spin_action())
-    memo = _stabilizer_memo(graph)
-    for s, stabilizer in zip(reps, stabilizers):
-        memo.setdefault(s.data(), stabilizer)
-    return reps, orbit_of
 
 
 def cyclic_orbits(graph, cyclic_sets):
     """Orbit representatives of ``cyclic_sets`` under the full
-    automorphism group and the table from mask to orbit index."""
-    reps, orbit_of, _ = automorphisms(graph).orbit_representatives(
+    automorphism group, the table from mask to orbit index and each
+    representative's stabilizer as action classes."""
+    return automorphisms(graph).orbit_representatives(
         cyclic_sets, lambda p: p.mask, lambda a, p: a.act_mask(p.mask))
-    return reps, orbit_of
 
 
 def quotient_action_order(graph, spin, group):
@@ -875,7 +842,7 @@ def canonical_key(obj):
         cert, _ = canonical_form(obj)
         return _digest([cert])
     if isinstance(obj, SpinGraph):
-        _, orbit_of = spin_orbits(obj.graph, [obj.spin])
+        _, orbit_of, _ = spin_orbits(obj.graph, [obj.spin])
         return orbit_keys(obj.graph, orbit_of, _spin_encoding)[0]
     raise InputError(f"cannot key objects of type {type(obj).__name__}")
 
@@ -884,7 +851,7 @@ def cyclic_canonical_key(graph, cyclic_set):
     """Key of a (graph, cyclic set) pair up to isomorphism."""
     if not is_cyclic(graph, cyclic_set):
         raise DomainError("key requires a cyclic edge set")
-    _, orbit_of = cyclic_orbits(graph, [cyclic_set])
+    _, orbit_of, _ = cyclic_orbits(graph, [cyclic_set])
     return orbit_keys(graph, orbit_of, _cyclic_encoding)[0]
 
 
@@ -937,7 +904,7 @@ def order_test(upper, lower):
         if pushed == target:
             return c
         if orbit_of is None:
-            _, orbit_of = spin_orbits(gb, [lower.spin])
+            _, orbit_of, _ = spin_orbits(gb, [lower.spin])
         if pushed in orbit_of:
             return c
     return None

@@ -29,7 +29,8 @@ the orbit walk of :meth:`AutGroup.orbit_representatives`, which acts
 with one automorphism per distinct action on vertices and edges
 (flipping a loop moves no structure).  A cover's target is then the
 orbit of the pushed structure's data in the target class's table: no
-fresh graph, automorphism group or group minimum per cover.  A spin
+fresh graph, automorphism group or group minimum per cover.  The walk
+also gives each node its stabilizer (``PosetNode.stabilizer``).  A spin
 structure is pushed as data through the component map of its
 (contraction, cyclic set) pair, built once per class
 (:func:`spin_action`) and dropped with the class's covers, which are
@@ -373,15 +374,18 @@ def stable_graphs_direct(g, n, budget_edges=None):
 
 
 class PosetNode:
-    """One isomorphism class in a moduli poset."""
+    """One isomorphism class in a moduli poset.  ``stabilizer`` holds
+    the action classes fixing the representative, as the orbit walk
+    returns them (``None`` on the graph poset); JSON omits it."""
 
-    __slots__ = ("key", "rank", "rep", "parity")
+    __slots__ = ("key", "rank", "rep", "parity", "stabilizer")
 
-    def __init__(self, key, rank, rep, parity=None):
+    def __init__(self, key, rank, rep, parity=None, stabilizer=None):
         self.key = key
         self.rank = rank
         self.rep = rep
         self.parity = parity
+        self.stabilizer = stabilizer
 
     def __repr__(self):
         tag = "" if self.parity is None else f", parity={self.parity}"
@@ -510,7 +514,7 @@ def _rep_json(kind, rep):
 
 
 def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
-                 rep, pair, parity=lambda x: None):
+                 rep, parity=lambda x: None):
     """The graded poset of one kind: a node per orbit representative over
     each class, sorted by (rank, key), and a cover per single-edge
     contraction of each node's representative.
@@ -518,14 +522,14 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
     The kind supplies ``action()``, a fresh function ``act(f, x)`` giving
     the data of the structure ``x`` carried along an automorphism or a
     contraction ``f``; ``orbits(graph, act)``, the orbit representatives
-    over a class and the table from structure data to orbit index;
+    over a class, the table from structure data to orbit index and each
+    representative's stabilizer, which its node keeps;
     ``keys(graph, orbit_of)``, the node key of each orbit, read off that
     table; and the node shape: ``rep(graph, x)`` builds a node's
-    representative, ``pair(rep)`` reads ``(graph, x)`` back from it and
-    ``parity(x)`` labels it.  Each orbit walk, and the cover pushes of
-    each class, get an action of their own, dropped before the next
-    class; an action that keeps its carries in a dict ``carried``
-    (:func:`spin_action`) has them counted.
+    representative and ``parity(x)`` labels it.  Each orbit walk, and
+    the cover pushes of each class, get an action of their own, dropped
+    before the next class; an action that keeps its carries in a dict
+    ``carried`` (:func:`spin_action`) has them counted.
 
     Covers are looked up, not keyed: every contraction lands on its
     target class's representative, so the pushed data indexes that
@@ -560,16 +564,17 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
         walked = []
         for class_key, graph in by_rank[rank]:
             act = action()
-            structures, orbit_of = orbits(graph, act)
+            structures, orbit_of, stabilizers = orbits(graph, act)
             if walk is not None:
                 actions = len(automorphisms(graph).action_classes[0])
                 walk["group_actions"] += actions
                 walk["orbit_images"] += actions * len(structures)
                 walk["carries"] += len(getattr(act, "carried", ()))
-            here = [PosetNode(key, rank, rep(graph, x), parity(x))
-                    for x, key in zip(structures, keys(graph, orbit_of),
-                                      strict=True)]
-            walked.append((class_key, graph, orbit_of, here))
+            here = [PosetNode(key, rank, rep(graph, x), parity(x), stabilizer)
+                    for x, key, stabilizer in zip(
+                        structures, keys(graph, orbit_of), stabilizers,
+                        strict=True)]
+            walked.append((class_key, graph, orbit_of, structures, here))
             level += here
         level.sort(key=lambda nd: nd.key)
         first = len(nodes)
@@ -580,11 +585,10 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
                     "two orbit representatives share a key", (nd.key,))
         nodes += level
         lower = [()] * len(level)
-        for class_key, graph, _, here in walked:
+        for class_key, graph, _, structures, here in walked:
             contractions = _edge_contractions(graph, reps)
             push = action()
-            for nd in here:
-                _, x = pair(nd.rep)
+            for nd, x in zip(here, structures):
                 targets = set()
                 for e, (target_key, c) in enumerate(contractions):
                     orbit_of, target_nodes = below[target_key]
@@ -601,7 +605,7 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
                 walk["carries"] += len(getattr(push, "carried", ()))
         covers += chain.from_iterable(lower)
         below = {class_key: (orbit_of, [index[nd.key] for nd in here])
-                 for class_key, _, orbit_of, here in walked}
+                 for class_key, _, orbit_of, _, here in walked}
     if walk is not None:
         walk["decompositions"] = sum(
             len(graph.__dict__.get("_pbar_decompositions", ()))
@@ -612,10 +616,9 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
 def build_graph_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "graphs", g, n, budget_edges, _classes,
-        orbits=lambda graph, _: ((None,), {None: 0}),
+        orbits=lambda graph, _: ((None,), {None: 0}, (None,)),
         keys=lambda graph, _: [canonical_key(graph)],
-        action=lambda: lambda f, _: None,
-        rep=lambda graph, _: graph, pair=lambda graph: (graph, None))
+        action=lambda: lambda f, _: None, rep=lambda graph, _: graph)
 
 
 def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
@@ -626,7 +629,7 @@ def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
         keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
                                                 _cyclic_encoding),
         action=lambda: lambda c, p: push_cycle(c, p).mask,
-        rep=lambda graph, p: (graph, p), pair=lambda rep: rep)
+        rep=lambda graph, p: (graph, p))
 
 
 def build_spin_poset(g, n, budget_edges=None, _classes=None):
@@ -636,8 +639,7 @@ def build_spin_poset(g, n, budget_edges=None, _classes=None):
                                               act),
         keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
                                                 _spin_encoding),
-        action=spin_action, rep=SpinGraph,
-        pair=lambda sg: (sg.graph, sg.spin), parity=lambda s: s.parity)
+        action=spin_action, rep=SpinGraph, parity=lambda s: s.parity)
 
 
 def poset_stats(poset):

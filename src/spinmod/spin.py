@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import prod
 
-from .cycles import (B1_CAP, EdgeSet, enumerate_cyclic, pbar_decompose)
+from .cycles import EdgeSet, enumerate_cyclic, pbar_decompose
 from .errors import DomainError, InputError, VerificationError
 from .graphs import (Divisor, Graph, canonical_divisor, classify, is_stable,
                      json_int, json_numeral)
@@ -132,16 +132,16 @@ def spin_structures_over(graph, cyclic_set):
     return out
 
 
-def enumerate_spin(graph, cap=B1_CAP):
+def enumerate_spin(graph):
     """All spin structures on the graph, sorted by (mask, signs)."""
     out = []
-    for p in enumerate_cyclic(graph, cap=cap):
+    for p in enumerate_cyclic(graph):
         out.extend(spin_structures_over(graph, p))
     out.sort(key=lambda s: s.data())
     return out
 
 
-def spin_count_check(graph, cap=B1_CAP):
+def spin_count_check(graph):
     """Cross-check the closed count of spin structures against direct
     enumeration, including the parity split and the lower bound.
 
@@ -157,7 +157,7 @@ def spin_count_check(graph, cap=B1_CAP):
     per_cyclic = []
     total = even = odd = 0
     tight_expected = weightless
-    for p in enumerate_cyclic(graph, cap=cap):
+    for p in enumerate_cyclic(graph):
         dec = pbar_decompose(graph, p)
         structures = spin_structures_over(graph, p)
         n_even = sum(1 for s in structures if s.parity == 0)
@@ -264,7 +264,7 @@ class StratumCount:
         self.grand_total = grand_total
 
 
-def stratum_counts(graph, cap=B1_CAP):
+def stratum_counts(graph):
     """Per cyclic set: ``2^{b1(P) + 2|w|}`` points of length
     ``2^{b - b1(P)}`` each; the grand total must be ``2^{2g}``.
 
@@ -278,7 +278,7 @@ def stratum_counts(graph, cap=B1_CAP):
     g = graph.genus
     rows = []
     grand = 0
-    for p in enumerate_cyclic(graph, cap=cap):
+    for p in enumerate_cyclic(graph):
         points = 2 ** (p.b1 + 2 * w_total)
         length = 2 ** (b - p.b1)
         total = points * length
@@ -382,7 +382,7 @@ def refine_nonbasic(graph, sign):
         raise InputError("sign must be 0 or 1")
 
     target = SpinStructure(graph, EdgeSet.full(graph), (sign,))
-    _, target_orbit = morphisms.spin_orbits(graph, [target])
+    _, target_orbit, _ = morphisms.spin_orbits(graph, [target])
     graph_key = morphisms.canonical_key(graph)
 
     tried = 0
@@ -462,8 +462,9 @@ def _refinement_postconditions(split, candidate, graph, graph_key,
             lifts.add(other.data())
     if lifts != {candidate.data()}:
         return None
-    full = morphisms.automorphisms(split)
-    fixing = morphisms.automorphisms(split, restrict="spin", spin=candidate)
-    if full.order != fixing.order:
+    # every automorphism fixes the candidate exactly when its orbit is
+    # itself alone (orbit-stabilizer)
+    _, orbit_of, _ = morphisms.spin_orbits(split, [candidate])
+    if len(orbit_of) != 1:
         return None
     return True

@@ -163,12 +163,13 @@ class SpinTropicalCurve:
 
 def curve_automorphisms(curve):
     """Length-preserving automorphisms: the stabilizer of the length
-    vector inside the graph's automorphism group."""
+    vector inside the graph's automorphism group, as the action classes
+    whose edge permutation keeps the lengths."""
     group = automorphisms(curve.graph)
-    kept = [a for a in group.elements
-            if all(curve.lengths[a.edge_perm[i]] == curve.lengths[i]
-                   for i in range(curve.graph.n_edges))]
-    return type(group)(curve.graph, kept)
+    lengths = curve.lengths
+    return group.subgroup(
+        c for c, a in enumerate(group.action_classes[0])
+        if all(lengths[j] == x for j, x in zip(a.edge_perm, lengths)))
 
 
 def pi_trop(spin_curve):
@@ -235,14 +236,16 @@ def build_cone_complex(poset):
     Purity is one pass over the covers (:meth:`Poset.reaches_top`); the
     first cell, in node order, that lies below no top cell is the
     witness.  A pure complex walks every cover, so ``covers`` counts
-    them all.
+    them all.  A cell's ``aut_edge_order`` is the number of distinct
+    edge permutations among the action classes of its node's stabilizer.
     """
     stats = poset_stats(poset)
     cells = []
     for nd in poset.nodes:
-        group = automorphisms(nd.rep.graph, restrict="spin", spin=nd.rep.spin)
-        cells.append(ConeCell(nd.key, nd.rank, nd.parity,
-                              group.order_edge, nd.rep))
+        actions, _ = automorphisms(nd.rep.graph).action_classes
+        order_edge = len({actions[c].edge_perm for c in nd.stabilizer})
+        cells.append(ConeCell(nd.key, nd.rank, nd.parity, order_edge,
+                              nd.rep))
     for cell, reaches in zip(cells, poset.reaches_top()):
         if not reaches:
             raise VerificationError(

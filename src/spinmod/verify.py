@@ -18,9 +18,9 @@ from fractions import Fraction
 from .cycles import EdgeSet, boundary, enumerate_cyclic
 from .errors import SpinmodError, VerificationError
 from .graphs import classify
-from .morphisms import (automorphisms, canonical_key, composed_edges,
-                        contract, cyclic_canonical_key, order_test,
-                        push_cycle, push_spin, push_vertex_set,
+from .morphisms import (automorphisms, canonical_key, component_subgroup,
+                        composed_edges, contract, cyclic_canonical_key,
+                        order_test, push_cycle, push_spin, push_vertex_set,
                         quotient_action_order)
 from .posets import (build_cyclic_poset, build_graph_poset, build_spin_poset,
                      enumerate_stable_graphs, max_rank, poset_stats,
@@ -333,19 +333,28 @@ def _check_chain(graph, table, s1, s2, p, s, e, done):
         done["squares"] += 1
 
 
-def check_aut_factorization(spin_poset):
+def check_aut_factorization(spin_poset, done=None):
     """Order of the spin-preserving group factors as the component-wise
     subgroup times the induced quotient action, at half-edge level, for
-    every node of the poset."""
+    every node of the poset.
+
+    The spin-preserving group is the node's stabilizer, expanded to its
+    elements.  Returns the number of nodes checked; when ``done`` is a
+    dict, the sum of their stabilizers' orders is stored as
+    ``done["elements"]``."""
+    elements = 0
     for nd in spin_poset.nodes:
         graph, spin = nd.rep.graph, nd.rep.spin
-        fixing = automorphisms(graph, restrict="spin", spin=spin)
-        pbar = automorphisms(graph, restrict="pbar", spin=spin)
+        fixing = automorphisms(graph).subgroup(nd.stabilizer)
+        pbar = component_subgroup(fixing, spin)
         q_h = quotient_action_order(graph, spin, fixing)
+        elements += fixing.order
         if fixing.order != pbar.order * q_h:
             raise VerificationError(
                 f"automorphism orders do not factor: {fixing.order} != "
                 f"{pbar.order} * {q_h}", (nd.key,))
+    if done is not None:
+        done["elements"] = elements
     return len(spin_poset.nodes)
 
 
@@ -386,10 +395,12 @@ def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0,
               {"name": "boundary-square", "status": "pass",
                "squares": done["squares"]}]
     spin_poset = get_spin_poset()
+    factored = {}
     n_classes = _timed(phases, "aut_factorization", check_aut_factorization,
-                       spin_poset)
+                       spin_poset, factored)
     checks.append({"name": "aut-factorization", "status": "pass",
-                   "spin_classes": n_classes})
+                   "spin_classes": n_classes,
+                   "elements": factored["elements"]})
     n_families = _timed(phases, "fuzz_families", fuzz_families, spin_poset,
                         count=max(1, fuzz // 10), seed=seed)
     checks.append({"name": "family-diagram", "status": "pass",

@@ -1,6 +1,7 @@
 """Test oracles: the orbit walk that acts with every group element,
-the automorphism group found by a backtracking search over vertex
-bijections, the canonical-form search with the initial colors and the
+the stabilizer of a spin structure filtered from the whole group one
+image at a time, the automorphism group found by a backtracking search
+over vertex bijections, the canonical-form search with the initial colors and the
 certificate read through the graph's per-vertex and per-edge accessors,
 the opened graph's components grouped by a union-find of
 their own, spin structures acted on one image at a time, the refinement
@@ -224,6 +225,14 @@ def act_spin(aut, spin):
     return SpinStructure(graph, p_out, tuple(signs))
 
 
+def spin_stabilizer(graph, spin):
+    """The automorphisms of ``graph`` whose image of ``spin``, built one
+    at a time by :func:`act_spin`, equals ``spin``, in group order."""
+    group = automorphisms(graph)
+    return AutGroup(graph, [a for a in group.elements
+                            if act_spin(a, spin) == spin])
+
+
 def push_spin(contraction, spin):
     """Pushforward of a spin structure, signs summed over the components
     each image component absorbs."""
@@ -255,7 +264,7 @@ def order_test(upper, lower):
     if k < 0:
         return None
     cert_b, _ = canonical_form(gb)
-    _, orbit_of = spin_orbits(gb, [lower.spin])
+    _, orbit_of, _ = spin_orbits(gb, [lower.spin])
     for subset in combinations(range(ga.n_edges), k):
         c = contract(ga, EdgeSet.from_indices(ga, subset))
         if canonical_form(c.target)[0] != cert_b:

@@ -82,18 +82,20 @@ def test_enumerate_cyclic_no_edges():
     assert [f.mask for f in enumerate_cyclic(g)] == [0]
 
 
-def test_enumerate_cyclic_cap():
+def test_enumerate_cyclic_cap(monkeypatch):
+    monkeypatch.setattr(cycles, "B1_CAP", 3)
     with pytest.raises(BudgetError):
-        enumerate_cyclic(make_rose(4), cap=3)
+        enumerate_cyclic(make_rose(4))
 
 
-def test_enumerate_cyclic_memoised_with_cap_checked_every_call():
+def test_enumerate_cyclic_memoised_with_cap_checked_every_call(monkeypatch):
     rose = make_rose(4)
     first = enumerate_cyclic(rose)
     assert isinstance(first, tuple) and len(first) == 16
     assert enumerate_cyclic(rose) is first
-    with pytest.raises(BudgetError):
-        enumerate_cyclic(rose, cap=3)
+    with monkeypatch.context() as patch, pytest.raises(BudgetError):
+        patch.setattr(cycles, "B1_CAP", 3)
+        enumerate_cyclic(rose)
     # a copy of the graph is a different object with its own memo
     assert enumerate_cyclic(make_rose(4)) is not first
 

@@ -2,10 +2,11 @@
 
 A decomposition keeps one component index per vertex and the genera, as
 flat tuples of ints; poset nodes, cone cells, decompositions and spin
-carries are slotted records without an instance dict; a stabilizer is
-memoised as the action classes that fix its structure, not as a list of
-group elements; and the poset's lower covers are offsets into its
-sorted covers.  This guards the layout only: it measures no memory.
+carries are slotted records without an instance dict; a node keeps its
+stabilizer as the action classes that fix its structure, not as a list
+of group elements, and equal stabilizers share one tuple; and the
+poset's lower covers are offsets into its sorted covers.  This guards
+the layout only: it measures no memory.
 """
 
 from array import array
@@ -14,7 +15,8 @@ import pytest
 
 from spinmod.cycles import PbarDecomposition, enumerate_cyclic, pbar_decompose
 from spinmod.morphisms import SpinCarry, automorphisms, spin_action
-from spinmod.posets import PosetNode, build_spin_poset
+from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
+                            build_spin_poset)
 from spinmod.tropical import ConeCell, build_cone_complex
 
 
@@ -54,11 +56,17 @@ def test_decomposition_fields_are_flat_tuples_of_ints(shared_classes):
             assert set(dec.component) == set(range(len(dec.genera)))
 
 
-def test_stabilizer_memo_holds_action_class_indices():
-    poset = build_spin_poset(2, 1)
-    for nd in poset.nodes:
-        graph = nd.rep.graph
-        fixing = graph.__dict__["_spin_stabilizers"][nd.rep.spin.data()]
-        assert _flat_ints(fixing) and fixing == tuple(sorted(set(fixing)))
-        assert 0 <= fixing[0] <= fixing[-1] < len(
-            automorphisms(graph).action_classes[0])
+def test_node_stabilizers_hold_action_class_indices():
+    shared = {}
+    for poset in (build_spin_poset(2, 1), build_cyclic_poset(2, 1)):
+        for nd in poset.nodes:
+            graph = nd.rep.graph if poset.kind == "spin" else nd.rep[0]
+            fixing = nd.stabilizer
+            assert _flat_ints(fixing) and fixing == tuple(sorted(set(fixing)))
+            assert 0 <= fixing[0] <= fixing[-1] < len(
+                automorphisms(graph).action_classes[0])
+            # equal tuples from one orbit walk are one object
+            key = (poset.kind, id(graph), fixing)
+            assert shared.setdefault(key, fixing) is fixing
+    assert all(nd.stabilizer is None
+               for nd in build_graph_poset(2, 1).nodes)

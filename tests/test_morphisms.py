@@ -7,10 +7,11 @@ from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import Graph, genus
 from spinmod.morphisms import (SpinCarry, automorphisms, canonical_form,
-                               canonical_key, composed_edges, contract,
+                               canonical_key, component_subgroup,
+                               composed_edges, contract,
                                cyclic_canonical_key, order_test, push_cycle,
                                push_spin, push_vertex_set,
-                               quotient_action_order)
+                               quotient_action_order, spin_orbits)
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
@@ -187,8 +188,10 @@ def test_aut_theta_orders(theta):
 
 def test_aut_theta_spin_restricted(theta):
     s = spin(theta, [0, 1], (1,))
-    g = automorphisms(theta, restrict="spin", spin=s)
+    g = oracles.spin_stabilizer(theta, s)
     assert g.order == 4
+    _, _, (fixing,) = spin_orbits(theta, [s])
+    assert automorphisms(theta).subgroup(fixing).elements == g.elements
 
 
 def test_aut_weight_vertex_trivial():
@@ -287,13 +290,20 @@ def test_pbar_subgroup_is_product_of_component_groups():
     from spinmod.cycles import pbar_decompose
     for g in [make_theta(), make_dumbbell(), make_loop_chain()]:
         for s in enumerate_spin(g):
-            sub = automorphisms(g, restrict="pbar", spin=s)
+            sub = component_subgroup(automorphisms(g), s)
             product = 1
             dec = s.dec
             for comp in dec.vertex_sets:
                 piece = subgraph_on(dec.pbar, comp)
                 product *= automorphisms(piece).order
             assert sub.order == product, (g, s)
+
+
+def test_component_subgroup_needs_a_structure_over_its_graph(theta):
+    s = spin(theta, [0, 1], (1,))
+    assert component_subgroup(automorphisms(theta), s).order == 2
+    with pytest.raises(InputError, match="same graph"):
+        component_subgroup(automorphisms(make_dumbbell()), s)
 
 
 def test_spin_orbits_match_keys():
@@ -334,7 +344,7 @@ def test_induced_quotient_group_inside_full():
                 full_keys = {(tuple(sorted(a.vertex_map.items())),
                               tuple(sorted(a.half_map.items())))
                              for a in full}
-                fixing = automorphisms(graph, restrict="spin", spin=s)
+                fixing = oracles.spin_stabilizer(graph, s)
                 r_halves = [h for i in range(graph.n_edges) if i not in s.P
                             for h in graph.edges[i]]
                 induced = set()
@@ -367,8 +377,8 @@ def test_aut_factorization_on_fixtures():
     cases += [(dumbbell, SpinStructure(dumbbell, EdgeSet(dumbbell, 0),
                                        (0, 0)))]
     for g, s in cases:
-        full = automorphisms(g, restrict="spin", spin=s)
-        pbar = automorphisms(g, restrict="pbar", spin=s)
+        full = oracles.spin_stabilizer(g, s)
+        pbar = component_subgroup(automorphisms(g), s)
         q_h = quotient_action_order(g, s, full)
         assert full.order == pbar.order * q_h, (g, s)
 
@@ -717,7 +727,7 @@ def test_spin_restriction_decomposes_each_mask_once(monkeypatch):
             group = automorphisms(graph)
             images = {a.act_mask(s.P.mask) for a in group.elements}
             del built[:]
-            automorphisms(graph, restrict="spin", spin=s)
+            spin_orbits(graph, [s])
             assert len(built) == len(set(built)) <= len(images)
 
 
@@ -729,26 +739,6 @@ def test_push_cycle_failure_is_verification_error(theta, monkeypatch):
     with pytest.raises(VerificationError) as info:
         push_cycle(contract(theta, [2]), EdgeSet.from_indices(theta, [0, 1]))
     assert info.value.witnesses == (canonical_key(theta), "P=3", "F=4")
-
-
-def test_spin_stabilizer_memoised_per_graph(theta):
-    # the memo keeps the fixing action classes per structure's data; each
-    # read expands them to a fresh group with the same elements
-    s = spin(theta, [0, 1], (1,))
-    fixing = automorphisms(theta, restrict="spin", spin=s)
-    memo = theta.__dict__["_spin_stabilizers"]
-    seeded = memo[s.data()]
-    again = automorphisms(theta, restrict="spin",
-                          spin=spin(theta, [0, 1], (1,)))
-    assert memo[s.data()] is seeded and len(memo) == 1
-    assert again.elements == fixing.elements
-    automorphisms(theta, restrict="spin", spin=spin(theta, [0, 2], (1,)))
-    assert len(memo) == 2 and memo[s.data()] is seeded
-    other = make_theta()
-    fresh = automorphisms(other, restrict="spin",
-                          spin=spin(other, [0, 1], (1,)))
-    assert other.__dict__["_spin_stabilizers"] is not memo
-    assert fresh.order == fixing.order
 
 
 # -- spin data carried once per (map, cyclic set) -----------------------------
@@ -779,14 +769,12 @@ def test_spin_actions_match_per_image_oracle(g, n):
 
 @pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0)])
 def test_spin_orbit_tables_match_per_image_orbits(g, n, shared_classes):
-    from spinmod.morphisms import spin_orbits
-
     for graph in shared_classes(g, n):
         spins = enumerate_spin(graph)
         group = automorphisms(graph).elements
         orbits = {s.data(): frozenset(oracles.act_spin(a, s).data()
                                       for a in group) for s in spins}
-        reps, orbit_of = spin_orbits(graph, spins)
+        reps, orbit_of, _ = spin_orbits(graph, spins)
         assert len(reps) == len(set(orbits.values()))
         assert set(orbit_of) == set(orbits)
         for data, orbit in orbits.items():
@@ -848,14 +836,17 @@ def test_orbit_walk_matches_the_walk_over_every_element(g, n,
                 [s.elements for s in want_stabs]
 
 
-def test_spin_stabilizer_memo_miss_keeps_every_fixing_element(dumbbell):
-    # the two loop flips fix every structure, so a stabilizer built on a
-    # memo miss holds them too: every element that fixes the structure,
-    # in group order, and a multiple of 4 of them
+def test_spin_orbit_stabilizer_keeps_every_fixing_element(dumbbell):
+    # the two loop flips fix every structure, so the stabilizer a walk
+    # over one structure returns holds them too once expanded: every
+    # element that fixes the structure, in group order, and a multiple of
+    # 4 of them
+    group = automorphisms(dumbbell)
     for s in enumerate_spin(dumbbell):
-        fixing = automorphisms(dumbbell, restrict="spin", spin=s)
+        _, _, (classes,) = spin_orbits(dumbbell, [s])
+        fixing = group.subgroup(classes)
         want = oracles.orbit_representatives(
-            automorphisms(dumbbell), [s], SpinStructure.data,
+            group, [s], SpinStructure.data,
             lambda a, t: oracles.act_spin(a, t).data())[2][0]
         assert fixing.elements == want.elements
         assert len(fixing.elements) % 4 == 0

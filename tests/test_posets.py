@@ -609,42 +609,40 @@ def test_edge_contraction_table_is_capped_like_the_group():
 
 
 def test_full_group_built_once_per_class(monkeypatch):
+    # every group the spin build reads comes through ``automorphisms``,
+    # bound in the two modules that call it
     from spinmod import morphisms
 
     built = []
-    original = morphisms._full_group
+    original = morphisms.automorphisms
 
     def recording(graph):
         if "_aut_group" not in graph.__dict__:
             built.append(id(graph))
         return original(graph)
 
-    monkeypatch.setattr(morphisms, "_full_group", recording)
+    for module in (morphisms, posets):
+        monkeypatch.setattr(module, "automorphisms", recording)
     build_spin_poset(3, 0)
     assert len(built) == len(set(built)) == 42
 
 
 @pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
-def test_orbit_step_stabilizers_are_the_spin_stabilizers(g, n):
-    # the spin builder seeds the stabilizer memo from its orbit walk with
-    # the action classes that fix each representative; reading the
-    # stabilizer expands them, without a second walk, to the filtered
-    # full group, element by element in group order
-    from spinmod.morphisms import automorphisms
-
-    for nd in build_spin_poset(g, n).nodes:
+def test_orbit_step_stabilizers_are_the_spin_stabilizers(g, n,
+                                                         shared_classes):
+    # each spin and cyclic node keeps the action classes that its orbit
+    # walk found fixing the representative; expanded, they are exactly
+    # the elements that fix it, in group order
+    classes = shared_classes(g, n)
+    for nd in build_spin_poset(g, n, _classes=classes).nodes:
         graph, spin = nd.rep.graph, nd.rep.spin
+        assert automorphisms(graph).subgroup(nd.stabilizer).elements == \
+            oracles.spin_stabilizer(graph, spin).elements
+    for nd in build_cyclic_poset(g, n, _classes=classes).nodes:
+        graph, p = nd.rep
         group = automorphisms(graph)
-        memo = graph.__dict__["_spin_stabilizers"]
-        seeded = memo[spin.data()]
-        stabilizer = automorphisms(graph, restrict="spin", spin=spin)
-        assert memo[spin.data()] is seeded
-        _, class_of = group.action_classes
-        assert stabilizer.elements == tuple(
-            a for a, c in zip(group.elements, class_of) if c in seeded)
-        assert stabilizer.elements == tuple(
-            a for a in group.elements
-            if oracles.act_spin(a, spin) == spin)
+        assert group.subgroup(nd.stabilizer).elements == tuple(
+            a for a in group.elements if a.act_mask(p.mask) == p.mask)
 
 
 def test_shared_orbit_key_is_verification_error(monkeypatch):
@@ -682,8 +680,8 @@ def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
     original = posets.spin_orbits
 
     def reps_only(graph, spins, *args):
-        reps, _ = original(graph, spins, *args)
-        return reps, {s.data(): k for k, s in enumerate(reps)}
+        reps, _, stabilizers = original(graph, spins, *args)
+        return reps, {s.data(): k for k, s in enumerate(reps)}, stabilizers
 
     monkeypatch.setattr(posets, "spin_orbits", reps_only)
     with pytest.raises(VerificationError, match="missing from the orbit") \

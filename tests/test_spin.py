@@ -179,7 +179,7 @@ def check_refinement(graph, sign):
     assert canonical_key(SpinGraph(witness.target, pushed)) == \
         canonical_key(target)
     full = automorphisms(split)
-    fixing = automorphisms(split, restrict="spin", spin=sg.spin)
+    fixing = oracles.spin_stabilizer(split, sg.spin)
     assert full.order == fixing.order
     return sg
 

@@ -92,11 +92,11 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     # element per distinct action on vertices and edges (1,612 images at
     # (3,0)) and keeps the stabilizer it meets, so the cone complex and
     # the factorization check act no more.  Every other image comes from
-    # a walk over the orbit of one structure: a spin key, the target of a
-    # refinement or the lower side of an order test that meets a
-    # candidate pushed elsewhere than onto it, each acting once per
-    # action of its graph's group; the refinement suite's stabilizers add
-    # 36.  No automorphism's image is built as a spin structure.
+    # a walk over the orbit of one structure: a spin key, the target or a
+    # candidate lift of a refinement (the lifts fold 36), or the lower
+    # side of an order test that meets a candidate pushed elsewhere than
+    # onto it, each acting once per action of its graph's group.  No
+    # automorphism's image is built as a spin structure.
     from spinmod import morphisms
 
     calls = []
@@ -145,7 +145,8 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     assert calls.count("build_cone_complex") == 0
     assert calls.count("check_aut_factorization") == 0
     assert acted == []
-    assert len(calls) == 1612 + sum(walked) + 36 == 2202
+    assert sum(walked) == 590
+    assert len(calls) == 1612 + sum(walked) == 2202
 
 
 def test_purity_precursor_agrees_with_the_union_of_descendants(monkeypatch):
@@ -536,3 +537,18 @@ def test_forgetful_map_without_an_image_cover_is_verification_error(
         source = posets.build_cyclic_poset(2, 0)
         image = canonical_key(source.nodes[source.index[key]].rep[0])
     assert target.index[image] == upper[0]
+
+
+@pytest.mark.parametrize("g,n,nodes,elements", [(2, 2, 449, 1308),
+                                                (3, 0, 408, 2920)])
+def test_aut_factorization_counts_stabilizer_elements(g, n, nodes, elements,
+                                                      shared_classes):
+    # the record's elements sum the orders of the node stabilizers it
+    # checked, each counted again from the whole group one image at a time
+    classes = shared_classes(g, n)
+    poset = posets.build_spin_poset(g, n, _classes=classes)
+    done = {}
+    assert verify.check_aut_factorization(poset, done) == nodes
+    assert done["elements"] == elements == sum(
+        oracles.spin_stabilizer(nd.rep.graph, nd.rep.spin).order
+        for nd in poset.nodes)
