@@ -333,29 +333,29 @@ def _check_chain(graph, table, s1, s2, p, s, e, done):
         done["squares"] += 1
 
 
-def check_aut_factorization(spin_poset, done=None):
+def check_aut_factorization(spin_poset):
     """Order of the spin-preserving group factors as the component-wise
     subgroup times the induced quotient action, at half-edge level, for
     every node of the poset.
 
     The spin-preserving group is the node's stabilizer, expanded to its
-    elements.  Returns the number of nodes checked; when ``done`` is a
-    dict, the sum of their stabilizers' orders is stored as
-    ``done["elements"]``."""
+    elements; the component-wise subgroup is taken from the whole group,
+    so the check also asks that each of its elements fix the structure.
+    Returns the number of nodes checked and the sum of their
+    stabilizers' orders."""
     elements = 0
     for nd in spin_poset.nodes:
         graph, spin = nd.rep.graph, nd.rep.spin
-        fixing = automorphisms(graph).subgroup(nd.stabilizer)
-        pbar = component_subgroup(fixing, spin)
+        group = automorphisms(graph)
+        fixing = group.subgroup(nd.stabilizer)
+        pbar = component_subgroup(group, spin)
         q_h = quotient_action_order(graph, spin, fixing)
         elements += fixing.order
         if fixing.order != pbar.order * q_h:
             raise VerificationError(
                 f"automorphism orders do not factor: {fixing.order} != "
                 f"{pbar.order} * {q_h}", (nd.key,))
-    if done is not None:
-        done["elements"] = elements
-    return len(spin_poset.nodes)
+    return len(spin_poset.nodes), elements
 
 
 def fuzz_families(spin_poset, count=100, seed=0):
@@ -395,12 +395,10 @@ def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0,
               {"name": "boundary-square", "status": "pass",
                "squares": done["squares"]}]
     spin_poset = get_spin_poset()
-    factored = {}
-    n_classes = _timed(phases, "aut_factorization", check_aut_factorization,
-                       spin_poset, factored)
+    n_classes, elements = _timed(phases, "aut_factorization",
+                                 check_aut_factorization, spin_poset)
     checks.append({"name": "aut-factorization", "status": "pass",
-                   "spin_classes": n_classes,
-                   "elements": factored["elements"]})
+                   "spin_classes": n_classes, "elements": elements})
     n_families = _timed(phases, "fuzz_families", fuzz_families, spin_poset,
                         count=max(1, fuzz // 10), seed=seed)
     checks.append({"name": "family-diagram", "status": "pass",

@@ -1,5 +1,6 @@
 import copy
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -547,8 +548,24 @@ def test_aut_factorization_counts_stabilizer_elements(g, n, nodes, elements,
     # checked, each counted again from the whole group one image at a time
     classes = shared_classes(g, n)
     poset = posets.build_spin_poset(g, n, _classes=classes)
-    done = {}
-    assert verify.check_aut_factorization(poset, done) == nodes
-    assert done["elements"] == elements == sum(
+    checked, counted = verify.check_aut_factorization(poset)
+    assert checked == nodes
+    assert counted == elements == sum(
         oracles.spin_stabilizer(nd.rep.graph, nd.rep.spin).order
         for nd in poset.nodes)
+
+
+def test_aut_factorization_needs_every_component_wise_element_fixing():
+    # the component-wise subgroup is taken from the whole group, so a node
+    # stabilizer that lost a component-wise element (here: cut down to the
+    # identity's action class) no longer factors; at (1, 2) node 9 is the
+    # first whose stabilizer holds one outside that class
+    poset = posets.build_spin_poset(1, 2)
+    assert verify.check_aut_factorization(poset)[0] == 13
+    cut = SimpleNamespace(nodes=[
+        SimpleNamespace(rep=nd.rep, key=nd.key, stabilizer=nd.stabilizer[:1])
+        for nd in poset.nodes])
+    with pytest.raises(VerificationError,
+                       match="automorphism orders do not factor") as info:
+        verify.check_aut_factorization(cut)
+    assert info.value.witnesses == (poset.nodes[9].key,)
