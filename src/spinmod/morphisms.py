@@ -1,26 +1,28 @@
 """Contractions, automorphism groups, pushforwards and canonical keys.
 
-Morphisms act on vertices and half-edges.  Automorphism groups are
-materialized as full element lists (desk scale), and two action orders
-are exposed: on half-edges and on edges alone.  A structure over a graph
-(a cyclic set, a spin structure) sees only how an automorphism moves
+Morphisms act on vertices and half-edges.  A structure over a graph (a
+cyclic set, a spin structure) sees only how an automorphism moves
 vertices and edges, and every loop doubles the group by a flip that
-moves neither.  So orbit walks act with one element per distinct action
-on vertices and edges (:attr:`AutGroup.action_classes`).  The walk
-returns each stabilizer as the indices of the action classes that fix
-the structure, for the caller to keep, and it is expanded to every
-element of those classes when it is read as a group, so the groups read
-at half-edge level stay whole.  A graph's canonical key is a digest of
-its certificate, computed by color refinement with individualization
-from initial colors read in one pass over the edges and legs; the
-brute-force isomorphism search it is cross-checked against lives in the
-test suite.  The same search yields the group's vertex maps: it prunes
-nothing, so the leaves with the best certificate are the canonical
-labelling composed with each automorphism.  Pruning the tree by
-automorphisms would break that, and the group would then have to come
-from the pruning search's generators.  The orbits of a group on edges
-(:attr:`AutGroup.edge_orbits`) let the contraction table contract one
-edge per orbit.
+moves neither.  So a group is held as its action classes, one vertex map
+and edge permutation per distinct action (:attr:`AutGroup.actions`),
+and the number of loop flips each carries; its order at half-edge level
+is their product, and the factorization's subgroup and quotient action
+count classes and the flips of loops inside and outside the cyclic set.
+Orbit walks act with the classes and return each stabilizer as the
+indices of the classes that fix the structure, for the caller to keep.
+The element-level group, one map on half-edges per element, lives in
+the test suite as the oracle these counts are checked against.
+
+A graph's canonical key is a digest of its certificate, computed by
+color refinement with individualization from initial colors read in one
+pass over the edges and legs; the brute-force isomorphism search it is
+cross-checked against lives in the test suite.  The same search yields
+the group's vertex maps: it prunes nothing, so the leaves with the best
+certificate are the canonical labelling composed with each
+automorphism.  Pruning the tree by automorphisms would break that, and
+the group would then have to come from the pruning search's generators.
+The orbits of a group on edges (:attr:`AutGroup.edge_orbits`) let the
+contraction table contract one edge per orbit.
 
 An automorphism or a contraction moves the signs of a spin structure
 only by the way it carries the components of the opened graph, so that
@@ -357,24 +359,17 @@ def _isomorphism(a, b):
 
 
 class Aut:
-    """A single automorphism: a weight-preserving map on vertices and
-    half-edges commuting with the involution and fixing every leg."""
+    """One action class of automorphisms: a weight-preserving map on
+    vertices with the permutation it induces on edge indices.  The
+    elements of the class differ only by flips of loops, which move no
+    vertex and no edge."""
 
-    def __init__(self, graph, vertex_map, half_map):
+    __slots__ = ("graph", "vertex_map", "edge_perm")
+
+    def __init__(self, graph, vertex_map, edge_perm):
         self.graph = graph
         self.vertex_map = vertex_map
-        self.half_map = half_map
-
-    @property
-    def edge_perm(self):
-        perm = getattr(self, "_edge_perm", None)
-        if perm is None:
-            idx = self.graph.edge_index
-            perm = tuple(
-                idx[tuple(sorted((self.half_map[h], self.half_map[k])))]
-                for h, k in self.graph.edges)
-            self._edge_perm = perm
-        return perm
+        self.edge_perm = edge_perm
 
     def act_mask(self, mask):
         out = 0
@@ -392,52 +387,33 @@ class Aut:
 
 
 class AutGroup:
-    """Fully materialized automorphism group of a graph (optionally
-    restricted), with its two action orders and its action classes.
+    """An automorphism group as its action classes and its loop flips.
 
-    The elements are maps on vertices and half-edges, so flipping a loop
-    is an element of its own, although it moves no vertex and no edge.
-    Orbit walks act through :attr:`action_classes`, one element per
-    distinct action on vertices and edges."""
+    ``actions`` holds one :class:`Aut` per distinct action on vertices
+    and edges, in group order, and every class carries ``2**flips``
+    elements that differ by flipping loops.  Orbit walks act with the
+    classes alone."""
 
-    def __init__(self, graph, elements):
+    def __init__(self, graph, actions, flips):
         self.graph = graph
-        self.elements = tuple(elements)
+        self.actions = tuple(actions)
+        self.flips = flips
 
     @property
     def order(self):
         """Order as a group of maps on vertices and half-edges."""
-        return len(self.elements)
+        return len(self.actions) << self.flips
 
     @property
     def order_edge(self):
         """Order of the induced action on edges alone."""
-        return len({a.edge_perm for a in self.elements})
-
-    @cached_property
-    def action_classes(self):
-        """``(actions, class_of)``: the first element, in group order, of
-        each class of elements with the same vertex map and edge
-        permutation, and each element's class index.  Elements of a class
-        differ only by flips of loops."""
-        vertices = sorted(self.graph.vertices)
-        index = {}
-        actions = []
-        class_of = []
-        for a in self.elements:
-            k = index.setdefault(
-                (tuple(map(a.vertex_map.get, vertices)), a.edge_perm),
-                len(actions))
-            if k == len(actions):
-                actions.append(a)
-            class_of.append(k)
-        return tuple(actions), tuple(class_of)
+        return len({a.edge_perm for a in self.actions})
 
     @cached_property
     def edge_orbits(self):
         """The orbits of the group on edge indices, each sorted, in order
         of their least edges."""
-        perms = [a.edge_perm for a in self.action_classes[0]]
+        perms = [a.edge_perm for a in self.actions]
         orbits = []
         seen = set()
         for e in range(self.graph.n_edges):
@@ -448,34 +424,30 @@ class AutGroup:
         return tuple(orbits)
 
     def subgroup(self, classes):
-        """The elements whose action class is one of ``classes`` (indices
-        into :attr:`action_classes`), in group order, as a group."""
-        keep = set(classes)
-        _, class_of = self.action_classes
-        return AutGroup(self.graph, [
-            a for a, c in zip(self.elements, class_of) if c in keep])
+        """The action classes ``classes`` (indices into :attr:`actions`),
+        with the same loop flips, as a group."""
+        return AutGroup(self.graph, [self.actions[c] for c in classes],
+                        self.flips)
 
     def orbit_representatives(self, items, data, act):
         """The first item met from each orbit, in the order given, with
         the orbit table and the stabilizers the walk meets.
 
         An item is kept when its ``data(item)`` has not been seen; its
-        image ``act(a, item)`` under one element ``a`` of each action
-        class is then marked seen, so ``act`` must return values
-        comparable with ``data``.  ``act`` may read only ``a.vertex_map``
-        and ``a.edge_perm`` (as :meth:`Aut.act_mask` and
-        :class:`SpinCarry` do): the other elements of a class then have
-        the same image, and acting with them adds nothing.  When
-        ``items`` are sorted by ``data`` and closed under the group, each
-        kept item is the minimum of its orbit.
+        image ``act(a, item)`` under each action class ``a`` is then
+        marked seen, so ``act`` must return values comparable with
+        ``data``.  ``act`` may read only ``a.vertex_map`` and
+        ``a.edge_perm`` (as :meth:`Aut.act_mask` and :class:`SpinCarry`
+        do), which is all a class holds.  When ``items`` are sorted by
+        ``data`` and closed under the group, each kept item is the
+        minimum of its orbit.
 
         Returns ``(reps, orbit_of, stabilizers)``: ``orbit_of`` maps the
         data of every image met to the index of its orbit in ``reps``,
         and ``stabilizers[k]`` is the tuple of the action classes that fix
-        ``reps[k]``; :meth:`subgroup` expands it to every element of those
-        classes, in group order.  Equal tuples are shared.
+        ``reps[k]``, which :meth:`subgroup` turns into a group.  Equal
+        tuples are shared.
         """
-        actions, _ = self.action_classes
         orbit_of = {}
         reps = []
         stabilizers = []
@@ -487,7 +459,7 @@ class AutGroup:
             k = len(reps)
             reps.append(item)
             fixing = []
-            for c, a in enumerate(actions):
+            for c, a in enumerate(self.actions):
                 image = act(a, item)
                 orbit_of[image] = k
                 if image == here:
@@ -497,59 +469,32 @@ class AutGroup:
         return reps, orbit_of, stabilizers
 
 
-def _half_edge_extensions(graph, vmap):
-    """All half-edge maps extending a compatible vertex bijection."""
-    edges_by_pair = defaultdict(list)
-    loops_by_vertex = defaultdict(list)
+def _edge_permutations(graph, vmap):
+    """Every edge permutation over a compatible vertex bijection: the
+    edges between each vertex pair go, in every order, onto the edges
+    between its image pair.  Pairs of distinct vertices vary first, in
+    sorted order, then the loops of each vertex."""
+    by_pair = defaultdict(list)
     for i in range(graph.n_edges):
-        u, v = graph.edge_vertices(i)
-        if u == v:
-            loops_by_vertex[u].append(i)
-        else:
-            edges_by_pair[(u, v)].append(i)
-    edges_by_pair = dict(edges_by_pair)
-    loops_by_vertex = dict(loops_by_vertex)
-
-    groups = []
-    for (u, v), es in sorted(edges_by_pair.items()):
+        by_pair[graph.edge_vertices(i)].append(i)
+    pairs = sorted(by_pair, key=lambda p: (p[0] == p[1], p))
+    options = []
+    for u, v in pairs:
         iu, iv = vmap[u], vmap[v]
-        targets = edges_by_pair[(iu, iv) if iu <= iv else (iv, iu)]
-        options = []
-        for perm in permutations(targets):
-            frag = {}
-            for e_idx, f_idx in zip(es, perm):
-                h, k = graph.edges[e_idx]
-                a, b = graph.edges[f_idx]
-                if graph.endpoint[a] == vmap[graph.endpoint[h]]:
-                    frag[h], frag[k] = a, b
-                else:
-                    frag[h], frag[k] = b, a
-            options.append(frag)
-        groups.append(options)
-    for v, ls in sorted(loops_by_vertex.items()):
-        targets = loops_by_vertex[vmap[v]]
-        options = []
-        for perm in permutations(targets):
-            for flips in product((0, 1), repeat=len(ls)):
-                frag = {}
-                for l_idx, f_idx, flip in zip(ls, perm, flips):
-                    h, k = graph.edges[l_idx]
-                    a, b = graph.edges[f_idx]
-                    frag[h], frag[k] = (b, a) if flip else (a, b)
-                options.append(frag)
-        groups.append(options)
-
-    identity_legs = {h: h for h in graph.legs}
-    for combo in product(*groups):
-        half_map = dict(identity_legs)
-        for frag in combo:
-            half_map.update(frag)
-        yield half_map
+        options.append(permutations(by_pair[(iu, iv) if iu <= iv
+                                            else (iv, iu)]))
+    perm = [0] * graph.n_edges
+    for combo in product(*options):
+        for pair, targets in zip(pairs, combo):
+            for i, j in zip(by_pair[pair], targets):
+                perm[i] = j
+        yield tuple(perm)
 
 
 def automorphisms(graph):
     """The full automorphism group, memoised per graph object; its
-    vertex maps are read off the best leaves of :func:`canonical_form`."""
+    vertex maps are read off the best leaves of :func:`canonical_form`,
+    and each loop of the graph adds a flip."""
     if len(graph.half_edges) > AUT_HALF_EDGE_CAP:
         raise BudgetError(
             f"automorphism search capped at {AUT_HALF_EDGE_CAP} half-edges, "
@@ -568,28 +513,35 @@ def automorphisms(graph):
     vmaps = sorted(({v: at[p] for v, p in pos.items()} for pos in leaves),
                    key=lambda vmap: [vmap[v] for v in order])
     group = AutGroup(graph, [
-        Aut(graph, vmap, half_map) for vmap in vmaps
-        for half_map in _half_edge_extensions(graph, vmap)])
+        Aut(graph, vmap, perm) for vmap in vmaps
+        for perm in _edge_permutations(graph, vmap)],
+        sum(map(graph.loops, graph.vertices)))
     graph.__dict__["_aut_group"] = group
     return group
 
 
 def component_subgroup(group, spin):
-    """The elements of ``group`` that fix every half-edge outside the
-    spin structure's cyclic set and map each component of the opened
-    graph to itself (the product of the component groups), in group
-    order."""
+    """The part of ``group`` that fixes every half-edge outside the spin
+    structure's cyclic set and maps each component of the opened graph
+    to itself (the product of the component groups).
+
+    Its action classes fix each edge outside the set, and the ends of
+    each such edge that is not a loop, and every component's vertex set;
+    a loop outside the set must not flip, and a loop inside may."""
     graph = group.graph
     if spin.graph != graph:
         raise InputError("restricted groups need a spin structure over the "
                          "same graph")
-    outside = [h for i in range(graph.n_edges) if i not in spin.P
-               for h in graph.edges[i]]
+    outside = [(i, graph.edge_vertices(i)) for i in range(graph.n_edges)
+               if i not in spin.P]
     vertex_sets = spin.dec.vertex_sets
+    loops_out = sum(1 for _, (u, v) in outside if u == v)
     return AutGroup(graph, [
-        a for a in group.elements
-        if all(a.half_map[h] == h for h in outside)
-        and all({a.vertex_map[v] for v in vs} == vs for vs in vertex_sets)])
+        a for a in group.actions
+        if all(a.edge_perm[i] == i and a.vertex_map[u] == u
+               for i, (u, _) in outside)
+        and all({a.vertex_map[v] for v in vs} == vs for vs in vertex_sets)],
+        group.flips - loops_out)
 
 
 def spin_orbits(graph, spins, act=None):
@@ -598,9 +550,9 @@ def spin_orbits(graph, spins, act=None):
     representative's stabilizer as action classes, as
     :meth:`AutGroup.orbit_representatives` returns them.
 
-    The walk folds each representative's signs through one element per
-    action class of the group, since a loop flip fixes every spin
-    structure, with ``act`` (a fresh :func:`spin_action` when not given).
+    The walk folds each representative's signs through each action
+    class of the group, since a loop flip fixes every spin structure,
+    with ``act`` (a fresh :func:`spin_action` when not given).
     """
     return automorphisms(graph).orbit_representatives(
         spins, SpinStructure.data, act or spin_action())
@@ -620,18 +572,29 @@ def quotient_action_order(graph, spin, group):
 
     Elements act on the vertices of the quotient (the components of the
     opened graph) and on its half-edges (those outside the cyclic set).
+    An action class moves such a half-edge to the end of the image edge
+    at the image of its vertex, and each loop outside the set doubles
+    the count by its flip.  A class that does not map the components
+    onto components is a :class:`VerificationError` naming the spin
+    graph's key.
     """
-    outside = [h for i in range(graph.n_edges) if i not in spin.P
-               for h in graph.edges[i]]
+    outside = [(i, graph.edge_vertices(i)) for i in range(graph.n_edges)
+               if i not in spin.P]
     vertex_sets = spin.dec.vertex_sets
     comp_index = {vs: i for i, vs in enumerate(vertex_sets)}
     seen = set()
-    for a in group.elements:
+    for a in group.actions:
         comp_perm = tuple(
-            comp_index[frozenset(a.vertex_map[v] for v in vs)]
+            comp_index.get(frozenset(a.vertex_map[v] for v in vs))
             for vs in vertex_sets)
-        seen.add((comp_perm, tuple(a.half_map[h] for h in outside)))
-    return len(seen)
+        if None in comp_perm:
+            raise VerificationError(
+                "automorphism orders do not factor: an automorphism in the "
+                "stabilizer maps a component of the opened graph onto no "
+                "component", (canonical_key(SpinGraph(graph, spin)),))
+        seen.add((comp_perm, tuple((a.edge_perm[i], a.vertex_map[u])
+                                   for i, (u, _) in outside)))
+    return len(seen) << sum(1 for _, (u, v) in outside if u == v)
 
 
 # -- acting on spin data ----------------------------------------------------

@@ -225,7 +225,6 @@ def _edge_contractions(graph, reps, fresh=None):
                                  for key, c in table):
         return table
     group = automorphisms(graph)
-    actions, _ = group.action_classes
     table = [None] * graph.n_edges
     for orbit in group.edge_orbits:
         e = orbit[0]
@@ -244,7 +243,7 @@ def _edge_contractions(graph, reps, fresh=None):
             fresh.append(c.target)
         c = c.onto(reps[key])
         table[e] = (key, c)
-        for a in actions:
+        for a in group.actions:
             image = a.edge_perm[e]
             if table[image] is None:
                 table[image] = (key, c.after_inverse(a))
@@ -566,7 +565,7 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
             act = action()
             structures, orbit_of, stabilizers = orbits(graph, act)
             if walk is not None:
-                actions = len(automorphisms(graph).action_classes[0])
+                actions = len(automorphisms(graph).actions)
                 walk["group_actions"] += actions
                 walk["orbit_images"] += actions * len(structures)
                 walk["carries"] += len(getattr(act, "carried", ()))

@@ -168,7 +168,7 @@ def curve_automorphisms(curve):
     group = automorphisms(curve.graph)
     lengths = curve.lengths
     return group.subgroup(
-        c for c, a in enumerate(group.action_classes[0])
+        c for c, a in enumerate(group.actions)
         if all(lengths[j] == x for j, x in zip(a.edge_perm, lengths)))
 
 
@@ -236,16 +236,15 @@ def build_cone_complex(poset):
     Purity is one pass over the covers (:meth:`Poset.reaches_top`); the
     first cell, in node order, that lies below no top cell is the
     witness.  A pure complex walks every cover, so ``covers`` counts
-    them all.  A cell's ``aut_edge_order`` is the number of distinct
-    edge permutations among the action classes of its node's stabilizer.
+    them all.  A cell's ``aut_edge_order`` is the order of the action
+    its node's stabilizer induces on edges.
     """
     stats = poset_stats(poset)
     cells = []
     for nd in poset.nodes:
-        actions, _ = automorphisms(nd.rep.graph).action_classes
-        order_edge = len({actions[c].edge_perm for c in nd.stabilizer})
-        cells.append(ConeCell(nd.key, nd.rank, nd.parity, order_edge,
-                              nd.rep))
+        fixing = automorphisms(nd.rep.graph).subgroup(nd.stabilizer)
+        cells.append(ConeCell(nd.key, nd.rank, nd.parity,
+                              fixing.order_edge, nd.rep))
     for cell, reaches in zip(cells, poset.reaches_top()):
         if not reaches:
             raise VerificationError(

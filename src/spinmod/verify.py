@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .cycles import EdgeSet, boundary, enumerate_cyclic
+from .cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from .errors import SpinmodError, VerificationError
 from .graphs import classify
 from .morphisms import (automorphisms, canonical_key, component_subgroup,
@@ -336,14 +336,19 @@ def _check_chain(graph, table, s1, s2, p, s, e, done):
 def check_aut_factorization(spin_poset):
     """Order of the spin-preserving group factors as the component-wise
     subgroup times the induced quotient action, at half-edge level, for
-    every node of the poset.
+    every node of the poset, and the node orbits of each class count its
+    spin structures.
 
-    The spin-preserving group is the node's stabilizer, expanded to its
-    elements; the component-wise subgroup is taken from the whole group,
-    so the check also asks that each of its elements fix the structure.
-    Returns the number of nodes checked and the sum of their
-    stabilizers' orders."""
+    The spin-preserving group is the node's stabilizer; the
+    component-wise subgroup is taken from the whole group, so the check
+    also asks that each of its action classes fix the structure.  Per
+    class, the orbits ``|actions| / |stabilizer|`` of its nodes must sum
+    to ``sum_P 2^{c_+(P)}`` over its cyclic sets (Burnside: a loop flip
+    fixes every structure, so the classes act as the group does).
+    Returns the number of nodes checked, the sum of their stabilizers'
+    orders and the number of spin structures over their classes."""
     elements = 0
+    orbits = {}
     for nd in spin_poset.nodes:
         graph, spin = nd.rep.graph, nd.rep.spin
         group = automorphisms(graph)
@@ -355,7 +360,18 @@ def check_aut_factorization(spin_poset):
             raise VerificationError(
                 f"automorphism orders do not factor: {fixing.order} != "
                 f"{pbar.order} * {q_h}", (nd.key,))
-    return len(spin_poset.nodes), elements
+        orbits.setdefault(id(graph), [graph, 0])[1] += (
+            len(group.actions) // len(nd.stabilizer))
+    structures = 0
+    for graph, summed in orbits.values():
+        count = sum(2 ** pbar_decompose(graph, p).c_plus
+                    for p in enumerate_cyclic(graph))
+        if summed != count:
+            raise VerificationError(
+                f"spin orbits do not count the spin structures: {summed} "
+                f"!= {count}", (canonical_key(graph),))
+        structures += count
+    return len(spin_poset.nodes), elements, structures
 
 
 def fuzz_families(spin_poset, count=100, seed=0):
@@ -395,10 +411,11 @@ def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0,
               {"name": "boundary-square", "status": "pass",
                "squares": done["squares"]}]
     spin_poset = get_spin_poset()
-    n_classes, elements = _timed(phases, "aut_factorization",
-                                 check_aut_factorization, spin_poset)
+    n_classes, elements, structures = _timed(
+        phases, "aut_factorization", check_aut_factorization, spin_poset)
     checks.append({"name": "aut-factorization", "status": "pass",
-                   "spin_classes": n_classes, "elements": elements})
+                   "spin_classes": n_classes, "elements": elements,
+                   "structures": structures})
     n_families = _timed(phases, "fuzz_families", fuzz_families, spin_poset,
                         count=max(1, fuzz // 10), seed=seed)
     checks.append({"name": "family-diagram", "status": "pass",

@@ -1,5 +1,6 @@
 """Test oracles: canonical keys as a minimum over the whole automorphism
-group, and the order test that keys every contracted target.
+group, element by element (:func:`oracles.element_group`), and the order
+test that keys every contracted target.
 
 These are the definitions the package's orbit-table keys and lookup
 order test must reproduce exactly: each automorphism is applied to the
@@ -11,9 +12,11 @@ from collections import defaultdict
 from itertools import combinations
 
 from spinmod.cycles import EdgeSet
-from spinmod.morphisms import (_digest, automorphisms, canonical_form,
-                               canonical_key, contract, push_spin)
+from spinmod.morphisms import (_digest, canonical_form, canonical_key,
+                               contract, push_spin)
 from spinmod.spin import SpinGraph
+
+import oracles
 
 
 def cyclic_encoding(graph, pos, aut, cyclic_set):
@@ -40,7 +43,7 @@ def min_over_group(graph, encode, structure):
     over the whole automorphism group."""
     cert, pos = canonical_form(graph)
     best = min(encode(graph, pos, a, structure)
-               for a in automorphisms(graph).elements)
+               for a in oracles.element_group(graph).elements)
     return _digest([cert, best])
 
 

@@ -1,7 +1,10 @@
-"""Test oracles: the orbit walk that acts with every group element,
-the stabilizer of a spin structure filtered from the whole group one
-image at a time, the automorphism group found by a backtracking search
-over vertex bijections, the canonical-form search with the initial colors and the
+"""Test oracles: the automorphism group as a list of elements, each a
+map on vertices and half-edges, found by a backtracking search over
+vertex bijections and extended to every half-edge map, loop flips
+included; the orbit walk that acts with every element, the stabilizer
+of a spin structure filtered from the whole group one image at a time,
+and the component-wise subgroup and induced quotient action counted
+element by element; the canonical-form search with the initial colors and the
 certificate read through the graph's per-vertex and per-edge accessors,
 the opened graph's components grouped by a union-find of
 their own, spin structures acted on one image at a time, the refinement
@@ -12,8 +15,9 @@ orbit up front, purity read off the full face closure, the direct
 generator's scan through every edge multiset, and every weight
 composition times every leg placement, grouped by orbit.
 
-The package walks orbits with one element per distinct action on
-vertices and edges, reads the group's vertex maps off the leaves of the
+The package holds a group as one action class per distinct action on
+vertices and edges times the number of loop flips, walks orbits with
+the classes, reads the group's vertex maps off the leaves of the
 canonical-form search that have the best certificate, reads the
 initial colors in one pass over the edges and legs, keeps a
 decomposition as one component index per vertex, carries each
@@ -30,22 +34,86 @@ vertex permutations.  These are the definitions those routines must
 reproduce exactly.
 """
 
+import functools
 import random
 from collections import Counter, defaultdict
-from itertools import combinations, combinations_with_replacement, product
+from functools import cached_property
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
 from spinmod.graphs import Graph, connected_classes
-from spinmod.morphisms import (AutGroup, Contraction, SpinCarry,
-                               _half_edge_extensions, _neighbor_lists,
-                               _refine_colors, automorphisms, canonical_form,
-                               canonical_key, contract, push_cycle,
-                               push_vertex_set, spin_orbits)
+from spinmod.morphisms import (Aut, Contraction, SpinCarry, _neighbor_lists,
+                               _refine_colors, canonical_form, canonical_key,
+                               contract, push_cycle, push_vertex_set,
+                               spin_orbits)
 from spinmod.posets import _multigraphs_with_degrees, max_rank
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
 import key_oracle
+
+
+class Element(Aut):
+    """One automorphism: its action class (vertex map and edge
+    permutation, read off the half-edge map) and its map on half-edges,
+    which tells the two ends of a loop apart."""
+
+    __slots__ = ("half_map",)
+
+    def __init__(self, graph, vertex_map, half_map):
+        idx = graph.edge_index
+        super().__init__(graph, vertex_map, tuple(
+            idx[tuple(sorted((half_map[h], half_map[k])))]
+            for h, k in graph.edges))
+        self.half_map = half_map
+
+
+class ElementGroup:
+    """An automorphism group as the tuple of its elements, in group
+    order."""
+
+    def __init__(self, graph, elements):
+        self.graph = graph
+        self.elements = tuple(elements)
+
+    @property
+    def order(self):
+        return len(self.elements)
+
+    @cached_property
+    def action_classes(self):
+        """``(actions, class_of)``: the first element, in group order, of
+        each class of elements with the same vertex map and edge
+        permutation, and each element's class index."""
+        vertices = sorted(self.graph.vertices)
+        index = {}
+        actions = []
+        class_of = []
+        for a in self.elements:
+            k = index.setdefault(
+                (tuple(map(a.vertex_map.get, vertices)), a.edge_perm),
+                len(actions))
+            if k == len(actions):
+                actions.append(a)
+            class_of.append(k)
+        return tuple(actions), tuple(class_of)
+
+    def subgroup(self, classes):
+        """The elements whose action class is one of ``classes``, in
+        group order."""
+        keep = set(classes)
+        _, class_of = self.action_classes
+        return ElementGroup(self.graph, [
+            a for a, c in zip(self.elements, class_of) if c in keep])
+
+
+@functools.cache
+def element_group(graph):
+    """The automorphism group of ``graph`` element by element, in the
+    order of :func:`group_elements`; memoised per graph value."""
+    return ElementGroup(graph, [Element(graph, vmap, half_map)
+                                for vmap, half_map in group_elements(graph)])
 
 
 def orbit_representatives(group, items, data, act):
@@ -68,7 +136,7 @@ def orbit_representatives(group, items, data, act):
             orbit_of[image] = k
             if image == here:
                 fixing.append(a)
-        stabilizers.append(AutGroup(group.graph, fixing))
+        stabilizers.append(ElementGroup(group.graph, fixing))
     return reps, orbit_of, stabilizers
 
 
@@ -105,6 +173,58 @@ def vertex_bijections(graph, colors):
     return out
 
 
+def half_edge_extensions(graph, vmap):
+    """All half-edge maps extending a compatible vertex bijection: the
+    edges between each vertex pair go, in every order, onto those
+    between its image pair, each end onto the end at the image of its
+    vertex, and each loop goes onto its image either way round.  Pairs of
+    distinct vertices vary first, in sorted order, then the loops of each
+    vertex, and the flips of a vertex's loops vary fastest."""
+    edges_by_pair = defaultdict(list)
+    loops_by_vertex = defaultdict(list)
+    for i in range(graph.n_edges):
+        u, v = graph.edge_vertices(i)
+        if u == v:
+            loops_by_vertex[u].append(i)
+        else:
+            edges_by_pair[(u, v)].append(i)
+
+    groups = []
+    for (u, v), es in sorted(edges_by_pair.items()):
+        iu, iv = vmap[u], vmap[v]
+        targets = edges_by_pair[(iu, iv) if iu <= iv else (iv, iu)]
+        options = []
+        for perm in permutations(targets):
+            frag = {}
+            for e_idx, f_idx in zip(es, perm):
+                h, k = graph.edges[e_idx]
+                a, b = graph.edges[f_idx]
+                if graph.endpoint[a] == vmap[graph.endpoint[h]]:
+                    frag[h], frag[k] = a, b
+                else:
+                    frag[h], frag[k] = b, a
+            options.append(frag)
+        groups.append(options)
+    for v, ls in sorted(loops_by_vertex.items()):
+        targets = loops_by_vertex[vmap[v]]
+        options = []
+        for perm in permutations(targets):
+            for flips in product((0, 1), repeat=len(ls)):
+                frag = {}
+                for l_idx, f_idx, flip in zip(ls, perm, flips):
+                    h, k = graph.edges[l_idx]
+                    a, b = graph.edges[f_idx]
+                    frag[h], frag[k] = (b, a) if flip else (a, b)
+                options.append(frag)
+        groups.append(options)
+
+    for combo in product(*groups):
+        half_map = {h: h for h in graph.legs}
+        for frag in combo:
+            half_map.update(frag)
+        yield half_map
+
+
 def group_elements(graph):
     """The automorphism group as ``(vertex map, half-edge map)`` pairs:
     every vertex bijection that keeps the refined colors and the edge
@@ -113,7 +233,7 @@ def group_elements(graph):
     colors = _refine_colors(graph, initial_colors(graph),
                             _neighbor_lists(graph))
     return [(vmap, half_map) for vmap in vertex_bijections(graph, colors)
-            for half_map in _half_edge_extensions(graph, vmap)]
+            for half_map in half_edge_extensions(graph, vmap)]
 
 
 def initial_colors(graph):
@@ -228,9 +348,39 @@ def act_spin(aut, spin):
 def spin_stabilizer(graph, spin):
     """The automorphisms of ``graph`` whose image of ``spin``, built one
     at a time by :func:`act_spin`, equals ``spin``, in group order."""
-    group = automorphisms(graph)
-    return AutGroup(graph, [a for a in group.elements
-                            if act_spin(a, spin) == spin])
+    return ElementGroup(graph, [a for a in element_group(graph).elements
+                                if act_spin(a, spin) == spin])
+
+
+def component_subgroup(group, spin):
+    """The elements of ``group`` that fix every half-edge outside the
+    spin structure's cyclic set and map each component of the opened
+    graph to itself, in group order."""
+    graph = group.graph
+    outside = [h for i in range(graph.n_edges) if i not in spin.P
+               for h in graph.edges[i]]
+    vertex_sets = spin.dec.vertex_sets
+    return ElementGroup(graph, [
+        a for a in group.elements
+        if all(a.half_map[h] == h for h in outside)
+        and all({a.vertex_map[v] for v in vs} == vs for vs in vertex_sets)])
+
+
+def quotient_action_order(graph, spin, group):
+    """The number of distinct maps that the elements of ``group`` induce
+    on the contracted graph: on the components of the opened graph, and
+    on the half-edges outside the cyclic set."""
+    outside = [h for i in range(graph.n_edges) if i not in spin.P
+               for h in graph.edges[i]]
+    vertex_sets = spin.dec.vertex_sets
+    comp_index = {vs: i for i, vs in enumerate(vertex_sets)}
+    seen = set()
+    for a in group.elements:
+        comp_perm = tuple(
+            comp_index[frozenset(a.vertex_map[v] for v in vs)]
+            for vs in vertex_sets)
+        seen.add((comp_perm, tuple(a.half_map[h] for h in outside)))
+    return len(seen)
 
 
 def push_spin(contraction, spin):
@@ -300,9 +450,10 @@ def keyed_refinement_postconditions(split, candidate, graph, target_key):
              if any(lands(c, s) for c in contractions)}
     if lifts != {candidate.data()}:
         return None
-    fixing = [a for a in automorphisms(split).elements
+    group = element_group(split)
+    fixing = [a for a in group.elements
               if act_spin(a, candidate) == candidate]
-    if len(fixing) != automorphisms(split).order:
+    if len(fixing) != group.order:
         return None
     return True
 

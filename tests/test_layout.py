@@ -1,12 +1,14 @@
 """Ratchet on the compact layout of the tables kept per class.
 
 A decomposition keeps one component index per vertex and the genera, as
-flat tuples of ints; poset nodes, cone cells, decompositions and spin
-carries are slotted records without an instance dict; a node keeps its
-stabilizer as the action classes that fix its structure, not as a list
-of group elements, and equal stabilizers share one tuple; and the
-poset's lower covers are offsets into its sorted covers.  This guards
-the layout only: it measures no memory.
+flat tuples of ints; an automorphism group's action class keeps its
+vertex map and its edge permutation as a flat tuple of ints, and no map
+on half-edges; poset nodes, cone cells, decompositions, spin carries
+and action classes are slotted records without an instance dict; a node
+keeps its stabilizer as the action classes that fix its structure, not
+as a list of group elements, and equal stabilizers share one tuple; and
+the poset's lower covers are offsets into its sorted covers.  This
+guards the layout only: it measures no memory.
 """
 
 from array import array
@@ -14,7 +16,7 @@ from array import array
 import pytest
 
 from spinmod.cycles import PbarDecomposition, enumerate_cyclic, pbar_decompose
-from spinmod.morphisms import SpinCarry, automorphisms, spin_action
+from spinmod.morphisms import Aut, SpinCarry, automorphisms, spin_action
 from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
                             build_spin_poset)
 from spinmod.tropical import ConeCell, build_cone_complex
@@ -25,7 +27,7 @@ def _flat_ints(value):
 
 
 @pytest.mark.parametrize("cls", [PbarDecomposition, PosetNode, ConeCell,
-                                 SpinCarry])
+                                 SpinCarry, Aut])
 def test_per_class_records_define_slots(cls):
     assert "__slots__" in cls.__dict__
     assert "__dict__" not in cls.__slots__
@@ -39,9 +41,10 @@ def test_records_built_by_a_poset_have_no_instance_dict():
     graph, spin = nd.rep.graph, nd.rep.spin
     dec = pbar_decompose(graph, spin.P)
     act = spin_action()
-    act(automorphisms(graph).elements[0], spin)
+    aut = automorphisms(graph).actions[0]
+    act(aut, spin)
     (carry,) = act.carried.values()
-    for record in (nd, cells[-1], dec, carry):
+    for record in (nd, cells[-1], dec, carry, aut):
         assert not hasattr(record, "__dict__")
     assert isinstance(poset.lower_of, array)
     assert len(poset.lower_of) == len(poset.nodes) + 1
@@ -56,6 +59,16 @@ def test_decomposition_fields_are_flat_tuples_of_ints(shared_classes):
             assert set(dec.component) == set(range(len(dec.genera)))
 
 
+def test_action_classes_keep_an_edge_permutation_and_no_half_edge_map(
+        shared_classes):
+    for graph in shared_classes(2, 1):
+        for a in automorphisms(graph).actions:
+            assert not hasattr(a, "__dict__")
+            assert not hasattr(a, "half_map")
+            assert _flat_ints(a.edge_perm)
+            assert sorted(a.edge_perm) == list(range(graph.n_edges))
+
+
 def test_node_stabilizers_hold_action_class_indices():
     shared = {}
     for poset in (build_spin_poset(2, 1), build_cyclic_poset(2, 1)):
@@ -64,7 +77,7 @@ def test_node_stabilizers_hold_action_class_indices():
             fixing = nd.stabilizer
             assert _flat_ints(fixing) and fixing == tuple(sorted(set(fixing)))
             assert 0 <= fixing[0] <= fixing[-1] < len(
-                automorphisms(graph).action_classes[0])
+                automorphisms(graph).actions)
             # equal tuples from one orbit walk are one object
             key = (poset.kind, id(graph), fixing)
             assert shared.setdefault(key, fixing) is fixing

@@ -191,7 +191,9 @@ def test_aut_theta_spin_restricted(theta):
     g = oracles.spin_stabilizer(theta, s)
     assert g.order == 4
     _, _, (fixing,) = spin_orbits(theta, [s])
-    assert automorphisms(theta).subgroup(fixing).elements == g.elements
+    assert automorphisms(theta).subgroup(fixing).order == 4
+    assert oracles.element_group(theta).subgroup(fixing).elements == \
+        g.elements
 
 
 def test_aut_weight_vertex_trivial():
@@ -222,9 +224,19 @@ def test_aut_half_edge_cap():
     assert "_aut_group" not in rose.__dict__
 
 
+def actions_of(group):
+    return [(a.vertex_map, a.edge_perm) for a in group.actions]
+
+
 def assert_group_matches_the_bijection_search(graph):
-    got = [(a.vertex_map, a.half_map) for a in automorphisms(graph).elements]
-    assert got == oracles.group_elements(graph), graph
+    # the action classes, in group order, are the first elements of the
+    # oracle's classes, and the loop flips make up the rest of its order
+    group = automorphisms(graph)
+    want = oracles.element_group(graph)
+    actions, _ = want.action_classes
+    assert actions_of(group) == [(a.vertex_map, a.edge_perm)
+                                 for a in actions], graph
+    assert group.order == want.order, graph
 
 
 @pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (0, 3), (0, 4),
@@ -280,7 +292,7 @@ def test_group_matches_the_bijection_search_when_some_leaves_are_worse():
 def test_aut_legs_pin_vertices():
     g = Graph.build([(0, 0), (1, 0)], [(0, 1), (0, 1), (0, 1)], [0])
     a = automorphisms(g)
-    assert all(el.vertex_map[0] == 0 for el in a.elements)
+    assert all(el.vertex_map[0] == 0 for el in a.actions)
     assert a.order == 6
 
 
@@ -310,7 +322,7 @@ def test_spin_orbits_match_keys():
     # partition of the spin structures by group action equals the
     # partition by canonical spin key
     for g in [make_theta(), make_dumbbell(), make_loop_chain()]:
-        group = automorphisms(g)
+        group = oracles.element_group(g)
         by_orbit = {}
         for s in enumerate_spin(g):
             orbit = min(oracles.act_spin(a, s).data()
@@ -338,7 +350,7 @@ def test_induced_quotient_group_inside_full():
                 sign_at = {}
                 for i, vs in enumerate(s.dec.vertex_sets):
                     sign_at[c.vertex_map[min(vs)]] = s.signs[i]
-                full = [a for a in automorphisms(quotient).elements
+                full = [a for a in oracles.element_group(quotient).elements
                         if all(sign_at[a.vertex_map[v]] == sign_at[v]
                                for v in quotient.vertices)]
                 full_keys = {(tuple(sorted(a.vertex_map.items())),
@@ -378,9 +390,37 @@ def test_aut_factorization_on_fixtures():
                                        (0, 0)))]
     for g, s in cases:
         full = oracles.spin_stabilizer(g, s)
-        pbar = component_subgroup(automorphisms(g), s)
-        q_h = quotient_action_order(g, s, full)
+        group = automorphisms(g)
+        _, _, (fixing,) = spin_orbits(g, [s])
+        pbar = component_subgroup(group, s)
+        q_h = quotient_action_order(g, s, group.subgroup(fixing))
         assert full.order == pbar.order * q_h, (g, s)
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (2, 0), (2, 1),
+                                 (2, 2), (3, 0), (3, 1), (4, 0)])
+def test_group_orders_match_the_element_oracle_on_spin_nodes(
+        g, n, shared_classes):
+    # per class: the order and the action classes, in order; per spin
+    # orbit representative: the stabilizer's order, the component-wise
+    # subgroup's and the induced quotient action's, each counted by the
+    # oracle element by element, loop flips included
+    for graph in shared_classes(g, n):
+        group = automorphisms(graph)
+        oracle = oracles.element_group(graph)
+        actions, _ = oracle.action_classes
+        assert group.order == oracle.order
+        assert actions_of(group) == [(a.vertex_map, a.edge_perm)
+                                     for a in actions]
+        reps, _, stabilizers = spin_orbits(graph, enumerate_spin(graph))
+        for s, classes in zip(reps, stabilizers):
+            fixing = group.subgroup(classes)
+            want = oracles.spin_stabilizer(graph, s)
+            assert fixing.order == want.order, (graph, s)
+            assert component_subgroup(group, s).order == \
+                oracles.component_subgroup(oracle, s).order, (graph, s)
+            assert quotient_action_order(graph, s, fixing) == \
+                oracles.quotient_action_order(graph, s, want), (graph, s)
 
 
 # -- canonical keys -----------------------------------------------------------
@@ -583,7 +623,7 @@ def test_order_test_walks_the_lower_orbit_only_when_it_must(g, n,
     per_call = []
     for upper, generic in _generic_fibers(g, n, seed=g * 10 + n):
         moved = {}
-        for a in automorphisms(generic.graph).elements:
+        for a in automorphisms(generic.graph).actions:
             image = SpinCarry(a, generic.spin).image(generic.spin)
             moved.setdefault(image.data(), image)
         for image in moved.values():
@@ -625,7 +665,7 @@ def test_act_spin_rejects_bad_decomposition(theta):
     s = spin(theta, [], (0, 0))
     wrong = pbar_decompose(theta, EdgeSet.from_indices(theta, [0, 1]))
     theta.__dict__["_pbar_decompositions"][0] = wrong
-    ident = automorphisms(theta).elements[0]
+    ident = automorphisms(theta).actions[0]
     with pytest.raises(VerificationError) as info:
         SpinCarry(ident, s).image(s)
     assert info.value.witnesses == (canonical_key(theta), "P=0", "image=0")
@@ -649,7 +689,7 @@ def test_act_spin_rejects_genus_change():
     s = spin(rose, [0], (1,))
     wrong = pbar_decompose(rose, EdgeSet.from_indices(rose, [0, 1]))
     rose.__dict__["_pbar_decompositions"][1] = wrong
-    ident = automorphisms(rose).elements[0]
+    ident = automorphisms(rose).actions[0]
     with pytest.raises(VerificationError, match="genus") as info:
         SpinCarry(ident, s).image(s)
     assert info.value.witnesses == (canonical_key(rose), "P=1", "image=1")
@@ -663,7 +703,7 @@ def test_act_spin_rejects_a_component_carried_onto_part_of_one():
     s = spin(chain, [2], (1, 0))
     joined = pbar_decompose(chain, EdgeSet.from_indices(chain, [0, 1]))
     chain.__dict__["_pbar_decompositions"][1 << 2] = joined
-    ident = automorphisms(chain).elements[0]
+    ident = automorphisms(chain).actions[0]
     with pytest.raises(VerificationError,
                        match="maps component 0 of the opened graph onto "
                              "no component") as info:
@@ -681,7 +721,7 @@ def test_act_spin_rejects_two_components_carried_into_one():
     joined = pbar_decompose(chain, EdgeSet.from_indices(chain, [0, 1]))
     assert joined.genera == (1,) == s.dec.genera[:1] == s.dec.genera[1:]
     chain.__dict__["_pbar_decompositions"][0b1100] = joined
-    ident = automorphisms(chain).elements[0]
+    ident = automorphisms(chain).actions[0]
     with pytest.raises(VerificationError,
                        match="maps component 0 of the opened graph onto "
                              "no component") as info:
@@ -725,7 +765,7 @@ def test_spin_restriction_decomposes_each_mask_once(monkeypatch):
             graph = make()  # no decomposition memoised on it yet
             s = SpinStructure(graph, EdgeSet(graph, s.P.mask), s.signs)
             group = automorphisms(graph)
-            images = {a.act_mask(s.P.mask) for a in group.elements}
+            images = {a.act_mask(s.P.mask) for a in group.actions}
             del built[:]
             spin_orbits(graph, [s])
             assert len(built) == len(set(built)) <= len(images)
@@ -757,7 +797,7 @@ def test_spin_actions_match_per_image_oracle(g, n):
     for graph in classes:
         act = spin_action()
         spins = enumerate_spin(graph)
-        for a in automorphisms(graph).elements:
+        for a in oracles.element_group(graph).elements:
             for s in spins:
                 want = oracles.act_spin(a, s).data()
                 assert act(a, s) == SpinCarry(a, s).image(s).data() == want
@@ -771,7 +811,7 @@ def test_spin_actions_match_per_image_oracle(g, n):
 def test_spin_orbit_tables_match_per_image_orbits(g, n, shared_classes):
     for graph in shared_classes(g, n):
         spins = enumerate_spin(graph)
-        group = automorphisms(graph).elements
+        group = oracles.element_group(graph).elements
         orbits = {s.data(): frozenset(oracles.act_spin(a, s).data()
                                       for a in group) for s in spins}
         reps, orbit_of, _ = spin_orbits(graph, spins)
@@ -786,20 +826,25 @@ def test_spin_orbit_tables_match_per_image_orbits(g, n, shared_classes):
 @pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
 def test_action_classes_are_the_loop_flip_cosets(g, n, shared_classes):
     # a loop flip moves no vertex and no edge, so each action on vertices
-    # and edges is carried by 2^loops elements; two elements share a
-    # class exactly when they differ by flipping loops: on each half-edge
-    # they agree, or it lies on a loop and they send it to the two ends
-    # of one loop
+    # and edges is carried by 2^loops elements of the oracle's group; two
+    # elements share a class exactly when they differ by flipping loops:
+    # on each half-edge they agree, or it lies on a loop and they send it
+    # to the two ends of one loop.  The package holds the first element
+    # of each class, in group order, and the loops as flips
     for graph in shared_classes(g, n):
         group = automorphisms(graph)
-        actions, class_of = group.action_classes
+        oracle = oracles.element_group(graph)
+        actions, class_of = oracle.action_classes
         loops = [i for i in range(graph.n_edges)
                  if len(set(graph.edge_vertices(i))) == 1]
         on_loop = {h for i in loops for h in graph.edges[i]}
-        assert group.order == len(actions) * 2 ** len(loops)
-        assert len(class_of) == group.order
-        assert [group.elements[class_of.index(k)] for k in range(
+        assert oracle.order == len(actions) * 2 ** len(loops)
+        assert len(class_of) == oracle.order
+        assert [oracle.elements[class_of.index(k)] for k in range(
             len(actions))] == list(actions)
+        assert actions_of(group) == [(a.vertex_map, a.edge_perm)
+                                     for a in actions]
+        assert group.flips == len(loops)
 
         def flips_apart(a, b):
             return all(a.half_map[h] == b.half_map[h]
@@ -808,7 +853,7 @@ def test_action_classes_are_the_loop_flip_cosets(g, n, shared_classes):
                        for h in graph.half_edges)
 
         for (i, a), (j, b) in itertools.combinations(
-                enumerate(group.elements), 2):
+                enumerate(oracle.elements), 2):
             assert (class_of[i] == class_of[j]) == flips_apart(a, b)
 
 
@@ -822,6 +867,7 @@ def test_orbit_walk_matches_the_walk_over_every_element(g, n,
 
     for graph in shared_classes(g, n):
         group = automorphisms(graph)
+        oracle = oracles.element_group(graph)
         for items, data, act in (
                 (enumerate_cyclic(graph), lambda p: p.mask,
                  lambda a, p: a.act_mask(p.mask)),
@@ -829,11 +875,13 @@ def test_orbit_walk_matches_the_walk_over_every_element(g, n,
             reps, orbit_of, stabs = group.orbit_representatives(
                 items, data, act)
             want_reps, want_orbit_of, want_stabs = \
-                oracles.orbit_representatives(group, items, data, act)
+                oracles.orbit_representatives(oracle, items, data, act)
             assert [data(r) for r in reps] == [data(r) for r in want_reps]
             assert list(orbit_of.items()) == list(want_orbit_of.items())
-            assert [group.subgroup(s).elements for s in stabs] == \
+            assert [oracle.subgroup(s).elements for s in stabs] == \
                 [s.elements for s in want_stabs]
+            assert [group.subgroup(s).order for s in stabs] == \
+                [s.order for s in want_stabs]
 
 
 def test_spin_orbit_stabilizer_keeps_every_fixing_element(dumbbell):
@@ -841,7 +889,7 @@ def test_spin_orbit_stabilizer_keeps_every_fixing_element(dumbbell):
     # over one structure returns holds them too once expanded: every
     # element that fixes the structure, in group order, and a multiple of
     # 4 of them
-    group = automorphisms(dumbbell)
+    group = oracles.element_group(dumbbell)
     for s in enumerate_spin(dumbbell):
         _, _, (classes,) = spin_orbits(dumbbell, [s])
         fixing = group.subgroup(classes)
@@ -850,3 +898,5 @@ def test_spin_orbit_stabilizer_keeps_every_fixing_element(dumbbell):
             lambda a, t: oracles.act_spin(a, t).data())[2][0]
         assert fixing.elements == want.elements
         assert len(fixing.elements) % 4 == 0
+        assert automorphisms(dumbbell).subgroup(classes).order == \
+            want.order

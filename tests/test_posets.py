@@ -359,12 +359,11 @@ def test_canonical_keys_separate_enumerated_classes(shared_classes):
 
 def test_spin_orbit_counts_match_burnside(shared_classes):
     # independent count of spin orbits: average number of fixed points
-    from spinmod.morphisms import automorphisms
     from spinmod.spin import enumerate_spin
 
     for g, n in [(1, 1), (2, 0), (2, 1)]:
         for graph in shared_classes(g, n):
-            group = automorphisms(graph)
+            group = oracles.element_group(graph)
             spins = enumerate_spin(graph)
             orbits = {min(oracles.act_spin(a, s).data()
                           for a in group.elements) for s in spins}
@@ -382,27 +381,28 @@ def test_orbit_representatives_are_orbit_minima(g, n):
     from spinmod.spin import SpinStructure, enumerate_spin
 
     # the orbit table sends every structure to the position of its orbit
-    # minimum, and each stabilizer is the filtered group, in group order
-    def check(group, items, data, act):
+    # minimum over the oracle's elements, and each stabilizer, expanded
+    # to elements, is the filtered group, in group order
+    def check(graph, items, data, act):
+        oracle = oracles.element_group(graph)
         by_min = {}
         minimum = {}
         for x in items:
-            minimum[data(x)] = min(act(a, x) for a in group.elements)
+            minimum[data(x)] = min(act(a, x) for a in oracle.elements)
             by_min.setdefault(minimum[data(x)], x)
-        reps, orbit_of, stabilizers = group.orbit_representatives(
-            items, data, act)
+        reps, orbit_of, stabilizers = automorphisms(
+            graph).orbit_representatives(items, data, act)
         assert [data(x) for x in reps] == [data(x) for x in by_min.values()]
         mins = list(by_min)
         assert orbit_of == {d: mins.index(m) for d, m in minimum.items()}
         for x, stabilizer in zip(reps, stabilizers):
-            assert group.subgroup(stabilizer).elements == tuple(
-                a for a in group.elements if act(a, x) == data(x))
+            assert oracle.subgroup(stabilizer).elements == tuple(
+                a for a in oracle.elements if act(a, x) == data(x))
 
     for graph in enumerate_stable_graphs(g, n):
-        group = automorphisms(graph)
-        check(group, enumerate_cyclic(graph), lambda p: p.mask,
+        check(graph, enumerate_cyclic(graph), lambda p: p.mask,
               lambda a, p: a.act_mask(p.mask))
-        check(group, enumerate_spin(graph), SpinStructure.data,
+        check(graph, enumerate_spin(graph), SpinStructure.data,
               lambda a, s: oracles.act_spin(a, s).data())
 
 
@@ -441,7 +441,7 @@ def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
     orbits = Counter(id(nd.rep.graph) for nd in poset.nodes)
     masks = {id(rep): {nd.rep.spin.P.mask for nd in poset.nodes
                        if nd.rep.graph is rep} for rep in classes}
-    actions = {id(rep): len(automorphisms(rep).action_classes[0])
+    actions = {id(rep): len(automorphisms(rep).actions)
                for rep in classes}
     assert images == {id(rep): orbits[id(rep)] * actions[id(rep)]
                       for rep in classes}
@@ -585,9 +585,9 @@ def test_posets_contract_each_class_edge_once(monkeypatch):
 
 def least_edges_of_orbits(graph):
     """The edges that no automorphism maps a smaller edge onto, read off
-    the half-edge maps of the group's elements."""
+    the half-edge maps of the oracle group's elements."""
     moved = set()
-    for a in automorphisms(graph).elements:
+    for a in oracles.element_group(graph).elements:
         for i, (h, k) in enumerate(graph.edges):
             j = graph.edge_index[tuple(sorted((a.half_map[h],
                                                a.half_map[k])))]
@@ -636,11 +636,12 @@ def test_orbit_step_stabilizers_are_the_spin_stabilizers(g, n,
     classes = shared_classes(g, n)
     for nd in build_spin_poset(g, n, _classes=classes).nodes:
         graph, spin = nd.rep.graph, nd.rep.spin
-        assert automorphisms(graph).subgroup(nd.stabilizer).elements == \
-            oracles.spin_stabilizer(graph, spin).elements
+        assert oracles.element_group(graph).subgroup(
+            nd.stabilizer).elements == oracles.spin_stabilizer(
+                graph, spin).elements
     for nd in build_cyclic_poset(g, n, _classes=classes).nodes:
         graph, p = nd.rep
-        group = automorphisms(graph)
+        group = oracles.element_group(graph)
         assert group.subgroup(nd.stabilizer).elements == tuple(
             a for a in group.elements if a.act_mask(p.mask) == p.mask)
 

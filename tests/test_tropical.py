@@ -103,7 +103,7 @@ def test_fiber_representatives_are_orbit_minima(theta, lengths):
     orbits = {}
     for s in enumerate_spin(theta):
         orbit = sorted(oracles.act_spin(a, s).data()
-                       for a in group.elements)
+                       for a in group.actions)
         orbits.setdefault(orbit[0], s)
     assert [r.spin.data() for r in pi_trop_fiber(curve)] == \
         [s.data() for s in orbits.values()]

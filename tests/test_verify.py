@@ -138,7 +138,7 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
 
     def single_walk(graph, spins, *args):
         walked.append(len(spins) * len(
-            morphisms.automorphisms(graph).action_classes[0]))
+            morphisms.automorphisms(graph).actions))
         return walk(graph, spins, *args)
 
     monkeypatch.setattr(morphisms, "spin_orbits", single_walk)
@@ -243,7 +243,7 @@ def test_poset_records_count_the_orbit_walk(g, n, actions, cyclic_images,
         monkeypatch.setattr(verify, name, in_phase)
     checks = {c["name"]: c for c in run_suites(g, n, "posets")}
     monkeypatch.undo()
-    summed = sum(len(morphisms.automorphisms(graph).action_classes[0])
+    summed = sum(len(morphisms.automorphisms(graph).actions)
                  for graph in posets.enumerate_stable_graphs(g, n))
     assert checks["poset-cyclic"]["group_actions"] == summed == actions
     assert checks["poset-spin"]["group_actions"] == actions
@@ -545,14 +545,18 @@ def test_forgetful_map_without_an_image_cover_is_verification_error(
 def test_aut_factorization_counts_stabilizer_elements(g, n, nodes, elements,
                                                       shared_classes):
     # the record's elements sum the orders of the node stabilizers it
-    # checked, each counted again from the whole group one image at a time
+    # checked, each counted again from the whole group one image at a
+    # time, and its structures count the spin structures of every class
+    from spinmod.spin import enumerate_spin
+
     classes = shared_classes(g, n)
     poset = posets.build_spin_poset(g, n, _classes=classes)
-    checked, counted = verify.check_aut_factorization(poset)
+    checked, counted, structures = verify.check_aut_factorization(poset)
     assert checked == nodes
     assert counted == elements == sum(
         oracles.spin_stabilizer(nd.rep.graph, nd.rep.spin).order
         for nd in poset.nodes)
+    assert structures == sum(len(enumerate_spin(graph)) for graph in classes)
 
 
 def test_aut_factorization_needs_every_component_wise_element_fixing():
@@ -569,3 +573,35 @@ def test_aut_factorization_needs_every_component_wise_element_fixing():
                        match="automorphism orders do not factor") as info:
         verify.check_aut_factorization(cut)
     assert info.value.witnesses == (poset.nodes[9].key,)
+
+
+def test_aut_factorization_names_a_node_whose_stabilizer_moves_it(
+        shared_classes):
+    # a stabilizer holding every action class of its graph: at (3, 0)
+    # node 266 is the first where some class carries a component of the
+    # opened graph onto no component, so the quotient action cannot be
+    # read; the check names the node rather than escaping as a KeyError
+    poset = posets.build_spin_poset(3, 0, _classes=shared_classes(3, 0))
+    nd = poset.nodes[266]
+    whole = tuple(range(len(morphisms.automorphisms(nd.rep.graph).actions)))
+    assert nd.stabilizer != whole
+    moved = SimpleNamespace(nodes=[
+        SimpleNamespace(rep=nd.rep, key=nd.key, stabilizer=whole)])
+    with pytest.raises(VerificationError,
+                       match="automorphism orders do not factor: .* onto "
+                             "no component") as info:
+        verify.check_aut_factorization(moved)
+    assert info.value.witnesses == (nd.key,)
+
+
+def test_aut_factorization_counts_the_spin_structures_of_each_class():
+    # a node listed twice still factors, but the orbits of its class then
+    # sum past the class's spin structures (Burnside), and the class is
+    # named
+    poset = posets.build_spin_poset(1, 2)
+    nodes = list(poset.nodes)
+    doubled = SimpleNamespace(nodes=nodes + nodes[-1:])
+    with pytest.raises(VerificationError,
+                       match="spin orbits do not count") as info:
+        verify.check_aut_factorization(doubled)
+    assert info.value.witnesses == (canonical_key(nodes[-1].rep.graph),)
