@@ -110,13 +110,18 @@ class EdgeSet:
 
 def boundary(graph, edge_set):
     """GF(2) boundary: the set of vertices of odd degree in the spanned
-    subgraph.  Loops contribute nothing."""
+    subgraph.  Loops contribute nothing.  Walks the set bits of the mask
+    against the graph's edges and endpoints."""
+    edges, endpoint = graph.edges, graph.endpoint
     odd = set()
-    for i in edge_set:
-        u, v = graph.edge_vertices(i)
-        if u == v:
-            continue
-        odd.symmetric_difference_update((u, v))
+    m = edge_set.mask
+    while m:
+        low = m & -m
+        m ^= low
+        h, k = edges[low.bit_length() - 1]
+        u, v = endpoint[h], endpoint[k]
+        if u != v:
+            odd ^= {u, v}
     return frozenset(odd)
 
 

@@ -45,7 +45,9 @@ class Graph:
     """Immutable half-edge multigraph with vertex weights and ordered legs.
 
     Construct either directly from the half-edge data or through
-    :meth:`build`, which assigns half-edge ids from an edge list.
+    :meth:`build`, which assigns half-edge ids from an edge list; both
+    validate.  Graphs derived from a validated one (contraction targets)
+    come through :meth:`_derived`, which checks nothing.
     """
 
     def __init__(self, vertex_weights, endpoint, involution, legs,
@@ -106,6 +108,25 @@ class Graph:
             h += 1
         return cls(weight, endpoint, involution, leg_ids, exceptional)
 
+    @classmethod
+    def _derived(cls, weight, endpoint, involution, legs, exceptional,
+                 vertices, half_edges, edges):
+        """A graph from data its caller derived from a validated graph,
+        taken as given: no coercion, no copies and no checks.  The caller
+        supplies the sorted ``vertices``, ``half_edges`` and ``edges``
+        that :meth:`__init__` would compute, and ``exceptional`` as a
+        frozenset."""
+        graph = object.__new__(cls)
+        graph.weight = weight
+        graph.endpoint = endpoint
+        graph.involution = involution
+        graph.legs = legs
+        graph.exceptional = exceptional
+        graph.vertices = vertices
+        graph.half_edges = half_edges
+        graph.edges = edges
+        return graph
+
     # -- basic accessors -------------------------------------------------
 
     def w(self, v):
@@ -147,10 +168,6 @@ class Graph:
         h, k = self.edges[i]
         u, v = self.endpoint[h], self.endpoint[k]
         return (u, v) if u <= v else (v, u)
-
-    @cached_property
-    def edge_index(self):
-        return {pair: i for i, pair in enumerate(self.edges)}
 
     @cached_property
     def vertex_index(self):

@@ -1,5 +1,15 @@
 """Contractions, automorphism groups, pushforwards and canonical keys.
 
+A contraction derives its target from the source's validated data in
+one pass over the source's sorted edges, and builds it without a second
+validation: the kept edges, numbered in order, each kept half-edge at
+the representative of its endpoint's class, the involution restricted
+to them.  Contracting edges keeps connectivity, so no second union-find
+recomputes the target's b1 and genus; instead what the contraction
+computed must pass two checks against the contracted set's own first
+Betti number ``b1(F)``: ``|V| - |F| + b1(F)`` target vertices, and
+target weights summing to the source's total plus ``b1(F)``.
+
 Morphisms act on vertices and half-edges.  A structure over a graph (a
 cyclic set, a spin structure) sees only how an automorphism moves
 vertices and edges, and every loop doubles the group by a flip that
@@ -66,6 +76,19 @@ class Contraction:
     and target weights are the genera of the contracted preimages.  Edges
     and legs keep their half-edge ids, so edge sets push forward by index
     translation.
+
+    The target is derived from the source's validated data, not built
+    and checked afresh: its edges are the source's sorted edges outside
+    the contracted set, numbered in that order (``edge_map``), each kept
+    half-edge ends at the representative of its endpoint's class, and
+    the involution is the source's restricted to the kept half-edges.
+    Contracting edges keeps connectivity, so b1 and the genus need no
+    second union-find; instead, what the contraction computed must pass
+    two checks against the contracted set's own first Betti number
+    ``b1(F)``: the target has ``|V| - |F| + b1(F)`` vertices, and its
+    weights, none negative, sum to the source's plus ``b1(F)``.  A
+    failure is a :class:`VerificationError` naming the source's key and
+    ``F``.  The target's ``b1``, ``c`` and ``genus`` stay lazy.
     """
 
     def __init__(self, source, contracted):
@@ -73,50 +96,74 @@ class Contraction:
             raise InputError("edge set lives over a different graph")
         self.source = source
         self.contracted = contracted
-        indices = contracted.indices()
+        mask = contracted.mask
+        endpoint = source.endpoint
 
-        classes = connected_classes(
-            source.vertices, map(source.edge_vertices, indices))
+        # one pass over the sorted edges: the contracted ones as vertex
+        # pairs, the kept ones numbered in order as the target's edges
+        pairs, kept, dropped, edge_map = [], [], set(), {}
+        for i, (h, k) in enumerate(source.edges):
+            if mask >> i & 1:
+                pairs.append((endpoint[h], endpoint[k]))
+                dropped.add(h)
+                dropped.add(k)
+                edge_map[i] = None
+            else:
+                edge_map[i] = len(kept)
+                kept.append((h, k))
+        self.edge_map = edge_map
+
+        classes = connected_classes(source.vertices, pairs)
         rep = {v: members[0] for members in classes for v in members}
         self.vertex_map = rep
 
         # target weight = total weight + first Betti number of the
         # contracted piece over each class
         f_count = defaultdict(int)
-        for i in indices:
-            u, _ = source.edge_vertices(i)
+        for u, _ in pairs:
             f_count[rep[u]] += 1
+        source_weight = source.weight
         weight = {}
         for members in classes:
             r = members[0]
-            weight[r] = (sum(source.w(v) for v in members)
+            weight[r] = (sum(source_weight[v] for v in members)
                          + f_count[r] - len(members) + 1)
+        self._check(weight)
 
-        dropped = set()
-        for i in indices:
-            dropped.update(source.edges[i])
-        endpoint = {h: rep[v] for h, v in source.endpoint.items()
-                    if h not in dropped}
-        involution = {h: source.involution[h] for h in endpoint}
-        self.target = Graph(weight, endpoint, involution, source.legs,
-                            source.exceptional & set(weight))
+        kept_endpoint = {h: rep[v] for h, v in endpoint.items()
+                         if h not in dropped}
+        involution = source.involution
+        # the classes come ordered by their smallest member, their
+        # representative, so the target's vertices are sorted as listed
+        self.target = Graph._derived(
+            weight, kept_endpoint,
+            {h: involution[h] for h in kept_endpoint}, source.legs,
+            source.exceptional.intersection(weight), tuple(weight),
+            tuple(h for h in source.half_edges if h not in dropped),
+            tuple(kept))
 
-        new_index = self.target.edge_index
-        self.edge_map = {}
-        for i in range(source.n_edges):
-            pair = source.edges[i]
-            self.edge_map[i] = new_index.get(pair)
-
-        if self.target.b1 != source.b1 - contracted.b1:
+    def _check(self, weight):
+        """The target's vertex count and weights, ``weight`` by vertex,
+        against ``b1(F)``."""
+        source, contracted = self.source, self.contracted
+        b1 = contracted.b1
+        expected = len(source.vertices) - len(contracted) + b1
+        if len(weight) != expected:
             raise VerificationError(
-                f"contraction changed b1 from {source.b1} to "
-                f"{self.target.b1}, expected "
-                f"{source.b1 - contracted.b1}",
+                f"contraction left {len(weight)} vertices, expected "
+                f"|V| - |F| + b1(F) = {expected}",
                 (canonical_key(source), f"F={contracted.hex()}"))
-        if self.target.genus != source.genus:
+        total = sum(weight.values())
+        expected = source.total_weight() + b1
+        if total != expected:
             raise VerificationError(
-                f"contraction changed the genus from {source.genus} to "
-                f"{self.target.genus}",
+                f"contraction gave a total weight of {total}, "
+                f"expected the source's plus b1(F) = {expected}",
+                (canonical_key(source), f"F={contracted.hex()}"))
+        least = min(weight.values())
+        if least < 0:
+            raise VerificationError(
+                f"contraction gave a vertex the negative weight {least}",
                 (canonical_key(source), f"F={contracted.hex()}"))
 
     def onto(self, rep):

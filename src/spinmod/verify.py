@@ -345,16 +345,28 @@ def check_aut_factorization(spin_poset):
     class, the orbits ``|actions| / |stabilizer|`` of its nodes must sum
     to ``sum_P 2^{c_+(P)}`` over its cyclic sets (Burnside: a loop flip
     fixes every structure, so the classes act as the group does).
+    Neither factor reads the signs, so the subgroup is computed once per
+    (class, cyclic set) and the quotient action once per (class, cyclic
+    set, stabilizer), for this call only.
     Returns the number of nodes checked, the sum of their stabilizers'
     orders and the number of spin structures over their classes."""
     elements = 0
     orbits = {}
+    subgroups = {}
+    quotients = {}
     for nd in spin_poset.nodes:
         graph, spin = nd.rep.graph, nd.rep.spin
         group = automorphisms(graph)
         fixing = group.subgroup(nd.stabilizer)
-        pbar = component_subgroup(group, spin)
-        q_h = quotient_action_order(graph, spin, fixing)
+        at = (id(graph), spin.P.mask)
+        pbar = subgroups.get(at)
+        if pbar is None:
+            pbar = subgroups[at] = component_subgroup(group, spin)
+        acting = at + (nd.stabilizer,)
+        q_h = quotients.get(acting)
+        if q_h is None:
+            q_h = quotients[acting] = quotient_action_order(graph, spin,
+                                                            fixing)
         elements += fixing.order
         if fixing.order != pbar.order * q_h:
             raise VerificationError(

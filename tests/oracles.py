@@ -12,8 +12,10 @@ postconditions that key every lift, the 3-regular seeding that tries
 every leg assignment, the fuzz chains run in draw order, the order test
 that contracts every edge subset of the right size and walks the lower
 orbit up front, purity read off the full face closure, the direct
-generator's scan through every edge multiset, and every weight
-composition times every leg placement, grouped by orbit.
+generator's scan through every edge multiset, every weight
+composition times every leg placement, grouped by orbit, and the
+contraction whose target goes through the validating constructor and
+whose edge map is read off the target's edge indexing.
 
 The package holds a group as one action class per distinct action on
 vertices and edges times the number of loop flips, walks orbits with
@@ -29,9 +31,10 @@ whose first Betti number is the drop in b1, carries a candidate equal
 to the lower graph through the identity and walks the lower orbit only
 for a candidate that needs it, checks purity in one pass over the
 covers, walks only the edge multisets that leave no vertex of
-non-positive valence, and visits one leg placement per orbit under
-vertex permutations.  These are the definitions those routines must
-reproduce exactly.
+non-positive valence, visits one leg placement per orbit under
+vertex permutations, and derives a contraction's target from its
+source's validated data, numbering the kept edges as it filters them.
+These are the definitions those routines must reproduce exactly.
 """
 
 import functools
@@ -62,7 +65,7 @@ class Element(Aut):
     __slots__ = ("half_map",)
 
     def __init__(self, graph, vertex_map, half_map):
-        idx = graph.edge_index
+        idx = {pair: i for i, pair in enumerate(graph.edges)}
         super().__init__(graph, vertex_map, tuple(
             idx[tuple(sorted((half_map[h], half_map[k])))]
             for h, k in graph.edges))
@@ -381,6 +384,32 @@ def quotient_action_order(graph, spin, group):
             for vs in vertex_sets)
         seen.add((comp_perm, tuple(a.half_map[h] for h in outside)))
     return len(seen)
+
+
+def reference_contraction(graph, edge_set):
+    """The contraction of ``edge_set`` as ``(target, vertex_map,
+    edge_map)``: the target built through the validating ``Graph(...)``,
+    each vertex sent to the least vertex of its class, each class
+    weighted by the genus of its contracted piece, and each edge sent to
+    the index of its pair of half-edges in the target's edge indexing."""
+    indices = edge_set.indices()
+    pairs = [graph.edge_vertices(i) for i in indices]
+    classes = connected_classes(graph.vertices, pairs)
+    rep = {v: members[0] for members in classes for v in members}
+    weight = {}
+    for members in classes:
+        inside = sum(1 for u, _ in pairs if u in members)
+        weight[members[0]] = (sum(graph.w(v) for v in members) + inside
+                              - len(members) + 1)
+    dropped = {h for i in indices for h in graph.edges[i]}
+    endpoint = {h: rep[v] for h, v in graph.endpoint.items()
+                if h not in dropped}
+    involution = {h: graph.involution[h] for h in endpoint}
+    target = Graph(weight, endpoint, involution, graph.legs,
+                   graph.exceptional & set(weight))
+    index = {pair: j for j, pair in enumerate(target.edges)}
+    return target, rep, {i: index.get(pair)
+                         for i, pair in enumerate(graph.edges)}
 
 
 def push_spin(contraction, spin):

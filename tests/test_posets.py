@@ -586,11 +586,11 @@ def test_posets_contract_each_class_edge_once(monkeypatch):
 def least_edges_of_orbits(graph):
     """The edges that no automorphism maps a smaller edge onto, read off
     the half-edge maps of the oracle group's elements."""
+    index = {pair: i for i, pair in enumerate(graph.edges)}
     moved = set()
     for a in oracles.element_group(graph).elements:
         for i, (h, k) in enumerate(graph.edges):
-            j = graph.edge_index[tuple(sorted((a.half_map[h],
-                                               a.half_map[k])))]
+            j = index[tuple(sorted((a.half_map[h], a.half_map[k])))]
             if j > i:
                 moved.add(j)
     return [e for e in range(graph.n_edges) if e not in moved]
