@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import BudgetError, DomainError, InputError, VerificationError
-from .graphs import connected_classes, remove_edges
+from .graphs import connected_classes
 
 B1_CAP = 24
 
@@ -97,21 +97,14 @@ class EdgeSet:
         return (len(pairs) - len(verts)
                 + len(connected_classes(verts, pairs)))
 
-    def spanned_connected(self):
-        """True when the spanned subgraph is connected (empty set: False)."""
-        idx = self.indices()
-        if not idx:
-            return False
-        verts = set()
-        for i in idx:
-            verts.update(self.graph.edge_vertices(i))
-        return self.b1 == len(idx) - len(verts) + 1
-
 
 def boundary(graph, edge_set):
     """GF(2) boundary: the set of vertices of odd degree in the spanned
     subgraph.  Loops contribute nothing.  Walks the set bits of the mask
-    against the graph's edges and endpoints."""
+    against the graph's edges and endpoints; a set over another graph is
+    an input error, not a mask read against this one."""
+    if edge_set.graph is not graph and edge_set.graph != graph:
+        raise InputError("cyclic set lives over a different graph")
     edges, endpoint = graph.edges, graph.endpoint
     odd = set()
     m = edge_set.mask
@@ -223,9 +216,11 @@ class PbarDecomposition:
     union-find over the edges of the cyclic set: a component's genus is
     its total weight plus its edges in the set, minus its vertices, plus
     one.  Only two flat tuples are kept: ``component``, the component
-    index of each vertex in ``graph.vertices`` order, and ``genera``.  The
-    vertex sets (:attr:`vertex_sets`) and the opened graph (``pbar``) are
-    built on demand and not kept.
+    index of each vertex in ``graph.vertices`` order, and ``genera``; the
+    vertex sets (:attr:`vertex_sets`) are built on demand and not kept.
+    No opened graph is built: what the opened graph's vertices and legs
+    carry (theta divisors, stratum rows) is read from this record and the
+    graph's own edges.
     """
 
     __slots__ = ("graph", "mask", "component", "genera")
@@ -255,12 +250,6 @@ class PbarDecomposition:
         return tuple(map(frozenset, members))
 
     @property
-    def pbar(self):
-        removed = [i for i in range(self.graph.n_edges)
-                   if not self.mask >> i & 1]
-        return remove_edges(self.graph, removed, open=True)
-
-    @property
     def c_plus(self):
         return sum(1 for g in self.genera if g > 0)
 
@@ -272,8 +261,8 @@ def pbar_decompose(graph, cyclic_set):
     """Open all edges outside ``cyclic_set`` and split into components.
 
     Memoised per graph object by mask, in ``graph.__dict__`` like the
-    canonical form and the automorphism group; a mask that is not cyclic
-    is rejected on every call.
+    canonical form and the automorphism group; a mask that is not cyclic,
+    or a set over another graph, is rejected on every call.
     """
     cache = graph.__dict__.get("_pbar_decompositions")
     if cache is None:
@@ -281,4 +270,6 @@ def pbar_decompose(graph, cyclic_set):
     dec = cache.get(cyclic_set.mask)
     if dec is None:
         dec = cache[cyclic_set.mask] = PbarDecomposition(graph, cyclic_set)
+    elif cyclic_set.graph is not graph and cyclic_set.graph != graph:
+        raise InputError("cyclic set lives over a different graph")
     return dec

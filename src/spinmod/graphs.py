@@ -356,11 +356,6 @@ def connected_classes(items, pairs):
     return list(classes.values())
 
 
-def genus(graph):
-    """Total vertex weight plus first Betti number (components counted)."""
-    return graph.genus
-
-
 def is_stable(graph, semistable=False):
     """Connected, and ``2w(v) - 2 + deg(v) + ell(v)`` positive at every
     vertex (non-negative for the semistable variant)."""
@@ -386,31 +381,6 @@ def _check_edge_subset(graph, edge_indices):
         raise InputError(f"edge index out of range for graph with "
                          f"{graph.n_edges} edges: {idx}")
     return idx
-
-
-def remove_edges(graph, edge_indices, open=False):
-    """Remove the given edges; with ``open=True`` each removed edge leaves
-    two new legs at its former endpoints.
-
-    New legs are appended to the leg order sorted by removed-edge index,
-    then by half-edge id, so the result is reproducible.
-    """
-    removed = _check_edge_subset(graph, edge_indices)
-    involution = dict(graph.involution)
-    legs = list(graph.legs)
-    drop = set()
-    for i in removed:
-        h, k = graph.edges[i]
-        if open:
-            involution[h] = h
-            involution[k] = k
-            legs.extend(sorted((h, k)))
-        else:
-            drop.update((h, k))
-    endpoint = {h: v for h, v in graph.endpoint.items() if h not in drop}
-    for h in drop:
-        del involution[h]
-    return Graph(graph.weight, endpoint, involution, legs, graph.exceptional)
 
 
 def blow_up(graph, edge_indices):

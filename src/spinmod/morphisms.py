@@ -664,7 +664,9 @@ class SpinCarry:
     a component of the image of the same genus (it maps vertices
     bijectively, so no two components may meet in one image); a
     contraction must carry each into one component, and the image set
-    passes the checks of :func:`push_cycle`.
+    passes the checks of :func:`push_cycle`.  A structure over another
+    graph than the automorphism's, or the contraction's source, is an
+    input error.
     """
 
     __slots__ = ("f", "source_mask", "graph", "mask", "comps", "size",
@@ -675,6 +677,8 @@ class SpinCarry:
         self.source_mask = spin.P.mask
         is_aut = isinstance(f, Aut)
         if is_aut:
+            if spin.graph is not f.graph and spin.graph != f.graph:
+                raise InputError("cyclic set lives over a different graph")
             self.graph = f.graph
             self.mask = f.act_mask(self.source_mask)
         else:

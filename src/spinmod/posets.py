@@ -666,7 +666,9 @@ def poset_stats(poset):
         if ranks[0] != 0 or ranks[-1] != max_rank(poset.g, poset.n):
             raise VerificationError(
                 f"rank range {ranks[0]}..{ranks[-1]} differs from "
-                f"0..{max_rank(poset.g, poset.n)}")
+                f"0..{max_rank(poset.g, poset.n)}",
+                tuple(next(nd.key for nd in poset.nodes if nd.rank == r)
+                      for r in (ranks[0], ranks[-1])))
 
     report = {"kind": poset.kind, "g": poset.g, "n": poset.n,
               "nodes": len(poset.nodes), "covers": len(poset.covers),
@@ -706,6 +708,7 @@ def poset_stats(poset):
         if len(comps) != 1:
             raise VerificationError(
                 f"{poset.kind} poset is disconnected "
-                f"({len(comps)} components)")
+                f"({len(comps)} components)",
+                tuple(poset.nodes[c[0]].key for c in comps))
     poset.__dict__["_stats"] = report
     return report

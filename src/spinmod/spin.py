@@ -18,19 +18,26 @@ from .graphs import (Divisor, Graph, canonical_divisor, classify, is_stable,
                      json_int, json_numeral)
 
 
+def _witness(graph, p=None):
+    """Witnesses of a failed identity over ``graph``: its key, and
+    ``P=<hex>`` when a cyclic set ``p`` is at fault."""
+    from .morphisms import canonical_key  # deferred: morphisms imports us
+    key = canonical_key(graph)
+    return (key,) if p is None else (key, f"P={p.hex()}")
+
+
 class SpinStructure:
     """A cyclic edge set plus a sign per component of the opened graph.
 
     Signs are indexed by the component order of the decomposition
     (components sorted by smallest vertex).  A spin poset keeps one per
-    node, so the record is slotted.
+    node, so the record is slotted.  The decomposition rejects a cyclic
+    set over another graph.
     """
 
     __slots__ = ("graph", "P", "dec", "signs", "parity")
 
     def __init__(self, graph, cyclic_set, signs):
-        if cyclic_set.graph != graph:
-            raise InputError("cyclic set lives over a different graph")
         self.graph = graph
         self.P = cyclic_set
         self.dec = pbar_decompose(graph, cyclic_set)
@@ -148,11 +155,6 @@ def spin_count_check(graph):
     Returns a report dict; raises :class:`VerificationError` on any
     mismatch, naming the offending graph and cyclic set.
     """
-    def witness(p=None):
-        from .morphisms import canonical_key
-        key = canonical_key(graph)
-        return (key,) if p is None else (key, f"P={p.hex()}")
-
     weightless = graph.total_weight() == 0
     per_cyclic = []
     total = even = odd = 0
@@ -165,7 +167,7 @@ def spin_count_check(graph):
         if len(structures) != 2 ** dec.c_plus:
             raise VerificationError(
                 f"count over P is {len(structures)}, formula gives "
-                f"2^{dec.c_plus}", witness(p))
+                f"2^{dec.c_plus}", _witness(graph, p))
         if p.mask == 0 and weightless:
             expect = (1, 0)
         else:
@@ -173,7 +175,7 @@ def spin_count_check(graph):
         if (n_even, n_odd) != expect:
             raise VerificationError(
                 f"parity split ({n_even}, {n_odd}) differs from {expect}",
-                witness(p))
+                _witness(graph, p))
         if p.mask != 0 and dec.c_plus != 1:
             tight_expected = False
         per_cyclic.append({"P": p.hex(), "c_plus": dec.c_plus,
@@ -186,11 +188,13 @@ def spin_count_check(graph):
     lower_bound = 2 ** (graph.b1 + 1) - 1
     if total < lower_bound:
         raise VerificationError(
-            f"total {total} is below the lower bound {lower_bound}", witness())
+            f"total {total} is below the lower bound {lower_bound}",
+            _witness(graph))
     if (total == lower_bound) != tight_expected:
         raise VerificationError(
             f"bound tightness mismatch: total={total}, bound={lower_bound}, "
-            f"characterization predicts tight={tight_expected}", witness())
+            f"characterization predicts tight={tight_expected}",
+            _witness(graph))
     return {
         "total": total, "even": even, "odd": odd,
         "lower_bound": lower_bound, "bound_tight": total == lower_bound,
@@ -223,35 +227,47 @@ class ThetaDivisor:
 
 
 def theta_divisors(graph, cyclic_set):
-    """The divisor ``w(v) - 1 + deg(v)/2`` on the opened graph, plus its
-    tropical extension.  Twice the vertex divisor is the canonical divisor
-    of the opened graph, and the total degree is ``g - c``."""
-    def witness():
-        from .morphisms import canonical_key
-        return (canonical_key(graph), f"P={cyclic_set.hex()}")
+    """The divisor ``w(v) - 1 + d(v)/2`` on the opened graph, plus its
+    tropical extension by a unit at the midpoint of every edge outside
+    the cyclic set.
 
-    pbar = pbar_decompose(graph, cyclic_set).pbar
+    The opened graph has the vertices of ``graph``; ``d(v)``, the degree
+    of ``v`` in it, counts the half-edges of the set's edges at ``v`` (a
+    loop twice), and the opened half-edges there become legs.  Both are
+    read in one pass over the graph's edges, after
+    :func:`~spinmod.cycles.pbar_decompose` has checked that the set is
+    cyclic; no opened graph is built.  Three identities are checked:
+    ``d(v)`` is even, twice the vertex divisor is the canonical divisor
+    of the opened graph (the graph's canonical divisor less the opened
+    half-edges at each vertex), and the total degree is ``g - c``."""
+    pbar_decompose(graph, cyclic_set)
+    mask, endpoint = cyclic_set.mask, graph.endpoint
+    d_in, d_out = (dict.fromkeys(graph.vertices, 0) for _ in range(2))
+    for i, (h, k) in enumerate(graph.edges):
+        degree = d_in if mask >> i & 1 else d_out
+        degree[endpoint[h]] += 1
+        degree[endpoint[k]] += 1
     values = {}
-    for v in pbar.vertices:
-        d = pbar.deg(v)
+    for v, d in d_in.items():
         if d % 2:
             raise VerificationError(
                 f"vertex {v} has odd degree {d} in the opened graph",
-                witness())
-        values[v] = pbar.w(v) - 1 + d // 2
-    div = Divisor(pbar, values)
-    k = canonical_divisor(pbar)
-    for v in pbar.vertices:
-        if 2 * div[v] != k[v]:
+                _witness(graph, cyclic_set))
+        values[v] = graph.weight[v] - 1 + d // 2
+    div = Divisor(graph, values)
+    k = canonical_divisor(graph)
+    for v in graph.vertices:
+        if 2 * div[v] != k[v] - d_out[v]:
             raise VerificationError(
                 f"doubled theta value {2 * div[v]} differs from the "
-                f"canonical divisor value {k[v]} at vertex {v}", witness())
+                f"canonical divisor value {k[v] - d_out[v]} at vertex {v}",
+                _witness(graph, cyclic_set))
     midpoints = tuple(i for i in range(graph.n_edges) if i not in cyclic_set)
     theta = ThetaDivisor(graph, cyclic_set, div, midpoints)
     if theta.degree != graph.genus - graph.c:
         raise VerificationError(
             f"theta degree {theta.degree} differs from g - c = "
-            f"{graph.genus - graph.c}", witness())
+            f"{graph.genus - graph.c}", _witness(graph, cyclic_set))
     return theta
 
 
@@ -269,7 +285,10 @@ def stratum_counts(graph):
     ``2^{b - b1(P)}`` each; the grand total must be ``2^{2g}``.
 
     When the spanned subgraph of P is connected with positive Betti
-    number, the points split evenly between the two parities.
+    number, the points split evenly between the two parities.  Both are
+    read from the set's decomposition: ``b1(P) = |P| - |V| + c(Pbar)``,
+    and the spanned subgraph is connected when P's edges meet exactly one
+    component.
     """
     if not is_stable(graph):
         raise DomainError("stratum counts are defined for stable graphs")
@@ -279,22 +298,26 @@ def stratum_counts(graph):
     rows = []
     grand = 0
     for p in enumerate_cyclic(graph):
-        points = 2 ** (p.b1 + 2 * w_total)
-        length = 2 ** (b - p.b1)
+        dec = pbar_decompose(graph, p)
+        b1_p = len(p) - len(graph.vertices) + len(dec)
+        points = 2 ** (b1_p + 2 * w_total)
+        length = 2 ** (b - b1_p)
         total = points * length
         if total != 2 ** (b + 2 * w_total):
             raise VerificationError(
                 f"stratum total {total} differs from 2^(b + 2|w|)",
-                (f"P={p.hex()}",))
+                _witness(graph, p))
         split = None
-        if p.b1 != 0 and p.spanned_connected():
+        if b1_p and len({dec.component[graph.vertex_index[
+                graph.edge_vertices(i)[0]]] for i in p}) == 1:
             split = (points // 2, points // 2)
-        rows.append({"P": p.hex(), "b1_P": p.b1, "points": points,
+        rows.append({"P": p.hex(), "b1_P": b1_p, "points": points,
                      "length": length, "total": total, "parity_split": split})
         grand += total
     if grand != 2 ** (2 * g):
         raise VerificationError(
-            f"grand total {grand} differs from 2^(2g) = {2 ** (2 * g)}")
+            f"grand total {grand} differs from 2^(2g) = {2 ** (2 * g)}",
+            _witness(graph))
     return StratumCount(graph, rows, grand)
 
 

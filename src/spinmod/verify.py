@@ -91,6 +91,24 @@ def _timed(phases, name, run, *args, **kwargs):
     return out
 
 
+def _image(target, source_key, key):
+    """The index of the node keyed ``key`` in ``target``, the image of
+    the node keyed ``source_key`` under a forgetful map; an image that is
+    no node of ``target`` is a verification error naming both keys."""
+    if key not in target.index:
+        raise VerificationError(
+            f"forgetful image is not a node of the {target.kind} poset",
+            (source_key, key))
+    return target.index[key]
+
+
+def _outside(poset, image):
+    """The keys of the nodes of ``poset`` whose indices are not in
+    ``image``."""
+    return tuple(nd.key for i, nd in enumerate(poset.nodes)
+                 if i not in image)
+
+
 def suite_posets(g, n, classes, get_spin_poset, phases=None):
     graph_poset = _timed(phases, "graph_poset", build_graph_poset, g, n,
                          _classes=classes)
@@ -145,14 +163,14 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
         graph, p = nd.rep.graph, nd.rep.spin.P
         at = (id(graph), p.mask)
         if at not in cyclic_node:
-            cyclic_node[at] = cyclic_poset.index[
-                cyclic_canonical_key(graph, p)]
+            cyclic_node[at] = _image(cyclic_poset, nd.key,
+                                     cyclic_canonical_key(graph, p))
         spin_to_cyc[nd.key] = cyclic_node[at]
     even_image = {spin_to_cyc[nd.key] for nd in spin_poset.nodes
                   if nd.parity == 0}
     if even_image != set(range(len(cyclic_poset.nodes))):
         raise VerificationError("even spin classes do not cover the cyclic "
-                                "poset")
+                                "poset", _outside(cyclic_poset, even_image))
     # a cover maps to a cover when the image of its lower end is among
     # the nodes that the image of its upper end covers
     for u, nd in enumerate(spin_poset.nodes):
@@ -161,12 +179,13 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
             if spin_to_cyc[spin_poset.nodes[l].key] not in below:
                 raise VerificationError(
                     "spin cover does not map to a cyclic cover", (nd.key,))
-    cyc_to_graph = {}
-    for nd in cyclic_poset.nodes:
-        cyc_to_graph[nd.key] = graph_poset.index[canonical_key(nd.rep[0])]
-    if {cyc_to_graph[nd.key] for nd in cyclic_poset.nodes} != \
-            set(range(len(graph_poset.nodes))):
-        raise VerificationError("cyclic classes do not cover the graph poset")
+    cyc_to_graph = {nd.key: _image(graph_poset, nd.key,
+                                   canonical_key(nd.rep[0]))
+                    for nd in cyclic_poset.nodes}
+    graph_image = set(cyc_to_graph.values())
+    if graph_image != set(range(len(graph_poset.nodes))):
+        raise VerificationError("cyclic classes do not cover the graph poset",
+                                _outside(graph_poset, graph_image))
     for u, nd in enumerate(cyclic_poset.nodes):
         below = set(graph_poset.lower(cyc_to_graph[nd.key]))
         for l in cyclic_poset.lower(u):

@@ -7,8 +7,9 @@ and the component-wise subgroup and induced quotient action counted
 element by element; the canonical-form search with the initial colors and the
 certificate read through the graph's per-vertex and per-edge accessors,
 the opened graph's components grouped by a union-find of
-their own, spin structures acted on one image at a time, the refinement
-postconditions that key every lift, the 3-regular seeding that tries
+their own, the opened graph itself built by removing the edges outside a
+cyclic set through the validating constructor, spin structures acted on
+one image at a time, the refinement postconditions that key every lift, the 3-regular seeding that tries
 every leg assignment, the fuzz chains run in draw order, the order test
 that contracts every edge subset of the right size and walks the lower
 orbit up front, purity read off the full face closure, the direct
@@ -22,11 +23,13 @@ vertices and edges times the number of loop flips, walks orbits with
 the classes, reads the group's vertex maps off the leaves of the
 canonical-form search that have the best certificate, reads the
 initial colors in one pass over the edges and legs, keeps a
-decomposition as one component index per vertex, carries each
-(map, cyclic set) component map once and folds sign vectors through it,
-looks refinement lifts up in one orbit table, seeds 3-regular classes
-once per leg pattern, runs the fuzz chains class by class, contracting
-each distinct (graph, edge set) once, contracts only the edge subsets
+decomposition as one component index per vertex and reads theta
+divisors and stratum rows off it and one pass over the edges, carries
+each (map, cyclic set) component map once and folds sign vectors through
+it, looks refinement lifts up in one orbit table, seeds 3-regular
+classes once per leg pattern, runs the fuzz chains class by class,
+contracting each distinct (graph, edge set) once, contracts only the
+edge subsets
 whose first Betti number is the drop in b1, carries a candidate equal
 to the lower graph through the identity and walks the lower orbit only
 for a candidate that needs it, checks purity in one pass over the
@@ -46,7 +49,7 @@ from itertools import (combinations, combinations_with_replacement,
 
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
-from spinmod.graphs import Graph, connected_classes
+from spinmod.graphs import Graph, _check_edge_subset, connected_classes
 from spinmod.morphisms import (Aut, Contraction, SpinCarry, _neighbor_lists,
                                _refine_colors, canonical_form, canonical_key,
                                contract, push_cycle, push_vertex_set,
@@ -324,6 +327,39 @@ def decomposition(graph, cyclic_set):
         inside = sum(1 for i in cyclic_set if graph.edge_vertices(i)[0] in vs)
         genera.append(sum(graph.weight[v] for v in vs) + inside - len(vs) + 1)
     return tuple(map(frozenset, vertex_sets)), tuple(genera)
+
+
+def remove_edges(graph, edge_indices, open=False):
+    """Remove the given edges; with ``open=True`` each removed edge leaves
+    two new legs at its former endpoints.
+
+    New legs are appended to the leg order sorted by removed-edge index,
+    then by half-edge id, so the result is reproducible.  The result goes
+    through the validating ``Graph(...)``.
+    """
+    removed = _check_edge_subset(graph, edge_indices)
+    involution = dict(graph.involution)
+    legs = list(graph.legs)
+    drop = set()
+    for i in removed:
+        h, k = graph.edges[i]
+        if open:
+            involution[h] = h
+            involution[k] = k
+            legs.extend(sorted((h, k)))
+        else:
+            drop.update((h, k))
+    endpoint = {h: v for h, v in graph.endpoint.items() if h not in drop}
+    for h in drop:
+        del involution[h]
+    return Graph(graph.weight, endpoint, involution, legs, graph.exceptional)
+
+
+def opened_graph(graph, cyclic_set):
+    """The opened graph of ``cyclic_set`` by its definition: ``graph``
+    with every edge outside the set removed, each leaving two legs."""
+    return remove_edges(graph, [i for i in range(graph.n_edges)
+                                if i not in cyclic_set], open=True)
 
 
 def _component_of(vertex_sets, vertex):

@@ -6,12 +6,16 @@ from spinmod import cycles
 from spinmod.cli import main
 from spinmod.cycles import (EdgeSet, boundary, cycle_basis, enumerate_cyclic,
                             pbar_decompose)
-from spinmod.errors import BudgetError, DomainError, VerificationError
+from spinmod.errors import (BudgetError, DomainError, InputError,
+                            VerificationError)
 from spinmod.graphs import Graph
-from spinmod.morphisms import canonical_key
+from spinmod.morphisms import (SpinCarry, automorphisms, canonical_key,
+                               contract, cyclic_canonical_key, push_cycle)
+from spinmod.spin import SpinStructure
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
                       make_rose, make_theta, make_weight_vertex, subgraph_on)
+import oracles
 
 
 def brute_force_kernel(graph):
@@ -112,7 +116,8 @@ def test_pbar_theta_empty(theta):
     assert len(dec) == 2
     assert dec.genera == (0, 0)
     assert dec.c_plus == 0
-    assert all(subgraph_on(dec.pbar, vs).n_legs == 3
+    opened = oracles.opened_graph(theta, EdgeSet(theta, 0))
+    assert all(subgraph_on(opened, vs).n_legs == 3
                for vs in dec.vertex_sets)
 
 
@@ -163,19 +168,15 @@ def test_edge_set_b1():
     assert EdgeSet.from_indices(g, [2]).b1 == 0
     assert EdgeSet.full(g).b1 == 2
     assert EdgeSet.from_indices(g, [0, 1]).b1 == 2
-    assert not EdgeSet.from_indices(g, [0, 1]).spanned_connected()
-    assert EdgeSet.full(g).spanned_connected()
 
 
 @pytest.mark.parametrize("g,n", [(2, 0), (1, 2), (2, 2)])
 def test_pbar_union_find_matches_opened_graph(g, n, shared_classes):
     # the union-find decomposition against the definition of the opened
     # graph: remove the edges outside P, leaving legs, and split it
-    from spinmod.graphs import remove_edges
     for graph in shared_classes(g, n):
         for p in enumerate_cyclic(graph):
-            outside = [i for i in range(graph.n_edges) if i not in p]
-            opened = remove_edges(graph, outside, open=True)
+            opened = oracles.opened_graph(graph, p)
             dec = pbar_decompose(graph, p)
             assert dec.vertex_sets == tuple(
                 frozenset(c) for c in opened.components)
@@ -191,15 +192,6 @@ def test_pbar_decompose_memoised_per_graph(theta):
     for _ in range(2):
         with pytest.raises(DomainError):
             pbar_decompose(theta, EdgeSet.from_indices(theta, [0]))
-
-
-def test_pbar_opened_graph_on_demand(theta):
-    dec = pbar_decompose(theta, EdgeSet(theta, 0))
-    assert "pbar" not in getattr(dec, "__dict__", ())
-    assert dec.pbar.n_legs == 6
-    assert [subgraph_on(dec.pbar, vs).vertices
-            for vs in dec.vertex_sets] == [(0,), (1,)]
-    assert "pbar" not in getattr(dec, "__dict__", ())
 
 
 def test_edge_set_hash_matches_eq():
@@ -238,8 +230,6 @@ def test_compact_decomposition_matches_the_union_find_oracle(
     # every cyclic set of every class: the vertex sets derived from the
     # per-vertex component indices, in component order (by smallest
     # vertex), and the genera, against a union-find grouping of its own
-    import oracles
-
     for graph in shared_classes(g, n):
         for p in enumerate_cyclic(graph):
             dec = pbar_decompose(graph, p)
@@ -251,3 +241,46 @@ def test_compact_decomposition_matches_the_union_find_oracle(
             assert dec.component == tuple(
                 next(i for i, vs in enumerate(vertex_sets) if v in vs)
                 for v in graph.vertices)
+
+
+def _decompose_after_a_memo_hit(theta, bouquet, foreign):
+    pbar_decompose(bouquet, EdgeSet(bouquet, foreign.mask))
+    return pbar_decompose(bouquet, foreign)
+
+
+# each entry point given the bouquet of three loops and a set over the
+# theta graph: both have three edges, so the theta mask is in range on the
+# bouquet, and it must not be read there
+OVER_ANOTHER_GRAPH = {
+    "boundary": lambda theta, bouquet, foreign: boundary(bouquet, foreign),
+    "pbar_decompose": lambda theta, bouquet, foreign: pbar_decompose(
+        bouquet, foreign),
+    "pbar_decompose memo hit": _decompose_after_a_memo_hit,
+    "push_cycle": lambda theta, bouquet, foreign: push_cycle(
+        contract(theta, EdgeSet(theta, 0b100)), EdgeSet(bouquet, 0b011)),
+    "cyclic_canonical_key": lambda theta, bouquet, foreign:
+        cyclic_canonical_key(bouquet, foreign),
+    "SpinStructure": lambda theta, bouquet, foreign: SpinStructure(
+        bouquet, foreign, (0,)),
+    "SpinCarry": lambda theta, bouquet, foreign: SpinCarry(
+        automorphisms(bouquet).actions[0],
+        SpinStructure(theta, foreign, (0,))),
+}
+
+
+@pytest.mark.parametrize("entry", OVER_ANOTHER_GRAPH)
+def test_a_set_over_another_graph_is_an_input_error(entry):
+    theta = make_theta()
+    with pytest.raises(InputError,
+                       match="cyclic set lives over a different graph"):
+        OVER_ANOTHER_GRAPH[entry](theta, make_rose(3),
+                                  EdgeSet(theta, 0b011))
+
+
+def test_a_set_over_an_equal_graph_is_read():
+    # the carrier is compared by value: a copy of the graph carries it
+    theta = make_theta()
+    dec = pbar_decompose(theta, EdgeSet(theta, 0b011))
+    assert pbar_decompose(theta, EdgeSet(make_theta(), 0b011)) is dec
+    assert cyclic_canonical_key(theta, EdgeSet(make_theta(), 0b011)) == \
+        cyclic_canonical_key(theta, EdgeSet(theta, 0b011))

@@ -314,12 +314,11 @@ def test_forgetful_maps_monotone_surjective():
 def test_open_removal_components_stable_over_enumeration():
     # every component of an open removal of a stable graph is stable
     from conftest import subgraph_on
-    from spinmod.graphs import is_stable, remove_edges
     for g, n in [(1, 1), (1, 2), (2, 0), (2, 1)]:
         for graph in enumerate_stable_graphs(g, n):
             for mask in range(2 ** graph.n_edges):
                 f = [i for i in range(graph.n_edges) if mask >> i & 1]
-                opened = remove_edges(graph, f, open=True)
+                opened = oracles.remove_edges(graph, f, open=True)
                 for comp in opened.components:
                     assert is_stable(subgraph_on(opened, comp))
 

@@ -3,11 +3,15 @@
 A public top-level function or class, or a public method or property of
 a top-level class, should have a caller in the package or be a named
 test oracle kept in ``tests/``.  This check matches names, not call
-sites: a definition counts as referenced when its bare name appears as
-a variable or an attribute anywhere in the package, whatever that
-occurrence resolves to.  Import statements do not count.  The helpers
-still without a reference are listed here; a new one fails this test,
-and giving one a caller means removing it from the list.
+sites.  A top-level function or class counts as referenced when its
+bare name appears as a variable, or as ``module.name`` with its own
+module's name, anywhere in the package; an attribute of the same name on
+some other object (``graph.genus`` for ``graphs.genus``) does not count.
+A method or property counts as referenced when its name appears as a
+variable or an attribute, whatever that occurrence resolves to.  Import
+statements do not count.  The helpers still without a reference are
+listed here; a new one fails this test, and giving one a caller means
+removing it from the list.
 """
 
 import ast
@@ -33,34 +37,46 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def _definitions(module, tree):
+    """``(qualified name, name, module)`` of each public definition; the
+    module is ``None`` for a method, which any attribute may refer to."""
     for node in tree.body:
         if not (isinstance(node, FUNCTIONS + (ast.ClassDef,))
                 and _public(node.name)):
             continue
-        yield f"{module}.{node.name}", node.name
+        yield f"{module}.{node.name}", node.name, module
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, FUNCTIONS) and _public(member.name):
-                    yield f"{module}.{node.name}.{member.name}", member.name
+                    yield (f"{module}.{node.name}.{member.name}",
+                           member.name, None)
 
 
-def _referenced_names(tree):
-    names = set()
+def _references(tree):
+    """The bare names, the attribute names, and the ``(module, name)``
+    pairs of ``module.name`` attributes that ``tree`` uses."""
+    names, attributes, qualified = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            attributes.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                qualified.add((node.value.id, node.attr))
+    return names, attributes, qualified
 
 
 def test_unreferenced_public_helpers_match_allowlist():
     definitions = []
-    referenced = set()
+    names, attributes, qualified = set(), set(), set()
     for path in sorted(Path(spinmod.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         definitions.extend(_definitions(path.stem, tree))
-        referenced |= _referenced_names(tree)
-    unreferenced = {qualified for qualified, name in definitions
-                    if name not in referenced}
+        for seen, found in zip((names, attributes, qualified),
+                               _references(tree)):
+            seen |= found
+    unreferenced = {
+        qualified_name for qualified_name, name, module in definitions
+        if name not in names
+        and ((module, name) not in qualified if module
+             else name not in attributes)}
     assert unreferenced == ALLOWED

@@ -1,5 +1,6 @@
 import pytest
 
+from spinmod import spin as spin_module
 from spinmod.cycles import EdgeSet, enumerate_cyclic, pbar_decompose
 from spinmod.errors import DomainError, InputError, VerificationError
 from spinmod.graphs import Graph, canonical_divisor
@@ -104,7 +105,7 @@ def test_theta_divisor_identities():
     for g in [make_theta(), make_dumbbell(), make_loop_chain(), make_rose(3)]:
         for p in enumerate_cyclic(g):
             t = theta_divisors(g, p)
-            pbar = pbar_decompose(g, p).pbar
+            pbar = oracles.opened_graph(g, p)
             k = canonical_divisor(pbar)
             assert all(2 * t.vertex_divisor[v] == k[v] for v in pbar.vertices)
             assert t.degree == g.genus - 1
@@ -275,13 +276,99 @@ def test_spin_structure_hash_matches_eq():
 
 
 def test_odd_opened_degree_is_verification_error(theta, monkeypatch):
-    # an opened graph that keeps the complementary edges has odd degrees
-    from spinmod.cycles import PbarDecomposition
-    monkeypatch.setattr(PbarDecomposition, "pbar",
-                        property(lambda dec: dec.graph))
-    with pytest.raises(VerificationError) as info:
-        theta_divisors(theta, EdgeSet(theta, 0))
-    assert info.value.witnesses == (canonical_key(theta), "P=0")
+    # a decomposition step that lets a non-cyclic set through: one edge of
+    # the theta graph gives both vertices degree 1 in the opened graph
+    monkeypatch.setattr(spin_module, "pbar_decompose", lambda graph, p: None)
+    with pytest.raises(VerificationError,
+                       match="vertex 0 has odd degree 1 in the opened graph"
+                       ) as info:
+        theta_divisors(theta, EdgeSet(theta, 0b001))
+    assert info.value.witnesses == (canonical_key(theta), "P=1")
+
+
+def test_theta_against_a_canonical_divisor_off_the_pass(one_loop_one_leg,
+                                                        monkeypatch):
+    # a degree that counts legs too: the canonical divisor less the opened
+    # half-edges no longer matches the pass over the edges at the leg's
+    # vertex
+    key = canonical_key(one_loop_one_leg)
+    monkeypatch.setattr(Graph, "deg",
+                        lambda graph, v: len(graph.half_edges_at(v)))
+    with pytest.raises(VerificationError,
+                       match="doubled theta value 0 differs from the "
+                             "canonical divisor value 1 at vertex 0"
+                       ) as info:
+        theta_divisors(one_loop_one_leg, EdgeSet(one_loop_one_leg, 1))
+    assert info.value.witnesses == (key, "P=1")
+
+
+def test_theta_degree_against_a_wrong_genus(theta):
+    key = canonical_key(theta)
+    theta.__dict__["genus"] = 3
+    with pytest.raises(VerificationError,
+                       match="theta degree 1 differs from g - c = 2") as info:
+        theta_divisors(theta, EdgeSet(theta, 0b011))
+    assert info.value.witnesses == (key, "P=3")
+
+
+class _OffByOneSum(int):
+    """An integer whose sums come out one too large."""
+
+    def __add__(self, other):
+        return int(self) + other + 1
+
+
+def test_stratum_total_failure_names_the_class_and_set(theta):
+    # the row total is an identity of exponents, so only a Betti number
+    # read inconsistently can fail it: here its sum is off by one
+    key = canonical_key(theta)
+    theta.__dict__["b1"] = _OffByOneSum(theta.b1)
+    with pytest.raises(VerificationError,
+                       match="stratum total 4 differs") as info:
+        stratum_counts(theta)
+    assert info.value.witnesses == (key, "P=0")
+
+
+def test_stratum_grand_total_failure_names_the_class(theta):
+    key = canonical_key(theta)
+    theta.__dict__["genus"] = 3
+    with pytest.raises(VerificationError,
+                       match="grand total 16 differs from 2") as info:
+        stratum_counts(theta)
+    assert info.value.witnesses == (key,)
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
+def test_theta_and_strata_match_the_opened_graph(g, n, shared_classes):
+    # every cyclic set of every class, against the opened graph built by
+    # its definition: theta values from its degrees and weights, b1(P) from
+    # its components, and the parity split when P's edges lie in one of
+    # them
+    for graph in shared_classes(g, n):
+        w = graph.total_weight()
+        rows = stratum_counts(graph).rows
+        cyclic = enumerate_cyclic(graph)
+        assert [r["P"] for r in rows] == [p.hex() for p in cyclic]
+        for p, row in zip(cyclic, rows):
+            opened = oracles.opened_graph(graph, p)
+            t = theta_divisors(graph, p)
+            assert t.vertex_divisor.values == {
+                v: opened.w(v) - 1 + opened.deg(v) // 2
+                for v in opened.vertices}
+            assert t.midpoint_edges == tuple(
+                i for i in range(graph.n_edges) if i not in p)
+            assert t.degree == graph.genus - 1
+            component = {v: k for k, vs in enumerate(opened.components)
+                         for v in vs}
+            met = {component[opened.edge_vertices(i)[0]]
+                   for i in range(opened.n_edges)}
+            points = 2 ** (opened.b1 + 2 * w)
+            assert row == {
+                "P": p.hex(), "b1_P": opened.b1, "points": points,
+                "length": 2 ** (graph.b1 - opened.b1),
+                "total": 2 ** (graph.b1 + 2 * w),
+                "parity_split": ((points // 2, points // 2)
+                                 if opened.b1 and len(met) == 1 else None)}
 
 
 @pytest.mark.parametrize("make,indices,written,spelling", [

@@ -1,10 +1,12 @@
 import copy
+import json
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from spinmod import cycles, morphisms, posets, tropical, verify
+from spinmod import cycles, graphs, morphisms, posets, tropical, verify
+from spinmod.cli import main
 from spinmod.errors import VerificationError
 from spinmod.graphs import classify
 from spinmod.morphisms import Aut, canonical_key
@@ -507,6 +509,28 @@ def test_failing_poset_stats_raise_on_every_call():
     assert posets.poset_stats(poset) is posets.poset_stats(poset)
 
 
+def test_disconnected_poset_names_a_node_per_component():
+    poset = posets.build_graph_poset(2, 0)
+    broken = posets.Poset(poset.kind, poset.g, poset.n, poset.nodes, ())
+    with pytest.raises(VerificationError,
+                       match=r"graphs poset is disconnected \(7 components\)"
+                       ) as info:
+        posets.poset_stats(broken)
+    assert info.value.witnesses == tuple(nd.key for nd in poset.nodes)
+
+
+def test_rank_range_failure_names_a_node_at_each_end():
+    # the genus-2 graph poset read as one of genus 3, whose top rank is 6
+    poset = posets.build_graph_poset(2, 0)
+    wrong = posets.Poset(poset.kind, 3, poset.n, poset.nodes, poset.covers)
+    with pytest.raises(VerificationError,
+                       match=r"rank range 0\.\.3 differs from 0\.\.6"
+                       ) as info:
+        posets.poset_stats(wrong)
+    assert info.value.witnesses == tuple(
+        next(nd.key for nd in poset.nodes if nd.rank == r) for r in (0, 3))
+
+
 @pytest.mark.parametrize("builder,message", [
     ("build_cyclic_poset", "spin cover does not map to a cyclic cover"),
     ("build_graph_poset", "cyclic cover does not map to a graph cover")])
@@ -538,6 +562,99 @@ def test_forgetful_map_without_an_image_cover_is_verification_error(
         source = posets.build_cyclic_poset(2, 0)
         image = canonical_key(source.nodes[source.index[key]].rep[0])
     assert target.index[image] == upper[0]
+
+
+def without_first_top_node(poset):
+    """``poset`` without the first node of its top rank, the covers
+    renumbered, and that node's key."""
+    top = max(nd.rank for nd in poset.nodes)
+    drop = next(i for i, nd in enumerate(poset.nodes) if nd.rank == top)
+    keep = [i for i in range(len(poset.nodes)) if i != drop]
+    where = {old: new for new, old in enumerate(keep)}
+    return posets.Poset(
+        poset.kind, poset.g, poset.n, [poset.nodes[i] for i in keep],
+        [(where[u], where[l]) for u, l in poset.covers
+         if drop not in (u, l)], poset.walk), poset.nodes[drop].key
+
+
+@pytest.mark.parametrize("builder", ["build_cyclic_poset",
+                                     "build_graph_poset"])
+def test_forgetful_map_without_an_image_node_is_verification_error(
+        builder, monkeypatch, capsys):
+    # the target poset loses a top node, so some node above has no image;
+    # the error names that node and the image key no node of the target has
+    original = getattr(verify, builder)
+    dropped = []
+
+    def thinned(*args, **kwargs):
+        poset, key = without_first_top_node(original(*args, **kwargs))
+        dropped.append(key)
+        return poset
+
+    monkeypatch.setattr(verify, builder, thinned)
+    with pytest.raises(VerificationError,
+                       match="forgetful image is not a node of the") as info:
+        run_suites(2, 0, "posets")
+    source_key, image = info.value.witnesses
+    assert image == dropped[-1]
+    if builder == "build_cyclic_poset":
+        source = posets.build_spin_poset(2, 0)
+        rep = source.nodes[source.index[source_key]].rep
+        assert morphisms.cyclic_canonical_key(rep.graph, rep.spin.P) == image
+    else:
+        source = posets.build_cyclic_poset(2, 0)
+        rep = source.nodes[source.index[source_key]].rep
+        assert canonical_key(rep[0]) == image
+    # the CLI prints the failure record and exits 1, with no traceback
+    assert main(["verify", "--g", "2", "--n", "0", "--suite", "posets"]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["status"] == "fail"
+    assert record["error"].startswith("forgetful image is not a node")
+    assert record["witnesses"] == [source_key, dropped[-1]]
+
+
+@pytest.mark.parametrize("name,message", [
+    ("cyclic_canonical_key",
+     "even spin classes do not cover the cyclic poset"),
+    ("canonical_key", "cyclic classes do not cover the graph poset")])
+def test_forgetful_map_missing_a_node_names_it(name, message, monkeypatch):
+    # every image of the last node is redirected to the first, so the
+    # last node is left uncovered and is the one witness
+    poset = (posets.build_cyclic_poset if name == "cyclic_canonical_key"
+             else posets.build_graph_poset)(2, 0)
+    first, last = poset.nodes[0].key, poset.nodes[-1].key
+    original = getattr(verify, name)
+
+    def redirected(*args):
+        key = original(*args)
+        return first if key == last else key
+
+    monkeypatch.setattr(verify, name, redirected)
+    with pytest.raises(VerificationError, match=message) as info:
+        run_suites(2, 0, "posets")
+    assert info.value.witnesses == (last,)
+
+
+def test_counts_suite_builds_no_graph_and_unites_each_set_once(monkeypatch):
+    # theta divisors and stratum rows read the memoised decompositions:
+    # no opened graph is built, and the one union-find per cyclic set is
+    # the decomposition's own
+    classes = posets.enumerate_stable_graphs(3, 0)
+    built = []
+    united = []
+    original_init = graphs.Graph.__init__
+    original_classes = cycles.connected_classes
+    monkeypatch.setattr(graphs.Graph, "__init__",
+                        lambda self, *a, **k: built.append(1)
+                        or original_init(self, *a, **k))
+    monkeypatch.setattr(cycles, "connected_classes",
+                        lambda *a: united.append(1) or original_classes(*a))
+    verify.suite_counts(3, classes)
+    decompositions = sum(len(graph.__dict__["_pbar_decompositions"])
+                         for graph in classes)
+    assert built == []
+    assert len(united) == decompositions == sum(
+        len(cycles.enumerate_cyclic(graph)) for graph in classes)
 
 
 @pytest.mark.parametrize("g,n,nodes,elements", [(2, 2, 449, 1308),
