@@ -177,7 +177,7 @@ def cmd_enumerate(args):
 
     if args.format == "json":
         def render():
-            return _to_json(poset.to_json_dict(with_reps=True))
+            return _to_json(poset.to_json_dict())
     elif args.format == "dot":
         render = poset.to_dot
     elif args.kind == "spin":

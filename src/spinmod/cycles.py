@@ -57,22 +57,6 @@ class EdgeSet:
     def __contains__(self, i):
         return bool(self.mask >> i & 1)
 
-    def __xor__(self, other):
-        self._check(other)
-        return EdgeSet(self.graph, self.mask ^ other.mask)
-
-    def __or__(self, other):
-        self._check(other)
-        return EdgeSet(self.graph, self.mask | other.mask)
-
-    def __and__(self, other):
-        self._check(other)
-        return EdgeSet(self.graph, self.mask & other.mask)
-
-    def _check(self, other):
-        if self.graph != other.graph:
-            raise InputError("edge sets live over different graphs")
-
     def __eq__(self, other):
         return (isinstance(other, EdgeSet) and self.graph == other.graph
                 and self.mask == other.mask)

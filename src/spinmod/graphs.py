@@ -27,6 +27,15 @@ def json_int(value, field, owner):
                      "integer")
 
 
+def _json_object(value, field):
+    """``value`` when it is a JSON object; anything else is an input
+    error naming the graph's ``field``."""
+    if isinstance(value, dict):
+        return value
+    raise InputError(f"graph field {field!r} holds {value!r}, not a JSON "
+                     "object")
+
+
 def json_numeral(text, field, owner, base=10):
     """The integer ``text`` spells when it is written as ``str`` (base
     10) or ``format(_, "x")`` (base 16) writes a non-negative integer:
@@ -72,12 +81,16 @@ class Graph:
         fixed = {h for h in hset if involution[h] == h}
         if set(legs) != fixed or len(legs) != len(fixed):
             raise InputError("legs must list each involution fixed point once")
+        exceptional = frozenset(exceptional)
+        stray = sorted(exceptional - weight.keys())
+        if stray:
+            raise InputError(f"exceptional vertex {stray[0]} is not a vertex")
 
         self.weight = weight
         self.endpoint = endpoint
         self.involution = involution
         self.legs = legs
-        self.exceptional = frozenset(exceptional)
+        self.exceptional = exceptional
         self.vertices = tuple(sorted(weight))
         self.half_edges = tuple(sorted(endpoint))
         # Stable edge indexing: pairs (h, h') with h < h', sorted by h.
@@ -276,13 +289,15 @@ class Graph:
             exceptional = [json_int(v, "exceptional", "graph")
                            for v in data.get("exceptional", ())]
             if "half_edges" in data:
-                block = data["half_edges"]
+                block = _json_object(data["half_edges"], "half_edges")
+                endpoint = _json_object(block["endpoint"], "endpoint")
+                involution = _json_object(block["involution"], "involution")
                 endpoint = {json_numeral(h, "endpoint", "half-edge"):
                             json_int(v, "endpoint", "half-edge")
-                            for h, v in block["endpoint"].items()}
+                            for h, v in endpoint.items()}
                 involution = {json_numeral(h, "involution", "half-edge"):
                               json_int(k, "involution", "half-edge")
-                              for h, k in block["involution"].items()}
+                              for h, k in involution.items()}
                 legs = [json_int(h, "legs", "half-edge")
                         for h in block["legs"]]
                 return cls(weight, endpoint, involution, legs, exceptional)
@@ -292,21 +307,6 @@ class Graph:
             return cls.build(weight, edges, legs, exceptional)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed graph JSON: {exc}") from exc
-
-    def to_dot(self, name="G"):
-        """DOT rendering with weight labels and one stub per leg."""
-        lines = [f"graph {name} {{"]
-        for v in self.vertices:
-            shape = ', shape=doublecircle' if v in self.exceptional else ''
-            lines.append(f'  v{v} [label="{v} (w={self.weight[v]})"{shape}];')
-        for i in range(self.n_edges):
-            u, v = self.edge_vertices(i)
-            lines.append(f'  v{u} -- v{v} [label="e{i}"];')
-        for pos, h in enumerate(self.legs):
-            lines.append(f'  leg{pos} [shape=none, label="leg {pos}"];')
-            lines.append(f'  v{self.endpoint[h]} -- leg{pos} [style=dashed];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 class Divisor:
@@ -356,14 +356,13 @@ def connected_classes(items, pairs):
     return list(classes.values())
 
 
-def is_stable(graph, semistable=False):
+def is_stable(graph):
     """Connected, and ``2w(v) - 2 + deg(v) + ell(v)`` positive at every
-    vertex (non-negative for the semistable variant)."""
+    vertex."""
     if not graph.is_connected:
         return False
     for v in graph.vertices:
-        val = 2 * graph.w(v) - 2 + graph.deg(v) + graph.ell(v)
-        if val < 0 or (val == 0 and not semistable):
+        if 2 * graph.w(v) - 2 + graph.deg(v) + graph.ell(v) <= 0:
             return False
     return True
 

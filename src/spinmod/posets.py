@@ -344,12 +344,13 @@ def stable_graphs_direct(g, n, budget_edges=None):
     positive and connect all vertices.  They depend only on the vertex
     count, the edge count and the valence base ``2w(v) - 2 + ell(v)``,
     so each such pattern is walked once per call.  Every survivor is built
-    as a graph and :func:`is_stable` still decides on it; the first graph
-    met in each class represents it."""
+    as a graph, :func:`is_stable` still decides on it, and a stable one
+    is keyed; the graph is not kept.  Returns the sorted canonical keys
+    of the classes found."""
     check_budget(g, n, budget_edges)
     if 2 * g - 2 + n <= 0:
         return []
-    found = {}
+    found = set()
     survivors = {}
     for k in range(1, 2 * g - 2 + n + 1):
         for weights in combinations_with_replacement(range(g + 1), k):
@@ -366,10 +367,9 @@ def stable_graphs_direct(g, n, budget_edges=None):
                     survivors[pattern] = _valent_multisets(*pattern)
                 for edges in survivors[pattern]:
                     graph = Graph.build(list(enumerate(weights)), edges, legs)
-                    if not is_stable(graph):
-                        continue
-                    found.setdefault(canonical_key(graph), graph)
-    return [found[key] for key in sorted(found)]
+                    if is_stable(graph):
+                        found.add(canonical_key(graph))
+    return sorted(found)
 
 
 class PosetNode:
@@ -477,14 +477,16 @@ class Poset:
         hist = Counter(node.rank for node in self.nodes)
         return {r: hist[r] for r in sorted(hist)}
 
-    def to_json_dict(self, with_reps=False):
+    def to_json_dict(self):
+        """The poset as JSON: each node's key, rank, parity (spin nodes
+        only) and representative, and the covers as ``[upper, lower]``
+        index pairs."""
         nodes = []
         for node in self.nodes:
             entry = {"key": node.key, "rank": node.rank}
             if node.parity is not None:
                 entry["parity"] = node.parity
-            if with_reps:
-                entry.update(_rep_json(self.kind, node.rep))
+            entry.update(_rep_json(self.kind, node.rep))
             nodes.append(entry)
         return {"kind": self.kind, "g": self.g, "n": self.n,
                 "nodes": nodes, "covers": [list(c) for c in self.covers]}

@@ -107,14 +107,6 @@ class SpinGraph:
         self.graph = graph
         self.spin = spin
 
-    @property
-    def parity(self):
-        return self.spin.parity
-
-    @property
-    def genus(self):
-        return self.graph.genus
-
     def __eq__(self, other):
         return (isinstance(other, SpinGraph) and self.graph == other.graph
                 and self.spin == other.spin)
@@ -215,15 +207,6 @@ class ThetaDivisor:
     @property
     def degree(self):
         return self.vertex_divisor.degree + len(self.midpoint_edges)
-
-    def value(self, point):
-        """Value at ``("vertex", v)`` or ``("midpoint", edge_index)``."""
-        kind, x = point
-        if kind == "vertex":
-            return self.vertex_divisor[x]
-        if kind == "midpoint":
-            return 1 if x in self.midpoint_edges else 0
-        raise InputError(f"unknown point kind {kind!r}")
 
 
 def theta_divisors(graph, cyclic_set):
@@ -433,23 +416,14 @@ def _verify_refinement(split, graph, graph_key, target_orbit, sign,
         p_mask = ((1 << split.n_edges) - 1) ^ (1 << new_edge)
     else:
         p_mask = (1 << split.n_edges) - 1
-    p_set = EdgeSet(split, p_mask)
-    dec = pbar_decompose(split, p_set)
-    free = [i for i, g in enumerate(dec.genera) if g > 0]
 
     back = morphisms.contract(split, EdgeSet.from_indices(split, [new_edge]))
     if morphisms.canonical_key(back.target) != graph_key:
         return None
 
-    for bits in product((0, 1), repeat=len(free)):
-        signs = [0] * len(dec)
-        for i, b in zip(free, bits):
-            signs[i] = b
-        if sum(signs) & 1 != sign:
-            continue
-        candidate = SpinStructure(split, p_set, tuple(signs))
-        if _refinement_postconditions(split, candidate, graph, graph_key,
-                                      target_orbit, morphisms):
+    for candidate in spin_structures_over(split, EdgeSet(split, p_mask)):
+        if candidate.parity == sign and _refinement_postconditions(
+                split, candidate, graph, graph_key, target_orbit, morphisms):
             return SpinGraph(split, candidate), back
     return None
 

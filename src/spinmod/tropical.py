@@ -21,7 +21,13 @@ from .spin import SpinGraph, SpinStructure, enumerate_spin
 
 
 class _Infinity:
-    """The single point at infinity of the extended non-negative reals."""
+    """The single point at infinity of the extended non-negative reals.
+
+    An identity sentinel: it equals only itself and hashes by identity,
+    as ``object`` does.  It has no order, and no length is ordered
+    against it, since :func:`as_length` returns ``INF`` before it
+    compares.  ``__new__`` keeps it single, so a copy is still
+    ``INF``."""
 
     _instance = None
 
@@ -32,24 +38,6 @@ class _Infinity:
 
     def __repr__(self):
         return "inf"
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("spinmod-infinity")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
 
 
 INF = _Infinity()
@@ -103,10 +91,6 @@ class TropicalCurve:
         self.lengths = lengths
 
     @property
-    def finite(self):
-        return all(x is not INF for x in self.lengths)
-
-    @property
     def stable(self):
         return is_stable(self.graph)
 
@@ -142,10 +126,6 @@ class SpinTropicalCurve:
     @property
     def graph(self):
         return self.curve.graph
-
-    @property
-    def parity(self):
-        return self.spin.parity
 
     def __eq__(self, other):
         return (isinstance(other, SpinTropicalCurve)

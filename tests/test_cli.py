@@ -286,11 +286,20 @@ def theta_family_with(path, value):
      "'component'"),
     (theta_family_with(("spin", "sign", 0, "component"), 1),
      "'component'"),
+    (theta_family_with(("graph", "half_edges"),
+                       {"endpoint": [], "involution": {}, "legs": []}),
+     "'endpoint'"),
+    (theta_family_with(("graph", "half_edges"),
+                       {"endpoint": {}, "involution": [], "legs": []}),
+     "'involution'"),
+    (theta_family_with(("graph", "exceptional"), [9]),
+     "exceptional vertex 9 is not a vertex"),
 ], ids=["not-utf8", "top-level-list", "val-number", "sign-letter",
         "parity-letter", "weight-fraction", "id-fraction", "id-duplicate",
         "endpoint-fraction", "sign-fraction", "parity-fraction",
         "parity-bool", "num-bool", "component-fraction",
-        "component-out-of-range"])
+        "component-out-of-range", "endpoint-list", "involution-list",
+        "exceptional-not-a-vertex"])
 def test_malformed_trop_descriptor_is_input_error(tmp_path, content, named):
     path = tmp_path / "family.json"
     path.write_bytes(content)

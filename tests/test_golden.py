@@ -1,7 +1,7 @@
 """Golden digests of the posets and the cone complex.
 
 ``tests/data/golden_digests.json`` holds, at (2,2), (3,0) and (3,1), the
-sha256 of the graph, cyclic and spin posets' ``to_json_dict(with_reps=True)``
+sha256 of the graph, cyclic and spin posets' ``to_json_dict()``
 and of the spin poset's ``cells_to_csv``.  A drifted key, representative,
 cover or stabilizer order fails here.  The digests are fixed outputs:
 regenerate them (``PYTHONPATH=src python tests/test_golden.py``) only for
@@ -27,7 +27,7 @@ def _sha256(text):
 
 
 def _poset_digest(poset):
-    return _sha256(json.dumps(poset.to_json_dict(with_reps=True),
+    return _sha256(json.dumps(poset.to_json_dict(),
                               sort_keys=True, separators=(",", ":")))
 
 

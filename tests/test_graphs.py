@@ -29,7 +29,6 @@ def test_stability(theta):
     assert is_stable(theta)
     bare_loop = make_rose(1)
     assert not is_stable(bare_loop)
-    assert is_stable(bare_loop, semistable=True)
     assert is_stable(make_one_loop_one_leg())
     assert not is_stable(Graph.build([(0, 0), (1, 1)], [(1, 1)]))
 
@@ -182,6 +181,28 @@ def test_json_malformed():
         Graph.from_json_dict(json.loads('{"edges": []}'))
 
 
+def test_exceptional_id_must_be_a_vertex():
+    with pytest.raises(InputError, match="exceptional vertex 9 is not a "
+                                         "vertex"):
+        Graph.build([(0, 0), (1, 1)], [(0, 1)], exceptional=[9])
+    data = make_one_loop_one_leg().to_json_dict()
+    data["exceptional"] = [0, 2]
+    with pytest.raises(InputError, match="exceptional vertex 2"):
+        Graph.from_json_dict(data)
+
+
+@pytest.mark.parametrize("field", ["half_edges", "endpoint", "involution"])
+def test_half_edge_block_must_hold_objects(field):
+    data = make_one_loop_one_leg().to_json_dict(half_edges=True)
+    if field == "half_edges":
+        data[field] = []
+    else:
+        data["half_edges"][field] = []
+    with pytest.raises(InputError, match=f"'{field}' holds \\[\\], not a "
+                                         "JSON object"):
+        Graph.from_json_dict(data)
+
+
 @pytest.mark.parametrize("path,value,named", [
     (("half_edges", "endpoint", "0"), 0.5, "'endpoint'"),
     (("half_edges", "involution", "0"), True, "'involution'"),
@@ -220,13 +241,6 @@ def test_json_half_edge_id_spelled_twice_is_input_error():
     data["half_edges"]["endpoint"][" 1"] = 0
     with pytest.raises(InputError, match="' 1'"):
         Graph.from_json_dict(data)
-
-
-def test_dot_export(theta):
-    dot = theta.to_dot()
-    assert dot.startswith("graph G {")
-    one = make_one_loop_one_leg().to_dot()
-    assert "leg 0" in one
 
 
 def test_half_edge_counts(dumbbell):

@@ -597,7 +597,7 @@ def test_order_test_skips_only_subsets_that_cannot_witness(g, n):
             unrelated += 1
         # a structure outside the generic one's orbit: the other parity
         other = next((s for s in enumerate_spin(generic.graph)
-                      if s.parity != generic.parity), None)
+                      if s.parity != generic.spin.parity), None)
         if other is not None:
             assert _same_witness(upper, SpinGraph(generic.graph, other)) \
                 is None

@@ -7,11 +7,12 @@ sites.  A top-level function or class counts as referenced when its
 bare name appears as a variable, or as ``module.name`` with its own
 module's name, anywhere in the package; an attribute of the same name on
 some other object (``graph.genus`` for ``graphs.genus``) does not count.
-A method or property counts as referenced when its name appears as a
-variable or an attribute, whatever that occurrence resolves to.  Import
-statements do not count.  The helpers still without a reference are
-listed here; a new one fails this test, and giving one a caller means
-removing it from the list.
+A method or property counts as referenced only when its name appears as
+an attribute (``x.name``), whatever object that occurrence is on; a
+variable of the same name (a loop variable ``value`` for a method
+``value``) does not count.  Import statements do not count.  The
+helpers still without a reference are listed here; a new one fails this
+test, and giving one a caller means removing it from the list.
 """
 
 import ast
@@ -65,18 +66,38 @@ def _references(tree):
     return names, attributes, qualified
 
 
-def test_unreferenced_public_helpers_match_allowlist():
+def _unreferenced(sources):
+    """The qualified names of the public definitions in ``sources``, a
+    map from module name to source text, that nothing there refers to."""
     definitions = []
     names, attributes, qualified = set(), set(), set()
-    for path in sorted(Path(spinmod.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        definitions.extend(_definitions(path.stem, tree))
+    for module, text in sources.items():
+        tree = ast.parse(text, filename=module)
+        definitions.extend(_definitions(module, tree))
         for seen, found in zip((names, attributes, qualified),
                                _references(tree)):
             seen |= found
-    unreferenced = {
+    return {
         qualified_name for qualified_name, name, module in definitions
-        if name not in names
-        and ((module, name) not in qualified if module
-             else name not in attributes)}
-    assert unreferenced == ALLOWED
+        if ((name not in names and (module, name) not in qualified)
+            if module else name not in attributes)}
+
+
+def test_unreferenced_public_helpers_match_allowlist():
+    sources = {path.stem: path.read_text() for path in
+               sorted(Path(spinmod.__file__).parent.glob("*.py"))}
+    assert _unreferenced(sources) == ALLOWED
+
+
+def test_method_counts_by_attribute_only():
+    source = (
+        "class Box:\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def weight(self):\n"
+        "        return 2\n"
+        "def main():\n"
+        "    size = 3\n"
+        "    return size + Box().weight()\n"
+        "main()\n")
+    assert _unreferenced({"shapes": source}) == {"shapes.Box.size"}

@@ -83,8 +83,6 @@ def test_theta_divisor_theta_graph(theta):
     assert [t.vertex_divisor[v] for v in theta.vertices] == [0, 0]
     assert t.midpoint_edges == (2,)
     assert t.degree == 1
-    assert t.value(("midpoint", 2)) == 1
-    assert t.value(("vertex", 0)) == 0
 
 
 def test_theta_divisor_weight_vertex():

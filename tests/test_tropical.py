@@ -82,7 +82,7 @@ def test_fiber_weight_vertex():
     g = make_weight_vertex(2)
     reps = pi_trop_fiber(TropicalCurve(g, []))
     assert len(reps) == 2
-    assert sorted(r.parity for r in reps) == [0, 1]
+    assert sorted(r.spin.parity for r in reps) == [0, 1]
 
 
 def test_fiber_extended_curve(theta):
@@ -215,7 +215,7 @@ def test_generic_fiber_all_finite():
     generic = out["generic"]
     assert generic.graph.n_edges == 0
     assert generic.graph.w(generic.graph.vertices[0]) == 2
-    assert generic.parity == fam.spin_graph.parity == 1
+    assert generic.spin.parity == fam.spin_graph.spin.parity == 1
 
 
 def test_generic_fiber_all_infinite():
