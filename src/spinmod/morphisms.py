@@ -175,32 +175,19 @@ class Contraction:
             return self
         vertex_iso, edge_iso = _isomorphism(self.target, rep)
         return self._with(
-            self.contracted, rep,
-            {v: vertex_iso[t] for v, t in self.vertex_map.items()},
+            rep, {v: vertex_iso[t] for v, t in self.vertex_map.items()},
             {i: None if j is None else edge_iso[j]
              for i, j in self.edge_map.items()})
 
     def identical(self, rep):
         """This contraction with ``rep``, a graph equal to its target (the
         same ids), as the target object: the maps stay as they are."""
-        return self._with(self.contracted, rep, self.vertex_map,
-                          self.edge_map)
+        return self._with(rep, self.vertex_map, self.edge_map)
 
-    def after_inverse(self, a):
-        """This contraction composed with ``a^-1`` for an automorphism
-        ``a`` of the source: it contracts the image under ``a`` of the
-        contracted set onto the same target, and sends ``a(x)`` where
-        this contraction sends ``x``, for every vertex and edge ``x``."""
-        vertex_map = {t: self.vertex_map[v] for v, t in a.vertex_map.items()}
-        edge_map = {j: self.edge_map[i] for i, j in enumerate(a.edge_perm)}
-        return self._with(
-            EdgeSet(self.source, a.act_mask(self.contracted.mask)),
-            self.target, vertex_map, edge_map)
-
-    def _with(self, contracted, target, vertex_map, edge_map):
+    def _with(self, target, vertex_map, edge_map):
         out = object.__new__(Contraction)
         out.source, out.contracted, out.target = \
-            self.source, contracted, target
+            self.source, self.contracted, target
         out.vertex_map, out.edge_map = vertex_map, edge_map
         return out
 

@@ -14,27 +14,29 @@ all vertices, once per (vertex count, edge count, valence base) in a
 call; every survivor is built as a graph and checked for stability.
 
 Covers are computed from two tables instead of keying every contracted
-graph.  The contraction table holds, for each class and each edge, the
-key of the target class and the contraction carried onto that class's
-representative: its vertex and edge maps are composed with the
-isomorphism read off the two canonical labellings.  Edges in one orbit
-of the class's automorphism group land in one class, so only the least
-edge of each orbit is contracted and keyed; every other edge ``a(e)``
-of the orbit gets that contraction composed with ``a^-1``.  The
-downward closure fills the table as it meets each class, and it is
-memoised on the class graph, so the three posets share it.  The orbit
-tables map the data of every structure over a class (cyclic mask, or
-mask and signs) to its orbit among the class's nodes; they come out of
-the orbit walk of :meth:`AutGroup.orbit_representatives`, which acts
-with one automorphism per distinct action on vertices and edges
-(flipping a loop moves no structure).  A cover's target is then the
-orbit of the pushed structure's data in the target class's table: no
-fresh graph, automorphism group or group minimum per cover.  The walk
-also gives each node its stabilizer (``PosetNode.stabilizer``).  A spin
-structure is pushed as data through the component map of its
-(contraction, cyclic set) pair, built once per class
-(:func:`spin_action`) and dropped with the class's covers, which are
-pushed class by class and deduplicated per node.  The node keys come
+graph.  The contraction table holds, for each class and each orbit of
+the class's automorphism group on edges, the orbit's least edge, the
+key of the class its contraction lands in, and that contraction carried
+onto the class's representative: its vertex and edge maps are composed
+with the isomorphism read off the two canonical labellings.  Edges in
+one orbit land in one class, and contracting ``a(e)`` equals contracting
+``e`` after ``a^-1``, so a node's covers are pushed from every member of
+its orbit through these contractions rather than from its
+representative through every edge.  The downward closure fills the
+table as it meets each class, and it is memoised on the class graph, so
+the three posets share it.  The orbit tables map the data of every
+structure over a class (cyclic mask, or mask and signs) to its orbit
+among the class's nodes; they come out of the orbit walk of
+:meth:`AutGroup.orbit_representatives`, which acts with one automorphism
+per distinct action on vertices and edges (flipping a loop moves no
+structure).  A structure's node is read from its own class's table, and
+a cover's target is the orbit of the pushed structure's data in the
+target class's table: no fresh graph, automorphism group or group
+minimum per cover.  The walk also gives each node its stabilizer
+(``PosetNode.stabilizer``).  A spin structure is pushed as data through
+the component map of its (contraction, cyclic set) pair, built once per
+class (:func:`spin_action`) and dropped with the class's covers, which
+are pushed class by class and deduplicated per node.  The node keys come
 from the same tables (:func:`orbit_keys`), one encoding per structure.
 """
 
@@ -53,7 +55,7 @@ from .graphs import Graph, connected_classes, is_stable
 from .morphisms import (_cyclic_encoding, _spin_encoding, automorphisms,
                         canonical_key, contract, cyclic_orbits, orbit_keys,
                         push_cycle, spin_action, spin_orbits)
-from .spin import SpinGraph, enumerate_spin
+from .spin import SpinGraph, SpinStructure, enumerate_spin
 
 BUDGET_ENV = "SPINMOD_BUDGET"
 
@@ -198,19 +200,19 @@ def enumerate_stable_graphs(g, n, budget_edges=None):
 
 
 def _edge_contractions(graph, reps, fresh=None):
-    """For each edge of ``graph``, in edge order: the key of the class
-    its contraction lands in, and a contraction of that edge onto the
-    class representative ``reps[key]``.
+    """One entry per orbit of ``automorphisms(graph)`` on edges, in edge
+    order: ``(e, key, c)``, where ``e`` is the orbit's least edge,
+    ``key`` the key of the class its contraction lands in, and ``c`` that
+    contraction carried onto the class representative ``reps[key]``
+    (:meth:`Contraction.onto`).
 
-    Only the least edge ``e`` of each orbit of ``automorphisms(graph)``
-    on edges is contracted and keyed, and carried onto the
-    representative (:meth:`Contraction.onto`).  Every other edge of the
-    orbit is ``a(e)`` for the first action class ``a`` that moves ``e``
-    there, and gets that contraction composed with ``a^-1``
-    (:meth:`Contraction.after_inverse`): the same target, the same key.
-    So a new class is met only at the least edge of an orbit, in edge
-    order, as when every edge was contracted.  The group is capped like
-    every group (:data:`AUT_HALF_EDGE_CAP`).
+    Edges in one orbit land in one class, and the contraction of
+    ``a(e)`` is the one of ``e`` composed with ``a^-1`` up to an
+    automorphism of the target, so no other edge of the orbit gets an
+    entry: the poset builders push every member of a node's orbit
+    through these instead.  A new class is met only at the least edge of
+    an orbit, in edge order, as when every edge was contracted.  The
+    group is capped like every group (:data:`AUT_HALF_EDGE_CAP`).
 
     Memoised per graph object in ``graph.__dict__``, so each (class,
     edge orbit) pair is contracted once however many posets read it; a
@@ -222,11 +224,10 @@ def _edge_contractions(graph, reps, fresh=None):
     """
     table = graph.__dict__.get("_edge_contractions")
     if table is not None and all(reps.get(key) is c.target
-                                 for key, c in table):
+                                 for _, key, c in table):
         return table
-    group = automorphisms(graph)
-    table = [None] * graph.n_edges
-    for orbit in group.edge_orbits:
+    table = []
+    for orbit in automorphisms(graph).edge_orbits:
         e = orbit[0]
         c = contract(graph, [e])
         key = canonical_key(c.target)
@@ -241,12 +242,7 @@ def _edge_contractions(graph, reps, fresh=None):
                     "unstable graph", (canonical_key(graph), f"edge={e}"))
             reps[key] = c.target
             fresh.append(c.target)
-        c = c.onto(reps[key])
-        table[e] = (key, c)
-        for a in group.actions:
-            image = a.edge_perm[e]
-            if table[image] is None:
-                table[image] = (key, c.after_inverse(a))
+        table.append((e, key, c.onto(reps[key])))
     table = graph.__dict__["_edge_contractions"] = tuple(table)
     return table
 
@@ -514,16 +510,18 @@ def _rep_json(kind, rep):
             "spin": rep.spin.to_json_dict()}
 
 
-def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
-                 rep, parity=lambda x: None):
+def _build_poset(kind, g, n, budget_edges, classes, structures, data,
+                 orbits, keys, action, rep, parity=lambda x: None):
     """The graded poset of one kind: a node per orbit representative over
     each class, sorted by (rank, key), and a cover per single-edge
-    contraction of each node's representative.
+    contraction of each node's structure.
 
-    The kind supplies ``action()``, a fresh function ``act(f, x)`` giving
-    the data of the structure ``x`` carried along an automorphism or a
-    contraction ``f``; ``orbits(graph, act)``, the orbit representatives
-    over a class, the table from structure data to orbit index and each
+    The kind supplies ``structures(graph)``, every structure over a
+    class, and ``data(x)``, the hashable data a structure is looked up
+    by; ``action()``, a fresh function ``act(f, x)`` giving the data of
+    ``x`` carried along an automorphism or a contraction ``f``;
+    ``orbits(graph, xs, act)``, the orbit representatives among ``xs``,
+    the table from structure data to orbit index and each
     representative's stabilizer, which its node keeps;
     ``keys(graph, orbit_of)``, the node key of each orbit, read off that
     table; and the node shape: ``rep(graph, x)`` builds a node's
@@ -534,17 +532,35 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
 
     Covers are looked up, not keyed: every contraction lands on its
     target class's representative, so the pushed data indexes that
-    class's orbit table directly.  The classes are taken rank by rank,
-    upward.  A rank's nodes follow every node of lower rank, so their
-    indices are known once its classes are walked and its nodes sorted
-    by key; two of them sharing a key is an error (nodes of different
-    ranks cannot share one, since a key digests the graph's
-    certificate).  Its covers land one rank lower, so each rank's orbit
-    tables are dropped once the rank above has pushed its covers, and
-    the covers come out in node order.  They are pushed class by class,
-    and each node's covers are deduplicated before they are kept.  Every
-    kind but the graph poset walks automorphism orbits, and the poset
-    records that walk's counts (:attr:`Poset.walk`).
+    class's orbit table directly.  The contraction table holds one
+    contraction ``c_e0`` per orbit of the class's group on edges, at its
+    least edge ``e0`` (:func:`_edge_contractions`), and the covers of a
+    node are pushed from every member of its orbit instead.  That gives
+    the same covers: for ``e = a(e0)``, a contraction of ``e`` onto the
+    target representative is ``c_e0 o a^-1`` up to an automorphism of
+    the target, since any two contractions of one edge onto one graph
+    differ by one.  So pushing ``x`` along ``e`` and pushing ``a^-1 x``
+    along ``e0`` land in the same target orbit, and as ``a`` runs over
+    the group, ``a^-1 x`` runs over the orbit of ``x``.  The covers of
+    the node of ``x`` are thus the target orbits of ``c_e0`` applied to
+    each member ``y`` of that orbit.  The node of ``y`` is read from its
+    own class's orbit table, which holds the data of every structure
+    over the class because the structures are closed under the group
+    and the walk marks every image of each representative; a structure
+    missing from it, or a pushed one missing from its target's, is a
+    :class:`VerificationError`.
+
+    The classes are taken rank by rank, upward.  A rank's nodes follow
+    every node of lower rank, so their indices are known once its
+    classes are walked and its nodes sorted by key; two of them sharing
+    a key is an error (nodes of different ranks cannot share one, since
+    a key digests the graph's certificate).  Its covers land one rank
+    lower, so each rank's orbit tables are dropped once the rank above
+    has pushed its covers, and the covers come out in node order.  They
+    are pushed class by class, and each node's covers are deduplicated
+    before they are kept.  Every kind but the graph poset walks
+    automorphism orbits, and the poset records that walk's counts
+    (:attr:`Poset.walk`).
     """
     if classes is None:
         classes = enumerate_stable_graphs(g, n, budget_edges)
@@ -565,17 +581,18 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
         walked = []
         for class_key, graph in by_rank[rank]:
             act = action()
-            structures, orbit_of, stabilizers = orbits(graph, act)
+            every = structures(graph)
+            walk_reps, orbit_of, stabilizers = orbits(graph, every, act)
             if walk is not None:
                 actions = len(automorphisms(graph).actions)
                 walk["group_actions"] += actions
-                walk["orbit_images"] += actions * len(structures)
+                walk["orbit_images"] += actions * len(walk_reps)
                 walk["carries"] += len(getattr(act, "carried", ()))
             here = [PosetNode(key, rank, rep(graph, x), parity(x), stabilizer)
                     for x, key, stabilizer in zip(
-                        structures, keys(graph, orbit_of), stabilizers,
+                        walk_reps, keys(graph, orbit_of), stabilizers,
                         strict=True)]
-            walked.append((class_key, graph, orbit_of, structures, here))
+            walked.append((class_key, graph, orbit_of, every, here))
             level += here
         level.sort(key=lambda nd: nd.key)
         first = len(nodes)
@@ -586,20 +603,27 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
                     "two orbit representatives share a key", (nd.key,))
         nodes += level
         lower = [()] * len(level)
-        for class_key, graph, _, structures, here in walked:
+        for class_key, graph, orbit_of, every, here in walked:
             contractions = _edge_contractions(graph, reps)
             push = action()
-            for nd, x in zip(here, structures):
-                targets = set()
-                for e, (target_key, c) in enumerate(contractions):
-                    orbit_of, target_nodes = below[target_key]
-                    k = orbit_of.get(push(c, x))
-                    if k is None:
+            found = [set() for _ in here]
+            for y in every:
+                k = orbit_of.get(data(y))
+                if k is None:
+                    raise VerificationError(
+                        "a structure is missing from the orbit table of "
+                        "its own class", (class_key, repr(y)))
+                targets = found[k]
+                for e, target_key, c in contractions:
+                    target_orbit_of, target_nodes = below[target_key]
+                    t = target_orbit_of.get(push(c, y))
+                    if t is None:
                         raise VerificationError(
                             "a pushed structure is missing from the orbit "
                             "table of its target class",
-                            (nd.key, f"edge={e}", target_key))
-                    targets.add(target_nodes[k])
+                            (here[k].key, f"edge={e}", target_key))
+                    targets.add(target_nodes[t])
+            for nd, targets in zip(here, found):
                 i = index[nd.key]
                 lower[i - first] = tuple((i, l) for l in sorted(targets))
             if walk is not None:
@@ -617,7 +641,8 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, keys, action,
 def build_graph_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "graphs", g, n, budget_edges, _classes,
-        orbits=lambda graph, _: ((None,), {None: 0}, (None,)),
+        structures=lambda graph: (None,), data=lambda _: None,
+        orbits=lambda graph, xs, _: (xs, {None: 0}, (None,)),
         keys=lambda graph, _: [canonical_key(graph)],
         action=lambda: lambda f, _: None, rep=lambda graph, _: graph)
 
@@ -625,8 +650,8 @@ def build_graph_poset(g, n, budget_edges=None, _classes=None):
 def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "cyclic", g, n, budget_edges, _classes,
-        orbits=lambda graph, _: cyclic_orbits(graph,
-                                              enumerate_cyclic(graph)),
+        structures=enumerate_cyclic, data=lambda p: p.mask,
+        orbits=lambda graph, xs, _: cyclic_orbits(graph, xs),
         keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
                                                 _cyclic_encoding),
         action=lambda: lambda c, p: push_cycle(c, p).mask,
@@ -636,8 +661,8 @@ def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
 def build_spin_poset(g, n, budget_edges=None, _classes=None):
     return _build_poset(
         "spin", g, n, budget_edges, _classes,
-        orbits=lambda graph, act: spin_orbits(graph, enumerate_spin(graph),
-                                              act),
+        structures=enumerate_spin, data=SpinStructure.data,
+        orbits=spin_orbits,
         keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
                                                 _spin_encoding),
         action=spin_action, rep=SpinGraph, parity=lambda s: s.parity)

@@ -140,9 +140,27 @@ def enumerate_spin(graph):
     return out
 
 
+def _theta_characteristics(h):
+    """The numbers ``(even, odd)`` of theta characteristics on a curve of
+    genus ``h``: ``(4^h + 2^h) / 2`` and ``(4^h - 2^h) / 2``."""
+    return (4 ** h + 2 ** h) // 2, (4 ** h - 2 ** h) // 2
+
+
 def spin_count_check(graph):
-    """Cross-check the closed count of spin structures against direct
-    enumeration, including the parity split and the lower bound.
+    """Closed counts of the spin structures over each cyclic set, read
+    from its decomposition, with the parity split, the lower bound and a
+    parity-weighted identity; no spin structure is built.
+
+    Over a set ``P`` there are ``2^{c_+}`` structures, split evenly
+    between the parities unless ``c_+ = 0``, which must happen exactly
+    when ``P`` is empty and the graph weightless.  The identity weights
+    each structure over ``P`` by ``2^{b1(G) - b1(P)}`` and, per component
+    ``i`` of the opened graph with weight ``w_i`` and first Betti number
+    ``b1_i``, by ``2^{2w_i + b1_i - 1}`` when ``b1_i > 0``, else by the
+    count of theta characteristics of genus ``w_i`` and the component's
+    sign.  Summed over the cyclic sets, the even and odd structures must
+    give the theta characteristics of genus ``g`` (Cornalba 1989); the
+    parity half, ``even - odd = 2^g``, comes from the empty set alone.
 
     Returns a report dict; raises :class:`VerificationError` on any
     mismatch, naming the offending graph and cyclic set.
@@ -150,32 +168,42 @@ def spin_count_check(graph):
     weightless = graph.total_weight() == 0
     per_cyclic = []
     total = even = odd = 0
+    weighted = []  # per cyclic set: (b1 of the opened graph, even, odd)
     tight_expected = weightless
     for p in enumerate_cyclic(graph):
         dec = pbar_decompose(graph, p)
-        structures = spin_structures_over(graph, p)
-        n_even = sum(1 for s in structures if s.parity == 0)
-        n_odd = len(structures) - n_even
-        if len(structures) != 2 ** dec.c_plus:
-            raise VerificationError(
-                f"count over P is {len(structures)}, formula gives "
-                f"2^{dec.c_plus}", _witness(graph, p))
+        c = dec.c_plus
+        count = 1 << c
+        n_even, n_odd = (1, 0) if c == 0 else (count // 2, count // 2)
         if p.mask == 0 and weightless:
             expect = (1, 0)
         else:
-            expect = (2 ** (dec.c_plus - 1), 2 ** (dec.c_plus - 1))
+            expect = (2 ** (c - 1), 2 ** (c - 1))
         if (n_even, n_odd) != expect:
             raise VerificationError(
                 f"parity split ({n_even}, {n_odd}) differs from {expect}",
                 _witness(graph, p))
-        if p.mask != 0 and dec.c_plus != 1:
+        if p.mask != 0 and c != 1:
             tight_expected = False
-        per_cyclic.append({"P": p.hex(), "c_plus": dec.c_plus,
-                           "count": len(structures),
+        per_cyclic.append({"P": p.hex(), "c_plus": c, "count": count,
                            "even": n_even, "odd": n_odd})
-        total += len(structures)
+        total += count
         even += n_even
         odd += n_odd
+
+        weights = [0] * len(dec)
+        for v, i in zip(graph.vertices, dec.component):
+            weights[i] += graph.weight[v]
+        e, o, b1_opened = 1, 0, 0
+        for w, genus in zip(weights, dec.genera):
+            b1 = genus - w
+            b1_opened += b1
+            if b1 > 0:
+                a = b = 1 << (2 * w + b1 - 1)
+            else:
+                a, b = _theta_characteristics(w)
+            e, o = e * a + o * b, e * b + o * a
+        weighted.append((b1_opened, e, o))
 
     lower_bound = 2 ** (graph.b1 + 1) - 1
     if total < lower_bound:
@@ -187,6 +215,17 @@ def spin_count_check(graph):
             f"bound tightness mismatch: total={total}, bound={lower_bound}, "
             f"characterization predicts tight={tight_expected}",
             _witness(graph))
+    # both sides times 2^top, so that no scale 2^(b1(G) - b1) is a
+    # fraction even when a faulty record opens more cycles than G has
+    top = max(0, *(b1 for b1, _, _ in weighted))
+    summed = (sum(e << (graph.b1 + top - b1) for b1, e, _ in weighted),
+              sum(o << (graph.b1 + top - b1) for b1, _, o in weighted))
+    expected = _theta_characteristics(graph.genus)
+    if summed != tuple(x << top for x in expected):
+        raise VerificationError(
+            f"parity-weighted spin count {summed} / 2^{top} differs from "
+            f"the theta characteristics {expected} of genus "
+            f"{graph.genus}", _witness(graph))
     return {
         "total": total, "even": even, "odd": odd,
         "lower_bound": lower_bound, "bound_tight": total == lower_bound,
@@ -198,9 +237,8 @@ class ThetaDivisor:
     """Half-canonical divisor on the opened graph, extended to the
     tropical side by a unit at the midpoint of every complementary edge."""
 
-    def __init__(self, graph, cyclic_set, vertex_divisor, midpoint_edges):
+    def __init__(self, graph, vertex_divisor, midpoint_edges):
         self.graph = graph
-        self.cyclic_set = cyclic_set
         self.vertex_divisor = vertex_divisor
         self.midpoint_edges = midpoint_edges
 
@@ -246,7 +284,7 @@ def theta_divisors(graph, cyclic_set):
                 f"canonical divisor value {k[v] - d_out[v]} at vertex {v}",
                 _witness(graph, cyclic_set))
     midpoints = tuple(i for i in range(graph.n_edges) if i not in cyclic_set)
-    theta = ThetaDivisor(graph, cyclic_set, div, midpoints)
+    theta = ThetaDivisor(graph, div, midpoints)
     if theta.degree != graph.genus - graph.c:
         raise VerificationError(
             f"theta degree {theta.degree} differs from g - c = "
@@ -315,10 +353,9 @@ def g_collections(graph):
     if not cls.basic:
         raise DomainError("collections are defined for basic graphs only")
     index_sets = {}
-    for v in graph.vertices:
-        if graph.w(v) + graph.loops(v) == 0:
-            continue
-        index_sets[v] = (1, 2) if graph.w(v) == 0 else (1, 2, 3, 4)
+    for v, (w, genus) in cls.vertex_classes.items():
+        if genus:
+            index_sets[v] = (1, 2) if w == 0 else (1, 2, 3, 4)
     return {"index_sets": index_sets,
             "count": prod(len(s) for s in index_sets.values())}
 

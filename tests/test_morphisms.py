@@ -784,10 +784,10 @@ def test_push_cycle_failure_is_verification_error(theta, monkeypatch):
 
 @pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0)])
 def test_spin_actions_match_per_image_oracle(g, n):
-    # every element on every spin structure, and every single-edge
-    # contraction (carried onto its target class) on every spin structure,
-    # through one action shared by the whole class, against the bodies
-    # that decompose and build each image
+    # every element on every spin structure, and the contraction table's
+    # one contraction per edge orbit (carried onto its target class) on
+    # every spin structure, through one action shared by the class, against
+    # the bodies that decompose and build each image
     from spinmod.morphisms import spin_action
     from spinmod.posets import _edge_contractions, enumerate_stable_graphs
 
@@ -800,7 +800,7 @@ def test_spin_actions_match_per_image_oracle(g, n):
             for s in spins:
                 want = oracles.act_spin(a, s).data()
                 assert act(a, s) == SpinCarry(a, s).image(s).data() == want
-        for _, c in _edge_contractions(graph, reps):
+        for _, _, c in _edge_contractions(graph, reps):
             for s in spins:
                 want = oracles.push_spin(c, s).data()
                 assert act(c, s) == push_spin(c, s).data() == want

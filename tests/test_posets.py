@@ -469,8 +469,10 @@ def test_poset_order_matches_order_test():
 
 @pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
 def test_edge_contractions_are_isomorphisms_onto_representatives(g, n):
-    # against a fresh contraction of the same edge: the maps read off the
-    # pair must be an isomorphism of its target onto the representative
+    # one entry per orbit of the group on edges, at the orbit's least edge
+    # (read off the oracle group's half-edge maps); against a fresh
+    # contraction of that edge, the maps read off the pair must be an
+    # isomorphism of its target onto the representative
     from collections import Counter
 
     from spinmod.morphisms import contract
@@ -479,8 +481,9 @@ def test_edge_contractions_are_isomorphisms_onto_representatives(g, n):
     reps = {canonical_key(graph): graph for graph in classes}
     for graph in classes:
         table = posets._edge_contractions(graph, reps)
-        assert len(table) == graph.n_edges
-        for e, (key, carried) in enumerate(table):
+        assert len(table) == len(automorphisms(graph).edge_orbits)
+        assert [e for e, _, _ in table] == least_edges_of_orbits(graph)
+        for e, key, carried in table:
             fresh = contract(graph, [e])
             target = fresh.target
             rep = reps[key]
@@ -511,7 +514,7 @@ def test_edge_contractions_are_isomorphisms_onto_representatives(g, n):
                 Counter(rep.multiplicity)
 
 
-@pytest.mark.parametrize("g,n", [(2, 2), (3, 0)])
+@pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0)])
 def test_looked_up_cover_keys_match_keying_each_target(g, n):
     # the covers of each poset against keying every contracted target
     # from scratch, as the builders did before the lookup tables
@@ -693,23 +696,46 @@ def test_missing_cover_target_class_is_verification_error(monkeypatch):
 
 
 def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
-    # an orbit table that lost every entry but the representatives' own:
-    # a push landing elsewhere in an orbit is then a structure the table
-    # never met
-    original = posets.spin_orbits
-
-    def reps_only(graph, spins, *args):
-        reps, _, stabilizers = original(graph, spins, *args)
-        return reps, {s.data(): k for k, s in enumerate(reps)}, stabilizers
-
-    monkeypatch.setattr(posets, "spin_orbits", reps_only)
-    with pytest.raises(VerificationError, match="missing from the orbit") \
+    # every class loses its last spin structure, the odd one on the rank-0
+    # class among them: the tables stay whole for what is enumerated, so
+    # an odd structure pushed onto the rank-0 class lands on a structure
+    # its target's table never met
+    original = posets.enumerate_spin
+    monkeypatch.setattr(posets, "enumerate_spin",
+                        lambda graph: original(graph)[:-1])
+    with pytest.raises(VerificationError, match="table of its target class") \
             as info:
         build_spin_poset(2, 0)
     node_key, edge, target_key = info.value.witnesses
     assert edge.startswith("edge=")
     keys = {canonical_key(graph) for graph in enumerate_stable_graphs(2, 0)}
     assert target_key in keys
+
+
+@pytest.mark.parametrize("build,orbits,data", [
+    (build_cyclic_poset, "cyclic_orbits", lambda p: p.mask),
+    (build_spin_poset, "spin_orbits", lambda s: s.data())],
+    ids=["cyclic", "spin"])
+def test_structure_missing_from_its_own_table_is_verification_error(
+        build, orbits, data, monkeypatch):
+    # an orbit table that lost every entry but the representatives' own:
+    # the first structure of a class that is no representative is missing
+    # from it, which names its class and itself before anything is pushed
+    original = getattr(posets, orbits)
+
+    def reps_only(graph, structures, *args):
+        reps, _, stabilizers = original(graph, structures, *args)
+        return reps, {data(x): k for k, x in enumerate(reps)}, stabilizers
+
+    monkeypatch.setattr(posets, orbits, reps_only)
+    with pytest.raises(VerificationError,
+                       match="missing from the orbit table of its own") \
+            as info:
+        build(2, 0)
+    class_key, structure = info.value.witnesses
+    keys = {canonical_key(graph) for graph in enumerate_stable_graphs(2, 0)}
+    assert class_key in keys
+    assert structure.startswith(("EdgeSet(", "SpinStructure("))
 
 
 # -- node keys from the orbit tables ----------------------------------------

@@ -13,6 +13,12 @@ variable of the same name (a loop variable ``value`` for a method
 ``value``) does not count.  Import statements do not count.  The
 helpers still without a reference are listed here; a new one fails this
 test, and giving one a caller means removing it from the list.
+
+The same holds for data: a public attribute that a public top-level
+class stores on ``self`` needs a reader, an attribute load ``x.name``
+somewhere in the package (a store such as ``self.name = ...`` is not a
+reader).  The attributes kept without one are listed in
+``ATTRIBUTES_ALLOWED``, each with its reason.
 """
 
 import ast
@@ -27,6 +33,15 @@ ALLOWED = {
     "morphisms.Aut.act_spin",
     "graphs.blow_up",
     "tropical.pi_trop_fiber",
+}
+
+
+ATTRIBUTES_ALLOWED = {
+    # the result that ``stratum_counts`` returns: its rows and grand total
+    # are what the function computes for a caller, and the acceptance
+    # tests read both
+    "spin.StratumCount.rows",
+    "spin.StratumCount.grand_total",
 }
 
 
@@ -101,3 +116,54 @@ def test_method_counts_by_attribute_only():
         "    return size + Box().weight()\n"
         "main()\n")
     assert _unreferenced({"shapes": source}) == {"shapes.Box.size"}
+
+
+def _stored_attributes(module, tree):
+    """``(qualified name, name)`` of each public attribute that a public
+    top-level class of ``tree`` stores on ``self``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _public(node.name):
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self" and _public(sub.attr)):
+                    yield f"{module}.{node.name}.{sub.attr}", sub.attr
+
+
+def _unread(sources):
+    """The qualified names of the public stored attributes in
+    ``sources``, a map from module name to source text, that nothing
+    there loads as an attribute."""
+    stored = set()
+    loaded = set()
+    for module, text in sources.items():
+        tree = ast.parse(text, filename=module)
+        stored |= set(_stored_attributes(module, tree))
+        loaded |= {node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load)}
+    return {qualified for qualified, name in stored if name not in loaded}
+
+
+def test_unread_stored_attributes_match_allowlist():
+    sources = {path.stem: path.read_text() for path in
+               sorted(Path(spinmod.__file__).parent.glob("*.py"))}
+    assert _unread(sources) == ATTRIBUTES_ALLOWED
+
+
+def test_stored_attribute_needs_a_load():
+    source = (
+        "class Box:\n"
+        "    def __init__(self, size, weight, tag):\n"
+        "        self.size = size\n"
+        "        self.weight, self.tag = weight, tag\n"
+        "        self._hidden = 0\n"
+        "class _Private:\n"
+        "    def __init__(self):\n"
+        "        self.unread = 1\n"
+        "def main(box):\n"
+        "    box.tag = 'new'\n"
+        "    return box.weight\n")
+    assert _unread({"shapes": source}) == {"shapes.Box.size",
+                                           "shapes.Box.tag"}

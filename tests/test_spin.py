@@ -78,6 +78,49 @@ def test_spin_count_larger():
         assert report["total"] == sum(r["count"] for r in report["per_cyclic"])
 
 
+@pytest.mark.parametrize("g,n", [(1, 1), (2, 1), (3, 0)])
+def test_parity_weighted_count_fails_on_a_bumped_genus(g, n, monkeypatch):
+    # a record that gives one more genus to the first component of
+    # positive genus without a cycle inside (genus = weight): c_+ does not
+    # move, so the parity split, the bound and its tightness still pass,
+    # and only the parity-weighted identity fails, naming the class.  (On
+    # a component with cycles the bump is invisible to the identity: its
+    # factor 2^(2w + b1 - 1) times the scale's 2^-b1 does not read b1.)
+    from spinmod.cycles import PbarDecomposition
+    from spinmod.posets import enumerate_stable_graphs
+
+    original = spin_module.pbar_decompose
+
+    def bumped(graph, p):
+        dec = original(graph, p)
+        weights = [0] * len(dec)
+        for v, i in zip(graph.vertices, dec.component):
+            weights[i] += graph.weight[v]
+        i = next((i for i, (w, genus) in enumerate(zip(weights, dec.genera))
+                  if genus == w > 0), None)
+        if i is None:
+            return dec
+        out = object.__new__(PbarDecomposition)
+        out.graph, out.mask, out.component = graph, dec.mask, dec.component
+        out.genera = dec.genera[:i] + (dec.genera[i] + 1,) + dec.genera[i + 1:]
+        assert out.c_plus == dec.c_plus
+        return out
+
+    failed = 0
+    for graph in enumerate_stable_graphs(g, n):
+        spin_count_check(graph)
+        if graph.total_weight() == 0:
+            continue
+        monkeypatch.setattr(spin_module, "pbar_decompose", bumped)
+        with pytest.raises(VerificationError,
+                           match="parity-weighted spin count") as info:
+            spin_count_check(graph)
+        monkeypatch.undo()
+        assert info.value.witnesses == (canonical_key(graph),)
+        failed += 1
+    assert failed
+
+
 def test_theta_divisor_theta_graph(theta):
     t = theta_divisors(theta, EdgeSet.from_indices(theta, [0, 1]))
     assert [t.vertex_divisor[v] for v in theta.vertices] == [0, 0]
