@@ -26,7 +26,12 @@ the test suite as the oracle these counts are checked against.
 A graph's canonical key is a digest of its certificate, computed by
 color refinement with individualization from initial colors read in one
 pass over the edges and legs; the brute-force isomorphism search it is
-cross-checked against lives in the test suite.  The same search yields
+cross-checked against lives in the test suite.  The certificate is
+serialised and hashed once per graph, on its first key request, and the
+hash state is kept in the canonical-form memo: a graph's key is its
+digest, and every orbit key over the graph extends a copy of it.
+Computing a canonical form hashes nothing, so the order test, which
+compares certificates, hashes nothing either.  The same search yields
 the group's vertex maps: it prunes nothing, so the leaves with the best
 certificate are the canonical labelling composed with each
 automorphism.  Pruning the tree by automorphisms would break that, and
@@ -327,18 +332,20 @@ def canonical_form(graph):
     whose certificate is the best one are therefore ``pos_best o a`` for
     exactly the automorphisms ``a``.  They are kept, best first, in
     ``graph.__dict__["_best_leaves"]`` until :func:`automorphisms` reads
-    the group's vertex maps off them.  A search that prunes by
+    the group's vertex maps off them.  The memo holds ``(cert, pos)``
+    and a slot for the certificate's hash, which only a key request
+    fills (:func:`_certificate_hash`).  A search that prunes by
     automorphisms must supply the group from its generators instead.
     """
     cached = graph.__dict__.get("_canonical_form")
     if cached is not None:
-        return cached
+        return cached[0]
     adj = _neighbor_lists(graph)
     best = [None, []]
     _search(graph, adj, _refine_colors(graph, _initial_colors(graph), adj),
             best)
     result = (best[0], best[1][0])
-    graph.__dict__["_canonical_form"] = result
+    graph.__dict__["_canonical_form"] = (result, None)
     graph.__dict__["_best_leaves"] = best[1]
     return result
 
@@ -782,12 +789,33 @@ def spin_action():
 
 # -- canonical keys ---------------------------------------------------------
 
-def _digest(parts):
-    h = hashlib.sha256()
+def _hashed(h, parts):
+    """``h`` updated with each part's ``repr`` and a ``|`` after it."""
     for part in parts:
         h.update(repr(part).encode())
         h.update(b"|")
-    return h.hexdigest()
+    return h
+
+
+def _digest(parts):
+    return _hashed(hashlib.sha256(), parts).hexdigest()
+
+
+def _certificate_hash(graph):
+    """The hash state after the graph's certificate, as :func:`_digest`
+    hashes its first part.  Computed on the graph's first key request
+    and kept beside the labelling in the canonical-form memo, so each
+    graph's certificate is serialised and hashed once however many keys
+    read it; callers that extend it take a copy."""
+    memo = graph.__dict__.get("_canonical_form")
+    if memo is None:
+        canonical_form(graph)
+        memo = graph.__dict__["_canonical_form"]
+    form, h = memo
+    if h is None:
+        h = _hashed(hashlib.sha256(), [form[0]])
+        graph.__dict__["_canonical_form"] = (form, h)
+    return h
 
 
 def _cyclic_encoding(graph, pos, mask):
@@ -820,17 +848,20 @@ def orbit_keys(graph, orbit_of, encode):
     index, as :meth:`AutGroup.orbit_representatives` returns it.  An
     orbit's key is the digest of the graph's certificate and the least
     ``encode(graph, pos, data)`` among its members; each member is
-    encoded once.  Encoding the image of a structure as it is equals
-    encoding the structure through the automorphism, so this is the
-    least encoding over the group.
+    encoded once, and each key extends a copy of the certificate's hash
+    state, so the certificate is not serialised again.  Encoding the
+    image of a structure as it is equals encoding the structure through
+    the automorphism, so this is the least encoding over the group.
     """
-    cert, pos = canonical_form(graph)
+    _, pos = canonical_form(graph)
     best = {}
     for data, k in orbit_of.items():
         code = encode(graph, pos, data)
         if k not in best or code < best[k]:
             best[k] = code
-    return [_digest([cert, best[k]]) for k in range(len(best))]
+    base = _certificate_hash(graph)
+    return [_hashed(base.copy(), [best[k]]).hexdigest()
+            for k in range(len(best))]
 
 
 def canonical_key(obj):
@@ -840,8 +871,7 @@ def canonical_key(obj):
     spin graphs are isomorphic (same underlying graph class, spin
     structures related by an isomorphism)."""
     if isinstance(obj, Graph):
-        cert, _ = canonical_form(obj)
-        return _digest([cert])
+        return _certificate_hash(obj).hexdigest()
     if isinstance(obj, SpinGraph):
         _, orbit_of, _ = spin_orbits(obj.graph, [obj.spin])
         return orbit_keys(obj.graph, orbit_of, _spin_encoding)[0]

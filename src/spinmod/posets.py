@@ -1,14 +1,18 @@
 """Isomorphism-free enumeration of stable graphs, cyclic pairs and spin
 graphs of fixed genus and leg count, with their graded poset structure.
 
-Enumeration seeds all 3-regular classes by degree-sequence backtracking
-with canonical-key dedup, one leg assignment per grouping of the legs,
-then closes downward under single-edge contractions.  An independent
-direct generator (vertex counts, weights, leg placements, multigraph
-fill) cross-checks the closure on small cases.  It visits one (weights,
-legs) pair per orbit under vertex permutations: weights in
-non-decreasing order, legs in restricted growth form within each block
-of equal weight.  Its backtracking walk over the vertex pairs builds
+Enumeration seeds all 3-regular classes by degree-sequence backtracking,
+one leg assignment per grouping of the legs, then closes downward under
+single-edge contractions.  Within one assignment an isomorphism keeps
+each leg, so it fixes every legged vertex: two candidates are isomorphic
+exactly when a permutation of the leg-free vertices relates their edge
+multisets.  So one candidate per relabelling orbit, the first met, is
+built and keyed; the others are skipped before any graph exists.  An
+independent direct generator (vertex counts, weights, leg placements,
+multigraph fill) cross-checks the closure on small cases.  It visits
+one (weights, legs) pair per orbit under vertex permutations: weights
+in non-decreasing order, legs in restricted growth form within each
+block of equal weight.  Its backtracking walk over the vertex pairs builds
 only the edge multisets that leave every valence positive and connect
 all vertices, once per (vertex count, edge count, valence base) in a
 call; every survivor is built as a graph and checked for stability.
@@ -47,7 +51,7 @@ from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import (accumulate, chain, combinations_with_replacement,
-                       pairwise)
+                       pairwise, permutations)
 
 from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
@@ -158,9 +162,20 @@ def three_regular_graphs(g, n):
 
     Which legs share a vertex is an isomorphism invariant, so only one
     leg assignment per grouping is seeded: its restricted growth form,
-    the least in the lexicographic order of all assignments.  The first
+    the least in the lexicographic order of all assignments.  Two
+    patterns group the legs differently, so they share no class.  Within
+    one pattern an isomorphism keeps each leg, so it fixes every legged
+    vertex; two candidates are isomorphic exactly when a permutation of
+    the leg-free vertices maps one edge multiset onto the other.
+
+    So each pattern's candidates are walked in order, and a connected one
+    that is not yet marked is kept: every relabelling of it under those
+    permutations is marked, and only then is it built as a graph and
+    keyed.  The marks are dropped when the pattern is done.  The first
     graph met per class is the one the full product of assignments would
-    meet first."""
+    meet first.  Two kept candidates sharing a key is a
+    :class:`VerificationError`: the relabelling orbits and the
+    certificates check each other."""
     k = 2 * g - 2 + n
     if k <= 0:
         return []
@@ -170,13 +185,42 @@ def three_regular_graphs(g, n):
         deg = [3 - ell.get(v, 0) for v in range(k)]
         if any(d < 0 for d in deg):
             continue
+        free = [v for v in range(k) if v not in ell]
+        marked = set()
         for edges in _multigraphs_with_degrees(deg):
-            graph = Graph.build([(v, 0) for v in range(k)], edges, assign)
-            if not graph.is_connected:
+            if _edge_code(k, edges) in marked:
                 continue
+            if len(connected_classes(range(k), edges)) != 1:
+                continue
+            marked.update(_edge_code(k, [(to[i], to[j]) for i, j in edges])
+                          for to in _relabellings(k, free))
+            graph = Graph.build([(v, 0) for v in range(k)], edges, assign)
             key = canonical_key(graph)
-            found.setdefault(key, graph)
+            if found.setdefault(key, graph) is not graph:
+                raise VerificationError(
+                    "two 3-regular seeds that no relabelling of the "
+                    "leg-free vertices relates share a key",
+                    (key, f"legs={assign}"))
     return [found[key] for key in sorted(found)]
+
+
+def _relabellings(k, free):
+    """Each map of ``0..k-1`` that permutes the vertices ``free`` and
+    fixes the others, as a list; one list is updated in place and
+    yielded for each map, so none is kept."""
+    to = list(range(k))
+    for image in permutations(free):
+        for v, w in zip(free, image):
+            to[v] = w
+        yield to
+
+
+def _edge_code(k, edges):
+    """An edge multiset on vertices ``0..k-1`` as a sorted tuple of pair
+    codes, equal for equal multisets however the pairs are listed or
+    oriented."""
+    return tuple(sorted(i * k + j if i <= j else j * k + i
+                        for i, j in edges))
 
 
 def enumerate_stable_graphs(g, n, budget_edges=None):

@@ -162,6 +162,15 @@ def spin_count_check(graph):
     give the theta characteristics of genus ``g`` (Cornalba 1989); the
     parity half, ``even - odd = 2^g``, comes from the empty set alone.
 
+    The identity does not read ``b1_i``: for ``b1_i > 0`` its factor
+    times the scale's ``2^{-b1_i}`` cancels it.  So each component's
+    genus is also checked on its own: it must be ``w_i`` plus the first
+    Betti number of the set's edges inside the component.  That number
+    is read from the graph's cycle space, not from the decomposition's
+    union-find: the cyclic sets inside those edges are their cycle
+    space, ``2^{b1}`` sets.  The check is raised after the identity's,
+    for the first cyclic set that fails it.
+
     Returns a report dict; raises :class:`VerificationError` on any
     mismatch, naming the offending graph and cyclic set.
     """
@@ -170,6 +179,11 @@ def spin_count_check(graph):
     total = even = odd = 0
     weighted = []  # per cyclic set: (b1 of the opened graph, even, odd)
     tight_expected = weightless
+    unmatched = None  # the first cyclic set with a component's genus off
+    space = [q.mask for q in enumerate_cyclic(graph)]
+    position = {v: i for i, v in enumerate(graph.vertices)}
+    # the position of one end of each edge, to find its component
+    end = [position[graph.edge_vertices(j)[0]] for j in range(graph.n_edges)]
     for p in enumerate_cyclic(graph):
         dec = pbar_decompose(graph, p)
         c = dec.c_plus
@@ -194,6 +208,8 @@ def spin_count_check(graph):
         weights = [0] * len(dec)
         for v, i in zip(graph.vertices, dec.component):
             weights[i] += graph.weight[v]
+        if unmatched is None and not _genera_match(dec, weights, space, end):
+            unmatched = p
         e, o, b1_opened = 1, 0, 0
         for w, genus in zip(weights, dec.genera):
             b1 = genus - w
@@ -226,11 +242,41 @@ def spin_count_check(graph):
             f"parity-weighted spin count {summed} / 2^{top} differs from "
             f"the theta characteristics {expected} of genus "
             f"{graph.genus}", _witness(graph))
+    if unmatched is not None:
+        raise VerificationError(
+            "a component of the opened graph has a genus other than its "
+            "weight plus the first Betti number of the cyclic set's edges "
+            "inside it", _witness(graph, unmatched))
     return {
         "total": total, "even": even, "odd": odd,
         "lower_bound": lower_bound, "bound_tight": total == lower_bound,
         "per_cyclic": per_cyclic,
     }
+
+
+def _genera_match(dec, weights, space, end):
+    """Whether each component of ``dec`` has for genus its weight plus
+    the first Betti number of the cyclic set's edges inside it.
+
+    That number is read off ``space``, the masks of the graph's cyclic
+    sets: those inside a component's edges are their cycle space,
+    ``2^{b1}`` sets.  A nonempty one lies inside the component of its
+    lowest edge or inside none; ``end[j]`` is the position of an end of
+    edge ``j`` among the graph's vertices."""
+    inside = [0] * len(dec)  # the mask of the set's edges in each component
+    m = dec.mask
+    while m:
+        low = m & -m
+        m ^= low
+        inside[dec.component[end[low.bit_length() - 1]]] |= low
+    sets = [1] * len(dec)  # the empty set lies inside every component
+    for q in space:
+        if q and not q & ~dec.mask:
+            i = dec.component[end[(q & -q).bit_length() - 1]]
+            if not q & ~inside[i]:
+                sets[i] += 1
+    return all(genus == w + count.bit_length() - 1
+               for genus, w, count in zip(dec.genera, weights, sets))
 
 
 class ThetaDivisor:

@@ -197,6 +197,24 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
                    "spin_covers": len(spin_poset.covers),
                    "cyclic_covers": len(cyclic_poset.covers)})
 
+    # Burnside over the cyclic nodes: per class, the orbits
+    # |actions| / |stabilizer| of its nodes count its cyclic sets (a loop
+    # flip moves no edge set, so the classes act as the group does)
+    orbits = {}
+    for nd in cyclic_poset.nodes:
+        graph = nd.rep[0]
+        orbits.setdefault(id(graph), [graph, 0])[1] += (
+            len(automorphisms(graph).actions) // len(nd.stabilizer))
+    cyclic_sets = 0
+    for graph, summed in orbits.values():
+        count = len(enumerate_cyclic(graph))
+        if summed != count:
+            raise VerificationError(
+                f"cyclic orbits do not count the cyclic sets: {summed} != "
+                f"{count}", (canonical_key(graph),))
+        cyclic_sets += count
+    checks[1]["cyclic_sets"] = cyclic_sets
+
     # order relation agrees with the witness search on a sample
     rng = random.Random(0)
     size = len(spin_poset.nodes)

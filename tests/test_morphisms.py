@@ -1,14 +1,16 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
+from spinmod import morphisms
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import Graph
-from spinmod.morphisms import (SpinCarry, automorphisms, canonical_form,
-                               canonical_key, component_subgroup,
-                               composed_edges, contract,
+from spinmod.morphisms import (SpinCarry, _digest, automorphisms,
+                               canonical_form, canonical_key,
+                               component_subgroup, composed_edges, contract,
                                cyclic_canonical_key, order_test, push_cycle,
                                push_spin, push_vertex_set,
                                quotient_action_order, spin_orbits)
@@ -537,6 +539,66 @@ def test_single_structure_keys_match_the_group_minimum(shared_classes):
             for s in enumerate_spin(graph):
                 sg = SpinGraph(graph, s)
                 assert canonical_key(sg) == key_oracle.spin_key(sg)
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
+def test_graph_keys_digest_the_certificate(g, n, shared_classes):
+    # the certificate's hash kept in the memo gives the key the one-part
+    # digest gives
+    for graph in shared_classes(g, n):
+        assert canonical_key(graph) == _digest([canonical_form(graph)[0]])
+
+
+def counted_sha256(monkeypatch):
+    made = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256",
+                        lambda *args: made.append(args) or sha256(*args))
+    return made
+
+
+def test_canonical_form_and_trop_hash_nothing(tmp_path, capsys,
+                                              monkeypatch):
+    import json
+    from fractions import Fraction
+
+    from spinmod import cli
+    from spinmod.tropical import INF, FamilyDescriptor
+
+    made = counted_sha256(monkeypatch)
+    canonical_form(make_loop_chain())
+    assert made == []
+    # the generic fiber's witness search certifies contracted targets,
+    # and keys none of them
+    theta = make_theta()
+    family = FamilyDescriptor(SpinGraph(theta, spin(theta, [0, 1], (1,))),
+                              [INF, INF, Fraction(1)])
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(family.to_json_dict()))
+    certified = []
+    form = morphisms.canonical_form
+    monkeypatch.setattr(morphisms, "canonical_form",
+                        lambda graph: certified.append(graph) or form(graph))
+    assert cli.main(["trop", str(path)]) == 0
+    capsys.readouterr()
+    assert certified and made == []
+
+
+def test_each_certificate_hashed_once_per_graph(monkeypatch):
+    # every hash the spin poset's run makes is one graph's certificate,
+    # kept in that graph's memo: no graph is hashed twice
+    from spinmod.posets import build_spin_poset
+
+    made = counted_sha256(monkeypatch)
+    certified = []
+    form = morphisms.canonical_form
+    monkeypatch.setattr(morphisms, "canonical_form",
+                        lambda graph: certified.append(graph) or form(graph))
+    build_spin_poset(3, 0)
+    distinct = {id(graph): graph for graph in certified}.values()
+    hashed = [graph for graph in distinct
+              if graph.__dict__["_canonical_form"][1] is not None]
+    assert len(made) == len(hashed) > 0
 
 
 # -- order testing -------------------------------------------------------------

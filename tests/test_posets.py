@@ -30,7 +30,8 @@ def test_three_regular_edge_count():
             assert classify(graph).three_regular
 
 
-@pytest.mark.parametrize("g,n", [(1, 3), (0, 5), (2, 2), (2, 3), (3, 1)])
+@pytest.mark.parametrize("g,n", [(1, 3), (0, 5), (0, 6), (2, 0), (2, 1),
+                                 (2, 2), (2, 3), (3, 0), (3, 1)])
 def test_three_regular_seeds_match_every_assignment(g, n):
     # one leg assignment per grouping of the legs meets every class, and
     # first at the graph the full product of assignments meets first
@@ -41,8 +42,10 @@ def test_three_regular_seeds_match_every_assignment(g, n):
         as_json(oracles.three_regular_graphs(g, n))
 
 
-def test_three_regular_seeding_builds_once_per_leg_pattern(monkeypatch):
-    # 269 candidate graphs at (3,1), against 1,345 over every assignment
+def test_three_regular_seeding_builds_once_per_class(monkeypatch):
+    # one graph per class at (3,1): of the 269 candidates of its one leg
+    # pattern, the disconnected ones and the relabellings of a kept one
+    # are skipped unbuilt (1,345 candidates over every assignment)
     from spinmod.graphs import Graph
 
     built = []
@@ -51,7 +54,17 @@ def test_three_regular_seeding_builds_once_per_leg_pattern(monkeypatch):
         lambda cls, *args, **kwargs: built.append(args)
         or original(cls, *args, **kwargs)))
     assert len(three_regular_graphs(3, 1)) == 12
-    assert len(built) == 269
+    assert len(built) == 12
+
+
+def test_three_regular_seeds_sharing_a_key_is_verification_error(
+        monkeypatch):
+    # the two classes at (2,0) lie in different relabelling orbits, so a
+    # key that cannot tell them apart is caught, naming the leg pattern
+    monkeypatch.setattr(posets, "canonical_key", lambda graph: "same")
+    with pytest.raises(VerificationError, match="share a key") as info:
+        three_regular_graphs(2, 0)
+    assert info.value.witnesses == ("same", "legs=()")
 
 
 def test_spin_poset_builds_each_spin_structure_once(monkeypatch):

@@ -78,16 +78,10 @@ def test_spin_count_larger():
         assert report["total"] == sum(r["count"] for r in report["per_cyclic"])
 
 
-@pytest.mark.parametrize("g,n", [(1, 1), (2, 1), (3, 0)])
-def test_parity_weighted_count_fails_on_a_bumped_genus(g, n, monkeypatch):
-    # a record that gives one more genus to the first component of
-    # positive genus without a cycle inside (genus = weight): c_+ does not
-    # move, so the parity split, the bound and its tightness still pass,
-    # and only the parity-weighted identity fails, naming the class.  (On
-    # a component with cycles the bump is invisible to the identity: its
-    # factor 2^(2w + b1 - 1) times the scale's 2^-b1 does not read b1.)
+def bumping(bump):
+    """A stand-in for ``pbar_decompose`` whose record gives one more genus
+    to the first component for which ``bump(weight, genus)`` holds."""
     from spinmod.cycles import PbarDecomposition
-    from spinmod.posets import enumerate_stable_graphs
 
     original = spin_module.pbar_decompose
 
@@ -97,7 +91,7 @@ def test_parity_weighted_count_fails_on_a_bumped_genus(g, n, monkeypatch):
         for v, i in zip(graph.vertices, dec.component):
             weights[i] += graph.weight[v]
         i = next((i for i, (w, genus) in enumerate(zip(weights, dec.genera))
-                  if genus == w > 0), None)
+                  if bump(w, genus)), None)
         if i is None:
             return dec
         out = object.__new__(PbarDecomposition)
@@ -106,6 +100,20 @@ def test_parity_weighted_count_fails_on_a_bumped_genus(g, n, monkeypatch):
         assert out.c_plus == dec.c_plus
         return out
 
+    return bumped
+
+
+@pytest.mark.parametrize("g,n", [(1, 1), (2, 1), (3, 0)])
+def test_parity_weighted_count_fails_on_a_bumped_genus(g, n, monkeypatch):
+    # a record that gives one more genus to the first component of
+    # positive genus without a cycle inside (genus = weight): c_+ does not
+    # move, so the parity split, the bound and its tightness still pass,
+    # and only the parity-weighted identity fails, naming the class.  (On
+    # a component with cycles the bump is invisible to the identity: its
+    # factor 2^(2w + b1 - 1) times the scale's 2^-b1 does not read b1.)
+    from spinmod.posets import enumerate_stable_graphs
+
+    bumped = bumping(lambda w, genus: genus == w > 0)
     failed = 0
     for graph in enumerate_stable_graphs(g, n):
         spin_count_check(graph)
@@ -117,6 +125,31 @@ def test_parity_weighted_count_fails_on_a_bumped_genus(g, n, monkeypatch):
             spin_count_check(graph)
         monkeypatch.undo()
         assert info.value.witnesses == (canonical_key(graph),)
+        failed += 1
+    assert failed
+
+
+@pytest.mark.parametrize("g,n", [(2, 0), (3, 0)])
+def test_component_genus_check_fails_on_a_bumped_cycle(g, n, monkeypatch):
+    # a record that gives one more genus to the first component with a
+    # cycle inside: the identity cannot see it, and on a weightless class
+    # nothing else does, so the per-component check fails, naming the
+    # class and the first cyclic set whose record is off
+    from spinmod.posets import enumerate_stable_graphs
+
+    bumped = bumping(lambda w, genus: genus > w)
+    failed = 0
+    for graph in enumerate_stable_graphs(g, n):
+        if graph.total_weight() or not graph.b1:
+            continue
+        monkeypatch.setattr(spin_module, "pbar_decompose", bumped)
+        with pytest.raises(VerificationError,
+                           match="genus other than its weight") as info:
+            spin_count_check(graph)
+        monkeypatch.undo()
+        first = next(p for p in enumerate_cyclic(graph) if p.mask)
+        assert info.value.witnesses == (canonical_key(graph),
+                                        f"P={first.hex()}")
         failed += 1
     assert failed
 

@@ -234,6 +234,33 @@ def test_posets_records_carry_coverage(g, n, classes, cyclic_covers,
         checks["poset-spin"]["covers"]
 
 
+@pytest.mark.parametrize("g,n", [(2, 0), (3, 0)])
+def test_cyclic_orbits_count_the_cyclic_sets(g, n, monkeypatch):
+    # Burnside over the cyclic nodes: the record counts every cyclic set
+    # of every class, and a node whose stabilizer is grown to the whole
+    # group counts its orbit as one set, so its class is named
+    checks = {c["name"]: c for c in run_suites(g, n, "posets")}
+    assert checks["poset-cyclic"]["cyclic_sets"] == sum(
+        2 ** graph.b1 for graph in posets.enumerate_stable_graphs(g, n))
+    original = verify.build_cyclic_poset
+    grown = []
+
+    def growing(*args, **kwargs):
+        poset = original(*args, **kwargs)
+        for nd in poset.nodes:
+            actions = morphisms.automorphisms(nd.rep[0]).actions
+            if len(nd.stabilizer) < len(actions):
+                nd.stabilizer = tuple(range(len(actions)))
+                grown.append(nd.rep[0])
+                return poset
+
+    monkeypatch.setattr(verify, "build_cyclic_poset", growing)
+    with pytest.raises(VerificationError,
+                       match="cyclic orbits do not count") as info:
+        run_suites(g, n, "posets")
+    assert info.value.witnesses == (canonical_key(grown[0]),)
+
+
 @pytest.mark.parametrize("g,n,actions,cyclic_images,spin_images", [
     (3, 0, 208, 702, 1612), (3, 1, 518, 2104, 5751)])
 def test_poset_records_count_the_orbit_walk(g, n, actions, cyclic_images,
