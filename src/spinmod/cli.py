@@ -192,7 +192,7 @@ def cmd_enumerate(args):
     outputs = _write_outputs(
         args.out, f"{args.kind}_{args.g}_{args.n}.{args.format}", render)
     body = {"counts": {"nodes": len(poset.nodes),
-                       "covers": len(poset.covers)},
+                       "covers": len(poset.lowers)},
             "rank_histogram": stats["rank_histogram"],
             "components": stats["components"]}
     if args.kind == "spin":

@@ -42,6 +42,9 @@ the component map of its (contraction, cyclic set) pair, built once per
 class (:func:`spin_action`) and dropped with the class's covers, which
 are pushed class by class and deduplicated per node.  The node keys come
 from the same tables (:func:`orbit_keys`), one encoding per structure.
+A poset keeps its covers once, as two flat arrays the builder writes in
+node order: every node's sorted lower ends, and the offsets where each
+node's run ends (:class:`Poset`).
 """
 
 from __future__ import annotations
@@ -49,9 +52,7 @@ from __future__ import annotations
 import os
 from array import array
 from collections import Counter
-from functools import cached_property
-from itertools import (accumulate, chain, combinations_with_replacement,
-                       pairwise, permutations)
+from itertools import combinations_with_replacement, permutations
 
 from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
@@ -434,8 +435,12 @@ class PosetNode:
 class Poset:
     """Graded poset with covers between consecutive ranks.
 
-    ``covers`` are kept sorted and without repeats; covers given in that
-    order already are taken as they are, any others are sorted first.
+    The covers are kept once, as two flat arrays: ``lowers`` holds the
+    lower ends of every node's covers, node by node, each node's in
+    index order, and ``offsets`` the running end of each node's run, so
+    node ``u`` covers ``lowers[offsets[u]:offsets[u + 1]]`` and the
+    poset has ``len(lowers)`` covers.  There is no key index: a caller
+    that looks nodes up by key builds its own map.
 
     ``walk`` holds the orbit walk's counts when the poset was built over
     automorphism orbits (cyclic and spin kinds), else ``None``:
@@ -446,34 +451,28 @@ class Poset:
     :class:`~spinmod.morphisms.SpinCarry` objects its orbit walks and
     cover pushes built."""
 
-    def __init__(self, kind, g, n, nodes, covers, walk=None):
+    def __init__(self, kind, g, n, nodes, offsets, lowers, walk=None):
         self.kind = kind
         self.walk = walk
         self.g = g
         self.n = n
         self.nodes = tuple(nodes)
-        covers = tuple(covers)
-        if not all(a < b for a, b in pairwise(covers)):
-            covers = tuple(sorted(set(covers)))
-        self.covers = covers
-        self.index = {node.key: i for i, node in enumerate(self.nodes)}
+        self.offsets = offsets
+        self.lowers = lowers
 
     def __len__(self):
         return len(self.nodes)
 
-    @cached_property
-    def lower_of(self):
-        """Offsets into the sorted covers: the covers of node ``u`` are
-        ``covers[lower_of[u]:lower_of[u + 1]]``."""
-        counts = [0] * len(self.nodes)
-        for u, _ in self.covers:
-            counts[u] += 1
-        return array("q", accumulate(counts, initial=0))
-
     def lower(self, u):
         """The nodes that node ``u`` covers, in index order."""
-        offsets = self.lower_of
-        return [l for _, l in self.covers[offsets[u]:offsets[u + 1]]]
+        return self.lowers[self.offsets[u]:self.offsets[u + 1]]
+
+    def covers(self):
+        """Each cover as an ``(upper, lower)`` index pair, in sorted
+        order."""
+        for u in range(len(self.nodes)):
+            for l in self.lower(u):
+                yield u, l
 
     def descendants(self, i):
         """Everything reachable downward from node i, including i."""
@@ -511,7 +510,7 @@ class Poset:
         return reaches
 
     def components(self):
-        return connected_classes(range(len(self.nodes)), self.covers)
+        return connected_classes(range(len(self.nodes)), self.covers())
 
     def rank_histogram(self):
         hist = Counter(node.rank for node in self.nodes)
@@ -529,7 +528,8 @@ class Poset:
             entry.update(_rep_json(self.kind, node.rep))
             nodes.append(entry)
         return {"kind": self.kind, "g": self.g, "n": self.n,
-                "nodes": nodes, "covers": [list(c) for c in self.covers]}
+                "nodes": nodes,
+                "covers": [[u, l] for u, l in self.covers()]}
 
     def to_dot(self):
         lines = [f"digraph {self.kind}_poset {{", "  rankdir=BT;"]
@@ -538,7 +538,7 @@ class Poset:
             lines.append(
                 f'  n{i} [label="r{node.rank}\\n{node.key[:8]}", '
                 f'color={color}];')
-        for u, l in self.covers:
+        for u, l in self.covers():
             lines.append(f"  n{l} -> n{u};")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -600,11 +600,13 @@ def _build_poset(kind, g, n, budget_edges, classes, structures, data,
     a key is an error (nodes of different ranks cannot share one, since
     a key digests the graph's certificate).  Its covers land one rank
     lower, so each rank's orbit tables are dropped once the rank above
-    has pushed its covers, and the covers come out in node order.  They
-    are pushed class by class, and each node's covers are deduplicated
-    before they are kept.  Every kind but the graph poset walks
-    automorphism orbits, and the poset records that walk's counts
-    (:attr:`Poset.walk`).
+    has pushed its covers.  They are pushed class by class and
+    deduplicated per node; once the rank is pushed, each node's sorted
+    lower ends are appended to the flat ``lowers`` array, node by node,
+    and the running end to ``offsets`` (:class:`Poset`), so the covers
+    are stored in node order with no pairs built.  Every kind but the
+    graph poset walks automorphism orbits, and the poset records that
+    walk's counts (:attr:`Poset.walk`).
     """
     if classes is None:
         classes = enumerate_stable_graphs(g, n, budget_edges)
@@ -618,7 +620,8 @@ def _build_poset(kind, g, n, budget_edges, classes, structures, data,
         reps[class_key] = graph
         by_rank.setdefault(graph.n_edges, []).append((class_key, graph))
     nodes = []
-    covers = []
+    offsets = array("q", [0])
+    lowers = array("q")
     below = {}  # class key one rank down -> (orbit table, node indices)
     for rank in sorted(by_rank):
         level = []
@@ -669,17 +672,19 @@ def _build_poset(kind, g, n, budget_edges, classes, structures, data,
                     targets.add(target_nodes[t])
             for nd, targets in zip(here, found):
                 i = index[nd.key]
-                lower[i - first] = tuple((i, l) for l in sorted(targets))
+                lower[i - first] = sorted(targets)
             if walk is not None:
                 walk["carries"] += len(getattr(push, "carried", ()))
-        covers += chain.from_iterable(lower)
+        for ends in lower:
+            lowers.extend(ends)
+            offsets.append(len(lowers))
         below = {class_key: (orbit_of, [index[nd.key] for nd in here])
                  for class_key, _, orbit_of, _, here in walked}
     if walk is not None:
         walk["decompositions"] = sum(
             len(graph.__dict__.get("_pbar_decompositions", ()))
             for graph in classes)
-    return Poset(kind, g, n, nodes, covers, walk)
+    return Poset(kind, g, n, nodes, offsets, lowers, walk)
 
 
 def build_graph_poset(g, n, budget_edges=None, _classes=None):
@@ -727,7 +732,7 @@ def poset_stats(poset):
     comps = poset.components()
     hist = poset.rank_histogram()
 
-    for u, l in poset.covers:
+    for u, l in poset.covers():
         if poset.nodes[u].rank != poset.nodes[l].rank + 1:
             raise VerificationError(
                 "cover between non-consecutive ranks",
@@ -742,7 +747,7 @@ def poset_stats(poset):
                       for r in (ranks[0], ranks[-1])))
 
     report = {"kind": poset.kind, "g": poset.g, "n": poset.n,
-              "nodes": len(poset.nodes), "covers": len(poset.covers),
+              "nodes": len(poset.nodes), "covers": len(poset.lowers),
               "components": len(comps), "graded": True,
               "rank_histogram": hist}
 

@@ -232,7 +232,7 @@ def build_cone_complex(poset):
                 (cell.key,))
     report = {"cells": len(cells), "dimension": max_rank(poset.g, poset.n),
               "pure": True, "components": stats["components"],
-              "covers": len(poset.covers),
+              "covers": len(poset.lowers),
               "by_parity": {p: sum(1 for c in cells if c.parity == p)
                             for p in (0, 1)}}
     return cells, report

@@ -91,15 +91,17 @@ def _timed(phases, name, run, *args, **kwargs):
     return out
 
 
-def _image(target, source_key, key):
-    """The index of the node keyed ``key`` in ``target``, the image of
-    the node keyed ``source_key`` under a forgetful map; an image that is
-    no node of ``target`` is a verification error naming both keys."""
-    if key not in target.index:
+def _image(target, index, source_key, key):
+    """``index[key]``, the index of the node keyed ``key`` in ``target``,
+    the image of the node keyed ``source_key`` under a forgetful map;
+    ``index`` maps each node key of ``target`` to its index.  An image
+    that is no node of ``target`` is a verification error naming both
+    keys."""
+    if key not in index:
         raise VerificationError(
             f"forgetful image is not a node of the {target.kind} poset",
             (source_key, key))
-    return target.index[key]
+    return index[key]
 
 
 def _outside(poset, image):
@@ -135,10 +137,11 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
 
     top = max_rank(g, n)
     for nd in graph_poset.nodes:
-        if (nd.rank == top) != classify(nd.rep).three_regular:
+        three_regular = classify(nd.rep).three_regular
+        if (nd.rank == top) != three_regular:
             raise VerificationError(
                 "top rank does not coincide with 3-regularity", (nd.key,))
-        if classify(nd.rep).three_regular and nd.rep.n_edges != top:
+        if three_regular and nd.rep.n_edges != top:
             raise VerificationError(
                 f"3-regular class with {nd.rep.n_edges} edges, expected {top}",
                 (nd.key,))
@@ -157,14 +160,17 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
 
     # forgetful maps: even spin -> cyclic -> graphs, monotone surjections
     # keyed once per (class, cyclic set): the spin nodes over a class
-    # share its representative graph object
+    # share its representative graph object.  Images are looked up by key
+    # in the cyclic and graph posets only, so only their maps are built
+    cyclic_index = {nd.key: i for i, nd in enumerate(cyclic_poset.nodes)}
+    graph_index = {nd.key: i for i, nd in enumerate(graph_poset.nodes)}
     cyclic_node = {}
     spin_to_cyc = {}
     for nd in spin_poset.nodes:
         graph, p = nd.rep.graph, nd.rep.spin.P
         at = (id(graph), p.mask)
         if at not in cyclic_node:
-            cyclic_node[at] = _image(cyclic_poset, nd.key,
+            cyclic_node[at] = _image(cyclic_poset, cyclic_index, nd.key,
                                      cyclic_canonical_key(graph, p))
         spin_to_cyc[nd.key] = cyclic_node[at]
     even_image = {spin_to_cyc[nd.key] for nd in spin_poset.nodes
@@ -180,7 +186,7 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
             if spin_to_cyc[spin_poset.nodes[l].key] not in below:
                 raise VerificationError(
                     "spin cover does not map to a cyclic cover", (nd.key,))
-    cyc_to_graph = {nd.key: _image(graph_poset, nd.key,
+    cyc_to_graph = {nd.key: _image(graph_poset, graph_index, nd.key,
                                    canonical_key(nd.rep[0]))
                     for nd in cyclic_poset.nodes}
     graph_image = set(cyc_to_graph.values())
@@ -194,8 +200,8 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
                 raise VerificationError(
                     "cyclic cover does not map to a graph cover", (nd.key,))
     checks.append({"name": "forgetful-maps", "status": "pass",
-                   "spin_covers": len(spin_poset.covers),
-                   "cyclic_covers": len(cyclic_poset.covers)})
+                   "spin_covers": len(spin_poset.lowers),
+                   "cyclic_covers": len(cyclic_poset.lowers)})
 
     # Burnside over the cyclic nodes: per class, the orbits
     # |actions| / |stabilizer| of its nodes count its cyclic sets (a loop

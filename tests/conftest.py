@@ -1,4 +1,4 @@
-"""Shared fixture graphs.
+"""Shared fixture graphs and hand-made posets.
 
 All edge lists are written out explicitly so edge indices in the tests
 are predictable: edges are indexed in input order (build assigns
@@ -6,6 +6,7 @@ half-edge ids 2i, 2i+1 to edge i).
 """
 
 import random
+from array import array
 
 import pytest
 
@@ -71,12 +72,29 @@ def subgraph_on(graph, vertex_set):
                  graph.exceptional & vs)
 
 
+def poset_from_pairs(kind, g, n, nodes, pairs, walk=None):
+    """A hand-made :class:`Poset` over ``nodes`` whose covers are the
+    ``(upper, lower)`` index ``pairs``, given in any order; repeats are
+    dropped.  The pairs are sorted into the flat ``offsets`` and
+    ``lowers`` arrays a built poset keeps."""
+    nodes = tuple(nodes)
+    ends = [set() for _ in nodes]
+    for u, l in pairs:
+        ends[u].add(l)
+    offsets = array("q", [0])
+    lowers = array("q")
+    for below in ends:
+        lowers.extend(sorted(below))
+        offsets.append(len(lowers))
+    return Poset(kind, g, n, nodes, offsets, lowers, walk)
+
+
 def without_covers_into(poset, node):
     """``poset`` with every cover into ``node`` removed: a hand-made poset
     in which ``node``, and whatever lies below it alone, lies below no top
     node."""
-    return Poset(poset.kind, poset.g, poset.n, poset.nodes,
-                 [c for c in poset.covers if c[1] != node])
+    return poset_from_pairs(poset.kind, poset.g, poset.n, poset.nodes,
+                            [c for c in poset.covers() if c[1] != node])
 
 
 def shuffled(poset, seed):
@@ -84,9 +102,10 @@ def shuffled(poset, seed):
     order = list(range(len(poset.nodes)))
     random.Random(seed).shuffle(order)
     where = {old: new for new, old in enumerate(order)}
-    return Poset(poset.kind, poset.g, poset.n,
-                 [poset.nodes[i] for i in order],
-                 [(where[u], where[l]) for u, l in poset.covers])
+    return poset_from_pairs(poset.kind, poset.g, poset.n,
+                            [poset.nodes[i] for i in order],
+                            [(where[u], where[l])
+                             for u, l in poset.covers()])
 
 
 @pytest.fixture(autouse=True)

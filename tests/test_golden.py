@@ -1,9 +1,9 @@
 """Golden digests of the posets and the cone complex.
 
 ``tests/data/golden_digests.json`` holds, at (2,2), (3,0) and (3,1), the
-sha256 of the graph, cyclic and spin posets' ``to_json_dict()``
-and of the spin poset's ``cells_to_csv``.  A drifted key, representative,
-cover or stabilizer order fails here.  The digests are fixed outputs:
+sha256 of the graph, cyclic and spin posets' ``to_json_dict()`` and
+``to_dot()``, and of the spin poset's ``cells_to_csv``.  A drifted key,
+representative, cover or stabilizer order fails here.  The digests are fixed outputs:
 regenerate them (``PYTHONPATH=src python tests/test_golden.py``) only for
 a change that is meant to alter these outputs.
 """
@@ -32,16 +32,19 @@ def _poset_digest(poset):
 
 
 def digests(g, n):
-    """The four digests at ``(g, n)``, by name."""
+    """The seven digests at ``(g, n)``, by name."""
     classes = enumerate_stable_graphs(g, n)
-    spin_poset = build_spin_poset(g, n, _classes=classes)
-    cells, _ = build_cone_complex(spin_poset)
-    return {
-        "graphs": _poset_digest(build_graph_poset(g, n, _classes=classes)),
-        "cyclic": _poset_digest(build_cyclic_poset(g, n, _classes=classes)),
-        "spin": _poset_digest(spin_poset),
-        "cells_csv": _sha256(cells_to_csv(cells)),
-    }
+    built = {kind: build(g, n, _classes=classes)
+             for kind, build in (("graphs", build_graph_poset),
+                                 ("cyclic", build_cyclic_poset),
+                                 ("spin", build_spin_poset))}
+    found = {}
+    for kind, poset in built.items():
+        found[kind] = _poset_digest(poset)
+        found[f"{kind}_dot"] = _sha256(poset.to_dot())
+    cells, _ = build_cone_complex(built["spin"])
+    found["cells_csv"] = _sha256(cells_to_csv(cells))
+    return found
 
 
 @pytest.mark.parametrize("g,n", CASES)

@@ -7,8 +7,10 @@ on half-edges; poset nodes, cone cells, decompositions, spin carries
 and action classes are slotted records without an instance dict; a node
 keeps its stabilizer as the action classes that fix its structure, not
 as a list of group elements, and equal stabilizers share one tuple; and
-the poset's lower covers are offsets into its sorted covers.  This
-guards the layout only: it measures no memory.
+a poset keeps its covers once, as two flat arrays (``offsets``, one per
+node and one more, and ``lowers``, one per cover), with no attribute
+that holds a tuple or list with one entry per cover.  This guards the
+layout only: it measures no memory.
 """
 
 from array import array
@@ -18,7 +20,7 @@ import pytest
 from spinmod.cycles import PbarDecomposition, enumerate_cyclic, pbar_decompose
 from spinmod.morphisms import Aut, SpinCarry, automorphisms, spin_action
 from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
-                            build_spin_poset)
+                            build_spin_poset, poset_stats)
 from spinmod.tropical import ConeCell, build_cone_complex
 
 
@@ -46,8 +48,22 @@ def test_records_built_by_a_poset_have_no_instance_dict():
     (carry,) = act.carried.values()
     for record in (nd, cells[-1], dec, carry, aut):
         assert not hasattr(record, "__dict__")
-    assert isinstance(poset.lower_of, array)
-    assert len(poset.lower_of) == len(poset.nodes) + 1
+
+
+@pytest.mark.parametrize("build", [build_graph_poset, build_cyclic_poset,
+                                   build_spin_poset])
+def test_poset_keeps_its_covers_once_in_two_flat_arrays(build):
+    poset = build(2, 1)
+    report = poset_stats(poset)
+    assert isinstance(poset.offsets, array)
+    assert isinstance(poset.lowers, array)
+    assert len(poset.offsets) == len(poset.nodes) + 1
+    assert len(poset.lowers) == report["covers"] == poset.offsets[-1]
+    # more covers than nodes, so no per-node field is mistaken for one
+    assert report["covers"] > len(poset.nodes)
+    for name, value in vars(poset).items():
+        if type(value) in (tuple, list):
+            assert len(value) != report["covers"], name
 
 
 def test_decomposition_fields_are_flat_tuples_of_ints(shared_classes):

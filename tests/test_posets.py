@@ -5,12 +5,13 @@ from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import classify, is_stable
 from spinmod.morphisms import (automorphisms, canonical_key,
                                cyclic_canonical_key, order_test)
-from spinmod.posets import (build_cyclic_poset, build_graph_poset,
+from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
                             build_spin_poset, check_budget,
                             enumerate_stable_graphs, max_rank, poset_stats,
                             stable_graphs_direct, three_regular_graphs)
 
-from conftest import make_rose, shuffled, without_covers_into
+from conftest import (make_rose, poset_from_pairs, shuffled,
+                      without_covers_into)
 import key_oracle
 import oracles
 
@@ -237,6 +238,83 @@ def test_spin_poset_03():
     assert poset.nodes[0].parity == 0
 
 
+def _spin_11():
+    """The (1,1) spin poset and its node keys.  Its nodes: 0 odd and 1
+    even at rank 0, the edgeless spin graphs; 2 odd, 3 and 4 even at
+    rank 1; covers 2 -> 0, 3 -> 1 and 4 -> 1."""
+    poset = build_spin_poset(1, 1)
+    assert [(nd.rank, nd.parity) for nd in poset.nodes] == [
+        (0, 1), (0, 0), (1, 1), (1, 0), (1, 0)]
+    assert list(poset.covers()) == [(2, 0), (3, 1), (4, 1)]
+    return poset, [nd.key for nd in poset.nodes]
+
+
+def test_cover_between_non_consecutive_ranks_names_its_ends():
+    # the (2,0) graph poset with a cover from its last top node straight
+    # down to the rank-0 node
+    poset = build_graph_poset(2, 0)
+    top = len(poset.nodes) - 1
+    assert (poset.nodes[0].rank, poset.nodes[top].rank) == (0, 3)
+    broken = poset_from_pairs(poset.kind, poset.g, poset.n, poset.nodes,
+                              [*poset.covers(), (top, 0)])
+    with pytest.raises(VerificationError,
+                       match="cover between non-consecutive ranks") as info:
+        poset_stats(broken)
+    assert info.value.witnesses == (poset.nodes[top].key,
+                                    poset.nodes[0].key)
+
+
+def test_spin_component_count_names_a_node_per_component():
+    # without the cover 4 -> 1, node 4 is a third component
+    poset, keys = _spin_11()
+    broken = poset_from_pairs("spin", 1, 1, poset.nodes,
+                              [(2, 0), (3, 1)])
+    with pytest.raises(VerificationError,
+                       match="spin poset has 3 components, expected 2"
+                       ) as info:
+        poset_stats(broken)
+    assert info.value.witnesses == (keys[0], keys[1], keys[4])
+
+
+def test_component_mixing_parities_names_its_first_two_nodes():
+    # the odd node 2 covers the even node 1 instead of the odd node 0:
+    # still two components, {0} and {1, 2, 3, 4}, the second mixed
+    poset, keys = _spin_11()
+    broken = poset_from_pairs("spin", 1, 1, poset.nodes,
+                              [(4, 1), (2, 1), (3, 1)])
+    with pytest.raises(VerificationError,
+                       match="component mixes parities") as info:
+        poset_stats(broken)
+    assert info.value.witnesses == (keys[1], keys[2])
+
+
+def test_component_without_one_rank_0_node_names_it():
+    # nodes 0, 2 and 3 alone: the even node 3 is a component with no
+    # rank-0 node under it
+    poset, keys = _spin_11()
+    broken = poset_from_pairs("spin", 1, 1,
+                              [poset.nodes[i] for i in (0, 2, 3)], [(1, 0)])
+    with pytest.raises(VerificationError,
+                       match="component has 0 rank-0 nodes") as info:
+        poset_stats(broken)
+    assert info.value.witnesses == (keys[3],)
+
+
+def test_rank_0_node_with_edges_is_named():
+    # the odd rank-0 node given the odd rank-1 representative, which has
+    # an edge and a nonempty cyclic set
+    poset, keys = _spin_11()
+    odd = poset.nodes[2].rep
+    assert odd.graph.n_edges == 1
+    nodes = [PosetNode(keys[0], 0, odd, 1), *poset.nodes[1:]]
+    broken = poset_from_pairs("spin", 1, 1, nodes, poset.covers())
+    with pytest.raises(VerificationError,
+                       match="rank-0 node is not the edgeless spin graph"
+                       ) as info:
+        poset_stats(broken)
+    assert info.value.witnesses == (keys[0],)
+
+
 def test_spin_poset_20_maximal_nodes():
     poset = build_spin_poset(2, 0)
     top = [nd for nd in poset.nodes if nd.rank == 3]
@@ -307,12 +385,14 @@ def test_forgetful_maps_monotone_surjective():
     cyc_poset = build_cyclic_poset(g, n)
     graph_poset = build_graph_poset(g, n)
 
+    cyc_index = {nd.key: i for i, nd in enumerate(cyc_poset.nodes)}
+    graph_index = {nd.key: i for i, nd in enumerate(graph_poset.nodes)}
+
     def to_cyclic(nd):
-        return cyc_poset.index[
-            cyclic_canonical_key(nd.rep.graph, nd.rep.spin.P)]
+        return cyc_index[cyclic_canonical_key(nd.rep.graph, nd.rep.spin.P)]
 
     def to_graph_from_cyc(nd):
-        return graph_poset.index[canonical_key(nd.rep[0])]
+        return graph_index[canonical_key(nd.rep[0])]
 
     even_nodes = [nd for nd in spin_poset.nodes if nd.parity == 0]
     # surjectivity onto the cyclic poset from the even part
@@ -322,10 +402,11 @@ def test_forgetful_maps_monotone_surjective():
         set(range(len(graph_poset.nodes)))
     # covers map to covers
     spin_idx = {nd.key: to_cyclic(nd) for nd in spin_poset.nodes}
-    for u, l in spin_poset.covers:
+    cyc_covers = set(cyc_poset.covers())
+    for u, l in spin_poset.covers():
         cu = spin_idx[spin_poset.nodes[u].key]
         cl = spin_idx[spin_poset.nodes[l].key]
-        assert (cu, cl) in set(cyc_poset.covers)
+        assert (cu, cl) in cyc_covers
 
 
 def test_open_removal_components_stable_over_enumeration():
@@ -551,13 +632,14 @@ def test_looked_up_cover_keys_match_keying_each_target(g, n):
              cyclic_key),
             (build_spin_poset(g, n, _classes=classes), lambda r: r.graph,
              spin_key)):
+        index = {nd.key: i for i, nd in enumerate(poset.nodes)}
         expected = set()
         for i, nd in enumerate(poset.nodes):
             graph = graph_of(nd.rep)
             for e in range(graph.n_edges):
                 c = contract(graph, [e])
-                expected.add((i, poset.index[key_of(c, nd.rep)]))
-        assert poset.covers == tuple(sorted(expected))
+                expected.add((i, index[key_of(c, nd.rep)]))
+        assert list(poset.covers()) == sorted(expected)
 
 
 def test_posets_on_other_representatives_are_the_same(monkeypatch):
@@ -578,7 +660,7 @@ def test_posets_on_other_representatives_are_the_same(monkeypatch):
 
     def shape(poset):
         return ([(nd.key, nd.rank, nd.parity) for nd in poset.nodes],
-                poset.covers)
+                poset.offsets, poset.lowers)
 
     for build in (build_graph_poset, build_cyclic_poset, build_spin_poset):
         assert shape(build(2, 2, _classes=classes)) == shape(build(2, 2))

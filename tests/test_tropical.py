@@ -130,7 +130,7 @@ def test_cone_complex_11():
     poset = build_spin_poset(1, 1)
     cells, report = build_cone_complex(poset)
     assert report["cells"] == 5
-    assert report["covers"] == len(poset.covers) == 3
+    assert report["covers"] == len(poset.lowers) == 3
     assert sorted(c.dim for c in cells) == [0, 0, 1, 1, 1]
     assert report["components"] == 2
     assert report["by_parity"] == {0: 3, 1: 2}

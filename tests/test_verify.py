@@ -12,7 +12,7 @@ from spinmod.graphs import classify
 from spinmod.morphisms import Aut, canonical_key
 from spinmod.verify import run_suites
 
-from conftest import make_theta, without_covers_into
+from conftest import make_theta, poset_from_pairs, without_covers_into
 import oracles
 
 
@@ -556,7 +556,7 @@ def test_poset_stats_run_once_per_poset(monkeypatch):
 
 def test_failing_poset_stats_raise_on_every_call():
     poset = posets.build_graph_poset(2, 0)
-    broken = posets.Poset(poset.kind, poset.g, poset.n, poset.nodes, ())
+    broken = poset_from_pairs(poset.kind, poset.g, poset.n, poset.nodes, ())
     for _ in range(2):
         with pytest.raises(VerificationError, match="disconnected"):
             posets.poset_stats(broken)
@@ -565,7 +565,7 @@ def test_failing_poset_stats_raise_on_every_call():
 
 def test_disconnected_poset_names_a_node_per_component():
     poset = posets.build_graph_poset(2, 0)
-    broken = posets.Poset(poset.kind, poset.g, poset.n, poset.nodes, ())
+    broken = poset_from_pairs(poset.kind, poset.g, poset.n, poset.nodes, ())
     with pytest.raises(VerificationError,
                        match=r"graphs poset is disconnected \(7 components\)"
                        ) as info:
@@ -576,7 +576,8 @@ def test_disconnected_poset_names_a_node_per_component():
 def test_rank_range_failure_names_a_node_at_each_end():
     # the genus-2 graph poset read as one of genus 3, whose top rank is 6
     poset = posets.build_graph_poset(2, 0)
-    wrong = posets.Poset(poset.kind, 3, poset.n, poset.nodes, poset.covers)
+    wrong = poset_from_pairs(poset.kind, 3, poset.n, poset.nodes,
+                             poset.covers())
     with pytest.raises(VerificationError,
                        match=r"rank range 0\.\.3 differs from 0\.\.6"
                        ) as info:
@@ -598,9 +599,10 @@ def test_forgetful_map_without_an_image_cover_is_verification_error(
 
     def thinned(*args, **kwargs):
         poset = original(*args, **kwargs)
-        upper.append(poset.covers[-1][0])
-        return posets.Poset(poset.kind, poset.g, poset.n, poset.nodes,
-                            poset.covers[:-1], poset.walk)
+        covers = list(poset.covers())
+        upper.append(covers[-1][0])
+        return poset_from_pairs(poset.kind, poset.g, poset.n, poset.nodes,
+                                covers[:-1], poset.walk)
 
     monkeypatch.setattr(verify, builder, thinned)
     with pytest.raises(VerificationError, match=message) as info:
@@ -609,13 +611,17 @@ def test_forgetful_map_without_an_image_cover_is_verification_error(
     (key,) = info.value.witnesses
     target = original(2, 0)
     if builder == "build_cyclic_poset":
-        source = posets.build_spin_poset(2, 0)
-        rep = source.nodes[source.index[key]].rep
+        rep = node_keyed(posets.build_spin_poset(2, 0), key).rep
         image = morphisms.cyclic_canonical_key(rep.graph, rep.spin.P)
     else:
-        source = posets.build_cyclic_poset(2, 0)
-        image = canonical_key(source.nodes[source.index[key]].rep[0])
-    assert target.index[image] == upper[0]
+        image = canonical_key(
+            node_keyed(posets.build_cyclic_poset(2, 0), key).rep[0])
+    assert [nd.key for nd in target.nodes].index(image) == upper[0]
+
+
+def node_keyed(poset, key):
+    """The node of ``poset`` keyed ``key``."""
+    return next(nd for nd in poset.nodes if nd.key == key)
 
 
 def without_first_top_node(poset):
@@ -625,9 +631,9 @@ def without_first_top_node(poset):
     drop = next(i for i, nd in enumerate(poset.nodes) if nd.rank == top)
     keep = [i for i in range(len(poset.nodes)) if i != drop]
     where = {old: new for new, old in enumerate(keep)}
-    return posets.Poset(
+    return poset_from_pairs(
         poset.kind, poset.g, poset.n, [poset.nodes[i] for i in keep],
-        [(where[u], where[l]) for u, l in poset.covers
+        [(where[u], where[l]) for u, l in poset.covers()
          if drop not in (u, l)], poset.walk), poset.nodes[drop].key
 
 
@@ -652,12 +658,10 @@ def test_forgetful_map_without_an_image_node_is_verification_error(
     source_key, image = info.value.witnesses
     assert image == dropped[-1]
     if builder == "build_cyclic_poset":
-        source = posets.build_spin_poset(2, 0)
-        rep = source.nodes[source.index[source_key]].rep
+        rep = node_keyed(posets.build_spin_poset(2, 0), source_key).rep
         assert morphisms.cyclic_canonical_key(rep.graph, rep.spin.P) == image
     else:
-        source = posets.build_cyclic_poset(2, 0)
-        rep = source.nodes[source.index[source_key]].rep
+        rep = node_keyed(posets.build_cyclic_poset(2, 0), source_key).rep
         assert canonical_key(rep[0]) == image
     # the CLI prints the failure record and exits 1, with no traceback
     assert main(["verify", "--g", "2", "--n", "0", "--suite", "posets"]) == 1
