@@ -336,23 +336,24 @@ class Divisor:
 def connected_classes(items, pairs):
     """Classes of the equivalence relation on ``items`` generated by
     ``pairs`` (union-find), each a sorted list, ordered by smallest
-    member."""
+    member.  Roots are found inline, halving the path on the way up."""
     parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # the root of a class is its smallest member
-            parent[max(ru, rv)] = min(ru, rv)
+        while (up := parent[u]) != u:
+            parent[u] = u = parent[up]
+        while (up := parent[v]) != v:
+            parent[v] = v = parent[up]
+        # the root of a class is its smallest member
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
     classes = {}
     for x in sorted(parent):
-        classes.setdefault(find(x), []).append(x)
+        root = x
+        while (up := parent[root]) != root:
+            parent[root] = root = parent[up]
+        classes.setdefault(root, []).append(x)
     return list(classes.values())
 
 

@@ -46,11 +46,14 @@ map is computed and checked once per (map, cyclic set)
 through it as data; orbit walks, stabilizers and cover pushes build no
 spin structure per image.
 
+The orbits of spin structures are walked fibre-wise over the cyclic
+sets, in :mod:`spinmod.orbits`, which spin keys and the order test read.
+
 The key of a cyclic set or spin structure adds the least encoding, under
 the graph's canonical labelling, among the members of its orbit.  The
-members are read off an orbit table, the structure data -> orbit index
-map that the orbit walk (:meth:`AutGroup.orbit_representatives`) builds,
-so each member is encoded once and no second pass over the group runs.
+members are read off an orbit table, so no second pass over the group
+runs; a cyclic set is encoded once per member, and a spin structure as
+:func:`spinmod.orbits.spin_orbit_keys` says.
 
 The order test carries a candidate contraction whose target equals the
 lower graph through the identity, and computes certificates only for
@@ -257,7 +260,7 @@ def push_cycle(contraction, cyclic_set):
 def push_spin(contraction, spin):
     """Pushforward of a spin structure: the image cyclic set with signs
     summed over merged components.  Parity is preserved."""
-    return SpinCarry(contraction, spin).image(spin)
+    return SpinCarry(contraction, spin.P, spin.dec).image(spin)
 
 
 # -- automorphisms ----------------------------------------------------------
@@ -413,15 +416,19 @@ class Aut:
         self.edge_perm = edge_perm
 
     def act_mask(self, mask):
+        """The image of an edge set, given by its mask, read over its
+        set bits."""
         out = 0
-        for i in range(self.graph.n_edges):
-            if mask >> i & 1:
-                out |= 1 << self.edge_perm[i]
+        perm = self.edge_perm
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= 1 << perm[low.bit_length() - 1]
         return out
 
     def act_spin(self, spin):
         """Image of a spin structure under this automorphism."""
-        return SpinCarry(self, spin).image(spin)
+        return SpinCarry(self, spin.P, spin.dec).image(spin)
 
     def __repr__(self):
         return f"Aut(v={self.vertex_map})"
@@ -470,7 +477,7 @@ class AutGroup:
         return AutGroup(self.graph, [self.actions[c] for c in classes],
                         self.flips)
 
-    def orbit_representatives(self, items, data, act):
+    def orbit_representatives(self, items, data, act, transporters=None):
         """The first item met from each orbit, in the order given, with
         the orbit table and the stabilizers the walk meets.
 
@@ -487,7 +494,9 @@ class AutGroup:
         data of every image met to the index of its orbit in ``reps``,
         and ``stabilizers[k]`` is the tuple of the action classes that fix
         ``reps[k]``, which :meth:`subgroup` turns into a group.  Equal
-        tuples are shared.
+        tuples are shared.  When ``transporters`` is a dict, it gets the
+        index of the first action class met that carries its orbit's
+        representative onto each image.
         """
         orbit_of = {}
         reps = []
@@ -502,7 +511,10 @@ class AutGroup:
             fixing = []
             for c, a in enumerate(self.actions):
                 image = act(a, item)
-                orbit_of[image] = k
+                if image not in orbit_of:
+                    orbit_of[image] = k
+                    if transporters is not None:
+                        transporters[image] = c
                 if image == here:
                     fixing.append(c)
             fixing = tuple(fixing)
@@ -585,20 +597,6 @@ def component_subgroup(group, spin):
         group.flips - loops_out)
 
 
-def spin_orbits(graph, spins, act=None):
-    """Orbit representatives of ``spins`` under the full automorphism
-    group, the table from spin data to orbit index, and each
-    representative's stabilizer as action classes, as
-    :meth:`AutGroup.orbit_representatives` returns them.
-
-    The walk folds each representative's signs through each action
-    class of the group, since a loop flip fixes every spin structure,
-    with ``act`` (a fresh :func:`spin_action` when not given).
-    """
-    return automorphisms(graph).orbit_representatives(
-        spins, SpinStructure.data, act or spin_action())
-
-
 def cyclic_orbits(graph, cyclic_sets):
     """Orbit representatives of ``cyclic_sets`` under the full
     automorphism group, the table from mask to orbit index and each
@@ -652,34 +650,35 @@ class SpinCarry:
     ``genus_zero`` those of genus 0.  Every sign vector over the set is
     then folded through it (:meth:`fold`).
 
-    The source and image components are read from the component indices
-    of ``spin.dec`` and of the image set's decomposition, in one pass over
-    the source vertices.  An automorphism must carry each component onto
-    a component of the image of the same genus (it maps vertices
-    bijectively, so no two components may meet in one image); a
-    contraction must carry each into one component, and the image set
-    passes the checks of :func:`push_cycle`.  A structure over another
-    graph than the automorphism's, or the contraction's source, is an
-    input error.
+    It is built from ``f``, the source cyclic set and ``source``, its
+    decomposition.  The source and image components are read from the
+    component indices of ``source`` and of the image set's
+    decomposition, in one pass over the source vertices.  An
+    automorphism must carry each component onto a component of the
+    image of the same genus (it maps vertices bijectively, so no two
+    components may meet in one image); a contraction must carry each
+    into one component, and the image set passes the checks of
+    :func:`push_cycle`.  A cyclic set over another graph than the
+    automorphism's, or the contraction's source, is an input error.
     """
 
     __slots__ = ("f", "source_mask", "graph", "mask", "comps", "size",
                  "genus_zero")
 
-    def __init__(self, f, spin):
+    def __init__(self, f, cyclic_set, source):
         self.f = f
-        self.source_mask = spin.P.mask
+        self.source_mask = cyclic_set.mask
         is_aut = isinstance(f, Aut)
         if is_aut:
-            if spin.graph is not f.graph and spin.graph != f.graph:
+            graph = cyclic_set.graph
+            if graph is not f.graph and graph != f.graph:
                 raise InputError("cyclic set lives over a different graph")
             self.graph = f.graph
             self.mask = f.act_mask(self.source_mask)
         else:
             self.graph = f.target
-            self.mask = push_cycle(f, spin.P).mask
+            self.mask = push_cycle(f, cyclic_set).mask
         dec = pbar_decompose(self.graph, EdgeSet(self.graph, self.mask))
-        source = spin.dec
         # one pass over the source vertices: the image component of each
         # source component, and whether one source component meets two
         # image components (split) or two meet one (shared)
@@ -741,50 +740,31 @@ class SpinCarry:
         return (canonical_key(f.source), f"P={self.source_mask:x}",
                 f"F={f.contracted.hex()}")
 
-    def fold(self, spin):
-        """The image ``(mask, signs)`` data of a spin structure over the
-        source set: each sign is added into the image of its component.
-        The stored parity must be preserved and every sign on a genus-0
-        image component must vanish."""
+    def fold(self, signs):
+        """The image of a sign vector over the source set, a sign vector
+        over ``mask``: each sign is added into the image of its
+        component, which keeps the parity of the sign sum.  Every sign on
+        a genus-0 image component must vanish."""
         out = [0] * self.size
-        for j, s in zip(self.comps, spin.signs):
+        for j, s in zip(self.comps, signs):
             out[j] ^= s
-        if sum(out) & 1 != spin.parity:
-            raise VerificationError(
-                f"carrying a spin structure changed the parity from "
-                f"{spin.parity} to {sum(out) & 1}", self.witnesses())
         for j in self.genus_zero:
             if out[j]:
                 raise VerificationError(
                     f"carried sign is nonzero on the genus-0 component {j}",
                     self.witnesses())
-        return self.mask, tuple(out)
+        return tuple(out)
 
     def image(self, spin):
-        """The image of ``spin`` as a spin structure."""
-        mask, signs = self.fold(spin)
-        return SpinStructure(self.graph, EdgeSet(self.graph, mask), signs)
-
-
-def spin_action():
-    """``act(f, spin)``: the ``(mask, signs)`` data of the image of
-    ``spin`` under an automorphism or contraction ``f``.
-
-    Each (map, mask) carry is built once and kept, in the dict
-    ``act.carried``, for as long as the returned function is: one orbit
-    walk, or the cover pushes of one class.
-    """
-    memo = {}
-
-    def act(f, spin):
-        key = (f, spin.P.mask)
-        carried = memo.get(key)
-        if carried is None:
-            carried = memo[key] = SpinCarry(f, spin)
-        return carried.fold(spin)
-
-    act.carried = memo
-    return act
+        """The image of ``spin``, a spin structure over the source set,
+        as a spin structure; its stored parity must be preserved."""
+        signs = self.fold(spin.signs)
+        if sum(signs) & 1 != spin.parity:
+            raise VerificationError(
+                f"carrying a spin structure changed the parity from "
+                f"{spin.parity} to {sum(signs) & 1}", self.witnesses())
+        return SpinStructure(self.graph, EdgeSet(self.graph, self.mask),
+                             signs)
 
 
 # -- canonical keys ---------------------------------------------------------
@@ -830,17 +810,6 @@ def _cyclic_encoding(graph, pos, mask):
     return tuple(sorted(per_pair.items()))
 
 
-def _spin_encoding(graph, pos, data):
-    """A spin structure, given by its ``(mask, signs)`` data: its cyclic
-    set and each component of the opened graph, as canonical positions,
-    with its sign."""
-    mask, signs = data
-    dec = pbar_decompose(graph, EdgeSet(graph, mask))
-    comps = sorted((tuple(sorted(pos[v] for v in vs)), s)
-                   for vs, s in zip(dec.vertex_sets, signs))
-    return (_cyclic_encoding(graph, pos, mask), tuple(comps))
-
-
 def orbit_keys(graph, orbit_of, encode):
     """Key of each orbit in an orbit table, by orbit index.
 
@@ -873,8 +842,9 @@ def canonical_key(obj):
     if isinstance(obj, Graph):
         return _certificate_hash(obj).hexdigest()
     if isinstance(obj, SpinGraph):
-        _, orbit_of, _ = spin_orbits(obj.graph, [obj.spin])
-        return orbit_keys(obj.graph, orbit_of, _spin_encoding)[0]
+        # deferred: the orbits module builds on this one
+        from .orbits import spin_orbit, spin_orbit_keys
+        return spin_orbit_keys(obj.graph, spin_orbit(obj.graph, obj.spin))[0]
     raise InputError(f"cannot key objects of type {type(obj).__name__}")
 
 
@@ -917,7 +887,7 @@ def order_test(upper, lower):
     drop = ga.b1 - gb.b1
     cert_b = None
     target = lower.spin.data()
-    orbit_of = None
+    orbits = None
     for subset in combinations(range(ga.n_edges), k):
         edges = EdgeSet.from_indices(ga, subset)
         if edges.b1 != drop:
@@ -931,11 +901,13 @@ def order_test(upper, lower):
             if canonical_form(c.target)[0] != cert_b:
                 continue
             carried = c.onto(gb)
-        pushed = SpinCarry(carried, upper.spin).fold(upper.spin)
+        carry = SpinCarry(carried, upper.spin.P, upper.spin.dec)
+        pushed = (carry.mask, carry.fold(upper.spin.signs))
         if pushed == target:
             return c
-        if orbit_of is None:
-            _, orbit_of, _ = spin_orbits(gb, [lower.spin])
-        if pushed in orbit_of:
+        if orbits is None:
+            from .orbits import spin_orbit  # deferred, as in canonical_key
+            orbits = spin_orbit(gb, lower.spin)
+        if orbits.orbit(*pushed) is not None:
             return c
     return None

@@ -30,21 +30,31 @@ representative through every edge.  The downward closure fills the
 table as it meets each class, and it is memoised on the class graph, so
 the three posets share it.  The orbit tables map the data of every
 structure over a class (cyclic mask, or mask and signs) to its orbit
-among the class's nodes; they come out of the orbit walk of
-:meth:`AutGroup.orbit_representatives`, which acts with one automorphism
-per distinct action on vertices and edges (flipping a loop moves no
-structure).  A structure's node is read from its own class's table, and
-a cover's target is the orbit of the pushed structure's data in the
-target class's table: no fresh graph, automorphism group or group
-minimum per cover.  The walk also gives each node its stabilizer
-(``PosetNode.stabilizer``).  A spin structure is pushed as data through
-the component map of its (contraction, cyclic set) pair, built once per
-class (:func:`spin_action`) and dropped with the class's covers, which
-are pushed class by class and deduplicated per node.  The node keys come
-from the same tables (:func:`orbit_keys`), one encoding per structure.
-A poset keeps its covers once, as two flat arrays the builder writes in
-node order: every node's sorted lower ends, and the offsets where each
-node's run ends (:class:`Poset`).
+among the class's nodes; they come out of orbit walks that act with one
+automorphism per distinct action on vertices and edges (flipping a loop
+moves no structure).  A structure's node is read from its own class's
+table, and a cover's target is the orbit of the pushed structure's data
+in the target class's table: no fresh graph, automorphism group or
+group minimum per cover.  The walk also gives each node its stabilizer
+(``PosetNode.stabilizer``).
+
+The spin structures over a class fibre over its cyclic sets, with
+``2^{c_+}`` sign vectors above each (:func:`~spinmod.spin.spin_fibres`),
+and the spin kind keeps them as data: a spin structure is built only
+for a node's representative.  Its orbit walk is fibred too
+(:func:`~spinmod.orbits.spin_orbits`): the group walks the masks
+once, only the stabilizer of each cyclic orbit's least mask walks the
+sign vectors above it, and every other mask's table entries are folded
+through one transporter.  Its node keys encode each mask once and zip
+in the signs only over the masks whose encoding is the least in their
+orbit (:func:`~spinmod.orbits.spin_orbit_keys`); the cyclic keys
+encode each cyclic set once (:func:`orbit_keys`).  A spin cover push
+carries each (cyclic set, contraction) pair once
+(:class:`~spinmod.morphisms.SpinCarry`) and folds every sign vector
+above the set through it; covers are pushed class by class and
+deduplicated per node.  A poset keeps its covers once, as two flat
+arrays the builder writes in node order: every node's sorted lower
+ends, and the offsets where each node's run ends (:class:`Poset`).
 """
 
 from __future__ import annotations
@@ -54,13 +64,14 @@ from array import array
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
 
-from .cycles import enumerate_cyclic
+from .cycles import enumerate_cyclic, pbar_decompose
 from .errors import BudgetError, InputError, VerificationError
 from .graphs import Graph, connected_classes, is_stable
-from .morphisms import (_cyclic_encoding, _spin_encoding, automorphisms,
+from .morphisms import (SpinCarry, _cyclic_encoding, automorphisms,
                         canonical_key, contract, cyclic_orbits, orbit_keys,
-                        push_cycle, spin_action, spin_orbits)
-from .spin import SpinGraph, SpinStructure, enumerate_spin
+                        push_cycle)
+from .orbits import spin_orbit_keys, spin_orbits
+from .spin import SpinGraph, SpinStructure, spin_fibres
 
 BUDGET_ENV = "SPINMOD_BUDGET"
 
@@ -445,11 +456,17 @@ class Poset:
     ``walk`` holds the orbit walk's counts when the poset was built over
     automorphism orbits (cyclic and spin kinds), else ``None``:
     ``group_actions``, the distinct actions on vertices and edges summed
-    over the classes; ``orbit_images``, the images the walk computed, one
-    per (orbit, action); ``decompositions``, the decompositions memoised
-    on the classes when the build ended; and ``carries``, the
-    :class:`~spinmod.morphisms.SpinCarry` objects its orbit walks and
-    cover pushes built."""
+    over the classes; ``orbit_images``, the images the walk computed: on
+    the cyclic poset one mask per (orbit, action), on the spin poset
+    the same mask images plus one sign vector per (spin orbit, action
+    of its cyclic set's stabilizer) and per sign vector folded through a
+    transporter; ``orbit_entries``, the entries of the orbit tables
+    (every structure over the classes); ``decompositions``, the
+    decompositions memoised on the classes when the build ended;
+    ``carries``, the :class:`~spinmod.morphisms.SpinCarry` objects its
+    orbit walks and cover pushes built; and, on the spin poset only,
+    ``single_structure_fibres``, the cyclic orbits with one structure
+    above each mask (``c_+ = 0``), which no sign walk visits."""
 
     def __init__(self, kind, g, n, nodes, offsets, lowers, walk=None):
         self.kind = kind
@@ -459,9 +476,6 @@ class Poset:
         self.nodes = tuple(nodes)
         self.offsets = offsets
         self.lowers = lowers
-
-    def __len__(self):
-        return len(self.nodes)
 
     def lower(self, u):
         """The nodes that node ``u`` covers, in index order."""
@@ -510,7 +524,13 @@ class Poset:
         return reaches
 
     def components(self):
-        return connected_classes(range(len(self.nodes)), self.covers())
+        """The connected components, as sorted lists of node indices,
+        ordered by their least node; the covers are read straight from
+        ``offsets`` and ``lowers``."""
+        offsets, lowers = self.offsets, self.lowers
+        return connected_classes(range(len(self.nodes)), (
+            (u, lowers[i]) for u in range(len(self.nodes))
+            for i in range(offsets[u], offsets[u + 1])))
 
     def rank_histogram(self):
         hist = Counter(node.rank for node in self.nodes)
@@ -554,25 +574,22 @@ def _rep_json(kind, rep):
             "spin": rep.spin.to_json_dict()}
 
 
-def _build_poset(kind, g, n, budget_edges, classes, structures, data,
-                 orbits, keys, action, rep, parity=lambda x: None):
+def _build_poset(kind, g, n, budget_edges, classes, orbits, push,
+                 walk=None):
     """The graded poset of one kind: a node per orbit representative over
     each class, sorted by (rank, key), and a cover per single-edge
     contraction of each node's structure.
 
-    The kind supplies ``structures(graph)``, every structure over a
-    class, and ``data(x)``, the hashable data a structure is looked up
-    by; ``action()``, a fresh function ``act(f, x)`` giving the data of
-    ``x`` carried along an automorphism or a contraction ``f``;
-    ``orbits(graph, xs, act)``, the orbit representatives among ``xs``,
-    the table from structure data to orbit index and each
-    representative's stabilizer, which its node keeps;
-    ``keys(graph, orbit_of)``, the node key of each orbit, read off that
-    table; and the node shape: ``rep(graph, x)`` builds a node's
-    representative and ``parity(x)`` labels it.  Each orbit walk, and
-    the cover pushes of each class, get an action of their own, dropped
-    before the next class; an action that keeps its carries in a dict
-    ``carried`` (:func:`spin_action`) has them counted.
+    The kind supplies two functions.  ``orbits(graph, rank, walk)``
+    walks the automorphism orbits of the structures over one class and
+    returns ``(here, table, structures)``: the class's nodes, one per
+    orbit, each with its key, representative, parity and stabilizer; its
+    orbit table, from structure data to orbit index; and its structures,
+    as the kind lists them.  It adds its counts to ``walk``.
+    ``push(class_key, structures, table, here, contractions, below,
+    walk)`` returns, per node of the class, the indices of the nodes its
+    covers land on; ``below`` maps each class key one rank down to its
+    orbit table and node indices.
 
     Covers are looked up, not keyed: every contraction lands on its
     target class's representative, so the pushed data indexes that
@@ -590,7 +607,7 @@ def _build_poset(kind, g, n, budget_edges, classes, structures, data,
     each member ``y`` of that orbit.  The node of ``y`` is read from its
     own class's orbit table, which holds the data of every structure
     over the class because the structures are closed under the group
-    and the walk marks every image of each representative; a structure
+    and the walk reaches every image of each representative; a structure
     missing from it, or a pushed one missing from its target's, is a
     :class:`VerificationError`.
 
@@ -604,15 +621,12 @@ def _build_poset(kind, g, n, budget_edges, classes, structures, data,
     deduplicated per node; once the rank is pushed, each node's sorted
     lower ends are appended to the flat ``lowers`` array, node by node,
     and the running end to ``offsets`` (:class:`Poset`), so the covers
-    are stored in node order with no pairs built.  Every kind but the
-    graph poset walks automorphism orbits, and the poset records that
-    walk's counts (:attr:`Poset.walk`).
+    are stored in node order with no pairs built.  ``walk`` holds the
+    counts of the orbit walks and pushes (:attr:`Poset.walk`), ``None``
+    for the graph poset.
     """
     if classes is None:
         classes = enumerate_stable_graphs(g, n, budget_edges)
-    walk = (None if kind == "graphs"
-            else {"group_actions": 0, "orbit_images": 0,
-                  "decompositions": 0, "carries": 0})
     reps = {}
     by_rank = {}
     for graph in classes:
@@ -627,19 +641,8 @@ def _build_poset(kind, g, n, budget_edges, classes, structures, data,
         level = []
         walked = []
         for class_key, graph in by_rank[rank]:
-            act = action()
-            every = structures(graph)
-            walk_reps, orbit_of, stabilizers = orbits(graph, every, act)
-            if walk is not None:
-                actions = len(automorphisms(graph).actions)
-                walk["group_actions"] += actions
-                walk["orbit_images"] += actions * len(walk_reps)
-                walk["carries"] += len(getattr(act, "carried", ()))
-            here = [PosetNode(key, rank, rep(graph, x), parity(x), stabilizer)
-                    for x, key, stabilizer in zip(
-                        walk_reps, keys(graph, orbit_of), stabilizers,
-                        strict=True)]
-            walked.append((class_key, graph, orbit_of, every, here))
+            here, table, structures = orbits(graph, rank, walk)
+            walked.append((class_key, graph, table, structures, here))
             level += here
         level.sort(key=lambda nd: nd.key)
         first = len(nodes)
@@ -650,36 +653,16 @@ def _build_poset(kind, g, n, budget_edges, classes, structures, data,
                     "two orbit representatives share a key", (nd.key,))
         nodes += level
         lower = [()] * len(level)
-        for class_key, graph, orbit_of, every, here in walked:
-            contractions = _edge_contractions(graph, reps)
-            push = action()
-            found = [set() for _ in here]
-            for y in every:
-                k = orbit_of.get(data(y))
-                if k is None:
-                    raise VerificationError(
-                        "a structure is missing from the orbit table of "
-                        "its own class", (class_key, repr(y)))
-                targets = found[k]
-                for e, target_key, c in contractions:
-                    target_orbit_of, target_nodes = below[target_key]
-                    t = target_orbit_of.get(push(c, y))
-                    if t is None:
-                        raise VerificationError(
-                            "a pushed structure is missing from the orbit "
-                            "table of its target class",
-                            (here[k].key, f"edge={e}", target_key))
-                    targets.add(target_nodes[t])
+        for class_key, graph, table, structures, here in walked:
+            found = push(class_key, structures, table, here,
+                         _edge_contractions(graph, reps), below, walk)
             for nd, targets in zip(here, found):
-                i = index[nd.key]
-                lower[i - first] = sorted(targets)
-            if walk is not None:
-                walk["carries"] += len(getattr(push, "carried", ()))
+                lower[index[nd.key] - first] = tuple(sorted(targets))
         for ends in lower:
             lowers.extend(ends)
             offsets.append(len(lowers))
-        below = {class_key: (orbit_of, [index[nd.key] for nd in here])
-                 for class_key, _, orbit_of, _, here in walked}
+        below = {class_key: (table, [index[nd.key] for nd in here])
+                 for class_key, _, table, _, here in walked}
     if walk is not None:
         walk["decompositions"] = sum(
             len(graph.__dict__.get("_pbar_decompositions", ()))
@@ -687,34 +670,143 @@ def _build_poset(kind, g, n, budget_edges, classes, structures, data,
     return Poset(kind, g, n, nodes, offsets, lowers, walk)
 
 
+def _missing(class_key, structure):
+    return VerificationError(
+        "a structure is missing from the orbit table of its own class",
+        (class_key, repr(structure)))
+
+
+def _missing_target(node_key, e, target_key):
+    return VerificationError(
+        "a pushed structure is missing from the orbit table of its target "
+        "class", (node_key, f"edge={e}", target_key))
+
+
+def _graph_orbits(graph, rank, walk):
+    return [PosetNode(canonical_key(graph), rank, graph)], None, None
+
+
+def _graph_push(class_key, structures, table, here, contractions, below,
+                walk):
+    return [{below[target_key][1][0] for _, target_key, _ in contractions}]
+
+
 def build_graph_poset(g, n, budget_edges=None, _classes=None):
-    return _build_poset(
-        "graphs", g, n, budget_edges, _classes,
-        structures=lambda graph: (None,), data=lambda _: None,
-        orbits=lambda graph, xs, _: (xs, {None: 0}, (None,)),
-        keys=lambda graph, _: [canonical_key(graph)],
-        action=lambda: lambda f, _: None, rep=lambda graph, _: graph)
+    return _build_poset("graphs", g, n, budget_edges, _classes,
+                        _graph_orbits, _graph_push)
+
+
+# the counts every orbit walk records (Poset.walk)
+_WALK_COUNTS = ("group_actions", "orbit_images", "orbit_entries",
+                "decompositions", "carries")
+
+
+def _cyclic_orbits(graph, rank, walk):
+    """The cyclic nodes of one class, from one walk of its group over the
+    cyclic sets (:func:`~spinmod.morphisms.cyclic_orbits`), keyed off the
+    mask table."""
+    cyclic = enumerate_cyclic(graph)
+    reps, orbit_of, stabilizers = cyclic_orbits(graph, cyclic)
+    actions = len(automorphisms(graph).actions)
+    walk["group_actions"] += actions
+    walk["orbit_images"] += actions * len(reps)
+    walk["orbit_entries"] += len(orbit_of)
+    keys = orbit_keys(graph, orbit_of, _cyclic_encoding)
+    here = [PosetNode(key, rank, (graph, p), None, stabilizer)
+            for p, key, stabilizer in zip(reps, keys, stabilizers,
+                                          strict=True)]
+    return here, orbit_of, cyclic
+
+
+def _cyclic_push(class_key, cyclic, orbit_of, here, contractions, below,
+                 walk):
+    found = [set() for _ in here]
+    for p in cyclic:
+        k = orbit_of.get(p.mask)
+        if k is None:
+            raise _missing(class_key, p)
+        for e, target_key, c in contractions:
+            target_orbit_of, target_nodes = below[target_key]
+            t = target_orbit_of.get(push_cycle(c, p).mask)
+            if t is None:
+                raise _missing_target(here[k].key, e, target_key)
+            found[k].add(target_nodes[t])
+    return found
 
 
 def build_cyclic_poset(g, n, budget_edges=None, _classes=None):
-    return _build_poset(
-        "cyclic", g, n, budget_edges, _classes,
-        structures=enumerate_cyclic, data=lambda p: p.mask,
-        orbits=lambda graph, xs, _: cyclic_orbits(graph, xs),
-        keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
-                                                _cyclic_encoding),
-        action=lambda: lambda c, p: push_cycle(c, p).mask,
-        rep=lambda graph, p: (graph, p))
+    return _build_poset("cyclic", g, n, budget_edges, _classes,
+                        _cyclic_orbits, _cyclic_push,
+                        dict.fromkeys(_WALK_COUNTS, 0))
+
+
+def _spin_orbits(graph, rank, walk):
+    """The spin nodes of one class, from the fibred walk of its group
+    (:func:`~spinmod.orbits.spin_orbits`) over its spin structures as
+    data (:func:`~spinmod.spin.spin_fibres`); a spin structure is built
+    for each node's representative only.  The orbit table maps each
+    mask to the orbit index of each sign vector above it."""
+    fibres = spin_fibres(graph)
+    group = automorphisms(graph)
+    walked = spin_orbits(group, fibres)
+    walk["group_actions"] += len(group.actions)
+    walk["orbit_images"] += walked.images
+    walk["orbit_entries"] += walked.entries()
+    walk["carries"] += walked.carries
+    walk["single_structure_fibres"] += walked.single
+    over = {fibre[0].mask: fibre for fibre in fibres}
+    here = []
+    for (mask, signs), key, stabilizer in zip(
+            walked.reps, spin_orbit_keys(graph, walked), walked.stabilizers,
+            strict=True):
+        p, dec, _ = over[mask]
+        spin = SpinStructure.over(p, dec, signs)
+        here.append(PosetNode(key, rank, SpinGraph(graph, spin), spin.parity,
+                              stabilizer))
+    return here, walked.table, fibres
+
+
+def _spin_push(class_key, fibres, table, here, contractions, below, walk):
+    """The covers of one class's spin nodes: each cyclic set is carried
+    through each contraction once (:class:`~spinmod.morphisms.SpinCarry`)
+    and every sign vector above it is folded through that carry.
+
+    A set with ``c_+ = 0`` is the empty set of a weightless class: each
+    component of its opened graph is one vertex, which a contraction
+    carries into one component, and its one sign vector is zero.  So
+    its image is the zero vector over the pushed set, one sign per
+    component of the target's decomposition, and no carry is built."""
+    found = [set() for _ in here]
+    for p, dec, signs in fibres:
+        own = table.get(p.mask, {})
+        ks = [own.get(s) for s in signs]
+        if None in ks:
+            raise _missing(class_key, SpinStructure.over(
+                p, dec, signs[ks.index(None)]))
+        for e, target_key, c in contractions:
+            if dec.c_plus:
+                carry = SpinCarry(c, p, dec)
+                mask, images = carry.mask, map(carry.fold, signs)
+                walk["carries"] += 1
+            else:
+                image = push_cycle(c, p)
+                mask = image.mask
+                images = [(0,) * len(pbar_decompose(c.target, image))]
+            target_table, target_nodes = below[target_key]
+            fibre = target_table.get(mask, {})
+            for image, k in zip(images, ks):
+                t = fibre.get(image)
+                if t is None:
+                    raise _missing_target(here[k].key, e, target_key)
+                found[k].add(target_nodes[t])
+    return found
 
 
 def build_spin_poset(g, n, budget_edges=None, _classes=None):
-    return _build_poset(
-        "spin", g, n, budget_edges, _classes,
-        structures=enumerate_spin, data=SpinStructure.data,
-        orbits=spin_orbits,
-        keys=lambda graph, orbit_of: orbit_keys(graph, orbit_of,
-                                                _spin_encoding),
-        action=spin_action, rep=SpinGraph, parity=lambda s: s.parity)
+    return _build_poset("spin", g, n, budget_edges, _classes,
+                        _spin_orbits, _spin_push,
+                        dict.fromkeys(_WALK_COUNTS
+                                      + ("single_structure_fibres",), 0))
 
 
 def poset_stats(poset):

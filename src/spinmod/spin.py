@@ -4,7 +4,10 @@ divisors, stratum counts, and the refinement construction.
 A spin structure is a cyclic edge set together with a sign on each
 connected component of the graph obtained by opening the complementary
 edges; signs vanish on genus-0 components.  The parity of the sign sum
-is invariant under pushforward and splits everything in two.
+is invariant under pushforward and splits everything in two.  So the
+spin structures over a graph fibre over its cyclic sets, with
+``2^{c_+}`` sign vectors above each (:func:`spin_fibres`); the spin
+poset walks them as data and builds a structure only for its nodes.
 """
 
 from __future__ import annotations
@@ -52,6 +55,16 @@ class SpinStructure:
                 raise DomainError("sign must vanish on genus-0 components")
         self.signs = signs
         self.parity = sum(signs) & 1
+
+    @classmethod
+    def over(cls, cyclic_set, dec, signs):
+        """The structure with ``signs`` over ``cyclic_set``, whose
+        decomposition is ``dec``: a sign vector :func:`sign_vectors`
+        gave over ``dec``, so nothing is checked again."""
+        spin = object.__new__(cls)
+        spin.graph, spin.P, spin.dec = dec.graph, cyclic_set, dec
+        spin.signs, spin.parity = signs, sum(signs) & 1
+        return spin
 
     def data(self):
         """Hashable (mask, signs) pair for orbit computations."""
@@ -118,17 +131,40 @@ class SpinGraph:
         return f"SpinGraph({self.graph!r}, {self.spin!r})"
 
 
-def spin_structures_over(graph, cyclic_set):
-    """All sign assignments over a fixed cyclic set, in sign order."""
-    dec = pbar_decompose(graph, cyclic_set)
+def sign_vectors(dec):
+    """Every sign vector over a decomposition, in sign order: any sign
+    on each component of positive genus, zero on the others."""
     free = [i for i, g in enumerate(dec.genera) if g > 0]
     out = []
     for bits in product((0, 1), repeat=len(free)):
         signs = [0] * len(dec)
         for i, b in zip(free, bits):
             signs[i] = b
-        out.append(SpinStructure(graph, cyclic_set, tuple(signs)))
+        out.append(tuple(signs))
     return out
+
+
+def spin_fibres(graph):
+    """The spin structures on the graph as data, fibred over its cyclic
+    sets: ``(cyclic_set, dec, signs)`` per set, in mask order, with its
+    decomposition and the sign vectors above it, in sign order.  The
+    vectors depend on the genera alone, so sets with equal genera share
+    one list."""
+    out = []
+    shared = {}
+    for p in enumerate_cyclic(graph):
+        dec = pbar_decompose(graph, p)
+        signs = shared.get(dec.genera)
+        if signs is None:
+            signs = shared[dec.genera] = sign_vectors(dec)
+        out.append((p, dec, signs))
+    return out
+
+
+def spin_structures_over(graph, cyclic_set):
+    """All sign assignments over a fixed cyclic set, in sign order."""
+    return [SpinStructure(graph, cyclic_set, signs)
+            for signs in sign_vectors(pbar_decompose(graph, cyclic_set))]
 
 
 def enumerate_spin(graph):
@@ -293,10 +329,10 @@ class ThetaDivisor:
         return self.vertex_divisor.degree + len(self.midpoint_edges)
 
 
-def theta_divisors(graph, cyclic_set):
-    """The divisor ``w(v) - 1 + d(v)/2`` on the opened graph, plus its
-    tropical extension by a unit at the midpoint of every edge outside
-    the cyclic set.
+def theta_divisors(graph, cyclic_sets):
+    """For each cyclic set, in the order given, the divisor
+    ``w(v) - 1 + d(v)/2`` on the opened graph, plus its tropical
+    extension by a unit at the midpoint of every edge outside the set.
 
     The opened graph has the vertices of ``graph``; ``d(v)``, the degree
     of ``v`` in it, counts the half-edges of the set's edges at ``v`` (a
@@ -306,7 +342,18 @@ def theta_divisors(graph, cyclic_set):
     cyclic; no opened graph is built.  Three identities are checked:
     ``d(v)`` is even, twice the vertex divisor is the canonical divisor
     of the opened graph (the graph's canonical divisor less the opened
-    half-edges at each vertex), and the total degree is ``g - c``."""
+    half-edges at each vertex), and the total degree is ``g - c``.  The
+    canonical divisor depends on the graph alone, so it is built once
+    per call, from :meth:`Graph.deg`, not from the pass over the edges.
+    """
+    canonical = canonical_divisor(graph)
+    return [_theta_divisor(graph, p, canonical) for p in cyclic_sets]
+
+
+def _theta_divisor(graph, cyclic_set, canonical):
+    """The theta divisor over one cyclic set, checked against
+    ``canonical``, the graph's canonical divisor
+    (:func:`theta_divisors`)."""
     pbar_decompose(graph, cyclic_set)
     mask, endpoint = cyclic_set.mask, graph.endpoint
     d_in, d_out = (dict.fromkeys(graph.vertices, 0) for _ in range(2))
@@ -322,12 +369,12 @@ def theta_divisors(graph, cyclic_set):
                 _witness(graph, cyclic_set))
         values[v] = graph.weight[v] - 1 + d // 2
     div = Divisor(graph, values)
-    k = canonical_divisor(graph)
     for v in graph.vertices:
-        if 2 * div[v] != k[v] - d_out[v]:
+        if 2 * div[v] != canonical[v] - d_out[v]:
             raise VerificationError(
                 f"doubled theta value {2 * div[v]} differs from the "
-                f"canonical divisor value {k[v] - d_out[v]} at vertex {v}",
+                f"canonical divisor value {canonical[v] - d_out[v]} at "
+                f"vertex {v}",
                 _witness(graph, cyclic_set))
     midpoints = tuple(i for i in range(graph.n_edges) if i not in cyclic_set)
     theta = ThetaDivisor(graph, div, midpoints)
@@ -458,7 +505,8 @@ def refine_nonbasic(graph, sign):
     structure.  All candidates are tried in canonical order and verified
     against those postconditions; the first success wins.
     """
-    from . import morphisms  # deferred: morphisms builds on this module
+    # deferred: morphisms and orbits build on this module
+    from . import morphisms, orbits
 
     cls = classify(graph)
     if cls.basic:
@@ -471,7 +519,7 @@ def refine_nonbasic(graph, sign):
         raise InputError("sign must be 0 or 1")
 
     target = SpinStructure(graph, EdgeSet.full(graph), (sign,))
-    _, target_orbit, _ = morphisms.spin_orbits(graph, [target])
+    target_orbit = orbits.spin_orbit(graph, target)
     graph_key = morphisms.canonical_key(graph)
 
     tried = 0
@@ -515,10 +563,12 @@ def _refinement_postconditions(split, candidate, graph, graph_key,
                                target_orbit, morphisms):
     """True when ``candidate`` is the unique lift of the target structure.
 
-    ``target_orbit`` is the orbit table of the target structure on
-    ``graph``; each contraction of an edge of ``split`` onto the class of
-    ``graph`` is carried onto ``graph`` itself, so a structure pushes onto
-    the target exactly when its pushed data is in that table.
+    ``target_orbit`` is the fibred orbit walk of the target structure on
+    ``graph`` (:class:`~spinmod.orbits.SpinOrbits`); each contraction
+    of an edge of ``split`` onto the class of ``graph`` is carried onto
+    ``graph`` itself, so a structure pushes onto the target exactly when
+    its pushed data is in that walk's table.  The signs over each cyclic
+    set of ``split`` are pushed through one carry per contraction.
     """
     if split.n_edges != graph.n_edges + 1 or split.b1 != graph.b1:
         return None
@@ -532,19 +582,22 @@ def _refinement_postconditions(split, candidate, graph, graph_key,
             contractions_to_graph.append(c.onto(graph))
     if not contractions_to_graph:
         return None
-    push = morphisms.spin_action()
-    for c in contractions_to_graph:
-        if push(c, candidate) not in target_orbit:
-            return None
     lifts = set()
-    for other in enumerate_spin(split):
-        if any(push(c, other) in target_orbit for c in contractions_to_graph):
-            lifts.add(other.data())
+    for p, dec, signs in spin_fibres(split):
+        carries = [morphisms.SpinCarry(c, p, dec)
+                   for c in contractions_to_graph]
+        for s in signs:
+            pushed = [target_orbit.orbit(carry.mask, carry.fold(s))
+                      is not None for carry in carries]
+            if (p.mask, s) == candidate.data() and not all(pushed):
+                return None
+            if any(pushed):
+                lifts.add((p.mask, s))
     if lifts != {candidate.data()}:
         return None
     # every automorphism fixes the candidate exactly when its orbit is
     # itself alone (orbit-stabilizer)
-    _, orbit_of, _ = morphisms.spin_orbits(split, [candidate])
-    if len(orbit_of) != 1:
+    from .orbits import spin_orbit  # deferred, as in refine_nonbasic
+    if spin_orbit(split, candidate).entries() != 1:
         return None
     return True

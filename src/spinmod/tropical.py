@@ -15,9 +15,10 @@ from .cycles import EdgeSet
 from .errors import DomainError, InputError, VerificationError
 from .graphs import Graph, is_stable, json_int
 from .morphisms import (automorphisms, canonical_key, contract, order_test,
-                        push_spin, spin_action)
+                        push_spin)
+from .orbits import spin_orbits
 from .posets import max_rank, poset_stats
-from .spin import SpinGraph, SpinStructure, enumerate_spin
+from .spin import SpinGraph, SpinStructure, spin_fibres
 
 
 class _Infinity:
@@ -165,16 +166,20 @@ def pi_trop(spin_curve):
 def pi_trop_fiber(curve):
     """Representatives of the spin tropical curves mapping to the given
     curve: one per orbit of the spin structures under the curve's
-    automorphisms, with lengths halved outside the cyclic set.
+    automorphisms, walked fibre-wise over the cyclic sets
+    (:func:`~spinmod.orbits.spin_orbits`), with lengths halved
+    outside the cyclic set.
 
     Every representative maps back to the input under :func:`pi_trop`.
     """
     if not curve.stable:
         raise DomainError("fibers are taken over stable curves")
-    spins, _, _ = curve_automorphisms(curve).orbit_representatives(
-        enumerate_spin(curve.graph), SpinStructure.data, spin_action())
+    fibres = spin_fibres(curve.graph)
+    over = {fibre[0].mask: fibre for fibre in fibres}
     reps = []
-    for s in spins:
+    for mask, signs in spin_orbits(curve_automorphisms(curve), fibres).reps:
+        p, dec, _ = over[mask]
+        s = SpinStructure.over(p, dec, signs)
         lengths = [x if i in s.P else halve(x)
                    for i, x in enumerate(curve.lengths)]
         rep = SpinTropicalCurve(TropicalCurve(curve.graph, lengths), s)

@@ -50,8 +50,7 @@ def suite_counts(g, classes):
         spin_count_check(graph)
         stratum_counts(graph)
         cyclic = enumerate_cyclic(graph)
-        for p in cyclic:
-            theta_divisors(graph, p)
+        theta_divisors(graph, cyclic)
         cyclic_sets += len(cyclic)
         if classify(graph).basic and len(graph.vertices) >= 2:
             count = g_collections(graph)["count"]

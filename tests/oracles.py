@@ -1,8 +1,12 @@
 """Test oracles: the automorphism group as a list of elements, each a
 map on vertices and half-edges, found by a backtracking search over
 vertex bijections and extended to every half-edge map, loop flips
-included; the orbit walk that acts with every element, the stabilizer
-of a spin structure filtered from the whole group one image at a time,
+included; the orbit walk that acts with every element, the walk of
+the whole group over every spin structure (one image per structure
+orbit and action class, through a carry kept per (map, cyclic set)),
+which the package's walk fibred over the cyclic sets must reproduce, the
+stabilizer of a spin structure filtered from the whole group one image
+at a time,
 and the component-wise subgroup and induced quotient action counted
 element by element; the canonical-form search with the initial colors and the
 certificate read through the graph's per-vertex and per-edge accessors,
@@ -50,10 +54,10 @@ from itertools import (combinations, combinations_with_replacement,
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
 from spinmod.graphs import Graph, _check_edge_subset, connected_classes
-from spinmod.morphisms import (Aut, Contraction, SpinCarry, _neighbor_lists,
-                               _refine_colors, canonical_form, canonical_key,
-                               contract, push_cycle, push_vertex_set,
-                               spin_orbits)
+from spinmod.morphisms import (Aut, Contraction, SpinCarry, _cyclic_encoding,
+                               _neighbor_lists, _refine_colors, automorphisms,
+                               canonical_form, canonical_key, contract,
+                               push_cycle, push_vertex_set)
 from spinmod.posets import _multigraphs_with_degrees, max_rank
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 
@@ -384,6 +388,46 @@ def act_spin(aut, spin):
     return SpinStructure(graph, p_out, tuple(signs))
 
 
+def spin_action():
+    """``act(f, spin)``: the ``(mask, signs)`` data of the image of
+    ``spin`` under an automorphism or contraction ``f``, through a
+    :class:`SpinCarry` built once per (map, mask) and kept in the dict
+    ``act.carried``."""
+    memo = {}
+
+    def act(f, spin):
+        key = (f, spin.P.mask)
+        carried = memo.get(key)
+        if carried is None:
+            carried = memo[key] = SpinCarry(f, spin.P, spin.dec)
+        return carried.mask, carried.fold(spin.signs)
+
+    act.carried = memo
+    return act
+
+
+def spin_orbits(graph, spins, act=None):
+    """The walk of the whole group over every structure in ``spins``:
+    each representative's signs folded through every action class, as
+    :meth:`AutGroup.orbit_representatives` returns it, with ``act`` (a
+    fresh :func:`spin_action` when not given)."""
+    return automorphisms(graph).orbit_representatives(
+        spins, SpinStructure.data, act or spin_action())
+
+
+def spin_encoding(graph, pos, data):
+    """A spin structure, given by its ``(mask, signs)`` data, encoded on
+    its own: its cyclic set and each component of the opened graph, as
+    canonical positions, with its sign.  With the full-group walk's
+    orbit table, ``orbit_keys(graph, orbit_of, spin_encoding)`` keys
+    every member of every orbit."""
+    mask, signs = data
+    dec = pbar_decompose(graph, EdgeSet(graph, mask))
+    comps = sorted((tuple(sorted(pos[v] for v in vs)), s)
+                   for vs, s in zip(dec.vertex_sets, signs))
+    return (_cyclic_encoding(graph, pos, mask), tuple(comps))
+
+
 def spin_stabilizer(graph, spin):
     """The automorphisms of ``graph`` whose image of ``spin``, built one
     at a time by :func:`act_spin`, equals ``spin``, in group order."""
@@ -484,7 +528,7 @@ def order_test(upper, lower):
         c = contract(ga, EdgeSet.from_indices(ga, subset))
         if canonical_form(c.target)[0] != cert_b:
             continue
-        if SpinCarry(c.onto(gb), upper.spin).fold(upper.spin) in orbit_of:
+        if push_spin(c.onto(gb), upper.spin).data() in orbit_of:
             return c
     return None
 

@@ -261,8 +261,8 @@ OVER_ANOTHER_GRAPH = {
     "SpinStructure": lambda theta, bouquet, foreign: SpinStructure(
         bouquet, foreign, (0,)),
     "SpinCarry": lambda theta, bouquet, foreign: SpinCarry(
-        automorphisms(bouquet).actions[0],
-        SpinStructure(theta, foreign, (0,))),
+        automorphisms(bouquet).actions[0], foreign,
+        pbar_decompose(theta, foreign)),
 }
 
 

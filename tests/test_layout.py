@@ -18,7 +18,7 @@ from array import array
 import pytest
 
 from spinmod.cycles import PbarDecomposition, enumerate_cyclic, pbar_decompose
-from spinmod.morphisms import Aut, SpinCarry, automorphisms, spin_action
+from spinmod.morphisms import Aut, SpinCarry, automorphisms
 from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
                             build_spin_poset, poset_stats)
 from spinmod.tropical import ConeCell, build_cone_complex
@@ -42,10 +42,8 @@ def test_records_built_by_a_poset_have_no_instance_dict():
     nd = poset.nodes[-1]
     graph, spin = nd.rep.graph, nd.rep.spin
     dec = pbar_decompose(graph, spin.P)
-    act = spin_action()
     aut = automorphisms(graph).actions[0]
-    act(aut, spin)
-    (carry,) = act.carried.values()
+    carry = SpinCarry(aut, spin.P, dec)
     for record in (nd, cells[-1], dec, carry, aut):
         assert not hasattr(record, "__dict__")
 

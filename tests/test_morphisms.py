@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spinmod import morphisms
+from spinmod import morphisms, orbits
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import Graph
@@ -12,9 +12,10 @@ from spinmod.morphisms import (SpinCarry, _digest, automorphisms,
                                canonical_form, canonical_key,
                                component_subgroup, composed_edges, contract,
                                cyclic_canonical_key, order_test, push_cycle,
-                               push_spin, push_vertex_set,
-                               quotient_action_order, spin_orbits)
-from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
+                               orbit_keys, push_spin, push_vertex_set,
+                               quotient_action_order)
+from spinmod.orbits import spin_orbit, spin_orbit_keys, spin_orbits
+from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin, spin_fibres
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
                       make_rose, make_theta, make_weight_vertex, subgraph_on)
@@ -192,7 +193,7 @@ def test_aut_theta_spin_restricted(theta):
     s = spin(theta, [0, 1], (1,))
     g = oracles.spin_stabilizer(theta, s)
     assert g.order == 4
-    _, _, (fixing,) = spin_orbits(theta, [s])
+    (fixing,) = spin_orbit(theta, s).stabilizers
     assert automorphisms(theta).subgroup(fixing).order == 4
     assert oracles.element_group(theta).subgroup(fixing).elements == \
         g.elements
@@ -392,7 +393,7 @@ def test_aut_factorization_on_fixtures():
     for g, s in cases:
         full = oracles.spin_stabilizer(g, s)
         group = automorphisms(g)
-        _, _, (fixing,) = spin_orbits(g, [s])
+        (fixing,) = spin_orbit(g, s).stabilizers
         pbar = component_subgroup(group, s)
         q_h = quotient_action_order(g, s, group.subgroup(fixing))
         assert full.order == pbar.order * q_h, (g, s)
@@ -413,8 +414,9 @@ def test_group_orders_match_the_element_oracle_on_spin_nodes(
         assert group.order == oracle.order
         assert actions_of(group) == [(a.vertex_map, a.edge_perm)
                                      for a in actions]
-        reps, _, stabilizers = spin_orbits(graph, enumerate_spin(graph))
-        for s, classes in zip(reps, stabilizers):
+        walked = spin_orbits(group, spin_fibres(graph))
+        for (mask, signs), classes in zip(walked.reps, walked.stabilizers):
+            s = SpinStructure(graph, EdgeSet(graph, mask), signs)
             fixing = group.subgroup(classes)
             want = oracles.spin_stabilizer(graph, s)
             assert fixing.order == want.order, (graph, s)
@@ -677,15 +679,16 @@ def test_order_test_walks_the_lower_orbit_only_when_it_must(g, n,
     from spinmod import morphisms
 
     walks = []
-    walk = morphisms.spin_orbits
-    monkeypatch.setattr(morphisms, "spin_orbits",
-                        lambda graph, spins, *a: walks.append(graph)
-                        or walk(graph, spins, *a))
+    walk = orbits.spin_orbit
+    monkeypatch.setattr(orbits, "spin_orbit",
+                        lambda graph, spin: walks.append(graph)
+                        or walk(graph, spin))
     per_call = []
     for upper, generic in _generic_fibers(g, n, seed=g * 10 + n):
         moved = {}
         for a in automorphisms(generic.graph).actions:
-            image = SpinCarry(a, generic.spin).image(generic.spin)
+            image = SpinCarry(a, generic.spin.P,
+                              generic.spin.dec).image(generic.spin)
             moved.setdefault(image.data(), image)
         for image in moved.values():
             before = len(walks)
@@ -728,7 +731,7 @@ def test_act_spin_rejects_bad_decomposition(theta):
     theta.__dict__["_pbar_decompositions"][0] = wrong
     ident = automorphisms(theta).actions[0]
     with pytest.raises(VerificationError) as info:
-        SpinCarry(ident, s).image(s)
+        SpinCarry(ident, s.P, s.dec).image(s)
     assert info.value.witnesses == (canonical_key(theta), "P=0", "image=0")
 
 
@@ -752,7 +755,7 @@ def test_act_spin_rejects_genus_change():
     rose.__dict__["_pbar_decompositions"][1] = wrong
     ident = automorphisms(rose).actions[0]
     with pytest.raises(VerificationError, match="genus") as info:
-        SpinCarry(ident, s).image(s)
+        SpinCarry(ident, s.P, s.dec).image(s)
     assert info.value.witnesses == (canonical_key(rose), "P=1", "image=1")
 
 
@@ -768,7 +771,7 @@ def test_act_spin_rejects_a_component_carried_onto_part_of_one():
     with pytest.raises(VerificationError,
                        match="maps component 0 of the opened graph onto "
                              "no component") as info:
-        SpinCarry(ident, s).image(s)
+        SpinCarry(ident, s.P, s.dec).image(s)
     assert info.value.witnesses == (canonical_key(chain), "P=4", "image=4")
 
 
@@ -786,7 +789,7 @@ def test_act_spin_rejects_two_components_carried_into_one():
     with pytest.raises(VerificationError,
                        match="maps component 0 of the opened graph onto "
                              "no component") as info:
-        SpinCarry(ident, s).image(s)
+        SpinCarry(ident, s.P, s.dec).image(s)
     assert info.value.witnesses == (canonical_key(chain), "P=c", "image=c")
 
 
@@ -828,7 +831,7 @@ def test_spin_restriction_decomposes_each_mask_once(monkeypatch):
             group = automorphisms(graph)
             images = {a.act_mask(s.P.mask) for a in group.actions}
             del built[:]
-            spin_orbits(graph, [s])
+            spin_orbit(graph, s)
             assert len(built) == len(set(built)) <= len(images)
 
 
@@ -850,18 +853,18 @@ def test_spin_actions_match_per_image_oracle(g, n):
     # one contraction per edge orbit (carried onto its target class) on
     # every spin structure, through one action shared by the class, against
     # the bodies that decompose and build each image
-    from spinmod.morphisms import spin_action
     from spinmod.posets import _edge_contractions, enumerate_stable_graphs
 
     classes = enumerate_stable_graphs(g, n)
     reps = {canonical_key(graph): graph for graph in classes}
     for graph in classes:
-        act = spin_action()
+        act = oracles.spin_action()
         spins = enumerate_spin(graph)
         for a in oracles.element_group(graph).elements:
             for s in spins:
                 want = oracles.act_spin(a, s).data()
-                assert act(a, s) == SpinCarry(a, s).image(s).data() == want
+                assert act(a, s) == SpinCarry(a, s.P, s.dec).image(s).data() \
+                    == want
         for _, _, c in _edge_contractions(graph, reps):
             for s in spins:
                 want = oracles.push_spin(c, s).data()
@@ -875,11 +878,96 @@ def test_spin_orbit_tables_match_per_image_orbits(g, n, shared_classes):
         group = oracles.element_group(graph).elements
         orbits = {s.data(): frozenset(oracles.act_spin(a, s).data()
                                       for a in group) for s in spins}
-        reps, orbit_of, _ = spin_orbits(graph, spins)
-        assert len(reps) == len(set(orbits.values()))
-        assert set(orbit_of) == set(orbits)
+        walked = spin_orbits(automorphisms(graph), spin_fibres(graph))
+        assert len(walked.reps) == len(set(orbits.values()))
+        assert {(mask, signs) for mask, fibre in walked.table.items()
+                for signs in fibre} == set(orbits)
         for data, orbit in orbits.items():
-            assert {orbit_of[x] for x in orbit} == {orbit_of[data]}
+            assert {walked.orbit(*x) for x in orbit} == {walked.orbit(*data)}
+
+
+@pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0), (3, 1), (0, 6)])
+def test_fibred_walk_matches_the_full_group_walk(g, n, shared_classes):
+    # representatives, orbit table, stabilizers and keys of the walk
+    # fibred over the cyclic sets, against the walk of every action class
+    # over every spin structure, keyed by encoding every member
+    for graph in shared_classes(g, n):
+        walked = spin_orbits(automorphisms(graph), spin_fibres(graph))
+        reps, orbit_of, stabilizers = oracles.spin_orbits(
+            graph, enumerate_spin(graph))
+        assert walked.reps == [s.data() for s in reps]
+        assert {(mask, signs): k for mask, fibre in walked.table.items()
+                for signs, k in fibre.items()} == orbit_of
+        assert walked.entries() == len(orbit_of)
+        assert walked.stabilizers == stabilizers
+        assert spin_orbit_keys(graph, walked) == orbit_keys(
+            graph, orbit_of, oracles.spin_encoding)
+
+
+def _mutate_transporters(monkeypatch, mutate):
+    """Every walk over masks that records transporters hands them to
+    ``mutate(group, reps, orbit_of, transporters)`` before they are
+    read; ``mutate`` returns whether it changed one."""
+    original = morphisms.AutGroup.orbit_representatives
+    changed = []
+
+    def walk(self, items, data, act, transporters=None):
+        out = original(self, items, data, act, transporters)
+        if transporters is not None:
+            changed.append(mutate(self, out[0], out[1], transporters))
+        return out
+
+    monkeypatch.setattr(morphisms.AutGroup, "orbit_representatives", walk)
+    return changed
+
+
+def _dropped(group, reps, orbit_of, transporters):
+    q = next((q for q, k in orbit_of.items() if q != reps[k]), None)
+    if q is not None:
+        del transporters[q]
+    return q is not None
+
+
+def _from_another_orbit(group, reps, orbit_of, transporters):
+    # a mask's transporter replaced by that of a mask of another orbit,
+    # when it carries the mask's orbit representative elsewhere
+    for q, k in orbit_of.items():
+        for other, j in orbit_of.items():
+            c = transporters[other]
+            if j != k and q != reps[k] and \
+                    group.actions[c].act_mask(reps[k]) != q:
+                transporters[q] = c
+                return True
+    return False
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_dropped, "no transporter"),
+    (_from_another_orbit, "does not carry the least set")],
+    ids=["dropped", "from-another-orbit"])
+def test_a_wrong_transporter_fails_the_walk(mutate, message, monkeypatch):
+    # a walk whose transporters lost one mask, or carry one mask's orbit
+    # representative elsewhere, is a verification error naming the
+    # class, its orbit's least set and the mask
+    changed = _mutate_transporters(monkeypatch, mutate)
+    from spinmod.posets import build_spin_poset
+
+    with pytest.raises(VerificationError, match=message) as info:
+        build_spin_poset(3, 0)
+    assert any(changed)
+    key, least, mask = info.value.witnesses
+    assert least.startswith("P=") and mask.startswith(("image=", "F="))
+
+
+def test_a_dropped_transporter_fails_a_spin_key(monkeypatch):
+    # the walk over one structure's orbit: the theta graph's three
+    # 2-cycles form one orbit, and the key fails once one loses its
+    # transporter
+    changed = _mutate_transporters(monkeypatch, _dropped)
+    theta = make_theta()
+    with pytest.raises(VerificationError, match="no transporter"):
+        canonical_key(SpinGraph(theta, spin(theta, [0, 1], (1,))))
+    assert changed == [True]
 
 
 # -- orbit walks over action classes -------------------------------------------
@@ -924,15 +1012,14 @@ def test_orbit_walk_matches_the_walk_over_every_element(g, n,
     # representatives, orbit table (in insertion order) and stabilizers
     # (every fixing element, in group order) on cyclic sets and spin
     # structures, against the walk that acts with every element
-    from spinmod.morphisms import spin_action
-
     for graph in shared_classes(g, n):
         group = automorphisms(graph)
         oracle = oracles.element_group(graph)
         for items, data, act in (
                 (enumerate_cyclic(graph), lambda p: p.mask,
                  lambda a, p: a.act_mask(p.mask)),
-                (enumerate_spin(graph), SpinStructure.data, spin_action())):
+                (enumerate_spin(graph), SpinStructure.data,
+                 oracles.spin_action())):
             reps, orbit_of, stabs = group.orbit_representatives(
                 items, data, act)
             want_reps, want_orbit_of, want_stabs = \
@@ -952,7 +1039,7 @@ def test_spin_orbit_stabilizer_keeps_every_fixing_element(dumbbell):
     # 4 of them
     group = oracles.element_group(dumbbell)
     for s in enumerate_spin(dumbbell):
-        _, _, (classes,) = spin_orbits(dumbbell, [s])
+        (classes,) = spin_orbit(dumbbell, s).stabilizers
         fixing = group.subgroup(classes)
         want = oracles.orbit_representatives(
             group, [s], SpinStructure.data,

@@ -69,20 +69,33 @@ def test_three_regular_seeds_sharing_a_key_is_verification_error(
 
 
 def test_spin_poset_builds_each_spin_structure_once(monkeypatch):
-    # the 581 spin structures over the (3,0) classes are the only ones
-    # built: orbit walks, keys and covers act on their data
+    # of the 581 spin structures over the (3,0) classes, only the 408
+    # node representatives are built, each once, from the sign vectors
+    # the decompositions give, with no second validation; orbit walks,
+    # keys and covers act on sign vectors as data
     from spinmod.spin import SpinStructure
 
-    built = []
+    validated = []
     original = SpinStructure.__init__
 
     def counting(self, graph, cyclic_set, signs):
-        built.append((id(graph), cyclic_set.mask, tuple(signs)))
+        validated.append((id(graph), cyclic_set.mask, tuple(signs)))
         original(self, graph, cyclic_set, signs)
 
+    built = []
+    over = SpinStructure.over.__func__
+
+    def counting_over(cls, cyclic_set, dec, signs):
+        built.append((id(dec.graph), cyclic_set.mask, signs))
+        return over(cls, cyclic_set, dec, signs)
+
     monkeypatch.setattr(SpinStructure, "__init__", counting)
-    build_spin_poset(3, 0)
-    assert len(built) == len(set(built)) == 581
+    monkeypatch.setattr(SpinStructure, "over", classmethod(counting_over))
+    poset = build_spin_poset(3, 0)
+    assert validated == []
+    assert len(built) == len(set(built)) == len(poset.nodes) == 408
+    assert sorted(built) == sorted((id(nd.rep.graph), *nd.rep.spin.data())
+                                   for nd in poset.nodes)
 
 
 def test_enumerate_stable_counts():
@@ -504,14 +517,19 @@ def test_orbit_representatives_are_orbit_minima(g, n):
 
 
 def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
-    # each class costs (number of spin orbits) x (number of distinct
-    # actions on vertices and edges) images, not (number of spin
-    # structures) x |Aut|; one element per action carries the components
-    # of each cyclic set the walk meets once, and no image is built as a
-    # spin structure
+    # the walk is fibred over the cyclic orbits: over the least mask P of
+    # each, every spin orbit costs one image per element of Stab(P) (per
+    # action class), and every other mask Q of the orbit one image per
+    # sign vector, folded through Q's transporter; a fibre of one
+    # structure (c_+ = 0) costs none.  One element per action class of
+    # Stab(P) and one transporter per other mask carry the components
+    # of P once, and no image is built as a spin structure.  The
+    # expected counts are read off the group's actions on masks and the
+    # nodes, not off the walk
     from collections import Counter
 
-    from spinmod.morphisms import Aut, SpinCarry, automorphisms
+    from spinmod.cycles import enumerate_cyclic, pbar_decompose
+    from spinmod.morphisms import Aut, SpinCarry
 
     classes = enumerate_stable_graphs(2, 1)
     images = Counter()
@@ -519,15 +537,15 @@ def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
     built = []
     fold, init = SpinCarry.fold, SpinCarry.__init__
 
-    def counting_fold(self, spin):
+    def counting_fold(self, signs):
         if isinstance(self.f, Aut):
             images[id(self.graph)] += 1
-        return fold(self, spin)
+        return fold(self, signs)
 
-    def counting_init(self, f, spin):
+    def counting_init(self, f, cyclic_set, dec):
         if isinstance(f, Aut):
-            carries[id(spin.graph)] += 1
-        init(self, f, spin)
+            carries[id(cyclic_set.graph)] += 1
+        init(self, f, cyclic_set, dec)
 
     monkeypatch.setattr(SpinCarry, "fold", counting_fold)
     monkeypatch.setattr(SpinCarry, "__init__", counting_init)
@@ -535,16 +553,29 @@ def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
                         lambda self, spin: built.append(spin))
     poset = build_spin_poset(2, 1, _classes=classes)
     monkeypatch.undo()
-    orbits = Counter(id(nd.rep.graph) for nd in poset.nodes)
-    masks = {id(rep): {nd.rep.spin.P.mask for nd in poset.nodes
-                       if nd.rep.graph is rep} for rep in classes}
-    actions = {id(rep): len(automorphisms(rep).actions)
-               for rep in classes}
-    assert images == {id(rep): orbits[id(rep)] * actions[id(rep)]
-                      for rep in classes}
-    assert carries == {id(rep): len(masks[id(rep)]) * actions[id(rep)]
-                       for rep in classes}
-    assert sum(carries.values()) < sum(images.values())
+    nodes_over = Counter((id(nd.rep.graph), nd.rep.spin.P.mask)
+                         for nd in poset.nodes)
+    want_images, want_carries = Counter(), Counter()
+    full_group = 0
+    for rep in classes:
+        actions = automorphisms(rep).actions
+        seen = set()
+        for p in enumerate_cyclic(rep):
+            if p.mask in seen:
+                continue
+            orbit = {a.act_mask(p.mask) for a in actions}
+            seen |= orbit
+            fixing = sum(1 for a in actions if a.act_mask(p.mask) == p.mask)
+            c_plus = pbar_decompose(rep, p).c_plus
+            full_group += nodes_over[id(rep), p.mask] * len(actions)
+            if c_plus:
+                want_images[id(rep)] += (
+                    fixing * nodes_over[id(rep), p.mask]
+                    + (len(orbit) - 1) * 2 ** c_plus)
+                want_carries[id(rep)] += fixing + len(orbit) - 1
+    assert images == want_images
+    assert carries == want_carries
+    assert sum(carries.values()) < sum(images.values()) < full_group
     assert built == []
 
 
@@ -795,9 +826,14 @@ def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
     # class among them: the tables stay whole for what is enumerated, so
     # an odd structure pushed onto the rank-0 class lands on a structure
     # its target's table never met
-    original = posets.enumerate_spin
-    monkeypatch.setattr(posets, "enumerate_spin",
-                        lambda graph: original(graph)[:-1])
+    original = posets.spin_fibres
+
+    def without_last(graph):
+        fibres = original(graph)
+        p, dec, signs = fibres[-1]
+        return fibres[:-1] + [(p, dec, signs[:-1])]
+
+    monkeypatch.setattr(posets, "spin_fibres", without_last)
     with pytest.raises(VerificationError, match="table of its target class") \
             as info:
         build_spin_poset(2, 0)
@@ -807,20 +843,31 @@ def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
     assert target_key in keys
 
 
-@pytest.mark.parametrize("build,orbits,data", [
-    (build_cyclic_poset, "cyclic_orbits", lambda p: p.mask),
-    (build_spin_poset, "spin_orbits", lambda s: s.data())],
+def _cyclic_reps_only(walked):
+    reps, _, stabilizers = walked
+    return reps, {p.mask: k for k, p in enumerate(reps)}, stabilizers
+
+
+def _spin_reps_only(walked):
+    walked.table = {}
+    for k, (mask, signs) in enumerate(walked.reps):
+        walked.table.setdefault(mask, {})[signs] = k
+    return walked
+
+
+@pytest.mark.parametrize("build,orbits,cut", [
+    (build_cyclic_poset, "cyclic_orbits", _cyclic_reps_only),
+    (build_spin_poset, "spin_orbits", _spin_reps_only)],
     ids=["cyclic", "spin"])
 def test_structure_missing_from_its_own_table_is_verification_error(
-        build, orbits, data, monkeypatch):
+        build, orbits, cut, monkeypatch):
     # an orbit table that lost every entry but the representatives' own:
     # the first structure of a class that is no representative is missing
     # from it, which names its class and itself before anything is pushed
     original = getattr(posets, orbits)
 
-    def reps_only(graph, structures, *args):
-        reps, _, stabilizers = original(graph, structures, *args)
-        return reps, {data(x): k for k, x in enumerate(reps)}, stabilizers
+    def reps_only(*args):
+        return cut(original(*args))
 
     monkeypatch.setattr(posets, orbits, reps_only)
     with pytest.raises(VerificationError,
@@ -849,21 +896,53 @@ def test_node_keys_match_the_group_minimum(g, n, shared_classes):
 @pytest.mark.parametrize("kind,structures", [("cyclic", 198),
                                              ("spin", 581)])
 def test_each_structure_encoded_once(kind, structures, monkeypatch):
-    # every cyclic set or spin structure over the (3,0) classes is
-    # encoded once, as a member of its orbit, and never again per node
-    from spinmod import morphisms
+    # every cyclic set over the (3,0) classes is encoded once, as a
+    # member of its orbit, and never again per node.  The spin poset
+    # encodes each of the 198 masks under its 581 spin structures once
+    # too, and reads the component positions only of the masks whose
+    # encoding is the least in their cyclic orbit, each once; only the
+    # structures over those masks get their signs zipped in
+    from spinmod import morphisms, orbits
+    from spinmod.cycles import enumerate_cyclic
 
-    name = f"_{kind}_encoding"
-    original = getattr(morphisms, name)
-    calls = []
+    calls = {}
 
-    def counting(graph, pos, data):
-        calls.append((id(graph), data))
-        return original(graph, pos, data)
+    def counting(name):
+        original = getattr(orbits, name)
 
-    for module in (morphisms, posets):
-        monkeypatch.setattr(module, name, counting)
+        def counted(graph, pos, mask):
+            calls.setdefault(name, []).append((id(graph), mask))
+            return original(graph, pos, mask)
+
+        return counted
+
+    for name in ("_cyclic_encoding", "_component_positions"):
+        counted = counting(name)
+        for module in (morphisms, orbits, posets):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     classes = enumerate_stable_graphs(3, 0)
     builder = {"cyclic": build_cyclic_poset, "spin": build_spin_poset}[kind]
-    builder(3, 0, _classes=classes)
-    assert len(calls) == len(set(calls)) == structures
+    poset = builder(3, 0, _classes=classes)
+    encoded = calls.pop("_cyclic_encoding")
+    masks = sum(len(enumerate_cyclic(graph)) for graph in classes)
+    assert len(encoded) == len(set(encoded)) == masks == 198
+    if kind == "cyclic":
+        assert masks == structures
+        assert calls == {}
+        return
+    least = calls.pop("_component_positions")
+    assert len(least) == len(set(least)) < masks
+    by_id = {id(graph): graph for graph in classes}
+    zipped = sum(len(spin_fibre(by_id[at], mask)) for at, mask in least)
+    assert len(poset.nodes) <= zipped < structures == sum(
+        len(spin_fibre(graph, p.mask)) for graph in classes
+        for p in enumerate_cyclic(graph))
+
+
+def spin_fibre(graph, mask):
+    """The sign vectors above one cyclic set of ``graph``."""
+    from spinmod.cycles import EdgeSet, pbar_decompose
+    from spinmod.spin import sign_vectors
+
+    return sign_vectors(pbar_decompose(graph, EdgeSet(graph, mask)))

@@ -155,7 +155,7 @@ def test_component_genus_check_fails_on_a_bumped_cycle(g, n, monkeypatch):
 
 
 def test_theta_divisor_theta_graph(theta):
-    t = theta_divisors(theta, EdgeSet.from_indices(theta, [0, 1]))
+    (t,) = theta_divisors(theta, [EdgeSet.from_indices(theta, [0, 1])])
     assert [t.vertex_divisor[v] for v in theta.vertices] == [0, 0]
     assert t.midpoint_edges == (2,)
     assert t.degree == 1
@@ -163,13 +163,13 @@ def test_theta_divisor_theta_graph(theta):
 
 def test_theta_divisor_weight_vertex():
     g = make_weight_vertex(3)
-    t = theta_divisors(g, EdgeSet(g, 0))
+    (t,) = theta_divisors(g, [EdgeSet(g, 0)])
     assert t.vertex_divisor[0] == 2
     assert t.degree == 2
 
 
 def test_theta_divisor_dumbbell(dumbbell):
-    t = theta_divisors(dumbbell, EdgeSet.from_indices(dumbbell, [0, 1]))
+    (t,) = theta_divisors(dumbbell, [EdgeSet.from_indices(dumbbell, [0, 1])])
     assert [t.vertex_divisor[v] for v in dumbbell.vertices] == [0, 0]
     assert t.midpoint_edges == (2,)
     assert t.degree == 1
@@ -177,8 +177,8 @@ def test_theta_divisor_dumbbell(dumbbell):
 
 def test_theta_divisor_identities():
     for g in [make_theta(), make_dumbbell(), make_loop_chain(), make_rose(3)]:
-        for p in enumerate_cyclic(g):
-            t = theta_divisors(g, p)
+        cyclic = enumerate_cyclic(g)
+        for p, t in zip(cyclic, theta_divisors(g, cyclic), strict=True):
             pbar = oracles.opened_graph(g, p)
             k = canonical_divisor(pbar)
             assert all(2 * t.vertex_divisor[v] == k[v] for v in pbar.vertices)
@@ -356,7 +356,7 @@ def test_odd_opened_degree_is_verification_error(theta, monkeypatch):
     with pytest.raises(VerificationError,
                        match="vertex 0 has odd degree 1 in the opened graph"
                        ) as info:
-        theta_divisors(theta, EdgeSet(theta, 0b001))
+        theta_divisors(theta, [EdgeSet(theta, 0b001)])
     assert info.value.witnesses == (canonical_key(theta), "P=1")
 
 
@@ -372,7 +372,7 @@ def test_theta_against_a_canonical_divisor_off_the_pass(one_loop_one_leg,
                        match="doubled theta value 0 differs from the "
                              "canonical divisor value 1 at vertex 0"
                        ) as info:
-        theta_divisors(one_loop_one_leg, EdgeSet(one_loop_one_leg, 1))
+        theta_divisors(one_loop_one_leg, [EdgeSet(one_loop_one_leg, 1)])
     assert info.value.witnesses == (key, "P=1")
 
 
@@ -381,7 +381,7 @@ def test_theta_degree_against_a_wrong_genus(theta):
     theta.__dict__["genus"] = 3
     with pytest.raises(VerificationError,
                        match="theta degree 1 differs from g - c = 2") as info:
-        theta_divisors(theta, EdgeSet(theta, 0b011))
+        theta_divisors(theta, [EdgeSet(theta, 0b011)])
     assert info.value.witnesses == (key, "P=3")
 
 
@@ -423,9 +423,9 @@ def test_theta_and_strata_match_the_opened_graph(g, n, shared_classes):
         rows = stratum_counts(graph).rows
         cyclic = enumerate_cyclic(graph)
         assert [r["P"] for r in rows] == [p.hex() for p in cyclic]
-        for p, row in zip(cyclic, rows):
+        for p, row, t in zip(cyclic, rows, theta_divisors(graph, cyclic),
+                             strict=True):
             opened = oracles.opened_graph(graph, p)
-            t = theta_divisors(graph, p)
             assert t.vertex_divisor.values == {
                 v: opened.w(v) - 1 + opened.deg(v) // 2
                 for v in opened.vertices}

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from spinmod import cycles, graphs, morphisms, posets, tropical, verify
+from spinmod import (cycles, graphs, morphisms, orbits, posets, tropical,
+                     verify)
 from spinmod.cli import main
 from spinmod.errors import VerificationError
 from spinmod.graphs import classify
@@ -92,14 +93,16 @@ def test_counts_records_carry_coverage(g, n, cyclic_sets, basic_graphs):
 
 def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     # the spin orbit step folds the signs of each spin class through one
-    # element per distinct action on vertices and edges (1,612 images at
-    # (3,0)) and keeps the stabilizer it meets, so the cone complex and
-    # the factorization check act no more.  Every other image comes from
-    # a walk over the orbit of one structure: a spin key, the target or a
-    # candidate lift of a refinement (the lifts fold 36), or the lower
-    # side of an order test that meets a candidate pushed elsewhere than
-    # onto it, each acting once per action of its graph's group.  No
-    # automorphism's image is built as a spin structure.
+    # element per action class of its cyclic set's stabilizer, and the
+    # sign vectors above the least set of each cyclic orbit through one
+    # transporter per other set of the orbit (1,224 images at (3,0)), and
+    # keeps the stabilizer it meets, so the cone complex and the
+    # factorization check act no more.  Every other image comes from a
+    # fibred walk over the orbit of one structure: a spin key, the target
+    # or a candidate lift of a refinement, or the lower side of an order
+    # test that meets a candidate pushed elsewhere than onto it; each
+    # counts the sign images it folds.  No automorphism's image is built
+    # as a spin structure.
     from spinmod import morphisms
 
     calls = []
@@ -136,20 +139,22 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
             if getattr(owner, name, None) is inner:
                 monkeypatch.setattr(owner, name, in_phase)
     walked = []
-    walk = morphisms.spin_orbits
+    walk = orbits.spin_orbit
 
-    def single_walk(graph, spins, *args):
-        walked.append(len(spins) * len(
+    def single_walk(graph, spin):
+        orbits = walk(graph, spin)
+        # the walk's images less the one walk over the masks
+        walked.append(orbits.images - len(
             morphisms.automorphisms(graph).actions))
-        return walk(graph, spins, *args)
+        return orbits
 
-    monkeypatch.setattr(morphisms, "spin_orbits", single_walk)
+    monkeypatch.setattr(orbits, "spin_orbit", single_walk)
     run_suites(3, 0, "all")
     assert calls.count("build_cone_complex") == 0
     assert calls.count("check_aut_factorization") == 0
     assert acted == []
-    assert sum(walked) == 590
-    assert len(calls) == 1612 + sum(walked) == 2202
+    assert sum(walked) == 533
+    assert len(calls) == 1224 + sum(walked) == 1757
 
 
 def test_purity_precursor_agrees_with_the_union_of_descendants(monkeypatch):
@@ -262,30 +267,39 @@ def test_cyclic_orbits_count_the_cyclic_sets(g, n, monkeypatch):
 
 
 @pytest.mark.parametrize("g,n,actions,cyclic_images,spin_images", [
-    (3, 0, 208, 702, 1612), (3, 1, 518, 2104, 5751)])
+    (3, 0, 208, 702, 1926), (3, 1, 518, 2104, 7204)])
 def test_poset_records_count_the_orbit_walk(g, n, actions, cyclic_images,
                                             spin_images, monkeypatch):
     # counted from the calls the walks make: one act_mask per cyclic
-    # image while the cyclic poset is built, one fold by an automorphism
-    # per spin image while the spin poset is built; the group actions are
-    # summed over the classes
+    # image while the cyclic poset is built; while the spin poset is
+    # built, one act_mask per mask image of its walk over the cyclic sets
+    # (the same walk as the cyclic poset's) and one per carry by an
+    # automorphism (its image set), and one fold by an automorphism per
+    # sign image; the group actions are summed over the classes
     from spinmod import morphisms
 
     counted = Counter()
     phase = [None]
     act_mask, fold = morphisms.Aut.act_mask, morphisms.SpinCarry.fold
+    init_carry = morphisms.SpinCarry.__init__
 
     def counting_act_mask(self, mask):
         counted[phase[0], "act_mask"] += 1
         return act_mask(self, mask)
 
-    def counting_fold(self, spin):
+    def counting_fold(self, signs):
         if isinstance(self.f, Aut):
             counted[phase[0], "fold"] += 1
-        return fold(self, spin)
+        return fold(self, signs)
+
+    def counting_carry(self, f, *args):
+        if isinstance(f, Aut):
+            counted[phase[0], "carry"] += 1
+        init_carry(self, f, *args)
 
     monkeypatch.setattr(morphisms.Aut, "act_mask", counting_act_mask)
     monkeypatch.setattr(morphisms.SpinCarry, "fold", counting_fold)
+    monkeypatch.setattr(morphisms.SpinCarry, "__init__", counting_carry)
     for name in ("build_cyclic_poset", "build_spin_poset"):
         inner = getattr(verify, name)
 
@@ -305,13 +319,50 @@ def test_poset_records_count_the_orbit_walk(g, n, actions, cyclic_images,
     assert checks["poset-spin"]["group_actions"] == actions
     assert checks["poset-cyclic"]["orbit_images"] == \
         counted["build_cyclic_poset", "act_mask"] == cyclic_images
-    assert checks["poset-spin"]["orbit_images"] == \
-        counted["build_spin_poset", "fold"] == spin_images
+    assert counted["build_spin_poset", "act_mask"] - counted[
+        "build_spin_poset", "carry"] == cyclic_images
+    assert checks["poset-spin"]["orbit_images"] == cyclic_images + counted[
+        "build_spin_poset", "fold"] == spin_images
     assert "group_actions" not in checks["poset-graphs"]
 
 
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (0, 6)])
+def test_walk_records_count_orbit_entries_and_single_structure_fibres(
+        g, n, shared_classes):
+    # orbit_entries: every cyclic set is in the cyclic poset's tables and
+    # every spin structure in the spin poset's, 2^{c_+} over each set
+    # (the closed count of spin_count_check).  single_structure_fibres:
+    # c_+ = 0 exactly over the empty set of a weightless class, which is
+    # an orbit of its own, so there is one such fibre per weightless
+    # class.  In genus 0 every class is a weightless tree with that one
+    # fibre, so the spin poset builds no carry and is the cyclic poset
+    from spinmod.spin import spin_count_check
+
+    classes = shared_classes(g, n)
+    cyclic_poset = posets.build_cyclic_poset(g, n, _classes=classes)
+    spin_poset = posets.build_spin_poset(g, n, _classes=classes)
+    cyclic, spin = cyclic_poset.walk, spin_poset.walk
+    assert cyclic["orbit_entries"] == sum(
+        len(cycles.enumerate_cyclic(graph)) for graph in classes)
+    assert "single_structure_fibres" not in cyclic
+    assert spin["orbit_entries"] == sum(
+        spin_count_check(graph)["total"] for graph in classes)
+    weightless = sum(1 for graph in classes if graph.total_weight() == 0)
+    assert spin["single_structure_fibres"] == weightless > 0
+    if g == 0:
+        assert spin["carries"] == 0
+        spin_at = [(id(nd.rep.graph), nd.rep.spin.P.mask)
+                   for nd in spin_poset.nodes]
+        cyclic_at = [(id(graph), p.mask) for graph, p in
+                     (nd.rep for nd in cyclic_poset.nodes)]
+        assert sorted(spin_at) == sorted(cyclic_at)
+        assert {(spin_at[u], spin_at[l]) for u, l in spin_poset.covers()} \
+            == {(cyclic_at[u], cyclic_at[l])
+                for u, l in cyclic_poset.covers()}
+
+
 @pytest.mark.parametrize("g,n,decompositions,carries", [
-    (3, 0, 198, 1169), (3, 1, 876, 5176)])
+    (3, 0, 198, 875), (3, 1, 876, 4511)])
 def test_poset_records_count_decompositions_and_carries(
         g, n, decompositions, carries, monkeypatch):
     # counted from the constructors: in the posets suite nothing is
@@ -328,9 +379,9 @@ def test_poset_records_count_decompositions_and_carries(
         built[phase[0], "decompositions"] += 1
         init_dec(self, graph, cyclic_set)
 
-    def counting_carry(self, f, spin):
+    def counting_carry(self, f, cyclic_set, dec):
         built[phase[0], "carries"] += 1
-        init_carry(self, f, spin)
+        init_carry(self, f, cyclic_set, dec)
 
     monkeypatch.setattr(cycles.PbarDecomposition, "__init__", counting_dec)
     monkeypatch.setattr(morphisms.SpinCarry, "__init__", counting_carry)
