@@ -26,10 +26,16 @@ the members' signs zipped onto the mask's component positions.
 
 from __future__ import annotations
 
-from .cycles import EdgeSet, pbar_decompose
+from . import cycles, morphisms
+from .cycles import EdgeSet
 from .errors import VerificationError
 from .morphisms import (Aut, SpinCarry, _certificate_hash, _cyclic_encoding,
-                        _hashed, automorphisms, canonical_form, canonical_key)
+                        _hashed)
+from .spin import SpinStructure
+
+# Decompositions, canonical forms, groups and keys are looked up on their
+# own modules at each call, so that a wrapper set on those modules, such
+# as perfbench's tracer, also sees the calls made from here.
 
 
 class SpinOrbits:
@@ -40,14 +46,22 @@ class SpinOrbits:
     data and ``stabilizers`` the action classes fixing it, as
     :meth:`~spinmod.morphisms.AutGroup.orbit_representatives` returns
     them; ``table`` maps each mask to a dict from the sign vectors above
-    it to their orbit index, and ``mask_orbits`` lists the masks of each
-    cyclic orbit.
+    it to their orbit index, ``mask_orbits`` lists the masks of each
+    cyclic orbit and ``above`` maps each walked mask to its fibre as
+    given, ``(cyclic_set, dec, signs)``.
     ``images`` counts the images the walk computed (masks and sign
     vectors), ``carries`` the :class:`SpinCarry` objects it built and
     ``single`` the cyclic orbits whose fibre is one structure."""
 
-    __slots__ = ("reps", "stabilizers", "table", "mask_orbits", "images",
-                 "carries", "single")
+    __slots__ = ("reps", "stabilizers", "table", "mask_orbits", "above",
+                 "images", "carries", "single")
+
+    def representatives(self):
+        """Each orbit's representative as a spin structure, built over
+        its fibre's cyclic set and decomposition, in orbit order."""
+        above = self.above
+        return [SpinStructure.over(*above[mask][:2], signs)
+                for mask, signs in self.reps]
 
     def orbit(self, mask, signs):
         """The orbit index of the structure with this data, or ``None``
@@ -96,7 +110,7 @@ def spin_orbits(group, fibres):
     mask_reps, mask_orbit, mask_stabilizers = group.orbit_representatives(
         above, lambda mask: mask, Aut.act_mask, transporters)
     out = object.__new__(SpinOrbits)
-    out.reps, out.stabilizers, out.table = [], [], {}
+    out.reps, out.stabilizers, out.table, out.above = [], [], {}, above
     out.mask_orbits = [[] for _ in mask_reps]
     for q, k in mask_orbit.items():
         out.mask_orbits[k].append(q)
@@ -141,7 +155,7 @@ def spin_orbits(group, fibres):
             if c is None:
                 raise VerificationError(
                     "a cyclic set has no transporter from the least set "
-                    "of its orbit", (canonical_key(group.graph),
+                    "of its orbit", (morphisms.canonical_key(group.graph),
                                      f"P={least:x}", f"image={q:x}"))
             carry = SpinCarry(actions[c], p, dec)
             if carry.mask != q:
@@ -159,7 +173,7 @@ def spin_orbit(graph, spin):
     """The orbit of one spin structure under the full automorphism
     group, walked fibre-wise: :func:`spin_orbits` over its cyclic set
     and its signs alone."""
-    return spin_orbits(automorphisms(graph),
+    return spin_orbits(morphisms.automorphisms(graph),
                        [(spin.P, spin.dec, (spin.signs,))])
 
 
@@ -167,7 +181,7 @@ def _component_positions(graph, pos, mask):
     """The canonical positions of each component of the graph opened
     along the edges outside ``mask``, each sorted, in component
     order."""
-    dec = pbar_decompose(graph, EdgeSet(graph, mask))
+    dec = cycles.pbar_decompose(graph, EdgeSet(graph, mask))
     members = [[] for _ in dec.genera]
     for v, i in zip(graph.vertices, dec.component):
         members[i].append(pos[v])
@@ -189,7 +203,7 @@ def spin_orbit_keys(graph, orbits):
     Each mask is encoded once, and only over those masks are the
     component positions read and each member's signs zipped onto
     them."""
-    _, pos = canonical_form(graph)
+    _, pos = morphisms.canonical_form(graph)
     best = [None] * len(orbits.reps)
     for masks in orbits.mask_orbits:
         codes = [_cyclic_encoding(graph, pos, q) for q in masks]

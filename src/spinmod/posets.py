@@ -64,7 +64,7 @@ from array import array
 from collections import Counter
 from itertools import combinations_with_replacement, permutations
 
-from .cycles import enumerate_cyclic, pbar_decompose
+from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
 from .graphs import Graph, connected_classes, is_stable
 from .morphisms import (SpinCarry, _cyclic_encoding, automorphisms,
@@ -754,28 +754,18 @@ def _spin_orbits(graph, rank, walk):
     walk["orbit_entries"] += walked.entries()
     walk["carries"] += walked.carries
     walk["single_structure_fibres"] += walked.single
-    over = {fibre[0].mask: fibre for fibre in fibres}
-    here = []
-    for (mask, signs), key, stabilizer in zip(
-            walked.reps, spin_orbit_keys(graph, walked), walked.stabilizers,
-            strict=True):
-        p, dec, _ = over[mask]
-        spin = SpinStructure.over(p, dec, signs)
-        here.append(PosetNode(key, rank, SpinGraph(graph, spin), spin.parity,
-                              stabilizer))
+    here = [PosetNode(key, rank, SpinGraph(graph, spin), spin.parity,
+                      stabilizer)
+            for spin, key, stabilizer in zip(
+                walked.representatives(), spin_orbit_keys(graph, walked),
+                walked.stabilizers, strict=True)]
     return here, walked.table, fibres
 
 
 def _spin_push(class_key, fibres, table, here, contractions, below, walk):
     """The covers of one class's spin nodes: each cyclic set is carried
     through each contraction once (:class:`~spinmod.morphisms.SpinCarry`)
-    and every sign vector above it is folded through that carry.
-
-    A set with ``c_+ = 0`` is the empty set of a weightless class: each
-    component of its opened graph is one vertex, which a contraction
-    carries into one component, and its one sign vector is zero.  So
-    its image is the zero vector over the pushed set, one sign per
-    component of the target's decomposition, and no carry is built."""
+    and every sign vector above it is folded through that carry."""
     found = [set() for _ in here]
     for p, dec, signs in fibres:
         own = table.get(p.mask, {})
@@ -784,17 +774,11 @@ def _spin_push(class_key, fibres, table, here, contractions, below, walk):
             raise _missing(class_key, SpinStructure.over(
                 p, dec, signs[ks.index(None)]))
         for e, target_key, c in contractions:
-            if dec.c_plus:
-                carry = SpinCarry(c, p, dec)
-                mask, images = carry.mask, map(carry.fold, signs)
-                walk["carries"] += 1
-            else:
-                image = push_cycle(c, p)
-                mask = image.mask
-                images = [(0,) * len(pbar_decompose(c.target, image))]
+            carry = SpinCarry(c, p, dec)
+            walk["carries"] += 1
             target_table, target_nodes = below[target_key]
-            fibre = target_table.get(mask, {})
-            for image, k in zip(images, ks):
+            fibre = target_table.get(carry.mask, {})
+            for image, k in zip(map(carry.fold, signs), ks):
                 t = fibre.get(image)
                 if t is None:
                     raise _missing_target(here[k].key, e, target_key)

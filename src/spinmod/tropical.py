@@ -174,12 +174,9 @@ def pi_trop_fiber(curve):
     """
     if not curve.stable:
         raise DomainError("fibers are taken over stable curves")
-    fibres = spin_fibres(curve.graph)
-    over = {fibre[0].mask: fibre for fibre in fibres}
     reps = []
-    for mask, signs in spin_orbits(curve_automorphisms(curve), fibres).reps:
-        p, dec, _ = over[mask]
-        s = SpinStructure.over(p, dec, signs)
+    for s in spin_orbits(curve_automorphisms(curve),
+                         spin_fibres(curve.graph)).representatives():
         lengths = [x if i in s.P else halve(x)
                    for i, x in enumerate(curve.lengths)]
         rep = SpinTropicalCurve(TropicalCurve(curve.graph, lengths), s)
