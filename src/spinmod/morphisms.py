@@ -645,10 +645,10 @@ class SpinCarry:
     A map moves signs only by the way it carries the components of the
     opened graph, so this depends on ``f`` and the cyclic set alone:
     ``graph`` is the graph the images live on, ``mask`` the image cyclic
-    set, ``comps[i]`` the image component of component ``i`` of the
-    source decomposition, ``size`` the number of image components and
-    ``genus_zero`` those of genus 0.  Every sign vector over the set is
-    then folded through it (:meth:`fold`).
+    set, ``dec`` its decomposition, ``comps[i]`` the image component of
+    component ``i`` of the source decomposition, ``size`` the number of
+    image components and ``genus_zero`` those of genus 0.  Every sign
+    vector over the set is then folded through it (:meth:`fold`).
 
     It is built from ``f``, the source cyclic set and ``source``, its
     decomposition.  The source and image components are read from the
@@ -662,7 +662,7 @@ class SpinCarry:
     automorphism's, or the contraction's source, is an input error.
     """
 
-    __slots__ = ("f", "source_mask", "graph", "mask", "comps", "size",
+    __slots__ = ("f", "source_mask", "graph", "mask", "dec", "comps", "size",
                  "genus_zero")
 
     def __init__(self, f, cyclic_set, source):
@@ -702,7 +702,7 @@ class SpinCarry:
         if split or is_aut and (shared or any(
                 dec.genera[j] != g for j, g in zip(comps, source.genera))):
             self._reject(source, dec, is_aut)
-        self.comps = tuple(comps)
+        self.dec, self.comps = dec, tuple(comps)
         self.size = len(dec)
         self.genus_zero = tuple(j for j, g in enumerate(dec.genera) if g == 0)
 
@@ -757,14 +757,17 @@ class SpinCarry:
 
     def image(self, spin):
         """The image of ``spin``, a spin structure over the source set,
-        as a spin structure; its stored parity must be preserved."""
+        as a spin structure; its stored parity must be preserved.  The
+        fold has checked the image signs against ``dec``, so the
+        structure is built over it unchecked
+        (:meth:`~spinmod.spin.SpinStructure.over`)."""
         signs = self.fold(spin.signs)
         if sum(signs) & 1 != spin.parity:
             raise VerificationError(
                 f"carrying a spin structure changed the parity from "
                 f"{spin.parity} to {sum(signs) & 1}", self.witnesses())
-        return SpinStructure(self.graph, EdgeSet(self.graph, self.mask),
-                             signs)
+        return SpinStructure.over(EdgeSet(self.graph, self.mask), self.dec,
+                                  signs)
 
 
 # -- canonical keys ---------------------------------------------------------

@@ -8,6 +8,13 @@ is invariant under pushforward and splits everything in two.  So the
 spin structures over a graph fibre over its cyclic sets, with
 ``2^{c_+}`` sign vectors above each (:func:`spin_fibres`); the spin
 poset walks them as data and builds a structure only for its nodes.
+
+Every structure the package derives is built from its fibre or from a
+fold onto one, through the unchecked :meth:`SpinStructure.over`: the
+enumeration flattens the fibres, pushforwards and automorphisms build
+their images from the image decomposition, and refinement builds its
+target and candidates from theirs.  The validating constructor is for
+structures that enter from outside (:meth:`SpinStructure.from_json_dict`).
 """
 
 from __future__ import annotations
@@ -34,8 +41,13 @@ class SpinStructure:
 
     Signs are indexed by the component order of the decomposition
     (components sorted by smallest vertex).  A spin poset keeps one per
-    node, so the record is slotted.  The decomposition rejects a cyclic
-    set over another graph.
+    node, so the record is slotted.
+
+    The constructor validates its input: the decomposition rejects a
+    set that is not cyclic or lives over another graph, and the signs
+    must be 0 or 1, one per component, and vanish on genus-0
+    components.  It is for structures that enter from outside, such as
+    :meth:`from_json_dict`; derived structures come from :meth:`over`.
     """
 
     __slots__ = ("graph", "P", "dec", "signs", "parity")
@@ -59,8 +71,13 @@ class SpinStructure:
     @classmethod
     def over(cls, cyclic_set, dec, signs):
         """The structure with ``signs`` over ``cyclic_set``, whose
-        decomposition is ``dec``: a sign vector :func:`sign_vectors`
-        gave over ``dec``, so nothing is checked again."""
+        decomposition is ``dec``, with nothing checked again.
+
+        ``signs`` is a sign vector that :func:`sign_vectors` gave over
+        ``dec``, or the output of a fold
+        (:meth:`~spinmod.morphisms.SpinCarry.fold`) whose image
+        decomposition is ``dec``; either already satisfies the
+        constructor's checks."""
         spin = object.__new__(cls)
         spin.graph, spin.P, spin.dec = dec.graph, cyclic_set, dec
         spin.signs, spin.parity = signs, sum(signs) & 1
@@ -161,19 +178,11 @@ def spin_fibres(graph):
     return out
 
 
-def spin_structures_over(graph, cyclic_set):
-    """All sign assignments over a fixed cyclic set, in sign order."""
-    return [SpinStructure(graph, cyclic_set, signs)
-            for signs in sign_vectors(pbar_decompose(graph, cyclic_set))]
-
-
 def enumerate_spin(graph):
-    """All spin structures on the graph, sorted by (mask, signs)."""
-    out = []
-    for p in enumerate_cyclic(graph):
-        out.extend(spin_structures_over(graph, p))
-    out.sort(key=lambda s: s.data())
-    return out
+    """All spin structures on the graph, sorted by (mask, signs): the
+    fibres of :func:`spin_fibres` flattened, which come in that order."""
+    return [SpinStructure.over(p, dec, signs)
+            for p, dec, vectors in spin_fibres(graph) for signs in vectors]
 
 
 def _theta_characteristics(h):
@@ -518,7 +527,8 @@ def refine_nonbasic(graph, sign):
     if sign not in (0, 1):
         raise InputError("sign must be 0 or 1")
 
-    target = SpinStructure(graph, EdgeSet.full(graph), (sign,))
+    full = EdgeSet.full(graph)
+    target = SpinStructure.over(full, pbar_decompose(graph, full), (sign,))
     target_orbit = orbits.spin_orbit(graph, target)
     graph_key = morphisms.canonical_key(graph)
 
@@ -552,7 +562,10 @@ def _verify_refinement(split, graph, graph_key, target_orbit, sign,
     if morphisms.canonical_key(back.target) != graph_key:
         return None
 
-    for candidate in spin_structures_over(split, EdgeSet(split, p_mask)):
+    p = EdgeSet(split, p_mask)
+    dec = pbar_decompose(split, p)
+    for signs in sign_vectors(dec):
+        candidate = SpinStructure.over(p, dec, signs)
         if candidate.parity == sign and _refinement_postconditions(
                 split, candidate, graph, graph_key, target_orbit, morphisms):
             return SpinGraph(split, candidate), back

@@ -4,7 +4,8 @@ from spinmod import spin as spin_module
 from spinmod.cycles import EdgeSet, enumerate_cyclic, pbar_decompose
 from spinmod.errors import DomainError, InputError, VerificationError
 from spinmod.graphs import Graph, canonical_divisor
-from spinmod.morphisms import automorphisms, canonical_key, push_spin
+from spinmod.morphisms import (automorphisms, canonical_key, contract,
+                               push_spin)
 from spinmod.spin import (SpinGraph, SpinStructure, enumerate_spin,
                           g_collections, refine_nonbasic, spin_count_check,
                           stratum_counts, theta_divisors)
@@ -44,6 +45,34 @@ def test_enumerate_weight_vertex():
     assert len(all_spins) == 2
     assert sorted(s.parity for s in all_spins) == [0, 1]
     assert all(s.P.mask == 0 for s in all_spins)
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
+def test_enumeration_matches_the_validated_structures(g, n, shared_classes):
+    # the fibres flattened through ``over`` give, in order, what each
+    # cyclic set's sign vectors give through the validating constructor,
+    # sorted by data; the fuzz chains draw structures by position here
+    for graph in shared_classes(g, n):
+        validated = sorted(
+            (SpinStructure(graph, p, signs) for p in enumerate_cyclic(graph)
+             for signs in spin_module.sign_vectors(pbar_decompose(graph, p))),
+            key=SpinStructure.data)
+        assert [(s.data(), s.parity) for s in enumerate_spin(graph)] == \
+            [(s.data(), s.parity) for s in validated]
+
+
+def test_pushed_structures_match_the_validated_ones():
+    # a pushforward builds its image over the carry's decomposition,
+    # unchecked; the validating constructor accepts the same data
+    graph = make_loop_chain()
+    for f in range(1, 1 << graph.n_edges):
+        c = contract(graph, EdgeSet(graph, f))
+        for s in enumerate_spin(graph):
+            out = push_spin(c, s)
+            again = SpinStructure(c.target, EdgeSet(c.target, out.P.mask),
+                                  out.signs)
+            assert out == again
+            assert (out.parity, out.dec) == (again.parity, again.dec)
 
 
 def test_sign_constraint():

@@ -199,18 +199,24 @@ def test_counts_suite_spans_each_cycle_space_once(monkeypatch):
 
 def test_counts_suite_builds_no_spin_structure(monkeypatch):
     # the spin counts come from each cyclic set's decomposition, so the
-    # counts suite builds no spin structure at all; its records keep their
-    # names and coverage counts
+    # counts suite builds no spin structure at all, validated or through
+    # ``over``; its records keep their names and coverage counts
     from spinmod.spin import SpinStructure, enumerate_spin
 
     built = []
     original = SpinStructure.__init__
+    original_over = SpinStructure.over
 
     def recording(self, *args):
-        built.append(args)
+        built.append("__init__")
         original(self, *args)
 
+    def recording_over(*args):
+        built.append("over")
+        return original_over(*args)
+
     monkeypatch.setattr(SpinStructure, "__init__", recording)
+    monkeypatch.setattr(SpinStructure, "over", staticmethod(recording_over))
     checks = run_suites(3, 0, "counts")
     assert built == []
     assert [(c["name"], c.get("graphs"), c.get("cyclic_sets")) for c in
@@ -219,9 +225,10 @@ def test_counts_suite_builds_no_spin_structure(monkeypatch):
                         ("stratum-degree", 42, None),
                         ("theta-divisor-identities", None, 198),
                         ("collection-count", None, None)]
-    # the recorder sees what the spin enumeration builds
-    enumerate_spin(make_theta())
-    assert len(built) == 7
+    # the recorder sees what the spin enumeration builds, all through
+    # ``over``
+    assert len(enumerate_spin(make_theta())) == 7
+    assert built == ["over"] * 7
 
 
 @pytest.mark.parametrize("g,n,classes,cyclic_covers,spin_covers", [
@@ -741,6 +748,80 @@ def test_forgetful_map_missing_a_node_names_it(name, message, monkeypatch):
     with pytest.raises(VerificationError, match=message) as info:
         run_suites(2, 0, "posets")
     assert info.value.witnesses == (last,)
+
+
+def test_order_test_disagreement_names_both_nodes(monkeypatch):
+    # a witness search that never finds a witness disagrees with the
+    # first sampled pair the poset orders; both of its nodes are named
+    original = verify.order_test
+    asked = []
+
+    def never(upper, lower):
+        asked.append((upper, lower))
+        return None
+
+    monkeypatch.setattr(verify, "order_test", never)
+    with pytest.raises(VerificationError, match="^poset order disagrees "
+                       "with the witness search$") as info:
+        run_suites(2, 0, "posets")
+    upper, lower = asked[-1]
+    assert original(upper, lower) is not None
+    assert info.value.witnesses == (canonical_key(upper),
+                                    canonical_key(lower))
+
+
+def test_direct_generator_disagreement_names_the_difference(monkeypatch):
+    # the direct generator loses one class and finds one that is not a
+    # class; the witnesses are both keys, sorted
+    original = verify.stable_graphs_direct
+    dropped = []
+
+    def altered(g, n, *args):
+        keys = original(g, n, *args)
+        dropped.append(keys[0])
+        return keys[1:] + ["not-a-class"]
+
+    monkeypatch.setattr(verify, "stable_graphs_direct", altered)
+    with pytest.raises(VerificationError, match="^downward closure "
+                       "disagrees with the direct generator$") as info:
+        run_suites(2, 0, "posets")
+    assert info.value.witnesses == tuple(sorted([dropped[0],
+                                                 "not-a-class"]))
+
+
+def test_ground_truth_mismatch_names_the_count_and_input(monkeypatch):
+    # the counts before the altered one pass; the altered one is reported
+    # with what the posets give and what the table expects
+    truth = dict(verify.GROUND_TRUTH[(2, 0)], spin_top_odd=4)
+    monkeypatch.setitem(verify.GROUND_TRUTH, (2, 0), truth)
+    with pytest.raises(VerificationError, match=r"^ground truth "
+                       r"spin_top_odd at \(2,0\): got 3, expected 4$") as info:
+        run_suites(2, 0, "posets")
+    assert info.value.witnesses == ()
+
+
+def test_collection_count_mismatch_names_the_graph(monkeypatch):
+    # one ramification choice too many on the first basic graph with two
+    # vertices or more: its key is the witness
+    original = verify.g_collections
+    seen = []
+
+    def one_more(graph):
+        seen.append(graph)
+        report = original(graph)
+        return dict(report, count=report["count"] + 1)
+
+    monkeypatch.setattr(verify, "g_collections", one_more)
+    classes = posets.enumerate_stable_graphs(3, 0)
+    graph = next(g for g in classes if classify(g).basic
+                 and len(g.vertices) >= 2)
+    expected = 2 ** (graph.b1 + 2 * graph.total_weight() - 1)
+    with pytest.raises(VerificationError, match=(
+            f"^collection count {expected + 1} differs from odd-theta "
+            f"count {expected}$")) as info:
+        verify.suite_counts(3, classes)
+    assert seen == [graph]
+    assert info.value.witnesses == (canonical_key(graph),)
 
 
 def test_counts_suite_builds_no_graph_and_unites_each_set_once(monkeypatch):
