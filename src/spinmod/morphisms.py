@@ -18,8 +18,12 @@ and edge permutation per distinct action (:attr:`AutGroup.actions`),
 and the number of loop flips each carries; its order at half-edge level
 is their product, and the factorization's subgroup and quotient action
 count classes and the flips of loops inside and outside the cyclic set.
-Orbit walks act with the classes and return each stabilizer as the
-indices of the classes that fix the structure, for the caller to keep.
+One routine, :func:`orbit_walk`, walks every orbit of a group: on
+edges, on cyclic sets as masks (:meth:`AutGroup.mask_orbits`) and on
+the sign vectors above a cyclic set.  It acts on hashable data with the
+classes and returns each stabilizer as the indices of the classes that
+fix the representative, and each image's transporter, for the caller to
+keep.
 The element-level group, one map on half-edges per element, lives in
 the test suite as the oracle these counts are checked against.
 
@@ -461,15 +465,13 @@ class AutGroup:
     def edge_orbits(self):
         """The orbits of the group on edge indices, each sorted, in order
         of their least edges."""
-        perms = [a.edge_perm for a in self.actions]
-        orbits = []
-        seen = set()
-        for e in range(self.graph.n_edges):
-            if e not in seen:
-                orbit = sorted({perm[e] for perm in perms})
-                seen.update(orbit)
-                orbits.append(tuple(orbit))
-        return tuple(orbits)
+        reps, orbit_of, _, _ = orbit_walk(
+            range(self.graph.n_edges),
+            [(c, a.edge_perm.__getitem__) for c, a in enumerate(self.actions)])
+        orbits = [[] for _ in reps]
+        for e in sorted(orbit_of):
+            orbits[orbit_of[e]].append(e)
+        return tuple(map(tuple, orbits))
 
     def subgroup(self, classes):
         """The action classes ``classes`` (indices into :attr:`actions`),
@@ -477,49 +479,50 @@ class AutGroup:
         return AutGroup(self.graph, [self.actions[c] for c in classes],
                         self.flips)
 
-    def orbit_representatives(self, items, data, act, transporters=None):
-        """The first item met from each orbit, in the order given, with
-        the orbit table and the stabilizers the walk meets.
+    def mask_orbits(self, masks):
+        """The orbits of the group on edge sets given by their masks, as
+        :func:`orbit_walk` walks them with every action class."""
+        return orbit_walk(masks, [(c, a.act_mask)
+                                  for c, a in enumerate(self.actions)])
 
-        An item is kept when its ``data(item)`` has not been seen; its
-        image ``act(a, item)`` under each action class ``a`` is then
-        marked seen, so ``act`` must return values comparable with
-        ``data``.  ``act`` may read only ``a.vertex_map`` and
-        ``a.edge_perm`` (as :meth:`Aut.act_mask` and :class:`SpinCarry`
-        do), which is all a class holds.  When ``items`` are sorted by
-        ``data`` and closed under the group, each kept item is the
-        minimum of its orbit.
 
-        Returns ``(reps, orbit_of, stabilizers)``: ``orbit_of`` maps the
-        data of every image met to the index of its orbit in ``reps``,
-        and ``stabilizers[k]`` is the tuple of the action classes that fix
-        ``reps[k]``, which :meth:`subgroup` turns into a group.  Equal
-        tuples are shared.  When ``transporters`` is a dict, it gets the
-        index of the first action class met that carries its orbit's
-        representative onto each image.
-        """
-        orbit_of = {}
-        reps = []
-        stabilizers = []
-        shared = {}
-        for item in items:
-            here = data(item)
-            if here in orbit_of:
-                continue
-            k = len(reps)
-            reps.append(item)
-            fixing = []
-            for c, a in enumerate(self.actions):
-                image = act(a, item)
-                if image not in orbit_of:
-                    orbit_of[image] = k
-                    if transporters is not None:
-                        transporters[image] = c
-                if image == here:
-                    fixing.append(c)
-            fixing = tuple(fixing)
-            stabilizers.append(shared.setdefault(fixing, fixing))
-        return reps, orbit_of, stabilizers
+def orbit_walk(items, acts):
+    """The first item met from each orbit, in the order given, with the
+    orbit table, the stabilizers and the transporters the walk meets.
+
+    Items are hashable data, and ``acts`` lists ``(c, act)`` pairs: the
+    index ``c`` of an action class and ``act``, the function mapping an
+    item to its image under that class.  An item is kept when it has not
+    been met; its image under each class is then marked met.  When
+    ``items`` are sorted and closed under the group, each kept item is the
+    minimum of its orbit.
+
+    Returns ``(reps, orbit_of, stabilizers, transporters)``: ``orbit_of``
+    maps every image met to the index of its orbit in ``reps``,
+    ``stabilizers[k]`` is the tuple of the class indices whose image of
+    ``reps[k]`` is itself, which :meth:`AutGroup.subgroup` turns into a
+    group, with equal tuples shared, and ``transporters`` maps every
+    image met to the first class that carries its orbit's
+    representative onto it.
+    """
+    orbit_of, transporters = {}, {}
+    reps, stabilizers, shared = [], [], {}
+    for item in items:
+        if item in orbit_of:
+            continue
+        k = len(reps)
+        reps.append(item)
+        fixing = []
+        for c, act in acts:
+            image = act(item)
+            if image not in orbit_of:
+                orbit_of[image] = k
+                transporters[image] = c
+            if image == item:
+                fixing.append(c)
+        fixing = tuple(fixing)
+        stabilizers.append(shared.setdefault(fixing, fixing))
+    return reps, orbit_of, stabilizers, transporters
 
 
 def _edge_permutations(graph, vmap):
@@ -595,14 +598,6 @@ def component_subgroup(group, spin):
                for i, (u, _) in outside)
         and all({a.vertex_map[v] for v in vs} == vs for vs in vertex_sets)],
         group.flips - loops_out)
-
-
-def cyclic_orbits(graph, cyclic_sets):
-    """Orbit representatives of ``cyclic_sets`` under the full
-    automorphism group, the table from mask to orbit index and each
-    representative's stabilizer as action classes."""
-    return automorphisms(graph).orbit_representatives(
-        cyclic_sets, lambda p: p.mask, lambda a, p: a.act_mask(p.mask))
 
 
 def quotient_action_order(graph, spin, group):
@@ -813,22 +808,22 @@ def _cyclic_encoding(graph, pos, mask):
     return tuple(sorted(per_pair.items()))
 
 
-def orbit_keys(graph, orbit_of, encode):
-    """Key of each orbit in an orbit table, by orbit index.
+def orbit_keys(graph, orbit_of):
+    """Key of each cyclic orbit in a mask orbit table, by orbit index.
 
-    ``orbit_of`` maps the data of every member of the orbits to its orbit
-    index, as :meth:`AutGroup.orbit_representatives` returns it.  An
-    orbit's key is the digest of the graph's certificate and the least
-    ``encode(graph, pos, data)`` among its members; each member is
-    encoded once, and each key extends a copy of the certificate's hash
-    state, so the certificate is not serialised again.  Encoding the
-    image of a structure as it is equals encoding the structure through
-    the automorphism, so this is the least encoding over the group.
+    ``orbit_of`` maps the mask of every member of the orbits to its orbit
+    index, as :meth:`AutGroup.mask_orbits` returns it.  An orbit's key is
+    the digest of the graph's certificate and the least
+    :func:`_cyclic_encoding` among its members; each member is encoded
+    once, and each key extends a copy of the certificate's hash state, so
+    the certificate is not serialised again.  Encoding the image of a set
+    as it is equals encoding the set through the automorphism, so this is
+    the least encoding over the group.
     """
     _, pos = canonical_form(graph)
     best = {}
-    for data, k in orbit_of.items():
-        code = encode(graph, pos, data)
+    for mask, k in orbit_of.items():
+        code = _cyclic_encoding(graph, pos, mask)
         if k not in best or code < best[k]:
             best[k] = code
     base = _certificate_hash(graph)
@@ -855,8 +850,8 @@ def cyclic_canonical_key(graph, cyclic_set):
     """Key of a (graph, cyclic set) pair up to isomorphism."""
     if not is_cyclic(graph, cyclic_set):
         raise DomainError("key requires a cyclic edge set")
-    _, orbit_of, _ = cyclic_orbits(graph, [cyclic_set])
-    return orbit_keys(graph, orbit_of, _cyclic_encoding)[0]
+    _, orbit_of, _, _ = automorphisms(graph).mask_orbits([cyclic_set.mask])
+    return orbit_keys(graph, orbit_of)[0]
 
 
 # -- order testing ----------------------------------------------------------

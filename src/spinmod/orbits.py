@@ -13,9 +13,10 @@ action class carrying ``P`` onto it.  Only ``Stab(P)`` is walked over
 the sign vectors above ``P``, and every other mask's table entries are
 those vectors folded through its transporter
 (:class:`~spinmod.morphisms.SpinCarry`); a fibre of one structure
-(``c_+ = 0``) is not walked at all.  This is the package's one walk of a
-group over spin structures: the spin poset, spin keys, the order test,
-refinement and tropical fibers all read it.
+(``c_+ = 0``) is not walked at all.  Masks and sign vectors both go
+through :func:`~spinmod.morphisms.orbit_walk`.  This is the package's
+one walk of a group over spin structures: the spin poset, spin keys,
+the order test, refinement and tropical fibers all read it.
 
 A spin structure's key extends the graph's certificate hash with the
 least encoding among the members of its orbit (:func:`spin_orbit_keys`).
@@ -29,7 +30,7 @@ from __future__ import annotations
 from . import cycles, morphisms
 from .cycles import EdgeSet
 from .errors import VerificationError
-from .morphisms import (Aut, SpinCarry, _certificate_hash, _cyclic_encoding,
+from .morphisms import (SpinCarry, _certificate_hash, _cyclic_encoding,
                         _hashed)
 from .spin import SpinStructure
 
@@ -44,11 +45,11 @@ class SpinOrbits:
 
     ``reps`` holds each orbit's representative as ``(mask, signs)``
     data and ``stabilizers`` the action classes fixing it, as
-    :meth:`~spinmod.morphisms.AutGroup.orbit_representatives` returns
-    them; ``table`` maps each mask to a dict from the sign vectors above
-    it to their orbit index, ``mask_orbits`` lists the masks of each
-    cyclic orbit and ``above`` maps each walked mask to its fibre as
-    given, ``(cyclic_set, dec, signs)``.
+    :func:`~spinmod.morphisms.orbit_walk` returns them; ``table`` maps
+    each mask to a dict from the sign vectors above it to their orbit
+    index, ``mask_orbits`` lists the masks of each cyclic orbit and
+    ``above`` maps each walked mask to its fibre as given,
+    ``(cyclic_set, dec, signs)``.
     ``images`` counts the images the walk computed (masks and sign
     vectors), ``carries`` the :class:`SpinCarry` objects it built and
     ``single`` the cyclic orbits whose fibre is one structure."""
@@ -87,14 +88,17 @@ def spin_orbits(group, fibres):
     the transporter times an element of ``H``, so the orbits of spin
     structures over the orbit of ``P`` are the orbits of ``H`` on the
     sign vectors above ``P`` (orbit-stabilizer).  Only ``H`` is walked
-    over the listed sign vectors above ``P``, each folded through the
-    carry of ``(a, P)`` built once per action class ``a`` of ``H``; the
-    first vector met from an ``H``-orbit represents it and keeps the
-    classes that fix it.  Each other mask's table entries are the walked
-    vectors folded through the carry of its transporter, which must land
-    on that mask.  Above a set with ``c_+ = 0`` the one sign vector is
-    zero, and so is its image on every mask of the orbit, so nothing is
-    folded there and the stabilizer is ``H``.
+    over the listed sign vectors above ``P``, by the same
+    :func:`~spinmod.morphisms.orbit_walk` as the masks, each vector
+    folded through the carry of ``(a, P)`` built once per action class
+    ``a`` of ``H``; the first vector met from an ``H``-orbit represents
+    it and keeps the classes that fix it, and its orbit index is shifted
+    past the orbits of the fibres walked before.  Each other mask's
+    table entries are the walked vectors folded through the carry of its
+    transporter, which must land on that mask.  Above a set with
+    ``c_+ = 0`` the one sign vector is zero, and so is its image on
+    every mask of the orbit, so nothing is folded there and the
+    stabilizer is ``H``.
 
     When the masks are listed sorted and with every sign vector above
     each, sorted, each representative is the least ``(mask, signs)`` of
@@ -106,9 +110,8 @@ def spin_orbits(group, fibres):
     """
     actions = group.actions
     above = {fibre[0].mask: fibre for fibre in fibres}
-    transporters = {}
-    mask_reps, mask_orbit, mask_stabilizers = group.orbit_representatives(
-        above, lambda mask: mask, Aut.act_mask, transporters)
+    mask_reps, mask_orbit, mask_stabilizers, transporters = \
+        group.mask_orbits(above)
     out = object.__new__(SpinOrbits)
     out.reps, out.stabilizers, out.table, out.above = [], [], {}, above
     out.mask_orbits = [[] for _ in mask_reps]
@@ -120,34 +123,23 @@ def spin_orbits(group, fibres):
     for least, stabilizer, masks in zip(mask_reps, mask_stabilizers,
                                         out.mask_orbits):
         p, dec, signs = above[least]
-        stabilizer = shared.setdefault(stabilizer, stabilizer)
+        first = len(out.reps)
         if not dec.c_plus and signs:
             (zero,) = signs
-            fibre = {zero: len(out.reps)}  # read only, so shared
+            fibre = {zero: first}  # read only, so shared
             out.table.update((q, fibre) for q in masks)
             out.reps.append((least, zero))
-            out.stabilizers.append(stabilizer)
+            out.stabilizers.append(shared.setdefault(stabilizer, stabilizer))
             out.single += 1
             continue
-        walkers = [(c, SpinCarry(actions[c], p, dec)) for c in stabilizer]
-        fibre = out.table[least] = {}
-        first = len(out.reps)
-        for sigma in signs:
-            if sigma in fibre:
-                continue
-            j = len(out.reps)
-            out.reps.append((least, sigma))
-            fixing = []
-            for c, carry in walkers:
-                image = carry.fold(sigma)
-                if image not in fibre:
-                    fibre[image] = j
-                if image == sigma:
-                    fixing.append(c)
-            fixing = tuple(fixing)
-            out.stabilizers.append(shared.setdefault(fixing, fixing))
+        walkers = [(c, SpinCarry(actions[c], p, dec).fold) for c in stabilizer]
+        reps, orbit_of, stabilizers, _ = morphisms.orbit_walk(signs, walkers)
+        out.reps += [(least, sigma) for sigma in reps]
+        out.stabilizers += [shared.setdefault(t, t) for t in stabilizers]
+        fibre = out.table[least] = {sigma: first + k
+                                    for sigma, k in orbit_of.items()}
         out.carries += len(walkers)
-        out.images += len(walkers) * (len(out.reps) - first)
+        out.images += len(walkers) * len(reps)
         for q in masks:
             if q == least:
                 continue

@@ -30,7 +30,8 @@ representative through every edge.  The downward closure fills the
 table as it meets each class, and it is memoised on the class graph, so
 the three posets share it.  The orbit tables map the data of every
 structure over a class (cyclic mask, or mask and signs) to its orbit
-among the class's nodes; they come out of orbit walks that act with one
+among the class's nodes; they come out of the one orbit walk
+(:func:`~spinmod.morphisms.orbit_walk`), which acts with one
 automorphism per distinct action on vertices and edges (flipping a loop
 moves no structure).  A structure's node is read from its own class's
 table, and a cover's target is the orbit of the pushed structure's data
@@ -67,9 +68,8 @@ from itertools import combinations_with_replacement, permutations
 from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
 from .graphs import Graph, connected_classes, is_stable
-from .morphisms import (SpinCarry, _cyclic_encoding, automorphisms,
-                        canonical_key, contract, cyclic_orbits, orbit_keys,
-                        push_cycle)
+from .morphisms import (SpinCarry, automorphisms, canonical_key, contract,
+                        orbit_keys, push_cycle)
 from .orbits import spin_orbit_keys, spin_orbits
 from .spin import SpinGraph, SpinStructure, spin_fibres
 
@@ -703,18 +703,22 @@ _WALK_COUNTS = ("group_actions", "orbit_images", "orbit_entries",
 
 def _cyclic_orbits(graph, rank, walk):
     """The cyclic nodes of one class, from one walk of its group over the
-    cyclic sets (:func:`~spinmod.morphisms.cyclic_orbits`), keyed off the
-    mask table."""
+    masks of its cyclic sets
+    (:meth:`~spinmod.morphisms.AutGroup.mask_orbits`), keyed off the mask
+    table; each representative mask is read back as its set in the
+    memoised cycle space."""
     cyclic = enumerate_cyclic(graph)
-    reps, orbit_of, stabilizers = cyclic_orbits(graph, cyclic)
-    actions = len(automorphisms(graph).actions)
+    at = {p.mask: p for p in cyclic}
+    group = automorphisms(graph)
+    reps, orbit_of, stabilizers, _ = group.mask_orbits(at)
+    actions = len(group.actions)
     walk["group_actions"] += actions
     walk["orbit_images"] += actions * len(reps)
     walk["orbit_entries"] += len(orbit_of)
-    keys = orbit_keys(graph, orbit_of, _cyclic_encoding)
-    here = [PosetNode(key, rank, (graph, p), None, stabilizer)
-            for p, key, stabilizer in zip(reps, keys, stabilizers,
-                                          strict=True)]
+    keys = orbit_keys(graph, orbit_of)
+    here = [PosetNode(key, rank, (graph, at[mask]), None, stabilizer)
+            for mask, key, stabilizer in zip(reps, keys, stabilizers,
+                                             strict=True)]
     return here, orbit_of, cyclic
 
 

@@ -90,24 +90,59 @@ def _timed(phases, name, run, *args, **kwargs):
     return out
 
 
-def _image(target, index, source_key, key):
-    """``index[key]``, the index of the node keyed ``key`` in ``target``,
-    the image of the node keyed ``source_key`` under a forgetful map;
-    ``index`` maps each node key of ``target`` to its index.  An image
-    that is no node of ``target`` is a verification error naming both
-    keys."""
-    if key not in index:
-        raise VerificationError(
-            f"forgetful image is not a node of the {target.kind} poset",
-            (source_key, key))
-    return index[key]
+def _forgetful(source, target, image_of, onto, not_onto, not_cover):
+    """Check that the forgetful map from ``source`` to ``target``, which
+    sends each node of ``source`` to the node of ``target`` keyed
+    ``image_of(node)``, is a monotone surjection.
+
+    An image key that is no node of ``target`` is a verification error
+    naming both keys.  The images of the nodes for which ``onto(node)``
+    holds must be every node of ``target``, else ``not_onto`` names the
+    nodes outside them.  A cover maps to a cover when the image of its
+    lower end is among the nodes that the image of its upper end covers,
+    else ``not_cover`` names the upper end."""
+    index = {nd.key: i for i, nd in enumerate(target.nodes)}
+    images = []
+    for nd in source.nodes:
+        key = image_of(nd)
+        if key not in index:
+            raise VerificationError(
+                f"forgetful image is not a node of the {target.kind} poset",
+                (nd.key, key))
+        images.append(index[key])
+    hit = {t for nd, t in zip(source.nodes, images) if onto(nd)}
+    if hit != set(range(len(target.nodes))):
+        raise VerificationError(not_onto, tuple(
+            nd.key for i, nd in enumerate(target.nodes) if i not in hit))
+    for u, nd in enumerate(source.nodes):
+        below = set(target.lower(images[u]))
+        for l in source.lower(u):
+            if images[l] not in below:
+                raise VerificationError(not_cover, (nd.key,))
 
 
-def _outside(poset, image):
-    """The keys of the nodes of ``poset`` whose indices are not in
-    ``image``."""
-    return tuple(nd.key for i, nd in enumerate(poset.nodes)
-                 if i not in image)
+def _burnside(poset, graph_of, count, message):
+    """Burnside per class: the orbits ``|actions| / |stabilizer|`` of the
+    nodes of ``poset`` over each class graph, ``graph_of(node)``, must sum
+    to ``count(graph)`` (a loop flip fixes every structure, so the
+    classes act as the group does), else ``message`` is raised with both
+    numbers, naming the class.  Returns the counts summed over the
+    classes."""
+    by_class = {}  # id(class graph) -> (graph, its nodes' stabilizer sizes)
+    for nd in poset.nodes:
+        graph = graph_of(nd)
+        by_class.setdefault(id(graph), (graph, []))[1].append(
+            len(nd.stabilizer))
+    total = 0
+    for graph, orders in by_class.values():
+        actions = len(automorphisms(graph).actions)
+        summed = sum(actions // order for order in orders)
+        expected = count(graph)
+        if summed != expected:
+            raise VerificationError(f"{message}: {summed} != {expected}",
+                                    (canonical_key(graph),))
+        total += expected
+    return total
 
 
 def suite_posets(g, n, classes, get_spin_poset, phases=None):
@@ -159,66 +194,31 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
 
     # forgetful maps: even spin -> cyclic -> graphs, monotone surjections
     # keyed once per (class, cyclic set): the spin nodes over a class
-    # share its representative graph object.  Images are looked up by key
-    # in the cyclic and graph posets only, so only their maps are built
-    cyclic_index = {nd.key: i for i, nd in enumerate(cyclic_poset.nodes)}
-    graph_index = {nd.key: i for i, nd in enumerate(graph_poset.nodes)}
-    cyclic_node = {}
-    spin_to_cyc = {}
-    for nd in spin_poset.nodes:
+    # share its representative graph object
+    cyclic_keys = {}
+
+    def cyclic_key(nd):
         graph, p = nd.rep.graph, nd.rep.spin.P
         at = (id(graph), p.mask)
-        if at not in cyclic_node:
-            cyclic_node[at] = _image(cyclic_poset, cyclic_index, nd.key,
-                                     cyclic_canonical_key(graph, p))
-        spin_to_cyc[nd.key] = cyclic_node[at]
-    even_image = {spin_to_cyc[nd.key] for nd in spin_poset.nodes
-                  if nd.parity == 0}
-    if even_image != set(range(len(cyclic_poset.nodes))):
-        raise VerificationError("even spin classes do not cover the cyclic "
-                                "poset", _outside(cyclic_poset, even_image))
-    # a cover maps to a cover when the image of its lower end is among
-    # the nodes that the image of its upper end covers
-    for u, nd in enumerate(spin_poset.nodes):
-        below = set(cyclic_poset.lower(spin_to_cyc[nd.key]))
-        for l in spin_poset.lower(u):
-            if spin_to_cyc[spin_poset.nodes[l].key] not in below:
-                raise VerificationError(
-                    "spin cover does not map to a cyclic cover", (nd.key,))
-    cyc_to_graph = {nd.key: _image(graph_poset, graph_index, nd.key,
-                                   canonical_key(nd.rep[0]))
-                    for nd in cyclic_poset.nodes}
-    graph_image = set(cyc_to_graph.values())
-    if graph_image != set(range(len(graph_poset.nodes))):
-        raise VerificationError("cyclic classes do not cover the graph poset",
-                                _outside(graph_poset, graph_image))
-    for u, nd in enumerate(cyclic_poset.nodes):
-        below = set(graph_poset.lower(cyc_to_graph[nd.key]))
-        for l in cyclic_poset.lower(u):
-            if cyc_to_graph[cyclic_poset.nodes[l].key] not in below:
-                raise VerificationError(
-                    "cyclic cover does not map to a graph cover", (nd.key,))
+        if at not in cyclic_keys:
+            cyclic_keys[at] = cyclic_canonical_key(graph, p)
+        return cyclic_keys[at]
+
+    _forgetful(spin_poset, cyclic_poset, cyclic_key,
+               lambda nd: nd.parity == 0,
+               "even spin classes do not cover the cyclic poset",
+               "spin cover does not map to a cyclic cover")
+    _forgetful(cyclic_poset, graph_poset, lambda nd: canonical_key(nd.rep[0]),
+               lambda nd: True, "cyclic classes do not cover the graph poset",
+               "cyclic cover does not map to a graph cover")
     checks.append({"name": "forgetful-maps", "status": "pass",
                    "spin_covers": len(spin_poset.lowers),
                    "cyclic_covers": len(cyclic_poset.lowers)})
 
-    # Burnside over the cyclic nodes: per class, the orbits
-    # |actions| / |stabilizer| of its nodes count its cyclic sets (a loop
-    # flip moves no edge set, so the classes act as the group does)
-    orbits = {}
-    for nd in cyclic_poset.nodes:
-        graph = nd.rep[0]
-        orbits.setdefault(id(graph), [graph, 0])[1] += (
-            len(automorphisms(graph).actions) // len(nd.stabilizer))
-    cyclic_sets = 0
-    for graph, summed in orbits.values():
-        count = len(enumerate_cyclic(graph))
-        if summed != count:
-            raise VerificationError(
-                f"cyclic orbits do not count the cyclic sets: {summed} != "
-                f"{count}", (canonical_key(graph),))
-        cyclic_sets += count
-    checks[1]["cyclic_sets"] = cyclic_sets
+    checks[1]["cyclic_sets"] = _burnside(
+        cyclic_poset, lambda nd: nd.rep[0],
+        lambda graph: len(enumerate_cyclic(graph)),
+        "cyclic orbits do not count the cyclic sets")
 
     # order relation agrees with the witness search on a sample
     rng = random.Random(0)
@@ -394,7 +394,6 @@ def check_aut_factorization(spin_poset):
     Returns the number of nodes checked, the sum of their stabilizers'
     orders and the number of spin structures over their classes."""
     elements = 0
-    orbits = {}
     subgroups = {}
     quotients = {}
     for nd in spin_poset.nodes:
@@ -415,17 +414,11 @@ def check_aut_factorization(spin_poset):
             raise VerificationError(
                 f"automorphism orders do not factor: {fixing.order} != "
                 f"{pbar.order} * {q_h}", (nd.key,))
-        orbits.setdefault(id(graph), [graph, 0])[1] += (
-            len(group.actions) // len(nd.stabilizer))
-    structures = 0
-    for graph, summed in orbits.values():
-        count = sum(2 ** pbar_decompose(graph, p).c_plus
-                    for p in enumerate_cyclic(graph))
-        if summed != count:
-            raise VerificationError(
-                f"spin orbits do not count the spin structures: {summed} "
-                f"!= {count}", (canonical_key(graph),))
-        structures += count
+    structures = _burnside(
+        spin_poset, lambda nd: nd.rep.graph,
+        lambda graph: sum(2 ** pbar_decompose(graph, p).c_plus
+                          for p in enumerate_cyclic(graph)),
+        "spin orbits do not count the spin structures")
     return len(spin_poset.nodes), elements, structures
 
 

@@ -54,9 +54,9 @@ from itertools import (combinations, combinations_with_replacement,
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from spinmod.errors import VerificationError
 from spinmod.graphs import Graph, _check_edge_subset, connected_classes
-from spinmod.morphisms import (Aut, Contraction, SpinCarry, _cyclic_encoding,
-                               _neighbor_lists, _refine_colors, automorphisms,
-                               canonical_form, canonical_key, contract,
+from spinmod.morphisms import (Aut, Contraction, SpinCarry, _neighbor_lists,
+                               _refine_colors, automorphisms, canonical_form,
+                               canonical_key, contract, orbit_walk,
                                push_cycle, push_vertex_set)
 from spinmod.posets import _multigraphs_with_degrees, max_rank
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
@@ -406,26 +406,19 @@ def spin_action():
     return act
 
 
-def spin_orbits(graph, spins, act=None):
-    """The walk of the whole group over every structure in ``spins``:
-    each representative's signs folded through every action class, as
-    :meth:`AutGroup.orbit_representatives` returns it, with ``act`` (a
-    fresh :func:`spin_action` when not given)."""
-    return automorphisms(graph).orbit_representatives(
-        spins, SpinStructure.data, act or spin_action())
+def spin_orbits(graph, spins):
+    """The walk of the whole group over every structure in ``spins``, as
+    ``(mask, signs)`` data: :func:`orbit_walk` with each action class
+    acting through a fresh :func:`spin_action`, each representative's
+    signs folded through every class."""
+    act = spin_action()
+    by_data = {s.data(): s for s in spins}
 
+    def acting(a):
+        return lambda data: act(a, by_data[data])
 
-def spin_encoding(graph, pos, data):
-    """A spin structure, given by its ``(mask, signs)`` data, encoded on
-    its own: its cyclic set and each component of the opened graph, as
-    canonical positions, with its sign.  With the full-group walk's
-    orbit table, ``orbit_keys(graph, orbit_of, spin_encoding)`` keys
-    every member of every orbit."""
-    mask, signs = data
-    dec = pbar_decompose(graph, EdgeSet(graph, mask))
-    comps = sorted((tuple(sorted(pos[v] for v in vs)), s)
-                   for vs, s in zip(dec.vertex_sets, signs))
-    return (_cyclic_encoding(graph, pos, mask), tuple(comps))
+    return orbit_walk(by_data, [(c, acting(a)) for c, a in
+                                enumerate(automorphisms(graph).actions)])
 
 
 def spin_stabilizer(graph, spin):
@@ -523,7 +516,7 @@ def order_test(upper, lower):
     if k < 0:
         return None
     cert_b, _ = canonical_form(gb)
-    _, orbit_of, _ = spin_orbits(gb, [lower.spin])
+    _, orbit_of, _, _ = spin_orbits(gb, [lower.spin])
     for subset in combinations(range(ga.n_edges), k):
         c = contract(ga, EdgeSet.from_indices(ga, subset))
         if canonical_form(c.target)[0] != cert_b:

@@ -11,8 +11,8 @@ from spinmod.graphs import Graph
 from spinmod.morphisms import (SpinCarry, _digest, automorphisms,
                                canonical_form, canonical_key,
                                component_subgroup, composed_edges, contract,
-                               cyclic_canonical_key, order_test, push_cycle,
-                               orbit_keys, push_spin, push_vertex_set,
+                               cyclic_canonical_key, order_test, orbit_walk,
+                               push_cycle, push_spin, push_vertex_set,
                                quotient_action_order)
 from spinmod.orbits import spin_orbit, spin_orbit_keys, spin_orbits
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin, spin_fibres
@@ -888,36 +888,38 @@ def test_spin_orbit_tables_match_per_image_orbits(g, n, shared_classes):
 
 @pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0), (3, 1), (0, 6)])
 def test_fibred_walk_matches_the_full_group_walk(g, n, shared_classes):
-    # representatives, orbit table, stabilizers and keys of the walk
-    # fibred over the cyclic sets, against the walk of every action class
-    # over every spin structure, keyed by encoding every member
+    # representatives, orbit table and stabilizers of the walk fibred
+    # over the cyclic sets, against the walk of every action class over
+    # every spin structure; its keys against the least encoding of each
+    # representative over the whole group, element by element
     for graph in shared_classes(g, n):
         walked = spin_orbits(automorphisms(graph), spin_fibres(graph))
-        reps, orbit_of, stabilizers = oracles.spin_orbits(
+        reps, orbit_of, stabilizers, _ = oracles.spin_orbits(
             graph, enumerate_spin(graph))
-        assert walked.reps == [s.data() for s in reps]
+        assert walked.reps == reps
         assert {(mask, signs): k for mask, fibre in walked.table.items()
                 for signs, k in fibre.items()} == orbit_of
         assert walked.entries() == len(orbit_of)
         assert walked.stabilizers == stabilizers
-        assert spin_orbit_keys(graph, walked) == orbit_keys(
-            graph, orbit_of, oracles.spin_encoding)
+        assert spin_orbit_keys(graph, walked) == [
+            key_oracle.spin_key(SpinGraph(graph, s))
+            for s in walked.representatives()]
 
 
 def _mutate_transporters(monkeypatch, mutate):
-    """Every walk over masks that records transporters hands them to
-    ``mutate(group, reps, orbit_of, transporters)`` before they are
-    read; ``mutate`` returns whether it changed one."""
-    original = morphisms.AutGroup.orbit_representatives
+    """Every walk over masks hands its transporters to ``mutate(group,
+    reps, orbit_of, transporters)`` before they are read; ``mutate``
+    returns whether it changed one."""
+    original = morphisms.AutGroup.mask_orbits
     changed = []
 
-    def walk(self, items, data, act, transporters=None):
-        out = original(self, items, data, act, transporters)
-        if transporters is not None:
-            changed.append(mutate(self, out[0], out[1], transporters))
+    def walk(self, masks):
+        out = original(self, masks)
+        reps, orbit_of, _, transporters = out
+        changed.append(mutate(self, reps, orbit_of, transporters))
         return out
 
-    monkeypatch.setattr(morphisms.AutGroup, "orbit_representatives", walk)
+    monkeypatch.setattr(morphisms.AutGroup, "mask_orbits", walk)
     return changed
 
 
@@ -972,6 +974,39 @@ def test_a_dropped_transporter_fails_a_spin_key(monkeypatch):
 
 # -- orbit walks over action classes -------------------------------------------
 
+def _rotation(r):
+    """Rotation by ``r`` steps of the 4-cycle, on its vertex subsets
+    given as 4-bit masks."""
+    return lambda m: (m << r | m >> 4 - r) & 15
+
+
+def test_orbit_walk_on_the_rotations_of_a_square():
+    # the rotations of a 4-cycle on its vertex subsets: six orbits, the
+    # least member of each met first; the empty and full sets are fixed
+    # by every rotation, and equal stabilizers are one tuple
+    reps, orbit_of, stabilizers, transporters = orbit_walk(
+        range(16), [(r, _rotation(r)) for r in range(4)])
+    assert reps == [0, 1, 3, 5, 7, 15]
+    assert list(orbit_of.items()) == [
+        (0, 0), (1, 1), (2, 1), (4, 1), (8, 1), (3, 2), (6, 2), (12, 2),
+        (9, 2), (5, 3), (10, 3), (7, 4), (14, 4), (13, 4), (11, 4), (15, 5)]
+    assert stabilizers == [(0, 1, 2, 3), (0,), (0,), (0, 2), (0,),
+                           (0, 1, 2, 3)]
+    assert stabilizers[0] is stabilizers[5]
+    assert stabilizers[1] is stabilizers[2] is stabilizers[4]
+    assert transporters == {0: 0, 1: 0, 2: 1, 4: 2, 8: 3, 3: 0, 6: 1,
+                            12: 2, 9: 3, 5: 0, 10: 1, 7: 0, 14: 1, 13: 2,
+                            11: 3, 15: 0}
+    # a subgroup keeps the indices of its classes: the half-turn alone,
+    # over items that are not closed under it
+    reps, orbit_of, stabilizers, transporters = orbit_walk(
+        [1, 2, 4, 5], [(0, _rotation(0)), (2, _rotation(2))])
+    assert reps == [1, 2, 5]
+    assert orbit_of == {1: 0, 4: 0, 2: 1, 8: 1, 5: 2}
+    assert stabilizers == [(0,), (0,), (0, 2)]
+    assert transporters == {1: 0, 4: 2, 2: 0, 8: 2, 5: 0}
+
+
 @pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
 def test_action_classes_are_the_loop_flip_cosets(g, n, shared_classes):
     # a loop flip moves no vertex and no edge, so each action on vertices
@@ -1011,25 +1046,32 @@ def test_orbit_walk_matches_the_walk_over_every_element(g, n,
                                                         shared_classes):
     # representatives, orbit table (in insertion order) and stabilizers
     # (every fixing element, in group order) on cyclic sets and spin
-    # structures, against the walk that acts with every element
+    # structures, against the walk that acts with every element; each
+    # transporter is the first action class carrying the representative
+    # onto its image
     for graph in shared_classes(g, n):
         group = automorphisms(graph)
         oracle = oracles.element_group(graph)
-        for items, data, act in (
-                (enumerate_cyclic(graph), lambda p: p.mask,
-                 lambda a, p: a.act_mask(p.mask)),
-                (enumerate_spin(graph), SpinStructure.data,
-                 oracles.spin_action())):
-            reps, orbit_of, stabs = group.orbit_representatives(
-                items, data, act)
+        cyclic, spins = enumerate_cyclic(graph), enumerate_spin(graph)
+        for walked, items, data, act in (
+                (group.mask_orbits([p.mask for p in cyclic]), cyclic,
+                 lambda p: p.mask, lambda a, p: a.act_mask(p.mask)),
+                (oracles.spin_orbits(graph, spins), spins,
+                 SpinStructure.data, oracles.spin_action())):
+            reps, orbit_of, stabs, transporters = walked
             want_reps, want_orbit_of, want_stabs = \
                 oracles.orbit_representatives(oracle, items, data, act)
-            assert [data(r) for r in reps] == [data(r) for r in want_reps]
+            assert reps == [data(r) for r in want_reps]
             assert list(orbit_of.items()) == list(want_orbit_of.items())
             assert [oracle.subgroup(s).elements for s in stabs] == \
                 [s.elements for s in want_stabs]
             assert [group.subgroup(s).order for s in stabs] == \
                 [s.order for s in want_stabs]
+            rep_of = {data(r): r for r in want_reps}
+            assert list(transporters) == list(orbit_of)
+            for image, c in transporters.items():
+                rep = rep_of[reps[orbit_of[image]]]
+                assert [act(a, rep) for a in group.actions].index(image) == c
 
 
 def test_spin_orbit_stabilizer_keeps_every_fixing_element(dumbbell):

@@ -3,7 +3,7 @@ import pytest
 from spinmod import posets
 from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import classify, is_stable
-from spinmod.morphisms import (automorphisms, canonical_key,
+from spinmod.morphisms import (AutGroup, automorphisms, canonical_key,
                                cyclic_canonical_key, order_test)
 from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
                             build_spin_poset, check_budget,
@@ -492,28 +492,32 @@ def test_orbit_representatives_are_orbit_minima(g, n):
 
     # the orbit table sends every structure to the position of its orbit
     # minimum over the oracle's elements, and each stabilizer, expanded
-    # to elements, is the filtered group, in group order
-    def check(graph, items, data, act):
+    # to elements, is the filtered group, in group order: the package's
+    # walk over the masks, and the walk of every action class over the
+    # spin structures' data
+    def check(graph, items, data, act, walked):
         oracle = oracles.element_group(graph)
         by_min = {}
         minimum = {}
         for x in items:
             minimum[data(x)] = min(act(a, x) for a in oracle.elements)
             by_min.setdefault(minimum[data(x)], x)
-        reps, orbit_of, stabilizers = automorphisms(
-            graph).orbit_representatives(items, data, act)
-        assert [data(x) for x in reps] == [data(x) for x in by_min.values()]
+        reps, orbit_of, stabilizers, _ = walked
+        assert reps == [data(x) for x in by_min.values()]
         mins = list(by_min)
         assert orbit_of == {d: mins.index(m) for d, m in minimum.items()}
-        for x, stabilizer in zip(reps, stabilizers):
+        for x, stabilizer in zip(by_min.values(), stabilizers):
             assert oracle.subgroup(stabilizer).elements == tuple(
                 a for a in oracle.elements if act(a, x) == data(x))
 
     for graph in enumerate_stable_graphs(g, n):
-        check(graph, enumerate_cyclic(graph), lambda p: p.mask,
-              lambda a, p: a.act_mask(p.mask))
-        check(graph, enumerate_spin(graph), SpinStructure.data,
-              lambda a, s: oracles.act_spin(a, s).data())
+        cyclic, spins = enumerate_cyclic(graph), enumerate_spin(graph)
+        check(graph, cyclic, lambda p: p.mask,
+              lambda a, p: a.act_mask(p.mask),
+              automorphisms(graph).mask_orbits([p.mask for p in cyclic]))
+        check(graph, spins, SpinStructure.data,
+              lambda a, s: oracles.act_spin(a, s).data(),
+              oracles.spin_orbits(graph, spins))
 
 
 def test_spin_orbit_step_acts_once_per_orbit_and_element(monkeypatch):
@@ -797,7 +801,7 @@ def test_shared_orbit_key_is_verification_error(monkeypatch):
     # an orbit key that forgets the structure gives every cyclic
     # representative of a class its graph's key
     monkeypatch.setattr(posets, "orbit_keys",
-                        lambda graph, orbit_of, encode:
+                        lambda graph, orbit_of:
                         [canonical_key(graph)] * len(set(orbit_of.values())))
     with pytest.raises(VerificationError, match="share a key") as info:
         build_cyclic_poset(1, 1)
@@ -844,8 +848,9 @@ def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
 
 
 def _cyclic_reps_only(walked):
-    reps, _, stabilizers = walked
-    return reps, {p.mask: k for k, p in enumerate(reps)}, stabilizers
+    reps, _, stabilizers, transporters = walked
+    return reps, {mask: k for k, mask in enumerate(reps)}, stabilizers, \
+        transporters
 
 
 def _spin_reps_only(walked):
@@ -855,21 +860,21 @@ def _spin_reps_only(walked):
     return walked
 
 
-@pytest.mark.parametrize("build,orbits,cut", [
-    (build_cyclic_poset, "cyclic_orbits", _cyclic_reps_only),
-    (build_spin_poset, "spin_orbits", _spin_reps_only)],
+@pytest.mark.parametrize("build,owner,orbits,cut", [
+    (build_cyclic_poset, AutGroup, "mask_orbits", _cyclic_reps_only),
+    (build_spin_poset, posets, "spin_orbits", _spin_reps_only)],
     ids=["cyclic", "spin"])
 def test_structure_missing_from_its_own_table_is_verification_error(
-        build, orbits, cut, monkeypatch):
+        build, owner, orbits, cut, monkeypatch):
     # an orbit table that lost every entry but the representatives' own:
     # the first structure of a class that is no representative is missing
     # from it, which names its class and itself before anything is pushed
-    original = getattr(posets, orbits)
+    original = getattr(owner, orbits)
 
     def reps_only(*args):
         return cut(original(*args))
 
-    monkeypatch.setattr(posets, orbits, reps_only)
+    monkeypatch.setattr(owner, orbits, reps_only)
     with pytest.raises(VerificationError,
                        match="missing from the orbit table of its own") \
             as info:

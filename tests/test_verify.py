@@ -11,6 +11,7 @@ from spinmod.cli import main
 from spinmod.errors import VerificationError
 from spinmod.graphs import classify
 from spinmod.morphisms import Aut, canonical_key
+from spinmod.spin import enumerate_spin
 from spinmod.verify import run_suites
 
 from conftest import make_theta, poset_from_pairs, without_covers_into
@@ -822,6 +823,91 @@ def test_collection_count_mismatch_names_the_graph(monkeypatch):
         verify.suite_counts(3, classes)
     assert seen == [graph]
     assert info.value.witnesses == (canonical_key(graph),)
+
+
+def test_cycle_pushforward_that_does_not_compose_names_the_set(
+        theta, monkeypatch):
+    # every second step of a chain pushes its cycle onto the empty set:
+    # the first chain whose composite keeps an edge of its cyclic set
+    # fails, naming the class and that set.  A chain pushes from the
+    # class graph through the composite first, then through its first
+    # step, so the failing composite push is the last but one recorded
+    original = verify.push_cycle
+    pushed = []
+
+    def emptied(c, p):
+        if c.source is not theta:
+            return cycles.EdgeSet(c.target, 0)
+        pushed.append((c, p))
+        return original(c, p)
+
+    monkeypatch.setattr(verify, "push_cycle", emptied)
+    with pytest.raises(VerificationError, match="^cycle pushforward does "
+                       "not compose$") as info:
+        verify.fuzz_contraction_chains([theta], 50, 0)
+    composite, p = pushed[-2]
+    assert original(composite, p).mask != 0
+    assert info.value.witnesses == (canonical_key(theta), p.hex())
+
+
+def test_spin_pushforward_that_does_not_compose_names_the_class(
+        theta, monkeypatch):
+    # every second step of a chain pushes its structure onto another one
+    # over the same graph, so the first chain fails
+    original = verify.push_spin
+    moved = []
+
+    def elsewhere(c, s):
+        out = original(c, s)
+        if c.source is theta:
+            return out
+        moved.append(out)
+        return next(t for t in enumerate_spin(c.target)
+                    if t.data() != out.data())
+
+    monkeypatch.setattr(verify, "push_spin", elsewhere)
+    with pytest.raises(VerificationError, match="^spin pushforward does "
+                       "not compose$") as info:
+        verify.fuzz_contraction_chains([theta], 1, 0)
+    assert len(moved) == 1
+    assert info.value.witnesses == (canonical_key(theta),)
+
+
+def test_boundary_square_that_does_not_commute_names_the_class(
+        theta, monkeypatch):
+    # the pushed boundary gains the target's first vertex, so the first
+    # chain's square fails once its pushforwards have composed
+    original = verify.push_vertex_set
+    shifted = []
+
+    def with_first_vertex(c, vertex_set):
+        shifted.append(c)
+        return original(c, vertex_set) ^ {c.target.vertices[0]}
+
+    monkeypatch.setattr(verify, "push_vertex_set", with_first_vertex)
+    with pytest.raises(VerificationError, match="^boundary square does "
+                       "not commute$") as info:
+        verify.fuzz_contraction_chains([theta], 1, 0)
+    assert len(shifted) == 1 and shifted[0].source is theta
+    assert info.value.witnesses == (canonical_key(theta),)
+
+
+def test_top_rank_off_three_regularity_names_the_class(monkeypatch):
+    # every class reads as 3-regular exactly when it is not, so the first
+    # node of the graph poset fails whatever its rank
+    original = verify.classify
+
+    def flipped(graph):
+        cls = original(graph)
+        cls.three_regular = not cls.three_regular
+        return cls
+
+    monkeypatch.setattr(verify, "classify", flipped)
+    with pytest.raises(VerificationError, match="^top rank does not "
+                       "coincide with 3-regularity$") as info:
+        run_suites(2, 0, "posets")
+    assert info.value.witnesses == (
+        posets.build_graph_poset(2, 0).nodes[0].key,)
 
 
 def test_counts_suite_builds_no_graph_and_unites_each_set_once(monkeypatch):
