@@ -21,8 +21,7 @@ from .graphs import is_stable
 from .posets import (build_cyclic_poset, build_graph_poset, build_spin_poset,
                      poset_stats)
 from .tropical import (FamilyDescriptor, build_cone_complex, cells_to_csv,
-                       diagram_check, family_generic_fiber,
-                       family_stable_model, pi_trop, trop_family)
+                       diagram_check, family_generic_fiber)
 from .verify import peak_rss_kib, run_suites
 
 EXIT_OK = 0
@@ -89,7 +88,7 @@ def _to_json(obj):
     other leaf or key by ``json.dumps``, which also raises ``TypeError``
     for anything that is not JSON."""
     parts = []
-    _emit(obj, "\n", parts.append)
+    _emit(obj, "\n", parts, {})
     return "".join(parts)
 
 
@@ -102,9 +101,18 @@ def _json_key(key):
                     f"{type(key).__name__}")
 
 
-def _emit(obj, newline, out):
-    """Append the text of ``obj``, whose lines start with ``newline``,
-    through ``out``."""
+def _emit(obj, newline, parts, spans):
+    """Append the text of ``obj``, whose lines start with ``newline``, to
+    ``parts``.  A container writes its exact ``str`` and ``int`` leaves,
+    and its ``str`` keys, itself; only other values recurse.
+
+    ``spans`` maps ``(id(value), newline)`` of each container met as a
+    dict value to the slice of ``parts`` that holds its text.  The same
+    object met again at the same indentation, as the curves of a
+    ``trop`` answer share their graph's dict, is written from that slice
+    rather than walked again.  The objects live until the call returns,
+    so no id is reused within it."""
+    out = parts.append
     kind = type(obj)
     if kind is str:
         out(_quote(obj))
@@ -118,9 +126,22 @@ def _emit(obj, newline, out):
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             out(sep)
-            out(_json_key(key))
-            out(": ")
-            _emit(value, inner, out)
+            out(_quote(key) if type(key) is str else _json_key(key))
+            kind = type(value)
+            if kind is str:
+                out(": " + _quote(value))
+            elif kind is int:
+                out(": " + int.__repr__(value))
+            else:
+                out(": ")
+                at = (id(value), inner)
+                span = spans.get(at)
+                if span is None:
+                    start = len(parts)
+                    _emit(value, inner, parts, spans)
+                    spans[at] = (start, len(parts))
+                else:
+                    out("".join(parts[span[0]:span[1]]))
             sep = "," + inner
         out(newline + "}")
     elif kind is list or kind is tuple or isinstance(obj, (list, tuple)):
@@ -130,8 +151,14 @@ def _emit(obj, newline, out):
         inner = newline + "  "
         sep = "[" + inner
         for value in obj:
-            out(sep)
-            _emit(value, inner, out)
+            kind = type(value)
+            if kind is str:
+                out(sep + _quote(value))
+            elif kind is int:
+                out(sep + int.__repr__(value))
+            else:
+                out(sep)
+                _emit(value, inner, parts, spans)
             sep = "," + inner
         out(newline + "]")
     else:
@@ -253,18 +280,18 @@ def cmd_trop(args):
     if not is_stable(family.graph):
         raise InputError("family descriptor graph is not stable")
 
-    psi = trop_family(family)
-    stable_model = family_stable_model(family)
-    commutes = diagram_check(family)
+    diagram = diagram_check(family)
     fiber = family_generic_fiber(family)
-    if not commutes:
+    if not diagram.commutes:
         raise VerificationError("tropicalization diagram does not commute")
 
+    # the three curves share the family's graph: serialize it once
+    graph = family.graph.to_json_dict()
     body = {
-        "tropicalization": psi.to_json_dict(),
-        "forgetful_image": pi_trop(psi).to_json_dict(),
-        "stable_model": stable_model.to_json_dict(),
-        "diagram_commutes": commutes,
+        "tropicalization": diagram.psi.to_json_dict(graph),
+        "forgetful_image": diagram.image.to_json_dict(graph),
+        "stable_model": diagram.stable_model.to_json_dict(graph),
+        "diagram_commutes": diagram.commutes,
         "generic_fiber": {
             "graph": fiber["generic"].graph.to_json_dict(),
             "spin": fiber["generic"].spin.to_json_dict(),

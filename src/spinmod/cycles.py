@@ -51,6 +51,20 @@ class EdgeSet:
     def __iter__(self):
         return iter(self.indices())
 
+    def vertex_pairs(self):
+        """The end vertices of each edge of the set, in index order, read
+        over the mask's set bits against the graph's edges; each pair
+        is ordered as the edge's half-edges, not sorted."""
+        edges, endpoint = self.graph.edges, self.graph.endpoint
+        out = []
+        m = self.mask
+        while m:
+            low = m & -m
+            m ^= low
+            h, k = edges[low.bit_length() - 1]
+            out.append((endpoint[h], endpoint[k]))
+        return out
+
     def __len__(self):
         return bin(self.mask).count("1")
 
@@ -74,7 +88,7 @@ class EdgeSet:
     @cached_property
     def b1(self):
         """First Betti number of the spanned subgraph (support vertices only)."""
-        pairs = [self.graph.edge_vertices(i) for i in self.indices()]
+        pairs = self.vertex_pairs()
         if not pairs:
             return 0
         verts = {v for pair in pairs for v in pair}
@@ -84,19 +98,13 @@ class EdgeSet:
 
 def boundary(graph, edge_set):
     """GF(2) boundary: the set of vertices of odd degree in the spanned
-    subgraph.  Loops contribute nothing.  Walks the set bits of the mask
-    against the graph's edges and endpoints; a set over another graph is
-    an input error, not a mask read against this one."""
+    subgraph.  Loops contribute nothing.  Reads the set's
+    :meth:`~EdgeSet.vertex_pairs`; a set over another graph is an input
+    error, not a mask read against this one."""
     if edge_set.graph is not graph and edge_set.graph != graph:
         raise InputError("cyclic set lives over a different graph")
-    edges, endpoint = graph.edges, graph.endpoint
     odd = set()
-    m = edge_set.mask
-    while m:
-        low = m & -m
-        m ^= low
-        h, k = edges[low.bit_length() - 1]
-        u, v = endpoint[h], endpoint[k]
+    for u, v in edge_set.vertex_pairs():
         if u != v:
             odd ^= {u, v}
     return frozenset(odd)
@@ -214,16 +222,16 @@ class PbarDecomposition:
             raise DomainError("decomposition requires a cyclic edge set")
         self.graph = graph
         self.mask = cyclic_set.mask
-        edges = [graph.edge_vertices(i) for i in cyclic_set]
+        edges = cyclic_set.vertex_pairs()
         classes = connected_classes(graph.vertices, edges)
         index = {v: i for i, vs in enumerate(classes) for v in vs}
         n_edges = [0] * len(classes)
         for u, _ in edges:
             n_edges[index[u]] += 1
         self.component = tuple(map(index.__getitem__, graph.vertices))
-        self.genera = tuple(
-            sum(graph.weight[v] for v in vs) + e - len(vs) + 1
-            for vs, e in zip(classes, n_edges))
+        weight = graph.weight.__getitem__
+        self.genera = tuple(sum(map(weight, vs)) + e - len(vs) + 1
+                            for vs, e in zip(classes, n_edges))
 
     @property
     def vertex_sets(self):

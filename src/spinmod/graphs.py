@@ -68,17 +68,17 @@ class Graph:
             raise InputError("vertex weights must be non-negative")
         endpoint = {int(h): int(v) for h, v in dict(endpoint).items()}
         involution = {int(h): int(k) for h, k in dict(involution).items()}
-        hset = set(endpoint)
-        if set(involution) != hset:
+        if involution.keys() != endpoint.keys():
             raise InputError("involution must be defined on all half-edges")
-        for h, k in involution.items():
-            if k not in hset or involution[k] != h:
-                raise InputError("involution is not a self-inverse permutation")
-        for h, v in endpoint.items():
-            if v not in weight:
-                raise InputError(f"half-edge {h} ends at unknown vertex {v}")
+        # a map equals its inverse exactly when it is a self-inverse
+        # permutation of its keys
+        if involution != {k: h for h, k in involution.items()}:
+            raise InputError("involution is not a self-inverse permutation")
+        if not weight.keys() >= set(endpoint.values()):
+            h, v = next((h, v) for h, v in endpoint.items() if v not in weight)
+            raise InputError(f"half-edge {h} ends at unknown vertex {v}")
         legs = tuple(int(h) for h in legs)
-        fixed = {h for h in hset if involution[h] == h}
+        fixed = {h for h, k in involution.items() if h == k}
         if set(legs) != fixed or len(legs) != len(fixed):
             raise InputError("legs must list each involution fixed point once")
         exceptional = frozenset(exceptional)
@@ -95,7 +95,9 @@ class Graph:
         self.half_edges = tuple(sorted(endpoint))
         # Stable edge indexing: pairs (h, h') with h < h', sorted by h.
         self.edges = tuple(sorted(
-            (h, k) for h, k in involution.items() if h < k))
+            [(h, k) for h, k in involution.items() if h < k]))
+        self.n_edges = len(self.edges)
+        self.n_legs = len(legs)
 
     @classmethod
     def build(cls, vertices, edges, legs=(), exceptional=()):
@@ -138,6 +140,8 @@ class Graph:
         graph.vertices = vertices
         graph.half_edges = half_edges
         graph.edges = edges
+        graph.n_edges = len(edges)
+        graph.n_legs = len(legs)
         return graph
 
     # -- basic accessors -------------------------------------------------
@@ -188,14 +192,6 @@ class Graph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def n_edges(self):
-        return len(self.edges)
-
-    @cached_property
-    def n_legs(self):
-        return len(self.legs)
-
-    @cached_property
     def multiplicity(self):
         """Map from sorted vertex pair to the number of parallel edges."""
         mult = {}
@@ -244,8 +240,13 @@ class Graph:
                 self.legs)
 
     def __eq__(self, other):
+        # dicts compare as sets of items, so this is _ident() equality
+        # without sorting
         return self is other or (isinstance(other, Graph)
-                                 and self._ident() == other._ident())
+                                 and self.legs == other.legs
+                                 and self.weight == other.weight
+                                 and self.endpoint == other.endpoint
+                                 and self.involution == other.involution)
 
     def __hash__(self):
         return hash(self._ident())
@@ -359,11 +360,15 @@ def connected_classes(items, pairs):
 
 def is_stable(graph):
     """Connected, and ``2w(v) - 2 + deg(v) + ell(v)`` positive at every
-    vertex."""
+    vertex.  ``deg(v) + ell(v)`` is the number of half-edges at ``v``,
+    counted in one pass over the endpoints."""
     if not graph.is_connected:
         return False
-    for v in graph.vertices:
-        if 2 * graph.w(v) - 2 + graph.deg(v) + graph.ell(v) <= 0:
+    valence = dict.fromkeys(graph.vertices, 0)
+    for v in graph.endpoint.values():
+        valence[v] += 1
+    for v, w in graph.weight.items():
+        if 2 * w - 2 + valence[v] <= 0:
             return False
     return True
 

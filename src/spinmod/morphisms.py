@@ -61,7 +61,8 @@ runs; a cyclic set is encoded once per member, and a spin structure as
 
 The order test carries a candidate contraction whose target equals the
 lower graph through the identity, and computes certificates only for
-the candidates whose targets differ from it.
+the candidates whose targets differ from it but have its sorted vertex
+invariants (weight, degree, loops and leg positions).
 """
 
 from __future__ import annotations
@@ -130,16 +131,13 @@ class Contraction:
         self.vertex_map = rep
 
         # target weight = total weight + first Betti number of the
-        # contracted piece over each class
-        f_count = defaultdict(int)
-        for u, _ in pairs:
-            f_count[rep[u]] += 1
+        # contracted piece over each class: its weights, plus its
+        # contracted edges, minus its vertices, plus one
         source_weight = source.weight
-        weight = {}
-        for members in classes:
-            r = members[0]
-            weight[r] = (sum(source_weight[v] for v in members)
-                         + f_count[r] - len(members) + 1)
+        weight = {members[0]: sum(map(source_weight.__getitem__, members))
+                  - len(members) + 1 for members in classes}
+        for u, _ in pairs:
+            weight[rep[u]] += 1
         self._check(weight)
 
         kept_endpoint = {h: rep[v] for h, v in endpoint.items()
@@ -151,7 +149,7 @@ class Contraction:
             weight, kept_endpoint,
             {h: involution[h] for h in kept_endpoint}, source.legs,
             source.exceptional.intersection(weight), tuple(weight),
-            tuple(h for h in source.half_edges if h not in dropped),
+            tuple([h for h in source.half_edges if h not in dropped]),
             tuple(kept))
 
     def _check(self, weight):
@@ -247,9 +245,13 @@ def push_cycle(contraction, cyclic_set):
     rest."""
     if not is_cyclic(contraction.source, cyclic_set):
         raise DomainError("pushforward requires a cyclic edge set")
+    edge_map = contraction.edge_map
     mask = 0
-    for i in cyclic_set:
-        j = contraction.edge_map[i]
+    m = cyclic_set.mask
+    while m:
+        low = m & -m
+        m ^= low
+        j = edge_map[low.bit_length() - 1]
         if j is not None:
             mask |= 1 << j
     out = EdgeSet(contraction.target, mask)
@@ -269,10 +271,10 @@ def push_spin(contraction, spin):
 
 # -- automorphisms ----------------------------------------------------------
 
-def _initial_colors(graph):
-    """Each vertex's rank among the distinct ``(weight, degree, loops,
-    leg positions)`` of the graph, read in one pass over the edges and
-    one over the legs."""
+def _vertex_invariants(graph):
+    """Each vertex's ``(weight, degree, loops, leg positions)``, read in
+    one pass over the edges and one over the legs.  Isomorphic graphs
+    have the same sorted list of them."""
     endpoint = graph.endpoint
     deg = dict.fromkeys(graph.vertices, 0)
     loops = dict.fromkeys(graph.vertices, 0)
@@ -285,8 +287,14 @@ def _initial_colors(graph):
             loops[u] += 1
     for i, h in enumerate(graph.legs):
         legs[endpoint[h]] += (i,)
-    raw = {v: (w, deg[v], loops[v], legs[v])
-           for v, w in graph.weight.items()}
+    return {v: (w, deg[v], loops[v], legs[v])
+            for v, w in graph.weight.items()}
+
+
+def _initial_colors(graph):
+    """Each vertex's rank among the distinct :func:`_vertex_invariants`
+    of the graph."""
+    raw = _vertex_invariants(graph)
     ranks = {c: i for i, c in enumerate(sorted(set(raw.values())))}
     return {v: ranks[raw[v]] for v in graph.vertices}
 
@@ -669,11 +677,12 @@ class SpinCarry:
             if graph is not f.graph and graph != f.graph:
                 raise InputError("cyclic set lives over a different graph")
             self.graph = f.graph
-            self.mask = f.act_mask(self.source_mask)
+            image = EdgeSet(f.graph, f.act_mask(self.source_mask))
         else:
             self.graph = f.target
-            self.mask = push_cycle(f, cyclic_set).mask
-        dec = pbar_decompose(self.graph, EdgeSet(self.graph, self.mask))
+            image = push_cycle(f, cyclic_set)
+        self.mask = image.mask
+        dec = pbar_decompose(self.graph, image)
         # one pass over the source vertices: the image component of each
         # source component, and whether one source component meets two
         # image components (split) or two meet one (shared)
@@ -869,7 +878,9 @@ def order_test(upper, lower):
     identity.  Any other is carried through an isomorphism read off the
     certificates, when its target has the certificate of ``lower``'s
     graph; that certificate is computed only once such a candidate
-    comes.  Either way, the contraction is a witness when the pushed
+    comes, and no certificate is computed for a target whose sorted
+    :func:`_vertex_invariants` differ from those of ``lower``'s graph,
+    since its certificate would differ too.  Either way, the contraction is a witness when the pushed
     structure lies in the orbit of ``lower``'s, which does not depend on
     the isomorphism chosen.  Since the identity lies in every group, a
     structure pushed onto ``lower``'s own is a witness at once; the
@@ -883,7 +894,7 @@ def order_test(upper, lower):
     if k < 0:
         return None
     drop = ga.b1 - gb.b1
-    cert_b = None
+    cert_b = invariants_b = None
     target = lower.spin.data()
     orbits = None
     for subset in combinations(range(ga.n_edges), k):
@@ -894,6 +905,10 @@ def order_test(upper, lower):
         if c.target.half_edges == gb.half_edges and c.target == gb:
             carried = c.identical(gb)
         else:
+            if invariants_b is None:
+                invariants_b = sorted(_vertex_invariants(gb).values())
+            if sorted(_vertex_invariants(c.target).values()) != invariants_b:
+                continue
             if cert_b is None:
                 cert_b, _ = canonical_form(gb)
             if canonical_form(c.target)[0] != cert_b:

@@ -9,6 +9,7 @@ doubling round-trip exactly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .cycles import EdgeSet
@@ -51,7 +52,8 @@ def as_length(value, positive=False):
     if isinstance(value, float):
         raise InputError("lengths must be exact rationals, not floats")
     x = value if type(value) is Fraction else Fraction(value)
-    if x < 0 or (positive and x == 0):
+    # a Fraction's denominator is positive: its numerator carries the sign
+    if x.numerator < 0 or (positive and not x.numerator):
         kind = "positive" if positive else "non-negative"
         raise InputError(f"lengths must be {kind}, got {x}")
     return x
@@ -110,8 +112,11 @@ class TropicalCurve:
     def __repr__(self):
         return f"TropicalCurve(g={self.genus}, lengths={self.lengths})"
 
-    def to_json_dict(self):
-        return {"graph": self.graph.to_json_dict(),
+    def to_json_dict(self, graph_json=None):
+        """The curve as JSON; ``graph_json``, when given, is its graph's
+        :meth:`~spinmod.graphs.Graph.to_json_dict`, already built."""
+        return {"graph": (self.graph.to_json_dict() if graph_json is None
+                          else graph_json),
                 "lengths": [length_to_json(x) for x in self.lengths]}
 
 
@@ -136,8 +141,8 @@ class SpinTropicalCurve:
     def __repr__(self):
         return f"SpinTropicalCurve({self.curve!r}, {self.spin!r})"
 
-    def to_json_dict(self):
-        out = self.curve.to_json_dict()
+    def to_json_dict(self, graph_json=None):
+        out = self.curve.to_json_dict(graph_json)
         out["spin"] = self.spin.to_json_dict()
         return out
 
@@ -157,8 +162,8 @@ def pi_trop(spin_curve):
     """Forget the spin structure, doubling the length of every edge
     outside its cyclic set."""
     curve = spin_curve.curve
-    p = spin_curve.spin.P
-    lengths = [x if i in p else double(x)
+    p = spin_curve.spin.P.mask
+    lengths = [x if p >> i & 1 else double(x)
                for i, x in enumerate(curve.lengths)]
     return TropicalCurve(curve.graph, lengths)
 
@@ -302,15 +307,30 @@ def trop_family(family):
 def family_stable_model(family):
     """Tropical curve of the family's stable model: valuations double
     exactly on the edges outside the cyclic set (the blown-up nodes)."""
-    p = family.spin_graph.spin.P
-    lengths = [x if i in p else double(x) for i, x in enumerate(family.val)]
+    p = family.spin_graph.spin.P.mask
+    lengths = [x if p >> i & 1 else double(x)
+               for i, x in enumerate(family.val)]
     return TropicalCurve(family.graph, lengths)
 
 
+FamilyDiagram = namedtuple("FamilyDiagram",
+                           ("psi", "image", "stable_model", "commutes"))
+FamilyDiagram.__doc__ = """The tropicalization square of a family, each
+corner built once: ``psi``, the tropicalized family
+(:func:`trop_family`); ``image``, its forgetful image :func:`pi_trop`;
+``stable_model``, the tropical curve of the family's stable model; and
+``commutes``, whether ``image`` equals ``stable_model``."""
+
+
 def diagram_check(family):
-    """Tropicalizing then forgetting equals taking the stable model then
-    tropicalizing.  True by construction; kept as a tautology guard."""
-    return pi_trop(trop_family(family)) == family_stable_model(family)
+    """Tropicalizing then forgetting against taking the stable model then
+    tropicalizing, as a :class:`FamilyDiagram`.  It commutes by
+    construction; kept as a tautology guard.  Callers read the three
+    curves from the record rather than build them again."""
+    psi = trop_family(family)
+    image = pi_trop(psi)
+    stable_model = family_stable_model(family)
+    return FamilyDiagram(psi, image, stable_model, image == stable_model)
 
 
 def family_generic_fiber(family):

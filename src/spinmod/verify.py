@@ -28,7 +28,7 @@ from .posets import (build_cyclic_poset, build_graph_poset, build_spin_poset,
 from .spin import (SpinGraph, enumerate_spin, g_collections, refine_nonbasic,
                    spin_count_check, stratum_counts, theta_divisors)
 from .tropical import (INF, FamilyDescriptor, build_cone_complex,
-                       diagram_check, family_generic_fiber, trop_family)
+                       diagram_check, family_generic_fiber)
 
 DIRECT_ORACLE_LIMIT = 5  # largest 3g-3+n the exponential generator handles
 
@@ -436,11 +436,12 @@ def fuzz_families(spin_poset, count=100, seed=0):
             else:
                 val.append(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
         fam = FamilyDescriptor(nd.rep, val)
-        if not diagram_check(fam):
+        diagram = diagram_check(fam)
+        if not diagram.commutes:
             raise VerificationError("tropicalization diagram does not "
                                     "commute", (nd.key,))
         family_generic_fiber(fam)
-        psi = trop_family(fam)
+        psi = diagram.psi
         if canonical_key(SpinGraph(psi.graph, psi.spin)) != nd.key:
             raise VerificationError("tropicalized family left its cell",
                                     (nd.key,))

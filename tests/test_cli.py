@@ -7,14 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from spinmod import cli
+from spinmod import cli, graphs, morphisms, tropical
 from spinmod.cli import main
 from spinmod.cycles import EdgeSet
 from spinmod.errors import VerificationError
 from spinmod.spin import SpinGraph, SpinStructure
-from spinmod.tropical import FamilyDescriptor
+from spinmod.tropical import INF, FamilyDescriptor
 
-from conftest import make_theta
+from conftest import make_dumbbell, make_theta
 
 
 def run_cli(*args, env=None):
@@ -444,6 +444,8 @@ ENCODER_CASES = {
     "float-keys": {1.5: 1, -0.0: 2, math.inf: 3, math.nan: 4},
     "bool-keys": {True: 1, False: 0},
     "none-key": {None: [None]},
+    "shared": {"a": (shared := {"x": [1, {"y": "z"}]}), "b": shared,
+               "c": {"d": shared, "e": [shared]}, "f": [[shared], shared]},
 }
 
 
@@ -641,3 +643,49 @@ def test_verify_reports_the_memory_after_each_phase(tmp_path, capsys):
         assert main(argv) == 0
         assert set(json.loads(capsys.readouterr().out)["timings"]) == \
             {"seconds"}
+
+
+def test_trop_diagram_that_does_not_commute_is_a_failure(tmp_path, capsys,
+                                                         monkeypatch):
+    # a stable model that forgets to double the edge outside P (edge 2)
+    monkeypatch.setattr(tropical, "family_stable_model",
+                        lambda family: tropical.TropicalCurve(family.graph,
+                                                              family.val))
+    assert main(["trop", str(write_theta_family(tmp_path))]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "trop", "status": "fail",
+        "error": "tropicalization diagram does not commute",
+        "witnesses": []}
+
+
+def test_trop_call_builds_each_piece_once(tmp_path, capsys, monkeypatch):
+    # the dumbbell (loops 0 and 1, bridge 2) with its loops as P; the
+    # generic fiber contracts loop 1 and the bridge, and the order test's
+    # first candidate of b1 1, the loop 0 and the bridge, reaches it
+    # through an isomorphism
+    dumbbell = make_dumbbell()
+    spin = SpinStructure(dumbbell, EdgeSet.from_indices(dumbbell, [0, 1]),
+                         (1, 0))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(FamilyDescriptor(
+        SpinGraph(dumbbell, spin), [INF, Fraction(1), Fraction(2)]
+    ).to_json_dict()))
+    counts = {"curves": 0, "graph_json": 0, "contractions": 0}
+
+    def counting(cls, name, count):
+        original = getattr(cls, name)
+
+        def wrapped(*args, **kwargs):
+            counts[count] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapped)
+
+    counting(tropical.TropicalCurve, "__init__", "curves")
+    counting(graphs.Graph, "to_json_dict", "graph_json")
+    counting(morphisms.Contraction, "__init__", "contractions")
+    assert main(["trop", str(path)]) == 0
+    answer = json.loads(capsys.readouterr().out)
+    assert answer["order_witness"]["F"] == "5"
+    # psi's curve, its forgetful image and the stable model; the family's
+    # graph and the generic fiber's; the generic fiber and one candidate
+    assert counts == {"curves": 3, "graph_json": 2, "contractions": 2}

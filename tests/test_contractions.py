@@ -153,3 +153,27 @@ def test_verify_reports_a_wrong_contraction(name, monkeypatch, capsys):
     key, edges = record["witnesses"]
     assert edges.startswith("F=")
     assert 0 < int(edges[2:], 16) < 1 << classes[key].n_edges
+
+
+def test_contraction_check_rejects_a_negative_weight():
+    # contracting the dumbbell's loop at 0 leaves weights {0: 1, 1: 0};
+    # moving two units from vertex 1 to vertex 0 keeps the vertex count
+    # and the total, so only the sign check can fail
+    graph = make_dumbbell()
+    c = contract(graph, [0])
+    assert c.target.weight == {0: 1, 1: 0}
+    with pytest.raises(VerificationError) as info:
+        c._check({0: 2, 1: -1})
+    assert str(info.value) == ("contraction gave a vertex the negative "
+                               "weight -1")
+    assert info.value.witnesses == (canonical_key(graph), "F=1")
+
+
+def test_isomorphism_of_different_classes_is_a_verification_error():
+    theta, dumbbell = make_theta(), make_dumbbell()
+    with pytest.raises(VerificationError) as info:
+        morphisms._isomorphism(theta, dumbbell)
+    assert "not isomorphic" in str(info.value)
+    # each witness is the digest of a certificate, which is the graph's key
+    assert info.value.witnesses == (canonical_key(theta),
+                                    canonical_key(dumbbell))

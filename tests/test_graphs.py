@@ -248,3 +248,64 @@ def test_half_edge_counts(dumbbell):
     assert dumbbell.n_edges == (len(dumbbell.half_edges) - dumbbell.n_legs) // 2
     g = make_one_loop_one_leg()
     assert g.n_edges == (len(g.half_edges) - g.n_legs) // 2
+
+
+def _reordered(graph):
+    """The same graph through the validating constructor, every dict
+    built in reverse order."""
+    return Graph(dict(reversed(graph.weight.items())),
+                 dict(reversed(graph.endpoint.items())),
+                 dict(reversed(graph.involution.items())), graph.legs,
+                 graph.exceptional)
+
+
+def _derived_copy(graph):
+    """The same graph through ``Graph._derived``, with copied dicts in
+    reverse order."""
+    return Graph._derived(
+        dict(reversed(graph.weight.items())),
+        dict(reversed(graph.endpoint.items())),
+        dict(reversed(graph.involution.items())), tuple(graph.legs),
+        frozenset(graph.exceptional), graph.vertices, graph.half_edges,
+        graph.edges)
+
+
+def test_equal_data_in_any_dict_order_is_equal_and_hashes_equal():
+    # two parallel edges between vertices 0 and 1, a leg at each
+    weight = {0: 0, 1: 1}
+    endpoint = {0: 0, 1: 0, 2: 1, 3: 1, 4: 0, 5: 1}
+    involution = {0: 2, 2: 0, 1: 3, 3: 1, 4: 4, 5: 5}
+    graph = Graph(weight, endpoint, involution, (4, 5))
+    for copy in (_reordered(graph), _derived_copy(graph)):
+        assert copy is not graph
+        assert copy == graph and graph == copy
+        assert hash(copy) == hash(graph)
+    # one field changed at a time, each still a valid graph
+    for other in (Graph({0: 1, 1: 0}, endpoint, involution, (4, 5)),
+                  Graph(weight, {**endpoint, 4: 1, 5: 0}, involution,
+                        (4, 5)),
+                  Graph(weight, endpoint,
+                        {0: 3, 3: 0, 1: 2, 2: 1, 4: 4, 5: 5}, (4, 5)),
+                  Graph(weight, endpoint, involution, (5, 4))):
+        assert other != graph and graph != other
+
+
+def test_equality_agrees_with_the_structural_identity(shared_classes):
+    # every pair among the (2,2) classes, their single-edge contraction
+    # targets and a rebuilt copy of each: == holds exactly when _ident()
+    # agrees, and equal graphs hash equal
+    from spinmod.morphisms import contract
+
+    graphs = list(shared_classes(2, 2))
+    graphs += [contract(g, [i]).target for g in graphs[:]
+               for i in range(g.n_edges)]
+    graphs += [_reordered(g) for g in graphs[:]]
+    idents = [g._ident() for g in graphs]
+    equal_pairs = 0
+    for a, ident_a in zip(graphs, idents):
+        for b, ident_b in zip(graphs, idents):
+            assert (a == b) is (ident_a == ident_b)
+            if a is not b and a == b:
+                assert hash(a) == hash(b)
+                equal_pairs += 1
+    assert equal_pairs >= len(graphs)

@@ -195,13 +195,17 @@ def test_trop_family_transcribes():
 def test_family_stable_model_doubles():
     fam = theta_family()
     assert family_stable_model(fam).lengths == (F(1), F(2), F(6))
-    assert diagram_check(fam)
+    diagram = diagram_check(fam)
+    assert diagram.commutes
+    assert diagram.psi.curve == trop_family(fam).curve
+    assert diagram.image == pi_trop(diagram.psi)
+    assert diagram.stable_model == family_stable_model(fam)
 
 
 def test_family_infinite_valuation():
     fam = theta_family([F(1), F(2), INF])
     assert family_stable_model(fam).lengths == (F(1), F(2), INF)
-    assert diagram_check(fam)
+    assert diagram_check(fam).commutes
 
 
 def test_family_val_positive():
