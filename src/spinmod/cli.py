@@ -88,7 +88,7 @@ def _to_json(obj):
     other leaf or key by ``json.dumps``, which also raises ``TypeError``
     for anything that is not JSON."""
     parts = []
-    _emit(obj, "\n", parts, {})
+    _emit(obj, "\n", parts.append)
     return "".join(parts)
 
 
@@ -101,18 +101,10 @@ def _json_key(key):
                     f"{type(key).__name__}")
 
 
-def _emit(obj, newline, parts, spans):
-    """Append the text of ``obj``, whose lines start with ``newline``, to
-    ``parts``.  A container writes its exact ``str`` and ``int`` leaves,
-    and its ``str`` keys, itself; only other values recurse.
-
-    ``spans`` maps ``(id(value), newline)`` of each container met as a
-    dict value to the slice of ``parts`` that holds its text.  The same
-    object met again at the same indentation, as the curves of a
-    ``trop`` answer share their graph's dict, is written from that slice
-    rather than walked again.  The objects live until the call returns,
-    so no id is reused within it."""
-    out = parts.append
+def _emit(obj, newline, out):
+    """Append the text of ``obj``, whose lines start with ``newline``,
+    through ``out``.  A container writes its exact ``str`` and ``int``
+    leaves, and its ``str`` keys, itself; only other values recurse."""
     kind = type(obj)
     if kind is str:
         out(_quote(obj))
@@ -134,14 +126,7 @@ def _emit(obj, newline, parts, spans):
                 out(": " + int.__repr__(value))
             else:
                 out(": ")
-                at = (id(value), inner)
-                span = spans.get(at)
-                if span is None:
-                    start = len(parts)
-                    _emit(value, inner, parts, spans)
-                    spans[at] = (start, len(parts))
-                else:
-                    out("".join(parts[span[0]:span[1]]))
+                _emit(value, inner, out)
             sep = "," + inner
         out(newline + "}")
     elif kind is list or kind is tuple or isinstance(obj, (list, tuple)):
@@ -158,7 +143,7 @@ def _emit(obj, newline, parts, spans):
                 out(sep + int.__repr__(value))
             else:
                 out(sep)
-                _emit(value, inner, parts, spans)
+                _emit(value, inner, out)
             sep = "," + inner
         out(newline + "]")
     else:

@@ -880,10 +880,11 @@ def order_test(upper, lower):
     graph; that certificate is computed only once such a candidate
     comes, and no certificate is computed for a target whose sorted
     :func:`_vertex_invariants` differ from those of ``lower``'s graph,
-    since its certificate would differ too.  Either way, the contraction is a witness when the pushed
-    structure lies in the orbit of ``lower``'s, which does not depend on
-    the isomorphism chosen.  Since the identity lies in every group, a
-    structure pushed onto ``lower``'s own is a witness at once; the
+    since its certificate would differ too.  Either way, the
+    contraction is a witness when the pushed structure lies in the
+    orbit of ``lower``'s, which does not depend on the isomorphism
+    chosen.  Since the identity lies in every group, a structure pushed
+    onto ``lower``'s own is a witness at once; the
     orbit is walked, at most once per call, only for a candidate that
     pushes somewhere else.
     """

@@ -112,11 +112,10 @@ class TropicalCurve:
     def __repr__(self):
         return f"TropicalCurve(g={self.genus}, lengths={self.lengths})"
 
-    def to_json_dict(self, graph_json=None):
-        """The curve as JSON; ``graph_json``, when given, is its graph's
+    def to_json_dict(self, graph_json):
+        """The curve as JSON; ``graph_json`` is its graph's
         :meth:`~spinmod.graphs.Graph.to_json_dict`, already built."""
-        return {"graph": (self.graph.to_json_dict() if graph_json is None
-                          else graph_json),
+        return {"graph": graph_json,
                 "lengths": [length_to_json(x) for x in self.lengths]}
 
 
@@ -141,7 +140,7 @@ class SpinTropicalCurve:
     def __repr__(self):
         return f"SpinTropicalCurve({self.curve!r}, {self.spin!r})"
 
-    def to_json_dict(self, graph_json=None):
+    def to_json_dict(self, graph_json):
         out = self.curve.to_json_dict(graph_json)
         out["spin"] = self.spin.to_json_dict()
         return out
