@@ -103,8 +103,8 @@ def _json_key(key):
 
 def _emit(obj, newline, out):
     """Append the text of ``obj``, whose lines start with ``newline``,
-    through ``out``.  A container writes its exact ``str`` and ``int``
-    leaves, and its ``str`` keys, itself; only other values recurse."""
+    through ``out``.  Exact ``str`` and ``int`` leaves and ``str`` keys
+    are spelled here; containers write their entries by recursion."""
     kind = type(obj)
     if kind is str:
         out(_quote(obj))
@@ -119,14 +119,8 @@ def _emit(obj, newline, out):
         for key, value in sorted(obj.items()):
             out(sep)
             out(_quote(key) if type(key) is str else _json_key(key))
-            kind = type(value)
-            if kind is str:
-                out(": " + _quote(value))
-            elif kind is int:
-                out(": " + int.__repr__(value))
-            else:
-                out(": ")
-                _emit(value, inner, out)
+            out(": ")
+            _emit(value, inner, out)
             sep = "," + inner
         out(newline + "}")
     elif kind is list or kind is tuple or isinstance(obj, (list, tuple)):
@@ -136,14 +130,8 @@ def _emit(obj, newline, out):
         inner = newline + "  "
         sep = "[" + inner
         for value in obj:
-            kind = type(value)
-            if kind is str:
-                out(sep + _quote(value))
-            elif kind is int:
-                out(sep + int.__repr__(value))
-            else:
-                out(sep)
-                _emit(value, inner, out)
+            out(sep)
+            _emit(value, inner, out)
             sep = "," + inner
         out(newline + "]")
     else:
@@ -193,9 +181,9 @@ def cmd_enumerate(args):
     elif args.format == "dot":
         render = poset.to_dot
     elif args.kind == "spin":
-        # the cone complex checks purity, so it is built even unwritten
-        cells, _ = build_cone_complex(poset)
-        render = functools.partial(cells_to_csv, cells)
+        # the cone complex is checked for purity even when unwritten
+        build_cone_complex(poset)
+        render = functools.partial(cells_to_csv, poset)
     else:
         def render():
             lines = ["key,rank"] + [f"{nd.key},{nd.rank}"
@@ -299,23 +287,19 @@ def main(argv=None):
                "trop": cmd_trop}[args.command]
     try:
         report = handler(args)
-    except VerificationError as exc:
-        print(json.dumps({"command": args.command, "status": "fail",
-                          "error": str(exc),
-                          "witnesses": list(exc.witnesses)}, indent=2))
-        return EXIT_VERIFICATION
-    except InputError as exc:
-        print(json.dumps({"command": args.command, "status": "input-error",
-                          "error": str(exc)}, indent=2))
-        return EXIT_INPUT
-    except BudgetError as exc:
-        print(json.dumps({"command": args.command, "status": "budget-error",
-                          "error": str(exc)}, indent=2))
-        return EXIT_BUDGET
     except SpinmodError as exc:
-        print(json.dumps({"command": args.command, "status": "input-error",
-                          "error": str(exc)}, indent=2))
-        return EXIT_INPUT
+        if isinstance(exc, VerificationError):
+            status, code = "fail", EXIT_VERIFICATION
+        elif isinstance(exc, BudgetError):
+            status, code = "budget-error", EXIT_BUDGET
+        else:
+            status, code = "input-error", EXIT_INPUT
+        error = {"command": args.command, "status": status,
+                 "error": str(exc)}
+        if code == EXIT_VERIFICATION:
+            error["witnesses"] = list(exc.witnesses)
+        print(json.dumps(error, indent=2))
+        return code
     report.setdefault("timings", {})["seconds"] = round(
         time.perf_counter() - started, 3)
     print(_to_json(report))

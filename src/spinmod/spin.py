@@ -13,7 +13,7 @@ Every structure the package derives is built from its fibre or from a
 fold onto one, through the unchecked :meth:`SpinStructure.over`: the
 enumeration flattens the fibres, pushforwards and automorphisms build
 their images from the image decomposition, and refinement builds its
-target and candidates from theirs.  The validating constructor is for
+target and its lift from theirs.  The validating constructor is for
 structures that enter from outside (:meth:`SpinStructure.from_json_dict`).
 """
 
@@ -467,8 +467,8 @@ def g_collections(graph):
 def _split_vertex(graph, v, to_new, w_new, leg_positions_new):
     """Split ``v`` in two: a fresh vertex takes the half-edges in
     ``to_new``, weight ``w_new`` and the listed legs, and a new edge joins
-    it to ``v``.  Returns the split graph; contracting the last edge gives
-    back ``graph``."""
+    it to ``v``.  The joining edge has the largest half-edges, so it is
+    the split graph's last edge; contracting it gives back ``graph``."""
     weight = dict(graph.weight)
     new_v = max(graph.vertices) + 1
     weight[v] -= w_new
@@ -483,8 +483,7 @@ def _split_vertex(graph, v, to_new, w_new, leg_positions_new):
     endpoint[a], endpoint[b] = v, new_v
     involution = dict(graph.involution)
     involution[a], involution[b] = b, a
-    return Graph(weight, endpoint, involution, graph.legs,
-                 graph.exceptional), new_v, (a, b)
+    return Graph(weight, endpoint, involution, graph.legs, graph.exceptional)
 
 
 def _refinement_candidates(graph, v):
@@ -507,15 +506,15 @@ def refine_nonbasic(graph, sign):
     given full spin structure lifts uniquely.
 
     Returns ``(refined_spin_graph, witness)`` where the witness contracts
-    the new edge back onto the input graph.  The refined graph has one
-    more edge, the same Betti number, pushes forward to the input spin
-    structure under every contraction onto it, carries no other spin
-    structure doing so, and every automorphism of it preserves the lifted
-    structure.  All candidates are tried in canonical order and verified
-    against those postconditions; the first success wins.
+    the new edge back onto the input graph.  The refined graph pushes
+    forward to the input spin structure under every contraction onto
+    it, carries no other spin structure doing so, and every automorphism
+    of it preserves the lifted structure.  The stable splits are tried in
+    canonical order, and the first one with such a lift wins; its lift
+    is found, not guessed (:func:`_unique_lift`).
     """
-    # deferred: morphisms and orbits build on this module
-    from . import morphisms, orbits
+    from .morphisms import canonical_key  # deferred: morphisms imports us
+    from .orbits import spin_orbit
 
     cls = classify(graph)
     if cls.basic:
@@ -529,88 +528,68 @@ def refine_nonbasic(graph, sign):
 
     full = EdgeSet.full(graph)
     target = SpinStructure.over(full, pbar_decompose(graph, full), (sign,))
-    target_orbit = orbits.spin_orbit(graph, target)
-    graph_key = morphisms.canonical_key(graph)
+    target_orbit = spin_orbit(graph, target)
+    graph_key = canonical_key(graph)
 
     tried = 0
     for v in sorted(graph.vertices):
         for to_new, w_new, moved in _refinement_candidates(graph, v):
             tried += 1
-            split, new_v, _ = _split_vertex(graph, v, to_new, w_new, moved)
-            if not split.is_connected or not is_stable(split):
+            split = _split_vertex(graph, v, to_new, w_new, moved)
+            if not is_stable(split):
                 continue
-            result = _verify_refinement(split, graph, graph_key,
-                                        target_orbit, sign, morphisms)
-            if result is not None:
-                return result
+            found = _unique_lift(split, graph, graph_key, target_orbit)
+            if found is not None:
+                return found
     raise VerificationError(
         f"no refinement found after {tried} candidates", (graph_key,))
 
 
-def _verify_refinement(split, graph, graph_key, target_orbit, sign,
-                       morphisms):
-    new_edge = split.n_edges - 1  # the joining edge has the largest half-edges
-    odd = [v for v in split.vertices if split.deg(v) % 2]
-    if odd:
-        if len(odd) != 2:
-            return None
-        p_mask = ((1 << split.n_edges) - 1) ^ (1 << new_edge)
-    else:
-        p_mask = (1 << split.n_edges) - 1
+def _unique_lift(split, graph, graph_key, target_orbit):
+    """The unique lift of the target structure onto ``split``, as
+    ``(SpinGraph(split, lift), witness)``, or ``None``.
 
-    back = morphisms.contract(split, EdgeSet.from_indices(split, [new_edge]))
-    if morphisms.canonical_key(back.target) != graph_key:
-        return None
+    ``target_orbit`` is the orbit walk of the target structure on
+    ``graph`` (:class:`~spinmod.orbits.SpinOrbits`).  Each edge of
+    ``split`` is contracted once, and the contractions onto the class of
+    ``graph`` are carried onto ``graph`` itself, so a structure pushes
+    onto the target exactly when its pushed data is in the walk's table.
+    Every structure of ``split`` is pushed through one carry per
+    contraction.  The lift is the one structure that pushes onto the
+    target under some contraction; it must do so under all of them, the
+    joining edge's contraction must be among them, and every
+    automorphism of ``split`` must fix it, which is when its orbit is
+    itself alone (orbit-stabilizer).  The witness is the joining edge's
+    contraction, not carried.
 
-    p = EdgeSet(split, p_mask)
-    dec = pbar_decompose(split, p)
-    for signs in sign_vectors(dec):
-        candidate = SpinStructure.over(p, dec, signs)
-        if candidate.parity == sign and _refinement_postconditions(
-                split, candidate, graph, graph_key, target_orbit, morphisms):
-            return SpinGraph(split, candidate), back
-    return None
-
-
-def _refinement_postconditions(split, candidate, graph, graph_key,
-                               target_orbit, morphisms):
-    """True when ``candidate`` is the unique lift of the target structure.
-
-    ``target_orbit`` is the fibred orbit walk of the target structure on
-    ``graph`` (:class:`~spinmod.orbits.SpinOrbits`); each contraction
-    of an edge of ``split`` onto the class of ``graph`` is carried onto
-    ``graph`` itself, so a structure pushes onto the target exactly when
-    its pushed data is in that walk's table.  The signs over each cyclic
-    set of ``split`` are pushed through one carry per contraction.
+    Nothing else is guessed: pushing onto the full set through the
+    joining edge makes the lift's cyclic set the full set, or the full
+    set less the joining edge, and a push keeps the parity.
     """
-    if split.n_edges != graph.n_edges + 1 or split.b1 != graph.b1:
-        return None
-    # every contraction of the split graph onto the input must push the
-    # candidate onto the target structure, and no other structure may
-    # push onto it under any such contraction
-    contractions_to_graph = []
+    from .morphisms import SpinCarry, canonical_key, contract  # deferred
+    from .orbits import spin_orbit
+
+    join = split.n_edges - 1  # the joining edge is the last (_split_vertex)
+    onto, witness = [], None
     for f in range(split.n_edges):
-        c = morphisms.contract(split, EdgeSet.from_indices(split, [f]))
-        if morphisms.canonical_key(c.target) == graph_key:
-            contractions_to_graph.append(c.onto(graph))
-    if not contractions_to_graph:
+        c = contract(split, EdgeSet.from_indices(split, [f]))
+        if canonical_key(c.target) == graph_key:
+            onto.append(c.onto(graph))
+            if f == join:
+                witness = c
+    if witness is None:
         return None
-    lifts = set()
-    for p, dec, signs in spin_fibres(split):
-        carries = [morphisms.SpinCarry(c, p, dec)
-                   for c in contractions_to_graph]
-        for s in signs:
-            pushed = [target_orbit.orbit(carry.mask, carry.fold(s))
+    lift = None
+    for p, dec, vectors in spin_fibres(split):
+        carries = [SpinCarry(c, p, dec) for c in onto]
+        for signs in vectors:
+            pushed = [target_orbit.orbit(carry.mask, carry.fold(signs))
                       is not None for carry in carries]
-            if (p.mask, s) == candidate.data() and not all(pushed):
+            if not any(pushed):
+                continue
+            if lift is not None or not all(pushed):
                 return None
-            if any(pushed):
-                lifts.add((p.mask, s))
-    if lifts != {candidate.data()}:
+            lift = SpinStructure.over(p, dec, signs)
+    if lift is None or spin_orbit(split, lift).entries() != 1:
         return None
-    # every automorphism fixes the candidate exactly when its orbit is
-    # itself alone (orbit-stabilizer)
-    from .orbits import spin_orbit  # deferred, as in refine_nonbasic
-    if spin_orbit(split, candidate).entries() != 1:
-        return None
-    return True
+    return SpinGraph(split, lift), witness

@@ -194,60 +194,39 @@ def pi_trop_fiber(curve):
 
 # -- the cone complex --------------------------------------------------------
 
-class ConeCell:
-    """A cell of the moduli cone complex: one spin class, its dimension,
-    and the order of the induced action on the cone coordinates.  Its
-    faces follow the poset order: the cell of node ``j`` is a face of the
-    cell of node ``i`` exactly when ``poset.leq(i, j)``."""
-
-    __slots__ = ("key", "dim", "parity", "aut_edge_order", "rep")
-
-    def __init__(self, key, dim, parity, aut_edge_order, rep):
-        self.key = key
-        self.dim = dim
-        self.parity = parity
-        self.aut_edge_order = aut_edge_order
-        self.rep = rep
-
-    def __repr__(self):
-        return (f"ConeCell(dim={self.dim}, parity={self.parity}, "
-                f"key={self.key[:8]})")
-
-
 def build_cone_complex(poset):
-    """One cell per class of a spin poset; faces follow the poset order.
+    """Check that the cone complex of a spin poset is pure, and return
+    its report.
 
-    Returns ``(cells, report)`` where the report includes the purity and
-    connectivity checks (both verified here, with witnesses on failure).
-    Purity is one pass over the covers (:meth:`Poset.reaches_top`); the
-    first cell, in node order, that lies below no top cell is the
-    witness.  A pure complex walks every cover, so ``covers`` counts
-    them all.  A cell's ``aut_edge_order`` is the order of the action
-    its node's stabilizer induces on edges.
+    The complex has one cell per node, of the node's rank as dimension;
+    the cell of node ``j`` is a face of the cell of node ``i`` exactly
+    when ``poset.leq(i, j)``.  So the cells are the poset's nodes, read
+    off them where needed (:func:`cells_to_csv`), and the report's
+    ``cells``, ``covers``, ``components`` and ``by_parity`` are the
+    ``nodes``, ``covers``, ``components`` and ``parity_split`` of
+    :func:`~spinmod.posets.poset_stats`.  Purity is one pass over the
+    covers (:meth:`Poset.reaches_top`); the first cell, in node order,
+    that lies below no top cell is the witness of a
+    :class:`VerificationError`.
     """
     stats = poset_stats(poset)
-    cells = []
-    for nd in poset.nodes:
-        fixing = automorphisms(nd.rep.graph).subgroup(nd.stabilizer)
-        cells.append(ConeCell(nd.key, nd.rank, nd.parity,
-                              fixing.order_edge, nd.rep))
-    for cell, reaches in zip(cells, poset.reaches_top()):
+    for nd, reaches in zip(poset.nodes, poset.reaches_top()):
         if not reaches:
             raise VerificationError(
-                "cell is not a face of any top-dimensional cell",
-                (cell.key,))
-    report = {"cells": len(cells), "dimension": max_rank(poset.g, poset.n),
-              "pure": True, "components": stats["components"],
-              "covers": len(poset.lowers),
-              "by_parity": {p: sum(1 for c in cells if c.parity == p)
-                            for p in (0, 1)}}
-    return cells, report
+                "cell is not a face of any top-dimensional cell", (nd.key,))
+    return {"cells": stats["nodes"], "dimension": max_rank(poset.g, poset.n),
+            "pure": True, "components": stats["components"],
+            "covers": stats["covers"], "by_parity": stats["parity_split"]}
 
 
-def cells_to_csv(cells):
+def cells_to_csv(poset):
+    """The cells of a spin poset's cone complex as CSV, one row per node:
+    its key, dimension, parity and ``aut_edge_order``, the order of the
+    action its stabilizer induces on edges."""
     lines = ["key,dim,parity,aut_edge_order"]
-    for c in cells:
-        lines.append(f"{c.key},{c.dim},{c.parity},{c.aut_edge_order}")
+    for nd in poset.nodes:
+        fixing = automorphisms(nd.rep.graph).subgroup(nd.stabilizer)
+        lines.append(f"{nd.key},{nd.rank},{nd.parity},{fixing.order_edge}")
     return "\n".join(lines) + "\n"
 
 

@@ -25,8 +25,9 @@ from .morphisms import (automorphisms, canonical_key, component_subgroup,
 from .posets import (build_cyclic_poset, build_graph_poset, build_spin_poset,
                      enumerate_stable_graphs, max_rank, poset_stats,
                      stable_graphs_direct)
-from .spin import (SpinGraph, enumerate_spin, g_collections, refine_nonbasic,
-                   spin_count_check, stratum_counts, theta_divisors)
+from .spin import (SpinGraph, SpinStructure, enumerate_spin, g_collections,
+                   refine_nonbasic, spin_count_check, stratum_counts,
+                   theta_divisors)
 from .tropical import (INF, FamilyDescriptor, build_cone_complex,
                        diagram_check, family_generic_fiber)
 
@@ -165,8 +166,8 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
     checks[0]["table_entries"] = sum(
         len(graph.__dict__.get("_edge_contractions", ())) for graph in classes)
 
-    cells, cone_report = _timed(phases, "cone_complex", build_cone_complex,
-                                spin_poset)
+    cone_report = _timed(phases, "cone_complex", build_cone_complex,
+                         spin_poset)
     checks.append({"name": "cone-complex", "status": "pass", **cone_report})
 
     top = max_rank(g, n)
@@ -473,6 +474,10 @@ def suite_functoriality(classes, get_spin_poset, fuzz=1000, seed=0,
 
 
 def suite_refine(classes):
+    """Refine every eligible class with both signs, and check each
+    witness: it contracts the refined graph, and pushes the lift onto a
+    spin graph isomorphic to the full-set structure with that sign on
+    the input graph, as the spin keys tell."""
     refined = 0
     skipped = 0
     for graph in classes:
@@ -482,13 +487,18 @@ def suite_refine(classes):
         if not eligible:
             skipped += 1
             continue
+        full = EdgeSet.full(graph)
+        dec = pbar_decompose(graph, full)
         for sign in (0, 1):
             sg, witness = refine_nonbasic(graph, sign)
-            if sg.graph.n_edges != graph.n_edges + 1 or \
-                    sg.graph.b1 != graph.b1:
-                raise VerificationError("refinement changed the wrong "
-                                        "invariants",
-                                        (canonical_key(graph),))
+            target = SpinGraph(graph, SpinStructure.over(full, dec, (sign,)))
+            if witness.source is not sg.graph or canonical_key(SpinGraph(
+                    witness.target, push_spin(witness, sg.spin))) != \
+                    canonical_key(target):
+                raise VerificationError(
+                    "refinement witness does not push the lift onto the "
+                    "full-set structure", (canonical_key(graph),
+                                           f"sign={sign}"))
             refined += 1
     return [{"name": "refinement-postconditions", "status": "pass",
              "refined": refined, "ineligible": skipped}]

@@ -13,14 +13,15 @@ certificate read through the graph's per-vertex and per-edge accessors,
 the opened graph's components grouped by a union-find of
 their own, the opened graph itself built by removing the edges outside a
 cyclic set through the validating constructor, spin structures acted on
-one image at a time, the refinement postconditions that key every lift, the 3-regular seeding that tries
-every leg assignment, the fuzz chains run in draw order, the order test
-that contracts every edge subset of the right size and walks the lower
-orbit up front, purity read off the full face closure, the direct
-generator's scan through every edge multiset, every weight
-composition times every leg placement, grouped by orbit, and the
-contraction whose target goes through the validating constructor and
-whose edge map is read off the target's edge indexing.
+one image at a time, the unique refinement lift found by keying every
+structure, the 3-regular seeding that tries every leg assignment, the
+fuzz chains run in draw order, the order test that contracts every edge
+subset of the right size and walks the lower orbit up front, purity
+read off the full face closure, the direct generator's scan through
+every edge multiset, every weight composition times every leg
+placement, grouped by orbit, and the contraction whose target goes
+through the validating constructor and whose edge map is read off the
+target's edge indexing.
 
 The package holds a group as one action class per distinct action on
 vertices and edges times the number of loop flips, walks orbits with
@@ -30,8 +31,8 @@ initial colors in one pass over the edges and legs, keeps a
 decomposition as one component index per vertex and reads theta
 divisors and stratum rows off it and one pass over the edges, carries
 each (map, cyclic set) component map once and folds sign vectors through
-it, looks refinement lifts up in one orbit table, seeds 3-regular
-classes once per leg pattern, runs the fuzz chains class by class,
+it, looks refinement lifts up in one orbit table, pushing every
+structure once per split, seeds 3-regular classes once per leg pattern, runs the fuzz chains class by class,
 contracting each distinct (graph, edge set) once, contracts only the
 edge subsets
 whose first Betti number is the drop in b1, carries a candidate equal
@@ -526,38 +527,38 @@ def order_test(upper, lower):
     return None
 
 
-def keyed_refinement_postconditions(split, candidate, graph, target_key):
-    """The refinement postconditions with every candidate lift keyed on
-    the freshly contracted target: the candidate pushes onto the target
-    class under every contraction onto ``graph``'s class, no other
-    structure does under any, and every automorphism fixes it."""
-    if split.n_edges != graph.n_edges + 1 or split.b1 != graph.b1:
-        return None
+def keyed_unique_lift(split, graph, target_key):
+    """The data of the unique lift of the target onto ``split``, or
+    ``None``, with every structure of ``split`` keyed on the freshly
+    contracted target: exactly one structure pushes onto the target class
+    under some contraction of an edge onto ``graph``'s class, it does
+    under every one, the joining edge (the last) is among those edges,
+    and every automorphism fixes it."""
     graph_key = canonical_key(graph)
-    contractions = []
+    contractions = {}
     for f in range(split.n_edges):
         c = contract(split, EdgeSet.from_indices(split, [f]))
         if canonical_key(c.target) == graph_key:
-            contractions.append(c)
-    if not contractions:
+            contractions[f] = c
+    if split.n_edges - 1 not in contractions:
         return None
 
     def lands(c, s):
         pushed = push_spin(c, s)
         return key_oracle.spin_key(SpinGraph(c.target, pushed)) == target_key
 
-    if not all(lands(c, candidate) for c in contractions):
+    lifts = [s for s in enumerate_spin(split)
+             if any(lands(c, s) for c in contractions.values())]
+    if len(lifts) != 1:
         return None
-    lifts = {s.data() for s in enumerate_spin(split)
-             if any(lands(c, s) for c in contractions)}
-    if lifts != {candidate.data()}:
+    (lift,) = lifts
+    if not all(lands(c, lift) for c in contractions.values()):
         return None
     group = element_group(split)
-    fixing = [a for a in group.elements
-              if act_spin(a, candidate) == candidate]
+    fixing = [a for a in group.elements if act_spin(a, lift) == lift]
     if len(fixing) != group.order:
         return None
-    return True
+    return lift.data()
 
 
 def three_regular_graphs(g, n):

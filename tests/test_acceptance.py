@@ -96,7 +96,7 @@ def test_04_cone_complex_structure(cache):
     for g, n in POSET_RANGE:
         poset = poset_at(cache, g, n)
         stats = poset_stats(poset)
-        cells, rep = build_cone_complex(poset)
+        rep = build_cone_complex(poset)
         assert rep["pure"]
         assert rep["dimension"] == max_rank(g, n)
         assert rep["components"] == (2 if g > 0 else 1)
@@ -108,7 +108,7 @@ def test_04_cone_complex_structure(cache):
         pairs = {(i, (3 * i + 1) % size) for i in range(min(size, 8))}
         for i, j in sorted(pairs):
             in_order = poset.leq(i, j)
-            witness = order_test(cells[i].rep, cells[j].rep)
+            witness = order_test(poset.nodes[i].rep, poset.nodes[j].rep)
             assert (witness is not None) == in_order, (g, n, i, j)
     report(4, "cone complex purity, components, face relation",
            f"{len(POSET_RANGE)} spaces")

@@ -53,8 +53,8 @@ def digests(g, n):
     for kind, poset in built.items():
         found[kind] = _poset_digest(poset)
         found[f"{kind}_dot"] = _sha256(poset.to_dot())
-    cells, _ = build_cone_complex(built["spin"])
-    found["cells_csv"] = _sha256(cells_to_csv(cells))
+    build_cone_complex(built["spin"])
+    found["cells_csv"] = _sha256(cells_to_csv(built["spin"]))
     return found
 
 

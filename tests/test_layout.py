@@ -3,8 +3,8 @@
 A decomposition keeps one component index per vertex and the genera, as
 flat tuples of ints; an automorphism group's action class keeps its
 vertex map and its edge permutation as a flat tuple of ints, and no map
-on half-edges; poset nodes, cone cells, decompositions, spin carries
-and action classes are slotted records without an instance dict; a node
+on half-edges; poset nodes, decompositions, spin carries and action
+classes are slotted records without an instance dict; a node
 keeps its stabilizer as the action classes that fix its structure, not
 as a list of group elements, and equal stabilizers share one tuple; and
 a poset keeps its covers once, as two flat arrays (``offsets``, one per
@@ -21,15 +21,14 @@ from spinmod.cycles import PbarDecomposition, enumerate_cyclic, pbar_decompose
 from spinmod.morphisms import Aut, SpinCarry, automorphisms
 from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
                             build_spin_poset, poset_stats)
-from spinmod.tropical import ConeCell, build_cone_complex
 
 
 def _flat_ints(value):
     return type(value) is tuple and all(type(x) is int for x in value)
 
 
-@pytest.mark.parametrize("cls", [PbarDecomposition, PosetNode, ConeCell,
-                                 SpinCarry, Aut])
+@pytest.mark.parametrize("cls", [PbarDecomposition, PosetNode, SpinCarry,
+                                 Aut])
 def test_per_class_records_define_slots(cls):
     assert "__slots__" in cls.__dict__
     assert "__dict__" not in cls.__slots__
@@ -38,13 +37,12 @@ def test_per_class_records_define_slots(cls):
 
 def test_records_built_by_a_poset_have_no_instance_dict():
     poset = build_spin_poset(2, 1)
-    cells, _ = build_cone_complex(poset)
     nd = poset.nodes[-1]
     graph, spin = nd.rep.graph, nd.rep.spin
     dec = pbar_decompose(graph, spin.P)
     aut = automorphisms(graph).actions[0]
     carry = SpinCarry(aut, spin.P, dec)
-    for record in (nd, cells[-1], dec, carry, aut):
+    for record in (nd, dec, carry, aut):
         assert not hasattr(record, "__dict__")
 
 

@@ -332,30 +332,29 @@ def test_refine_both_signs():
         check_refinement(Graph.build([(0, 1)], [(0, 0), (0, 0)]), sign)
 
 
-@pytest.mark.parametrize("g,n", [(2, 1), (3, 0), (2, 2), (3, 1)])
+@pytest.mark.parametrize("g,n", [(2, 1), (3, 0), (2, 2), (3, 1), (2, 3)])
 def test_refinement_lookups_match_keyed_postconditions(g, n, monkeypatch):
-    # every candidate the refinement tries is judged as the keyed
-    # postconditions judge it, so the first success, its lift and its
-    # witness are the same
-    from spinmod import spin as spin_module
+    # every split the refinement tries gets the lift, or none, that
+    # keying every structure finds, so the first success, its lift and
+    # its witness are the same
     from spinmod.graphs import classify
     from spinmod.posets import enumerate_stable_graphs
 
-    lookup = spin_module._refinement_postconditions
+    lookup = spin_module._unique_lift
     judged = []
     target_key = [None]
 
-    def compared(split, candidate, graph, graph_key, target_orbit,
-                 morphisms):
-        got = lookup(split, candidate, graph, graph_key, target_orbit,
-                     morphisms)
-        want = oracles.keyed_refinement_postconditions(
-            split, candidate, graph, target_key[0])
-        assert bool(got) == bool(want)
-        judged.append(bool(got))
+    def compared(split, graph, graph_key, target_orbit):
+        got = lookup(split, graph, graph_key, target_orbit)
+        want = oracles.keyed_unique_lift(split, graph, target_key[0])
+        assert (None if got is None else got[0].spin.data()) == want
+        if got is not None:
+            assert got[1].source is split
+            assert got[1].contracted.mask == 1 << (split.n_edges - 1)
+        judged.append(got is not None)
         return got
 
-    monkeypatch.setattr(spin_module, "_refinement_postconditions", compared)
+    monkeypatch.setattr(spin_module, "_unique_lift", compared)
     refined = 0
     for graph in enumerate_stable_graphs(g, n):
         cls = classify(graph)

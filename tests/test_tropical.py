@@ -128,27 +128,29 @@ def test_curve_automorphisms_stabilize_lengths(theta):
 
 def test_cone_complex_11():
     poset = build_spin_poset(1, 1)
-    cells, report = build_cone_complex(poset)
+    report = build_cone_complex(poset)
     assert report["cells"] == 5
     assert report["covers"] == len(poset.lowers) == 3
-    assert sorted(c.dim for c in cells) == [0, 0, 1, 1, 1]
+    assert sorted(nd.rank for nd in poset.nodes) == [0, 0, 1, 1, 1]
     assert report["components"] == 2
     assert report["by_parity"] == {0: 3, 1: 2}
     assert report["pure"]
 
 
 def test_cone_complex_20_maximal():
-    cells, report = build_cone_complex(build_spin_poset(2, 0))
-    top = [c for c in cells if c.dim == 3]
+    poset = build_spin_poset(2, 0)
+    report = build_cone_complex(poset)
+    top = [nd for nd in poset.nodes if nd.rank == 3]
     assert len(top) == 9
-    assert sum(1 for c in top if c.parity == 0) == 6
+    assert sum(1 for nd in top if nd.parity == 0) == 6
     assert report["dimension"] == 3
 
 
 def test_cone_complex_03():
-    cells, report = build_cone_complex(build_spin_poset(0, 3))
+    poset = build_spin_poset(0, 3)
+    report = build_cone_complex(poset)
     assert report["cells"] == 1
-    assert cells[0].dim == 0
+    assert poset.nodes[0].rank == 0
     assert report["components"] == 1
 
 
@@ -172,8 +174,7 @@ def test_impure_cone_complex_raises_as_the_face_closure_does(g, n, node,
 
 
 def test_cone_exports():
-    cells, _ = build_cone_complex(build_spin_poset(1, 1))
-    csv = cells_to_csv(cells)
+    csv = cells_to_csv(build_spin_poset(1, 1))
     assert csv.splitlines()[0] == "key,dim,parity,aut_edge_order"
     assert len(csv.splitlines()) == 6
 

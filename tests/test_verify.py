@@ -99,10 +99,11 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     # transporter per other set of the orbit (1,224 images at (3,0)), and
     # keeps the stabilizer it meets, so the cone complex and the
     # factorization check act no more.  Every other image comes from a
-    # fibred walk over the orbit of one structure: a spin key, the target
-    # or a candidate lift of a refinement, or the lower side of an order
-    # test that meets a candidate pushed elsewhere than onto it; each
-    # counts the sign images it folds.  No automorphism's image is built
+    # fibred walk over the orbit of one structure: a spin key (the refine
+    # suite keys each target and each pushed lift, 228 images), the target
+    # or the lift of a refinement, or the lower side of an order test that
+    # meets a candidate pushed elsewhere than onto it; each counts the
+    # sign images it folds.  No automorphism's image is built
     # as a spin structure.
     from spinmod import morphisms
 
@@ -154,8 +155,8 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     assert calls.count("build_cone_complex") == 0
     assert calls.count("check_aut_factorization") == 0
     assert acted == []
-    assert sum(walked) == 533
-    assert len(calls) == 1224 + sum(walked) == 1757
+    assert sum(walked) == 761
+    assert len(calls) == 1224 + sum(walked) == 1985
 
 
 def test_purity_precursor_agrees_with_the_union_of_descendants(monkeypatch):
@@ -908,6 +909,34 @@ def test_top_rank_off_three_regularity_names_the_class(monkeypatch):
         run_suites(2, 0, "posets")
     assert info.value.witnesses == (
         posets.build_graph_poset(2, 0).nodes[0].key,)
+
+
+@pytest.mark.parametrize("wrong", ["lift", "source"])
+def test_refine_suite_names_a_witness_that_misses_the_target(wrong,
+                                                             monkeypatch):
+    # a lift of the other sign pushes onto the other full-set structure,
+    # and a witness that contracts an equal copy of the refined graph
+    # does not contract the refined graph itself; either way the first
+    # eligible class is named with its sign
+    original = verify.refine_nonbasic
+
+    def refined_wrongly(graph, sign):
+        if wrong == "lift":
+            return original(graph, 1 - sign)
+        sg, witness = original(graph, sign)
+        copy = graphs.Graph.from_json_dict(
+            sg.graph.to_json_dict(half_edges=True))
+        assert copy == sg.graph
+        return sg, morphisms.contract(copy, witness.contracted.indices())
+
+    monkeypatch.setattr(verify, "refine_nonbasic", refined_wrongly)
+    with pytest.raises(VerificationError, match="^refinement witness does "
+                       "not push the lift onto the full-set structure$") \
+            as info:
+        run_suites(2, 1, "refine")
+    first = next(graph for graph in posets.enumerate_stable_graphs(2, 1)
+                 if classify(graph).eulerian and not classify(graph).basic)
+    assert info.value.witnesses == (canonical_key(first), "sign=0")
 
 
 def test_counts_suite_builds_no_graph_and_unites_each_set_once(monkeypatch):
