@@ -59,10 +59,12 @@ members are read off an orbit table, so no second pass over the group
 runs; a cyclic set is encoded once per member, and a spin structure as
 :func:`spinmod.orbits.spin_orbit_keys` says.
 
-The order test carries a candidate contraction whose target equals the
-lower graph through the identity, and computes certificates only for
-the candidates whose targets differ from it but have its sorted vertex
-invariants (weight, degree, loops and leg positions).
+One search finds the contractions of a graph onto a class, carried
+onto a given graph of it (:func:`_contractions_onto`); the order test
+and refinement both read it.  It carries a contraction whose target
+equals that graph through the identity, and computes certificates only
+for the candidates whose targets differ from it but have its sorted
+vertex invariants (weight, degree, loops and leg positions).
 """
 
 from __future__ import annotations
@@ -180,19 +182,16 @@ class Contraction:
         """This contraction followed by an isomorphism of its target onto
         ``rep``, a graph of the same class: the source and the contracted
         set stay, the target becomes ``rep`` and the vertex and edge maps
-        are composed with the isomorphism."""
-        if rep is self.target:
-            return self
+        are composed with the isomorphism.  When ``rep`` equals the
+        target (the same ids), the isomorphism is the identity and the
+        maps stay as they are."""
+        if rep == self.target:
+            return self._with(rep, self.vertex_map, self.edge_map)
         vertex_iso, edge_iso = _isomorphism(self.target, rep)
         return self._with(
             rep, {v: vertex_iso[t] for v, t in self.vertex_map.items()},
             {i: None if j is None else edge_iso[j]
              for i, j in self.edge_map.items()})
-
-    def identical(self, rep):
-        """This contraction with ``rep``, a graph equal to its target (the
-        same ids), as the target object: the maps stay as they are."""
-        return self._with(rep, self.vertex_map, self.edge_map)
 
     def _with(self, target, vertex_map, edge_map):
         out = object.__new__(Contraction)
@@ -865,47 +864,36 @@ def cyclic_canonical_key(graph, cyclic_set):
 
 # -- order testing ----------------------------------------------------------
 
-def order_test(upper, lower):
-    """Witness contraction showing ``upper >= lower`` in the spin-graph
-    order, or ``None``.
+def _contractions_onto(ga, gb):
+    """Each contraction of ``ga`` whose target lies in the class of
+    ``gb``, as ``(c, c.onto(gb))``, over the edge subsets in canonical
+    order.
 
-    Searches edge subsets of the right size in canonical order.  A
-    subset is contracted only when its first Betti number is the drop
-    from ``upper``'s to ``lower``'s, since contracting a set lowers b1 by
-    exactly its own.  A contraction whose target equals ``lower``'s graph
-    (the same ids; only the subset whose dropped half-edges are exactly
-    those missing from it can) is carried onto that graph through the
+    Only subsets of ``|E(ga)| - |E(gb)|`` edges, between graphs of one
+    genus and leg count, are tried, and a subset is contracted only when
+    its first Betti number is the drop from ``ga``'s to ``gb``'s, since
+    contracting a set lowers b1 by exactly its own.  A target equal to
+    ``gb`` (the same ids; only the subset whose dropped half-edges are
+    exactly those missing from it can give one) is carried through the
     identity.  Any other is carried through an isomorphism read off the
-    certificates, when its target has the certificate of ``lower``'s
-    graph; that certificate is computed only once such a candidate
-    comes, and no certificate is computed for a target whose sorted
-    :func:`_vertex_invariants` differ from those of ``lower``'s graph,
-    since its certificate would differ too.  Either way, the
-    contraction is a witness when the pushed structure lies in the
-    orbit of ``lower``'s, which does not depend on the isomorphism
-    chosen.  Since the identity lies in every group, a structure pushed
-    onto ``lower``'s own is a witness at once; the
-    orbit is walked, at most once per call, only for a candidate that
-    pushes somewhere else.
+    certificates, when it has the certificate of ``gb``; that
+    certificate is computed only once such a candidate comes, and none
+    is computed for a target whose sorted :func:`_vertex_invariants`
+    differ from those of ``gb``, since its certificate would differ too.
     """
-    ga, gb = upper.graph, lower.graph
     if ga.genus != gb.genus or ga.n_legs != gb.n_legs:
-        return None
+        return
     k = ga.n_edges - gb.n_edges
     if k < 0:
-        return None
+        return
     drop = ga.b1 - gb.b1
     cert_b = invariants_b = None
-    target = lower.spin.data()
-    orbits = None
     for subset in combinations(range(ga.n_edges), k):
         edges = EdgeSet.from_indices(ga, subset)
         if edges.b1 != drop:
             continue
         c = contract(ga, edges)
-        if c.target.half_edges == gb.half_edges and c.target == gb:
-            carried = c.identical(gb)
-        else:
+        if not (c.target.half_edges == gb.half_edges and c.target == gb):
             if invariants_b is None:
                 invariants_b = sorted(_vertex_invariants(gb).values())
             if sorted(_vertex_invariants(c.target).values()) != invariants_b:
@@ -914,14 +902,33 @@ def order_test(upper, lower):
                 cert_b, _ = canonical_form(gb)
             if canonical_form(c.target)[0] != cert_b:
                 continue
-            carried = c.onto(gb)
-        carry = SpinCarry(carried, upper.spin.P, upper.spin.dec)
-        pushed = (carry.mask, carry.fold(upper.spin.signs))
+        yield c, c.onto(gb)
+
+
+def order_test(upper, lower):
+    """Witness contraction showing ``upper >= lower`` in the spin-graph
+    order, or ``None``.
+
+    The candidates are the contractions of ``upper``'s graph onto the
+    class of ``lower``'s, carried onto that graph, in canonical subset
+    order (:func:`_contractions_onto`).  The first whose pushed structure
+    lies in the orbit of ``lower``'s is the witness; that does not depend
+    on the isomorphism carrying it.  Since the identity lies in every
+    group, a structure pushed onto ``lower``'s own is a witness at once;
+    the orbit is walked, at most once per call, only for a candidate that
+    pushes somewhere else.
+    """
+    spin = upper.spin
+    target = lower.spin.data()
+    orbits = None
+    for c, carried in _contractions_onto(upper.graph, lower.graph):
+        carry = SpinCarry(carried, spin.P, spin.dec)
+        pushed = (carry.mask, carry.fold(spin.signs))
         if pushed == target:
             return c
         if orbits is None:
             from .orbits import spin_orbit  # deferred, as in canonical_key
-            orbits = spin_orbit(gb, lower.spin)
+            orbits = spin_orbit(lower.graph, lower.spin)
         if orbits.orbit(*pushed) is not None:
             return c
     return None

@@ -13,7 +13,7 @@ Every structure the package derives is built from its fibre or from a
 fold onto one, through the unchecked :meth:`SpinStructure.over`: the
 enumeration flattens the fibres, pushforwards and automorphisms build
 their images from the image decomposition, and refinement builds its
-target and its lift from theirs.  The validating constructor is for
+lift from its fibre.  The validating constructor is for
 structures that enter from outside (:meth:`SpinStructure.from_json_dict`).
 """
 
@@ -506,16 +506,14 @@ def refine_nonbasic(graph, sign):
     given full spin structure lifts uniquely.
 
     Returns ``(refined_spin_graph, witness)`` where the witness contracts
-    the new edge back onto the input graph.  The refined graph pushes
-    forward to the input spin structure under every contraction onto
-    it, carries no other spin structure doing so, and every automorphism
-    of it preserves the lifted structure.  The stable splits are tried in
-    canonical order, and the first one with such a lift wins; its lift
-    is found, not guessed (:func:`_unique_lift`).
+    the new edge back onto the input graph and pushes the lift onto the
+    full-set structure with ``sign``, and no other structure on the
+    refined graph pushes onto it under any contraction onto the input's
+    class.  The stable splits are tried in canonical order, and the
+    first one with such a lift wins; its lift is found, not guessed
+    (:func:`_unique_lift`).  The input's key is computed only to name it
+    when no split has one.
     """
-    from .morphisms import canonical_key  # deferred: morphisms imports us
-    from .orbits import spin_orbit
-
     cls = classify(graph)
     if cls.basic:
         raise DomainError("refinement applies to non-basic graphs")
@@ -526,11 +524,6 @@ def refine_nonbasic(graph, sign):
     if sign not in (0, 1):
         raise InputError("sign must be 0 or 1")
 
-    full = EdgeSet.full(graph)
-    target = SpinStructure.over(full, pbar_decompose(graph, full), (sign,))
-    target_orbit = spin_orbit(graph, target)
-    graph_key = canonical_key(graph)
-
     tried = 0
     for v in sorted(graph.vertices):
         for to_new, w_new, moved in _refinement_candidates(graph, v):
@@ -538,58 +531,51 @@ def refine_nonbasic(graph, sign):
             split = _split_vertex(graph, v, to_new, w_new, moved)
             if not is_stable(split):
                 continue
-            found = _unique_lift(split, graph, graph_key, target_orbit)
+            found = _unique_lift(split, graph, sign)
             if found is not None:
                 return found
     raise VerificationError(
-        f"no refinement found after {tried} candidates", (graph_key,))
+        f"no refinement found after {tried} candidates", _witness(graph))
 
 
-def _unique_lift(split, graph, graph_key, target_orbit):
-    """The unique lift of the target structure onto ``split``, as
-    ``(SpinGraph(split, lift), witness)``, or ``None``.
+def _unique_lift(split, graph, sign):
+    """The unique lift onto ``split`` of the full-set structure with
+    ``sign`` on ``graph``, as ``(SpinGraph(split, lift), witness)``, or
+    ``None``.
 
-    ``target_orbit`` is the orbit walk of the target structure on
-    ``graph`` (:class:`~spinmod.orbits.SpinOrbits`).  Each edge of
-    ``split`` is contracted once, and the contractions onto the class of
-    ``graph`` are carried onto ``graph`` itself, so a structure pushes
-    onto the target exactly when its pushed data is in the walk's table.
     Every structure of ``split`` is pushed through one carry per
-    contraction.  The lift is the one structure that pushes onto the
-    target under some contraction; it must do so under all of them, the
-    joining edge's contraction must be among them, and every
-    automorphism of ``split`` must fix it, which is when its orbit is
-    itself alone (orbit-stabilizer).  The witness is the joining edge's
-    contraction, not carried.
+    contraction of ``split`` onto the class of ``graph``, carried onto
+    ``graph`` (:func:`~spinmod.morphisms._contractions_onto`: one edge
+    each, since the split adds one).  A structure lands when its pushed
+    data is the target's, the full mask with ``(sign,)``: the graph is
+    connected, so every automorphism fixes the full set and its one
+    component, and the target's orbit is the target alone.  The split is
+    accepted when exactly one structure lands.  The witness is the
+    joining edge's contraction, not carried; it is the last one, since
+    the joining edge is the last edge and contracting it gives back
+    ``graph``.
 
-    Nothing else is guessed: pushing onto the full set through the
-    joining edge makes the lift's cyclic set the full set, or the full
-    set less the joining edge, and a push keeps the parity.
+    Nothing else is checked.  Every contraction onto the class pushes a
+    structure of each parity onto the full set, so a unique lift lands
+    under all of them.  An automorphism carries a landing structure to
+    one that lands under another contraction, so it fixes a unique lift.
+    Pushing onto the full set through the joining edge makes the lift's
+    cyclic set the full set, or the full set less the joining edge, and
+    a push keeps the parity.
     """
-    from .morphisms import SpinCarry, canonical_key, contract  # deferred
-    from .orbits import spin_orbit
+    from .morphisms import SpinCarry, _contractions_onto  # deferred
 
-    join = split.n_edges - 1  # the joining edge is the last (_split_vertex)
-    onto, witness = [], None
-    for f in range(split.n_edges):
-        c = contract(split, EdgeSet.from_indices(split, [f]))
-        if canonical_key(c.target) == graph_key:
-            onto.append(c.onto(graph))
-            if f == join:
-                witness = c
-    if witness is None:
-        return None
+    found = list(_contractions_onto(split, graph))
+    target = (EdgeSet.full(graph).mask, (sign,))
     lift = None
     for p, dec, vectors in spin_fibres(split):
-        carries = [SpinCarry(c, p, dec) for c in onto]
+        carries = [SpinCarry(carried, p, dec) for _, carried in found]
         for signs in vectors:
-            pushed = [target_orbit.orbit(carry.mask, carry.fold(signs))
-                      is not None for carry in carries]
-            if not any(pushed):
-                continue
-            if lift is not None or not all(pushed):
-                return None
-            lift = SpinStructure.over(p, dec, signs)
-    if lift is None or spin_orbit(split, lift).entries() != 1:
+            if target in [(carry.mask, carry.fold(signs))
+                          for carry in carries]:
+                if lift is not None:
+                    return None
+                lift = SpinStructure.over(p, dec, signs)
+    if lift is None:
         return None
-    return SpinGraph(split, lift), witness
+    return SpinGraph(split, lift), found[-1][0]

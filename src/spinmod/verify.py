@@ -172,14 +172,9 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
 
     top = max_rank(g, n)
     for nd in graph_poset.nodes:
-        three_regular = classify(nd.rep).three_regular
-        if (nd.rank == top) != three_regular:
+        if (nd.rank == top) != classify(nd.rep).three_regular:
             raise VerificationError(
                 "top rank does not coincide with 3-regularity", (nd.key,))
-        if three_regular and nd.rep.n_edges != top:
-            raise VerificationError(
-                f"3-regular class with {nd.rep.n_edges} edges, expected {top}",
-                (nd.key,))
     checks.append({"name": "top-rank-three-regular", "status": "pass",
                    "classes": len(graph_poset.nodes)})
 

@@ -6,7 +6,9 @@ sha256 of the graph, cyclic and spin posets' ``to_json_dict()`` and
 representative, cover or stabilizer order fails here.  Under ``trop`` it
 holds the sha256 of the standard output of ``spinmod trop``, with the
 ``timings`` block cut out, over one seeded family descriptor per spin
-class of (2,2), in node order.  The digests are fixed outputs:
+class of (2,2), in node order.  Under ``refine`` it holds one sha256
+over every refinement, with both signs, of the eligible classes at
+(2,2), (3,0) and (3,1).  The digests are fixed outputs:
 regenerate them (``PYTHONPATH=src python tests/test_golden.py``) only for
 a change that is meant to alter these outputs.
 """
@@ -24,8 +26,10 @@ from fractions import Fraction
 import pytest
 
 from spinmod.cli import main
+from spinmod.graphs import classify
 from spinmod.posets import (build_cyclic_poset, build_graph_poset,
                             build_spin_poset, enumerate_stable_graphs)
+from spinmod.spin import refine_nonbasic
 from spinmod.tropical import (INF, FamilyDescriptor, build_cone_complex,
                               cells_to_csv)
 
@@ -96,6 +100,36 @@ def trop_digest(workdir):
     return {"calls": len(poset.nodes), "sha256": h.hexdigest()}
 
 
+def refine_digest():
+    """sha256 over ``refine_nonbasic(graph, sign)`` for every eligible
+    class of ``CASES``, in class order, with sign 0 then 1: the split
+    graph with its half-edges, the lift's data, the witness's JSON and
+    its target with its half-edges."""
+    h = hashlib.sha256()
+    calls = 0
+    for g, n in CASES:
+        for graph in enumerate_stable_graphs(g, n):
+            cls = classify(graph)
+            if not (cls.eulerian and not cls.basic and graph.genus >= 2
+                    and graph.n_edges > 0):
+                continue
+            for sign in (0, 1):
+                sg, witness = refine_nonbasic(graph, sign)
+                h.update(json.dumps([
+                    sg.graph.to_json_dict(half_edges=True),
+                    [sg.spin.P.mask, list(sg.spin.signs)],
+                    witness.to_json_dict(),
+                    witness.target.to_json_dict(half_edges=True)],
+                    sort_keys=True).encode())
+                calls += 1
+    return {"calls": calls, "sha256": h.hexdigest()}
+
+
+def test_refinements_match_golden_digest():
+    golden = json.loads(FIXTURE.read_text())
+    assert refine_digest() == golden["refine"]
+
+
 def test_trop_answers_match_golden_digest(tmp_path):
     golden = json.loads(FIXTURE.read_text())
     assert trop_digest(tmp_path) == golden["trop"]
@@ -113,4 +147,5 @@ if __name__ == "__main__":
     found = {f"{g},{n}": digests(g, n) for g, n in CASES}
     with tempfile.TemporaryDirectory() as workdir:
         found["trop"] = trop_digest(workdir)
+    found["refine"] = refine_digest()
     FIXTURE.write_text(json.dumps(found, indent=2, sort_keys=True) + "\n")

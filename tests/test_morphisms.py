@@ -625,6 +625,47 @@ def test_order_test_matches_the_keyed_search():
     assert 0 < found < 7225
 
 
+def test_contractions_onto_yield_the_keyed_subsets():
+    # every ordered pair of (2,1) classes at most two edges apart: the
+    # search yields exactly the subsets, in canonical order, whose
+    # contracted target keys to the lower class, each carried onto the
+    # lower graph object along an isomorphism; a target equal to it keeps
+    # its maps
+    from spinmod.posets import enumerate_stable_graphs
+
+    classes = enumerate_stable_graphs(2, 1)
+    identical = isomorphic = 0
+    for ga in classes:
+        for gb in classes:
+            k = ga.n_edges - gb.n_edges
+            if abs(k) > 2:
+                continue
+            key_b = canonical_key(gb)
+            expected = [] if k < 0 else [
+                subset for subset in itertools.combinations(
+                    range(ga.n_edges), k)
+                if canonical_key(contract(ga, list(subset)).target) == key_b]
+            got = list(morphisms._contractions_onto(ga, gb))
+            assert [tuple(c.contracted.indices()) for c, _ in got] == expected
+            for c, carried in got:
+                assert carried.target is gb and carried.source is ga
+                assert carried.contracted.mask == c.contracted.mask
+                if c.target == gb:
+                    assert carried.vertex_map == c.vertex_map
+                    assert carried.edge_map == c.edge_map
+                    identical += 1
+                else:
+                    isomorphic += 1
+                kept = {i: j for i, j in carried.edge_map.items()
+                        if j is not None}
+                assert sorted(kept.values()) == list(range(gb.n_edges))
+                for i, j in kept.items():
+                    ends = sorted(carried.vertex_map[v]
+                                  for v in ga.edge_vertices(i))
+                    assert ends == sorted(gb.edge_vertices(j))
+    assert identical > 0 and isomorphic > 0
+
+
 def _generic_fibers(g, n, seed):
     """Each spin class of ``(g, n)`` with a seeded valuation, paired with
     its generic fiber: the finite edges contracted, the spin structure

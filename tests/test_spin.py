@@ -1,3 +1,6 @@
+import re
+from types import SimpleNamespace
+
 import pytest
 
 from spinmod import spin as spin_module
@@ -156,6 +159,54 @@ def test_parity_weighted_count_fails_on_a_bumped_genus(g, n, monkeypatch):
         assert info.value.witnesses == (canonical_key(graph),)
         failed += 1
     assert failed
+
+
+def test_parity_split_fails_on_a_set_without_positive_genus(theta,
+                                                          monkeypatch):
+    # a record that finds no component of positive genus over the first
+    # nonempty cyclic set of the weightless theta graph: c_+ = 0 is only
+    # allowed over the empty set of a weightless graph, so its one even
+    # structure differs from the split the set must have
+    real = spin_module.pbar_decompose
+    monkeypatch.setattr(spin_module, "pbar_decompose",
+                        lambda graph, p: SimpleNamespace(c_plus=0)
+                        if p.mask else real(graph, p))
+    first = next(p for p in enumerate_cyclic(theta) if p.mask)
+    with pytest.raises(VerificationError, match="^" + re.escape(
+            "parity split (1, 0) differs from (0.5, 0.5)") + "$") as info:
+        spin_count_check(theta)
+    assert info.value.witnesses == (canonical_key(theta), f"P={first.hex()}")
+
+
+def test_spin_count_below_the_lower_bound_names_the_class(theta,
+                                                          monkeypatch):
+    # an enumeration that finds the empty set alone: its one structure is
+    # fewer than the 2^(b1 + 1) - 1 = 7 the theta graph carries at least
+    real = spin_module.enumerate_cyclic
+    monkeypatch.setattr(spin_module, "enumerate_cyclic",
+                        lambda graph: [p for p in real(graph) if not p.mask])
+    with pytest.raises(VerificationError,
+                       match="^total 1 is below the lower bound 7$") as info:
+        spin_count_check(theta)
+    assert info.value.witnesses == (canonical_key(theta),)
+
+
+def test_bound_tightness_fails_on_a_repeated_cyclic_set(theta, monkeypatch):
+    # an enumeration that lists the last cycle twice: 9 structures on a
+    # weightless graph whose nonempty cyclic sets all have c_+ = 1, which
+    # the characterization says meet the bound 7 exactly
+    real = spin_module.enumerate_cyclic
+
+    def repeated(graph):
+        sets = list(real(graph))
+        return sets + sets[-1:]
+
+    monkeypatch.setattr(spin_module, "enumerate_cyclic", repeated)
+    with pytest.raises(VerificationError, match="^" + re.escape(
+            "bound tightness mismatch: total=9, bound=7, characterization "
+            "predicts tight=True") + "$") as info:
+        spin_count_check(theta)
+    assert info.value.witnesses == (canonical_key(theta),)
 
 
 @pytest.mark.parametrize("g,n", [(2, 0), (3, 0)])
@@ -344,8 +395,8 @@ def test_refinement_lookups_match_keyed_postconditions(g, n, monkeypatch):
     judged = []
     target_key = [None]
 
-    def compared(split, graph, graph_key, target_orbit):
-        got = lookup(split, graph, graph_key, target_orbit)
+    def compared(split, graph, sign):
+        got = lookup(split, graph, sign)
         want = oracles.keyed_unique_lift(split, graph, target_key[0])
         assert (None if got is None else got[0].spin.data()) == want
         if got is not None:
@@ -367,6 +418,50 @@ def test_refinement_lookups_match_keyed_postconditions(g, n, monkeypatch):
             refine_nonbasic(graph, sign)
             refined += 1
     assert refined and judged.count(True) == refined
+
+
+def test_refinement_walks_no_orbit_and_keys_nothing(monkeypatch):
+    # the target's orbit is the target alone and the contractions onto
+    # the input's class are found by certificate, so refining every
+    # eligible class of (3,0) with both signs walks no spin orbit and
+    # computes no key
+    from spinmod import morphisms, orbits
+    from spinmod.graphs import classify
+    from spinmod.posets import enumerate_stable_graphs
+
+    eligible = []
+    for graph in enumerate_stable_graphs(3, 0):
+        cls = classify(graph)
+        if (cls.eulerian and not cls.basic and graph.genus >= 2
+                and graph.n_edges > 0):
+            eligible.append(graph)
+
+    def forbidden(*args):
+        raise AssertionError("called during refinement")
+
+    monkeypatch.setattr(orbits, "spin_orbit", forbidden)
+    monkeypatch.setattr(morphisms, "canonical_key", forbidden)
+    refined = 0
+    for graph in eligible:
+        for sign in (0, 1):
+            refine_nonbasic(graph, sign)
+            refined += 1
+    assert refined == 8
+
+
+def test_refinement_without_a_unique_lift_names_the_input(monkeypatch):
+    # no split of the rose admits a unique lift: every candidate is
+    # tried, and the input's key names it
+    graph = make_rose(3)
+    tried = sum(1 for v in graph.vertices
+                for _ in spin_module._refinement_candidates(graph, v))
+    monkeypatch.setattr(spin_module, "_unique_lift",
+                        lambda split, graph, sign: None)
+    with pytest.raises(VerificationError, match=f"^no refinement found "
+                       f"after {tried} candidates$") as info:
+        refine_nonbasic(graph, 0)
+    assert tried > 0
+    assert info.value.witnesses == (canonical_key(graph),)
 
 
 def test_spin_structure_hash_matches_eq():

@@ -100,11 +100,11 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     # keeps the stabilizer it meets, so the cone complex and the
     # factorization check act no more.  Every other image comes from a
     # fibred walk over the orbit of one structure: a spin key (the refine
-    # suite keys each target and each pushed lift, 228 images), the target
-    # or the lift of a refinement, or the lower side of an order test that
-    # meets a candidate pushed elsewhere than onto it; each counts the
-    # sign images it folds.  No automorphism's image is built
-    # as a spin structure.
+    # suite keys each target and each pushed lift, 228 images) or the
+    # lower side of an order test that meets a candidate pushed elsewhere
+    # than onto it; each counts the sign images it folds.  Refinement
+    # walks no orbit.  No automorphism's image is built as a spin
+    # structure.
     from spinmod import morphisms
 
     calls = []
@@ -155,8 +155,8 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     assert calls.count("build_cone_complex") == 0
     assert calls.count("check_aut_factorization") == 0
     assert acted == []
-    assert sum(walked) == 761
-    assert len(calls) == 1224 + sum(walked) == 1985
+    assert sum(walked) == 611
+    assert len(calls) == 1224 + sum(walked) == 1835
 
 
 def test_purity_precursor_agrees_with_the_union_of_descendants(monkeypatch):
