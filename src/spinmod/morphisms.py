@@ -74,7 +74,8 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import combinations, permutations, product
 
-from .cycles import EdgeSet, boundary, is_cyclic, pbar_decompose
+from .cycles import (EdgeSet, boundary, is_cyclic, memoised_decomposition,
+                     pbar_decompose)
 from .errors import BudgetError, DomainError, InputError, VerificationError
 from .graphs import Graph, connected_classes
 from .spin import SpinGraph, SpinStructure
@@ -200,6 +201,21 @@ class Contraction:
         out.vertex_map, out.edge_map = vertex_map, edge_map
         return out
 
+    def push_mask(self, mask):
+        """The image of an edge set, given by its mask, as a mask over the
+        target: the contracted edges dropped, the rest renumbered through
+        ``edge_map``.  Nothing is checked; :func:`push_cycle` checks both
+        ends."""
+        edge_map = self.edge_map
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = edge_map[low.bit_length() - 1]
+            if j is not None:
+                out |= 1 << j
+        return out
+
     def to_json_dict(self):
         return {"F": self.contracted.hex(),
                 "vertex_map": sorted(self.vertex_map.items())}
@@ -241,25 +257,29 @@ def push_vertex_set(contraction, vertex_set):
 
 def push_cycle(contraction, cyclic_set):
     """Image of a cyclic edge set: drop the contracted edges, reindex the
-    rest."""
+    rest (:meth:`Contraction.push_mask`).
+
+    Both ends are checked by walking their boundaries: a source set that
+    is not cyclic is a :class:`DomainError`, and an image that is not a
+    :class:`VerificationError` naming the source's key, ``P`` and ``F``.
+    This is the push for callers that hold no proof of either; the poset
+    builders and :class:`SpinCarry` read the proofs their decompositions
+    and orbit tables already hold instead."""
     if not is_cyclic(contraction.source, cyclic_set):
         raise DomainError("pushforward requires a cyclic edge set")
-    edge_map = contraction.edge_map
-    mask = 0
-    m = cyclic_set.mask
-    while m:
-        low = m & -m
-        m ^= low
-        j = edge_map[low.bit_length() - 1]
-        if j is not None:
-            mask |= 1 << j
-    out = EdgeSet(contraction.target, mask)
-    if boundary(contraction.target, out):
+    out = EdgeSet(contraction.target, contraction.push_mask(cyclic_set.mask))
+    _check_pushed(contraction, cyclic_set, out)
+    return out
+
+
+def _check_pushed(contraction, cyclic_set, image):
+    """Walk the boundary of ``image``, the push of ``cyclic_set``; one
+    that is not empty is a :class:`VerificationError`."""
+    if boundary(contraction.target, image):
         raise VerificationError(
             "pushforward of a cyclic set is not cyclic",
             (canonical_key(contraction.source), f"P={cyclic_set.hex()}",
              f"F={contraction.contracted.hex()}"))
-    return out
 
 
 def push_spin(contraction, spin):
@@ -659,9 +679,20 @@ class SpinCarry:
     automorphism must carry each component onto a component of the
     image of the same genus (it maps vertices bijectively, so no two
     components may meet in one image); a contraction must carry each
-    into one component, and the image set passes the checks of
-    :func:`push_cycle`.  A cyclic set over another graph than the
-    automorphism's, or the contraction's source, is an input error.
+    into one component.
+
+    For a contraction, no boundary is walked that a decomposition has
+    already checked.  When ``source`` is the
+    set's own decomposition (its mask, over the very graph object that
+    carries the set and is the contraction's source), that decomposition
+    proved the set cyclic, so the mask is pushed unchecked
+    (:meth:`Contraction.push_mask`); a decomposition of the image
+    memoised on the target proves the image cyclic in turn, and only
+    without one is the image's boundary walked, failing as
+    :func:`push_cycle` fails.  Any other ``source`` goes through
+    :func:`push_cycle`, which walks both boundaries.  A cyclic set over
+    another graph than the automorphism's, or the contraction's source,
+    is an input error.
     """
 
     __slots__ = ("f", "source_mask", "graph", "mask", "dec", "comps", "size",
@@ -679,7 +710,15 @@ class SpinCarry:
             image = EdgeSet(f.graph, f.act_mask(self.source_mask))
         else:
             self.graph = f.target
-            image = push_cycle(f, cyclic_set)
+            if (source.mask == self.source_mask
+                    and source.graph is cyclic_set.graph is f.source):
+                # the set's own decomposition proved it cyclic, and a
+                # memoised decomposition of the image proves the image so
+                image = EdgeSet(f.target, f.push_mask(self.source_mask))
+                if memoised_decomposition(f.target, image.mask) is None:
+                    _check_pushed(f, cyclic_set, image)
+            else:
+                image = push_cycle(f, cyclic_set)
         self.mask = image.mask
         dec = pbar_decompose(self.graph, image)
         # one pass over the source vertices: the image component of each

@@ -69,7 +69,7 @@ from .cycles import enumerate_cyclic
 from .errors import BudgetError, InputError, VerificationError
 from .graphs import Graph, connected_classes, is_stable
 from .morphisms import (SpinCarry, automorphisms, canonical_key, contract,
-                        orbit_keys, push_cycle)
+                        orbit_keys)
 from .orbits import spin_orbit_keys, spin_orbits
 from .spin import SpinGraph, SpinStructure, spin_fibres
 
@@ -609,7 +609,13 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, push,
     over the class because the structures are closed under the group
     and the walk reaches every image of each representative; a structure
     missing from it, or a pushed one missing from its target's, is a
-    :class:`VerificationError`.
+    :class:`VerificationError`.  No push walks a boundary again: each
+    cyclic set's cyclicity is established once, when its class's cycle
+    space is enumerated (cyclic kind) or its decomposition is built (spin
+    kind), and a pushed mask is proven by the target's orbit table or
+    decomposition memo (:func:`_cyclic_push`,
+    :class:`~spinmod.morphisms.SpinCarry`).  The two kinds share no push,
+    so the spin covers stay an independent check on the cyclic ones.
 
     The classes are taken rank by rank, upward.  A rank's nodes follow
     every node of lower rank, so their indices are known once its
@@ -724,6 +730,12 @@ def _cyclic_orbits(graph, rank, walk):
 
 def _cyclic_push(class_key, cyclic, orbit_of, here, contractions, below,
                  walk):
+    """The covers of one class's cyclic nodes: each cyclic set's mask is
+    pushed through each contraction unchecked
+    (:meth:`~spinmod.morphisms.Contraction.push_mask`).  The sets come
+    from the class's checked cycle space, and the target's orbit table
+    holds exactly the target's checked cyclic sets, so the lookup of the
+    image there is its check: a miss is :func:`_missing_target`."""
     found = [set() for _ in here]
     for p in cyclic:
         k = orbit_of.get(p.mask)
@@ -731,7 +743,7 @@ def _cyclic_push(class_key, cyclic, orbit_of, here, contractions, below,
             raise _missing(class_key, p)
         for e, target_key, c in contractions:
             target_orbit_of, target_nodes = below[target_key]
-            t = target_orbit_of.get(push_cycle(c, p).mask)
+            t = target_orbit_of.get(c.push_mask(p.mask))
             if t is None:
                 raise _missing_target(here[k].key, e, target_key)
             found[k].add(target_nodes[t])
@@ -769,7 +781,9 @@ def _spin_orbits(graph, rank, walk):
 def _spin_push(class_key, fibres, table, here, contractions, below, walk):
     """The covers of one class's spin nodes: each cyclic set is carried
     through each contraction once (:class:`~spinmod.morphisms.SpinCarry`)
-    and every sign vector above it is folded through that carry."""
+    and every sign vector above it is folded through that carry.  Each
+    set comes with its own decomposition, and the target's fibres were
+    decomposed a rank earlier, so a carry walks no boundary."""
     found = [set() for _ in here]
     for p, dec, signs in fibres:
         own = table.get(p.mask, {})

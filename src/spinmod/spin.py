@@ -234,14 +234,11 @@ def spin_count_check(graph):
         c = dec.c_plus
         count = 1 << c
         n_even, n_odd = (1, 0) if c == 0 else (count // 2, count // 2)
-        if p.mask == 0 and weightless:
-            expect = (1, 0)
-        else:
-            expect = (2 ** (c - 1), 2 ** (c - 1))
-        if (n_even, n_odd) != expect:
+        if (c == 0) != (p.mask == 0 and weightless):
             raise VerificationError(
-                f"parity split ({n_even}, {n_odd}) differs from {expect}",
-                _witness(graph, p))
+                f"parity split ({n_even}, {n_odd}) from c_+ = {c}: c_+ "
+                f"must be 0 exactly over the empty set of a weightless "
+                f"graph", _witness(graph, p))
         if p.mask != 0 and c != 1:
             tight_expected = False
         per_cyclic.append({"P": p.hex(), "c_plus": c, "count": count,

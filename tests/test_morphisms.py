@@ -6,7 +6,8 @@ import pytest
 
 from spinmod import morphisms, orbits
 from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
-from spinmod.errors import BudgetError, InputError, VerificationError
+from spinmod.errors import (BudgetError, DomainError, InputError,
+                            VerificationError)
 from spinmod.graphs import Graph
 from spinmod.morphisms import (SpinCarry, _digest, automorphisms,
                                canonical_form, canonical_key,
@@ -884,6 +885,65 @@ def test_push_cycle_failure_is_verification_error(theta, monkeypatch):
     with pytest.raises(VerificationError) as info:
         push_cycle(contract(theta, [2]), EdgeSet.from_indices(theta, [0, 1]))
     assert info.value.witnesses == (canonical_key(theta), "P=3", "F=4")
+
+
+def test_push_cycle_rejects_a_source_set_that_is_not_cyclic():
+    # one edge of the 2-cycle of the loop chain has two odd ends
+    chain = make_loop_chain()
+    with pytest.raises(DomainError,
+                       match="^pushforward requires a cyclic edge set$"):
+        push_cycle(contract(chain, [3]), EdgeSet.from_indices(chain, [0]))
+
+
+def _dropping_contraction():
+    """The loop chain with its loop at vertex 1 contracted, an edge map
+    altered to drop edge 1 of the 2-cycle ``P = {0, 1}``, and ``P``: the
+    image is edge 0 alone, whose two ends are odd."""
+    chain = make_loop_chain()
+    c = contract(chain, [3])
+    c.edge_map[1] = None
+    return c, EdgeSet(chain, 0b0011)
+
+
+def test_push_cycle_rejects_an_image_that_is_not_cyclic():
+    c, p = _dropping_contraction()
+    with pytest.raises(VerificationError,
+                       match="^pushforward of a cyclic set is not cyclic$"
+                       ) as info:
+        push_cycle(c, p)
+    assert info.value.witnesses == (canonical_key(c.source), "P=3", "F=8")
+
+
+@pytest.mark.parametrize("proven", [True, False])
+def test_carry_checks_the_image_on_a_decomposition_memo_miss(proven):
+    # with its own decomposition the set is proven cyclic and only the
+    # image is walked; over an equal copy of the graph it goes through
+    # push_cycle; either way the image, undecomposed on the fresh target,
+    # fails as push_cycle fails
+    c, p = _dropping_contraction()
+    if not proven:
+        p = EdgeSet(make_loop_chain(), p.mask)
+    with pytest.raises(VerificationError,
+                       match="^pushforward of a cyclic set is not cyclic$"
+                       ) as info:
+        SpinCarry(c, p, pbar_decompose(p.graph, p))
+    assert info.value.witnesses == (canonical_key(c.source), "P=3", "F=8")
+
+
+def test_carry_reads_a_memoised_image_decomposition_as_its_check(
+        monkeypatch):
+    # the set's own decomposition and the target's memoised one prove both
+    # ends cyclic, so the carry walks no boundary
+    chain = make_loop_chain()
+    c = contract(chain, [3])
+    p = EdgeSet(chain, 0b0011)
+    dec = pbar_decompose(chain, p)
+    pbar_decompose(c.target, EdgeSet(c.target, c.push_mask(p.mask)))
+    walked = []
+    monkeypatch.setattr(morphisms, "boundary",
+                        lambda graph, f: walked.append(f.mask))
+    assert SpinCarry(c, p, dec).mask == 0b011
+    assert walked == []
 
 
 # -- spin data carried once per (map, cyclic set) -----------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from spinmod import posets
+from spinmod.cycles import EdgeSet, enumerate_cyclic, pbar_decompose
 from spinmod.errors import BudgetError, InputError, VerificationError
 from spinmod.graphs import classify, is_stable
 from spinmod.morphisms import (AutGroup, automorphisms, canonical_key,
@@ -9,6 +10,7 @@ from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
                             build_spin_poset, check_budget,
                             enumerate_stable_graphs, max_rank, poset_stats,
                             stable_graphs_direct, three_regular_graphs)
+from spinmod.spin import SpinGraph, SpinStructure, sign_vectors
 
 from conftest import (make_rose, poset_from_pairs, shuffled,
                       without_covers_into)
@@ -845,6 +847,100 @@ def test_unenumerated_pushed_structure_is_verification_error(monkeypatch):
     assert edge.startswith("edge=")
     keys = {canonical_key(graph) for graph in enumerate_stable_graphs(2, 0)}
     assert target_key in keys
+
+
+def _drop_a_kept_edge(classes):
+    """Alter the first table contraction, over ``classes`` in order, that
+    keeps a non-loop edge ``i`` of a cycle, as the target's edge ``j``:
+    its edge map drops ``i``, so every cyclic set through ``i`` is pushed
+    onto a mask with the two odd ends of ``j``.  Returns ``(graph, e,
+    target_key, c, p, j)``, ``p`` the first such set of ``graph``, the
+    first push to fail."""
+    reps = {canonical_key(graph): graph for graph in classes}
+    for graph in classes:
+        cyclic = enumerate_cyclic(graph)
+        for e, target_key, c in posets._edge_contractions(graph, reps):
+            for i, j in c.edge_map.items():
+                through = [p for p in cyclic if i in p]
+                if j is not None and through and \
+                        len(set(c.target.edge_vertices(j))) == 2:
+                    c.edge_map[i] = None
+                    return graph, e, target_key, c, through[0], j
+    raise AssertionError("no table contraction keeps an edge of a cycle")
+
+
+def test_cyclic_push_onto_a_mask_that_is_not_cyclic_misses_its_target():
+    # the target's orbit table is the cyclic builder's only image check
+    classes = enumerate_stable_graphs(1, 3)
+    graph, e, target_key, _, p, _ = _drop_a_kept_edge(classes)
+    with pytest.raises(VerificationError, match="^a pushed structure is "
+                       "missing from the orbit table of its target class$"
+                       ) as info:
+        build_cyclic_poset(1, 3, _classes=classes)
+    assert info.value.witnesses == (cyclic_canonical_key(graph, p),
+                                    f"edge={e}", target_key)
+
+
+def test_spin_push_onto_a_mask_that_is_not_cyclic_fails_its_carry():
+    # no decomposition of the image is memoised on the target, so the
+    # carry walks its boundary and fails as push_cycle fails
+    classes = enumerate_stable_graphs(1, 3)
+    graph, _, _, c, p, _ = _drop_a_kept_edge(classes)
+    with pytest.raises(VerificationError, match="^pushforward of a cyclic "
+                       "set is not cyclic$") as info:
+        build_spin_poset(1, 3, _classes=classes)
+    assert info.value.witnesses == (canonical_key(graph), f"P={p.hex()}",
+                                    f"F={c.contracted.hex()}")
+
+
+def test_spin_push_past_a_false_memo_entry_misses_its_target():
+    # a decomposition memoised on the target under the pushed mask stands
+    # for the carry's image check, so the carry passes; the target's orbit
+    # table, which holds only the target's cyclic sets, still rejects the
+    # pushed structure, naming the node of p's first sign vector
+    classes = enumerate_stable_graphs(1, 3)
+    graph, e, target_key, c, p, j = _drop_a_kept_edge(classes)
+    pushed = c.push_mask(p.mask)
+    true_dec = pbar_decompose(c.target, EdgeSet(c.target, pushed | 1 << j))
+    c.target.__dict__["_pbar_decompositions"][pushed] = true_dec
+    with pytest.raises(VerificationError, match="^a pushed structure is "
+                       "missing from the orbit table of its target class$"
+                       ) as info:
+        build_spin_poset(1, 3, _classes=classes)
+    first = sign_vectors(pbar_decompose(graph, p))[0]
+    node = SpinGraph(graph, SpinStructure(graph, p, first))
+    assert info.value.witnesses == (canonical_key(node), f"edge={e}",
+                                    target_key)
+
+
+def test_poset_builds_walk_each_cyclic_set_once(monkeypatch):
+    # on fresh (3,1) classes each build establishes the cyclicity of each
+    # of the 876 cyclic sets once, and no cover push walks a boundary:
+    # the cyclic build through the cycle space's re-check, the spin build
+    # through the decompositions (by way of is_cyclic); the walks are
+    # counted by caller, across both modules that call boundary
+    import sys
+    from collections import Counter
+    from spinmod import cycles, morphisms
+
+    classes = enumerate_stable_graphs(3, 1)
+    walks = Counter()
+    boundary = cycles.boundary
+
+    def counting(graph, edge_set):
+        caller = sys._getframe(1)
+        if caller.f_code is cycles.is_cyclic.__code__:
+            caller = caller.f_back
+        walks[caller.f_code.co_qualname] += 1
+        return boundary(graph, edge_set)
+
+    monkeypatch.setattr(cycles, "boundary", counting)
+    monkeypatch.setattr(morphisms, "boundary", counting)
+    build_cyclic_poset(3, 1, _classes=classes)
+    assert walks == {"enumerate_cyclic": 876}
+    walks.clear()
+    build_spin_poset(3, 1, _classes=classes)
+    assert walks == {"PbarDecomposition.__init__": 876}
 
 
 def _cyclic_reps_only(walked):

@@ -173,9 +173,25 @@ def test_parity_split_fails_on_a_set_without_positive_genus(theta,
                         if p.mask else real(graph, p))
     first = next(p for p in enumerate_cyclic(theta) if p.mask)
     with pytest.raises(VerificationError, match="^" + re.escape(
-            "parity split (1, 0) differs from (0.5, 0.5)") + "$") as info:
+            "parity split (1, 0) from c_+ = 0: c_+ must be 0 exactly over "
+            "the empty set of a weightless graph") + "$") as info:
         spin_count_check(theta)
     assert info.value.witnesses == (canonical_key(theta), f"P={first.hex()}")
+
+
+def test_parity_split_fails_on_the_empty_set_with_positive_genus(
+        theta, monkeypatch):
+    # a record that finds one component of positive genus over the empty
+    # set of the weightless theta graph, where c_+ must be 0
+    real = spin_module.pbar_decompose
+    monkeypatch.setattr(spin_module, "pbar_decompose",
+                        lambda graph, p: real(graph, p)
+                        if p.mask else SimpleNamespace(c_plus=1))
+    with pytest.raises(VerificationError, match="^" + re.escape(
+            "parity split (1, 1) from c_+ = 1: c_+ must be 0 exactly over "
+            "the empty set of a weightless graph") + "$") as info:
+        spin_count_check(theta)
+    assert info.value.witnesses == (canonical_key(theta), "P=0")
 
 
 def test_spin_count_below_the_lower_bound_names_the_class(theta,
