@@ -249,6 +249,10 @@ def cmd_trop(args):
         raise InputError(
             f"invalid JSON in {args.file} at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the interpreter's digit limit, or arrays and
+        # objects nested past the recursion limit
+        raise InputError(f"unreadable JSON in {args.file}: {exc}") from exc
     family = FamilyDescriptor.from_json_dict(data)
     if not is_stable(family.graph):
         raise InputError("family descriptor graph is not stable")

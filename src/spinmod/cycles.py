@@ -266,9 +266,3 @@ def pbar_decompose(graph, cyclic_set):
         raise InputError("cyclic set lives over a different graph")
     return dec
 
-
-def memoised_decomposition(graph, mask):
-    """The decomposition :func:`pbar_decompose` has memoised on ``graph``
-    for ``mask``, or ``None``.  Building it checked the set, so one that
-    is found proves the mask cyclic on the graph."""
-    return graph.__dict__.get("_pbar_decompositions", {}).get(mask)

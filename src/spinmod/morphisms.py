@@ -32,13 +32,15 @@ color refinement with individualization from initial colors read in one
 pass over the edges and legs; the brute-force isomorphism search it is
 cross-checked against lives in the test suite.  The certificate is
 serialised and hashed once per graph, on its first key request, and the
-hash state is kept in the canonical-form memo: a graph's key is its
-digest, and every orbit key over the graph extends a copy of it.
-Computing a canonical form hashes nothing, so the order test, which
-compares certificates, hashes nothing either.  The same search yields
-the group's vertex maps: it prunes nothing, so the leaves with the best
-certificate are the canonical labelling composed with each
-automorphism.  Pruning the tree by automorphisms would break that, and
+hash state is kept in the canonical-form memo, one record per graph
+(:class:`_FormMemo`): a graph's key is its digest, and every orbit key
+over the graph extends a copy of it.  Computing a canonical form hashes
+nothing, so the order test, which compares certificates, hashes nothing
+either.  The same search yields the group's vertex maps: it prunes
+nothing, so the leaves with the best certificate are the canonical
+labelling composed with each automorphism, and the group is ordered by
+the root colours the search refined; the record keeps both until the
+group is built.  Pruning the tree by automorphisms would break that, and
 the group would then have to come from the pruning search's generators.
 The orbits of a group on edges (:attr:`AutGroup.edge_orbits`) let the
 contraction table contract one edge per orbit.
@@ -48,7 +50,9 @@ only by the way it carries the components of the opened graph, so that
 map is computed and checked once per (map, cyclic set)
 (:class:`SpinCarry`) and every sign vector over the set is folded
 through it as data; orbit walks, stabilizers and cover pushes build no
-spin structure per image.
+spin structure per image.  Both kinds of map take one path: the set's
+own decomposition proves the set cyclic, and the image's decomposition,
+memoised or built, proves the image so.
 
 The orbits of spin structures are walked fibre-wise over the cyclic
 sets, in :mod:`spinmod.orbits`, which spin keys and the order test read.
@@ -74,8 +78,7 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import combinations, permutations, product
 
-from .cycles import (EdgeSet, boundary, is_cyclic, memoised_decomposition,
-                     pbar_decompose)
+from .cycles import EdgeSet, boundary, is_cyclic, pbar_decompose
 from .errors import BudgetError, DomainError, InputError, VerificationError
 from .graphs import Graph, connected_classes
 from .spin import SpinGraph, SpinStructure
@@ -262,24 +265,18 @@ def push_cycle(contraction, cyclic_set):
     Both ends are checked by walking their boundaries: a source set that
     is not cyclic is a :class:`DomainError`, and an image that is not a
     :class:`VerificationError` naming the source's key, ``P`` and ``F``.
-    This is the push for callers that hold no proof of either; the poset
-    builders and :class:`SpinCarry` read the proofs their decompositions
-    and orbit tables already hold instead."""
+    This is the push for callers that hold no proof of either, such as
+    the fuzz chains; the poset builders and :class:`SpinCarry` read the
+    proofs their decompositions and orbit tables hold instead."""
     if not is_cyclic(contraction.source, cyclic_set):
         raise DomainError("pushforward requires a cyclic edge set")
     out = EdgeSet(contraction.target, contraction.push_mask(cyclic_set.mask))
-    _check_pushed(contraction, cyclic_set, out)
-    return out
-
-
-def _check_pushed(contraction, cyclic_set, image):
-    """Walk the boundary of ``image``, the push of ``cyclic_set``; one
-    that is not empty is a :class:`VerificationError`."""
-    if boundary(contraction.target, image):
+    if boundary(contraction.target, out):
         raise VerificationError(
             "pushforward of a cyclic set is not cyclic",
             (canonical_key(contraction.source), f"P={cyclic_set.hex()}",
              f"F={contraction.contracted.hex()}"))
+    return out
 
 
 def push_spin(contraction, spin):
@@ -353,6 +350,22 @@ def _encode(graph, pos):
     )
 
 
+class _FormMemo:
+    """A graph's canonical-form memo, kept in
+    ``graph.__dict__["_canonical_form"]``: ``form``, the ``(cert, pos)``
+    pair :func:`canonical_form` returns; ``hash``, the hash state after
+    the certificate, which only a key request fills
+    (:func:`_certificate_hash`); and ``leaves`` and ``colors``, the
+    search's best leaves, best first, and its refined root colours,
+    which :func:`automorphisms` reads once and drops."""
+
+    __slots__ = ("form", "hash", "leaves", "colors")
+
+    def __init__(self, form, leaves, colors):
+        self.form, self.hash = form, None
+        self.leaves, self.colors = leaves, colors
+
+
 def canonical_form(graph):
     """Canonical certificate and a labeling realizing it.
 
@@ -364,24 +377,22 @@ def canonical_form(graph):
     distinct labellings: a branch's individualized vertex comes first in
     its cell, since refinement keeps the order of cells.  The leaves
     whose certificate is the best one are therefore ``pos_best o a`` for
-    exactly the automorphisms ``a``.  They are kept, best first, in
-    ``graph.__dict__["_best_leaves"]`` until :func:`automorphisms` reads
-    the group's vertex maps off them.  The memo holds ``(cert, pos)``
-    and a slot for the certificate's hash, which only a key request
-    fills (:func:`_certificate_hash`).  A search that prunes by
+    exactly the automorphisms ``a``.  The memo is one record per graph
+    (:class:`_FormMemo`): the form, a slot for the certificate's hash,
+    and the best leaves and root colours, which :func:`automorphisms`
+    reads the group off and then drops.  A search that prunes by
     automorphisms must supply the group from its generators instead.
     """
-    cached = graph.__dict__.get("_canonical_form")
-    if cached is not None:
-        return cached[0]
+    memo = graph.__dict__.get("_canonical_form")
+    if memo is not None:
+        return memo.form
     adj = _neighbor_lists(graph)
+    colors = _refine_colors(graph, _initial_colors(graph), adj)
     best = [None, []]
-    _search(graph, adj, _refine_colors(graph, _initial_colors(graph), adj),
-            best)
-    result = (best[0], best[1][0])
-    graph.__dict__["_canonical_form"] = (result, None)
-    graph.__dict__["_best_leaves"] = best[1]
-    return result
+    _search(graph, adj, colors, best)
+    form = (best[0], best[1][0])
+    graph.__dict__["_canonical_form"] = _FormMemo(form, best[1], colors)
+    return form
 
 
 def _search(graph, adj, colors, best):
@@ -577,7 +588,8 @@ def _edge_permutations(graph, vmap):
 def automorphisms(graph):
     """The full automorphism group, memoised per graph object; its
     vertex maps are read off the best leaves of :func:`canonical_form`,
-    and each loop of the graph adds a flip."""
+    ordered by the root colours that search refined, and each loop of
+    the graph adds a flip."""
     if len(graph.half_edges) > AUT_HALF_EDGE_CAP:
         raise BudgetError(
             f"automorphism search capped at {AUT_HALF_EDGE_CAP} half-edges, "
@@ -586,12 +598,12 @@ def automorphisms(graph):
     if cached is not None:
         return cached
     canonical_form(graph)
-    leaves = graph.__dict__.pop("_best_leaves")
+    memo = graph.__dict__["_canonical_form"]
+    leaves, colors = memo.leaves, memo.colors
+    memo.leaves = memo.colors = None
     at = {p: v for v, p in leaves[0].items()}
-    colors = _refine_colors(graph, _initial_colors(graph),
-                            _neighbor_lists(graph))
-    # group order: lexicographic over the vertices by (refined color,
-    # vertex), as a backtracking search in that order meets the maps
+    # group order: lexicographic over the vertices by (refined root
+    # color, vertex), as a backtracking search in that order meets the maps
     order = sorted(graph.vertices, key=lambda v: (colors[v], v))
     vmaps = sorted(({v: at[p] for v, p in pos.items()} for pos in leaves),
                    key=lambda vmap: [vmap[v] for v in order])
@@ -672,27 +684,22 @@ class SpinCarry:
     image components and ``genus_zero`` those of genus 0.  Every sign
     vector over the set is then folded through it (:meth:`fold`).
 
-    It is built from ``f``, the source cyclic set and ``source``, its
-    decomposition.  The source and image components are read from the
-    component indices of ``source`` and of the image set's
+    It is built from ``f``, a cyclic set over the map's source graph,
+    and ``source``, that set's decomposition: the same mask, over the
+    same or an equal graph.  Building ``source`` proved the set cyclic,
+    so the set's mask is carried unchecked (:meth:`Aut.act_mask`,
+    :meth:`Contraction.push_mask`), and :func:`pbar_decompose` of the
+    image proves the image cyclic: a decomposition memoised on the image
+    graph walks nothing, and a new one walks the image's boundary once.
+    A set over another graph is an input error; a ``source`` of another
+    set, or an image that is not cyclic, is a :class:`VerificationError`
+    naming :meth:`witnesses`.  The source and image components are read
+    from the component indices of ``source`` and of the image's
     decomposition, in one pass over the source vertices.  An
     automorphism must carry each component onto a component of the
     image of the same genus (it maps vertices bijectively, so no two
     components may meet in one image); a contraction must carry each
     into one component.
-
-    For a contraction, no boundary is walked that a decomposition has
-    already checked.  When ``source`` is the
-    set's own decomposition (its mask, over the very graph object that
-    carries the set and is the contraction's source), that decomposition
-    proved the set cyclic, so the mask is pushed unchecked
-    (:meth:`Contraction.push_mask`); a decomposition of the image
-    memoised on the target proves the image cyclic in turn, and only
-    without one is the image's boundary walked, failing as
-    :func:`push_cycle` fails.  Any other ``source`` goes through
-    :func:`push_cycle`, which walks both boundaries.  A cyclic set over
-    another graph than the automorphism's, or the contraction's source,
-    is an input error.
     """
 
     __slots__ = ("f", "source_mask", "graph", "mask", "dec", "comps", "size",
@@ -700,27 +707,25 @@ class SpinCarry:
 
     def __init__(self, f, cyclic_set, source):
         self.f = f
-        self.source_mask = cyclic_set.mask
+        self.source_mask = mask = cyclic_set.mask
         is_aut = isinstance(f, Aut)
+        graph = f.graph if is_aut else f.source
+        if cyclic_set.graph != graph:
+            raise InputError("cyclic set lives over a different graph")
         if is_aut:
-            graph = cyclic_set.graph
-            if graph is not f.graph and graph != f.graph:
-                raise InputError("cyclic set lives over a different graph")
-            self.graph = f.graph
-            image = EdgeSet(f.graph, f.act_mask(self.source_mask))
+            self.graph, self.mask = graph, f.act_mask(mask)
         else:
-            self.graph = f.target
-            if (source.mask == self.source_mask
-                    and source.graph is cyclic_set.graph is f.source):
-                # the set's own decomposition proved it cyclic, and a
-                # memoised decomposition of the image proves the image so
-                image = EdgeSet(f.target, f.push_mask(self.source_mask))
-                if memoised_decomposition(f.target, image.mask) is None:
-                    _check_pushed(f, cyclic_set, image)
-            else:
-                image = push_cycle(f, cyclic_set)
-        self.mask = image.mask
-        dec = pbar_decompose(self.graph, image)
+            self.graph, self.mask = f.target, f.push_mask(mask)
+        if source.mask != mask or source.graph != graph:
+            raise VerificationError(
+                "a carry was given the decomposition of another cyclic set",
+                self.witnesses())
+        try:
+            dec = pbar_decompose(self.graph, EdgeSet(self.graph, self.mask))
+        except DomainError as exc:
+            raise VerificationError(
+                "pushforward of a cyclic set is not cyclic",
+                self.witnesses()) from exc
         # one pass over the source vertices: the image component of each
         # source component, and whether one source component meets two
         # image components (split) or two meet one (shared)
@@ -836,11 +841,9 @@ def _certificate_hash(graph):
     if memo is None:
         canonical_form(graph)
         memo = graph.__dict__["_canonical_form"]
-    form, h = memo
-    if h is None:
-        h = _hashed(hashlib.sha256(), [form[0]])
-        graph.__dict__["_canonical_form"] = (form, h)
-    return h
+    if memo.hash is None:
+        memo.hash = _hashed(hashlib.sha256(), [memo.form[0]])
+    return memo.hash
 
 
 def _cyclic_encoding(graph, pos, mask):

@@ -13,7 +13,12 @@ action class carrying ``P`` onto it.  Only ``Stab(P)`` is walked over
 the sign vectors above ``P``, and every other mask's table entries are
 those vectors folded through its transporter
 (:class:`~spinmod.morphisms.SpinCarry`); a fibre of one structure
-(``c_+ = 0``) is not walked at all.  Masks and sign vectors both go
+(``c_+ = 0``) is not walked at all.  Each carry takes the fibre's own
+decomposition as the proof that its set is cyclic, and the image's
+decomposition as the proof of the image: over a graph whose fibres are
+all listed, every image's is memoised already and no boundary is walked;
+for one structure's orbit (:func:`spin_orbit`) an image met first is
+decomposed, walking its boundary once.  Masks and sign vectors both go
 through :func:`~spinmod.morphisms.orbit_walk`.  This is the package's
 one walk of a group over spin structures: the spin poset, spin keys,
 the order test, refinement and tropical fibers all read it.

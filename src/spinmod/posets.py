@@ -612,9 +612,10 @@ def _build_poset(kind, g, n, budget_edges, classes, orbits, push,
     :class:`VerificationError`.  No push walks a boundary again: each
     cyclic set's cyclicity is established once, when its class's cycle
     space is enumerated (cyclic kind) or its decomposition is built (spin
-    kind), and a pushed mask is proven by the target's orbit table or
-    decomposition memo (:func:`_cyclic_push`,
-    :class:`~spinmod.morphisms.SpinCarry`).  The two kinds share no push,
+    kind).  A pushed mask is proven by the target's orbit table
+    (:func:`_cyclic_push`) or by its decomposition on the target, which
+    the target's fibres memoised a rank earlier, so the carry finds it
+    and walks nothing (:func:`_spin_push`).  The two kinds share no push,
     so the spin covers stay an independent check on the cyclic ones.
 
     The classes are taken rank by rank, upward.  A rank's nodes follow
@@ -782,8 +783,12 @@ def _spin_push(class_key, fibres, table, here, contractions, below, walk):
     """The covers of one class's spin nodes: each cyclic set is carried
     through each contraction once (:class:`~spinmod.morphisms.SpinCarry`)
     and every sign vector above it is folded through that carry.  Each
-    set comes with its own decomposition, and the target's fibres were
-    decomposed a rank earlier, so a carry walks no boundary."""
+    set comes with its own decomposition, which proves it cyclic, and
+    the carry proves the image by its decomposition on the target class's
+    representative, memoised when that class's fibres were listed a rank
+    earlier; so a carry walks no boundary.  An image without one would
+    be decomposed, walking its boundary once, and one that is not cyclic
+    fails the carry."""
     found = [set() for _ in here]
     for p, dec, signs in fibres:
         own = table.get(p.mask, {})

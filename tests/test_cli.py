@@ -311,6 +311,24 @@ def test_malformed_trop_descriptor_is_input_error(tmp_path, content, named):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("content,named", [
+    (b'{"val": [' + b"9" * 4301 + b"]}", "4300 digits"),
+    (b"[" * 100000 + b"]" * 100000, "recursion"),
+], ids=["integer-past-digit-limit", "arrays-past-recursion-limit"])
+def test_trop_descriptor_past_the_parser_limits_is_input_error(
+        tmp_path, content, named):
+    # json.loads raises ValueError and RecursionError here, not
+    # JSONDecodeError
+    path = tmp_path / "family.json"
+    path.write_bytes(content)
+    proc = run_cli("trop", str(path))
+    assert proc.returncode == 2
+    report = json.loads(proc.stdout)
+    assert report["status"] == "input-error"
+    assert named in report["error"]
+    assert "Traceback" not in proc.stderr
+
+
 def theta_family_with_half_edges(block, spelling):
     """The theta family's descriptor with its graph's half-edge block
     written out and half-edge 1 keyed by ``spelling`` in ``block``."""

@@ -4,7 +4,8 @@ A decomposition keeps one component index per vertex and the genera, as
 flat tuples of ints; an automorphism group's action class keeps its
 vertex map and its edge permutation as a flat tuple of ints, and no map
 on half-edges; poset nodes, decompositions, spin carries and action
-classes are slotted records without an instance dict; a node
+classes, and each graph's canonical-form memo, are slotted records
+without an instance dict; a node
 keeps its stabilizer as the action classes that fix its structure, not
 as a list of group elements, and equal stabilizers share one tuple; and
 a poset keeps its covers once, as two flat arrays (``offsets``, one per
@@ -18,7 +19,7 @@ from array import array
 import pytest
 
 from spinmod.cycles import PbarDecomposition, enumerate_cyclic, pbar_decompose
-from spinmod.morphisms import Aut, SpinCarry, automorphisms
+from spinmod.morphisms import Aut, SpinCarry, _FormMemo, automorphisms
 from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
                             build_spin_poset, poset_stats)
 
@@ -28,7 +29,7 @@ def _flat_ints(value):
 
 
 @pytest.mark.parametrize("cls", [PbarDecomposition, PosetNode, SpinCarry,
-                                 Aut])
+                                 Aut, _FormMemo])
 def test_per_class_records_define_slots(cls):
     assert "__slots__" in cls.__dict__
     assert "__dict__" not in cls.__slots__

@@ -263,7 +263,7 @@ def assert_canonical_form_matches_the_oracle(graph):
                   graph.exceptional)
     cert, pos, leaves = oracles.canonical_form_with_leaves(graph)
     assert canonical_form(fresh) == (cert, pos), graph
-    assert fresh.__dict__["_best_leaves"] == leaves, graph
+    assert fresh.__dict__["_canonical_form"].leaves == leaves, graph
 
 
 @pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (1, 3), (0, 3), (0, 4),
@@ -600,7 +600,7 @@ def test_each_certificate_hashed_once_per_graph(monkeypatch):
     build_spin_poset(3, 0)
     distinct = {id(graph): graph for graph in certified}.values()
     hashed = [graph for graph in distinct
-              if graph.__dict__["_canonical_form"][1] is not None]
+              if graph.__dict__["_canonical_form"].hash is not None]
     assert len(made) == len(hashed) > 0
 
 
@@ -778,8 +778,8 @@ def test_act_spin_rejects_bad_decomposition(theta):
 
 
 def test_push_spin_rejects_bad_decomposition(theta):
-    # a spin structure carrying the decomposition of another cyclic set:
-    # its one component does not map into one component of the image
+    # a spin structure carrying the decomposition of another cyclic set,
+    # which the carry rejects before it reads any component
     wrong = pbar_decompose(theta, EdgeSet.from_indices(theta, [0, 1]))
     theta.__dict__["_pbar_decompositions"][0] = wrong
     s = SpinStructure(theta, EdgeSet(theta, 0), (1,))
@@ -916,10 +916,9 @@ def test_push_cycle_rejects_an_image_that_is_not_cyclic():
 
 @pytest.mark.parametrize("proven", [True, False])
 def test_carry_checks_the_image_on_a_decomposition_memo_miss(proven):
-    # with its own decomposition the set is proven cyclic and only the
-    # image is walked; over an equal copy of the graph it goes through
-    # push_cycle; either way the image, undecomposed on the fresh target,
-    # fails as push_cycle fails
+    # a decomposition of the set over the graph or over an equal copy of
+    # it proves the set cyclic; either way the image, undecomposed on the
+    # fresh target, fails as push_cycle fails
     c, p = _dropping_contraction()
     if not proven:
         p = EdgeSet(make_loop_chain(), p.mask)
@@ -944,6 +943,86 @@ def test_carry_reads_a_memoised_image_decomposition_as_its_check(
                         lambda graph, f: walked.append(f.mask))
     assert SpinCarry(c, p, dec).mask == 0b011
     assert walked == []
+
+
+def test_carry_walks_the_image_once_on_a_decomposition_memo_miss(
+        monkeypatch):
+    # the image's decomposition, built on the fresh target, is the one
+    # walk of a memo miss; a second carry hits that memo and walks
+    # nothing, in either module that calls boundary
+    import sys
+    from collections import Counter
+    from spinmod import cycles
+
+    chain = make_loop_chain()
+    c = contract(chain, [3])
+    p = EdgeSet(chain, 0b0011)
+    dec = pbar_decompose(chain, p)
+    walks = Counter()
+    walk = cycles.boundary
+
+    def counting(graph, edge_set):
+        caller = sys._getframe(1)
+        if caller.f_code is cycles.is_cyclic.__code__:
+            caller = caller.f_back
+        walks[caller.f_code.co_qualname] += 1
+        return walk(graph, edge_set)
+
+    monkeypatch.setattr(cycles, "boundary", counting)
+    monkeypatch.setattr(morphisms, "boundary", counting)
+    assert SpinCarry(c, p, dec).mask == 0b011
+    assert walks == {"PbarDecomposition.__init__": 1}
+    walks.clear()
+    assert SpinCarry(c, p, dec).mask == 0b011
+    assert walks == {}
+
+
+def test_automorphism_carrying_a_set_off_the_cycle_space_fails_verification():
+    # an action class whose edge permutation sends edge 1 of the 2-cycle
+    # P = {0, 1} of the loop chain to the loop at vertex 1: the image
+    # {0, 3} has two odd ends
+    chain = make_loop_chain()
+    bad = morphisms.Aut(chain, {0: 0, 1: 1}, (0, 3, 2, 1))
+    p = EdgeSet(chain, 0b0011)
+    with pytest.raises(VerificationError,
+                       match="^pushforward of a cyclic set is not cyclic$"
+                       ) as info:
+        SpinCarry(bad, p, pbar_decompose(chain, p))
+    assert info.value.witnesses == (canonical_key(chain), "P=3", "image=9")
+
+
+@pytest.mark.parametrize("kind", ["automorphism", "contraction"])
+def test_carry_rejects_the_decomposition_of_another_cyclic_set(kind):
+    # {0, 2} has the shape of {0, 1} on the theta graph, one component
+    # of genus 1, so only the mask tells them apart
+    theta = make_theta()
+    p = EdgeSet(theta, 0b011)
+    other = pbar_decompose(theta, EdgeSet(theta, 0b101))
+    assert other.genera == pbar_decompose(theta, p).genera
+    if kind == "automorphism":
+        f, last = automorphisms(theta).actions[0], "image=3"
+    else:
+        f, last = contract(theta, []), "F=0"
+    with pytest.raises(VerificationError,
+                       match="^a carry was given the decomposition of "
+                             "another cyclic set$") as info:
+        SpinCarry(f, p, other)
+    assert info.value.witnesses == (canonical_key(theta), "P=3", last)
+
+
+def test_canonical_form_then_automorphisms_refines_the_root_once(
+        monkeypatch):
+    # the group is ordered by the root colours the form's search refined
+    calls = []
+    initial = morphisms._initial_colors
+    monkeypatch.setattr(morphisms, "_initial_colors",
+                        lambda graph: calls.append(graph) or initial(graph))
+    graph = make_loop_chain()
+    canonical_form(graph)
+    automorphisms(graph)
+    assert calls == [graph]
+    memo = graph.__dict__["_canonical_form"]
+    assert memo.leaves is memo.colors is None
 
 
 # -- spin data carried once per (map, cyclic set) -----------------------------

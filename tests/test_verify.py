@@ -100,11 +100,11 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     # keeps the stabilizer it meets, so the cone complex and the
     # factorization check act no more.  Every other image comes from a
     # fibred walk over the orbit of one structure: a spin key (the refine
-    # suite keys each target and each pushed lift, 228 images) or the
-    # lower side of an order test that meets a candidate pushed elsewhere
-    # than onto it; each counts the sign images it folds.  Refinement
-    # walks no orbit.  No automorphism's image is built as a spin
-    # structure.
+    # suite keys each target and each pushed lift, 228 images, and the
+    # family check each family's generic fiber, 166) or the lower side of
+    # an order test that meets a candidate pushed elsewhere than onto it
+    # (3); each counts the sign images it folds.  Refinement walks no
+    # orbit.  No automorphism's image is built as a spin structure.
     from spinmod import morphisms
 
     calls = []
@@ -155,8 +155,8 @@ def test_each_spin_stabilizer_built_once_per_run(monkeypatch):
     assert calls.count("build_cone_complex") == 0
     assert calls.count("check_aut_factorization") == 0
     assert acted == []
-    assert sum(walked) == 611
-    assert len(calls) == 1224 + sum(walked) == 1835
+    assert sum(walked) == 397
+    assert len(calls) == 1224 + sum(walked) == 1621
 
 
 def test_purity_precursor_agrees_with_the_union_of_descendants(monkeypatch):
@@ -1026,3 +1026,29 @@ def test_aut_factorization_counts_the_spin_structures_of_each_class():
                        match="spin orbits do not count") as info:
         verify.check_aut_factorization(doubled)
     assert info.value.witnesses == (canonical_key(nodes[-1].rep.graph),)
+
+
+@pytest.mark.parametrize("stray", ["other-parity", "other-class"])
+def test_family_check_fires_on_a_generic_fiber_off_the_poset(monkeypatch,
+                                                              stray):
+    # the generic fiber swapped for a spin node of the other parity, or
+    # for a spin graph with one leg fewer, which keys to no node
+    poset = posets.build_spin_poset(1, 2)
+    by_parity = {nd.parity: nd.rep for nd in poset.nodes}
+    legless = posets.build_spin_poset(1, 1).nodes[-1].rep
+    returned = []
+
+    def generic_fiber(family):
+        parity = family.spin_graph.spin.parity
+        sg = by_parity[1 - parity] if stray == "other-parity" else legless
+        returned.append(sg)
+        return {"generic": sg}
+
+    monkeypatch.setattr(verify, "family_generic_fiber", generic_fiber)
+    with pytest.raises(VerificationError,
+                       match="^generic fiber of a family is no spin node "
+                             "of parity [01]$") as info:
+        verify.fuzz_families(poset, count=1, seed=0)
+    (sg,) = returned
+    assert info.value.witnesses[1] == canonical_key(sg)
+    assert info.value.witnesses[0] in {nd.key for nd in poset.nodes}
