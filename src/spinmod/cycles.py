@@ -2,7 +2,7 @@
 
 Edge sets are bitmasks over a fixed graph's edge indexing; the carrier
 graph is part of the value.  The cycle space is the kernel of the
-boundary map, computed from a spanning forest, and its elements are
+boundary map, computed by GF(2) elimination, and its elements are
 exactly the edge sets spanning subgraphs with all vertex degrees even.
 """
 
@@ -121,47 +121,31 @@ def is_cyclic(graph, edge_set):
 
 
 def cycle_basis(graph):
-    """A deterministic GF(2) basis of the cycle space.
+    """A deterministic GF(2) basis of the cycle space, the kernel of the
+    boundary map, by elimination.
 
-    Built from a DFS spanning forest rooted at the smallest vertex of each
-    component, exploring edges in index order; each non-forest edge
-    contributes its fundamental cycle.
+    Each edge, in index order, is its boundary as a bitmask over vertex
+    positions and its own bit as an edge set; it is reduced against the
+    pivots kept so far, keyed by their highest vertex bit.  An edge whose
+    boundary reduces to zero adds its edge set to the basis; any other
+    becomes a pivot.
     """
-    adj = {v: [] for v in graph.vertices}
-    for i in range(graph.n_edges):
-        u, v = graph.edge_vertices(i)
-        adj[u].append((i, v))
-        if u != v:
-            adj[v].append((i, u))
-    for v in adj:
-        adj[v].sort()
-
-    seen = set()
-    tree_edge = set()
-    # path_mask[v]: edge set of the forest path from the root to v
-    path_mask = {}
-    for root in graph.vertices:
-        if root in seen:
-            continue
-        seen.add(root)
-        path_mask[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for i, v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    tree_edge.add(i)
-                    path_mask[v] = path_mask[u] | 1 << i
-                    stack.append(v)
-
+    at = graph.vertex_index
+    pivots = {}  # highest vertex bit: (boundary, edge set)
     basis = []
     for i in range(graph.n_edges):
-        if i in tree_edge:
-            continue
         u, v = graph.edge_vertices(i)
-        mask = (1 << i) | path_mask[u] ^ path_mask[v]
-        basis.append(EdgeSet(graph, mask))
+        bound, edges = 1 << at[u] ^ 1 << at[v], 1 << i
+        while bound:
+            top = bound.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (bound, edges)
+                break
+            pivot_bound, pivot_edges = pivots[top]
+            bound ^= pivot_bound
+            edges ^= pivot_edges
+        else:
+            basis.append(EdgeSet(graph, edges))
     if len(basis) != graph.b1:
         raise VerificationError(
             f"cycle basis has {len(basis)} elements, b1 is {graph.b1}",
@@ -208,11 +192,11 @@ class PbarDecomposition:
     union-find over the edges of the cyclic set: a component's genus is
     its total weight plus its edges in the set, minus its vertices, plus
     one.  Only two flat tuples are kept: ``component``, the component
-    index of each vertex in ``graph.vertices`` order, and ``genera``; the
-    vertex sets (:attr:`vertex_sets`) are built on demand and not kept.
-    No opened graph is built: what the opened graph's vertices and legs
-    carry (theta divisors, stratum rows) is read from this record and the
-    graph's own edges.
+    index of each vertex in ``graph.vertices`` order, and ``genera``.
+    Readers find a vertex's component through ``graph.vertex_index``; no
+    component's vertex set is built.  No opened graph is built either:
+    what the opened graph's vertices and legs carry (theta divisors,
+    stratum rows) is read from this record and the graph's own edges.
     """
 
     __slots__ = ("graph", "mask", "component", "genera")
@@ -232,14 +216,6 @@ class PbarDecomposition:
         weight = graph.weight.__getitem__
         self.genera = tuple(sum(map(weight, vs)) + e - len(vs) + 1
                             for vs, e in zip(classes, n_edges))
-
-    @property
-    def vertex_sets(self):
-        """The vertex set of each component, in component order."""
-        members = [[] for _ in self.genera]
-        for v, i in zip(self.graph.vertices, self.component):
-            members[i].append(v)
-        return tuple(map(frozenset, members))
 
     @property
     def c_plus(self):

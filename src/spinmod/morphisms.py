@@ -108,7 +108,13 @@ class Contraction:
     weights, none negative, sum to the source's plus ``b1(F)``.  A
     failure is a :class:`VerificationError` naming the source's key and
     ``F``.  The target's ``b1``, ``c`` and ``genus`` stay lazy.
+
+    ``vertex_map`` is a dict keyed by source vertex; ``edge_map``, like
+    :attr:`Aut.edge_perm`, is a flat tuple over the source's edge
+    indices, ``None`` at a contracted edge.
     """
+
+    __slots__ = ("source", "contracted", "target", "vertex_map", "edge_map")
 
     def __init__(self, source, contracted):
         if contracted.graph != source:
@@ -120,17 +126,17 @@ class Contraction:
 
         # one pass over the sorted edges: the contracted ones as vertex
         # pairs, the kept ones numbered in order as the target's edges
-        pairs, kept, dropped, edge_map = [], [], set(), {}
+        pairs, kept, dropped, edge_map = [], [], set(), []
         for i, (h, k) in enumerate(source.edges):
             if mask >> i & 1:
                 pairs.append((endpoint[h], endpoint[k]))
                 dropped.add(h)
                 dropped.add(k)
-                edge_map[i] = None
+                edge_map.append(None)
             else:
-                edge_map[i] = len(kept)
+                edge_map.append(len(kept))
                 kept.append((h, k))
-        self.edge_map = edge_map
+        self.edge_map = tuple(edge_map)
 
         classes = connected_classes(source.vertices, pairs)
         rep = {v: members[0] for members in classes for v in members}
@@ -194,8 +200,7 @@ class Contraction:
         vertex_iso, edge_iso = _isomorphism(self.target, rep)
         return self._with(
             rep, {v: vertex_iso[t] for v, t in self.vertex_map.items()},
-            {i: None if j is None else edge_iso[j]
-             for i, j in self.edge_map.items()})
+            tuple(None if j is None else edge_iso[j] for j in self.edge_map))
 
     def _with(self, target, vertex_map, edge_map):
         out = object.__new__(Contraction)
@@ -243,7 +248,7 @@ def composed_edges(first, second):
     if second.source != first.target:
         raise InputError("contractions do not compose")
     mask = first.contracted.mask
-    for i, j in first.edge_map.items():
+    for i, j in enumerate(first.edge_map):
         if j is not None and j in second.contracted:
             mask |= 1 << i
     return EdgeSet(first.source, mask)
@@ -437,10 +442,10 @@ def _isomorphism(a, b):
     edges_at = defaultdict(list)
     for j in range(b.n_edges):
         edges_at[b.edge_vertices(j)].append(j)
-    edge_iso = {}
+    edge_iso = []
     for i in range(a.n_edges):
         u, v = (vertex_iso[x] for x in a.edge_vertices(i))
-        edge_iso[i] = edges_at[(u, v) if u <= v else (v, u)].pop()
+        edge_iso.append(edges_at[(u, v) if u <= v else (v, u)].pop())
     return vertex_iso, edge_iso
 
 
@@ -629,13 +634,14 @@ def component_subgroup(group, spin):
                          "same graph")
     outside = [(i, graph.edge_vertices(i)) for i in range(graph.n_edges)
                if i not in spin.P]
-    vertex_sets = spin.dec.vertex_sets
+    at, component = graph.vertex_index, spin.dec.component
     loops_out = sum(1 for _, (u, v) in outside if u == v)
     return AutGroup(graph, [
         a for a in group.actions
         if all(a.edge_perm[i] == i and a.vertex_map[u] == u
                for i, (u, _) in outside)
-        and all({a.vertex_map[v] for v in vs} == vs for vs in vertex_sets)],
+        and all(component[at[a.vertex_map[v]]] == c
+                for v, c in zip(graph.vertices, component))],
         group.flips - loops_out)
 
 
@@ -653,14 +659,15 @@ def quotient_action_order(graph, spin, group):
     """
     outside = [(i, graph.edge_vertices(i)) for i in range(graph.n_edges)
                if i not in spin.P]
-    vertex_sets = spin.dec.vertex_sets
-    comp_index = {vs: i for i, vs in enumerate(vertex_sets)}
+    at, component = graph.vertex_index, spin.dec.component
     seen = set()
     for a in group.actions:
-        comp_perm = tuple(
-            comp_index.get(frozenset(a.vertex_map[v] for v in vs))
-            for vs in vertex_sets)
-        if None in comp_perm:
+        # (component, image component) of every vertex: a permutation of
+        # the components exactly when each has one image, and no two one
+        pairs = sorted(set(zip(component, (component[at[a.vertex_map[v]]]
+                                           for v in graph.vertices))))
+        comp_perm = tuple(j for _, j in pairs)
+        if len(pairs) != len(spin.dec) or len(set(comp_perm)) != len(pairs):
             raise VerificationError(
                 "automorphism orders do not factor: an automorphism in the "
                 "stabilizer maps a component of the opened graph onto no "
@@ -727,57 +734,58 @@ class SpinCarry:
                 "pushforward of a cyclic set is not cyclic",
                 self.witnesses()) from exc
         # one pass over the source vertices: the image component of each
-        # source component, and whether one source component meets two
-        # image components (split) or two meet one (shared)
+        # source component, the source components that meet two image
+        # components (split) and the image components that two meet
+        # (shared)
         vertex_map, at, image_of = (f.vertex_map, self.graph.vertex_index,
                                     dec.component)
         comps = [-1] * len(source.genera)
         hit = [-1] * len(dec.genera)
-        split = shared = False
+        split, shared = set(), set()
         for v, i in zip(source.graph.vertices, source.component):
             j = image_of[at[vertex_map[v]]]
             c = comps[i]
             if c < 0:
                 comps[i] = j
             elif c != j:
-                split = True
+                split.add(i)
             h = hit[j]
             if h < 0:
                 hit[j] = i
             elif h != i:
-                shared = True
+                shared.add(j)
         if split or is_aut and (shared or any(
                 dec.genera[j] != g for j, g in zip(comps, source.genera))):
-            self._reject(source, dec, is_aut)
+            self._reject(source, dec, comps, split, shared)
         self.dec, self.comps = dec, tuple(comps)
         self.size = len(dec)
         self.genus_zero = tuple(j for j, g in enumerate(dec.genera) if g == 0)
 
-    def _reject(self, source, dec, is_aut):
+    def _reject(self, source, dec, comps, split, shared):
         """Raise for the first source component, in order, that ``f``
         does not carry as it must: an automorphism onto a component of
-        the image of the same genus, a contraction into one component."""
-        vertex_map, at = self.f.vertex_map, self.graph.vertex_index
-        targets = dec.vertex_sets
-        for i, vs in enumerate(source.vertex_sets):
-            image = {vertex_map[v] for v in vs}
-            j = dec.component[at[min(image)]]
-            if is_aut:
-                if image != targets[j]:
+        the image of the same genus, a contraction into one component.
+        A bijection carries component ``i`` onto image component
+        ``comps[i]`` exactly when ``i`` is not ``split`` and ``comps[i]``
+        not ``shared``."""
+        is_aut = isinstance(self.f, Aut)
+        for i, j in enumerate(comps):
+            if not is_aut:
+                if i in split:
                     raise VerificationError(
-                        f"automorphism maps component {i} of the opened "
-                        f"graph onto no component of its image",
+                        f"component {i} of the opened graph does not map "
+                        f"into one component of the pushed decomposition",
                         self.witnesses())
-                if dec.genera[j] != source.genera[i]:
-                    raise VerificationError(
-                        f"automorphism changes the genus of component {i} "
-                        f"of the opened graph from {source.genera[i]} to "
-                        f"{dec.genera[j]}", self.witnesses())
-            elif not image <= targets[j]:
+            elif i in split or j in shared:
                 raise VerificationError(
-                    f"component {i} of the opened graph does not map into "
-                    f"one component of the pushed decomposition",
+                    f"automorphism maps component {i} of the opened "
+                    f"graph onto no component of its image",
                     self.witnesses())
+            elif dec.genera[j] != source.genera[i]:
+                raise VerificationError(
+                    f"automorphism changes the genus of component {i} "
+                    f"of the opened graph from {source.genera[i]} to "
+                    f"{dec.genera[j]}", self.witnesses())
 
     def witnesses(self):
         f = self.f

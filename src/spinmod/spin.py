@@ -225,11 +225,12 @@ def spin_count_check(graph):
     weighted = []  # per cyclic set: (b1 of the opened graph, even, odd)
     tight_expected = weightless
     unmatched = None  # the first cyclic set with a component's genus off
-    space = [q.mask for q in enumerate_cyclic(graph)]
-    position = {v: i for i, v in enumerate(graph.vertices)}
+    cyclic = enumerate_cyclic(graph)
+    space = [q.mask for q in cyclic]
+    position = graph.vertex_index
     # the position of one end of each edge, to find its component
     end = [position[graph.edge_vertices(j)[0]] for j in range(graph.n_edges)]
-    for p in enumerate_cyclic(graph):
+    for p in cyclic:
         dec = pbar_decompose(graph, p)
         c = dec.c_plus
         count = 1 << c
@@ -402,12 +403,17 @@ class StratumCount:
 
 def stratum_counts(graph):
     """Per cyclic set: ``2^{b1(P) + 2|w|}`` points of length
-    ``2^{b - b1(P)}`` each; the grand total must be ``2^{2g}``.
+    ``2^{b - b1(P)}`` each; the stratum total must be ``2^{b + 2|w|}``
+    and the grand total ``2^{2g}``.
 
+    The two factors read ``b1(P)`` from two sources.  The points count
+    the graph's cyclic sets lying inside P, which are P's own cycle
+    space, ``2^{b1(P)}`` sets.  The length, and the ``b1_P`` of the row,
+    read it from the set's decomposition: ``b1(P) = |P| - |V| +
+    c(Pbar)``.  So a stratum total fails exactly when the two disagree.
     When the spanned subgraph of P is connected with positive Betti
-    number, the points split evenly between the two parities.  Both are
-    read from the set's decomposition: ``b1(P) = |P| - |V| + c(Pbar)``,
-    and the spanned subgraph is connected when P's edges meet exactly one
+    number, the points split evenly between the two parities; the
+    spanned subgraph is connected when P's edges meet exactly one
     component.
     """
     if not is_stable(graph):
@@ -417,10 +423,11 @@ def stratum_counts(graph):
     g = graph.genus
     rows = []
     grand = 0
-    for p in enumerate_cyclic(graph):
+    cyclic = enumerate_cyclic(graph)
+    for p in cyclic:
         dec = pbar_decompose(graph, p)
         b1_p = len(p) - len(graph.vertices) + len(dec)
-        points = 2 ** (b1_p + 2 * w_total)
+        points = sum(1 for q in cyclic if not q.mask & ~p.mask) << 2 * w_total
         length = 2 ** (b - b1_p)
         total = points * length
         if total != 2 ** (b + 2 * w_total):

@@ -52,7 +52,7 @@ from functools import cached_property
 from itertools import (combinations, combinations_with_replacement,
                        permutations, product)
 
-from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
+from spinmod.cycles import EdgeSet, boundary, enumerate_cyclic
 from spinmod.errors import VerificationError
 from spinmod.graphs import Graph, _check_edge_subset, connected_classes
 from spinmod.morphisms import (Aut, Contraction, SpinCarry, _neighbor_lists,
@@ -367,6 +367,12 @@ def opened_graph(graph, cyclic_set):
                                 if i not in cyclic_set], open=True)
 
 
+def vertex_sets(spin):
+    """The vertex sets of the components of ``spin``'s opened graph, in
+    the order its signs refer to, by :func:`decomposition`."""
+    return decomposition(spin.graph, spin.P)[0]
+
+
 def _component_of(vertex_sets, vertex):
     """The index of the vertex set holding ``vertex``."""
     return next(i for i, vs in enumerate(vertex_sets) if vertex in vs)
@@ -377,9 +383,9 @@ def act_spin(aut, spin):
     image cyclic set and building a spin structure for it."""
     graph = aut.graph
     p_out = EdgeSet(graph, aut.act_mask(spin.P.mask))
-    targets = pbar_decompose(graph, p_out).vertex_sets
+    targets, _ = decomposition(graph, p_out)
     signs = [0] * len(targets)
-    for i, vs in enumerate(spin.dec.vertex_sets):
+    for i, vs in enumerate(vertex_sets(spin)):
         image = {aut.vertex_map[v] for v in vs}
         j = _component_of(targets, min(image))
         if image != targets[j]:
@@ -436,11 +442,11 @@ def component_subgroup(group, spin):
     graph = group.graph
     outside = [h for i in range(graph.n_edges) if i not in spin.P
                for h in graph.edges[i]]
-    vertex_sets = spin.dec.vertex_sets
+    components = vertex_sets(spin)
     return ElementGroup(graph, [
         a for a in group.elements
         if all(a.half_map[h] == h for h in outside)
-        and all({a.vertex_map[v] for v in vs} == vs for vs in vertex_sets)])
+        and all({a.vertex_map[v] for v in vs} == vs for vs in components)])
 
 
 def quotient_action_order(graph, spin, group):
@@ -449,13 +455,13 @@ def quotient_action_order(graph, spin, group):
     on the half-edges outside the cyclic set."""
     outside = [h for i in range(graph.n_edges) if i not in spin.P
                for h in graph.edges[i]]
-    vertex_sets = spin.dec.vertex_sets
-    comp_index = {vs: i for i, vs in enumerate(vertex_sets)}
+    components = vertex_sets(spin)
+    comp_index = {vs: i for i, vs in enumerate(components)}
     seen = set()
     for a in group.elements:
         comp_perm = tuple(
             comp_index[frozenset(a.vertex_map[v] for v in vs)]
-            for vs in vertex_sets)
+            for vs in components)
         seen.add((comp_perm, tuple(a.half_map[h] for h in outside)))
     return len(seen)
 
@@ -465,7 +471,8 @@ def reference_contraction(graph, edge_set):
     edge_map)``: the target built through the validating ``Graph(...)``,
     each vertex sent to the least vertex of its class, each class
     weighted by the genus of its contracted piece, and each edge sent to
-    the index of its pair of half-edges in the target's edge indexing."""
+    the index of its pair of half-edges in the target's edge indexing,
+    ``None`` for a contracted one, as a tuple over the source's edges."""
     indices = edge_set.indices()
     pairs = [graph.edge_vertices(i) for i in indices]
     classes = connected_classes(graph.vertices, pairs)
@@ -482,17 +489,16 @@ def reference_contraction(graph, edge_set):
     target = Graph(weight, endpoint, involution, graph.legs,
                    graph.exceptional & set(weight))
     index = {pair: j for j, pair in enumerate(target.edges)}
-    return target, rep, {i: index.get(pair)
-                         for i, pair in enumerate(graph.edges)}
+    return target, rep, tuple(map(index.get, graph.edges))
 
 
 def push_spin(contraction, spin):
     """Pushforward of a spin structure, signs summed over the components
     each image component absorbs."""
     p_out = push_cycle(contraction, spin.P)
-    targets = pbar_decompose(contraction.target, p_out).vertex_sets
+    targets, _ = decomposition(contraction.target, p_out)
     signs = [0] * len(targets)
-    for i, vs in enumerate(spin.dec.vertex_sets):
+    for i, vs in enumerate(vertex_sets(spin)):
         image = {contraction.vertex_map[v] for v in vs}
         j = _component_of(targets, min(image))
         if not image <= targets[j]:
@@ -644,7 +650,7 @@ def fuzz_contraction_chains(classes, count=1000, seed=0, record=None):
         c1 = contract(graph, subset(graph.n_edges))
         c2 = contract(c1.target, subset(c1.target.n_edges))
         mask = c1.contracted.mask
-        for i, j in c1.edge_map.items():
+        for i, j in enumerate(c1.edge_map):
             if j is not None and j in c2.contracted:
                 mask |= 1 << i
         c12 = Contraction(graph, EdgeSet(graph, mask))

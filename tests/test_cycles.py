@@ -116,9 +116,10 @@ def test_pbar_theta_empty(theta):
     assert len(dec) == 2
     assert dec.genera == (0, 0)
     assert dec.c_plus == 0
+    assert dec.component == (0, 1)
     opened = oracles.opened_graph(theta, EdgeSet(theta, 0))
     assert all(subgraph_on(opened, vs).n_legs == 3
-               for vs in dec.vertex_sets)
+               for vs in opened.components)
 
 
 def test_pbar_dumbbell_loops(dumbbell):
@@ -176,8 +177,9 @@ def test_pbar_union_find_matches_opened_graph(g, n, shared_classes):
         for p in enumerate_cyclic(graph):
             opened = oracles.opened_graph(graph, p)
             dec = pbar_decompose(graph, p)
-            assert dec.vertex_sets == tuple(
-                frozenset(c) for c in opened.components)
+            assert dec.component == tuple(
+                next(i for i, c in enumerate(opened.components) if v in c)
+                for v in graph.vertices)
             assert dec.genera == tuple(subgraph_on(opened, c).genus
                                        for c in opened.components)
 
@@ -204,7 +206,7 @@ def test_edge_set_hash_matches_eq():
 
 def test_cycle_basis_size_failure_is_verification_error(theta):
     key = canonical_key(theta)
-    theta.__dict__["b1"] = 3  # a Betti number no spanning forest meets
+    theta.__dict__["b1"] = 3  # a Betti number the elimination does not meet
     with pytest.raises(VerificationError) as info:
         cycle_basis(theta)
     assert info.value.witnesses == (key,)
@@ -225,15 +227,14 @@ def test_span_member_failure_is_verification_error(theta, monkeypatch,
 @pytest.mark.parametrize("g,n", [(2, 2), (3, 0), (3, 1)])
 def test_compact_decomposition_matches_the_union_find_oracle(
         g, n, shared_classes):
-    # every cyclic set of every class: the vertex sets derived from the
-    # per-vertex component indices, in component order (by smallest
-    # vertex), and the genera, against a union-find grouping of its own
+    # every cyclic set of every class: the per-vertex component indices,
+    # in component order (by smallest vertex), and the genera, against a
+    # union-find grouping of its own
     for graph in shared_classes(g, n):
         for p in enumerate_cyclic(graph):
             dec = pbar_decompose(graph, p)
             vertex_sets, genera = oracles.decomposition(graph, p)
-            assert dec.vertex_sets == vertex_sets
-            assert [min(vs) for vs in dec.vertex_sets] == \
+            assert [min(vs) for vs in vertex_sets] == \
                 sorted(min(vs) for vs in vertex_sets)
             assert dec.genera == genera
             assert dec.component == tuple(

@@ -2,11 +2,12 @@
 
 A decomposition keeps one component index per vertex and the genera, as
 flat tuples of ints; an automorphism group's action class keeps its
-vertex map and its edge permutation as a flat tuple of ints, and no map
-on half-edges; poset nodes, decompositions, spin carries and action
-classes, and each graph's canonical-form memo, are slotted records
-without an instance dict; a node
-keeps its stabilizer as the action classes that fix its structure, not
+vertex map as a dict keyed by vertex, its edge permutation as a flat
+tuple of ints, and no map on half-edges; a contraction keeps its edge
+map as a flat tuple over the source's edges, an int or ``None`` at each;
+poset nodes, decompositions, spin carries, action classes and
+contractions, and each graph's canonical-form memo, are slotted records
+without an instance dict; a node keeps its stabilizer as the action classes that fix its structure, not
 as a list of group elements, and equal stabilizers share one tuple; and
 a poset keeps its covers once, as two flat arrays (``offsets``, one per
 node and one more, and ``lowers``, one per cover), with no attribute
@@ -19,9 +20,10 @@ from array import array
 import pytest
 
 from spinmod.cycles import PbarDecomposition, enumerate_cyclic, pbar_decompose
-from spinmod.morphisms import Aut, SpinCarry, _FormMemo, automorphisms
-from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
-                            build_spin_poset, poset_stats)
+from spinmod.morphisms import (Aut, Contraction, SpinCarry, _FormMemo,
+                               automorphisms, canonical_key)
+from spinmod.posets import (PosetNode, _edge_contractions, build_cyclic_poset,
+                            build_graph_poset, build_spin_poset, poset_stats)
 
 
 def _flat_ints(value):
@@ -29,7 +31,7 @@ def _flat_ints(value):
 
 
 @pytest.mark.parametrize("cls", [PbarDecomposition, PosetNode, SpinCarry,
-                                 Aut, _FormMemo])
+                                 Aut, Contraction, _FormMemo])
 def test_per_class_records_define_slots(cls):
     assert "__slots__" in cls.__dict__
     assert "__dict__" not in cls.__slots__
@@ -80,6 +82,19 @@ def test_action_classes_keep_an_edge_permutation_and_no_half_edge_map(
             assert not hasattr(a, "half_map")
             assert _flat_ints(a.edge_perm)
             assert sorted(a.edge_perm) == list(range(graph.n_edges))
+
+
+def test_table_contractions_keep_a_flat_tuple_edge_map(shared_classes):
+    classes = shared_classes(2, 1)
+    reps = {canonical_key(graph): graph for graph in classes}
+    for graph in classes:
+        for _, _, c in _edge_contractions(graph, reps):
+            assert not hasattr(c, "__dict__")
+            assert type(c.edge_map) is tuple
+            assert len(c.edge_map) == graph.n_edges
+            assert all(j is None or type(j) is int for j in c.edge_map)
+            kept = sorted(j for j in c.edge_map if j is not None)
+            assert kept == list(range(c.target.n_edges))
 
 
 def test_node_stabilizers_hold_action_class_indices():

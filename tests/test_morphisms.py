@@ -57,7 +57,7 @@ def test_contract_everything():
 def test_contract_identity(theta):
     c = contract(theta, [])
     assert c.target == theta
-    assert c.edge_map == {i: i for i in range(3)}
+    assert c.edge_map == (0, 1, 2)
 
 
 def test_contract_preserves_legs():
@@ -308,7 +308,7 @@ def test_pbar_subgroup_is_product_of_component_groups():
             sub = component_subgroup(automorphisms(g), s)
             product = 1
             opened = oracles.opened_graph(g, s.P)
-            for comp in s.dec.vertex_sets:
+            for comp in oracles.vertex_sets(s):
                 piece = subgraph_on(opened, comp)
                 product *= automorphisms(piece).order
             assert sub.order == product, (g, s)
@@ -319,6 +319,25 @@ def test_component_subgroup_needs_a_structure_over_its_graph(theta):
     assert component_subgroup(automorphisms(theta), s).order == 2
     with pytest.raises(InputError, match="same graph"):
         component_subgroup(automorphisms(make_dumbbell()), s)
+
+
+def test_quotient_order_rejects_a_class_mapping_two_components_into_one():
+    # the two loops of the loop chain, components {0} and {1}: swapping
+    # them permutes the components, while a map sending both vertices to
+    # 0 splits no component but carries both into one
+    chain = make_loop_chain()
+    s = spin(chain, [2, 3], (1, 0))
+
+    def group(vertex_map):
+        return morphisms.AutGroup(
+            chain, [morphisms.Aut(chain, vertex_map, (0, 1, 2, 3))], 0)
+
+    assert quotient_action_order(chain, s, group({0: 1, 1: 0})) == 1
+    with pytest.raises(VerificationError,
+                       match="^automorphism orders do not factor: .* onto "
+                             "no component$") as info:
+        quotient_action_order(chain, s, group({0: 0, 1: 0}))
+    assert info.value.witnesses == (canonical_key(SpinGraph(chain, s)),)
 
 
 def test_spin_orbits_match_keys():
@@ -351,7 +370,8 @@ def test_induced_quotient_group_inside_full():
                 c = contract(graph, s.P)
                 quotient = c.target
                 sign_at = {}
-                for i, vs in enumerate(s.dec.vertex_sets):
+                components = oracles.vertex_sets(s)
+                for i, vs in enumerate(components):
                     sign_at[c.vertex_map[min(vs)]] = s.signs[i]
                 full = [a for a in oracles.element_group(quotient).elements
                         if all(sign_at[a.vertex_map[v]] == sign_at[v]
@@ -367,7 +387,7 @@ def test_induced_quotient_group_inside_full():
                     vmap = tuple(sorted(
                         (c.vertex_map[min(vs)],
                          c.vertex_map[min(a.vertex_map[v] for v in vs)])
-                        for vs in s.dec.vertex_sets))
+                        for vs in components))
                     hmap = tuple(sorted(
                         [(h, a.half_map[h]) for h in r_halves]
                         + [(h, h) for h in quotient.legs]))
@@ -657,7 +677,7 @@ def test_contractions_onto_yield_the_keyed_subsets():
                     identical += 1
                 else:
                     isomorphic += 1
-                kept = {i: j for i, j in carried.edge_map.items()
+                kept = {i: j for i, j in enumerate(carried.edge_map)
                         if j is not None}
                 assert sorted(kept.values()) == list(range(gb.n_edges))
                 for i, j in kept.items():
@@ -835,6 +855,23 @@ def test_act_spin_rejects_two_components_carried_into_one():
     assert info.value.witnesses == (canonical_key(chain), "P=c", "image=c")
 
 
+def test_push_spin_rejects_a_component_split_between_two():
+    # the target's decomposition of the image mask {0, 1} is planted as
+    # that of the empty set, two components, so the one component of
+    # the source lands in both
+    theta = make_theta()
+    s = spin(theta, [0, 1], (1,))
+    c = contract(theta, [])
+    opened = pbar_decompose(c.target, EdgeSet(c.target, 0))
+    c.target.__dict__["_pbar_decompositions"][0b011] = opened
+    with pytest.raises(VerificationError,
+                       match="^component 0 of the opened graph does not map "
+                             "into one component of the pushed "
+                             "decomposition$") as info:
+        push_spin(c, s)
+    assert info.value.witnesses == (canonical_key(theta), "P=3", "F=0")
+
+
 def test_push_spin_rejects_sign_on_genus_zero_component():
     # the target's decomposition of the image mask claims genus 0, so the
     # carried sign 1 lands where every sign must vanish
@@ -901,7 +938,7 @@ def _dropping_contraction():
     image is edge 0 alone, whose two ends are odd."""
     chain = make_loop_chain()
     c = contract(chain, [3])
-    c.edge_map[1] = None
+    c.edge_map = c.edge_map[:1] + (None,) + c.edge_map[2:]
     return c, EdgeSet(chain, 0b0011)
 
 
@@ -929,27 +966,12 @@ def test_carry_checks_the_image_on_a_decomposition_memo_miss(proven):
     assert info.value.witnesses == (canonical_key(c.source), "P=3", "F=8")
 
 
-def test_carry_reads_a_memoised_image_decomposition_as_its_check(
-        monkeypatch):
-    # the set's own decomposition and the target's memoised one prove both
-    # ends cyclic, so the carry walks no boundary
-    chain = make_loop_chain()
-    c = contract(chain, [3])
-    p = EdgeSet(chain, 0b0011)
-    dec = pbar_decompose(chain, p)
-    pbar_decompose(c.target, EdgeSet(c.target, c.push_mask(p.mask)))
-    walked = []
-    monkeypatch.setattr(morphisms, "boundary",
-                        lambda graph, f: walked.append(f.mask))
-    assert SpinCarry(c, p, dec).mask == 0b011
-    assert walked == []
-
-
 def test_carry_walks_the_image_once_on_a_decomposition_memo_miss(
         monkeypatch):
     # the image's decomposition, built on the fresh target, is the one
     # walk of a memo miss; a second carry hits that memo and walks
-    # nothing, in either module that calls boundary
+    # nothing, in either module that calls boundary, and so does a carry
+    # onto a target whose decomposition was memoised by no carry
     import sys
     from collections import Counter
     from spinmod import cycles
@@ -972,6 +994,11 @@ def test_carry_walks_the_image_once_on_a_decomposition_memo_miss(
     monkeypatch.setattr(morphisms, "boundary", counting)
     assert SpinCarry(c, p, dec).mask == 0b011
     assert walks == {"PbarDecomposition.__init__": 1}
+    walks.clear()
+    assert SpinCarry(c, p, dec).mask == 0b011
+    assert walks == {}
+    c = contract(chain, [3])
+    pbar_decompose(c.target, EdgeSet(c.target, c.push_mask(p.mask)))
     walks.clear()
     assert SpinCarry(c, p, dec).mask == 0b011
     assert walks == {}

@@ -626,7 +626,7 @@ def test_edge_contractions_are_isomorphisms_onto_representatives(g, n):
                 assert vmap.setdefault(t, carried.vertex_map[v]) == \
                     carried.vertex_map[v]
             emap = {}
-            for i, j in fresh.edge_map.items():
+            for i, j in enumerate(fresh.edge_map):
                 assert (j is None) == (carried.edge_map[i] is None)
                 if j is not None:
                     emap[j] = carried.edge_map[i]
@@ -860,11 +860,11 @@ def _drop_a_kept_edge(classes):
     for graph in classes:
         cyclic = enumerate_cyclic(graph)
         for e, target_key, c in posets._edge_contractions(graph, reps):
-            for i, j in c.edge_map.items():
+            for i, j in enumerate(c.edge_map):
                 through = [p for p in cyclic if i in p]
                 if j is not None and through and \
                         len(set(c.target.edge_vertices(j))) == 2:
-                    c.edge_map[i] = None
+                    c.edge_map = c.edge_map[:i] + (None,) + c.edge_map[i + 1:]
                     return graph, e, target_key, c, through[0], j
     raise AssertionError("no table contraction keeps an edge of a cycle")
 

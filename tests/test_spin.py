@@ -524,20 +524,17 @@ def test_theta_degree_against_a_wrong_genus(theta):
     assert info.value.witnesses == (key, "P=3")
 
 
-class _OffByOneSum(int):
-    """An integer whose sums come out one too large."""
-
-    def __add__(self, other):
-        return int(self) + other + 1
-
-
 def test_stratum_total_failure_names_the_class_and_set(theta):
-    # the row total is an identity of exponents, so only a Betti number
-    # read inconsistently can fail it: here its sum is off by one
+    # the points count the cyclic sets inside P, one for P = 0, while the
+    # length reads b1(P) from the decomposition memoised for P: planted
+    # as that of {0, 1}, one component, it gives b1(P) = -1 and a length
+    # of 2^3
     key = canonical_key(theta)
-    theta.__dict__["b1"] = _OffByOneSum(theta.b1)
+    wrong = pbar_decompose(theta, EdgeSet.from_indices(theta, [0, 1]))
+    theta.__dict__["_pbar_decompositions"][0] = wrong
     with pytest.raises(VerificationError,
-                       match="stratum total 4 differs") as info:
+                       match=r"^stratum total 8 differs from 2\^\(b \+ "
+                             r"2\|w\|\)$") as info:
         stratum_counts(theta)
     assert info.value.witnesses == (key, "P=0")
 
