@@ -33,7 +33,7 @@ def spin_encoding(graph, pos, aut, spin):
     """The spin structure moved by ``aut``: its cyclic set and the image
     of each component of the opened graph, with its sign."""
     comps = []
-    for vs, s in zip(oracles.vertex_sets(spin), spin.signs):
+    for vs, s in zip(oracles.components_of(spin), spin.signs):
         comps.append((tuple(sorted(pos[aut.vertex_map[v]] for v in vs)), s))
     return (cyclic_encoding(graph, pos, aut, spin.P), tuple(sorted(comps)))
 

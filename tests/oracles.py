@@ -326,12 +326,12 @@ def decomposition(graph, cyclic_set):
     groups = {}
     for v in graph.vertices:
         groups.setdefault(root(v), set()).add(v)
-    vertex_sets = sorted(groups.values(), key=min)
+    members = sorted(groups.values(), key=min)
     genera = []
-    for vs in vertex_sets:
+    for vs in members:
         inside = sum(1 for i in cyclic_set if graph.edge_vertices(i)[0] in vs)
         genera.append(sum(graph.weight[v] for v in vs) + inside - len(vs) + 1)
-    return tuple(map(frozenset, vertex_sets)), tuple(genera)
+    return tuple(map(frozenset, members)), tuple(genera)
 
 
 def remove_edges(graph, edge_indices, open=False):
@@ -367,15 +367,15 @@ def opened_graph(graph, cyclic_set):
                                 if i not in cyclic_set], open=True)
 
 
-def vertex_sets(spin):
+def components_of(spin):
     """The vertex sets of the components of ``spin``'s opened graph, in
     the order its signs refer to, by :func:`decomposition`."""
     return decomposition(spin.graph, spin.P)[0]
 
 
-def _component_of(vertex_sets, vertex):
+def _component_of(components, vertex):
     """The index of the vertex set holding ``vertex``."""
-    return next(i for i, vs in enumerate(vertex_sets) if vertex in vs)
+    return next(i for i, vs in enumerate(components) if vertex in vs)
 
 
 def act_spin(aut, spin):
@@ -385,7 +385,7 @@ def act_spin(aut, spin):
     p_out = EdgeSet(graph, aut.act_mask(spin.P.mask))
     targets, _ = decomposition(graph, p_out)
     signs = [0] * len(targets)
-    for i, vs in enumerate(vertex_sets(spin)):
+    for i, vs in enumerate(components_of(spin)):
         image = {aut.vertex_map[v] for v in vs}
         j = _component_of(targets, min(image))
         if image != targets[j]:
@@ -442,7 +442,7 @@ def component_subgroup(group, spin):
     graph = group.graph
     outside = [h for i in range(graph.n_edges) if i not in spin.P
                for h in graph.edges[i]]
-    components = vertex_sets(spin)
+    components = components_of(spin)
     return ElementGroup(graph, [
         a for a in group.elements
         if all(a.half_map[h] == h for h in outside)
@@ -455,7 +455,7 @@ def quotient_action_order(graph, spin, group):
     on the half-edges outside the cyclic set."""
     outside = [h for i in range(graph.n_edges) if i not in spin.P
                for h in graph.edges[i]]
-    components = vertex_sets(spin)
+    components = components_of(spin)
     comp_index = {vs: i for i, vs in enumerate(components)}
     seen = set()
     for a in group.elements:
@@ -498,7 +498,7 @@ def push_spin(contraction, spin):
     p_out = push_cycle(contraction, spin.P)
     targets, _ = decomposition(contraction.target, p_out)
     signs = [0] * len(targets)
-    for i, vs in enumerate(vertex_sets(spin)):
+    for i, vs in enumerate(components_of(spin)):
         image = {contraction.vertex_map[v] for v in vs}
         j = _component_of(targets, min(image))
         if not image <= targets[j]:

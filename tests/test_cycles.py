@@ -233,12 +233,12 @@ def test_compact_decomposition_matches_the_union_find_oracle(
     for graph in shared_classes(g, n):
         for p in enumerate_cyclic(graph):
             dec = pbar_decompose(graph, p)
-            vertex_sets, genera = oracles.decomposition(graph, p)
-            assert [min(vs) for vs in vertex_sets] == \
-                sorted(min(vs) for vs in vertex_sets)
+            members, genera = oracles.decomposition(graph, p)
+            assert [min(vs) for vs in members] == \
+                sorted(min(vs) for vs in members)
             assert dec.genera == genera
             assert dec.component == tuple(
-                next(i for i, vs in enumerate(vertex_sets) if v in vs)
+                next(i for i, vs in enumerate(members) if v in vs)
                 for v in graph.vertices)
 
 

@@ -308,7 +308,7 @@ def test_pbar_subgroup_is_product_of_component_groups():
             sub = component_subgroup(automorphisms(g), s)
             product = 1
             opened = oracles.opened_graph(g, s.P)
-            for comp in oracles.vertex_sets(s):
+            for comp in oracles.components_of(s):
                 piece = subgraph_on(opened, comp)
                 product *= automorphisms(piece).order
             assert sub.order == product, (g, s)
@@ -370,7 +370,7 @@ def test_induced_quotient_group_inside_full():
                 c = contract(graph, s.P)
                 quotient = c.target
                 sign_at = {}
-                components = oracles.vertex_sets(s)
+                components = oracles.components_of(s)
                 for i, vs in enumerate(components):
                     sign_at[c.vertex_map[min(vs)]] = s.signs[i]
                 full = [a for a in oracles.element_group(quotient).elements
