@@ -966,6 +966,30 @@ def test_carry_checks_the_image_on_a_decomposition_memo_miss(proven):
     assert info.value.witnesses == (canonical_key(c.source), "P=3", "F=8")
 
 
+def test_carry_reads_a_memoised_image_decomposition_as_its_check(
+        monkeypatch):
+    # the set's own decomposition and the target's memoised one prove both
+    # ends cyclic, so the carry walks no boundary in either module that
+    # calls it
+    from spinmod import cycles
+
+    chain = make_loop_chain()
+    c = contract(chain, [3])
+    p = EdgeSet(chain, 0b0011)
+    dec = pbar_decompose(chain, p)
+    pbar_decompose(c.target, EdgeSet(c.target, c.push_mask(p.mask)))
+    walked = []
+
+    def record(graph, f):
+        walked.append(f.mask)
+        return boundary(graph, f)
+
+    monkeypatch.setattr(cycles, "boundary", record)
+    monkeypatch.setattr(morphisms, "boundary", record)
+    assert SpinCarry(c, p, dec).mask == 0b011
+    assert walked == []
+
+
 def test_carry_walks_the_image_once_on_a_decomposition_memo_miss(
         monkeypatch):
     # the image's decomposition, built on the fresh target, is the one
