@@ -66,7 +66,7 @@ class EdgeSet:
         return out
 
     def __len__(self):
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __contains__(self, i):
         return bool(self.mask >> i & 1)
@@ -192,14 +192,17 @@ class PbarDecomposition:
     union-find over the edges of the cyclic set: a component's genus is
     its total weight plus its edges in the set, minus its vertices, plus
     one.  Only two flat tuples are kept: ``component``, the component
-    index of each vertex in ``graph.vertices`` order, and ``genera``.
+    index of each vertex in ``graph.vertices`` order, and ``genera``;
+    ``genus_zero`` is the mask of the genus-0 components as a sign
+    vector, component ``i`` of ``n`` at bit ``n - 1 - i``
+    (:func:`~spinmod.spin.sign_bits`).
     Readers find a vertex's component through ``graph.vertex_index``; no
     component's vertex set is built.  No opened graph is built either:
     what the opened graph's vertices and legs carry (theta divisors,
     stratum rows) is read from this record and the graph's own edges.
     """
 
-    __slots__ = ("graph", "mask", "component", "genera")
+    __slots__ = ("graph", "mask", "component", "genera", "genus_zero")
 
     def __init__(self, graph, cyclic_set):
         if not is_cyclic(graph, cyclic_set):
@@ -216,6 +219,8 @@ class PbarDecomposition:
         weight = graph.weight.__getitem__
         self.genera = tuple(sum(map(weight, vs)) + e - len(vs) + 1
                             for vs, e in zip(classes, n_edges))
+        self.genus_zero = sum(1 << len(classes) - 1 - i
+                              for i, g in enumerate(self.genera) if g == 0)
 
     @property
     def c_plus(self):

@@ -48,11 +48,12 @@ contraction table contract one edge per orbit.
 An automorphism or a contraction moves the signs of a spin structure
 only by the way it carries the components of the opened graph, so that
 map is computed and checked once per (map, cyclic set)
-(:class:`SpinCarry`) and every sign vector over the set is folded
-through it as data; orbit walks, stabilizers and cover pushes build no
-spin structure per image.  Both kinds of map take one path: the set's
-own decomposition proves the set cyclic, and the image's decomposition,
-memoised or built, proves the image so.
+(:class:`SpinCarry`), from the map's vertex map as a tuple of positions,
+and every sign vector over the set, an int with a bit per component, is
+folded through it as data; orbit walks, stabilizers and cover pushes
+build no spin structure per image.  Both kinds of map take one path:
+the set's own decomposition proves the set cyclic, and the image's
+decomposition, memoised or built, proves the image so.
 
 The orbits of spin structures are walked fibre-wise over the cyclic
 sets, in :mod:`spinmod.orbits`, which spin keys and the order test read.
@@ -81,7 +82,7 @@ from itertools import combinations, permutations, product
 from .cycles import EdgeSet, boundary, is_cyclic, pbar_decompose
 from .errors import BudgetError, DomainError, InputError, VerificationError
 from .graphs import Graph, connected_classes
-from .spin import SpinGraph, SpinStructure
+from .spin import SpinGraph, SpinStructure, sign_bits, sign_tuple
 
 AUT_HALF_EDGE_CAP = 40
 
@@ -109,12 +110,16 @@ class Contraction:
     failure is a :class:`VerificationError` naming the source's key and
     ``F``.  The target's ``b1``, ``c`` and ``genus`` stay lazy.
 
-    ``vertex_map`` is a dict keyed by source vertex; ``edge_map``, like
-    :attr:`Aut.edge_perm`, is a flat tuple over the source's edge
-    indices, ``None`` at a contracted edge.
+    ``vertex_map`` is a dict keyed by source vertex, and ``vertex_pos``
+    the same map as a tuple from each source vertex's position in
+    ``source.vertices`` to its image's in ``target.vertices``, which
+    :class:`SpinCarry` reads; ``edge_map``, like :attr:`Aut.edge_perm`,
+    is a flat tuple over the source's edge indices, ``None`` at a
+    contracted edge.
     """
 
-    __slots__ = ("source", "contracted", "target", "vertex_map", "edge_map")
+    __slots__ = ("source", "contracted", "target", "vertex_map", "vertex_pos",
+                 "edge_map")
 
     def __init__(self, source, contracted):
         if contracted.graph != source:
@@ -141,6 +146,8 @@ class Contraction:
         classes = connected_classes(source.vertices, pairs)
         rep = {v: members[0] for members in classes for v in members}
         self.vertex_map = rep
+        index = {v: j for j, members in enumerate(classes) for v in members}
+        self.vertex_pos = tuple(map(index.__getitem__, source.vertices))
 
         # target weight = total weight + first Betti number of the
         # contracted piece over each class: its weights, plus its
@@ -196,17 +203,22 @@ class Contraction:
         target (the same ids), the isomorphism is the identity and the
         maps stay as they are."""
         if rep == self.target:
-            return self._with(rep, self.vertex_map, self.edge_map)
+            return self._with(rep, self.vertex_map, self.vertex_pos,
+                              self.edge_map)
         vertex_iso, edge_iso = _isomorphism(self.target, rep)
+        at = rep.vertex_index
+        moved = [at[vertex_iso[t]] for t in self.target.vertices]
         return self._with(
             rep, {v: vertex_iso[t] for v, t in self.vertex_map.items()},
+            tuple(map(moved.__getitem__, self.vertex_pos)),
             tuple(None if j is None else edge_iso[j] for j in self.edge_map))
 
-    def _with(self, target, vertex_map, edge_map):
+    def _with(self, target, vertex_map, vertex_pos, edge_map):
         out = object.__new__(Contraction)
         out.source, out.contracted, out.target = \
             self.source, self.contracted, target
-        out.vertex_map, out.edge_map = vertex_map, edge_map
+        out.vertex_map, out.vertex_pos, out.edge_map = \
+            vertex_map, vertex_pos, edge_map
         return out
 
     def push_mask(self, mask):
@@ -453,13 +465,17 @@ class Aut:
     """One action class of automorphisms: a weight-preserving map on
     vertices with the permutation it induces on edge indices.  The
     elements of the class differ only by flips of loops, which move no
-    vertex and no edge."""
+    vertex and no edge.  ``vertex_pos`` is the vertex map as a tuple
+    over positions in ``graph.vertices``, which :class:`SpinCarry` and
+    the factorization check read."""
 
-    __slots__ = ("graph", "vertex_map", "edge_perm")
+    __slots__ = ("graph", "vertex_map", "vertex_pos", "edge_perm")
 
     def __init__(self, graph, vertex_map, edge_perm):
         self.graph = graph
         self.vertex_map = vertex_map
+        at = graph.vertex_index
+        self.vertex_pos = tuple(at[vertex_map[v]] for v in graph.vertices)
         self.edge_perm = edge_perm
 
     def act_mask(self, mask):
@@ -620,6 +636,18 @@ def automorphisms(graph):
     return group
 
 
+def _outside_ends(graph, mask):
+    """The edges outside the cyclic set ``mask``, in index order, as
+    ``(edges, ends, loops)``: a tuple of their indices, a tuple of the
+    position in ``graph.vertices`` of each one's first half-edge's
+    vertex, and the number of loops among them."""
+    at, endpoint = graph.vertex_index, graph.endpoint
+    out = [(i, endpoint[h], endpoint[k])
+           for i, (h, k) in enumerate(graph.edges) if not mask >> i & 1]
+    return (tuple(i for i, _, _ in out), tuple(at[u] for _, u, _ in out),
+            sum(u == v for _, u, v in out))
+
+
 def component_subgroup(group, spin):
     """The part of ``group`` that fixes every half-edge outside the spin
     structure's cyclic set and maps each component of the opened graph
@@ -627,22 +655,22 @@ def component_subgroup(group, spin):
 
     Its action classes fix each edge outside the set, and the ends of
     each such edge that is not a loop, and every component's vertex set;
-    a loop outside the set must not flip, and a loop inside may."""
+    a loop outside the set must not flip, and a loop inside may.  The
+    classes are read as position tuples (:attr:`Aut.vertex_pos`): a
+    class maps each component to itself when the component of every
+    vertex's image is the vertex's own."""
     graph = group.graph
     if spin.graph != graph:
         raise InputError("restricted groups need a spin structure over the "
                          "same graph")
-    outside = [(i, graph.edge_vertices(i)) for i in range(graph.n_edges)
-               if i not in spin.P]
-    at, component = graph.vertex_index, spin.dec.component
-    loops_out = sum(1 for _, (u, v) in outside if u == v)
+    edges, ends, loops = _outside_ends(graph, spin.P.mask)
+    component = spin.dec.component
     return AutGroup(graph, [
         a for a in group.actions
-        if all(a.edge_perm[i] == i and a.vertex_map[u] == u
-               for i, (u, _) in outside)
-        and all(component[at[a.vertex_map[v]]] == c
-                for v, c in zip(graph.vertices, component))],
-        group.flips - loops_out)
+        if tuple(map(component.__getitem__, a.vertex_pos)) == component
+        and tuple(map(a.edge_perm.__getitem__, edges)) == edges
+        and tuple(map(a.vertex_pos.__getitem__, ends)) == ends],
+        group.flips - loops)
 
 
 def quotient_action_order(graph, spin, group):
@@ -655,26 +683,26 @@ def quotient_action_order(graph, spin, group):
     at the image of its vertex, and each loop outside the set doubles
     the count by its flip.  A class that does not map the components
     onto components is a :class:`VerificationError` naming the spin
-    graph's key.
+    graph's key.  The classes are read as position tuples
+    (:attr:`Aut.vertex_pos`), and each derives its own permutation of
+    the components from them.
     """
-    outside = [(i, graph.edge_vertices(i)) for i in range(graph.n_edges)
-               if i not in spin.P]
-    at, component = graph.vertex_index, spin.dec.component
+    edges, ends, loops = _outside_ends(graph, spin.P.mask)
+    component, size = spin.dec.component, len(spin.dec)
     seen = set()
     for a in group.actions:
+        pos = a.vertex_pos
         # (component, image component) of every vertex: a permutation of
         # the components exactly when each has one image, and no two one
-        pairs = sorted(set(zip(component, (component[at[a.vertex_map[v]]]
-                                           for v in graph.vertices))))
-        comp_perm = tuple(j for _, j in pairs)
-        if len(pairs) != len(spin.dec) or len(set(comp_perm)) != len(pairs):
+        comp_perm = frozenset(zip(component, map(component.__getitem__, pos)))
+        if len(comp_perm) != size or len({j for _, j in comp_perm}) != size:
             raise VerificationError(
                 "automorphism orders do not factor: an automorphism in the "
                 "stabilizer maps a component of the opened graph onto no "
                 "component", (canonical_key(SpinGraph(graph, spin)),))
-        seen.add((comp_perm, tuple((a.edge_perm[i], a.vertex_map[u])
-                                   for i, (u, _) in outside)))
-    return len(seen) << sum(1 for _, (u, v) in outside if u == v)
+        seen.add((comp_perm, tuple(map(a.edge_perm.__getitem__, edges)),
+                  tuple(map(pos.__getitem__, ends))))
+    return len(seen) << loops
 
 
 # -- acting on spin data ----------------------------------------------------
@@ -686,10 +714,12 @@ class SpinCarry:
     A map moves signs only by the way it carries the components of the
     opened graph, so this depends on ``f`` and the cyclic set alone:
     ``graph`` is the graph the images live on, ``mask`` the image cyclic
-    set, ``dec`` its decomposition, ``comps[i]`` the image component of
-    component ``i`` of the source decomposition, ``size`` the number of
-    image components and ``genus_zero`` those of genus 0.  Every sign
-    vector over the set is then folded through it (:meth:`fold`).
+    set and ``dec`` its decomposition.  Sign vectors are ints, component
+    ``i`` of ``n`` at bit ``n - 1 - i`` (:func:`~spinmod.spin.sign_bits`):
+    ``bits[k]`` is the image bit of the source component at bit ``k``,
+    and ``genus_zero`` the bits of the image components of genus 0.
+    Every sign vector over the set is then folded through it
+    (:meth:`fold`).
 
     It is built from ``f``, a cyclic set over the map's source graph,
     and ``source``, that set's decomposition: the same mask, over the
@@ -702,14 +732,15 @@ class SpinCarry:
     set, or an image that is not cyclic, is a :class:`VerificationError`
     naming :meth:`witnesses`.  The source and image components are read
     from the component indices of ``source`` and of the image's
-    decomposition, in one pass over the source vertices.  An
+    decomposition, in one pass over the map's position tuple
+    (``f.vertex_pos``), with no vertex looked up by name.  An
     automorphism must carry each component onto a component of the
     image of the same genus (it maps vertices bijectively, so no two
     components may meet in one image); a contraction must carry each
     into one component.
     """
 
-    __slots__ = ("f", "source_mask", "graph", "mask", "dec", "comps", "size",
+    __slots__ = ("f", "source_mask", "graph", "mask", "dec", "bits",
                  "genus_zero")
 
     def __init__(self, f, cyclic_set, source):
@@ -717,13 +748,14 @@ class SpinCarry:
         self.source_mask = mask = cyclic_set.mask
         is_aut = isinstance(f, Aut)
         graph = f.graph if is_aut else f.source
-        if cyclic_set.graph != graph:
+        if cyclic_set.graph is not graph and cyclic_set.graph != graph:
             raise InputError("cyclic set lives over a different graph")
         if is_aut:
             self.graph, self.mask = graph, f.act_mask(mask)
         else:
             self.graph, self.mask = f.target, f.push_mask(mask)
-        if source.mask != mask or source.graph != graph:
+        if source.mask != mask or (source.graph is not graph
+                                   and source.graph != graph):
             raise VerificationError(
                 "a carry was given the decomposition of another cyclic set",
                 self.witnesses())
@@ -733,50 +765,47 @@ class SpinCarry:
             raise VerificationError(
                 "pushforward of a cyclic set is not cyclic",
                 self.witnesses()) from exc
-        # one pass over the source vertices: the image component of each
-        # source component, the source components that meet two image
-        # components (split) and the image components that two meet
-        # (shared)
-        vertex_map, at, image_of = (f.vertex_map, self.graph.vertex_index,
-                                    dec.component)
-        comps = [-1] * len(source.genera)
-        hit = [-1] * len(dec.genera)
-        split, shared = set(), set()
-        for v, i in zip(source.graph.vertices, source.component):
-            j = image_of[at[vertex_map[v]]]
+        # one pass over the source vertex positions: the image component
+        # of each source component, which must be the same for all its
+        # vertices; an automorphism must give each its own, of its genus
+        image_of, comps = dec.component, [-1] * len(source.genera)
+        for i, p in zip(source.component, f.vertex_pos):
             c = comps[i]
             if c < 0:
-                comps[i] = j
-            elif c != j:
-                split.add(i)
-            h = hit[j]
-            if h < 0:
-                hit[j] = i
-            elif h != i:
-                shared.add(j)
-        if split or is_aut and (shared or any(
-                dec.genera[j] != g for j, g in zip(comps, source.genera))):
-            self._reject(source, dec, comps, split, shared)
-        self.dec, self.comps = dec, tuple(comps)
-        self.size = len(dec)
-        self.genus_zero = tuple(j for j, g in enumerate(dec.genera) if g == 0)
+                comps[i] = image_of[p]
+            elif c != image_of[p]:
+                self._reject(source, dec)
+        if is_aut and (len(set(comps)) != len(comps) or tuple(
+                map(dec.genera.__getitem__, comps)) != source.genera):
+            self._reject(source, dec)
+        self.dec = dec
+        top = len(dec) - 1
+        # component i of the source holds bit len(comps) - 1 - i
+        self.bits = tuple([1 << top - j for j in reversed(comps)])
+        self.genus_zero = dec.genus_zero
 
-    def _reject(self, source, dec, comps, split, shared):
+    def _reject(self, source, dec):
         """Raise for the first source component, in order, that ``f``
         does not carry as it must: an automorphism onto a component of
         the image of the same genus, a contraction into one component.
-        A bijection carries component ``i`` onto image component
-        ``comps[i]`` exactly when ``i`` is not ``split`` and ``comps[i]``
-        not ``shared``."""
+
+        One pass over the source vertex positions collects the image
+        components each source component meets.  A bijection carries
+        component ``i`` onto image component ``j`` exactly when ``i``
+        meets ``j`` alone and no other component meets ``j``."""
+        images = [set() for _ in source.genera]
+        for i, p in zip(source.component, self.f.vertex_pos):
+            images[i].add(dec.component[p])
         is_aut = isinstance(self.f, Aut)
-        for i, j in enumerate(comps):
+        for i, met in enumerate(images):
+            j = min(met)
             if not is_aut:
-                if i in split:
+                if len(met) > 1:
                     raise VerificationError(
                         f"component {i} of the opened graph does not map "
                         f"into one component of the pushed decomposition",
                         self.witnesses())
-            elif i in split or j in shared:
+            elif len(met) > 1 or sum(j in other for other in images) > 1:
                 raise VerificationError(
                     f"automorphism maps component {i} of the opened "
                     f"graph onto no component of its image",
@@ -796,19 +825,22 @@ class SpinCarry:
                 f"F={f.contracted.hex()}")
 
     def fold(self, signs):
-        """The image of a sign vector over the source set, a sign vector
-        over ``mask``: each sign is added into the image of its
-        component, which keeps the parity of the sign sum.  Every sign on
-        a genus-0 image component must vanish."""
-        out = [0] * self.size
-        for j, s in zip(self.comps, signs):
-            out[j] ^= s
-        for j in self.genus_zero:
-            if out[j]:
-                raise VerificationError(
-                    f"carried sign is nonzero on the genus-0 component {j}",
-                    self.witnesses())
-        return tuple(out)
+        """The image of a sign vector over the source set, an int, as a
+        sign vector over ``mask``: the XOR of the image bits of its set
+        bits, so each sign is added into the image of its component,
+        which keeps the parity of the sign sum.  Every sign on a genus-0
+        image component must vanish."""
+        out, bits = 0, self.bits
+        while signs:
+            low = signs & -signs
+            signs ^= low
+            out ^= bits[low.bit_length() - 1]
+        if out & self.genus_zero:
+            j = len(self.dec) - (out & self.genus_zero).bit_length()
+            raise VerificationError(
+                f"carried sign is nonzero on the genus-0 component {j}",
+                self.witnesses())
+        return out
 
     def image(self, spin):
         """The image of ``spin``, a spin structure over the source set,
@@ -816,13 +848,14 @@ class SpinCarry:
         fold has checked the image signs against ``dec``, so the
         structure is built over it unchecked
         (:meth:`~spinmod.spin.SpinStructure.over`)."""
-        signs = self.fold(spin.signs)
-        if sum(signs) & 1 != spin.parity:
+        signs = self.fold(sign_bits(spin.signs))
+        if signs.bit_count() & 1 != spin.parity:
             raise VerificationError(
                 f"carrying a spin structure changed the parity from "
-                f"{spin.parity} to {sum(signs) & 1}", self.witnesses())
+                f"{spin.parity} to {signs.bit_count() & 1}",
+                self.witnesses())
         return SpinStructure.over(EdgeSet(self.graph, self.mask), self.dec,
-                                  signs)
+                                  sign_tuple(signs, len(self.dec)))
 
 
 # -- canonical keys ---------------------------------------------------------
@@ -969,11 +1002,12 @@ def order_test(upper, lower):
     pushes somewhere else.
     """
     spin = upper.spin
-    target = lower.spin.data()
+    signs = sign_bits(spin.signs)
+    target = (lower.spin.P.mask, sign_bits(lower.spin.signs))
     orbits = None
     for c, carried in _contractions_onto(upper.graph, lower.graph):
         carry = SpinCarry(carried, spin.P, spin.dec)
-        pushed = (carry.mask, carry.fold(spin.signs))
+        pushed = (carry.mask, carry.fold(signs))
         if pushed == target:
             return c
         if orbits is None:

@@ -19,7 +19,11 @@ decomposition as the proof of the image: over a graph whose fibres are
 all listed, every image's is memoised already and no boundary is walked;
 for one structure's orbit (:func:`spin_orbit`) an image met first is
 decomposed, walking its boundary once.  Masks and sign vectors both go
-through :func:`~spinmod.morphisms.orbit_walk`.  This is the package's
+through :func:`~spinmod.morphisms.orbit_walk`, as ints: a sign vector
+has component 0 in its most significant bit
+(:func:`~spinmod.spin.sign_bits`), so the ints above a mask ascend in
+sign order, and a tuple is read off one only where a structure is built
+or keyed.  This is the package's
 one walk of a group over spin structures: the spin poset, spin keys,
 the order test, refinement and tropical fibers all read it.
 
@@ -37,7 +41,7 @@ from .cycles import EdgeSet
 from .errors import VerificationError
 from .morphisms import (SpinCarry, _certificate_hash, _cyclic_encoding,
                         _hashed)
-from .spin import SpinStructure
+from .spin import SpinStructure, sign_bits, sign_tuple
 
 # Decompositions, canonical forms, groups and keys are looked up on their
 # own modules at each call, so that a wrapper set on those modules, such
@@ -49,10 +53,12 @@ class SpinOrbits:
     the cyclic sets (:func:`spin_orbits`).
 
     ``reps`` holds each orbit's representative as ``(mask, signs)``
-    data and ``stabilizers`` the action classes fixing it, as
+    data, ``signs`` an int (:func:`~spinmod.spin.sign_bits`), and
+    ``stabilizers`` the action classes fixing it, as
     :func:`~spinmod.morphisms.orbit_walk` returns them; ``table`` maps
-    each mask to a dict from the sign vectors above it to their orbit
-    index, ``mask_orbits`` lists the masks of each cyclic orbit and
+    each mask to a dict from the sign vectors above it, as ints, to
+    their orbit index, ``mask_orbits`` lists the masks of each cyclic
+    orbit and
     ``above`` maps each walked mask to its fibre as given,
     ``(cyclic_set, dec, signs)``.
     ``images`` counts the images the walk computed (masks and sign
@@ -64,14 +70,15 @@ class SpinOrbits:
 
     def representatives(self):
         """Each orbit's representative as a spin structure, built over
-        its fibre's cyclic set and decomposition, in orbit order."""
-        above = self.above
-        return [SpinStructure.over(*above[mask][:2], signs)
-                for mask, signs in self.reps]
+        its fibre's cyclic set and decomposition, in orbit order, its
+        signs read off as a tuple."""
+        return [SpinStructure.over(p, dec, sign_tuple(signs, len(dec)))
+                for mask, signs in self.reps
+                for p, dec, _ in (self.above[mask],)]
 
     def orbit(self, mask, signs):
-        """The orbit index of the structure with this data, or ``None``
-        when the walk did not meet it."""
+        """The orbit index of the structure with this data, ``signs`` an
+        int, or ``None`` when the walk did not meet it."""
         fibre = self.table.get(mask)
         return None if fibre is None else fibre.get(signs)
 
@@ -85,7 +92,8 @@ def spin_orbits(group, fibres):
     cyclic sets, as :class:`SpinOrbits`.
 
     ``fibres`` lists cyclic sets as ``(cyclic_set, dec, signs)``: the
-    set, its decomposition and sign vectors above it.  One walk of the
+    set, its decomposition and sign vectors above it, as ints
+    (:func:`~spinmod.spin.spin_fibres`).  One walk of the
     group over the masks, in the order given, gives each cyclic orbit
     with its first mask ``P``, its stabilizer ``H`` and, for every mask
     ``Q`` of the orbit, a transporter: the first action class met that
@@ -171,7 +179,7 @@ def spin_orbit(graph, spin):
     group, walked fibre-wise: :func:`spin_orbits` over its cyclic set
     and its signs alone."""
     return spin_orbits(morphisms.automorphisms(graph),
-                       [(spin.P, spin.dec, (spin.signs,))])
+                       [(spin.P, spin.dec, (sign_bits(spin.signs),))])
 
 
 def _component_positions(graph, pos, mask):
@@ -210,7 +218,8 @@ def spin_orbit_keys(graph, orbits):
                 continue
             comps = _component_positions(graph, pos, q)
             for signs, j in orbits.table[q].items():
-                here = (least, tuple(sorted(zip(comps, signs))))
+                here = (least, tuple(sorted(zip(
+                    comps, sign_tuple(signs, len(comps))))))
                 if best[j] is None or here < best[j]:
                     best[j] = here
     base = _certificate_hash(graph)

@@ -71,7 +71,7 @@ from .graphs import Graph, connected_classes, is_stable
 from .morphisms import (SpinCarry, automorphisms, canonical_key, contract,
                         orbit_keys)
 from .orbits import spin_orbit_keys, spin_orbits
-from .spin import SpinGraph, SpinStructure, spin_fibres
+from .spin import SpinGraph, SpinStructure, sign_tuple, spin_fibres
 
 BUDGET_ENV = "SPINMOD_BUDGET"
 
@@ -795,10 +795,10 @@ def _spin_push(class_key, fibres, table, here, contractions, below, walk):
         ks = [own.get(s) for s in signs]
         if None in ks:
             raise _missing(class_key, SpinStructure.over(
-                p, dec, signs[ks.index(None)]))
+                p, dec, sign_tuple(signs[ks.index(None)], len(dec))))
+        walk["carries"] += len(contractions)
         for e, target_key, c in contractions:
             carry = SpinCarry(c, p, dec)
-            walk["carries"] += 1
             target_table, target_nodes = below[target_key]
             fibre = target_table.get(carry.mask, {})
             for image, k in zip(map(carry.fold, signs), ks):

@@ -7,7 +7,9 @@ edges; signs vanish on genus-0 components.  The parity of the sign sum
 is invariant under pushforward and splits everything in two.  So the
 spin structures over a graph fibre over its cyclic sets, with
 ``2^{c_+}`` sign vectors above each (:func:`spin_fibres`); the spin
-poset walks them as data and builds a structure only for its nodes.
+poset walks them as data, each vector an int with component 0 in its
+most significant bit (:func:`sign_bits`), and builds a structure, whose
+signs are a tuple, only for its nodes.
 
 Every structure the package derives is built from its fibre or from a
 fold onto one, through the unchecked :meth:`SpinStructure.over`: the
@@ -19,7 +21,8 @@ structures that enter from outside (:meth:`SpinStructure.from_json_dict`).
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations
 from math import prod
 
 from .cycles import EdgeSet, enumerate_cyclic, pbar_decompose
@@ -73,11 +76,11 @@ class SpinStructure:
         """The structure with ``signs`` over ``cyclic_set``, whose
         decomposition is ``dec``, with nothing checked again.
 
-        ``signs`` is a sign vector that :func:`sign_vectors` gave over
-        ``dec``, or the output of a fold
-        (:meth:`~spinmod.morphisms.SpinCarry.fold`) whose image
-        decomposition is ``dec``; either already satisfies the
-        constructor's checks."""
+        ``signs`` is a tuple read off a sign vector that
+        :func:`sign_vectors` gave over ``dec``, or off the output of a
+        fold (:meth:`~spinmod.morphisms.SpinCarry.fold`) whose image
+        decomposition is ``dec`` (:func:`sign_tuple`); either already
+        satisfies the constructor's checks."""
         spin = object.__new__(cls)
         spin.graph, spin.P, spin.dec = dec.graph, cyclic_set, dec
         spin.signs, spin.parity = signs, sum(signs) & 1
@@ -148,25 +151,43 @@ class SpinGraph:
         return f"SpinGraph({self.graph!r}, {self.spin!r})"
 
 
+def sign_bits(signs):
+    """A sign vector, given as a tuple over ``n`` components, as an int:
+    the sign of component ``i`` is bit ``n - 1 - i``, so component 0
+    holds the most significant bit and the ints of vectors over one
+    decomposition ascend as the tuples do lexicographically."""
+    return sum(s << i for i, s in enumerate(reversed(signs)))
+
+
+@cache
+def sign_tuple(bits, size):
+    """The sign vector ``bits`` (:func:`sign_bits`) over ``size``
+    components as a tuple; there are few distinct ones, so each is built
+    once."""
+    return tuple(bits >> i & 1 for i in range(size - 1, -1, -1))
+
+
 def sign_vectors(dec):
-    """Every sign vector over a decomposition, in sign order: any sign
-    on each component of positive genus, zero on the others."""
-    free = [i for i, g in enumerate(dec.genera) if g > 0]
-    out = []
-    for bits in product((0, 1), repeat=len(free)):
-        signs = [0] * len(dec)
-        for i, b in zip(free, bits):
-            signs[i] = b
-        out.append(tuple(signs))
+    """Every sign vector over a decomposition as an int
+    (:func:`sign_bits`), ascending, which is sign order: any sign on
+    each component of positive genus, zero on the others.  Each free
+    bit, taken from the least significant up, exceeds every vector met
+    before it, so appending the vectors with it set keeps the order."""
+    out = [0]
+    free = (1 << len(dec)) - 1 & ~dec.genus_zero
+    while free:
+        low = free & -free
+        free ^= low
+        out += [x | low for x in out]
     return out
 
 
 def spin_fibres(graph):
     """The spin structures on the graph as data, fibred over its cyclic
     sets: ``(cyclic_set, dec, signs)`` per set, in mask order, with its
-    decomposition and the sign vectors above it, in sign order.  The
-    vectors depend on the genera alone, so sets with equal genera share
-    one list."""
+    decomposition and the sign vectors above it as ints, in sign order
+    (:func:`sign_vectors`).  The vectors depend on the genera alone, so
+    sets with equal genera share one list."""
     out = []
     shared = {}
     for p in enumerate_cyclic(graph):
@@ -181,7 +202,7 @@ def spin_fibres(graph):
 def enumerate_spin(graph):
     """All spin structures on the graph, sorted by (mask, signs): the
     fibres of :func:`spin_fibres` flattened, which come in that order."""
-    return [SpinStructure.over(p, dec, signs)
+    return [SpinStructure.over(p, dec, sign_tuple(signs, len(dec)))
             for p, dec, vectors in spin_fibres(graph) for signs in vectors]
 
 
@@ -570,7 +591,7 @@ def _unique_lift(split, graph, sign):
     from .morphisms import SpinCarry, _contractions_onto  # deferred
 
     found = list(_contractions_onto(split, graph))
-    target = (EdgeSet.full(graph).mask, (sign,))
+    target = (EdgeSet.full(graph).mask, sign)  # one component: its bit
     lift = None
     for p, dec, vectors in spin_fibres(split):
         carries = [SpinCarry(carried, p, dec) for _, carried in found]
@@ -579,7 +600,8 @@ def _unique_lift(split, graph, sign):
                           for carry in carries]:
                 if lift is not None:
                     return None
-                lift = SpinStructure.over(p, dec, signs)
+                lift = SpinStructure.over(p, dec, sign_tuple(signs,
+                                                             len(dec)))
     if lift is None:
         return None
     return SpinGraph(split, lift), found[-1][0]

@@ -18,16 +18,16 @@ from fractions import Fraction
 from .cycles import EdgeSet, boundary, enumerate_cyclic, pbar_decompose
 from .errors import SpinmodError, VerificationError
 from .graphs import classify
-from .morphisms import (automorphisms, canonical_key, component_subgroup,
-                        composed_edges, contract, cyclic_canonical_key,
-                        order_test, push_cycle, push_spin, push_vertex_set,
-                        quotient_action_order)
+from .morphisms import (SpinCarry, automorphisms, canonical_key,
+                        component_subgroup, composed_edges, contract,
+                        cyclic_canonical_key, order_test, push_cycle,
+                        push_spin, push_vertex_set, quotient_action_order)
 from .posets import (build_cyclic_poset, build_graph_poset, build_spin_poset,
                      enumerate_stable_graphs, max_rank, poset_stats,
                      stable_graphs_direct)
 from .spin import (SpinGraph, SpinStructure, enumerate_spin, g_collections,
-                   refine_nonbasic, spin_count_check, stratum_counts,
-                   theta_divisors)
+                   refine_nonbasic, sign_bits, spin_count_check,
+                   stratum_counts, theta_divisors)
 from .tropical import (INF, FamilyDescriptor, build_cone_complex,
                        diagram_check, family_generic_fiber)
 
@@ -146,15 +146,39 @@ def _burnside(poset, graph_of, count, message):
     return total
 
 
+def _forgetful_maps(graph_poset, cyclic_poset, spin_poset):
+    """The forgetful maps even spin -> cyclic -> graphs, each a monotone
+    surjection (:func:`_forgetful`), spin nodes keyed once per (class,
+    cyclic set): the spin nodes over a class share its representative
+    graph object."""
+    cyclic_keys = {}
+
+    def cyclic_key(nd):
+        graph, p = nd.rep.graph, nd.rep.spin.P
+        at = (id(graph), p.mask)
+        if at not in cyclic_keys:
+            cyclic_keys[at] = cyclic_canonical_key(graph, p)
+        return cyclic_keys[at]
+
+    _forgetful(spin_poset, cyclic_poset, cyclic_key,
+               lambda nd: nd.parity == 0,
+               "even spin classes do not cover the cyclic poset",
+               "spin cover does not map to a cyclic cover")
+    _forgetful(cyclic_poset, graph_poset, lambda nd: canonical_key(nd.rep[0]),
+               lambda nd: True, "cyclic classes do not cover the graph poset",
+               "cyclic cover does not map to a graph cover")
+
+
 def suite_posets(g, n, classes, get_spin_poset, phases=None):
     graph_poset = _timed(phases, "graph_poset", build_graph_poset, g, n,
                          _classes=classes)
     cyclic_poset = _timed(phases, "cyclic_poset", build_cyclic_poset, g, n,
                           _classes=classes)
     spin_poset = get_spin_poset()
+    built = (graph_poset, cyclic_poset, spin_poset)
     checks = []
-    for poset in (graph_poset, cyclic_poset, spin_poset):
-        stats = poset_stats(poset)
+    for poset, stats in zip(built, _timed(phases, "poset_stats", list,
+                                          map(poset_stats, built))):
         checks.append({"name": f"poset-{poset.kind}", "status": "pass",
                        **{k: v for k, v in stats.items()
                           if k not in ("kind",)},
@@ -188,25 +212,7 @@ def suite_posets(g, n, classes, get_spin_poset, phases=None):
     checks.append({"name": "purity-precursor", "status": "pass",
                    "reached": sum(reaches)})
 
-    # forgetful maps: even spin -> cyclic -> graphs, monotone surjections
-    # keyed once per (class, cyclic set): the spin nodes over a class
-    # share its representative graph object
-    cyclic_keys = {}
-
-    def cyclic_key(nd):
-        graph, p = nd.rep.graph, nd.rep.spin.P
-        at = (id(graph), p.mask)
-        if at not in cyclic_keys:
-            cyclic_keys[at] = cyclic_canonical_key(graph, p)
-        return cyclic_keys[at]
-
-    _forgetful(spin_poset, cyclic_poset, cyclic_key,
-               lambda nd: nd.parity == 0,
-               "even spin classes do not cover the cyclic poset",
-               "spin cover does not map to a cyclic cover")
-    _forgetful(cyclic_poset, graph_poset, lambda nd: canonical_key(nd.rep[0]),
-               lambda nd: True, "cyclic classes do not cover the graph poset",
-               "cyclic cover does not map to a graph cover")
+    _timed(phases, "forgetful_maps", _forgetful_maps, *built)
     checks.append({"name": "forgetful-maps", "status": "pass",
                    "spin_covers": len(spin_poset.lowers),
                    "cyclic_covers": len(cyclic_poset.lowers)})
@@ -282,10 +288,13 @@ def fuzz_contraction_chains(classes, count=1000, seed=0):
     drawn, so a class no chain draws builds no spin structure.  The
     chains then run class by class, in order of first draw.  Each
     distinct (graph, edge set) among a class's chains is contracted once,
-    in a table dropped before the next class.  The composite ``c12`` is
-    the table's contraction of ``composed_edges(c1, c2)``, made from the
-    class graph independently of ``c1`` and ``c2``.  A failing run raises
-    the error of the first failing chain in draw order.
+    in a table dropped before the next class, and each table contraction
+    carries each cyclic set once (:class:`~spinmod.morphisms.SpinCarry`).
+    The composite ``c12`` is the table's contraction of
+    ``composed_edges(c1, c2)``, made from the class graph independently
+    of ``c1`` and ``c2``.  A spin structure's signs are folded as an int
+    through ``c1`` then ``c2``, and through ``c12``.  A failing run
+    raises the error of the first failing chain in draw order.
 
     Returns the number of cases each check evaluated: ``chains`` (cycle
     pushforwards composed), ``spin_chains`` (spin pushforwards composed
@@ -313,7 +322,7 @@ def fuzz_contraction_chains(classes, count=1000, seed=0):
     done = {"chains": 0, "spin_chains": 0, "squares": 0, "contractions": 0}
     failure = None  # (draw index, error) of the first failing chain
     for graph, chains in chains_of.values():
-        table = {}
+        table = ({}, {})  # contractions, carries
         for i, s1, s2, p, s, e in chains:
             if failure is not None and failure[0] < i:
                 break
@@ -322,7 +331,7 @@ def fuzz_contraction_chains(classes, count=1000, seed=0):
             except SpinmodError as err:
                 failure = (i, err)
                 break
-        done["contractions"] += len(table)
+        done["contractions"] += len(table[0])
     if failure is not None:
         raise failure[1]
     return done
@@ -333,15 +342,25 @@ def _contracted(table, edges):
     the id of the set's graph, which stays valid because the table holds
     every source and target."""
     at = (id(edges.graph), edges.mask)
-    c = table.get(at)
+    c = table[0].get(at)
     if c is None:
-        c = table[at] = contract(edges.graph, edges)
+        c = table[0][at] = contract(edges.graph, edges)
     return c
+
+
+def _carried(table, c, cyclic_set, dec):
+    """The carry of ``cyclic_set``, whose decomposition is ``dec``,
+    through the table's contraction ``c``, built once per table."""
+    at = (id(c), cyclic_set.mask)
+    carry = table[1].get(at)
+    if carry is None:
+        carry = table[1][at] = SpinCarry(c, cyclic_set, dec)
+    return carry
 
 
 def _check_chain(graph, table, s1, s2, p, s, e, done):
     """Run the checks of one fuzz chain, counting each in ``done``; its
-    contractions come from the class's ``table``."""
+    contractions and carries come from the class's ``table``."""
     c1 = _contracted(table, EdgeSet(graph, s1))
     kept = graph.n_edges - s1.bit_count()
     if c1.target.n_edges != kept:
@@ -354,9 +373,14 @@ def _check_chain(graph, table, s1, s2, p, s, e, done):
         raise VerificationError("cycle pushforward does not compose",
                                 (canonical_key(graph), p.hex()))
     done["chains"] += 1
-    a = push_spin(c12, s)
-    b = push_spin(c2, push_spin(c1, s))
-    if a.data() != b.data() or a.parity != s.parity:
+    signs = sign_bits(s.signs)
+    k1 = _carried(table, c1, s.P, s.dec)
+    k12 = _carried(table, c12, s.P, s.dec)
+    k2 = _carried(table, c2, EdgeSet(c1.target, k1.mask), k1.dec)
+    mid = k1.fold(signs)
+    a, b = k12.fold(signs), k2.fold(mid)
+    if (k12.mask, a) != (k2.mask, b) or \
+            {a.bit_count() & 1, mid.bit_count() & 1} != {s.parity}:
         raise VerificationError("spin pushforward does not compose",
                                 (canonical_key(graph),))
     done["spin_chains"] += 1
@@ -386,7 +410,8 @@ def check_aut_factorization(spin_poset):
     fixes every structure, so the classes act as the group does).
     Neither factor reads the signs, so the subgroup is computed once per
     (class, cyclic set) and the quotient action once per (class, cyclic
-    set, stabilizer), for this call only.
+    set, stabilizer), for this call only; the stabilizer's order is read
+    off its action classes and the group's loop flips.
     Returns the number of nodes checked, the sum of their stabilizers'
     orders and the number of spin structures over their classes."""
     elements = 0
@@ -395,21 +420,21 @@ def check_aut_factorization(spin_poset):
     for nd in spin_poset.nodes:
         graph, spin = nd.rep.graph, nd.rep.spin
         group = automorphisms(graph)
-        fixing = group.subgroup(nd.stabilizer)
+        order = len(nd.stabilizer) << group.flips
         at = (id(graph), spin.P.mask)
         pbar = subgroups.get(at)
         if pbar is None:
-            pbar = subgroups[at] = component_subgroup(group, spin)
+            pbar = subgroups[at] = component_subgroup(group, spin).order
         acting = at + (nd.stabilizer,)
         q_h = quotients.get(acting)
         if q_h is None:
-            q_h = quotients[acting] = quotient_action_order(graph, spin,
-                                                            fixing)
-        elements += fixing.order
-        if fixing.order != pbar.order * q_h:
+            q_h = quotients[acting] = quotient_action_order(
+                graph, spin, group.subgroup(nd.stabilizer))
+        elements += order
+        if order != pbar * q_h:
             raise VerificationError(
-                f"automorphism orders do not factor: {fixing.order} != "
-                f"{pbar.order} * {q_h}", (nd.key,))
+                f"automorphism orders do not factor: {order} != "
+                f"{pbar} * {q_h}", (nd.key,))
     structures = _burnside(
         spin_poset, lambda nd: nd.rep.graph,
         lambda graph: sum(2 ** pbar_decompose(graph, p).c_plus
@@ -510,10 +535,11 @@ def run_suites(g, n, suite, budget_edges=None, fuzz=1000, seed=0,
     its build.  When ``phases`` is a dict, it receives, for each phase
     that ran, its seconds paired with the process's peak RSS in KiB after
     it: ``enumerate`` (before any suite), ``graph_poset``,
-    ``cyclic_poset``, ``spin_poset``, ``cone_complex``,
-    ``direct_generator`` (only where ``3g - 3 + n`` is at most
-    ``DIRECT_ORACLE_LIMIT``), ``fuzz_chains``, ``aut_factorization`` and
-    ``fuzz_families``."""
+    ``cyclic_poset``, ``spin_poset``, ``poset_stats`` (the three posets'
+    :func:`~spinmod.posets.poset_stats`), ``cone_complex``,
+    ``forgetful_maps``, ``direct_generator`` (only where ``3g - 3 + n``
+    is at most ``DIRECT_ORACLE_LIMIT``), ``fuzz_chains``,
+    ``aut_factorization`` and ``fuzz_families``."""
     classes = _timed(phases, "enumerate", enumerate_stable_graphs, g, n,
                      budget_edges)
 

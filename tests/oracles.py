@@ -60,7 +60,8 @@ from spinmod.morphisms import (Aut, Contraction, SpinCarry, _neighbor_lists,
                                canonical_key, contract, orbit_walk,
                                push_cycle, push_vertex_set)
 from spinmod.posets import _multigraphs_with_degrees, max_rank
-from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
+from spinmod.spin import (SpinGraph, SpinStructure, enumerate_spin,
+                          sign_bits, sign_tuple)
 
 import key_oracle
 
@@ -397,9 +398,9 @@ def act_spin(aut, spin):
 
 def spin_action():
     """``act(f, spin)``: the ``(mask, signs)`` data of the image of
-    ``spin`` under an automorphism or contraction ``f``, through a
-    :class:`SpinCarry` built once per (map, mask) and kept in the dict
-    ``act.carried``."""
+    ``spin`` under an automorphism or contraction ``f``, ``signs`` a
+    tuple, through a :class:`SpinCarry` built once per (map, mask) and
+    kept in the dict ``act.carried``, folding the signs as an int."""
     memo = {}
 
     def act(f, spin):
@@ -407,7 +408,8 @@ def spin_action():
         carried = memo.get(key)
         if carried is None:
             carried = memo[key] = SpinCarry(f, spin.P, spin.dec)
-        return carried.mask, carried.fold(spin.signs)
+        return carried.mask, sign_tuple(carried.fold(sign_bits(spin.signs)),
+                                        len(carried.dec))
 
     act.carried = memo
     return act

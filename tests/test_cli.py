@@ -623,7 +623,8 @@ def test_verify_reports_the_time_of_each_phase(capsys):
     timings = json.loads(capsys.readouterr().out)["timings"]
     phases, suites = timings["phases"], timings["suites"]
     assert set(phases) == {"enumerate", "graph_poset", "cyclic_poset",
-                           "spin_poset", "cone_complex", "direct_generator",
+                           "spin_poset", "poset_stats", "cone_complex",
+                           "forgetful_maps", "direct_generator",
                            "fuzz_chains", "aut_factorization",
                            "fuzz_families"}
     assert all(t >= 0 for t in phases.values())
@@ -632,7 +633,8 @@ def test_verify_reports_the_time_of_each_phase(capsys):
     assert phases["enumerate"] + sum(suites.values()) <= \
         timings["seconds"] + 1e-9
     assert sum(phases[name] for name in ("graph_poset", "cyclic_poset",
-                                         "spin_poset", "cone_complex",
+                                         "spin_poset", "poset_stats",
+                                         "cone_complex", "forgetful_maps",
                                          "direct_generator")) \
         <= suites["posets"] + 1e-9
     assert sum(phases[name] for name in ("fuzz_chains", "aut_factorization",

@@ -1,14 +1,19 @@
 """Golden digests of the posets, the cone complex and ``trop`` answers.
 
-``tests/data/golden_digests.json`` holds, at (2,2), (3,0) and (3,1), the
-sha256 of the graph, cyclic and spin posets' ``to_json_dict()`` and
-``to_dot()``, and of the spin poset's ``cells_to_csv``.  A drifted key,
-representative, cover or stabilizer order fails here.  Under ``trop`` it
+``tests/data/golden_digests.json`` holds, at (2,2), (3,0), (3,1) and
+(4,0), the sha256 of the graph, cyclic and spin posets' ``to_json_dict()``
+and ``to_dot()``, and of the spin poset's ``cells_to_csv``
+(:func:`digests.digests`).  A drifted key, representative, cover or
+stabilizer order fails here.  Under ``verify`` it holds, at (4,0), the
+sha256 of the ``verify --suite all`` report without ``timings``
+(:func:`digests.report_digest`), so every check record and walk counter
+is pinned too.  Under ``trop`` it
 holds the sha256 of the standard output of ``spinmod trop``, with the
 ``timings`` block cut out, over one seeded family descriptor per spin
 class of (2,2), in node order.  Under ``refine`` it holds one sha256
 over every refinement, with both signs, of the eligible classes at
-(2,2), (3,0) and (3,1).  The digests are fixed outputs:
+(2,2), (3,0), (3,1) and (4,0).  ``scripts/large_digests.py`` compares
+the same poset and report digests at inputs too large for this suite.  The digests are fixed outputs:
 regenerate them (``PYTHONPATH=src python tests/test_golden.py``) only for
 a change that is meant to alter these outputs.
 """
@@ -27,39 +32,15 @@ import pytest
 
 from spinmod.cli import main
 from spinmod.graphs import classify
-from spinmod.posets import (build_cyclic_poset, build_graph_poset,
-                            build_spin_poset, enumerate_stable_graphs)
+from spinmod.posets import build_spin_poset, enumerate_stable_graphs
 from spinmod.spin import refine_nonbasic
-from spinmod.tropical import (INF, FamilyDescriptor, build_cone_complex,
-                              cells_to_csv)
+from spinmod.tropical import INF, FamilyDescriptor
+
+from digests import digests, report_digest
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "golden_digests.json"
-CASES = ((2, 2), (3, 0), (3, 1))
-
-
-def _sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _poset_digest(poset):
-    return _sha256(json.dumps(poset.to_json_dict(),
-                              sort_keys=True, separators=(",", ":")))
-
-
-def digests(g, n):
-    """The seven digests at ``(g, n)``, by name."""
-    classes = enumerate_stable_graphs(g, n)
-    built = {kind: build(g, n, _classes=classes)
-             for kind, build in (("graphs", build_graph_poset),
-                                 ("cyclic", build_cyclic_poset),
-                                 ("spin", build_spin_poset))}
-    found = {}
-    for kind, poset in built.items():
-        found[kind] = _poset_digest(poset)
-        found[f"{kind}_dot"] = _sha256(poset.to_dot())
-    build_cone_complex(built["spin"])
-    found["cells_csv"] = _sha256(cells_to_csv(built["spin"]))
-    return found
+CASES = ((2, 2), (3, 0), (3, 1), (4, 0))
+REPORT_CASES = ((4, 0),)
 
 
 TROP_CASE = (2, 2)
@@ -141,10 +122,18 @@ def test_outputs_match_golden_digests(g, n):
     assert digests(g, n) == golden[f"{g},{n}"]
 
 
+@pytest.mark.parametrize("g,n", REPORT_CASES)
+def test_verify_report_matches_golden_digest(g, n):
+    golden = json.loads(FIXTURE.read_text())
+    assert report_digest(g, n) == golden["verify"][f"{g},{n}"]
+
+
 if __name__ == "__main__":
     import tempfile
     FIXTURE.parent.mkdir(exist_ok=True)
     found = {f"{g},{n}": digests(g, n) for g, n in CASES}
+    found["verify"] = {f"{g},{n}": report_digest(g, n)
+                       for g, n in REPORT_CASES}
     with tempfile.TemporaryDirectory() as workdir:
         found["trop"] = trop_digest(workdir)
     found["refine"] = refine_digest()

@@ -16,7 +16,8 @@ from spinmod.morphisms import (SpinCarry, _digest, automorphisms,
                                push_cycle, push_spin, push_vertex_set,
                                quotient_action_order)
 from spinmod.orbits import spin_orbit, spin_orbit_keys, spin_orbits
-from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin, spin_fibres
+from spinmod.spin import (SpinGraph, SpinStructure, enumerate_spin,
+                          sign_bits, sign_tuple, spin_fibres)
 
 from conftest import (make_dumbbell, make_loop_chain, make_one_loop_one_leg,
                       make_rose, make_theta, make_weight_vertex, subgraph_on)
@@ -436,8 +437,9 @@ def test_group_orders_match_the_element_oracle_on_spin_nodes(
         assert actions_of(group) == [(a.vertex_map, a.edge_perm)
                                      for a in actions]
         walked = spin_orbits(group, spin_fibres(graph))
-        for (mask, signs), classes in zip(walked.reps, walked.stabilizers):
-            s = SpinStructure(graph, EdgeSet(graph, mask), signs)
+        for rep, classes in zip(walked.representatives(),
+                                walked.stabilizers):
+            s = SpinStructure(graph, rep.P, rep.signs)
             fixing = group.subgroup(classes)
             want = oracles.spin_stabilizer(graph, s)
             assert fixing.order == want.order, (graph, s)
@@ -1111,10 +1113,22 @@ def test_spin_orbit_tables_match_per_image_orbits(g, n, shared_classes):
                                       for a in group) for s in spins}
         walked = spin_orbits(automorphisms(graph), spin_fibres(graph))
         assert len(walked.reps) == len(set(orbits.values()))
-        assert {(mask, signs) for mask, fibre in walked.table.items()
-                for signs in fibre} == set(orbits)
+        assert set(_table_data(graph, walked)) == set(orbits)
         for data, orbit in orbits.items():
-            assert {walked.orbit(*x) for x in orbit} == {walked.orbit(*data)}
+            assert {walked.orbit(m, sign_bits(x)) for m, x in orbit} == \
+                {walked.orbit(data[0], sign_bits(data[1]))}
+
+
+def _table_data(graph, walked):
+    """The orbit index of each ``(mask, signs)`` pair in a fibred walk's
+    table, its int signs read off as a tuple over the mask's
+    components."""
+    out = {}
+    for mask, fibre in walked.table.items():
+        size = len(pbar_decompose(graph, EdgeSet(graph, mask)))
+        for signs, k in fibre.items():
+            out[mask, sign_tuple(signs, size)] = k
+    return out
 
 
 @pytest.mark.parametrize("g,n", [(2, 1), (2, 2), (3, 0), (3, 1), (0, 6)])
@@ -1127,14 +1141,68 @@ def test_fibred_walk_matches_the_full_group_walk(g, n, shared_classes):
         walked = spin_orbits(automorphisms(graph), spin_fibres(graph))
         reps, orbit_of, stabilizers, _ = oracles.spin_orbits(
             graph, enumerate_spin(graph))
-        assert walked.reps == reps
-        assert {(mask, signs): k for mask, fibre in walked.table.items()
-                for signs, k in fibre.items()} == orbit_of
+        assert [s.data() for s in walked.representatives()] == reps
+        assert _table_data(graph, walked) == orbit_of
         assert walked.entries() == len(orbit_of)
         assert walked.stabilizers == stabilizers
         assert spin_orbit_keys(graph, walked) == [
             key_oracle.spin_key(SpinGraph(graph, s))
             for s in walked.representatives()]
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0)])
+def test_int_folds_match_the_tuple_oracles(g, n, shared_classes):
+    # every sign vector over every cyclic set, as an int, folded through
+    # the carry of every action class and of every table contraction and
+    # read back as a tuple, against the tuple image that the oracles
+    # build: act_spin for an automorphism, and for a contraction the
+    # signs summed over the component each source component's vertices
+    # map into (components_of membership, oracles.push_spin)
+    from spinmod.posets import _edge_contractions
+
+    classes = shared_classes(g, n)
+    reps = {canonical_key(graph): graph for graph in classes}
+    folded = 0
+    for graph in classes:
+        maps = [(a, oracles.act_spin) for a in automorphisms(graph).actions]
+        maps += [(c, oracles.push_spin)
+                 for _, _, c in _edge_contractions(graph, reps)]
+        for p, dec, vectors in spin_fibres(graph):
+            spins = [SpinStructure(graph, p, sign_tuple(bits, len(dec)))
+                     for bits in vectors]
+            assert [sign_bits(s.signs) for s in spins] == vectors
+            for f, oracle in maps:
+                carry = SpinCarry(f, p, dec)
+                for bits, s in zip(vectors, spins):
+                    image = carry.fold(bits)
+                    assert (carry.mask, sign_tuple(image, len(carry.dec))) \
+                        == oracle(f, s).data()
+                    folded += 1
+    assert folded > 0
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0)])
+def test_walk_representatives_are_the_least_tuples_of_their_orbits(
+        g, n, shared_classes):
+    # the fibred walk meets the int sign vectors in ascending order, and
+    # component 0 holds the most significant bit, so each representative
+    # read back as a tuple is the lexicographically least member of its
+    # orbit under the whole group, the orbits taken from the oracle walk
+    # over every structure; a vector ordered with component 0 in the
+    # least significant bit would keep another member where two
+    # components of positive genus carry different signs
+    compared = 0
+    for graph in shared_classes(g, n):
+        _, orbit_of, _, _ = oracles.spin_orbits(graph, enumerate_spin(graph))
+        least = {}
+        for data, k in orbit_of.items():
+            least[k] = min(least.get(k, data), data)
+        walked = spin_orbits(automorphisms(graph), spin_fibres(graph))
+        got = [s.data() for s in walked.representatives()]
+        assert sorted(orbit_of[data] for data in got) == sorted(least)
+        assert all(data == least[orbit_of[data]] for data in got)
+        compared += sum(1 for data in got if sum(data[1]) > 1)
+    assert compared > 0
 
 
 def _mutate_transporters(monkeypatch, mutate):

@@ -10,7 +10,7 @@ from spinmod.posets import (PosetNode, build_cyclic_poset, build_graph_poset,
                             build_spin_poset, check_budget,
                             enumerate_stable_graphs, max_rank, poset_stats,
                             stable_graphs_direct, three_regular_graphs)
-from spinmod.spin import SpinGraph, SpinStructure, sign_vectors
+from spinmod.spin import SpinGraph, SpinStructure, sign_tuple, sign_vectors
 
 from conftest import (make_rose, poset_from_pairs, shuffled,
                       without_covers_into)
@@ -907,7 +907,8 @@ def test_spin_push_past_a_false_memo_entry_misses_its_target():
                        "missing from the orbit table of its target class$"
                        ) as info:
         build_spin_poset(1, 3, _classes=classes)
-    first = sign_vectors(pbar_decompose(graph, p))[0]
+    dec = pbar_decompose(graph, p)
+    first = sign_tuple(sign_vectors(dec)[0], len(dec))
     node = SpinGraph(graph, SpinStructure(graph, p, first))
     assert info.value.witnesses == (canonical_key(node), f"edge={e}",
                                     target_key)

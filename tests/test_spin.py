@@ -57,8 +57,10 @@ def test_enumeration_matches_the_validated_structures(g, n, shared_classes):
     # sorted by data; the fuzz chains draw structures by position here
     for graph in shared_classes(g, n):
         validated = sorted(
-            (SpinStructure(graph, p, signs) for p in enumerate_cyclic(graph)
-             for signs in spin_module.sign_vectors(pbar_decompose(graph, p))),
+            (SpinStructure(graph, p, spin_module.sign_tuple(signs, len(dec)))
+             for p in enumerate_cyclic(graph)
+             for dec in (pbar_decompose(graph, p),)
+             for signs in spin_module.sign_vectors(dec)),
             key=SpinStructure.data)
         assert [(s.data(), s.parity) for s in enumerate_spin(graph)] == \
             [(s.data(), s.parity) for s in validated]

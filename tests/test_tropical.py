@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from spinmod import tropical
-from spinmod.cycles import EdgeSet
+from spinmod.cycles import EdgeSet, enumerate_cyclic, pbar_decompose
 from spinmod.errors import InputError, VerificationError
 from spinmod.graphs import Graph
-from spinmod.morphisms import canonical_key
+from spinmod.morphisms import automorphisms, canonical_key
 from spinmod.posets import build_spin_poset, poset_stats
 from spinmod.spin import SpinGraph, SpinStructure, enumerate_spin
 from spinmod.tropical import (INF, FamilyDescriptor,
@@ -107,6 +107,37 @@ def test_fiber_representatives_are_orbit_minima(theta, lengths):
         orbits.setdefault(orbit[0], s)
     assert [r.spin.data() for r in pi_trop_fiber(curve)] == \
         [s.data() for s in orbits.values()]
+
+
+@pytest.mark.parametrize("g,n", [(2, 2), (3, 0)])
+def test_fiber_counts_every_spin_structure_by_orbit_stabilizer(
+        g, n, shared_classes):
+    # pairwise distinct lengths cut the curve's group H down to the
+    # elements that move no edge (loop flips, and swaps of the ends of an
+    # edge between two like vertices); over the fiber's representatives,
+    # |H| / |Stab(rep)| summed must count the spin structures on the
+    # graph, the sum of 2^{c_+(P)} over its cyclic sets.  H is checked
+    # against the elements of the graph's group that keep the lengths,
+    # and each stabilizer is counted over those elements with the
+    # oracle's act_spin, not read off the walk
+    cut = 0
+    for graph in shared_classes(g, n):
+        lengths = [F(i + 1) for i in range(graph.n_edges)]
+        curve = TropicalCurve(graph, lengths)
+        elements = [a for a in oracles.element_group(graph).elements
+                    if [lengths[j] for j in a.edge_perm] == lengths]
+        assert curve_automorphisms(curve).order == len(elements)
+        counted = 0
+        for rep in pi_trop_fiber(curve):
+            s = rep.spin
+            stabilizer = sum(1 for a in elements
+                             if oracles.act_spin(a, s).data() == s.data())
+            assert len(elements) % stabilizer == 0
+            counted += len(elements) // stabilizer
+        assert counted == sum(2 ** pbar_decompose(graph, p).c_plus
+                              for p in enumerate_cyclic(graph))
+        cut += len(elements) < automorphisms(graph).order
+    assert cut > 0
 
 
 def test_fiber_round_trip_failure_is_verification_error(theta,

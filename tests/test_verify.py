@@ -442,9 +442,10 @@ def test_graph_poset_record_counts_the_contraction_table(
 def test_functoriality_and_stratum_records_carry_coverage(g, n,
                                                           monkeypatch):
     # counted from the calls each check makes: one stratum_counts per
-    # class, three push_spin per spin comparison, two boundary per square
-    calls = {"stratum_counts": 0, "push_spin": 0, "boundary": 0}
-    for name in calls:
+    # class, three sign folds per spin comparison (through c1, then c2,
+    # and through c12) while the chains run, two boundary per square
+    calls = {"stratum_counts": 0, "fold": 0, "boundary": 0}
+    for name in ("stratum_counts", "boundary"):
         original = getattr(verify, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -452,6 +453,22 @@ def test_functoriality_and_stratum_records_carry_coverage(g, n,
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(verify, name, counting)
+    chaining = [False]
+    fold, chains = morphisms.SpinCarry.fold, verify.fuzz_contraction_chains
+
+    def counting_fold(self, signs):
+        calls["fold"] += chaining[0]
+        return fold(self, signs)
+
+    def in_chains(*args, **kwargs):
+        chaining[0] = True
+        try:
+            return chains(*args, **kwargs)
+        finally:
+            chaining[0] = False
+
+    monkeypatch.setattr(morphisms.SpinCarry, "fold", counting_fold)
+    monkeypatch.setattr(verify, "fuzz_contraction_chains", in_chains)
     classes = posets.enumerate_stable_graphs(g, n)
     counts = {c["name"]: c for c in
               verify.suite_counts(g, classes)}
@@ -463,7 +480,7 @@ def test_functoriality_and_stratum_records_carry_coverage(g, n,
         fuzz=300, seed=3)}
     spin_compared = chains["parity-preservation"]["chains"]
     squares = chains["boundary-square"]["squares"]
-    assert calls["push_spin"] == 3 * spin_compared
+    assert calls["fold"] == 3 * spin_compared
     assert calls["boundary"] == 2 * squares
     assert chains["pushforward-composition"]["chains"] == spin_compared \
         == 300
@@ -853,20 +870,19 @@ def test_cycle_pushforward_that_does_not_compose_names_the_set(
 
 def test_spin_pushforward_that_does_not_compose_names_the_class(
         theta, monkeypatch):
-    # every second step of a chain pushes its structure onto another one
-    # over the same graph, so the first chain fails
-    original = verify.push_spin
+    # every second step of a chain folds its signs onto another vector,
+    # its last component's sign flipped, so the first chain fails
+    original = morphisms.SpinCarry.fold
     moved = []
 
-    def elsewhere(c, s):
-        out = original(c, s)
-        if c.source is theta:
+    def elsewhere(self, signs):
+        out = original(self, signs)
+        if self.f.source is theta:
             return out
         moved.append(out)
-        return next(t for t in enumerate_spin(c.target)
-                    if t.data() != out.data())
+        return out ^ 1
 
-    monkeypatch.setattr(verify, "push_spin", elsewhere)
+    monkeypatch.setattr(morphisms.SpinCarry, "fold", elsewhere)
     with pytest.raises(VerificationError, match="^spin pushforward does "
                        "not compose$") as info:
         verify.fuzz_contraction_chains([theta], 1, 0)
